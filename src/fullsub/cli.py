@@ -239,7 +239,7 @@ def cmd_sweep(args) -> int:
         r=args.r,
         c=args.c,
         timings=args.timings,
-        threads=args.threads if args.threads is not None else 1,
+        threads=args.threads,
         exact_cap=_cap(args, EXACT_CAP_DEFAULT),
     )
     rows = run_sweep(config)
@@ -252,8 +252,6 @@ def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--seed", type=int, default=None,
                         help="seed for randomized steps (default 0)")
-    common.add_argument("--threads", type=int, default=None,
-                        help="worker processes for sweeps (default 1)")
     common.add_argument("--exact-cap", type=int, default=None,
                         help="max n for exact enumeration (default 20; 16 for percolate)")
 
@@ -286,9 +284,8 @@ def build_parser() -> argparse.ArgumentParser:
                         help="density parameter (default: graph density)")
     p_disc.add_argument("--sign", choices=("plus", "minus"), default="plus")
     p_disc.add_argument("--k", type=int, help="restrict to subsets of size k")
-    mode = p_disc.add_mutually_exclusive_group()
-    mode.add_argument("--exact", action="store_true", default=True)
-    mode.add_argument("--heuristic", action="store_true")
+    p_disc.add_argument("--heuristic", action="store_true",
+                        help="seeded local search instead of exact enumeration")
     p_disc.add_argument("--restarts", type=int, default=8)
     p_disc.set_defaults(func=cmd_disc)
 
@@ -342,6 +339,8 @@ def build_parser() -> argparse.ArgumentParser:
                          help=f"comma list from: {', '.join(SWEEP_ALGORITHMS)}")
     p_sweep.add_argument("--r", type=int)
     p_sweep.add_argument("--c", type=_fraction)
+    p_sweep.add_argument("--threads", type=int, default=1,
+                         help="worker processes (default 1)")
     p_sweep.add_argument("--timings", action="store_true",
                          help="record per-cell runtimes (breaks byte-identical reruns)")
     p_sweep.add_argument("--out", default="-", help="CSV path ('-' = stdout)")

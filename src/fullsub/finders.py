@@ -32,10 +32,12 @@ from typing import Optional
 
 import numpy as np
 
+from .discrepancy import EXACT_CAP_DEFAULT
 from .graph import (
     Graph,
     PreconditionError,
     VerificationError,
+    _pack_rows,
     complement,
     density,
     from_mask,
@@ -44,8 +46,6 @@ from .graph import (
     to_mask,
 )
 from .rng import philox, split_seed
-
-EXACT_CAP_DEFAULT = 20
 
 
 @dataclass(frozen=True)
@@ -203,12 +203,14 @@ class _Peeler:
     decrements all surviving neighbors in one vectorized step."""
 
     def __init__(self, g: Graph):
-        self.g = g
-        self.alive = (1 << g.n) - 1
+        self.n = g.n
         self.count = g.n
         self.deg = np.array(g.degrees, dtype=np.int64)
-        self._rows = _adjacency_matrix(g).view(np.bool_)
+        self._rows = g.matrix
         self._gone = np.zeros(g.n, dtype=np.bool_)
+
+    def alive_mask(self) -> int:
+        return _pack_rows(~self._gone[None])[0]
 
     def peek_min(self) -> tuple[int, int]:
         if not self.count:
@@ -218,10 +220,30 @@ class _Peeler:
         return int(masked[v]), v
 
     def delete(self, v: int) -> None:
-        self.alive ^= 1 << v
         self.count -= 1
         self._gone[v] = True
         self.deg[self._rows[v] & ~self._gone] -= 1
+
+    def until_full(self, p: Fraction, trace: list[int],
+                   tie_break: str = "min-index") -> int:
+        """Delete minimum-degree vertices, appending each to trace,
+        until the survivors are full at p; returns their mask.
+        tie_break is as in greedy_full."""
+        num, den = p.numerator, p.denominator
+        last: Optional[int] = None
+        shift = self.n // 2
+        while True:
+            dmin, vmin = self.peek_min()
+            if dmin * den >= num * (self.count - 1):
+                return self.alive_mask()
+            victim = vmin
+            if tie_break == "adversarial-antipodal" and last is not None:
+                anti = (last + shift) % self.n
+                if not self._gone[anti] and self.deg[anti] == dmin:
+                    victim = anti
+            self.delete(victim)
+            trace.append(victim)
+            last = victim
 
 
 def greedy_full(g: Graph, p=None, tie_break: str = "min-index",
@@ -243,27 +265,12 @@ def greedy_full(g: Graph, p=None, tie_break: str = "min-index",
     if tie_break not in ("min-index", "adversarial-antipodal"):
         raise ValueError(f"unknown tie_break {tie_break!r}")
     p = density(g) if p is None else Fraction(p)
-    num, den = p.numerator, p.denominator
+    if not 0 <= p <= 1:
+        raise PreconditionError(f"p must lie in [0, 1], got {p}")
     if g.n == 0:
         return FullSubgraphResult(frozenset(), 0, p, 0, None, ())
-    peel = _Peeler(g)
     trace: list[int] = []
-    last: Optional[int] = None
-    shift = g.n // 2
-    while True:
-        s = peel.count
-        dmin, vmin = peel.peek_min()
-        if dmin * den >= num * (s - 1):
-            break
-        victim = vmin
-        if tie_break == "adversarial-antipodal" and last is not None:
-            anti = (last + shift) % g.n
-            if (peel.alive >> anti) & 1 and peel.deg[anti] == dmin:
-                victim = anti
-        peel.delete(victim)
-        trace.append(victim)
-        last = victim
-    mask = peel.alive
+    mask = _Peeler(g).until_full(p, trace, tie_break)
     guarantee = None
     if alpha is not None:
         alpha = Fraction(alpha)
@@ -278,17 +285,6 @@ def greedy_full(g: Graph, p=None, tie_break: str = "min-index",
     if not ok:
         raise VerificationError(f"greedy stop set not full at vertex {bad}")
     return result
-
-
-def _adjacency_matrix(g: Graph) -> np.ndarray:
-    """Dense 0/1 adjacency as uint8, rows indexed by vertex."""
-    n = g.n
-    nbytes = (n + 7) // 8
-    buf = bytearray(nbytes * n)
-    for v, row in enumerate(g.adj):
-        buf[v * nbytes:(v + 1) * nbytes] = row.to_bytes(nbytes, "little")
-    packed = np.frombuffer(bytes(buf), dtype=np.uint8).reshape(n, nbytes)
-    return np.unpackbits(packed, axis=1, bitorder="little")[:, :n]
 
 
 def qfull_partition(g: Graph, q, seed: Optional[int] = None) -> QFullOutcome:
@@ -319,7 +315,7 @@ def qfull_partition(g: Graph, q, seed: Optional[int] = None) -> QFullOutcome:
     kx = -((-a * n) // b)
 
     deg = np.array(g.degrees, dtype=np.int64)
-    adj = _adjacency_matrix(g)
+    adj = g.matrix
     if seed is None:
         order = np.lexsort((np.arange(n), -deg))
     else:
@@ -327,7 +323,9 @@ def qfull_partition(g: Graph, q, seed: Optional[int] = None) -> QFullOutcome:
     in_x = np.zeros(n, dtype=bool)
     in_x[order[:kx]] = True
 
-    dx = (adj @ in_x.astype(np.int64))
+    # neighbours inside X, counted on a column slice (n*|X| bytes, not
+    # the n*n int64 copy a matrix product would make)
+    dx = np.count_nonzero(adj[:, in_x], axis=1).astype(np.int64)
     u = a * deg - b * dx
     NEG = np.int64(-(1 << 62))
     POS = np.int64(1 << 62)
@@ -353,7 +351,7 @@ def qfull_partition(g: Graph, q, seed: Optional[int] = None) -> QFullOutcome:
                     x = int(x)
                     if not in_x[x] or int(u[x]) <= y_floor:
                         break
-                    cand = np.where(~in_x & (adj[x] == 0), u, POS)
+                    cand = np.where(~in_x & ~adj[x], u, POS)
                     y = int(np.argmin(cand))
                     if int(cand[y]) < int(u[x]):
                         swap = (x, y)
@@ -371,9 +369,7 @@ def qfull_partition(g: Graph, q, seed: Optional[int] = None) -> QFullOutcome:
             raise VerificationError("swap search exceeded its potential bound")
 
     bx = np.flatnonzero(in_x & (u > 0))
-    x_mask = 0
-    for v in np.flatnonzero(in_x):
-        x_mask |= 1 << int(v)
+    x_mask = _pack_rows(in_x[None])[0]
     y_mask = ((1 << n) - 1) ^ x_mask
     x_set = from_mask(x_mask)
     y_set = from_mask(y_mask)
@@ -405,12 +401,7 @@ def half_full(g: Graph, seed: Optional[int] = None) -> RelativelyFullResult:
     vertices: variant i gives ceil(n/2), variant ii floor(n/2), and
     from variant iii we keep the (1-q) side, which has floor(n/2)+1."""
     out = qfull_partition(g, Fraction(1, 2), seed=seed)
-    if out.variant == "i":
-        chosen = out.set_q
-    elif out.variant == "ii":
-        chosen = out.set_1mq
-    else:
-        chosen = out.set_1mq
+    chosen = out.set_q if out.variant == "i" else out.set_1mq
     assert chosen is not None
     return RelativelyFullResult(chosen, len(chosen), Fraction(1, 2))
 
@@ -526,30 +517,22 @@ def full_two_thirds(g: Graph) -> FullSubgraphResult:
     peel = _Peeler(g)
     trace: list[int] = []
     result_mask: Optional[int] = None
-    for _ in range(1, (n + 1) // 2 + 1):
+    for _ in range((n + 1) // 2):
         s = peel.count
         dmin, vmin = peel.peek_min()
         if dmin * den >= num * (s - 1):
-            result_mask = peel.alive
             break
         d_i = -((-num * (s - 1)) // den)
         r_i = d_i % r
         if r_i * den <= (den - num) * r and dmin >= d_i - r_i + 1:
-            sub, sub_labels = induced_subgraph(g, peel.alive)
+            sub, sub_labels = induced_subgraph(g, peel.alive_mask())
             rel = one_over_r_full(sub, r)
             result_mask = to_mask((sub_labels[j] for j in rel.vertices), n)
             break
         peel.delete(vmin)
         trace.append(vmin)
     if result_mask is None:
-        while True:
-            s = peel.count
-            dmin, vmin = peel.peek_min()
-            if dmin * den >= num * (s - 1):
-                result_mask = peel.alive
-                break
-            peel.delete(vmin)
-            trace.append(vmin)
+        result_mask = peel.until_full(p, trace)
 
     ok, bad = is_full(g, p, result_mask)
     if not ok:

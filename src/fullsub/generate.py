@@ -18,7 +18,7 @@ from typing import Optional
 
 import numpy as np
 
-from .graph import Graph, PreconditionError, VerificationError, density
+from .graph import Graph, PreconditionError, VerificationError, _pack_rows, density
 from .rng import uniform_u64
 
 FAMILIES = ("gnp", "clique-isolated", "multipartite-planted", "adversary")
@@ -37,12 +37,6 @@ class GenSpec:
     r: Optional[int] = None
     c: Optional[Fraction] = None
     seed: int = 0
-
-
-def _masks_from_matrix(mat: np.ndarray) -> tuple[int, ...]:
-    packed = np.packbits(mat, axis=1, bitorder="little")
-    return tuple(int.from_bytes(packed[v].tobytes(), "little")
-                 for v in range(mat.shape[0]))
 
 
 def gen_gnp(n: int, p, seed: int) -> Graph:
@@ -67,11 +61,15 @@ def gen_gnp(n: int, p, seed: int) -> Graph:
     thr = (num << 64) // den
     draws = uniform_u64(seed, total)
     keep = draws < np.uint64(thr)
-    iu, ju = np.triu_indices(n, k=1)
     mat = np.zeros((n, n), dtype=bool)
-    mat[iu[keep], ju[keep]] = True
+    # a boolean-mask store visits the upper triangle (u < v) row by
+    # row, which is the lexicographic pair order of the draws
+    idx = np.arange(n)
+    mat[idx[:, None] < idx] = keep
     mat |= mat.T
-    return Graph.from_masks(n, _masks_from_matrix(mat), verify=False)
+    # packed without priming Graph.matrix: many generated graphs are
+    # only written out, and the cache would hold n^2 bytes each
+    return Graph._from_adj(n, _pack_rows(mat))
 
 
 def gen_clique_plus_isolated(n: int, E: int) -> Graph:
@@ -83,9 +81,7 @@ def gen_clique_plus_isolated(n: int, E: int) -> Graph:
     if not 0 <= E <= n * (n - 1) // 2:
         raise PreconditionError(
             f"E must lie in [0, C({n},2)] = [0, {n * (n - 1) // 2}], got {E}")
-    m = 0
-    while m * (m - 1) // 2 < E:
-        m += 1
+    m = clique_part_size(E)
     edges = list(itertools.islice(itertools.combinations(range(m), 2), E))
     return Graph.from_edges(n, edges)
 
@@ -201,8 +197,7 @@ def gen_greedy_adversary(n: int) -> Graph:
         base |= (1 << j) | (1 << (N - j))
     adj = [((base << i) | (base >> (N - i))) & wrap for i in range(N)]
 
-    r0 = math.isqrt(3 * n)
-    m = r0 + 1 if 3 * n - r0 * r0 > r0 else r0
+    m = adversary_planted_size(n)
     for i in range(m):
         for j in range(m):
             u, v = i, 2 * n + 1 + j

@@ -2,15 +2,19 @@
 
 Adjacency lives in one Python int bitmask per vertex, so counting a
 neighbourhood inside a vertex subset is a single AND plus popcount even
-for a few thousand vertices. Graphs are frozen after construction and
-every function in this package treats them as shared read-only values;
-all density and degree arithmetic is exact (integers and Fractions).
+for a few thousand vertices. The vectorized kernels read the same
+adjacency as Graph.matrix, a read-only numpy bool matrix built once per
+graph; this module is the only place that converts between the two
+forms. Graphs are frozen after construction and every function in this
+package treats them as shared read-only values; all density and degree
+arithmetic is exact (integers and Fractions).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Iterable, Iterator
 
 import numpy as np
@@ -40,6 +44,18 @@ def to_mask(vertices: Iterable[int], n: int) -> int:
             raise ValueError(f"vertex {v} out of range 0..{n - 1}")
         mask |= 1 << v
     return mask
+
+
+def _pack_rows(rows: np.ndarray) -> list[int]:
+    """The bitmask of each row of a 2-D bool array: bit j of mask i is
+    rows[i, j]. Pass vec[None] to pack a single vector."""
+    packed = np.packbits(rows, axis=1, bitorder="little")
+    width = packed.shape[1]
+    if not width:
+        return [0] * len(rows)
+    buf = packed.tobytes()
+    return [int.from_bytes(buf[i:i + width], "little")
+            for i in range(0, len(buf), width)]
 
 
 def iter_bits(mask: int) -> Iterator[int]:
@@ -106,7 +122,6 @@ class Graph:
         adj = list(adj)
         if len(adj) != n:
             raise ValueError("need one adjacency mask per vertex")
-        full = (1 << n) - 1
         for v, m in enumerate(adj):
             if m >> n:
                 raise ValueError(f"adjacency mask of {v} mentions vertices >= {n}")
@@ -121,7 +136,6 @@ class Graph:
                     m ^= low
                     if not (adj[u] >> v) & 1:
                         raise ValueError(f"asymmetric adjacency between {u} and {v}")
-        del full
         return cls._from_adj(n, adj)
 
     @classmethod
@@ -130,6 +144,28 @@ class Graph:
         total = sum(degrees)
         assert total % 2 == 0
         return cls(n=n, adj=tuple(adj), degrees=degrees, edge_count=total // 2)
+
+    @classmethod
+    def _from_matrix(cls, mat: np.ndarray) -> "Graph":
+        """Build from a symmetric bool matrix with a zero diagonal
+        (not checked). The matrix is taken over, not copied: it becomes
+        the graph's read-only Graph.matrix."""
+        g = cls._from_adj(mat.shape[0], _pack_rows(mat))
+        mat.setflags(write=False)
+        g.__dict__["matrix"] = mat
+        return g
+
+    @cached_property
+    def matrix(self) -> np.ndarray:
+        """Dense n x n bool adjacency, built on first use and cached;
+        read-only, since the graph it mirrors is immutable."""
+        n = self.n
+        nbytes = (n + 7) // 8
+        packed = np.frombuffer(b"".join(m.to_bytes(nbytes, "little") for m in self.adj),
+                               dtype=np.uint8).reshape(n, nbytes)
+        mat = np.unpackbits(packed, axis=1, count=n, bitorder="little").view(np.bool_)
+        mat.setflags(write=False)
+        return mat
 
     def degree(self, v: int) -> int:
         return self.degrees[v]
@@ -172,39 +208,9 @@ def induced_subgraph(g: Graph, vertices: Iterable[int]) -> tuple[Graph, tuple[in
     Returns (h, labels) where labels[i] is the original id of vertex i
     of h; labels are sorted ascending.
     """
-    mask = to_mask(vertices, g.n) if not isinstance(vertices, int) else vertices
-    labels = []
-    m = mask
-    while m:
-        low = m & -m
-        labels.append(low.bit_length() - 1)
-        m ^= low
-    k = len(labels)
-    if g.n >= 128 and k:
-        # column-select on the packed adjacency; the per-bit loop below
-        # is quadratic in python ops and dominates on large graphs
-        nbytes = (g.n + 7) // 8
-        buf = bytearray(nbytes * k)
-        for i, v in enumerate(labels):
-            buf[i * nbytes:(i + 1) * nbytes] = g.adj[v].to_bytes(nbytes, "little")
-        rows = np.unpackbits(np.frombuffer(bytes(buf), dtype=np.uint8)
-                             .reshape(k, nbytes), axis=1,
-                             bitorder="little")[:, labels]
-        packed_rows = np.packbits(rows, axis=1, bitorder="little")
-        new_adj = [int.from_bytes(packed_rows[i].tobytes(), "little")
-                   for i in range(k)]
-    else:
-        index_of = {v: i for i, v in enumerate(labels)}
-        new_adj = []
-        for v in labels:
-            row = g.adj[v] & mask
-            packed = 0
-            while row:
-                low = row & -row
-                packed |= 1 << index_of[low.bit_length() - 1]
-                row ^= low
-            new_adj.append(packed)
-    return Graph._from_adj(len(labels), new_adj), tuple(labels)
+    mask = vertices if isinstance(vertices, int) else to_mask(vertices, g.n)
+    labels = tuple(iter_bits(mask))
+    return Graph._from_matrix(g.matrix[np.ix_(labels, labels)]), labels
 
 
 def complement(g: Graph) -> Graph:

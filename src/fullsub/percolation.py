@@ -18,7 +18,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .graph import Graph, PreconditionError, from_mask, iter_bits, to_mask
+from .graph import Graph, PreconditionError, _pack_rows, from_mask, iter_bits, to_mask
 from .rng import split_seed, uniform_u64
 
 THETA_CAP_DEFAULT = 16
@@ -28,7 +28,6 @@ THETA_CAP_DEFAULT = 16
 class PercolationState:
     infected: frozenset[int]
     rounds: int
-    stabilized: bool
 
 
 @dataclass(frozen=True)
@@ -54,7 +53,7 @@ def bootstrap_percolate(g: Graph, initial) -> PercolationState:
             break
         infected |= add
         rounds += 1
-    return PercolationState(from_mask(infected), rounds, True)
+    return PercolationState(from_mask(infected), rounds)
 
 
 def is_relatively_half_full_mask(g: Graph, mask: int) -> bool:
@@ -89,10 +88,7 @@ def sample_initial_mask(n: int, p, seed: int, trial: int) -> int:
         return (1 << n) - 1
     draws = uniform_u64(split_seed(seed, trial), n)
     keep = draws < np.uint64((num << 64) // den)
-    initial = 0
-    for v in np.flatnonzero(keep):
-        initial |= 1 << int(v)
-    return initial
+    return _pack_rows(keep[None])[0]
 
 
 def full_infection_probability(g: Graph, p, trials: int = 1000,

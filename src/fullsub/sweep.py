@@ -24,8 +24,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Union
 
+from .discrepancy import EXACT_CAP_DEFAULT
 from .finders import (
-    EXACT_CAP_DEFAULT,
     full_two_thirds,
     greedy_full,
     half_full,
@@ -78,6 +78,9 @@ def _validate(config: SweepConfig) -> None:
     if not config.n_grid or not config.p_grid or not config.seeds \
             or not config.algorithms:
         raise PreconditionError("sweep grids must be nonempty")
+    if config.threads < 1:
+        raise PreconditionError(
+            f"threads must be a positive integer, got {config.threads}")
     for algo in config.algorithms:
         if algo not in SWEEP_ALGORITHMS:
             raise PreconditionError(

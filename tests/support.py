@@ -13,7 +13,10 @@ from fractions import Fraction
 from itertools import combinations
 from typing import Iterable, Optional
 
+import numpy as np
+
 from fullsub import Graph, complement, gen_gnp
+from fullsub.rng import split_seed, uniform_u64
 
 from_edges = Graph.from_edges
 
@@ -89,6 +92,40 @@ def all_graphs(n: int) -> Iterable[Graph]:
     pairs = list(combinations(range(n), 2))
     for code in range(1 << len(pairs)):
         yield from_edges(n, [pairs[i] for i in range(len(pairs)) if (code >> i) & 1])
+
+
+# ---------------------------------------------------------------------------
+# adjacency: induced subgraphs, random-graph fills, sampled masks
+
+def reference_induced_subgraph(g: Graph, vertices) -> tuple[Graph, tuple[int, ...]]:
+    """Induced subgraph and labels, one has_edge query per pair."""
+    labels = tuple(sorted(set(vertices)))
+    k = len(labels)
+    return from_edges(k, [(i, j) for i, j in combinations(range(k), 2)
+                          if g.has_edge(labels[i], labels[j])]), labels
+
+
+def reference_gnp_adjacency(n: int, p, seed: int) -> np.ndarray:
+    """Bool adjacency of G(n, p): pair k of the lexicographic order
+    (triu_indices) is an edge when draw k falls below floor(p * 2^64),
+    written with a fancy-index store."""
+    p = Fraction(p)
+    mat = np.zeros((n, n), dtype=bool)
+    total = n * (n - 1) // 2
+    if total:
+        thr = (p.numerator << 64) // p.denominator
+        keep = np.array([int(d) < thr for d in uniform_u64(seed, total)], dtype=bool)
+        iu, ju = np.triu_indices(n, k=1)
+        mat[iu[keep], ju[keep]] = True
+    return mat | mat.T
+
+
+def reference_initial_mask(n: int, p, seed: int, trial: int) -> int:
+    """The trial-th p-random initial set as a mask, one vertex at a time."""
+    p = Fraction(p)
+    thr = (p.numerator << 64) // p.denominator
+    draws = uniform_u64(split_seed(seed, trial), n)
+    return sum(1 << v for v in range(n) if int(draws[v]) < thr)
 
 
 # ---------------------------------------------------------------------------

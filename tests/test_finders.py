@@ -166,6 +166,12 @@ def test_greedy_rejects_unknown_tie_break():
         greedy_full(K31, tie_break="random")
 
 
+@pytest.mark.parametrize("p", [2, -1, Fraction(-1, 3), Fraction(4, 3)])
+def test_greedy_refuses_p_outside_unit_interval(p):
+    with pytest.raises(PreconditionError, match=r"\[0, 1\]"):
+        greedy_full(K31, p=p)
+
+
 @settings(max_examples=30)
 @given(graphs(min_n=2, max_n=9))
 def test_greedy_from_surplus_witness_meets_the_guarantee(g):

@@ -3,6 +3,7 @@
 from fractions import Fraction
 from itertools import combinations, islice
 
+import numpy as np
 import pytest
 
 import support
@@ -51,6 +52,16 @@ def test_gnp_edge_count_concentration():
         for s in range(100)
     )
     assert hits >= 99
+
+
+@pytest.mark.parametrize("n", [2, 3, 200, 1001])
+@pytest.mark.parametrize("p", [Fraction(1, 3), Fraction(1, 2), Fraction(1, 2000)])
+@pytest.mark.parametrize("seed", [0, 7])
+def test_gnp_matches_reference_fill(n, p, seed):
+    want = support.reference_gnp_adjacency(n, p, seed)
+    g = gen_gnp(n, p, seed)
+    assert np.array_equal(g.matrix, want)
+    assert g.edge_count == int(want.sum()) // 2
 
 
 def test_gnp_rejects_bad_probability():

@@ -2,6 +2,7 @@
 
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -12,6 +13,7 @@ from fullsub import (
     Graph,
     complement,
     density,
+    gen_gnp,
     induced_subgraph,
     lex_less,
     read_edge_list,
@@ -113,6 +115,47 @@ def test_induced_subgraph_edge_count_and_degrees(g, data):
     for i, v in enumerate(labels):
         outside = sum(1 for u in g.neighbors(v) if u not in subset)
         assert g.degree(v) == h.degree(i) + outside
+
+
+@pytest.mark.parametrize("n", [0, 1, 5, 127, 128, 300])
+def test_induced_subgraph_matches_reference(n):
+    g = gen_gnp(n, Fraction(1, 2), seed=n)
+    subsets = [[], list(range(n)), list(range(0, n, 3)),
+               [v for v in range(n) if (v * 7919) % 5 < 2]]
+    for subset in subsets:
+        want, want_labels = support.reference_induced_subgraph(g, subset)
+        for arg in (subset, sum(1 << v for v in subset)):
+            h, labels = induced_subgraph(g, arg)
+            assert labels == want_labels
+            assert h.adj == want.adj
+            assert np.array_equal(h.matrix, want.matrix)
+
+
+def _assert_matrix_mirrors_masks(g):
+    mat = g.matrix
+    assert mat.dtype == np.bool_ and mat.shape == (g.n, g.n)
+    assert np.array_equal(mat, mat.T)
+    assert not mat.diagonal().any()
+    assert all(bool(mat[u, v]) == g.has_edge(u, v)
+               for u in range(g.n) for v in range(g.n))
+    assert g.matrix is mat
+
+
+@given(graphs())
+def test_matrix_mirrors_the_masks(g):
+    _assert_matrix_mirrors_masks(g)
+
+
+@pytest.mark.parametrize("n", [127, 300])
+def test_matrix_mirrors_the_masks_generated(n):
+    _assert_matrix_mirrors_masks(gen_gnp(n, Fraction(1, 3), seed=1))
+
+
+def test_matrix_is_read_only():
+    for g in (support.cycle(5), gen_gnp(40, Fraction(1, 2), seed=2),
+              induced_subgraph(support.cycle(5), [0, 1, 2])[0]):
+        with pytest.raises(ValueError):
+            g.matrix[0, 1] = not g.matrix[0, 1]
 
 
 def test_complement_closed_cases():

@@ -51,7 +51,6 @@ def test_closure_matches_reference_simulation(g, data):
                         if g.n else st.just(set()))
     state = bootstrap_percolate(g, initial)
     assert state.infected == frozenset(support.sync_percolate(g, initial))
-    assert state.stabilized
     assert state.rounds <= g.n
     assert (state.rounds == 0) == (state.infected == frozenset(initial))
 
@@ -206,3 +205,11 @@ def test_initial_sample_extremes_and_determinism():
     assert sample_initial_mask(0, Fraction(1, 2), seed=4, trial=0) == 0
     with pytest.raises(PreconditionError):
         sample_initial_mask(5, Fraction(-1, 2), seed=0, trial=0)
+
+
+@pytest.mark.parametrize("n", [0, 1, 7, 8, 9, 64, 300])
+@pytest.mark.parametrize("p", [0, Fraction(1, 3), Fraction(1, 2), Fraction(9, 10), 1])
+def test_initial_sample_matches_reference(n, p):
+    for seed, trial in ((0, 0), (4, 7), (123, 1)):
+        assert sample_initial_mask(n, p, seed, trial) == \
+            support.reference_initial_mask(n, p, seed, trial)

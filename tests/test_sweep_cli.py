@@ -112,6 +112,12 @@ def test_sweep_config_validation():
                               ("greedy",), family="adversary"))
 
 
+@pytest.mark.parametrize("threads", [0, -3])
+def test_sweep_refuses_nonpositive_threads(threads):
+    with pytest.raises(PreconditionError, match="threads"):
+        run_sweep(SweepConfig(**{**BASE.__dict__, "threads": threads}))
+
+
 def test_sweep_cell_errors_name_the_cell():
     cfg = SweepConfig(n_grid=(25,), p_grid=(Fraction(1, 2),), seeds=(3,),
                       algorithms=("oracle",), exact_cap=20)
@@ -334,3 +340,28 @@ def test_cli_usage_errors_exit_2(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["full"])
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ["disc", "--input", "g.txt", "--exact"],
+    ["full", "--input", "g.txt", "--threads", "2"],
+    ["percolate", "--input", "g.txt", "--p", "1/2", "--threads", "2"],
+])
+def test_cli_rejects_removed_flags(capsys, argv):
+    # disc is exact unless --heuristic (a bare --exact now reads as an
+    # abbreviation of --exact-cap and lacks its value); --threads
+    # belongs to sweep only
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "error:" in capsys.readouterr().err
+
+
+def test_cli_refuses_out_of_range_p_and_threads(capsys, tmp_path):
+    path = graph_file(tmp_path, support.cycle(5))
+    for p in ("2", "-1"):
+        code, _, err = run_cli(capsys, "full", "--input", path, "--p", p)
+        assert code == 2 and "refused" in err
+    code, _, err = run_cli(capsys, "sweep", "--n-grid", "6", "--p-grid", "1/2",
+                           "--seeds", "0", "--algos", "greedy", "--threads", "0")
+    assert code == 2 and "threads" in err
