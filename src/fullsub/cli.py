@@ -256,11 +256,11 @@ def build_parser() -> argparse.ArgumentParser:
                         help="max n for exact enumeration (default 20; 16 for percolate)")
 
     parser = argparse.ArgumentParser(
-        prog="fullsub",
+        prog="fullsub", allow_abbrev=False,
         description="Full subgraphs, discrepancy, and bootstrap percolation.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_gen = sub.add_parser("gen", parents=[common],
+    p_gen = sub.add_parser("gen", parents=[common], allow_abbrev=False,
                            help="generate a graph family instance")
     p_gen.add_argument("--family", required=True,
                        choices=FAMILIES + ("glued",))
@@ -277,7 +277,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_gen.add_argument("--out", default="-", help="output file ('-' = stdout)")
     p_gen.set_defaults(func=cmd_gen)
 
-    p_disc = sub.add_parser("disc", parents=[common],
+    p_disc = sub.add_parser("disc", parents=[common], allow_abbrev=False,
                             help="positive/negative discrepancy")
     p_disc.add_argument("--input", required=True)
     p_disc.add_argument("--p", type=_fraction,
@@ -289,7 +289,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_disc.add_argument("--restarts", type=int, default=8)
     p_disc.set_defaults(func=cmd_disc)
 
-    p_full = sub.add_parser("full", parents=[common],
+    p_full = sub.add_parser("full", parents=[common], allow_abbrev=False,
                             help="find a full subgraph")
     p_full.add_argument("--input", required=True)
     p_full.add_argument("--algo", default="greedy",
@@ -302,7 +302,7 @@ def build_parser() -> argparse.ArgumentParser:
                         help="print the deletion sequence")
     p_full.set_defaults(func=cmd_full)
 
-    p_qfull = sub.add_parser("qfull", parents=[common],
+    p_qfull = sub.add_parser("qfull", parents=[common], allow_abbrev=False,
                              help="relatively q-full partition or 1/r-full subgraph")
     p_qfull.add_argument("--input", required=True)
     which = p_qfull.add_mutually_exclusive_group(required=True)
@@ -310,14 +310,14 @@ def build_parser() -> argparse.ArgumentParser:
     which.add_argument("--r", type=int, help="find a relatively 1/r-full subgraph")
     p_qfull.set_defaults(func=cmd_qfull)
 
-    p_g = sub.add_parser("g", parents=[common],
+    p_g = sub.add_parser("g", parents=[common], allow_abbrev=False,
                          help="largest full-or-co-full subgraph")
     p_g.add_argument("--input", required=True)
     p_g.add_argument("--method", default="oracle",
                      choices=("oracle", "heuristic"))
     p_g.set_defaults(func=cmd_g)
 
-    p_perc = sub.add_parser("percolate", parents=[common],
+    p_perc = sub.add_parser("percolate", parents=[common], allow_abbrev=False,
                             help="majority bootstrap percolation probability")
     p_perc.add_argument("--input", required=True)
     p_perc.add_argument("--p", type=_fraction, required=True,
@@ -329,7 +329,7 @@ def build_parser() -> argparse.ArgumentParser:
                         help="show a surviving half-full set when a trial fails")
     p_perc.set_defaults(func=cmd_percolate)
 
-    p_sweep = sub.add_parser("sweep", parents=[common],
+    p_sweep = sub.add_parser("sweep", parents=[common], allow_abbrev=False,
                              help="experiment grid writing CSV")
     p_sweep.add_argument("--family", default="gnp", choices=FAMILIES)
     p_sweep.add_argument("--n-grid", type=_int_list, required=True)

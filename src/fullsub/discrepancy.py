@@ -5,9 +5,11 @@ edge_surplus(X) = e(X) - p*C(|X|,2) measures how many more edges X
 induces than a density-p count predicts. Positive/negative discrepancy
 maximizes the surplus (or its negation) over subsets, jumbledness
 maximizes |surplus|/|X|, and both admit restrictions to subsets of one
-fixed size. Exact maxima enumerate all subsets with a Gray-code walk
-and are capped at EXACT_CAP_DEFAULT vertices; past the cap a seeded
-hill-climbing heuristic gives certified lower bounds.
+fixed size. Exact maxima come from one table of the least and greatest
+edge count of each subset size over all 2^n subsets, built by a
+meet-in-the-middle numpy kernel and capped at EXACT_CAP_DEFAULT
+vertices; past the cap a seeded hill-climbing heuristic gives certified
+lower bounds.
 
 All values are Fractions. Internally every subset is scored by the
 integer e(X)*den - num*C(|X|,2) where p = num/den, so comparisons and
@@ -20,10 +22,16 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from .graph import Graph, PreconditionError, VerificationError, from_mask, iter_bits, lex_less, to_mask
+import numpy as np
+
+from .graph import (Graph, PreconditionError, VerificationError, as_probability, from_mask,
+                    iter_bits, lex_less, to_mask)
 from .rng import philox, split_seed
 
 EXACT_CAP_DEFAULT = 20
+# Subsets scored in one numpy step of the exact kernel (int64, 256 kB):
+# bounds its working memory without costing speed at the caps.
+_CHUNK_ENTRIES = 1 << 15
 
 
 @dataclass(frozen=True)
@@ -83,44 +91,133 @@ def _require_cap(n: int, cap: int, what: str) -> None:
         )
 
 
-def _subset_extremes(g: Graph, num: int, den: int) -> list:
-    """Per-size extremes of the den-scaled surplus over all subsets.
+def _bits(values: np.ndarray, width: int) -> np.ndarray:
+    """0/1 matrix whose row i holds the low `width` bits of values[i]."""
+    return (values[:, None] >> np.arange(width)) & 1
 
-    Returns slots with slots[k] = [max_score, max_mask, min_score,
-    min_mask] for 1 <= k <= n, the scores being e(X)*den - num*C(k,2)
-    and the masks the lexicographically smallest attaining subsets.
-    One Gray-code walk touches each subset once with O(1) updates.
+
+def _lex_weights(width: int) -> np.ndarray:
+    """Powers that turn a bit row into the mask with its bits reversed.
+    Among sets of one size the lexicographically smaller set has the
+    larger reversed mask, and reversing twice gives the mask back."""
+    return 1 << np.arange(width - 1, -1, -1)
+
+
+def _subset_extremes(g: Graph) -> list:
+    """Per-size extremes of the induced edge count over all subsets.
+
+    Returns slots with slots[k] = (max_edges, max_mask, min_edges,
+    min_mask) for 0 <= k <= n, each mask the lexicographically smallest
+    k-set attaining its count. Within one size the surplus
+    e(X) - p*C(k,2) orders subsets as e(X) does, so one table serves
+    every p, in small integers.
+
+    Meet in the middle: X = lo | hi << L with L = n // 2. One table
+    holds e(lo) for the 2^L low halves, sorted by size and
+    lexicographically within a size. The high halves are scored a chunk
+    of rows at a time: a row adds the cross-edge counts of its high
+    vertices to the table, and the chunks follow a Gray code, so moving
+    to the next adds or subtracts one vertex's counts. The best low half
+    of each size in a row is one reduceat over keys that pack e above
+    the position, so ties go to the first, lexicographically smallest,
+    low half.
     """
     n = g.n
-    adj = g.adj
-    expected = [num * (k * (k - 1) // 2) for k in range(n + 1)]
-    slots: list = [None] * (n + 1)
+    low_n = n // 2
+    high_n = n - low_n
+    width = 1 << low_n
+    adj = g.matrix.astype(np.int64)
+    low = _bits(np.arange(width), low_n)
+    low_key = low @ _lex_weights(low_n)
+    order = np.lexsort((-low_key, low.sum(1)))
+    low, low_key = low[order], low_key[order]
+    starts = np.searchsorted(low.sum(1), np.arange(low_n + 1))
+    e_low = ((low @ adj[:low_n, :low_n]) * low).sum(1) // 2 * width
+    pos = np.arange(width)
+    max_base = e_low + (width - 1 - pos)
+    min_base = e_low + pos
+    # cross[h, i]: edges between high vertex h and low half i, times 2^L
+    cross = adj[low_n:, :low_n] @ low.T * width
+    high = _bits(np.arange(1 << high_n), high_n)
+    rows_log = high_n
+    while rows_log and width << rows_log > _CHUNK_ENTRIES:
+        rows_log -= 1
+    chunk = high[:1 << rows_log, :rows_log] @ cross[:rows_log]
+    best_max = np.empty((1 << high_n, low_n + 1), dtype=np.int64)
+    best_min = np.empty_like(best_max)
+    shift = np.zeros(width, dtype=np.int64)
     gray = 0
-    e = 0
-    size = 0
-    for step in range(1, 1 << n):
-        v = (step & -step).bit_length() - 1
-        bit = 1 << v
-        if gray & bit:
-            gray ^= bit
-            e -= (adj[v] & gray).bit_count()
-            size -= 1
-        else:
-            e += (adj[v] & gray).bit_count()
-            gray ^= bit
-            size += 1
-        score = e * den - expected[size]
-        slot = slots[size]
-        if slot is None:
-            slots[size] = [score, gray, score, gray]
-        else:
-            if score > slot[0] or (score == slot[0] and lex_less(gray, slot[1])):
-                slot[0] = score
-                slot[1] = gray
-            if score < slot[2] or (score == slot[2] and lex_less(gray, slot[3])):
-                slot[2] = score
-                slot[3] = gray
-    return slots
+    for step in range(1 << (high_n - rows_log)):
+        if step:
+            b = (step & -step).bit_length() - 1
+            gray ^= 1 << b
+            if (gray >> b) & 1:
+                shift += cross[rows_log + b]
+            else:
+                shift -= cross[rows_log + b]
+        rows = slice(gray << rows_log, (gray + 1) << rows_log)
+        best_max[rows] = np.maximum.reduceat(chunk + (max_base + shift), starts, axis=1)
+        best_min[rows] = np.minimum.reduceat(chunk + (min_base + shift), starts, axis=1)
+
+    # Merge over the high halves: the winners of one size k compete on
+    # (edges, reversed lo | hi << L), packed into one integer.
+    e_high = ((high @ adj[low_n:, low_n:]) * high).sum(1)[:, None] // 2
+    high_key = (high @ _lex_weights(high_n))[:, None]
+    sizes = (high.sum(1)[:, None] + np.arange(low_n + 1)).ravel()
+    most = best_max // width + e_high
+    fewest = best_min // width + e_high
+    max_key = (most << n) | (low_key[width - 1 - best_max % width] << high_n) | high_key
+    min_key = ((g.edge_count - fewest) << n) | (low_key[best_min % width] << high_n) | high_key
+    top = np.full((2, n + 1), -1, dtype=np.int64)
+    np.maximum.at(top[0], sizes, max_key.ravel())
+    np.maximum.at(top[1], sizes, min_key.ravel())
+    edges = (top >> n).tolist()
+    masks = (_bits(top.ravel(), n) @ _lex_weights(n)).reshape(2, n + 1).tolist()
+    return [(edges[0][k], masks[0][k], g.edge_count - edges[1][k], masks[1][k])
+            for k in range(n + 1)]
+
+
+def _disc_from_slots(slots: list, p: Fraction, sign: str,
+                     k: Optional[int]) -> DiscWitness:
+    num, den = p.numerator, p.denominator
+
+    def extreme(size: int) -> tuple[int, int]:
+        """The sign's best den-scaled surplus over size-sets, and its set."""
+        most, most_mask, least, least_mask = slots[size]
+        expected = num * (size * (size - 1) // 2)
+        if sign == "positive":
+            return most * den - expected, most_mask
+        return expected - least * den, least_mask
+
+    if k is not None:
+        score, mask = extreme(k)
+        return DiscWitness(Fraction(score, den), from_mask(mask), sign, k)
+    # Unrestricted: the empty set scores 0 and is lex-smallest, so it
+    # wins outright unless some subset scores strictly higher.
+    best_score = 0
+    best_mask = 0
+    for size in range(1, len(slots)):
+        score, mask = extreme(size)
+        if score > best_score or (score == best_score and best_score > 0
+                                  and lex_less(mask, best_mask)):
+            best_score = score
+            best_mask = mask
+    return DiscWitness(Fraction(best_score, den), from_mask(best_mask), sign, None)
+
+
+def _jumbled_from_slots(slots: list, p: Fraction, k: Optional[int]) -> JumbledReport:
+    num, den = p.numerator, p.denominator
+    best: Optional[Fraction] = None
+    best_mask = 0
+    for size in ([k] if k is not None else range(1, len(slots))):
+        most, most_mask, least, least_mask = slots[size]
+        expected = num * (size * (size - 1) // 2)
+        for edges, mask in ((most, most_mask), (least, least_mask)):
+            ratio = Fraction(abs(edges * den - expected), size * den)
+            if best is None or ratio > best or (ratio == best and lex_less(mask, best_mask)):
+                best = ratio
+                best_mask = mask
+    return JumbledReport(Fraction(0) if best is None else best, from_mask(best_mask), k)
 
 
 def discrepancy_exact(g: Graph, p, sign: str = "positive", k: Optional[int] = None,
@@ -132,58 +229,25 @@ def discrepancy_exact(g: Graph, p, sign: str = "positive", k: Optional[int] = No
     always >= 0; restricted to k-sets the value can be negative. Ties
     break to the lexicographically smallest subset.
     """
-    p = Fraction(p)
+    p = as_probability(p)
     _check_sign(sign)
     _require_cap(g.n, cap, "exact discrepancy")
     if k is not None and not 0 <= k <= g.n:
         raise ValueError(f"k must lie in 0..{g.n}, got {k}")
-    num, den = p.numerator, p.denominator
-    if k == 0 or g.n == 0:
-        return DiscWitness(Fraction(0), frozenset(), sign, k)
-    slots = _subset_extremes(g, num, den)
-    if k is not None:
-        slot = slots[k]
-        if sign == "positive":
-            return DiscWitness(Fraction(slot[0], den), from_mask(slot[1]), sign, k)
-        return DiscWitness(Fraction(-slot[2], den), from_mask(slot[3]), sign, k)
-    # Unrestricted: the empty set scores 0 and is lex-smallest, so it
-    # wins outright unless some subset scores strictly higher.
-    best_score = 0
-    best_mask = 0
-    for size in range(1, g.n + 1):
-        slot = slots[size]
-        score, mask = (slot[0], slot[1]) if sign == "positive" else (-slot[2], slot[3])
-        if score > best_score or (score == best_score and best_score > 0
-                                  and lex_less(mask, best_mask)):
-            best_score = score
-            best_mask = mask
-    return DiscWitness(Fraction(best_score, den), from_mask(best_mask), sign, None)
+    return _disc_from_slots(_subset_extremes(g), p, sign, k)
 
 
 def jumbledness_exact(g: Graph, p, k: Optional[int] = None,
                       cap: int = EXACT_CAP_DEFAULT) -> JumbledReport:
     """Exact max of |surplus(X)|/|X| over nonempty subsets (k-sets if
     k is given), with a lexicographically-smallest witness attaining it."""
-    p = Fraction(p)
+    p = as_probability(p)
     _require_cap(g.n, cap, "exact jumbledness")
     if g.n == 0:
         return JumbledReport(Fraction(0), frozenset(), k)
     if k is not None and not 1 <= k <= g.n:
         raise ValueError(f"k must lie in 1..{g.n}, got {k}")
-    num, den = p.numerator, p.denominator
-    slots = _subset_extremes(g, num, den)
-    sizes = [k] if k is not None else range(1, g.n + 1)
-    best: Optional[Fraction] = None
-    best_mask = 0
-    for size in sizes:
-        slot = slots[size]
-        for score, mask in ((slot[0], slot[1]), (slot[2], slot[3])):
-            ratio = Fraction(abs(score), size * den)
-            if best is None or ratio > best or (ratio == best and lex_less(mask, best_mask)):
-                best = ratio
-                best_mask = mask
-    assert best is not None
-    return JumbledReport(best, from_mask(best_mask), k)
+    return _jumbled_from_slots(_subset_extremes(g), p, k)
 
 
 def discrepancy_local_search(g: Graph, p, sign: str = "positive", seed: int = 0,
@@ -198,7 +262,7 @@ def discrepancy_local_search(g: Graph, p, sign: str = "positive", seed: int = 0,
     (seed, restarts). With k=None the value is >= 0 because the empty
     set is always in play.
     """
-    p = Fraction(p)
+    p = as_probability(p)
     _check_sign(sign)
     if k is not None and not 0 <= k <= g.n:
         raise ValueError(f"k must lie in 0..{g.n}, got {k}")
@@ -306,11 +370,13 @@ def verify_jumbledness_bound(g: Graph, p, f_value: int, g_value: int,
     vacuous. A violation raises VerificationError: it would mean a bug
     in the oracles, not a counterexample.
     """
-    p = Fraction(p)
-    plus = discrepancy_exact(g, p, "positive", cap=cap)
-    minus = discrepancy_exact(g, p, "negative", cap=cap)
+    p = as_probability(p)
+    _require_cap(g.n, cap, "exact discrepancy")
+    slots = _subset_extremes(g)
+    plus = _disc_from_slots(slots, p, "positive", None)
+    minus = _disc_from_slots(slots, p, "negative", None)
     disc_both = max(plus.value, minus.value)
-    jrep = jumbledness_exact(g, p, cap=cap)
+    jrep = _jumbled_from_slots(slots, p, None)
     if jrep.j == 0:
         return JumblednessBoundReport(p, plus.value, disc_both, jrep.j,
                                       f_value, g_value, vacuous=True)

@@ -38,6 +38,7 @@ from .graph import (
     PreconditionError,
     VerificationError,
     _pack_rows,
+    as_probability,
     complement,
     density,
     from_mask,
@@ -160,9 +161,9 @@ def is_relatively_full(g: Graph, q, vertices):
 def oracle_largest_full(g: Graph, p, mode: str = "full",
                         cap: int = EXACT_CAP_DEFAULT) -> FullSubgraphResult:
     """Exact largest full (or co-full) subgraph by descending-size
-    enumeration; the witness is the lexicographically smallest optimum.
+    search; the witness is the lexicographically smallest optimum.
     Exponential: refuses n > cap."""
-    p = Fraction(p)
+    p = as_probability(p)
     if mode not in ("full", "cofull"):
         raise ValueError(f"mode must be 'full' or 'cofull', got {mode!r}")
     if g.n > cap:
@@ -173,28 +174,73 @@ def oracle_largest_full(g: Graph, p, mode: str = "full",
     n = g.n
     if n == 0:
         return FullSubgraphResult(frozenset(), 0, p, 0)
-    adj = g.adj
     for m in range(n, 0, -1):
         thr = num * (m - 1)
         if mode == "full":
-            elig = [v for v in range(n) if g.degrees[v] * den >= thr]
+            # deg * den >= thr for an integer deg
+            bar = -(-thr // den)
+            elig = [v for v in range(n) if g.degrees[v] >= bar]
         else:
+            bar = thr // den
             # members can lose at most n - m neighbors to the outside
-            elig = [v for v in range(n) if (g.degrees[v] - (n - m)) * den <= thr]
-        if len(elig) < m:
-            continue
-        for combo in itertools.combinations(elig, m):
-            mask = 0
-            for v in combo:
-                mask |= 1 << v
-            if mode == "full":
-                ok = all((adj[v] & mask).bit_count() * den >= thr for v in combo)
-            else:
-                ok = all((adj[v] & mask).bit_count() * den <= thr for v in combo)
-            if ok:
-                return FullSubgraphResult(frozenset(combo), m, p,
-                                          _min_degree_within(g, mask))
+            elig = [v for v in range(n) if g.degrees[v] - (n - m) <= bar]
+        mask = _first_full_set(g.adj, elig, m, bar, mode == "full")
+        if mask is not None:
+            return FullSubgraphResult(from_mask(mask), m, p,
+                                      _min_degree_within(g, mask))
     raise AssertionError("single vertices are always full")
+
+
+def _first_full_set(adj, cands: list, m: int, bar: int,
+                    full: bool) -> Optional[int]:
+    """Mask of the lexicographically smallest m-subset X of the sorted
+    cands whose members all have at least (full) or at most (co-full)
+    bar neighbors in X, or None.
+
+    Depth-first search in lex order that skips a vertex whose set can
+    no longer be completed: for full, when some member has fewer than
+    bar neighbors in the set plus the vertices still to pick from it;
+    for co-full, when some member already has more than bar. The first
+    set reached is the one a lex-order scan of all m-subsets meets
+    first."""
+    k = len(cands)
+    after = [0] * (k + 1)  # after[i]: mask of cands[i:]
+    for i in range(k - 1, -1, -1):
+        after[i] = after[i + 1] | (1 << cands[i])
+    picked: list = []  # positions in cands
+    members: list = []  # vertices at those positions
+    masks = [0]
+    i = 0
+    while True:
+        need = m - len(picked)
+        if not need:
+            return masks[-1]
+        mask = masks[-1]
+        while i <= k - need:
+            u = cands[i]
+            grown = mask | (1 << u)
+            if full:
+                rest, left = after[i + 1], need - 1
+                ok = all((adj[v] & grown).bit_count()
+                         + min((adj[v] & rest).bit_count(), left) >= bar
+                         for v in itertools.chain(members, (u,)))
+            else:
+                ok = all((adj[v] & grown).bit_count() <= bar
+                         for v in itertools.chain(members, (u,)))
+            if ok:
+                break
+            i += 1
+        else:
+            if not picked:
+                return None
+            i = picked.pop() + 1
+            members.pop()
+            masks.pop()
+            continue
+        picked.append(i)
+        members.append(u)
+        masks.append(grown)
+        i += 1
 
 
 class _Peeler:
@@ -264,9 +310,7 @@ def greedy_full(g: Graph, p=None, tie_break: str = "min-index",
     """
     if tie_break not in ("min-index", "adversarial-antipodal"):
         raise ValueError(f"unknown tie_break {tie_break!r}")
-    p = density(g) if p is None else Fraction(p)
-    if not 0 <= p <= 1:
-        raise PreconditionError(f"p must lie in [0, 1], got {p}")
+    p = density(g) if p is None else as_probability(p)
     if g.n == 0:
         return FullSubgraphResult(frozenset(), 0, p, 0, None, ())
     trace: list[int] = []
@@ -303,9 +347,7 @@ def qfull_partition(g: Graph, q, seed: Optional[int] = None) -> QFullOutcome:
     Default start: the ceil(qn) highest-degree vertices (ties to the
     smaller index); a seed switches to a random start for restarts.
     """
-    q = Fraction(q)
-    if not 0 <= q <= 1:
-        raise PreconditionError(f"q must lie in [0, 1], got {q}")
+    q = as_probability(q, "q")
     a, b = q.numerator, q.denominator
     n = g.n
     if b * max(n, 1) >= 1 << 62:

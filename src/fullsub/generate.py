@@ -18,7 +18,7 @@ from typing import Optional
 
 import numpy as np
 
-from .graph import Graph, PreconditionError, VerificationError, _pack_rows, density
+from .graph import Graph, PreconditionError, VerificationError, _pack_rows, as_probability, density
 from .rng import uniform_u64
 
 FAMILIES = ("gnp", "clique-isolated", "multipartite-planted", "adversary")
@@ -47,9 +47,7 @@ def gen_gnp(n: int, p, seed: int) -> Graph:
     representation, so prefixes agree across runs."""
     if n < 0:
         raise PreconditionError(f"n must be nonnegative, got {n}")
-    p = Fraction(p)
-    if not 0 <= p <= 1:
-        raise PreconditionError(f"p must lie in [0, 1], got {p}")
+    p = as_probability(p)
     num, den = p.numerator, p.denominator
     total = n * (n - 1) // 2
     if total == 0 or num == 0:

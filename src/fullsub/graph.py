@@ -36,6 +36,14 @@ class EdgeListError(ValueError):
         self.line_no = line_no
 
 
+def as_probability(p, name: str = "p") -> Fraction:
+    """p as an exact Fraction, refusing values outside [0, 1]."""
+    p = Fraction(p)
+    if not 0 <= p <= 1:
+        raise PreconditionError(f"{name} must lie in [0, 1], got {p}")
+    return p
+
+
 def to_mask(vertices: Iterable[int], n: int) -> int:
     """Pack vertex ids into a bitmask, rejecting ids outside 0..n-1."""
     mask = 0
@@ -226,26 +234,45 @@ def write_edge_list(g: Graph) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _lines(text: str, block: int = 1 << 16) -> Iterator[str]:
+    """The lines of text.splitlines(), produced a block at a time so no
+    list of every line is built. Blocks end just after a '\\n', or after
+    a '\\r' when no '\\n' follows, so no block splits a line or a "\\r\\n"."""
+    start, size = 0, len(text)
+    while start < size:
+        end = text.find("\n", start + block)
+        if end < 0:
+            end = text.find("\r", start + block)
+        end = size if end < 0 else end + 1
+        yield from text[start:end].splitlines()
+        start = end
+
+
 def read_edge_list(text: str) -> Graph:
-    """Parse the canonical edge-list format, reporting errors by line."""
-    lines = text.splitlines()
-    if not lines:
+    """Parse the canonical edge-list format, reporting errors by line.
+    Lines end as in str.splitlines; blank lines may only trail the list."""
+    lines = _lines(text)
+    header = next(lines, None)
+    if header is None:
         raise EdgeListError(1, "missing header line")
-    head = lines[0].split()
+    head = header.split()
     if len(head) != 2:
-        raise EdgeListError(1, f"expected header 'n m', got {lines[0]!r}")
+        raise EdgeListError(1, f"expected header 'n m', got {header!r}")
     try:
         n, m = int(head[0]), int(head[1])
     except ValueError:
-        raise EdgeListError(1, f"expected integer header 'n m', got {lines[0]!r}") from None
+        raise EdgeListError(1, f"expected integer header 'n m', got {header!r}") from None
     if n < 0 or m < 0:
         raise EdgeListError(1, "header counts must be nonnegative")
     adj = [0] * n
     count = 0
-    for line_no, raw in enumerate(lines[1:], start=2):
+    line_no = 1
+    for line_no, raw in enumerate(lines, start=2):
         if not raw.strip():
-            if any(rest.strip() for rest in lines[line_no:]):
-                raise EdgeListError(line_no, "blank line inside edge list")
+            blank_no = line_no
+            for line_no, rest in enumerate(lines, start=blank_no + 1):
+                if rest.strip():
+                    raise EdgeListError(blank_no, "blank line inside edge list")
             break
         parts = raw.split()
         if len(parts) != 2:
@@ -264,5 +291,5 @@ def read_edge_list(text: str) -> Graph:
         adj[v] |= 1 << u
         count += 1
     if count != m:
-        raise EdgeListError(len(lines) + 1, f"header announced {m} edges, found {count}")
+        raise EdgeListError(line_no + 1, f"header announced {m} edges, found {count}")
     return Graph._from_adj(n, adj)

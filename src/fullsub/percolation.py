@@ -7,7 +7,9 @@ points are exact: an initial set infects everything if and only if no
 nonempty relatively half-full subgraph avoids it, and a nonempty final
 uninfected set is itself relatively half-full. full_infection_*
 computes the probability that a p-random initial set infects all of G,
-by Monte Carlo or exactly by subset enumeration.
+by Monte Carlo or exactly: numpy popcounts mark the relatively half-full
+sets among all 2^n subsets, and a subset-sum transform marks every
+subset that contains one.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .graph import Graph, PreconditionError, _pack_rows, from_mask, iter_bits, to_mask
+from .graph import Graph, PreconditionError, _pack_rows, as_probability, from_mask, iter_bits, to_mask
 from .rng import split_seed, uniform_u64
 
 THETA_CAP_DEFAULT = 16
@@ -78,9 +80,7 @@ def sample_initial_mask(n: int, p, seed: int, trial: int) -> int:
     """The trial-th p-random initial infection for the given seed, as
     a bitmask; each vertex independently with probability p via 64-bit
     threshold draws under a per-trial split seed."""
-    p = Fraction(p)
-    if not 0 <= p <= 1:
-        raise PreconditionError(f"p must lie in [0, 1], got {p}")
+    p = as_probability(p)
     num, den = p.numerator, p.denominator
     if n == 0 or num == 0:
         return 0
@@ -117,33 +117,27 @@ def full_infection_probability_exact(g: Graph, p,
     initial sets I whose complement contains no nonempty relatively
     half-full subgraph. Enumerates all 2^n vertex subsets; refuses
     n > cap."""
-    p = Fraction(p)
-    if not 0 <= p <= 1:
-        raise PreconditionError(f"p must lie in [0, 1], got {p}")
+    p = as_probability(p)
     n = g.n
     if n > cap:
         raise PreconditionError(
             f"exact infection probability needs n <= {cap} (got n={g.n})")
     if n == 0:
         return Fraction(1)
-    size = 1 << n
-    # blocked[mask]: mask contains a nonempty relatively half-full set
-    blocked = bytearray(size)
-    for mask in range(1, size):
-        if is_relatively_half_full_mask(g, mask):
-            blocked[mask] = 1
-            continue
-        m = mask
-        while m:
-            low = m & -m
-            if blocked[mask ^ low]:
-                blocked[mask] = 1
-                break
-            m ^= low
-    counts = [0] * (n + 1)
-    for mask in range(size):
-        if not blocked[mask]:
-            counts[mask.bit_count()] += 1
+    masks = np.arange(1 << n, dtype=np.int64)
+    # first blocked[mask]: mask is nonempty and relatively half-full; row
+    # [:, 1] of the (-1, 2, 2^v) reshape holds the masks containing v
+    blocked = np.ones(1 << n, dtype=np.bool_)
+    blocked[0] = False
+    for v, row in enumerate(g.adj):
+        inside = np.bitwise_count(masks.reshape(-1, 2, 1 << v)[:, 1] & row)
+        blocked.reshape(-1, 2, 1 << v)[:, 1] &= inside >= (g.degrees[v] + 1) // 2
+    # then its upward closure, a subset-sum transform over OR: blocked[mask]
+    # iff mask contains a nonempty relatively half-full set
+    for v in range(n):
+        pairs = blocked.reshape(-1, 2, 1 << v)
+        pairs[:, 1] |= pairs[:, 0]
+    counts = np.bincount(np.bitwise_count(masks)[~blocked], minlength=n + 1).tolist()
     q = 1 - p
     theta = Fraction(0)
     for k, cnt in enumerate(counts):

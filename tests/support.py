@@ -15,7 +15,8 @@ from typing import Iterable, Optional
 
 import numpy as np
 
-from fullsub import Graph, complement, gen_gnp
+from fullsub import EdgeListError, Graph, complement, gen_gnp
+from fullsub.graph import lex_less
 from fullsub.rng import split_seed, uniform_u64
 
 from_edges = Graph.from_edges
@@ -128,6 +129,48 @@ def reference_initial_mask(n: int, p, seed: int, trial: int) -> int:
     return sum(1 << v for v in range(n) if int(draws[v]) < thr)
 
 
+def reference_read_edge_list(text: str) -> Graph:
+    """The edge-list parser over text.splitlines(), a list of every line."""
+    lines = text.splitlines()
+    if not lines:
+        raise EdgeListError(1, "missing header line")
+    head = lines[0].split()
+    if len(head) != 2:
+        raise EdgeListError(1, f"expected header 'n m', got {lines[0]!r}")
+    try:
+        n, m = int(head[0]), int(head[1])
+    except ValueError:
+        raise EdgeListError(1, f"expected integer header 'n m', got {lines[0]!r}") from None
+    if n < 0 or m < 0:
+        raise EdgeListError(1, "header counts must be nonnegative")
+    adj = [0] * n
+    count = 0
+    for line_no, raw in enumerate(lines[1:], start=2):
+        if not raw.strip():
+            if any(rest.strip() for rest in lines[line_no:]):
+                raise EdgeListError(line_no, "blank line inside edge list")
+            break
+        parts = raw.split()
+        if len(parts) != 2:
+            raise EdgeListError(line_no, f"expected 'u v', got {raw!r}")
+        try:
+            u, v = int(parts[0]), int(parts[1])
+        except ValueError:
+            raise EdgeListError(line_no, f"expected integers, got {raw!r}") from None
+        if u == v:
+            raise EdgeListError(line_no, f"self-loop at vertex {u}")
+        if not (0 <= u < v < n):
+            raise EdgeListError(line_no, f"need 0 <= u < v < n={n}, got {u} {v}")
+        if (adj[u] >> v) & 1:
+            raise EdgeListError(line_no, f"duplicate edge {u} {v}")
+        adj[u] |= 1 << v
+        adj[v] |= 1 << u
+        count += 1
+    if count != m:
+        raise EdgeListError(len(lines) + 1, f"header announced {m} edges, found {count}")
+    return Graph.from_masks(n, adj)
+
+
 # ---------------------------------------------------------------------------
 # densities, surpluses, discrepancy, jumbledness
 
@@ -179,6 +222,43 @@ def brute_jumbledness(g: Graph, p, k: Optional[int] = None):
     return best, best_xs
 
 
+def reference_subset_extremes(g: Graph, num: int, den: int) -> list:
+    """Per-size extremes of e(X)*den - num*C(|X|,2) by a Gray-code walk
+    over every nonempty subset with O(1) updates per step: slots[k] =
+    [max_score, max_mask, min_score, min_mask] for 1 <= k <= n, masks
+    the lexicographically smallest attaining k-sets."""
+    n = g.n
+    adj = g.adj
+    expected = [num * (k * (k - 1) // 2) for k in range(n + 1)]
+    slots: list = [None] * (n + 1)
+    gray = 0
+    e = 0
+    size = 0
+    for step in range(1, 1 << n):
+        v = (step & -step).bit_length() - 1
+        bit = 1 << v
+        if gray & bit:
+            gray ^= bit
+            e -= (adj[v] & gray).bit_count()
+            size -= 1
+        else:
+            e += (adj[v] & gray).bit_count()
+            gray ^= bit
+            size += 1
+        score = e * den - expected[size]
+        slot = slots[size]
+        if slot is None:
+            slots[size] = [score, gray, score, gray]
+        else:
+            if score > slot[0] or (score == slot[0] and lex_less(gray, slot[1])):
+                slot[0] = score
+                slot[1] = gray
+            if score < slot[2] or (score == slot[2] and lex_less(gray, slot[3])):
+                slot[2] = score
+                slot[3] = gray
+    return slots
+
+
 # ---------------------------------------------------------------------------
 # fullness
 
@@ -207,6 +287,29 @@ def brute_largest_full(g: Graph, p, mode: str = "full"):
             if brute_is_full(g, p, xs, mode):
                 return m, xs
     return 0, ()
+
+
+def reference_oracle_largest_full(g: Graph, p, mode: str = "full"):
+    """(size, witness tuple, min internal degree) of the largest full
+    (or co-full) subgraph, by the scan the oracle used before its
+    pruned search: for m from n down, every m-subset of the vertices
+    that pass the degree filter, in lex order, until one is full."""
+    p = Fraction(p)
+    num, den = p.numerator, p.denominator
+    n = g.n
+    for m in range(n, 0, -1):
+        thr = num * (m - 1)
+        if mode == "full":
+            elig = [v for v in range(n) if g.degrees[v] * den >= thr]
+        else:
+            elig = [v for v in range(n) if (g.degrees[v] - (n - m)) * den <= thr]
+        for combo in combinations(elig, m):
+            mask = sum(1 << v for v in combo)
+            degs = [(g.adj[v] & mask).bit_count() for v in combo]
+            if all(d * den >= thr if mode == "full" else d * den <= thr
+                   for d in degs):
+                return m, combo, min(degs)
+    return 0, (), 0
 
 
 def brute_g_value(g: Graph) -> int:
@@ -258,6 +361,30 @@ def async_percolate_min_index(g: Graph, initial) -> set[int]:
                 break
         else:
             return infected
+
+
+def reference_theta_exact(g: Graph, p) -> Fraction:
+    """Exact full-infection probability by a per-mask DP: a mask is
+    blocked when it is relatively half-full or drops one vertex to a
+    blocked mask, and the unblocked complements of initial sets sum
+    p^|I| (1-p)^(n-|I|)."""
+    p = Fraction(p)
+    n = g.n
+    blocked = bytearray(1 << n)
+    for mask in range(1, 1 << n):
+        if all(2 * (g.adj[v] & mask).bit_count() >= g.degrees[v]
+               for v in range(n) if (mask >> v) & 1):
+            blocked[mask] = 1
+            continue
+        m = mask
+        while m:
+            low = m & -m
+            if blocked[mask ^ low]:
+                blocked[mask] = 1
+                break
+            m ^= low
+    return sum((p ** (n - mask.bit_count()) * (1 - p) ** mask.bit_count()
+                for mask in range(1 << n) if not blocked[mask]), Fraction(0))
 
 
 def brute_theta(g: Graph, p) -> Fraction:

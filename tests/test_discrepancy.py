@@ -19,9 +19,11 @@ from fullsub import (
     discrepancy_exact,
     discrepancy_local_search,
     edge_surplus,
+    gen_gnp,
     jumbledness_exact,
     verify_jumbledness_bound,
 )
+from fullsub.discrepancy import _subset_extremes
 
 K31 = support.disjoint_union(support.clique(3), support.empty(1))
 HALF = Fraction(1, 2)
@@ -50,6 +52,66 @@ def test_surplus_matches_definition(g, p, data):
     subset = data.draw(st.lists(st.integers(0, max(0, g.n - 1)),
                                 max_size=g.n, unique=True)) if g.n else []
     assert edge_surplus(g, p, subset) == support.subset_surplus(g, p, subset)
+
+
+# ---------------------------------------------------------------------------
+# the per-size extremes table against the Gray-code walk
+
+def assert_extremes_match_reference(g, p):
+    """Equal slots, values and witness masks, for every subset size."""
+    num, den = p.numerator, p.denominator
+    ref = support.reference_subset_extremes(g, num, den)
+    got = _subset_extremes(g)
+    for k in range(1, g.n + 1):
+        most, most_mask, least, least_mask = got[k]
+        expected = num * (k * (k - 1) // 2)
+        assert [most * den - expected, most_mask,
+                least * den - expected, least_mask] == ref[k], (g, p, k)
+
+
+def tie_heavy_graphs():
+    """Every graph on at most 5 vertices, the structured catalog, and
+    empty and complete graphs, where many subsets share a count."""
+    for n in range(6):
+        yield from support.all_graphs(n)
+    yield from support.structured_catalog()
+    for n in (1, 2, 7, 10, 13):
+        yield support.empty(n)
+        yield support.clique(n)
+
+
+def test_extremes_match_reference_on_tie_heavy_graphs():
+    for g in tie_heavy_graphs():
+        for p in (density(g), Fraction(1, 3)):
+            assert_extremes_match_reference(g, p)
+
+
+@pytest.mark.parametrize("n", range(14, 21))
+def test_extremes_match_reference_on_gnp(n):
+    for p in (Fraction(1, 4), HALF, Fraction(3, 4)):
+        assert_extremes_match_reference(gen_gnp(n, p, seed=n), p)
+
+
+def test_bound_checker_reads_the_standalone_values():
+    for g in support.structured_catalog() + [gen_gnp(12, HALF, seed=3)]:
+        p = density(g)
+        report = verify_jumbledness_bound(g, p, g.n, g.n)
+        plus = discrepancy_exact(g, p, "positive").value
+        minus = discrepancy_exact(g, p, "negative").value
+        assert (report.disc_plus, report.disc_both, report.j) == (
+            plus, max(plus, minus), jumbledness_exact(g, p).j)
+
+
+def test_exact_and_heuristic_refuse_p_outside_unit_interval():
+    for p in (3, -1, Fraction(3, 2)):
+        with pytest.raises(PreconditionError):
+            discrepancy_exact(K31, p)
+        with pytest.raises(PreconditionError):
+            jumbledness_exact(K31, p)
+        with pytest.raises(PreconditionError):
+            verify_jumbledness_bound(K31, p, 3, 3)
+        with pytest.raises(PreconditionError):
+            discrepancy_local_search(K31, p)
 
 
 # ---------------------------------------------------------------------------

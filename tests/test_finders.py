@@ -21,6 +21,7 @@ from fullsub import (
     density,
     discrepancy_exact,
     full_two_thirds,
+    gen_gnp,
     greedy_full,
     half_full,
     induced_subgraph,
@@ -129,6 +130,43 @@ def test_oracle_matches_brute_force(g, p, mode):
     got = oracle_largest_full(g, p, mode)
     assert got.size == want_size
     assert tuple(sorted(got.vertices)) == want_witness
+
+
+def _assert_oracle_matches_reference(g, p, mode):
+    size, witness, min_degree = support.reference_oracle_largest_full(g, p, mode)
+    got = oracle_largest_full(g, p, mode)
+    assert (got.size, tuple(sorted(got.vertices)), got.min_degree) == \
+        (size, witness, min_degree), (g.n, p, mode)
+
+
+def test_oracle_matches_reference_on_tie_heavy_graphs():
+    # every graph on up to 5 vertices, the structured catalog and the
+    # empty and complete graphs: many optima tie, so the lex-smallest
+    # witness is what is tested
+    cases = [g for n in range(1, 6) for g in support.all_graphs(n)]
+    cases += support.structured_catalog()
+    cases += [f(n) for f in (support.empty, support.clique) for n in (1, 2, 9, 14)]
+    for g in cases:
+        for p in {Fraction(0), Fraction(1, 3), density(g), Fraction(3, 4), Fraction(1)}:
+            for mode in ("full", "cofull"):
+                _assert_oracle_matches_reference(g, p, mode)
+
+
+@pytest.mark.parametrize("n", [14, 16, 18, 20])
+def test_oracle_matches_reference_on_gnp(n):
+    for p in (Fraction(1, 4), HALF, Fraction(3, 4)):
+        for seed in range(3):
+            g = gen_gnp(n, p, seed)
+            d = density(g)
+            for h, q in ((g, d), (complement(g), 1 - d)):
+                for mode in ("full", "cofull"):
+                    _assert_oracle_matches_reference(h, q, mode)
+
+
+def test_oracle_refuses_p_outside_unit_interval():
+    for p in (Fraction(3), Fraction(-1)):
+        with pytest.raises(PreconditionError):
+            oracle_largest_full(support.path(4), p)
 
 
 # ---------------------------------------------------------------------------

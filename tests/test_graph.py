@@ -19,6 +19,7 @@ from fullsub import (
     read_edge_list,
     write_edge_list,
 )
+from fullsub.graph import _lines
 
 K3_TEXT = "3 3\n0 1\n0 2\n1 2\n"
 
@@ -57,6 +58,49 @@ def test_read_rejects_malformed(text, fragment):
     with pytest.raises(EdgeListError) as err:
         read_edge_list(text)
     assert fragment in str(err.value)
+
+
+def parse_outcome(read, text):
+    """(n, adj) of the parsed graph, or the message and line of the error."""
+    try:
+        g = read(text)
+    except EdgeListError as err:
+        return str(err), err.line_no
+    return g.n, g.adj
+
+
+EOLS = ("\n", "\r\n", "\r")
+
+
+@given(st.sampled_from(["3 2", "3 0", "4 3", "", " ", "a b", "-1 0", "3", "3 2 1"]),
+       st.lists(st.sampled_from(["0 1", "1 2", "0 2", "2 1", "0 0", "2 3", "1 2 3",
+                                 "x 1", "", "   "]), max_size=8),
+       st.sampled_from(EOLS), st.booleans())
+def test_read_matches_reference_parser(header, body, eol, trailing):
+    text = eol.join([header] + body) + (eol if trailing else "")
+    assert parse_outcome(read_edge_list, text) == \
+        parse_outcome(support.reference_read_edge_list, text)
+
+
+@pytest.mark.parametrize("eol", EOLS)
+def test_read_matches_reference_parser_across_blocks(eol):
+    # 22k lines span several of the parser's blocks; the faults sit
+    # near the end, well past the first block
+    lines = write_edge_list(gen_gnp(300, Fraction(1, 2), seed=1)).splitlines()
+    texts = [eol.join(lines) + eol,
+             eol.join(lines) + eol * 3,
+             eol.join(lines[:-5] + [""] + lines[-5:]) + eol,
+             eol.join(lines[:-5] + ["0 0"] + lines[-5:]) + eol,
+             eol.join(lines[:-1]) + eol]
+    for text in texts:
+        assert len(text) > 1 << 17
+        assert parse_outcome(read_edge_list, text) == \
+            parse_outcome(support.reference_read_edge_list, text)
+
+
+@given(st.text(alphabet="ab \n\r\f\v\x1c\x85\u2028", max_size=40), st.integers(1, 6))
+def test_lines_split_like_splitlines_at_any_block_size(text, block):
+    assert list(_lines(text, block)) == text.splitlines()
 
 
 def test_self_loop_rejected_with_line_number():

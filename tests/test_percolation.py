@@ -154,6 +154,21 @@ def test_exact_infection_probability_matches_brute(g, p):
     assert full_infection_probability_exact(g, p) == support.brute_theta(g, p)
 
 
+@pytest.mark.parametrize("g", [
+    support.empty(16),
+    support.clique(16),
+    support.disjoint_union(gen_gnp(12, Fraction(1, 2), seed=4), support.empty(4)),
+    gen_gnp(10, Fraction(1, 3), seed=1),
+    gen_gnp(13, Fraction(1, 2), seed=2),
+    gen_gnp(16, Fraction(1, 4), seed=3),
+    gen_gnp(16, Fraction(3, 4), seed=5),
+], ids=["empty16", "clique16", "gnp12+isolated4", "gnp10", "gnp13", "gnp16-sparse",
+        "gnp16-dense"])
+def test_exact_infection_probability_matches_reference_dp(g):
+    p = Fraction(1, 3)
+    assert full_infection_probability_exact(g, p) == support.reference_theta_exact(g, p)
+
+
 def test_exact_infection_probability_cap():
     g = support.empty(17)
     with pytest.raises(PreconditionError):

@@ -348,19 +348,40 @@ def test_cli_usage_errors_exit_2(capsys):
     ["percolate", "--input", "g.txt", "--p", "1/2", "--threads", "2"],
 ])
 def test_cli_rejects_removed_flags(capsys, argv):
-    # disc is exact unless --heuristic (a bare --exact now reads as an
-    # abbreviation of --exact-cap and lacks its value); --threads
-    # belongs to sweep only
+    # disc is exact unless --heuristic; --threads belongs to sweep only
     with pytest.raises(SystemExit) as exc:
         main(argv)
     assert exc.value.code == 2
     assert "error:" in capsys.readouterr().err
 
 
+def test_cli_refuses_abbreviated_flags(capsys, tmp_path):
+    path = graph_file(tmp_path, support.cycle(4))
+    for argv in (["--he"],
+                 ["disc", "--input", path, "--exact", "5"],
+                 ["disc", "--inp", path],
+                 ["full", "--input", path, "--tie", "min-index"],
+                 ["sweep", "--n-grid", "6", "--p-grid", "1/2", "--seeds", "0",
+                  "--algos", "greedy", "--thread", "1"]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "error:" in capsys.readouterr().err
+    code, out, _ = run_cli(capsys, "disc", "--input", path, "--exact-cap", "5")
+    assert code == 0 and out.startswith("disc+")
+    code, out, _ = run_cli(capsys, "full", "--input", path, "--tie-break", "min-index")
+    assert code == 0 and "size=4" in out
+
+
 def test_cli_refuses_out_of_range_p_and_threads(capsys, tmp_path):
     path = graph_file(tmp_path, support.cycle(5))
     for p in ("2", "-1"):
         code, _, err = run_cli(capsys, "full", "--input", path, "--p", p)
+        assert code == 2 and "refused" in err
+        code, _, err = run_cli(capsys, "full", "--input", path, "--algo", "oracle", "--p", p)
+        assert code == 2 and "refused" in err
+    for p in ("3", "-1"):
+        code, _, err = run_cli(capsys, "disc", "--input", path, "--p", p)
         assert code == 2 and "refused" in err
     code, _, err = run_cli(capsys, "sweep", "--n-grid", "6", "--p-grid", "1/2",
                            "--seeds", "0", "--algos", "greedy", "--threads", "0")
