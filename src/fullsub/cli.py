@@ -96,10 +96,6 @@ def _seed(args, default=0):
     return args.seed if args.seed is not None else default
 
 
-def _cap(args, default):
-    return args.exact_cap if args.exact_cap is not None else default
-
-
 def _record_line(family, n, p, seed, algorithm, size, bound) -> str:
     seed_txt = "" if seed is None else str(seed)
     return f"{family},{n},{frac_str(p)},{seed_txt},{algorithm},{size},{frac_str(bound)},,true"
@@ -135,8 +131,7 @@ def cmd_disc(args) -> int:
         res = discrepancy_local_search(g, p, sign, seed=_seed(args),
                                        restarts=args.restarts, k=args.k)
     else:
-        res = discrepancy_exact(g, p, sign, k=args.k,
-                                cap=_cap(args, EXACT_CAP_DEFAULT))
+        res = discrepancy_exact(g, p, sign, k=args.k, cap=args.exact_cap)
     tag = "disc+" if args.sign == "plus" else "disc-"
     k_txt = f" k={res.k}" if res.k is not None else ""
     print(f"{tag} p={frac_str(p)}{k_txt} value={frac_str(res.value)}")
@@ -150,7 +145,7 @@ def cmd_full(args) -> int:
         res = greedy_full(g, p=args.p, tie_break=args.tie_break)
     elif args.algo == "oracle":
         res = oracle_largest_full(g, args.p if args.p is not None else density(g),
-                                  cap=_cap(args, EXACT_CAP_DEFAULT))
+                                  cap=args.exact_cap)
     elif args.algo == "two-thirds":
         if args.p is not None:
             raise PreconditionError("two-thirds always runs at the graph's own density")
@@ -191,8 +186,7 @@ def cmd_qfull(args) -> int:
 
 def cmd_g(args) -> int:
     g = _read_graph(args.input)
-    res = largest_full_or_cofull(g, method=args.method,
-                                 cap=_cap(args, EXACT_CAP_DEFAULT),
+    res = largest_full_or_cofull(g, method=args.method, cap=args.exact_cap,
                                  seed=_seed(args))
     print(f"g n={g.n} p={frac_str(res.p)} value={res.value} side={res.side}")
     print(_witness_line(res.witness))
@@ -204,8 +198,7 @@ def cmd_g(args) -> int:
 def cmd_percolate(args) -> int:
     g = _read_graph(args.input)
     if args.exact:
-        theta = full_infection_probability_exact(g, args.p,
-                                                 cap=_cap(args, THETA_CAP_DEFAULT))
+        theta = full_infection_probability_exact(g, args.p, cap=args.exact_cap)
         print(f"theta_exact={frac_str(theta)}")
     else:
         est = full_infection_probability(g, args.p, trials=args.trials,
@@ -240,7 +233,7 @@ def cmd_sweep(args) -> int:
         c=args.c,
         timings=args.timings,
         threads=args.threads,
-        exact_cap=_cap(args, EXACT_CAP_DEFAULT),
+        exact_cap=args.exact_cap,
     )
     rows = run_sweep(config)
     _write_text(rows_to_csv(rows), args.out)
@@ -248,12 +241,17 @@ def cmd_sweep(args) -> int:
     return 0
 
 
+def _add_exact_cap(parser: argparse.ArgumentParser, default: int) -> None:
+    # added per subcommand, not through a parents= parser: parents share
+    # their action objects, so a default set on one would reach them all
+    parser.add_argument("--exact-cap", type=int, default=default,
+                        help=f"max n for exact enumeration (default {default})")
+
+
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--seed", type=int, default=None,
                         help="seed for randomized steps (default 0)")
-    common.add_argument("--exact-cap", type=int, default=None,
-                        help="max n for exact enumeration (default 20; 16 for percolate)")
 
     parser = argparse.ArgumentParser(
         prog="fullsub", allow_abbrev=False,
@@ -287,6 +285,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_disc.add_argument("--heuristic", action="store_true",
                         help="seeded local search instead of exact enumeration")
     p_disc.add_argument("--restarts", type=int, default=8)
+    _add_exact_cap(p_disc, EXACT_CAP_DEFAULT)
     p_disc.set_defaults(func=cmd_disc)
 
     p_full = sub.add_parser("full", parents=[common], allow_abbrev=False,
@@ -300,6 +299,7 @@ def build_parser() -> argparse.ArgumentParser:
                         choices=("min-index", "adversarial-antipodal"))
     p_full.add_argument("--trace", action="store_true",
                         help="print the deletion sequence")
+    _add_exact_cap(p_full, EXACT_CAP_DEFAULT)
     p_full.set_defaults(func=cmd_full)
 
     p_qfull = sub.add_parser("qfull", parents=[common], allow_abbrev=False,
@@ -315,6 +315,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_g.add_argument("--input", required=True)
     p_g.add_argument("--method", default="oracle",
                      choices=("oracle", "heuristic"))
+    _add_exact_cap(p_g, EXACT_CAP_DEFAULT)
     p_g.set_defaults(func=cmd_g)
 
     p_perc = sub.add_parser("percolate", parents=[common], allow_abbrev=False,
@@ -327,6 +328,7 @@ def build_parser() -> argparse.ArgumentParser:
                         help="exact value by subset enumeration")
     p_perc.add_argument("--witness", action="store_true",
                         help="show a surviving half-full set when a trial fails")
+    _add_exact_cap(p_perc, THETA_CAP_DEFAULT)
     p_perc.set_defaults(func=cmd_percolate)
 
     p_sweep = sub.add_parser("sweep", parents=[common], allow_abbrev=False,
@@ -344,6 +346,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--timings", action="store_true",
                          help="record per-cell runtimes (breaks byte-identical reruns)")
     p_sweep.add_argument("--out", default="-", help="CSV path ('-' = stdout)")
+    _add_exact_cap(p_sweep, EXACT_CAP_DEFAULT)
     p_sweep.set_defaults(func=cmd_sweep)
     return parser
 

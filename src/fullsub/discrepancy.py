@@ -24,8 +24,8 @@ from typing import Optional
 
 import numpy as np
 
-from .graph import (Graph, PreconditionError, VerificationError, as_probability, from_mask,
-                    iter_bits, lex_less, to_mask)
+from .graph import (Graph, PreconditionError, VerificationError, as_mask, as_probability,
+                    from_mask, iter_bits, lex_less, to_mask)
 from .rng import philox, split_seed
 
 EXACT_CAP_DEFAULT = 20
@@ -66,16 +66,14 @@ class JumblednessBoundReport:
 def edge_surplus(g: Graph, p, vertices) -> Fraction:
     """e(X) - p*C(|X|,2), exactly. Subsets of size <= 1 score 0."""
     p = Fraction(p)
-    mask = vertices if isinstance(vertices, int) else to_mask(vertices, g.n)
+    mask = as_mask(vertices, g.n)
     size = mask.bit_count()
-    e2 = 0
-    m = mask
-    while m:
-        low = m & -m
-        v = low.bit_length() - 1
-        m ^= low
-        e2 += (g.adj[v] & mask).bit_count()
-    return Fraction(e2, 2) - p * Fraction(size * (size - 1), 2)
+    return _edges_within(g, mask) - p * Fraction(size * (size - 1), 2)
+
+
+def _edges_within(g: Graph, mask: int) -> int:
+    """e(X) for the vertex set X given by mask."""
+    return sum((g.adj[v] & mask).bit_count() for v in iter_bits(mask)) // 2
 
 
 def _check_sign(sign: str) -> None:
@@ -307,14 +305,7 @@ def _climb(g: Graph, num: int, den: int, orient: int, mask: int, k: Optional[int
     adj = g.adj
     n = g.n
     size = mask.bit_count()
-    e = 0
-    m = mask
-    while m:
-        low = m & -m
-        v = low.bit_length() - 1
-        m ^= low
-        e += (adj[v] & mask).bit_count()
-    e //= 2
+    e = _edges_within(g, mask)
 
     def scaled(edges: int, sz: int) -> int:
         return orient * (edges * den - num * (sz * (sz - 1) // 2))

@@ -28,7 +28,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -38,6 +38,7 @@ from .graph import (
     PreconditionError,
     VerificationError,
     _pack_rows,
+    as_mask,
     as_probability,
     complement,
     density,
@@ -111,10 +112,6 @@ def ceil_sqrt_frac(x: Fraction) -> int:
     return c
 
 
-def _resolve_mask(g: Graph, vertices) -> int:
-    return vertices if isinstance(vertices, int) else to_mask(vertices, g.n)
-
-
 def _min_degree_within(g: Graph, mask: int) -> int:
     best = None
     for v in iter_bits(mask):
@@ -130,7 +127,7 @@ def is_full(g: Graph, p, vertices, mode: str = "full"):
     singletons pass vacuously."""
     p = Fraction(p)
     num, den = p.numerator, p.denominator
-    mask = _resolve_mask(g, vertices)
+    mask = as_mask(vertices, g.n)
     m = mask.bit_count()
     thr = num * (m - 1)
     if mode == "full":
@@ -151,11 +148,23 @@ def is_relatively_full(g: Graph, q, vertices):
     else (False, v) for the smallest violating vertex."""
     q = Fraction(q)
     a, b = q.numerator, q.denominator
-    mask = _resolve_mask(g, vertices)
+    mask = as_mask(vertices, g.n)
     for v in iter_bits(mask):
         if b * (g.adj[v] & mask).bit_count() < a * g.degrees[v]:
             return False, v
     return True, None
+
+
+def _certified(g: Graph, p: Fraction, mask: int, guarantee: Optional[Fraction] = None,
+               trace: Optional[tuple[int, ...]] = None,
+               mode: str = "full") -> FullSubgraphResult:
+    """The result for the witness mask once is_full certifies it at p;
+    a failure raises VerificationError, since it means a finder bug."""
+    ok, bad = is_full(g, p, mask, mode)
+    if not ok:
+        raise VerificationError(f"witness not {mode} at p={p}: vertex {bad}")
+    return FullSubgraphResult(from_mask(mask), mask.bit_count(), p,
+                              _min_degree_within(g, mask), guarantee, trace)
 
 
 def oracle_largest_full(g: Graph, p, mode: str = "full",
@@ -173,7 +182,7 @@ def oracle_largest_full(g: Graph, p, mode: str = "full",
     num, den = p.numerator, p.denominator
     n = g.n
     if n == 0:
-        return FullSubgraphResult(frozenset(), 0, p, 0)
+        return _certified(g, p, 0, mode=mode)
     for m in range(n, 0, -1):
         thr = num * (m - 1)
         if mode == "full":
@@ -186,8 +195,7 @@ def oracle_largest_full(g: Graph, p, mode: str = "full",
             elig = [v for v in range(n) if g.degrees[v] - (n - m) <= bar]
         mask = _first_full_set(g.adj, elig, m, bar, mode == "full")
         if mask is not None:
-            return FullSubgraphResult(from_mask(mask), m, p,
-                                      _min_degree_within(g, mask))
+            return _certified(g, p, mask, mode=mode)
     raise AssertionError("single vertices are always full")
 
 
@@ -270,18 +278,21 @@ class _Peeler:
         self._gone[v] = True
         self.deg[self._rows[v] & ~self._gone] -= 1
 
-    def until_full(self, p: Fraction, trace: list[int],
-                   tie_break: str = "min-index") -> int:
+    def until_full(self, p: Fraction, trace: list[int], tie_break: str = "min-index",
+                   stop: Optional[Callable[[int, int], bool]] = None) -> tuple[int, bool]:
         """Delete minimum-degree vertices, appending each to trace,
-        until the survivors are full at p; returns their mask.
-        tie_break is as in greedy_full."""
+        until the survivors are full at p, or until stop(count, dmin)
+        holds before a deletion; returns the survivors' mask and whether
+        stop fired. tie_break is as in greedy_full."""
         num, den = p.numerator, p.denominator
         last: Optional[int] = None
         shift = self.n // 2
         while True:
             dmin, vmin = self.peek_min()
             if dmin * den >= num * (self.count - 1):
-                return self.alive_mask()
+                return self.alive_mask(), False
+            if stop is not None and stop(self.count, dmin):
+                return self.alive_mask(), True
             victim = vmin
             if tie_break == "adversarial-antipodal" and last is not None:
                 anti = (last + shift) % self.n
@@ -312,9 +323,9 @@ def greedy_full(g: Graph, p=None, tie_break: str = "min-index",
         raise ValueError(f"unknown tie_break {tie_break!r}")
     p = density(g) if p is None else as_probability(p)
     if g.n == 0:
-        return FullSubgraphResult(frozenset(), 0, p, 0, None, ())
+        return _certified(g, p, 0, None, ())
     trace: list[int] = []
-    mask = _Peeler(g).until_full(p, trace, tie_break)
+    mask, _ = _Peeler(g).until_full(p, trace, tie_break)
     guarantee = None
     if alpha is not None:
         alpha = Fraction(alpha)
@@ -322,13 +333,7 @@ def greedy_full(g: Graph, p=None, tie_break: str = "min-index",
             if p == 1:
                 raise ValueError("alpha > 0 is impossible at p = 1")
             guarantee = Fraction(ceil_sqrt_frac(2 * alpha / (1 - p)))
-    result = FullSubgraphResult(from_mask(mask), mask.bit_count(), p,
-                                _min_degree_within(g, mask), guarantee,
-                                tuple(trace))
-    ok, bad = is_full(g, p, mask)
-    if not ok:
-        raise VerificationError(f"greedy stop set not full at vertex {bad}")
-    return result
+    return _certified(g, p, mask, guarantee, tuple(trace))
 
 
 def qfull_partition(g: Graph, q, seed: Optional[int] = None) -> QFullOutcome:
@@ -493,10 +498,7 @@ def one_over_r_full(g: Graph, r: int, seed: Optional[int] = None) -> RelativelyF
         else:
             final = frozenset(labels[j] for j in chosen)
 
-    mask = to_mask(final, n0)
-    ok, bad = is_relatively_full(g, Fraction(1, r), mask)
-    if not ok:
-        raise VerificationError(f"1/{r}-full witness fails at vertex {bad}")
+    _certify_relative(g, Fraction(1, r), to_mask(final, n0), "one_over_r_full")
     lo = n0 // r
     hi = -((-n0) // r) + 1
     if not lo <= len(final) <= hi:
@@ -537,10 +539,7 @@ def full_two_thirds(g: Graph) -> FullSubgraphResult:
     if n <= 2:
         # any graph on <= 2 vertices is full at its own density, and
         # the p-range below is empty there anyway
-        full_mask = (1 << n) - 1
-        return FullSubgraphResult(frozenset(range(n)), n, p,
-                                  _min_degree_within(g, full_mask),
-                                  Fraction(0), ())
+        return _certified(g, p, g.full_mask(), Fraction(0), ())
     if num ** 3 * n * n <= den ** 3:
         raise PreconditionError(
             f"density {p} is at most n^(-2/3); use small_p_full instead")
@@ -556,35 +555,25 @@ def full_two_thirds(g: Graph) -> FullSubgraphResult:
     r = 1 << t
     s_min = two_thirds_size_floor(n, p)
 
-    peel = _Peeler(g)
-    trace: list[int] = []
-    result_mask: Optional[int] = None
-    for _ in range((n + 1) // 2):
-        s = peel.count
-        dmin, vmin = peel.peek_min()
-        if dmin * den >= num * (s - 1):
-            break
+    def aligned(s: int, dmin: int) -> bool:
+        # the switch is open for the first ceil(n/2) deletions, i.e.
+        # while more than floor(n/2) vertices remain
+        if s <= n // 2:
+            return False
         d_i = -((-num * (s - 1)) // den)
         r_i = d_i % r
-        if r_i * den <= (den - num) * r and dmin >= d_i - r_i + 1:
-            sub, sub_labels = induced_subgraph(g, peel.alive_mask())
-            rel = one_over_r_full(sub, r)
-            result_mask = to_mask((sub_labels[j] for j in rel.vertices), n)
-            break
-        peel.delete(vmin)
-        trace.append(vmin)
-    if result_mask is None:
-        result_mask = peel.until_full(p, trace)
+        return r_i * den <= (den - num) * r and dmin >= d_i - r_i + 1
 
-    ok, bad = is_full(g, p, result_mask)
-    if not ok:
-        raise VerificationError(f"output not full at vertex {bad}")
-    size = result_mask.bit_count()
-    if size < s_min:
-        raise VerificationError(f"output size {size} below the bound {s_min}")
-    return FullSubgraphResult(from_mask(result_mask), size, p,
-                              _min_degree_within(g, result_mask),
-                              Fraction(s_min), tuple(trace))
+    trace: list[int] = []
+    mask, switched = _Peeler(g).until_full(p, trace, stop=aligned)
+    if switched:
+        sub, sub_labels = induced_subgraph(g, mask)
+        rel = one_over_r_full(sub, r)
+        mask = to_mask((sub_labels[j] for j in rel.vertices), n)
+    res = _certified(g, p, mask, Fraction(s_min), tuple(trace))
+    if res.size < s_min:
+        raise VerificationError(f"output size {res.size} below the bound {s_min}")
+    return res
 
 
 def small_p_size_floor(n: int, p) -> int:
@@ -608,10 +597,7 @@ def small_p_full(g: Graph) -> FullSubgraphResult:
     p = density(g)
     num, den = p.numerator, p.denominator
     if num == 0 or n <= 2:
-        full_mask = (1 << n) - 1
-        return FullSubgraphResult(frozenset(range(n)), n, p,
-                                  _min_degree_within(g, full_mask),
-                                  Fraction(0), ())
+        return _certified(g, p, g.full_mask(), Fraction(0), ())
     if num ** 3 * n * n > den ** 3:
         raise PreconditionError(
             f"density {p} exceeds n^(-2/3); use full_two_thirds instead")
@@ -672,13 +658,7 @@ def small_p_full(g: Graph) -> FullSubgraphResult:
             trace.append(w)
     else:
         raise VerificationError("leaf peeling failed to reach the window")
-
-    ok, bad = is_full(g, p, alive)
-    if not ok:
-        raise VerificationError(f"output not full at vertex {bad}")
-    return FullSubgraphResult(from_mask(alive), count, p,
-                              _min_degree_within(g, alive),
-                              Fraction(small_p_size_floor(n, p)), tuple(trace))
+    return _certified(g, p, alive, Fraction(small_p_size_floor(n, p)), tuple(trace))
 
 
 def largest_full_or_cofull(g: Graph, method: str = "oracle",
@@ -699,33 +679,17 @@ def largest_full_or_cofull(g: Graph, method: str = "oracle",
     if method != "heuristic":
         raise ValueError(f"method must be 'oracle' or 'heuristic', got {method!r}")
 
-    best: Optional[tuple[int, int, frozenset[int], str]] = None
-
-    def consider(size: int, side: str, vertices: frozenset[int]) -> None:
-        nonlocal best
-        rank = (size, 1 if side == "full" else 0)
-        if best is None or rank > (best[0], best[1]) or (
-                rank == (best[0], best[1])
-                and sorted(vertices) < sorted(best[2])):
-            best = (size, rank[1], vertices, side)
-
+    cands = []
     for side, h in (("full", g), ("cofull", complement(g))):
         dens = density(h)
-        res = greedy_full(h, dens)
-        consider(res.size, side, res.vertices)
-        try:
-            res = full_two_thirds(h)
-            consider(res.size, side, res.vertices)
-        except PreconditionError:
-            pass
-        try:
-            res = small_p_full(h)
-            consider(res.size, side, res.vertices)
-        except PreconditionError:
-            pass
+        cands.append((side, greedy_full(h, dens).vertices))
+        for finder in (full_two_thirds, small_p_full):
+            try:
+                cands.append((side, finder(h).vertices))
+            except PreconditionError:
+                pass
         hf = half_full(h, seed=seed)
-        ok, _ = is_full(h, dens, hf.vertices)
-        if ok:
-            consider(hf.size, side, hf.vertices)
-    assert best is not None
-    return GValue(best[0], best[3], best[2], p)
+        if is_full(h, dens, hf.vertices)[0]:
+            cands.append((side, hf.vertices))
+    side, best = min(cands, key=lambda c: (-len(c[1]), c[0] != "full", sorted(c[1])))
+    return GValue(len(best), side, best, p)

@@ -19,7 +19,7 @@ from typing import Optional
 import numpy as np
 
 from .graph import Graph, PreconditionError, VerificationError, _pack_rows, as_probability, density
-from .rng import uniform_u64
+from .rng import _bernoulli, uniform_u64
 
 FAMILIES = ("gnp", "clique-isolated", "multipartite-planted", "adversary")
 
@@ -56,9 +56,7 @@ def gen_gnp(n: int, p, seed: int) -> Graph:
         full = (1 << n) - 1
         return Graph.from_masks(n, [full ^ (1 << v) for v in range(n)],
                                 verify=False)
-    thr = (num << 64) // den
-    draws = uniform_u64(seed, total)
-    keep = draws < np.uint64(thr)
+    keep = _bernoulli(seed, total, p)
     mat = np.zeros((n, n), dtype=bool)
     # a boolean-mask store visits the upper triangle (u < v) row by
     # row, which is the lexicographic pair order of the draws

@@ -54,6 +54,12 @@ def to_mask(vertices: Iterable[int], n: int) -> int:
     return mask
 
 
+def as_mask(vertices, n: int) -> int:
+    """A vertex set as a bitmask: an int is taken as one already, any
+    other iterable of ids is packed by to_mask."""
+    return vertices if isinstance(vertices, int) else to_mask(vertices, n)
+
+
 def _pack_rows(rows: np.ndarray) -> list[int]:
     """The bitmask of each row of a 2-D bool array: bit j of mask i is
     rows[i, j]. Pass vec[None] to pack a single vector."""
@@ -216,8 +222,7 @@ def induced_subgraph(g: Graph, vertices: Iterable[int]) -> tuple[Graph, tuple[in
     Returns (h, labels) where labels[i] is the original id of vertex i
     of h; labels are sorted ascending.
     """
-    mask = vertices if isinstance(vertices, int) else to_mask(vertices, g.n)
-    labels = tuple(iter_bits(mask))
+    labels = tuple(iter_bits(as_mask(vertices, g.n)))
     return Graph._from_matrix(g.matrix[np.ix_(labels, labels)]), labels
 
 
@@ -228,10 +233,12 @@ def complement(g: Graph) -> Graph:
 
 def write_edge_list(g: Graph) -> str:
     """Canonical text form: header "n m", then one "u v" line per edge
-    with u < v, edges sorted lexicographically."""
-    lines = [f"{g.n} {g.edge_count}"]
-    lines.extend(f"{u} {v}" for u, v in g.edges())
-    return "\n".join(lines) + "\n"
+    with u < v, edges sorted lexicographically. The text is joined from
+    one string per vertex, so no string per edge outlives its row."""
+    rows = [f"{g.n} {g.edge_count}\n"]
+    for u, m in enumerate(g.adj):
+        rows.append("".join(f"{u} {v}\n" for v in iter_bits(m >> (u + 1) << (u + 1))))
+    return "".join(rows)
 
 
 def _lines(text: str, block: int = 1 << 16) -> Iterator[str]:

@@ -20,8 +20,10 @@ from fractions import Fraction
 
 import numpy as np
 
-from .graph import Graph, PreconditionError, _pack_rows, as_probability, from_mask, iter_bits, to_mask
-from .rng import split_seed, uniform_u64
+from .finders import is_relatively_full
+from .graph import (Graph, PreconditionError, _pack_rows, as_mask, as_probability, from_mask,
+                    iter_bits, to_mask)
+from .rng import _bernoulli, split_seed
 
 THETA_CAP_DEFAULT = 16
 
@@ -43,7 +45,7 @@ class InfectionEstimate:
 def bootstrap_percolate(g: Graph, initial) -> PercolationState:
     """Run synchronous rounds until no new vertex is infected; at most
     n rounds since each round infects at least one vertex."""
-    infected = initial if isinstance(initial, int) else to_mask(initial, g.n)
+    infected = as_mask(initial, g.n)
     full = (1 << g.n) - 1
     rounds = 0
     while True:
@@ -60,12 +62,7 @@ def bootstrap_percolate(g: Graph, initial) -> PercolationState:
 
 def is_relatively_half_full_mask(g: Graph, mask: int) -> bool:
     """Nonempty and every member keeps at least half its degree inside."""
-    if not mask:
-        return False
-    for v in iter_bits(mask):
-        if 2 * (g.adj[v] & mask).bit_count() < g.degrees[v]:
-            return False
-    return True
+    return mask != 0 and is_relatively_full(g, Fraction(1, 2), mask)[0]
 
 
 def surviving_half_full(g: Graph, initial) -> frozenset[int]:
@@ -81,14 +78,11 @@ def sample_initial_mask(n: int, p, seed: int, trial: int) -> int:
     a bitmask; each vertex independently with probability p via 64-bit
     threshold draws under a per-trial split seed."""
     p = as_probability(p)
-    num, den = p.numerator, p.denominator
-    if n == 0 or num == 0:
+    if n == 0 or p == 0:
         return 0
-    if num == den:
+    if p == 1:
         return (1 << n) - 1
-    draws = uniform_u64(split_seed(seed, trial), n)
-    keep = draws < np.uint64((num << 64) // den)
-    return _pack_rows(keep[None])[0]
+    return _pack_rows(_bernoulli(split_seed(seed, trial), n, p)[None])[0]
 
 
 def full_infection_probability(g: Graph, p, trials: int = 1000,

@@ -9,6 +9,8 @@ the draws are batched.
 
 from __future__ import annotations
 
+from fractions import Fraction
+
 import numpy as np
 
 _MASK64 = (1 << 64) - 1
@@ -36,3 +38,11 @@ def uniform_u64(seed: int, count: int) -> np.ndarray:
     """count iid uniform uint64 draws from the Philox stream of seed."""
     bitgen = np.random.Philox(key=seed & _MASK64)
     return bitgen.random_raw(count)
+
+
+def _bernoulli(seed: int, count: int, p: Fraction) -> np.ndarray:
+    """count independent bools, each True with probability p < 1 up to a
+    bias under 2^-64 (none when p's denominator is a power of two):
+    draw k of the Philox stream of seed is kept iff it falls below
+    floor(p * 2^64)."""
+    return uniform_u64(seed, count) < np.uint64((p.numerator << 64) // p.denominator)

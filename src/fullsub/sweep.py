@@ -102,29 +102,28 @@ def _run_cell(task) -> ExperimentRow:
         t0 = time.perf_counter()
         if algo == "greedy":
             res = greedy_full(g)
-            size, bound = res.size, Fraction(1)
-            ok, _v = is_full(g, res.p_used, res.vertices)
+            bound = Fraction(1)
         elif algo == "two-thirds":
             res = full_two_thirds(g)
-            size, bound = res.size, res.guarantee
-            ok, _v = is_full(g, res.p_used, res.vertices)
+            bound = res.guarantee
         elif algo == "small-p":
             res = small_p_full(g)
-            size, bound = res.size, res.guarantee
-            ok, _v = is_full(g, res.p_used, res.vertices)
+            bound = res.guarantee
         elif algo == "half-full":
-            rel = half_full(g)
-            size, bound = rel.size, Fraction(g.n // 2)
-            ok, _v = is_relatively_full(g, Fraction(1, 2), rel.vertices)
+            res = half_full(g)
+            bound = Fraction(g.n // 2)
         else:
             res = oracle_largest_full(g, density(g), cap=exact_cap)
-            size, bound = res.size, Fraction(res.size)
+            bound = Fraction(res.size)
+        if algo == "half-full":
+            ok, _v = is_relatively_full(g, Fraction(1, 2), res.vertices)
+        else:
             ok, _v = is_full(g, res.p_used, res.vertices)
         elapsed_ms = (time.perf_counter() - t0) * 1000.0
         if not ok:
             raise VerificationError("witness failed re-verification")
         p_col = p if family == "gnp" else density(g)
-        return ExperimentRow(family, g.n, p_col, seed, algo, size,
+        return ExperimentRow(family, g.n, p_col, seed, algo, res.size,
                              frac_str(bound),
                              f"{elapsed_ms:.1f}" if timings else "", True)
     except PreconditionError as e:

@@ -129,6 +129,13 @@ def reference_initial_mask(n: int, p, seed: int, trial: int) -> int:
     return sum(1 << v for v in range(n) if int(draws[v]) < thr)
 
 
+def reference_write_edge_list(g: Graph) -> str:
+    """The canonical edge-list text from one string per line, joined."""
+    lines = [f"{g.n} {g.edge_count}"]
+    lines.extend(f"{u} {v}" for u, v in g.edges())
+    return "\n".join(lines) + "\n"
+
+
 def reference_read_edge_list(text: str) -> Graph:
     """The edge-list parser over text.splitlines(), a list of every line."""
     lines = text.splitlines()

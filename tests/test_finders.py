@@ -5,6 +5,7 @@ brute-force predicates from support.py, never with the code that
 produced them.
 """
 
+import hashlib
 from fractions import Fraction
 from itertools import combinations
 
@@ -493,3 +494,101 @@ def test_g_value_heuristic_is_a_certified_lower_bound(g):
 def test_g_value_rejects_unknown_method():
     with pytest.raises(ValueError):
         largest_full_or_cofull(K31, method="magic")
+
+
+# ---------------------------------------------------------------------------
+# frozen outputs: every field of each finder's result, digested
+
+def _result_text(res) -> str:
+    def frac(x):
+        return "-" if x is None else f"{x.numerator}/{x.denominator}"
+
+    if isinstance(res, GValue):
+        return f"{res.value}|{res.side}|{sorted(res.witness)}|{frac(res.p)}"
+    trace = "-" if res.trace is None else list(res.trace)
+    return (f"{sorted(res.vertices)}|{res.size}|{frac(res.p_used)}|"
+            f"{res.min_degree}|{frac(res.guarantee)}|{trace}")
+
+
+def _frozen_cases():
+    from fullsub import gen_greedy_adversary
+
+    quarter = Fraction(1, 4)
+    cases = {}
+    for tie in ("min-index", "adversarial-antipodal"):
+        for k in (5, 25):
+            cases[f"greedy-{tie}-adversary{k}"] = (
+                lambda k=k, tie=tie: greedy_full(gen_greedy_adversary(k), tie_break=tie))
+        for n in (0, 1, 2, 30):
+            cases[f"greedy-{tie}-gnp{n}"] = (
+                lambda n=n, tie=tie: greedy_full(gen_gnp(n, quarter, 0), tie_break=tie))
+    # seeds 0 and 2 at n = 30 finish by plain peeling, the other four
+    # take the switch to one_over_r_full at an aligned step
+    for n, p in ((30, quarter), (200, HALF)):
+        for seed in (0, 1, 2):
+            cases[f"two-thirds-gnp{n}-seed{seed}"] = (
+                lambda n=n, p=p, seed=seed: full_two_thirds(gen_gnp(n, p, seed)))
+    cases["small-p-gnp300"] = lambda: small_p_full(gen_gnp(300, Fraction(1, 100), 0))
+    cases["small-p-empty"] = lambda: small_p_full(support.empty(5))
+    for mode in ("full", "cofull"):
+        cases[f"oracle-{mode}-gnp14"] = (
+            lambda mode=mode: oracle_largest_full(gen_gnp(14, HALF, 0), HALF, mode))
+    cases["g-heuristic-gnp60"] = (
+        lambda: largest_full_or_cofull(gen_gnp(60, quarter, 0), method="heuristic"))
+    return cases
+
+
+FROZEN_DIGESTS = {
+    "greedy-min-index-adversary5":
+        "2dfb702e67dab100873893bd693eff09295a2070ba3a5ae36a74ba066ff41211",
+    "greedy-min-index-adversary25":
+        "f16c94ad4b2d54476a5b7daf961fff81135d6e71f6d084f77cb34cf13ba8e3dc",
+    "greedy-min-index-gnp0":
+        "b2def4a5d6bbef3293b90d1e8b66650f434380bede582b6f0830e20bae8c2bca",
+    "greedy-min-index-gnp1":
+        "8ea23e11ca16d70889e354fd4cae1cdbe20736d20bd90f90f0ed9f0a0d2f2663",
+    "greedy-min-index-gnp2":
+        "c11fbf4e46ea93e6327d5f37d36451bfa1bf0bc6cec3812123bf92ce6ee79bbd",
+    "greedy-min-index-gnp30":
+        "a43ced4216fdda0021070ab49f69c527bd6705a97aee510d08fd2f1f80390ee7",
+    "greedy-adversarial-antipodal-adversary5":
+        "e0ef9b028887bfc553e52f6886cde2da62ff1740799a427b279e97afc806d8ec",
+    "greedy-adversarial-antipodal-adversary25":
+        "ce300f7c68334b83c4cd8e6bb58c5b852a1dcf2532f5fb43353ecc7fd1698188",
+    "greedy-adversarial-antipodal-gnp0":
+        "b2def4a5d6bbef3293b90d1e8b66650f434380bede582b6f0830e20bae8c2bca",
+    "greedy-adversarial-antipodal-gnp1":
+        "8ea23e11ca16d70889e354fd4cae1cdbe20736d20bd90f90f0ed9f0a0d2f2663",
+    "greedy-adversarial-antipodal-gnp2":
+        "c11fbf4e46ea93e6327d5f37d36451bfa1bf0bc6cec3812123bf92ce6ee79bbd",
+    "greedy-adversarial-antipodal-gnp30":
+        "442a6a5a743b7fedf0c77bb4eb016050d2466ae7a42350937fc1cb9d6302f710",
+    "two-thirds-gnp30-seed0":
+        "8bfa1492ef2813a506de9e9a2cb8259e45741d9f18c47054cb289dcf60c2ab0e",
+    "two-thirds-gnp30-seed1":
+        "dd3acd350044126edee9defbaa1d22487e2d233984316861620eae7bf0d6c39c",
+    "two-thirds-gnp30-seed2":
+        "8ec75a87b783d4414af0aaacc175223b5fd0e9c75849b3707bd07f6e1cd211ab",
+    "two-thirds-gnp200-seed0":
+        "64763ab6328a47b26d1e795ab14349ee6a0d5c3e016cc0a290ce210d9e2d24fb",
+    "two-thirds-gnp200-seed1":
+        "bf8b403427eff25cc4bb10f9abfecae15efe6fd11d5ea1bdfa668b289678f1b2",
+    "two-thirds-gnp200-seed2":
+        "2978d95f7fc19abc6a5f9ea48407a8d87bd7efd805157f021de9dab30dc5c12b",
+    "small-p-gnp300":
+        "de9de6de8c5eac6f0349829f7b3a2149f4909dbbb1ee8826c13a1a25045b5fcc",
+    "small-p-empty":
+        "ba669b93e42df6d725660757766eea7480d873c182d5d861bc53f08b0519f9d0",
+    "oracle-full-gnp14":
+        "8db9fda23df738cbeb7993e0f4652e6f421c3cdec4071eca74cb97c9f1b3c61a",
+    "oracle-cofull-gnp14":
+        "e2e22a3ff0e41cfc54fc8dd9022a0b9f2906e888ef1c7de110f199e09d130c12",
+    "g-heuristic-gnp60":
+        "cc1b8a75890a411db27282737339cc5aa23dc40df7d23b63e1fcb01139d82288",
+}
+
+
+@pytest.mark.parametrize("name", sorted(FROZEN_DIGESTS))
+def test_finder_outputs_are_frozen(name):
+    text = _result_text(_frozen_cases()[name]())
+    assert hashlib.sha256(text.encode()).hexdigest() == FROZEN_DIGESTS[name]

@@ -39,6 +39,14 @@ def test_round_trip_fixed_point():
     assert write_edge_list(read_edge_list(K3_TEXT)) == K3_TEXT
 
 
+@pytest.mark.parametrize("g", support.structured_catalog()
+                         + [support.empty(0), support.empty(1)]
+                         + [gen_gnp(n, p, seed=2) for n in (300, 1001)
+                            for p in (Fraction(1, 50), Fraction(1, 2))])
+def test_write_matches_reference_writer(g):
+    assert write_edge_list(g) == support.reference_write_edge_list(g)
+
+
 @given(graphs())
 def test_round_trip_any_graph(g):
     h = read_edge_list(write_edge_list(g))

@@ -346,9 +346,12 @@ def test_cli_usage_errors_exit_2(capsys):
     ["disc", "--input", "g.txt", "--exact"],
     ["full", "--input", "g.txt", "--threads", "2"],
     ["percolate", "--input", "g.txt", "--p", "1/2", "--threads", "2"],
+    ["gen", "--family", "gnp", "--n", "4", "--p", "1/2", "--exact-cap", "5"],
+    ["qfull", "--input", "g.txt", "--q", "1/2", "--exact-cap", "5"],
 ])
 def test_cli_rejects_removed_flags(capsys, argv):
-    # disc is exact unless --heuristic; --threads belongs to sweep only
+    # disc is exact unless --heuristic; --threads belongs to sweep only;
+    # --exact-cap only to the subcommands that enumerate
     with pytest.raises(SystemExit) as exc:
         main(argv)
     assert exc.value.code == 2
