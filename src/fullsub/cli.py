@@ -197,6 +197,8 @@ def cmd_g(args) -> int:
 
 def cmd_percolate(args) -> int:
     g = _read_graph(args.input)
+    if args.witness and args.trials < 1:
+        raise PreconditionError(f"trials must be positive, got {args.trials}")
     if args.exact:
         theta = full_infection_probability_exact(g, args.p, cap=args.exact_cap)
         print(f"theta_exact={frac_str(theta)}")
@@ -356,10 +358,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except EdgeListError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 1
-    except OSError as e:
+    except (EdgeListError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
     except PreconditionError as e:

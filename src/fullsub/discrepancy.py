@@ -24,8 +24,8 @@ from typing import Optional
 
 import numpy as np
 
-from .graph import (Graph, PreconditionError, VerificationError, as_mask, as_probability,
-                    from_mask, iter_bits, lex_less, to_mask)
+from .graph import (Graph, PreconditionError, VerificationError, _degrees_within, as_mask,
+                    as_probability, from_mask, iter_bits, lex_less, to_mask)
 from .rng import philox, split_seed
 
 EXACT_CAP_DEFAULT = 20
@@ -73,7 +73,7 @@ def edge_surplus(g: Graph, p, vertices) -> Fraction:
 
 def _edges_within(g: Graph, mask: int) -> int:
     """e(X) for the vertex set X given by mask."""
-    return sum((g.adj[v] & mask).bit_count() for v in iter_bits(mask)) // 2
+    return sum(_degrees_within(g, mask)) // 2
 
 
 def _check_sign(sign: str) -> None:
@@ -257,11 +257,14 @@ def discrepancy_local_search(g: Graph, p, sign: str = "positive", seed: int = 0,
     full vertex set / a top-degree k-set and then from seeded random
     subsets. Returns the best local optimum across restarts; its value
     never exceeds the exact discrepancy. Deterministic given
-    (seed, restarts). With k=None the value is >= 0 because the empty
-    set is always in play.
+    (seed, restarts); restarts counts the climbs and must be positive.
+    With k=None the value is >= 0 because the empty set is always in
+    play.
     """
     p = as_probability(p)
     _check_sign(sign)
+    if restarts < 1:
+        raise PreconditionError(f"restarts must be positive, got {restarts}")
     if k is not None and not 0 <= k <= g.n:
         raise ValueError(f"k must lie in 0..{g.n}, got {k}")
     n = g.n
@@ -273,7 +276,7 @@ def discrepancy_local_search(g: Graph, p, sign: str = "positive", seed: int = 0,
     full = (1 << n) - 1
     by_degree = sorted(range(n), key=lambda v: (-g.degrees[v], v))
     starts = [full if k is None else to_mask(by_degree[:k], n)]
-    for i in range(max(0, restarts - 1)):
+    for i in range(restarts - 1):
         gen = philox(split_seed(seed, i))
         if k is None:
             bits = gen.integers(0, 2, size=n)

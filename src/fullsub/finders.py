@@ -17,8 +17,10 @@ reference density. This module houses:
   - small_p_full: the sparse-regime finder (p <= n^(-2/3)),
   - largest_full_or_cofull: best of both orientations.
 
-Every returned witness is re-certified with cleared-denominator
-integer arithmetic before it escapes; a certification failure raises
+The bar p(m-1) has one integer form, _fullness_bar, and in-set degrees
+one walk, graph._degrees_within. Every FullSubgraphResult leaves
+through _certified, which checks the witness against the bar and takes
+its minimum degree from the same walk; a failure raises
 VerificationError because it can only mean an implementation bug.
 """
 
@@ -37,6 +39,7 @@ from .graph import (
     Graph,
     PreconditionError,
     VerificationError,
+    _degrees_within,
     _pack_rows,
     as_mask,
     as_probability,
@@ -112,13 +115,27 @@ def ceil_sqrt_frac(x: Fraction) -> int:
     return c
 
 
-def _min_degree_within(g: Graph, mask: int) -> int:
-    best = None
-    for v in iter_bits(mask):
-        d = (g.adj[v] & mask).bit_count()
-        if best is None or d < best:
-            best = d
-    return 0 if best is None else best
+def _fullness_bar(p: Fraction, m: int, mode: str) -> int:
+    """The integer form of the bar p(m-1) for an m-vertex set: members
+    of a full set need at least ceil(p(m-1)) neighbours inside it, and
+    those of a co-full set at most floor(p(m-1))."""
+    thr = p.numerator * (m - 1)
+    if mode == "full":
+        return -(-thr // p.denominator)
+    if mode == "cofull":
+        return thr // p.denominator
+    raise ValueError(f"mode must be 'full' or 'cofull', got {mode!r}")
+
+
+def _first_violator(p: Fraction, mask: int, degs: list[int], mode: str) -> Optional[int]:
+    """The smallest member of mask whose in-set degree (degs, as from
+    _degrees_within) misses the fullness bar at p, or None."""
+    bar = _fullness_bar(p, len(degs), mode)
+    if mode == "cofull":
+        degs, bar = [-d for d in degs], -bar
+    if min(degs, default=bar) >= bar:
+        return None
+    return next(v for v, d in zip(iter_bits(mask), degs) if d < bar)
 
 
 def is_full(g: Graph, p, vertices, mode: str = "full"):
@@ -126,21 +143,9 @@ def is_full(g: Graph, p, vertices, mode: str = "full"):
     else (False, v) for the smallest violating vertex. Empty sets and
     singletons pass vacuously."""
     p = Fraction(p)
-    num, den = p.numerator, p.denominator
     mask = as_mask(vertices, g.n)
-    m = mask.bit_count()
-    thr = num * (m - 1)
-    if mode == "full":
-        for v in iter_bits(mask):
-            if (g.adj[v] & mask).bit_count() * den < thr:
-                return False, v
-    elif mode == "cofull":
-        for v in iter_bits(mask):
-            if (g.adj[v] & mask).bit_count() * den > thr:
-                return False, v
-    else:
-        raise ValueError(f"mode must be 'full' or 'cofull', got {mode!r}")
-    return True, None
+    bad = _first_violator(p, mask, _degrees_within(g, mask), mode)
+    return bad is None, bad
 
 
 def is_relatively_full(g: Graph, q, vertices):
@@ -149,8 +154,8 @@ def is_relatively_full(g: Graph, q, vertices):
     q = Fraction(q)
     a, b = q.numerator, q.denominator
     mask = as_mask(vertices, g.n)
-    for v in iter_bits(mask):
-        if b * (g.adj[v] & mask).bit_count() < a * g.degrees[v]:
+    for v, d in zip(iter_bits(mask), _degrees_within(g, mask)):
+        if b * d < a * g.degrees[v]:
             return False, v
     return True, None
 
@@ -158,13 +163,15 @@ def is_relatively_full(g: Graph, q, vertices):
 def _certified(g: Graph, p: Fraction, mask: int, guarantee: Optional[Fraction] = None,
                trace: Optional[tuple[int, ...]] = None,
                mode: str = "full") -> FullSubgraphResult:
-    """The result for the witness mask once is_full certifies it at p;
-    a failure raises VerificationError, since it means a finder bug."""
-    ok, bad = is_full(g, p, mask, mode)
-    if not ok:
+    """The result for the witness mask once it is certified full (or
+    co-full) at p, its minimum degree read off the same degree walk; a
+    failure raises VerificationError, since it means a finder bug."""
+    degs = _degrees_within(g, mask)
+    bad = _first_violator(p, mask, degs, mode)
+    if bad is not None:
         raise VerificationError(f"witness not {mode} at p={p}: vertex {bad}")
-    return FullSubgraphResult(from_mask(mask), mask.bit_count(), p,
-                              _min_degree_within(g, mask), guarantee, trace)
+    return FullSubgraphResult(from_mask(mask), len(degs), p, min(degs, default=0),
+                              guarantee, trace)
 
 
 def oracle_largest_full(g: Graph, p, mode: str = "full",
@@ -179,18 +186,14 @@ def oracle_largest_full(g: Graph, p, mode: str = "full",
         raise PreconditionError(
             f"exact search needs n <= {cap} (got n={g.n}); "
             "use greedy_full or full_two_thirds instead")
-    num, den = p.numerator, p.denominator
     n = g.n
     if n == 0:
         return _certified(g, p, 0, mode=mode)
     for m in range(n, 0, -1):
-        thr = num * (m - 1)
+        bar = _fullness_bar(p, m, mode)
         if mode == "full":
-            # deg * den >= thr for an integer deg
-            bar = -(-thr // den)
             elig = [v for v in range(n) if g.degrees[v] >= bar]
         else:
-            bar = thr // den
             # members can lose at most n - m neighbors to the outside
             elig = [v for v in range(n) if g.degrees[v] - (n - m) <= bar]
         mask = _first_full_set(g.adj, elig, m, bar, mode == "full")
@@ -251,56 +254,44 @@ def _first_full_set(adj, cands: list, m: int, bar: int,
         i += 1
 
 
-class _Peeler:
-    """Vertex peeling on a dense degree table: peek_min scans in C via
-    argmin (first occurrence = smallest index among ties), delete
-    decrements all surviving neighbors in one vectorized step."""
+def _peel(g: Graph, p: Fraction, tie_break: str = "min-index",
+          stop: Optional[Callable[[int, int], bool]] = None
+          ) -> tuple[int, tuple[int, ...], bool]:
+    """Delete minimum-degree vertices until the survivors are full at p,
+    or until stop(count, dmin) holds before a deletion; returns the
+    survivors' mask, the deleted vertices in order and whether stop
+    fired. tie_break is as in greedy_full; n must be positive.
 
-    def __init__(self, g: Graph):
-        self.n = g.n
-        self.count = g.n
-        self.deg = np.array(g.degrees, dtype=np.int64)
-        self._rows = g.matrix
-        self._gone = np.zeros(g.n, dtype=np.bool_)
-
-    def alive_mask(self) -> int:
-        return _pack_rows(~self._gone[None])[0]
-
-    def peek_min(self) -> tuple[int, int]:
-        if not self.count:
-            raise AssertionError("peek on empty peeler")
-        masked = np.where(self._gone, np.iinfo(np.int64).max, self.deg)
-        v = int(np.argmin(masked))
-        return int(masked[v]), v
-
-    def delete(self, v: int) -> None:
-        self.count -= 1
-        self._gone[v] = True
-        self.deg[self._rows[v] & ~self._gone] -= 1
-
-    def until_full(self, p: Fraction, trace: list[int], tie_break: str = "min-index",
-                   stop: Optional[Callable[[int, int], bool]] = None) -> tuple[int, bool]:
-        """Delete minimum-degree vertices, appending each to trace,
-        until the survivors are full at p, or until stop(count, dmin)
-        holds before a deletion; returns the survivors' mask and whether
-        stop fired. tie_break is as in greedy_full."""
-        num, den = p.numerator, p.denominator
-        last: Optional[int] = None
-        shift = self.n // 2
-        while True:
-            dmin, vmin = self.peek_min()
-            if dmin * den >= num * (self.count - 1):
-                return self.alive_mask(), False
-            if stop is not None and stop(self.count, dmin):
-                return self.alive_mask(), True
-            victim = vmin
-            if tie_break == "adversarial-antipodal" and last is not None:
-                anti = (last + shift) % self.n
-                if not self._gone[anti] and self.deg[anti] == dmin:
-                    victim = anti
-            self.delete(victim)
-            trace.append(victim)
-            last = victim
+    The degree table is dense: argmin finds the minimum in C (first
+    occurrence = smallest index among ties), and a deletion decrements
+    all surviving neighbours in one vectorized step."""
+    n = count = g.n
+    deg = np.array(g.degrees, dtype=np.int64)
+    rows = g.matrix
+    gone = np.zeros(n, dtype=np.bool_)
+    never = np.iinfo(np.int64).max
+    trace: list[int] = []
+    last: Optional[int] = None
+    stopped = False
+    while True:
+        masked = np.where(gone, never, deg)
+        victim = int(np.argmin(masked))
+        dmin = int(masked[victim])
+        if dmin >= _fullness_bar(p, count, "full"):
+            break
+        if stop is not None and stop(count, dmin):
+            stopped = True
+            break
+        if tie_break == "adversarial-antipodal" and last is not None:
+            anti = (last + n // 2) % n
+            if not gone[anti] and deg[anti] == dmin:
+                victim = anti
+        count -= 1
+        gone[victim] = True
+        deg[rows[victim] & ~gone] -= 1
+        trace.append(victim)
+        last = victim
+    return _pack_rows(~gone[None])[0], tuple(trace), stopped
 
 
 def greedy_full(g: Graph, p=None, tie_break: str = "min-index",
@@ -324,8 +315,7 @@ def greedy_full(g: Graph, p=None, tie_break: str = "min-index",
     p = density(g) if p is None else as_probability(p)
     if g.n == 0:
         return _certified(g, p, 0, None, ())
-    trace: list[int] = []
-    mask, _ = _Peeler(g).until_full(p, trace, tie_break)
+    mask, trace, _ = _peel(g, p, tie_break)
     guarantee = None
     if alpha is not None:
         alpha = Fraction(alpha)
@@ -333,7 +323,7 @@ def greedy_full(g: Graph, p=None, tie_break: str = "min-index",
             if p == 1:
                 raise ValueError("alpha > 0 is impossible at p = 1")
             guarantee = Fraction(ceil_sqrt_frac(2 * alpha / (1 - p)))
-    return _certified(g, p, mask, guarantee, tuple(trace))
+    return _certified(g, p, mask, guarantee, trace)
 
 
 def qfull_partition(g: Graph, q, seed: Optional[int] = None) -> QFullOutcome:
@@ -560,17 +550,16 @@ def full_two_thirds(g: Graph) -> FullSubgraphResult:
         # while more than floor(n/2) vertices remain
         if s <= n // 2:
             return False
-        d_i = -((-num * (s - 1)) // den)
+        d_i = _fullness_bar(p, s, "full")
         r_i = d_i % r
         return r_i * den <= (den - num) * r and dmin >= d_i - r_i + 1
 
-    trace: list[int] = []
-    mask, switched = _Peeler(g).until_full(p, trace, stop=aligned)
+    mask, trace, switched = _peel(g, p, stop=aligned)
     if switched:
         sub, sub_labels = induced_subgraph(g, mask)
         rel = one_over_r_full(sub, r)
         mask = to_mask((sub_labels[j] for j in rel.vertices), n)
-    res = _certified(g, p, mask, Fraction(s_min), tuple(trace))
+    res = _certified(g, p, mask, Fraction(s_min), trace)
     if res.size < s_min:
         raise VerificationError(f"output size {res.size} below the bound {s_min}")
     return res

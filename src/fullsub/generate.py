@@ -3,6 +3,8 @@ adversarial instances.
 
 Every generator is deterministic given its parameters (and seed, where
 one applies), platform-independent, and validated before generation.
+The adjacency masks they build are symmetric and loop-free by
+construction, so they go to Graph._from_adj without a second check.
 generate(GenSpec) dispatches by family tag using the same family names
 the command line accepts.
 """
@@ -54,8 +56,7 @@ def gen_gnp(n: int, p, seed: int) -> Graph:
         return Graph.from_edges(n, [])
     if num == den:
         full = (1 << n) - 1
-        return Graph.from_masks(n, [full ^ (1 << v) for v in range(n)],
-                                verify=False)
+        return Graph._from_adj(n, [full ^ (1 << v) for v in range(n)])
     keep = _bernoulli(seed, total, p)
     mat = np.zeros((n, n), dtype=bool)
     # a boolean-mask store visits the upper triangle (u < v) row by
@@ -169,7 +170,7 @@ def gen_multipartite_planted(n: int, r: int, c=Fraction(1)):
         for u, v in pp:
             adj[u] |= 1 << v
             adj[v] |= 1 << u
-    g = Graph.from_masks(N, adj, verify=False)
+    g = Graph._from_adj(N, adj)
     if g.edge_count != target:
         raise VerificationError(
             f"built {g.edge_count} edges, target was {target}")
@@ -199,7 +200,7 @@ def gen_greedy_adversary(n: int) -> Graph:
             u, v = i, 2 * n + 1 + j
             adj[u] |= 1 << v
             adj[v] |= 1 << u
-    g = Graph.from_masks(N, adj, verify=True)
+    g = Graph._from_adj(N, adj)
     expected = (2 * n + 1) ** 2 + m * (m - 1)
     if g.edge_count != expected:
         raise VerificationError(
@@ -242,7 +243,7 @@ def gen_glued(a: Graph, b: Graph, seed: int) -> Graph:
                 for u, v in pairs:
                     adj[u] |= 1 << v
                     adj[v] |= 1 << u
-    return Graph.from_masks(2 * off, adj, verify=True)
+    return Graph._from_adj(2 * off, adj)
 
 
 def generate(spec: GenSpec):

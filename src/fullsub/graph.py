@@ -127,12 +127,11 @@ class Graph:
         return cls._from_adj(n, adj)
 
     @classmethod
-    def from_masks(cls, n: int, adj: Iterable[int], verify: bool = True) -> "Graph":
-        """Build from per-vertex neighbour bitmasks.
-
-        With verify=True the masks are checked for symmetry; generators
-        that construct symmetric masks directly may skip the check.
-        """
+    def from_masks(cls, n: int, adj: Iterable[int]) -> "Graph":
+        """Build from per-vertex neighbour bitmasks, checking that there
+        is one mask per vertex, every bit names a vertex, no vertex is
+        its own neighbour and the masks are symmetric. The generators,
+        which build well-formed masks by construction, use _from_adj."""
         adj = list(adj)
         if len(adj) != n:
             raise ValueError("need one adjacency mask per vertex")
@@ -141,19 +140,15 @@ class Graph:
                 raise ValueError(f"adjacency mask of {v} mentions vertices >= {n}")
             if (m >> v) & 1:
                 raise ValueError(f"self-loop at vertex {v}")
-        if verify:
-            for v in range(n):
-                m = adj[v]
-                while m:
-                    low = m & -m
-                    u = low.bit_length() - 1
-                    m ^= low
-                    if not (adj[u] >> v) & 1:
-                        raise ValueError(f"asymmetric adjacency between {u} and {v}")
+        for v, m in enumerate(adj):
+            for u in iter_bits(m):
+                if not (adj[u] >> v) & 1:
+                    raise ValueError(f"asymmetric adjacency between {u} and {v}")
         return cls._from_adj(n, adj)
 
     @classmethod
     def _from_adj(cls, n: int, adj: list[int]) -> "Graph":
+        """Build from masks already known to be well formed (not checked)."""
         degrees = tuple(m.bit_count() for m in adj)
         total = sum(degrees)
         assert total % 2 == 0
@@ -214,6 +209,13 @@ def density(g: Graph) -> Fraction:
     if g.n <= 1:
         return Fraction(0)
     return Fraction(2 * g.edge_count, g.n * (g.n - 1))
+
+
+def _degrees_within(g: Graph, mask: int) -> list[int]:
+    """d_S(v) for each member v of the vertex set S given by mask, in
+    increasing vertex order."""
+    adj = g.adj
+    return [(adj[v] & mask).bit_count() for v in iter_bits(mask)]
 
 
 def induced_subgraph(g: Graph, vertices: Iterable[int]) -> tuple[Graph, tuple[int, ...]]:

@@ -319,6 +319,41 @@ def reference_oracle_largest_full(g: Graph, p, mode: str = "full"):
     return 0, (), 0
 
 
+def reference_peel(g: Graph, p, tie_break: str = "min-index", stop=None):
+    """(survivors' mask, deletion trace, whether stop fired) of the
+    minimum-degree peel: the loop the finders ran before it became one
+    function, with the bar written as deg * den >= num * (count - 1)."""
+    p = Fraction(p)
+    num, den = p.numerator, p.denominator
+    n = count = g.n
+    deg = np.array(g.degrees, dtype=np.int64)
+    gone = np.zeros(n, dtype=np.bool_)
+    trace: list[int] = []
+    last = None
+    while True:
+        masked = np.where(gone, np.iinfo(np.int64).max, deg)
+        vmin = int(np.argmin(masked))
+        dmin = int(masked[vmin])
+        if dmin * den >= num * (count - 1):
+            stopped = False
+            break
+        if stop is not None and stop(count, dmin):
+            stopped = True
+            break
+        victim = vmin
+        if tie_break == "adversarial-antipodal" and last is not None:
+            anti = (last + n // 2) % n
+            if not gone[anti] and deg[anti] == dmin:
+                victim = anti
+        count -= 1
+        gone[victim] = True
+        deg[g.matrix[victim] & ~gone] -= 1
+        trace.append(victim)
+        last = victim
+    alive = sum(1 << v for v in range(n) if not gone[v])
+    return alive, tuple(trace), stopped
+
+
 def brute_g_value(g: Graph) -> int:
     p = brute_density(g)
     f_here, _ = brute_largest_full(g, p, "full")

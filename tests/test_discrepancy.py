@@ -250,6 +250,12 @@ def test_local_search_never_beats_exact_over_100_seeds():
                 assert found.value <= exact
 
 
+@pytest.mark.parametrize("restarts", [0, -2])
+def test_local_search_refuses_nonpositive_restarts(restarts):
+    with pytest.raises(PreconditionError, match="restarts must be positive"):
+        discrepancy_local_search(K31, HALF, "positive", restarts=restarts)
+
+
 @given(graphs(min_n=1, max_n=7), densities, st.integers(0, 3), st.data())
 def test_local_search_k_keeps_the_size(g, p, seed, data):
     k = data.draw(st.integers(1, g.n))

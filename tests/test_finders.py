@@ -6,6 +6,7 @@ produced them.
 """
 
 import hashlib
+import math
 from fractions import Fraction
 from itertools import combinations
 
@@ -36,6 +37,7 @@ from fullsub import (
     small_p_size_floor,
     two_thirds_size_floor,
 )
+from fullsub.finders import _fullness_bar, _peel
 
 K31 = support.disjoint_union(support.clique(3), support.empty(1))
 HALF = Fraction(1, 2)
@@ -198,6 +200,32 @@ def test_greedy_honours_p_override(g, p):
     got = greedy_full(g, p=p)
     assert got.p_used == p
     assert support.brute_is_full(g, p, sorted(got.vertices))
+
+
+TIE_BREAKS = st.sampled_from(["min-index", "adversarial-antipodal"])
+
+
+@given(graphs(min_n=1), densities, TIE_BREAKS)
+def test_peel_matches_reference(g, p, tie_break):
+    assert _peel(g, p, tie_break) == support.reference_peel(g, p, tie_break)
+
+
+@given(graphs(min_n=1), densities, TIE_BREAKS, st.integers(0, 9))
+def test_peel_with_stop_matches_reference(g, p, tie_break, k):
+    def stop(count, dmin):
+        return count <= k
+
+    assert _peel(g, p, tie_break, stop) == support.reference_peel(g, p, tie_break, stop)
+
+
+@pytest.mark.parametrize("p", [Fraction(0), Fraction(1), Fraction(1, 3), Fraction(2, 3),
+                               Fraction(999999, 1000000), Fraction(1, 2 ** 70 + 1)])
+def test_fullness_bar_rounds_p_times_m_minus_1(p):
+    for m in range(1, 61):
+        assert _fullness_bar(p, m, "full") == math.ceil(p * (m - 1))
+        assert _fullness_bar(p, m, "cofull") == math.floor(p * (m - 1))
+    with pytest.raises(ValueError, match="mode must be"):
+        _fullness_bar(p, 3, "half")
 
 
 def test_greedy_rejects_unknown_tie_break():

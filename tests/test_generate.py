@@ -9,6 +9,7 @@ import pytest
 import support
 from fullsub import (
     GenSpec,
+    Graph,
     PreconditionError,
     adversary_planted_size,
     clique_part_size,
@@ -263,6 +264,31 @@ def test_generate_dispatch_and_metadata():
 
     g, meta = generate(GenSpec("adversary", n=6))
     assert g.n == 26 and meta["m"] == adversary_planted_size(6)
+
+
+GENERATED = {
+    "adversary-2": lambda: gen_greedy_adversary(2),
+    "adversary-3": lambda: gen_greedy_adversary(3),
+    "adversary-25": lambda: gen_greedy_adversary(25),
+    "adversary-100": lambda: gen_greedy_adversary(100),
+    "glued-gnp10": lambda: gen_glued(gen_gnp(10, Fraction(1, 2), 1),
+                                     gen_gnp(10, Fraction(1, 2), 2), seed=3),
+    "multipartite-r1": lambda: gen_multipartite_planted(6, 1)[0],
+    "multipartite-r2": lambda: gen_multipartite_planted(6, 2)[0],
+    "multipartite-r3": lambda: gen_multipartite_planted(8, 3)[0],
+    "gnp-0": lambda: gen_gnp(30, 0, 4),
+    "gnp-1/2": lambda: gen_gnp(30, Fraction(1, 2), 4),
+    "gnp-1": lambda: gen_gnp(30, 1, 4),
+    "clique-isolated": lambda: gen_clique_plus_isolated(27, 13),
+}
+
+
+@pytest.mark.parametrize("name", GENERATED)
+def test_generated_masks_pass_the_checked_constructor(name):
+    # the generators build through the unchecked Graph._from_adj, so
+    # their masks must pass every check of Graph.from_masks
+    g = GENERATED[name]()
+    assert Graph.from_masks(g.n, g.adj).adj == g.adj
 
 
 def test_generate_is_byte_identical_per_spec():

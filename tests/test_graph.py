@@ -124,6 +124,21 @@ def test_from_edges_rejects_bad_vertices():
         Graph.from_edges(3, [(1, 1)])
 
 
+@pytest.mark.parametrize("n,adj,message", [
+    (3, [0b110, 0b001], "need one adjacency mask per vertex"),
+    (3, [0b010, 0b1001, 0], "adjacency mask of 1 mentions vertices >= 3"),
+    (3, [0b010, 0b011, 0], "self-loop at vertex 1"),
+    # masks are scanned in vertex order v, and the first neighbour u of
+    # v that lacks v is named "between u and v"
+    (3, [0b100, 0b100, 0b001], "asymmetric adjacency between 2 and 1"),
+    (4, [0b0110, 0b0001, 0b0001, 0b0001], "asymmetric adjacency between 0 and 3"),
+])
+def test_from_masks_refuses_malformed_masks(n, adj, message):
+    with pytest.raises(ValueError) as err:
+        Graph.from_masks(n, adj)
+    assert str(err.value) == message
+
+
 def test_density_closed_cases():
     assert density(support.clique(4)) == 1
     assert density(support.cycle(4)) == Fraction(2, 3)

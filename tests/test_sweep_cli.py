@@ -389,3 +389,9 @@ def test_cli_refuses_out_of_range_p_and_threads(capsys, tmp_path):
     code, _, err = run_cli(capsys, "sweep", "--n-grid", "6", "--p-grid", "1/2",
                            "--seeds", "0", "--algos", "greedy", "--threads", "0")
     assert code == 2 and "threads" in err
+    for trials in ("0", "-3"):
+        code, out, err = run_cli(capsys, "percolate", "--input", path, "--p", "1/2",
+                                 "--exact", "--witness", "--trials", trials)
+        assert code == 2 and "trials must be positive" in err and out == ""
+    code, _, err = run_cli(capsys, "disc", "--input", path, "--heuristic", "--restarts", "-2")
+    assert code == 2 and "restarts must be positive" in err
