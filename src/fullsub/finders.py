@@ -26,6 +26,7 @@ VerificationError because it can only mean an implementation bug.
 
 from __future__ import annotations
 
+import heapq
 import itertools
 import math
 from dataclasses import dataclass
@@ -622,24 +623,27 @@ def small_p_full(g: Graph) -> FullSubgraphResult:
                 fadj[u] |= 1 << v
                 stack.append(u)
 
+    leaves = [v for v in range(n) if fadj[v].bit_count() == 1]
     for _ in range(n + 1):
         if lower_ok(count) and upper_ok(count):
             break
         if not lower_ok(count):
             raise VerificationError("order fell below the target window")
-        leaf = None
-        for v in iter_bits(alive):
-            if fadj[v].bit_count() == 1:
-                leaf = v
-                break
-        if leaf is None:
+        # the lowest forest leaf: skip entries that lost their last
+        # forest edge since the push (removed vertices keep none)
+        while leaves and fadj[leaves[0]].bit_count() != 1:
+            heapq.heappop(leaves)
+        if not leaves:
             raise VerificationError("no forest leaf while above the window")
+        leaf = heapq.heappop(leaves)
         w = fadj[leaf].bit_length() - 1
         alive ^= 1 << leaf
         fadj[w] &= ~(1 << leaf)
         fadj[leaf] = 0
         count -= 1
         trace.append(leaf)
+        if fadj[w].bit_count() == 1:
+            heapq.heappush(leaves, w)
         if (g.adj[w] & alive).bit_count() == 0:
             alive ^= 1 << w
             fadj[w] = 0

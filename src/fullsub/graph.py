@@ -5,13 +5,15 @@ neighbourhood inside a vertex subset is a single AND plus popcount even
 for a few thousand vertices. The vectorized kernels read the same
 adjacency as Graph.matrix, a read-only numpy bool matrix built once per
 graph; this module is the only place that converts between the two
-forms. Graphs are frozen after construction and every function in this
-package treats them as shared read-only values; all density and degree
-arithmetic is exact (integers and Fractions).
+forms. Reading a canonical edge list builds the matrix first and packs
+the masks from it. Graphs are frozen after construction and every
+function in this package treats them as shared read-only values; all
+density and degree arithmetic is exact (integers and Fractions).
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -70,6 +72,15 @@ def _pack_rows(rows: np.ndarray) -> list[int]:
     buf = packed.tobytes()
     return [int.from_bytes(buf[i:i + width], "little")
             for i in range(0, len(buf), width)]
+
+
+def _unpack_rows(masks: list[int], n: int) -> np.ndarray:
+    """The 2-D bool array whose row i holds bits 0..n-1 of masks[i]; the
+    inverse of _pack_rows."""
+    nbytes = (n + 7) // 8
+    packed = np.frombuffer(b"".join(m.to_bytes(nbytes, "little") for m in masks),
+                           dtype=np.uint8).reshape(len(masks), nbytes)
+    return np.unpackbits(packed, axis=1, count=n, bitorder="little").view(np.bool_)
 
 
 def iter_bits(mask: int) -> Iterator[int]:
@@ -168,11 +179,7 @@ class Graph:
     def matrix(self) -> np.ndarray:
         """Dense n x n bool adjacency, built on first use and cached;
         read-only, since the graph it mirrors is immutable."""
-        n = self.n
-        nbytes = (n + 7) // 8
-        packed = np.frombuffer(b"".join(m.to_bytes(nbytes, "little") for m in self.adj),
-                               dtype=np.uint8).reshape(n, nbytes)
-        mat = np.unpackbits(packed, axis=1, count=n, bitorder="little").view(np.bool_)
+        mat = _unpack_rows(self.adj, self.n)
         mat.setflags(write=False)
         return mat
 
@@ -236,30 +243,89 @@ def complement(g: Graph) -> Graph:
 def write_edge_list(g: Graph) -> str:
     """Canonical text form: header "n m", then one "u v" line per edge
     with u < v, edges sorted lexicographically. The text is joined from
-    one string per vertex, so no string per edge outlives its row."""
+    one string per vertex, formatted from that vertex's unpacked mask
+    with a table of vertex names, so no string per edge outlives its row
+    and no n x n matrix is built."""
+    names = [str(v) for v in range(g.n)]
     rows = [f"{g.n} {g.edge_count}\n"]
     for u, m in enumerate(g.adj):
-        rows.append("".join(f"{u} {v}\n" for v in iter_bits(m >> (u + 1) << (u + 1))))
+        vs = (np.flatnonzero(_unpack_rows([m], g.n)[0, u + 1:]) + (u + 1)).tolist()
+        if vs:
+            rows.append(f"{u} " + f"\n{u} ".join(map(names.__getitem__, vs)) + "\n")
     return "".join(rows)
 
 
-def _lines(text: str, block: int = 1 << 16) -> Iterator[str]:
-    """The lines of text.splitlines(), produced a block at a time so no
-    list of every line is built. Blocks end just after a '\\n', or after
-    a '\\r' when no '\\n' follows, so no block splits a line or a "\\r\\n"."""
-    start, size = 0, len(text)
+def _blocks(text: str, start: int = 0, block: int = 1 << 16) -> Iterator[str]:
+    """text[start:] in consecutive slices of about block characters.
+    Slices end just after a '\\n', or after a '\\r' when no '\\n'
+    follows, so no slice splits a line or a "\\r\\n"."""
+    size = len(text)
     while start < size:
         end = text.find("\n", start + block)
         if end < 0:
             end = text.find("\r", start + block)
         end = size if end < 0 else end + 1
-        yield from text[start:end].splitlines()
+        yield text[start:end]
         start = end
 
 
+def _lines(text: str, block: int = 1 << 16) -> Iterator[str]:
+    """The lines of text.splitlines(), produced a block at a time so no
+    list of every line is built."""
+    for chunk in _blocks(text, 0, block):
+        yield from chunk.splitlines()
+
+
+# The canonical form: a header "n m\n", then lines "u v\n", every token
+# 1-18 ASCII digits (so it fits in int64). _BYTE_KIND maps a byte to 1
+# for a digit, 2 for the space, 3 for '\n' and 0 for any other.
+_CANONICAL_HEADER = re.compile(r"([0-9]{1,18}) ([0-9]{1,18})\n")
+_BYTE_KIND = np.zeros(256, dtype=np.uint8)
+_BYTE_KIND[list(b"0123456789 \n")] = [1] * 10 + [2, 3]
+
+
+def _read_canonical(text: str, block: int = 1 << 16) -> Graph | None:
+    """The graph of a canonical text, checked and decoded a block at a
+    time by vectorized passes, or None when the text is not
+    canonical or fails any check, so that the line parser names the
+    fault. Only graphs whose n x n matrix is no larger than the text
+    are read here; Graph.matrix comes out already built."""
+    head = _CANONICAL_HEADER.match(text)
+    if head is None or not text.isascii():
+        return None
+    n, m = int(head[1]), int(head[2])
+    if n * n > len(text):
+        return None
+    mat = np.zeros((n, n), dtype=np.bool_)
+    lines = 0
+    for chunk in _blocks(text, head.end(), block):
+        kind = _BYTE_KIND[np.frombuffer(chunk.encode("ascii"), dtype=np.uint8)]
+        eol, gap = np.flatnonzero(kind == 3), np.flatnonzero(kind == 2)
+        if kind[-1] != 3 or len(gap) != len(eol) or not kind.all():
+            return None
+        # each line holds one space with 1-18 digits on either side
+        tokens = np.concatenate([gap - np.r_[-1, eol[:-1]], eol - gap]) - 1
+        if tokens.min() < 1 or tokens.max() > 18:
+            return None
+        u, v = np.fromstring(chunk, dtype=np.int64, sep=" ").reshape(-1, 2).T
+        if (u >= v).any() or (v >= n).any():
+            return None
+        mat[u, v] = True
+        lines += len(eol)
+    if lines != m or np.count_nonzero(mat) != m:  # a duplicate sets no new entry
+        return None
+    mat |= mat.T
+    return Graph._from_matrix(mat)
+
+
 def read_edge_list(text: str) -> Graph:
-    """Parse the canonical edge-list format, reporting errors by line.
-    Lines end as in str.splitlines; blank lines may only trail the list."""
+    """Parse the edge-list format, reporting errors by line. Lines end
+    as in str.splitlines; blank lines may only trail the list. Canonical
+    text, what write_edge_list emits, is read by _read_canonical; any
+    other text, and any text it refuses, by the line parser below."""
+    g = _read_canonical(text)
+    if g is not None:
+        return g
     lines = _lines(text)
     header = next(lines, None)
     if header is None:

@@ -15,8 +15,9 @@ from typing import Iterable, Optional
 
 import numpy as np
 
-from fullsub import EdgeListError, Graph, complement, gen_gnp
-from fullsub.graph import lex_less
+from fullsub import (EdgeListError, Graph, PreconditionError, VerificationError,
+                     complement, density, gen_gnp)
+from fullsub.graph import iter_bits, lex_less
 from fullsub.rng import split_seed, uniform_u64
 
 from_edges = Graph.from_edges
@@ -352,6 +353,74 @@ def reference_peel(g: Graph, p, tie_break: str = "min-index", stop=None):
         last = victim
     alive = sum(1 << v for v in range(n) if not gone[v])
     return alive, tuple(trace), stopped
+
+
+def reference_small_p_peel(g: Graph):
+    """(vertices, trace) of small_p_full: the leaf peel as it ran before
+    its leaves came from a heap, rescanning the live vertices from the
+    lowest for a forest leaf at every step. Raises what small_p_full
+    raises before it certifies."""
+    n = g.n
+    p = density(g)
+    num, den = p.numerator, p.denominator
+    if num == 0 or n <= 2:
+        return frozenset(range(n)), ()
+    if num ** 3 * n * n > den ** 3:
+        raise PreconditionError(
+            f"density {p} exceeds n^(-2/3); use full_two_thirds instead")
+    nn = num * n * n
+
+    def lower_ok(c: int) -> bool:
+        return (c + 1) * (c + 1) * den >= nn
+
+    def upper_ok(c: int) -> bool:
+        return c <= 1 or (c - 1) * (c - 1) * den <= nn
+
+    trace = [v for v in range(n) if g.degrees[v] == 0]
+    alive = sum(1 << v for v in range(n) if g.degrees[v] > 0)
+    count = alive.bit_count()
+    fadj = [0] * n
+    seen = 0
+    for root in iter_bits(alive):
+        if (seen >> root) & 1:
+            continue
+        seen |= 1 << root
+        stack = [root]
+        while stack:
+            v = stack.pop()
+            fresh = g.adj[v] & alive & ~seen
+            seen |= fresh
+            for u in iter_bits(fresh):
+                fadj[v] |= 1 << u
+                fadj[u] |= 1 << v
+                stack.append(u)
+
+    for _ in range(n + 1):
+        if lower_ok(count) and upper_ok(count):
+            break
+        if not lower_ok(count):
+            raise VerificationError("order fell below the target window")
+        leaf = None
+        for v in iter_bits(alive):
+            if fadj[v].bit_count() == 1:
+                leaf = v
+                break
+        if leaf is None:
+            raise VerificationError("no forest leaf while above the window")
+        w = fadj[leaf].bit_length() - 1
+        alive ^= 1 << leaf
+        fadj[w] &= ~(1 << leaf)
+        fadj[leaf] = 0
+        count -= 1
+        trace.append(leaf)
+        if (g.adj[w] & alive).bit_count() == 0:
+            alive ^= 1 << w
+            fadj[w] = 0
+            count -= 1
+            trace.append(w)
+    else:
+        raise VerificationError("leaf peeling failed to reach the window")
+    return frozenset(iter_bits(alive)), tuple(trace)
 
 
 def brute_g_value(g: Graph) -> int:

@@ -17,7 +17,9 @@ import support
 from conftest import densities, graphs, proper_fractions
 from fullsub import (
     GValue,
+    Graph,
     PreconditionError,
+    VerificationError,
     ceil_sqrt_frac,
     complement,
     density,
@@ -492,6 +494,43 @@ def test_small_p_window_across_sparse_instances():
         assert (count + 1) ** 2 * den >= num * n * n
         assert count <= 1 or (count - 1) ** 2 * den <= num * n * n
         assert support.brute_is_full(g, p, sorted(got.vertices))
+
+
+def _small_p_peel(g):
+    res = small_p_full(g)
+    return res.vertices, res.trace
+
+
+def _small_p_outcome(peel, g):
+    """What peel(g) returns, or the type and message of its error."""
+    try:
+        return peel(g)
+    except (PreconditionError, VerificationError) as err:
+        return type(err), str(err)
+
+
+@st.composite
+def sparse_graphs(draw):
+    """Graphs of order 1-60 with at most about n/2 edges, so that most
+    lie below the n^(-2/3) density small_p_full accepts."""
+    n = draw(st.integers(1, 60))
+    pairs = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)).filter(
+        lambda e: e[0] != e[1])
+    return Graph.from_edges(n, draw(st.lists(pairs, max_size=n // 2 + 1)))
+
+
+@given(st.one_of(graphs(min_n=1), sparse_graphs()))
+def test_small_p_peel_matches_reference(g):
+    assert _small_p_outcome(_small_p_peel, g) == \
+        _small_p_outcome(support.reference_small_p_peel, g)
+
+
+@pytest.mark.parametrize("n,inv_p,seed", [(300, 100, 0), (1000, 110, 3), (2000, 2000, 0),
+                                          (2000, 2000, 1)])
+def test_small_p_peel_matches_reference_on_gnp(n, inv_p, seed):
+    g = gen_gnp(n, Fraction(1, inv_p), seed)
+    assert _small_p_outcome(_small_p_peel, g) == \
+        _small_p_outcome(support.reference_small_p_peel, g)
 
 
 # ---------------------------------------------------------------------------

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 import support
 from conftest import graphs
@@ -19,7 +19,7 @@ from fullsub import (
     read_edge_list,
     write_edge_list,
 )
-from fullsub.graph import _lines
+from fullsub.graph import _lines, _read_canonical
 
 K3_TEXT = "3 3\n0 1\n0 2\n1 2\n"
 
@@ -104,6 +104,119 @@ def test_read_matches_reference_parser_across_blocks(eol):
         assert len(text) > 1 << 17
         assert parse_outcome(read_edge_list, text) == \
             parse_outcome(support.reference_read_edge_list, text)
+
+
+# faults put into canonical texts: each either inserts a line, edits
+# one, or edits the header
+INSERTED = ("duplicate", "counted-duplicate", "reversed", "self-loop", "out-of-range",
+            "inner-blank", "one-token", "huge-token", "int-spelling")
+EDITED = ("double-space", "trailing-space", "split-line", "long-token")
+HEADER = ("count-high", "count-low", "header-spacing")
+
+
+@st.composite
+def canonical_texts(draw):
+    """(fault, end, text): an edge-list text in the canonical shape, its
+    lines shuffled and tokens zero-padded, with at most one fault and a
+    final '\\n', none or trailing blank lines; most are small enough for
+    the vectorized reader to take (n * n <= len(text))."""
+    n = draw(st.integers(1, 8))
+    pad = st.integers(0, 4).map(lambda k: "0" * k)
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    edges = draw(st.permutations(pairs))[:draw(st.integers(0, len(pairs)))]
+    lines = [f"{draw(pad)}{u} {draw(pad)}{v}" for u, v in edges]
+    m = len(lines)
+    fault = draw(st.sampled_from(("none",) + INSERTED + EDITED + HEADER))
+    at = draw(st.integers(0, m))
+    a, b = sorted(draw(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))))
+    prev = lines[at - 1] if lines else None
+    if fault in INSERTED and (prev or "duplicate" not in fault):
+        lines.insert(at, {"duplicate": prev, "counted-duplicate": prev, "reversed": f"{b} {a}",
+                          "self-loop": f"{a} {a}", "out-of-range": f"{a} {n + b}",
+                          "inner-blank": "", "one-token": f"{a}",
+                          "huge-token": f"{a} {'9' * 19}", "int-spelling": f"+{a} 0_{b}",
+                          }[fault])
+    elif fault in EDITED and prev:
+        lines[at - 1] = {"double-space": prev.replace(" ", "  "), "trailing-space": prev + " ",
+                         "split-line": prev.replace(" ", " \n "), "long-token": "0" * 18 + prev,
+                         }[fault]
+    elif fault not in HEADER or (fault == "count-low" and not m):
+        fault = "none"
+    m += {"counted-duplicate": 1, "count-high": 1, "count-low": -1}.get(fault, 0)
+    header = f"{draw(pad)}{n}{'  ' if fault == 'header-spacing' else ' '}{draw(pad)}{m}"
+    end = draw(st.sampled_from(["\n", "\n", "\n", "", "\n\n\n"]))
+    return fault, end, "\n".join([header] + lines) + end
+
+
+@settings(max_examples=200)
+@given(canonical_texts(), st.integers(1, 40))
+def test_vectorized_reader_matches_reference_parser(case, block):
+    fault, end, text = case
+    want = parse_outcome(support.reference_read_edge_list, text)
+    assert parse_outcome(read_edge_list, text) == want
+    # the vectorized reader, over blocks small enough that texts span
+    # several, either serves the reference's graph or declines
+    got = _read_canonical(text, block)
+    if got is not None:
+        assert (got.n, got.adj) == want
+        _assert_matrix_mirrors_masks(got)
+    elif fault == "none" and end == "\n":
+        assert int(text.split()[0]) ** 2 > len(text)
+
+
+@pytest.fixture(scope="module")
+def multi_block_lines():
+    """The lines of a G(200, 1/2) text with every token zero-padded to
+    ten digits: about 220 kB, so it spans several of the reader's blocks."""
+    g = gen_gnp(200, Fraction(1, 2), seed=4)
+    lines = [f"{u:010d} {v:010d}" for u, v in g.edges()]
+    return [f"{g.n} {g.edge_count}"] + lines
+
+
+REFUSED = ("duplicate", "counted-duplicate", "reversed", "self-loop", "out-of-range",
+           "one-token", "huge-token", "split-line", "count-low", "last-one-token")
+
+
+@pytest.mark.parametrize("fault", ("none", "int-spelling", "long-token", "double-space",
+                                   "no-final-newline", "trailing-blank") + REFUSED)
+def test_vectorized_reader_matches_reference_parser_across_blocks(multi_block_lines, fault):
+    # each fault sits a few lines from the end, in the last block
+    lines = list(multi_block_lines)
+    line = lines[-3]
+    u, v = (int(tok) for tok in line.split())
+    lines[-3] = {"duplicate": lines[-4], "reversed": f"{v} {u}", "self-loop": f"{u} {u}",
+                 "out-of-range": f"{u} 200", "one-token": f"{u}", "huge-token": f"{u} {'9' * 19}",
+                 "int-spelling": f"+{u} 0_{v}", "long-token": "0" * 9 + line,
+                 "double-space": line.replace(" ", "  "), "split-line": line.replace(" ", " \n "),
+                 }.get(fault, line)
+    if fault == "counted-duplicate":
+        lines[0] = f"200 {len(lines)}"
+        lines.insert(-3, line)
+    if fault == "count-low":
+        lines[0] = f"200 {len(lines) - 2}"
+    if fault == "last-one-token":
+        lines[-1] = lines[-1].split()[0]
+    end = {"no-final-newline": "", "last-one-token": "", "trailing-blank": "\n\n"}.get(fault, "\n")
+    text = "\n".join(lines) + end
+    assert len("\n".join(lines[:-3])) > 3 << 16
+    got = parse_outcome(read_edge_list, text)
+    assert got == parse_outcome(support.reference_read_edge_list, text)
+    assert isinstance(got[0], str) == (fault in REFUSED)
+    if fault == "none":
+        assert "matrix" in read_edge_list(text).__dict__
+
+
+def test_canonical_text_takes_the_vectorized_path():
+    text = write_edge_list(gen_gnp(300, Fraction(1, 2), seed=0))
+    g = read_edge_list(text)
+    assert "matrix" in g.__dict__  # built by the reader, not on first use
+    assert write_edge_list(g) == text
+
+
+def test_reader_builds_no_matrix_larger_than_the_text():
+    g = read_edge_list("1000000 0\n")
+    assert g.n == 1000000 and g.edge_count == 0
+    assert "matrix" not in g.__dict__
 
 
 @given(st.text(alphabet="ab \n\r\f\v\x1c\x85\u2028", max_size=40), st.integers(1, 6))
