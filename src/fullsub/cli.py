@@ -38,10 +38,9 @@ from .graph import (
 )
 from .percolation import (
     THETA_CAP_DEFAULT,
+    _monte_carlo,
     full_infection_probability,
     full_infection_probability_exact,
-    sample_initial_mask,
-    surviving_half_full,
 )
 from .sweep import (
     SWEEP_ALGORITHMS,
@@ -146,13 +145,11 @@ def cmd_full(args) -> int:
     elif args.algo == "oracle":
         res = oracle_largest_full(g, args.p if args.p is not None else density(g),
                                   cap=args.exact_cap)
+    elif args.p is not None:
+        raise PreconditionError(f"{args.algo} always runs at the graph's own density")
     elif args.algo == "two-thirds":
-        if args.p is not None:
-            raise PreconditionError("two-thirds always runs at the graph's own density")
         res = full_two_thirds(g)
     else:
-        if args.p is not None:
-            raise PreconditionError("small-p always runs at the graph's own density")
         res = small_p_full(g)
     bound = res.guarantee if res.guarantee is not None else Fraction(1)
     print(f"full algo={args.algo} n={g.n} p={frac_str(res.p_used)} "
@@ -171,12 +168,10 @@ def cmd_qfull(args) -> int:
     if args.q is not None:
         out = qfull_partition(g, args.q, seed=args.seed)
         print(f"qfull q={frac_str(out.q)} n={g.n} variant={out.variant}")
-        if out.set_q is not None:
-            print(f"set_q size={len(out.set_q)}")
-            print(_witness_line(out.set_q))
-        if out.set_1mq is not None:
-            print(f"set_1mq size={len(out.set_1mq)}")
-            print(_witness_line(out.set_1mq))
+        for name, part in (("set_q", out.set_q), ("set_1mq", out.set_1mq)):
+            if part is not None:
+                print(f"{name} size={len(part)}")
+                print(_witness_line(part))
     else:
         rel = one_over_r_full(g, args.r, seed=args.seed)
         print(f"one-over-r r={args.r} n={g.n} size={rel.size}")
@@ -197,30 +192,23 @@ def cmd_g(args) -> int:
 
 def cmd_percolate(args) -> int:
     g = _read_graph(args.input)
-    if args.witness and args.trials < 1:
-        raise PreconditionError(f"trials must be positive, got {args.trials}")
-    if args.exact:
+    if args.exact:  # refusals come before any trial runs
         theta = full_infection_probability_exact(g, args.p, cap=args.exact_cap)
+    if args.witness:  # one pass gives the estimate and the witness
+        est, failure = _monte_carlo(g, args.p, args.trials, _seed(args))
+    elif not args.exact:
+        est = full_infection_probability(g, args.p, trials=args.trials, seed=_seed(args))
+    if args.exact:
         print(f"theta_exact={frac_str(theta)}")
     else:
-        est = full_infection_probability(g, args.p, trials=args.trials,
-                                         seed=_seed(args))
         print(f"theta_estimate={est.successes}/{est.trials} "
               f"(~{float(est.estimate):.4f}) half_width={est.half_width:.4f}")
-    if args.witness:
-        found = None
-        for t in range(args.trials):
-            initial = sample_initial_mask(g.n, args.p, _seed(args), t)
-            survivors = surviving_half_full(g, initial)
-            if survivors:
-                found = (t, survivors)
-                break
-        if found is None:
-            print("witness: none (every sampled start infected the whole graph)")
-        else:
-            t, survivors = found
-            print(f"surviving half-full set (trial {t}, size {len(survivors)}):")
-            print(_witness_line(survivors))
+    if args.witness and failure is None:
+        print("witness: none (every sampled start infected the whole graph)")
+    elif args.witness:
+        t, survivors = failure
+        print(f"surviving half-full set (trial {t}, size {len(survivors)}):")
+        print(_witness_line(survivors))
     return 0
 
 
@@ -260,8 +248,14 @@ def build_parser() -> argparse.ArgumentParser:
         description="Full subgraphs, discrepancy, and bootstrap percolation.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_gen = sub.add_parser("gen", parents=[common], allow_abbrev=False,
-                           help="generate a graph family instance")
+    def command(name, func, summary, reads_input=True):
+        cmd = sub.add_parser(name, parents=[common], allow_abbrev=False, help=summary)
+        if reads_input:
+            cmd.add_argument("--input", required=True)
+        cmd.set_defaults(func=func)
+        return cmd
+
+    p_gen = command("gen", cmd_gen, "generate a graph family instance", reads_input=False)
     p_gen.add_argument("--family", required=True,
                        choices=FAMILIES + ("glued",))
     p_gen.add_argument("--n", type=int,
@@ -275,11 +269,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_gen.add_argument("--a", help="first input graph for glued")
     p_gen.add_argument("--b", help="second input graph for glued")
     p_gen.add_argument("--out", default="-", help="output file ('-' = stdout)")
-    p_gen.set_defaults(func=cmd_gen)
 
-    p_disc = sub.add_parser("disc", parents=[common], allow_abbrev=False,
-                            help="positive/negative discrepancy")
-    p_disc.add_argument("--input", required=True)
+    p_disc = command("disc", cmd_disc, "positive/negative discrepancy")
     p_disc.add_argument("--p", type=_fraction,
                         help="density parameter (default: graph density)")
     p_disc.add_argument("--sign", choices=("plus", "minus"), default="plus")
@@ -288,11 +279,8 @@ def build_parser() -> argparse.ArgumentParser:
                         help="seeded local search instead of exact enumeration")
     p_disc.add_argument("--restarts", type=int, default=8)
     _add_exact_cap(p_disc, EXACT_CAP_DEFAULT)
-    p_disc.set_defaults(func=cmd_disc)
 
-    p_full = sub.add_parser("full", parents=[common], allow_abbrev=False,
-                            help="find a full subgraph")
-    p_full.add_argument("--input", required=True)
+    p_full = command("full", cmd_full, "find a full subgraph")
     p_full.add_argument("--algo", default="greedy",
                         choices=("greedy", "two-thirds", "small-p", "oracle"))
     p_full.add_argument("--p", type=_fraction,
@@ -302,27 +290,18 @@ def build_parser() -> argparse.ArgumentParser:
     p_full.add_argument("--trace", action="store_true",
                         help="print the deletion sequence")
     _add_exact_cap(p_full, EXACT_CAP_DEFAULT)
-    p_full.set_defaults(func=cmd_full)
 
-    p_qfull = sub.add_parser("qfull", parents=[common], allow_abbrev=False,
-                             help="relatively q-full partition or 1/r-full subgraph")
-    p_qfull.add_argument("--input", required=True)
+    p_qfull = command("qfull", cmd_qfull, "relatively q-full partition or 1/r-full subgraph")
     which = p_qfull.add_mutually_exclusive_group(required=True)
     which.add_argument("--q", type=_fraction, help="ratio a/b for the partition")
     which.add_argument("--r", type=int, help="find a relatively 1/r-full subgraph")
-    p_qfull.set_defaults(func=cmd_qfull)
 
-    p_g = sub.add_parser("g", parents=[common], allow_abbrev=False,
-                         help="largest full-or-co-full subgraph")
-    p_g.add_argument("--input", required=True)
+    p_g = command("g", cmd_g, "largest full-or-co-full subgraph")
     p_g.add_argument("--method", default="oracle",
                      choices=("oracle", "heuristic"))
     _add_exact_cap(p_g, EXACT_CAP_DEFAULT)
-    p_g.set_defaults(func=cmd_g)
 
-    p_perc = sub.add_parser("percolate", parents=[common], allow_abbrev=False,
-                            help="majority bootstrap percolation probability")
-    p_perc.add_argument("--input", required=True)
+    p_perc = command("percolate", cmd_percolate, "majority bootstrap percolation probability")
     p_perc.add_argument("--p", type=_fraction, required=True,
                         help="initial infection probability")
     p_perc.add_argument("--trials", type=int, default=1000)
@@ -331,10 +310,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_perc.add_argument("--witness", action="store_true",
                         help="show a surviving half-full set when a trial fails")
     _add_exact_cap(p_perc, THETA_CAP_DEFAULT)
-    p_perc.set_defaults(func=cmd_percolate)
 
-    p_sweep = sub.add_parser("sweep", parents=[common], allow_abbrev=False,
-                             help="experiment grid writing CSV")
+    p_sweep = command("sweep", cmd_sweep, "experiment grid writing CSV", reads_input=False)
     p_sweep.add_argument("--family", default="gnp", choices=FAMILIES)
     p_sweep.add_argument("--n-grid", type=_int_list, required=True)
     p_sweep.add_argument("--p-grid", type=_fraction_list, required=True)
@@ -349,7 +326,6 @@ def build_parser() -> argparse.ArgumentParser:
                          help="record per-cell runtimes (breaks byte-identical reruns)")
     p_sweep.add_argument("--out", default="-", help="CSV path ('-' = stdout)")
     _add_exact_cap(p_sweep, EXACT_CAP_DEFAULT)
-    p_sweep.set_defaults(func=cmd_sweep)
     return parser
 
 
@@ -358,7 +334,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (EdgeListError, OSError) as e:
+    except (EdgeListError, OSError, UnicodeDecodeError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
     except PreconditionError as e:

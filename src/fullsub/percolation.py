@@ -5,11 +5,13 @@ A vertex becomes infected once strictly more than half of its
 neighbors are infected (degree-0 vertices never catch it). The fixed
 points are exact: an initial set infects everything if and only if no
 nonempty relatively half-full subgraph avoids it, and a nonempty final
-uninfected set is itself relatively half-full. full_infection_*
-computes the probability that a p-random initial set infects all of G,
-by Monte Carlo or exactly: numpy popcounts mark the relatively half-full
-sets among all 2^n subsets, and a subset-sum transform marks every
-subset that contains one.
+uninfected set is itself relatively half-full. One engine closes a
+batch of initial sets at once: one set for bootstrap_percolate, chunks
+of Monte Carlo trials for full_infection_probability, whose pass also
+yields the witness of `fullsub percolate --witness`. The exact
+probability enumerates instead: numpy popcounts mark the relatively
+half-full sets among all 2^n subsets, and a subset-sum transform marks
+every subset that contains one.
 """
 
 from __future__ import annotations
@@ -21,11 +23,11 @@ from fractions import Fraction
 import numpy as np
 
 from .finders import is_relatively_full
-from .graph import (Graph, PreconditionError, _pack_rows, as_mask, as_probability, from_mask,
-                    iter_bits, to_mask)
+from .graph import Graph, PreconditionError, _pack_rows, _unpack_rows, as_mask, as_probability
 from .rng import _bernoulli, split_seed
 
 THETA_CAP_DEFAULT = 16
+_CHUNK = 256  # rows percolated together, which bounds memory at any trial count
 
 
 @dataclass(frozen=True)
@@ -42,22 +44,35 @@ class InfectionEstimate:
     successes: int
 
 
+def _percolate_rows(g: Graph, infected: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Synchronous rounds from each row of the bool array infected[T, n]
+    until the row is stable: the final rows and each row's round count.
+    A round adds only its new infections to the rows' infected-neighbour
+    counts, through the adjacency rows they touch. float32 counts are
+    exact: each is at most a degree, and a degree of 2^24 or more would
+    need an unallocatable n^2-byte Graph.matrix."""
+    final, rounds = np.empty_like(infected), np.zeros(len(infected), dtype=np.int64)
+    need = np.asarray(g.degrees, dtype=np.float32) // 2 + 1
+    rows, cnt = np.arange(len(infected)), np.zeros(infected.shape, dtype=np.float32)
+    inf, fresh = infected.copy(), infected
+    while rows.size:
+        cols = np.flatnonzero(fresh.any(axis=0))
+        cnt += np.matmul(fresh[:, cols], g.matrix[cols], dtype=np.float32)
+        fresh = (cnt >= need) & ~inf
+        live = fresh.any(axis=1)
+        if not live.all():  # stable rows are done
+            final[rows[~live]] = inf[~live]
+            rows, inf, cnt, fresh = rows[live], inf[live], cnt[live], fresh[live]
+        rounds[rows] += 1
+        inf |= fresh
+    return final, rounds
+
+
 def bootstrap_percolate(g: Graph, initial) -> PercolationState:
     """Run synchronous rounds until no new vertex is infected; at most
     n rounds since each round infects at least one vertex."""
-    infected = as_mask(initial, g.n)
-    full = (1 << g.n) - 1
-    rounds = 0
-    while True:
-        add = 0
-        for v in iter_bits(full & ~infected):
-            if 2 * (g.adj[v] & infected).bit_count() > g.degrees[v]:
-                add |= 1 << v
-        if not add:
-            break
-        infected |= add
-        rounds += 1
-    return PercolationState(from_mask(infected), rounds)
+    final, rounds = _percolate_rows(g, _unpack_rows([as_mask(initial, g.n)], g.n))
+    return PercolationState(frozenset(np.flatnonzero(final[0]).tolist()), int(rounds[0]))
 
 
 def is_relatively_half_full_mask(g: Graph, mask: int) -> bool:
@@ -68,21 +83,41 @@ def is_relatively_half_full_mask(g: Graph, mask: int) -> bool:
 def surviving_half_full(g: Graph, initial) -> frozenset[int]:
     """The final uninfected set; when nonempty it is relatively
     half-full, certifying that percolation from initial cannot finish."""
-    state = bootstrap_percolate(g, initial)
-    mask = to_mask(state.infected, g.n)
-    return from_mask(((1 << g.n) - 1) ^ mask)
+    return g.vertices() - bootstrap_percolate(g, initial).infected
+
+
+def _initial_rows(n: int, p: Fraction, seed: int, trials: range) -> np.ndarray:
+    """Row i is trial trials[i]'s p-random initial set: 64-bit threshold
+    draws under the per-trial split seed, one per vertex."""
+    if p == 0 or p == 1:
+        return np.full((len(trials), n), p == 1)
+    return np.stack([_bernoulli(split_seed(seed, t), n, p) for t in trials])
 
 
 def sample_initial_mask(n: int, p, seed: int, trial: int) -> int:
-    """The trial-th p-random initial infection for the given seed, as
-    a bitmask; each vertex independently with probability p via 64-bit
-    threshold draws under a per-trial split seed."""
+    """The trial-th p-random initial infection for the given seed, as a bitmask."""
+    return _pack_rows(_initial_rows(n, as_probability(p), seed, range(trial, trial + 1)))[0]
+
+
+def _monte_carlo(g: Graph, p, trials: int,
+                 seed: int) -> tuple[InfectionEstimate, tuple[int, frozenset[int]] | None]:
+    """Percolate trials p-random starts, _CHUNK at a time: the estimate,
+    and the first failing trial with its surviving set (None if none)."""
+    if trials < 1:
+        raise PreconditionError(f"trials must be positive, got {trials}")
     p = as_probability(p)
-    if n == 0 or p == 0:
-        return 0
-    if p == 1:
-        return (1 << n) - 1
-    return _pack_rows(_bernoulli(split_seed(seed, trial), n, p)[None])[0]
+    successes, failure = 0, None
+    for start in range(0, trials, _CHUNK):
+        batch = range(start, min(start + _CHUNK, trials))
+        final, _ = _percolate_rows(g, _initial_rows(g.n, p, seed, batch))
+        done = final.all(axis=1)
+        successes += int(done.sum())
+        if failure is None and not done.all():
+            i = int(np.argmin(done))
+            failure = (batch[i], frozenset(np.flatnonzero(~final[i]).tolist()))
+    est = Fraction(successes, trials)
+    var = float(est) * (1.0 - float(est)) / trials
+    return InfectionEstimate(est, 1.96 * math.sqrt(var), trials, successes), failure
 
 
 def full_infection_probability(g: Graph, p, trials: int = 1000,
@@ -91,18 +126,7 @@ def full_infection_probability(g: Graph, p, trials: int = 1000,
     infection (each vertex independently) infects all of G. Per-trial
     split seeds make the estimate independent of trial order; the
     half-width is the 95% normal approximation."""
-    if trials < 1:
-        raise PreconditionError(f"trials must be positive, got {trials}")
-    n = g.n
-    successes = 0
-    for t in range(trials):
-        initial = sample_initial_mask(n, p, seed, t)
-        state = bootstrap_percolate(g, initial)
-        if len(state.infected) == n:
-            successes += 1
-    est = Fraction(successes, trials)
-    var = float(est) * (1.0 - float(est)) / trials
-    return InfectionEstimate(est, 1.96 * math.sqrt(var), trials, successes)
+    return _monte_carlo(g, p, trials, seed)[0]
 
 
 def full_infection_probability_exact(g: Graph, p,

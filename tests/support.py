@@ -449,16 +449,35 @@ def has_half_full_subset(g: Graph, within) -> bool:
 # ---------------------------------------------------------------------------
 # percolation
 
-def sync_percolate(g: Graph, initial) -> set[int]:
-    """Strict-majority rounds with plain sets, no bit tricks."""
+def sync_percolate(g: Graph, initial) -> tuple[set[int], int]:
+    """Strict-majority rounds with plain sets, no bit tricks: the final
+    infected set and the number of rounds that infected someone."""
     infected = set(initial)
+    rounds = 0
     while True:
         new = {v for v in range(g.n)
                if v not in infected
                and 2 * sum(1 for u in g.neighbors(v) if u in infected) > g.degree(v)}
         if not new:
-            return infected
+            return infected, rounds
         infected |= new
+        rounds += 1
+
+
+def reference_monte_carlo(g: Graph, p, trials: int,
+                          seed: int) -> tuple[int, Optional[tuple[int, frozenset[int]]]]:
+    """How many of the trials reference starts infect everyone, and the
+    first trial that does not with its uninfected set (None if every
+    trial does), one sync_percolate per trial."""
+    successes, failure = 0, None
+    for t in range(trials):
+        mask = reference_initial_mask(g.n, p, seed, t)
+        infected, _ = sync_percolate(g, [v for v in range(g.n) if mask >> v & 1])
+        if len(infected) == g.n:
+            successes += 1
+        elif failure is None:
+            failure = (t, frozenset(range(g.n)) - infected)
+    return successes, failure
 
 
 def async_percolate_min_index(g: Graph, initial) -> set[int]:
@@ -505,6 +524,6 @@ def brute_theta(g: Graph, p) -> Fraction:
     everyone = set(range(g.n))
     for m in range(g.n + 1):
         for xs in combinations(range(g.n), m):
-            if sync_percolate(g, xs) == everyone:
+            if sync_percolate(g, xs)[0] == everyone:
                 total += p ** m * (1 - p) ** (g.n - m)
     return total

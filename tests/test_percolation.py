@@ -2,6 +2,7 @@
 
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -17,6 +18,8 @@ from fullsub import (
     sample_initial_mask,
     surviving_half_full,
 )
+from fullsub import percolation
+from fullsub.graph import _unpack_rows
 
 
 # ---------------------------------------------------------------------------
@@ -50,9 +53,29 @@ def test_closure_matches_reference_simulation(g, data):
     initial = data.draw(st.sets(st.integers(0, max(g.n - 1, 0)), max_size=g.n)
                         if g.n else st.just(set()))
     state = bootstrap_percolate(g, initial)
-    assert state.infected == frozenset(support.sync_percolate(g, initial))
+    infected, rounds = support.sync_percolate(g, initial)
+    assert state.infected == frozenset(infected)
+    assert state.rounds == rounds
     assert state.rounds <= g.n
     assert (state.rounds == 0) == (state.infected == frozenset(initial))
+
+
+@pytest.mark.parametrize("g", support.structured_catalog() + [
+    gen_gnp(30, Fraction(1, 5), seed=0),
+    gen_gnp(40, Fraction(1, 8), seed=1),
+    gen_gnp(60, Fraction(1, 10), seed=2),
+    support.disjoint_union(gen_gnp(12, Fraction(1, 2), seed=4), support.empty(3)),
+], ids=repr)
+def test_batched_closure_matches_reference_per_row(g):
+    # rows of one batch finish after different numbers of rounds
+    masks = [support.reference_initial_mask(g.n, p, 3, t)
+             for p in (Fraction(1, 4), Fraction(1, 2), Fraction(3, 4)) for t in range(12)]
+    final, rounds = percolation._percolate_rows(g, _unpack_rows(masks, g.n))
+    for mask, row, got_rounds in zip(masks, final, rounds):
+        infected, want_rounds = support.sync_percolate(
+            g, [v for v in range(g.n) if mask >> v & 1])
+        assert set(np.flatnonzero(row).tolist()) == infected
+        assert got_rounds == want_rounds
 
 
 @given(graphs(), st.data())
@@ -210,6 +233,45 @@ def test_estimate_rejects_bad_arguments():
         full_infection_probability(support.cycle(4), Fraction(1, 2), trials=0)
     with pytest.raises(PreconditionError):
         full_infection_probability(support.cycle(4), Fraction(3, 2))
+
+
+ISOLATED = support.disjoint_union(gen_gnp(12, Fraction(1, 2), seed=4), support.empty(3))
+MIXED = [  # (graph, p, trials, seed) where some trials fail and some do not
+    (gen_gnp(14, Fraction(1, 3), seed=1), Fraction(1, 2), 300, 7),
+    (gen_gnp(30, Fraction(1, 5), seed=0), Fraction(2, 5), 300, 7),
+    (gen_gnp(60, Fraction(1, 10), seed=2), Fraction(1, 2), 300, 7),  # first failure at trial 55
+    (gen_gnp(40, Fraction(1, 8), seed=1), Fraction(1, 4), 40, 3),
+    (ISOLATED, Fraction(3, 4), 300, 1),
+]
+EDGE = [
+    (support.empty(0), Fraction(1, 2), 5, 0),
+    (support.empty(0), 0, 3, 0),
+    (gen_gnp(16, Fraction(1, 2), seed=2), 0, 4, 1),
+    (gen_gnp(16, Fraction(1, 2), seed=2), 1, 4, 1),
+    (gen_gnp(16, Fraction(1, 2), seed=2), Fraction(3, 4), 300, 7),  # all succeed
+    (ISOLATED, 1, 3, 0),
+    (ISOLATED, Fraction(1, 2), 1, 0),
+    (support.empty(4), Fraction(1, 2), 20, 2),
+]
+
+
+@pytest.mark.parametrize("case", MIXED + EDGE)
+def test_monte_carlo_pass_matches_reference(case):
+    g, p, trials, seed = case
+    est, failure = percolation._monte_carlo(g, p, trials, seed)
+    successes, want_failure = support.reference_monte_carlo(g, p, trials, seed)
+    assert (est.successes, failure) == (successes, want_failure)
+    assert est == full_infection_probability(g, p, trials=trials, seed=seed)
+    if case in MIXED:
+        assert 0 < successes < trials
+
+
+def test_monte_carlo_pass_spans_chunks(monkeypatch):
+    assert percolation._CHUNK < 300  # the 300-trial cases above span two chunks
+    monkeypatch.setattr(percolation, "_CHUNK", 7)
+    for g, p, trials, seed in MIXED[:3] + [(ISOLATED, Fraction(3, 4), 30, 1)]:
+        est, failure = percolation._monte_carlo(g, p, trials, seed)
+        assert (est.successes, failure) == support.reference_monte_carlo(g, p, trials, seed)
 
 
 def test_initial_sample_extremes_and_determinism():

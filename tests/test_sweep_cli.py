@@ -282,6 +282,36 @@ def test_cli_percolate_estimate_with_witness(capsys, tmp_path):
     assert "witness: 0 1 2 3" in out
 
 
+@pytest.mark.parametrize("g, p", [
+    (gen_gnp(14, Fraction(1, 3), seed=1), Fraction(1, 2)),  # some trials fail
+    (gen_gnp(16, Fraction(1, 2), seed=2), Fraction(3, 4)),  # every trial succeeds
+    (support.disjoint_union(gen_gnp(10, Fraction(1, 2), seed=4), support.empty(3)),
+     Fraction(1, 2)),
+    (support.empty(0), Fraction(1, 2)),
+    (support.cycle(5), Fraction(0)),
+    (support.cycle(5), Fraction(1)),
+], ids=["gnp14", "gnp16", "isolated", "n0", "p0", "p1"])
+@pytest.mark.parametrize("exact", [False, True], ids=["estimate", "exact"])
+def test_cli_percolate_witness_matches_reference(capsys, tmp_path, g, p, exact):
+    path = graph_file(tmp_path, g)
+    code, out, _ = run_cli(capsys, "percolate", "--input", path, "--p", frac_str(p),
+                           "--trials", "300", "--seed", "5", "--witness",
+                           *(["--exact"] if exact else []))
+    successes, failure = support.reference_monte_carlo(g, p, 300, 5)
+    first, *rest = out.splitlines()
+    assert code == 0
+    if exact:
+        assert first == f"theta_exact={frac_str(full_infection_probability_exact(g, p))}"
+    else:
+        assert first.startswith(f"theta_estimate={successes}/300 ")
+    if failure is None:
+        assert rest == ["witness: none (every sampled start infected the whole graph)"]
+    else:
+        t, left = failure
+        assert rest == [f"surviving half-full set (trial {t}, size {len(left)}):",
+                        "witness: " + " ".join(map(str, sorted(left)))]
+
+
 def test_cli_sweep_writes_csv(capsys, tmp_path):
     out = str(tmp_path / "sweep.csv")
     code, stdout, _ = run_cli(
@@ -305,6 +335,14 @@ def test_cli_exit_code_1_on_bad_input(capsys, tmp_path):
     assert code == 1 and "error" in err
     code, _, err = run_cli(capsys, "disc", "--input", str(tmp_path / "no.txt"))
     assert code == 1
+
+
+def test_cli_reports_undecodable_input_file(capsys, tmp_path):
+    # files are read as ASCII; Arabic-Indic digits are not
+    bad = tmp_path / "digits.txt"
+    bad.write_bytes("2 1\n\u0660 \u0661\n".encode("utf-8"))
+    code, out, err = run_cli(capsys, "full", "--input", str(bad))
+    assert code == 1 and out == "" and err.startswith("error: ")
 
 
 def test_cli_exit_code_2_on_refusal(capsys, tmp_path):
