@@ -24,8 +24,8 @@ from typing import Optional
 
 import numpy as np
 
-from .graph import (Graph, PreconditionError, VerificationError, _degrees_within, as_mask,
-                    as_probability, from_mask, iter_bits, lex_less, to_mask)
+from .graph import (Graph, PreconditionError, VerificationError, _degrees_within, _pack_rows,
+                    as_mask, as_probability, from_mask, lex_less)
 from .rng import philox, split_seed
 
 EXACT_CAP_DEFAULT = 20
@@ -66,19 +66,19 @@ class JumblednessBoundReport:
 def edge_surplus(g: Graph, p, vertices) -> Fraction:
     """e(X) - p*C(|X|,2), exactly. Subsets of size <= 1 score 0."""
     p = Fraction(p)
-    mask = as_mask(vertices, g.n)
-    size = mask.bit_count()
-    return _edges_within(g, mask) - p * Fraction(size * (size - 1), 2)
-
-
-def _edges_within(g: Graph, mask: int) -> int:
-    """e(X) for the vertex set X given by mask."""
-    return sum(_degrees_within(g, mask)) // 2
+    degs = _degrees_within(g, as_mask(vertices, g.n))
+    size = len(degs)
+    return sum(degs) // 2 - p * Fraction(size * (size - 1), 2)
 
 
 def _check_sign(sign: str) -> None:
     if sign not in ("positive", "negative"):
         raise ValueError(f"sign must be 'positive' or 'negative', got {sign!r}")
+
+
+def _check_k(k: Optional[int], lo: int, n: int) -> None:
+    if k is not None and not lo <= k <= n:
+        raise PreconditionError(f"k must lie in {lo}..{n}, got {k}")
 
 
 def _require_cap(n: int, cap: int, what: str) -> None:
@@ -230,8 +230,7 @@ def discrepancy_exact(g: Graph, p, sign: str = "positive", k: Optional[int] = No
     p = as_probability(p)
     _check_sign(sign)
     _require_cap(g.n, cap, "exact discrepancy")
-    if k is not None and not 0 <= k <= g.n:
-        raise ValueError(f"k must lie in 0..{g.n}, got {k}")
+    _check_k(k, 0, g.n)
     return _disc_from_slots(_subset_extremes(g), p, sign, k)
 
 
@@ -243,8 +242,7 @@ def jumbledness_exact(g: Graph, p, k: Optional[int] = None,
     _require_cap(g.n, cap, "exact jumbledness")
     if g.n == 0:
         return JumbledReport(Fraction(0), frozenset(), k)
-    if k is not None and not 1 <= k <= g.n:
-        raise ValueError(f"k must lie in 1..{g.n}, got {k}")
+    _check_k(k, 1, g.n)
     return _jumbled_from_slots(_subset_extremes(g), p, k)
 
 
@@ -265,25 +263,26 @@ def discrepancy_local_search(g: Graph, p, sign: str = "positive", seed: int = 0,
     _check_sign(sign)
     if restarts < 1:
         raise PreconditionError(f"restarts must be positive, got {restarts}")
-    if k is not None and not 0 <= k <= g.n:
-        raise ValueError(f"k must lie in 0..{g.n}, got {k}")
+    _check_k(k, 0, g.n)
     n = g.n
     num, den = p.numerator, p.denominator
     if n == 0 or k == 0:
         return DiscWitness(Fraction(0), frozenset(), sign, k)
     orient = 1 if sign == "positive" else -1
 
-    full = (1 << n) - 1
-    by_degree = sorted(range(n), key=lambda v: (-g.degrees[v], v))
-    starts = [full if k is None else to_mask(by_degree[:k], n)]
+    def first(order) -> np.ndarray:
+        """The bool row of order[:k]; every vertex when k is None."""
+        row = np.zeros(n, dtype=bool)
+        row[order[:k]] = True
+        return row
+
+    starts = [first(sorted(range(n), key=lambda v: (-g.degrees[v], v)))]
     for i in range(restarts - 1):
         gen = philox(split_seed(seed, i))
         if k is None:
-            bits = gen.integers(0, 2, size=n)
-            starts.append(sum(1 << v for v in range(n) if bits[v]))
+            starts.append(gen.integers(0, 2, size=n).astype(bool))
         else:
-            perm = gen.permutation(n)
-            starts.append(sum(1 << int(v) for v in perm[:k]))
+            starts.append(first(gen.permutation(n)))
 
     best_score: Optional[int] = None
     best_mask = 0
@@ -299,59 +298,61 @@ def discrepancy_local_search(g: Graph, p, sign: str = "positive", seed: int = 0,
     return DiscWitness(Fraction(best_score, den), from_mask(best_mask), sign, k)
 
 
-def _climb(g: Graph, num: int, den: int, orient: int, mask: int, k: Optional[int]):
-    """Strict best-improvement hill climbing from mask.
+def _climb(g: Graph, num: int, den: int, orient: int, in_set: np.ndarray,
+           k: Optional[int]) -> tuple[int, int]:
+    """Strict best-improvement hill climbing from the bool row in_set,
+    which it updates in place.
 
-    Returns (local_opt_mask, oriented_scaled_score). Move ties break
-    to the smallest vertex (smallest (out, in) pair for swaps).
+    Returns (local_opt_mask, oriented_scaled_score). d[v] counts the
+    neighbours of v inside the set, and every gain is read off it:
+    adding v gains orient*(den*d[v] - num*size), removing it
+    orient*(num*(size-1) - den*d[v]), and swapping x out for y in
+    orient*den*(d[y] - A[x,y] - d[x]). As den > 0, the first argmax of
+    each kind is its best move with the smallest vertex (smallest
+    (out, in) pair for swaps); the finalists are scored in Python ints,
+    so p stays exact whatever its denominator.
     """
-    adj = g.adj
+    adj = g.matrix
     n = g.n
-    size = mask.bit_count()
-    e = _edges_within(g, mask)
+    low = -n - 1  # below every orient * d[v]
+    # counted on a column slice (n*|X| bytes, not an n*n int64 copy)
+    d = np.count_nonzero(adj[:, in_set], axis=1).astype(np.int64)
+    size = int(np.count_nonzero(in_set))
+    e = int(d[in_set].sum()) // 2
 
     def scaled(edges: int, sz: int) -> int:
         return orient * (edges * den - num * (sz * (sz - 1) // 2))
 
     score = scaled(e, size)
     while True:
-        best_gain = 0
-        best_move = None
+        od = orient * d
         if k is None:
-            for v in range(n):
-                if (mask >> v) & 1:
-                    gain = scaled(e - (adj[v] & mask).bit_count(), size - 1) - score
-                else:
-                    gain = scaled(e + (adj[v] & mask).bit_count(), size + 1) - score
-                if gain > best_gain:
-                    best_gain, best_move = gain, (v, None)
+            finalists = []  # (vertex, step) of the best addition and removal
+            if size < n:
+                finalists.append((int(np.argmax(np.where(in_set, low, od))), 1))
+            if size:
+                finalists.append((int(np.argmax(np.where(in_set, -od, low))), -1))
+            gain, neg_v = max((scaled(e + step * int(d[v]), size + step) - score, -v)
+                              for v, step in finalists)
+            move = (-neg_v,)
         else:
-            inside = list(iter_bits(mask))
-            outside = [v for v in range(n) if not (mask >> v) & 1]
-            for x in inside:
-                dx = (adj[x] & mask).bit_count()
-                for y in outside:
-                    dy = (adj[y] & mask).bit_count() - ((adj[y] >> x) & 1)
-                    gain = scaled(e - dx + dy, size) - score
-                    if gain > best_gain:
-                        best_gain, best_move = gain, (x, y)
-        if best_move is None:
-            return mask, score
-        v, y = best_move
-        if y is None:
-            if (mask >> v) & 1:
-                e -= (adj[v] & mask).bit_count()
-                mask ^= 1 << v
-                size -= 1
-            else:
-                e += (adj[v] & mask).bit_count()
-                mask ^= 1 << v
-                size += 1
-        else:
-            mask ^= 1 << v
-            e -= (adj[v] & mask).bit_count()
-            e += (adj[y] & mask).bit_count()
-            mask |= 1 << y
+            # swap gains over X x (V \ X), divided by den, as int32: at
+            # most n*n bytes, the size of Graph.matrix
+            xs, ys = np.flatnonzero(in_set), np.flatnonzero(~in_set)
+            gains = od[ys].astype(np.int32) - od[xs, None].astype(np.int32)
+            np.subtract(gains, orient, out=gains, where=adj[np.ix_(xs, ys)])
+            gain = int(gains.max(initial=0))
+            if gain > 0:
+                i, j = divmod(int(np.argmax(gains)), ys.size)
+                move = (xs[i], ys[j])
+        if gain <= 0:
+            return _pack_rows(in_set[None])[0], score
+        for v in move:
+            step = -1 if in_set[v] else 1
+            e += step * int(d[v])
+            size += step
+            in_set[v] = step > 0
+            d += step * adj[v]
         score = scaled(e, size)
 
 

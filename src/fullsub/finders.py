@@ -179,6 +179,9 @@ def oracle_largest_full(g: Graph, p, mode: str = "full",
                         cap: int = EXACT_CAP_DEFAULT) -> FullSubgraphResult:
     """Exact largest full (or co-full) subgraph by descending-size
     search; the witness is the lexicographically smallest optimum.
+    Co-full sets of G at p are the full sets of its complement at 1 - p,
+    since d_S(v) <= floor(p(m-1)) iff (m-1) - d_S(v) >= ceil((1-p)(m-1)),
+    so both modes run the full search and certify the witness in G.
     Exponential: refuses n > cap."""
     p = as_probability(p)
     if mode not in ("full", "cofull"):
@@ -190,31 +193,25 @@ def oracle_largest_full(g: Graph, p, mode: str = "full",
     n = g.n
     if n == 0:
         return _certified(g, p, 0, mode=mode)
+    h, q = (g, p) if mode == "full" else (complement(g), 1 - p)
     for m in range(n, 0, -1):
-        bar = _fullness_bar(p, m, mode)
-        if mode == "full":
-            elig = [v for v in range(n) if g.degrees[v] >= bar]
-        else:
-            # members can lose at most n - m neighbors to the outside
-            elig = [v for v in range(n) if g.degrees[v] - (n - m) <= bar]
-        mask = _first_full_set(g.adj, elig, m, bar, mode == "full")
+        bar = _fullness_bar(q, m, "full")
+        elig = [v for v in range(n) if h.degrees[v] >= bar]
+        mask = _first_full_set(h.adj, elig, m, bar)
         if mask is not None:
             return _certified(g, p, mask, mode=mode)
     raise AssertionError("single vertices are always full")
 
 
-def _first_full_set(adj, cands: list, m: int, bar: int,
-                    full: bool) -> Optional[int]:
+def _first_full_set(adj, cands: list, m: int, bar: int) -> Optional[int]:
     """Mask of the lexicographically smallest m-subset X of the sorted
-    cands whose members all have at least (full) or at most (co-full)
-    bar neighbors in X, or None.
+    cands whose members all have at least bar neighbors in X, or None.
 
     Depth-first search in lex order that skips a vertex whose set can
-    no longer be completed: for full, when some member has fewer than
-    bar neighbors in the set plus the vertices still to pick from it;
-    for co-full, when some member already has more than bar. The first
-    set reached is the one a lex-order scan of all m-subsets meets
-    first."""
+    no longer be completed: when some member has fewer than bar
+    neighbors in the set plus the vertices still to pick from it. The
+    first set reached is the one a lex-order scan of all m-subsets
+    meets first."""
     k = len(cands)
     after = [0] * (k + 1)  # after[i]: mask of cands[i:]
     for i in range(k - 1, -1, -1):
@@ -231,15 +228,10 @@ def _first_full_set(adj, cands: list, m: int, bar: int,
         while i <= k - need:
             u = cands[i]
             grown = mask | (1 << u)
-            if full:
-                rest, left = after[i + 1], need - 1
-                ok = all((adj[v] & grown).bit_count()
-                         + min((adj[v] & rest).bit_count(), left) >= bar
-                         for v in itertools.chain(members, (u,)))
-            else:
-                ok = all((adj[v] & grown).bit_count() <= bar
-                         for v in itertools.chain(members, (u,)))
-            if ok:
+            rest, left = after[i + 1], need - 1
+            if all((adj[v] & grown).bit_count()
+                   + min((adj[v] & rest).bit_count(), left) >= bar
+                   for v in itertools.chain(members, (u,))):
                 break
             i += 1
         else:
@@ -448,46 +440,36 @@ def one_over_r_full(g: Graph, r: int, seed: Optional[int] = None) -> RelativelyF
     """A relatively (1/r)-full subgraph on floor(n/r) to ceil(n/r)+1
     vertices: every member keeps at least a 1/r share of its degree.
 
-    Powers of two run log2(r) rounds of half_full, composing the
-    degree shares; other r peel one layer at a time via
-    qfull_partition at 1/r (variants i/iii finish immediately, variant
-    ii recurses into the (1-1/r)-full side with r - 1).
+    One loop of qfull_partition levels, level i seeded split_seed(seed, i).
+    Powers of two split at 1/2 log2(r) times, keeping half_full's side
+    and composing the degree shares; other r split at 1/r, where
+    variants i/iii keep the 1/r side and stop and variant ii recurses
+    into the (1-1/r)-full side with r - 1.
     """
     if r < 1:
         raise PreconditionError(f"r must be a positive integer, got {r}")
     n0 = g.n
+    halving = r & (r - 1) == 0
     labels = tuple(range(n0))
     cur = g
-    if r == 1:
-        final = frozenset(range(n0))
-    elif r & (r - 1) == 0:
-        t = r.bit_length() - 1
-        for level in range(t):
-            sub_seed = None if seed is None else split_seed(seed, level)
-            res = half_full(cur, seed=sub_seed)
-            cur, sub = induced_subgraph(cur, res.vertices)
-            labels = tuple(labels[j] for j in sub)
-        final = frozenset(labels)
-    else:
-        rr = r
-        chosen: Optional[frozenset[int]] = None
-        level = 0
-        while rr > 1:
-            sub_seed = None if seed is None else split_seed(seed, level)
-            out = qfull_partition(cur, Fraction(1, rr), seed=sub_seed)
-            if out.variant == "ii":
-                assert out.set_1mq is not None
-                cur, sub = induced_subgraph(cur, out.set_1mq)
-                labels = tuple(labels[j] for j in sub)
-                rr -= 1
-                level += 1
-                continue
-            chosen = out.set_q
-            break
-        if chosen is None:
-            final = frozenset(labels)
+    rr = r
+    level = 0
+    while rr > 1:
+        out = qfull_partition(cur, Fraction(1, 2) if halving else Fraction(1, rr),
+                              seed=None if seed is None else split_seed(seed, level))
+        if halving:
+            keep = out.set_q if out.variant == "i" else out.set_1mq
+            rr //= 2
+        elif out.variant == "ii":
+            keep, rr = out.set_1mq, rr - 1
         else:
-            final = frozenset(labels[j] for j in chosen)
+            keep, rr = out.set_q, 1
+        assert keep is not None
+        labels = tuple(labels[j] for j in sorted(keep))
+        if rr > 1:
+            cur = induced_subgraph(cur, keep)[0]
+        level += 1
+    final = frozenset(labels)
 
     _certify_relative(g, Fraction(1, r), to_mask(final, n0), "one_over_r_full")
     lo = n0 // r
@@ -665,7 +647,7 @@ def largest_full_or_cofull(g: Graph, method: str = "oracle",
     p = density(g)
     if method == "oracle":
         f_res = oracle_largest_full(g, p, "full", cap)
-        co_res = oracle_largest_full(complement(g), 1 - p, "full", cap)
+        co_res = oracle_largest_full(g, p, "cofull", cap)
         if co_res.size > f_res.size:
             return GValue(co_res.size, "cofull", co_res.vertices, p)
         return GValue(f_res.size, "full", f_res.vertices, p)

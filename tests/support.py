@@ -16,9 +16,10 @@ from typing import Iterable, Optional
 import numpy as np
 
 from fullsub import (EdgeListError, Graph, PreconditionError, VerificationError,
-                     complement, density, gen_gnp)
+                     complement, density, gen_gnp, half_full, induced_subgraph,
+                     qfull_partition)
 from fullsub.graph import iter_bits, lex_less
-from fullsub.rng import split_seed, uniform_u64
+from fullsub.rng import philox, split_seed, uniform_u64
 
 from_edges = Graph.from_edges
 
@@ -267,6 +268,99 @@ def reference_subset_extremes(g: Graph, num: int, den: int) -> list:
     return slots
 
 
+def reference_discrepancy_local_search(g: Graph, p, sign: str = "positive", seed: int = 0,
+                                       restarts: int = 8, k: Optional[int] = None):
+    """(value, witness) of the hill climb as it ran before it kept an
+    in-set degree vector: every gain recounted from the adjacency masks,
+    starts built as masks. Argument checks are left to the caller."""
+    p = Fraction(p)
+    n = g.n
+    num, den = p.numerator, p.denominator
+    if n == 0 or k == 0:
+        return Fraction(0), frozenset()
+    orient = 1 if sign == "positive" else -1
+
+    full = (1 << n) - 1
+    by_degree = sorted(range(n), key=lambda v: (-g.degrees[v], v))
+    starts = [full if k is None else sum(1 << v for v in by_degree[:k])]
+    for i in range(restarts - 1):
+        gen = philox(split_seed(seed, i))
+        if k is None:
+            bits = gen.integers(0, 2, size=n)
+            starts.append(sum(1 << v for v in range(n) if bits[v]))
+        else:
+            perm = gen.permutation(n)
+            starts.append(sum(1 << int(v) for v in perm[:k]))
+
+    best_score: Optional[int] = None
+    best_mask = 0
+    for start in starts:
+        mask, score = reference_climb(g, num, den, orient, start, k)
+        if best_score is None or score > best_score or (
+                score == best_score and lex_less(mask, best_mask)):
+            best_score = score
+            best_mask = mask
+    assert best_score is not None
+    if k is None and best_score < 0:
+        best_score, best_mask = 0, 0
+    return Fraction(best_score, den), frozenset(iter_bits(best_mask))
+
+
+def reference_climb(g: Graph, num: int, den: int, orient: int, mask: int,
+                    k: Optional[int]):
+    """Strict best-improvement hill climbing from mask: (local optimum
+    mask, oriented scaled score). Move ties break to the smallest vertex
+    (smallest (out, in) pair for swaps)."""
+    adj = g.adj
+    n = g.n
+    size = mask.bit_count()
+    e = sum((adj[v] & mask).bit_count() for v in iter_bits(mask)) // 2
+
+    def scaled(edges: int, sz: int) -> int:
+        return orient * (edges * den - num * (sz * (sz - 1) // 2))
+
+    score = scaled(e, size)
+    while True:
+        best_gain = 0
+        best_move = None
+        if k is None:
+            for v in range(n):
+                if (mask >> v) & 1:
+                    gain = scaled(e - (adj[v] & mask).bit_count(), size - 1) - score
+                else:
+                    gain = scaled(e + (adj[v] & mask).bit_count(), size + 1) - score
+                if gain > best_gain:
+                    best_gain, best_move = gain, (v, None)
+        else:
+            inside = list(iter_bits(mask))
+            outside = [v for v in range(n) if not (mask >> v) & 1]
+            for x in inside:
+                dx = (adj[x] & mask).bit_count()
+                for y in outside:
+                    dy = (adj[y] & mask).bit_count() - ((adj[y] >> x) & 1)
+                    gain = scaled(e - dx + dy, size) - score
+                    if gain > best_gain:
+                        best_gain, best_move = gain, (x, y)
+        if best_move is None:
+            return mask, score
+        v, y = best_move
+        if y is None:
+            if (mask >> v) & 1:
+                e -= (adj[v] & mask).bit_count()
+                mask ^= 1 << v
+                size -= 1
+            else:
+                e += (adj[v] & mask).bit_count()
+                mask ^= 1 << v
+                size += 1
+        else:
+            mask ^= 1 << v
+            e -= (adj[v] & mask).bit_count()
+            e += (adj[y] & mask).bit_count()
+            mask |= 1 << y
+        score = scaled(e, size)
+
+
 # ---------------------------------------------------------------------------
 # fullness
 
@@ -444,6 +538,46 @@ def has_half_full_subset(g: Graph, within) -> bool:
             if brute_is_relatively_full(g, Fraction(1, 2), xs):
                 return True
     return False
+
+
+def reference_one_over_r_full(g: Graph, r: int, seed: Optional[int] = None) -> frozenset:
+    """The relatively (1/r)-full set one_over_r_full returned when powers
+    of two ran half_full rounds and other r a separate qfull_partition
+    loop; the library's final certification is left out."""
+    n0 = g.n
+    labels = tuple(range(n0))
+    cur = g
+    if r == 1:
+        final = frozenset(range(n0))
+    elif r & (r - 1) == 0:
+        t = r.bit_length() - 1
+        for level in range(t):
+            sub_seed = None if seed is None else split_seed(seed, level)
+            res = half_full(cur, seed=sub_seed)
+            cur, sub = induced_subgraph(cur, res.vertices)
+            labels = tuple(labels[j] for j in sub)
+        final = frozenset(labels)
+    else:
+        rr = r
+        chosen: Optional[frozenset[int]] = None
+        level = 0
+        while rr > 1:
+            sub_seed = None if seed is None else split_seed(seed, level)
+            out = qfull_partition(cur, Fraction(1, rr), seed=sub_seed)
+            if out.variant == "ii":
+                assert out.set_1mq is not None
+                cur, sub = induced_subgraph(cur, out.set_1mq)
+                labels = tuple(labels[j] for j in sub)
+                rr -= 1
+                level += 1
+                continue
+            chosen = out.set_q
+            break
+        if chosen is None:
+            final = frozenset(labels)
+        else:
+            final = frozenset(labels[j] for j in chosen)
+    return final
 
 
 # ---------------------------------------------------------------------------

@@ -4,6 +4,7 @@ Frozen constants below were produced by the enumeration oracles in
 support.py (explicit subset loops with Fraction arithmetic).
 """
 
+import hashlib
 from fractions import Fraction
 
 import pytest
@@ -254,6 +255,88 @@ def test_local_search_never_beats_exact_over_100_seeds():
 def test_local_search_refuses_nonpositive_restarts(restarts):
     with pytest.raises(PreconditionError, match="restarts must be positive"):
         discrepancy_local_search(K31, HALF, "positive", restarts=restarts)
+
+
+TINY = Fraction(1, 10 ** 30)
+
+
+@settings(max_examples=300)
+@given(graphs(max_n=9), st.sampled_from(["positive", "negative"]),
+       st.integers(0, 2 ** 32), st.integers(1, 4), st.data())
+def test_local_search_matches_reference(g, sign, seed, restarts, data):
+    p = data.draw(st.sampled_from([density(g), Fraction(0), Fraction(1), TINY, 1 - TINY]))
+    k = data.draw(st.one_of(st.none(), st.integers(0, g.n)))
+    got = discrepancy_local_search(g, p, sign, seed=seed, restarts=restarts, k=k)
+    want = support.reference_discrepancy_local_search(g, p, sign, seed, restarts, k)
+    assert (got.value, got.witness, got.sign, got.k) == want + (sign, k)
+
+
+def test_local_search_matches_reference_on_move_ties():
+    # the best addition and the best removal can gain the same, and
+    # then the smaller vertex must win; these graphs reach such ties
+    # at p = 1/3, at 2/5 and at their own density
+    for i in range(320):
+        g = support.random_graph(3 + i % 7, seed=i, p=Fraction(1 + i % 4, 5))
+        for p in (Fraction(1, 3), Fraction(2, 5), density(g)):
+            for sign in ("positive", "negative"):
+                got = discrepancy_local_search(g, p, sign, seed=i, restarts=4)
+                assert (got.value, got.witness) == \
+                    support.reference_discrepancy_local_search(g, p, sign, i, 4)
+
+
+@pytest.mark.parametrize("n", [20, 40])
+def test_local_search_matches_reference_on_gnp(n):
+    for seed in range(3):
+        g = gen_gnp(n, Fraction(1 + seed, 4), seed)
+        for p in (density(g), TINY, 1 - TINY):
+            for sign in ("positive", "negative"):
+                for k in (None, n // 3):
+                    got = discrepancy_local_search(g, p, sign, seed=seed, restarts=3, k=k)
+                    want = support.reference_discrepancy_local_search(
+                        g, p, sign, seed, 3, k)
+                    assert (got.value, got.witness) == want
+
+
+def _local_search_cases():
+    cases = {}
+    for seed in (0, 1, 2):
+        # the cli-files disc job: disc --heuristic --restarts 3 on its
+        # sparse file at the file's own density
+        def cli_files(seed=seed):
+            g = gen_gnp(1000, Fraction(1, 110), seed)
+            return discrepancy_local_search(g, density(g), "positive", seed=seed, restarts=3)
+        cases[f"cli-files-seed{seed}"] = cli_files
+    for sign in ("positive", "negative"):
+        cases[f"gnp60-k10-{sign}"] = lambda sign=sign: discrepancy_local_search(
+            gen_gnp(60, HALF, 0), HALF, sign, seed=0, k=10)
+    return cases
+
+
+LOCAL_SEARCH_DIGESTS = {
+    "cli-files-seed0": "c5c2dbc0350033be3e310ae269a19b2f584b87c193887f39515acd96412e418b",
+    "cli-files-seed1": "57223a40e403f3d875ed2fe35c0f9cdf75c0c714d1047dc5f514236fa87b2123",
+    "cli-files-seed2": "ad794e018d3dfa7f999e5c199d06e7abd80d317b3db5f888001755f2ea9a6a5a",
+    "gnp60-k10-positive": "665ed7a67f0d45584fbbb5642dfeb986c4f62d6fa66191002c2d7660222df5b5",
+    "gnp60-k10-negative": "f033a34e787ad6f16e49d5b46703b6ad5aca5a78fe1df38e8df17548f3ee7cf6",
+}
+
+
+@pytest.mark.parametrize("name", sorted(LOCAL_SEARCH_DIGESTS))
+def test_local_search_outputs_are_frozen(name):
+    got = _local_search_cases()[name]()
+    text = f"{got.value} {sorted(got.witness)} {got.sign} {got.k}"
+    assert hashlib.sha256(text.encode()).hexdigest() == LOCAL_SEARCH_DIGESTS[name]
+
+
+def test_k_out_of_range_is_refused():
+    for k in (-1, 5):
+        for call in (lambda: discrepancy_exact(K31, HALF, k=k),
+                     lambda: discrepancy_local_search(K31, HALF, k=k)):
+            with pytest.raises(PreconditionError, match=f"k must lie in 0..4, got {k}"):
+                call()
+    for k in (0, 5):
+        with pytest.raises(PreconditionError, match=f"k must lie in 1..4, got {k}"):
+            jumbledness_exact(K31, HALF, k=k)
 
 
 @given(graphs(min_n=1, max_n=7), densities, st.integers(0, 3), st.data())

@@ -391,6 +391,26 @@ def test_one_over_r_window_and_certificate(g, r):
     assert support.brute_is_relatively_full(g, Fraction(1, r), got.vertices)
 
 
+@settings(max_examples=200)
+@given(graphs(max_n=12), st.integers(1, 9), st.one_of(st.none(), st.integers(0, 2 ** 32)))
+def test_one_over_r_matches_reference(g, r, seed):
+    assert one_over_r_full(g, r, seed).vertices == \
+        support.reference_one_over_r_full(g, r, seed)
+
+
+def test_one_over_r_matches_reference_on_gnp():
+    # G(n, (1 + t % 9)/10) with seed t: each of these graphs reaches
+    # variant ii at q = 1/3 or 1/6 under some of the seeds
+    cases = [(gen_gnp(n, Fraction(1 + t % 9, 10), t), r)
+             for n, t in ((5, 500), (6, 282), (9, 32), (12, 166), (18, 338), (21, 95))
+             for r in (3, 6, 9)]
+    cases += [(gen_gnp(n, Fraction(1 + r % 3, 4), r), r) for n in (30, 60) for r in range(1, 10)]
+    for g, r in cases:
+        for seed in (None, 0, 1, 2):
+            assert one_over_r_full(g, r, seed).vertices == \
+                support.reference_one_over_r_full(g, r, seed)
+
+
 def test_one_over_r_window_on_larger_random_graphs():
     for i, (n, r) in enumerate([(60, 8), (57, 7), (44, 5), (60, 3), (33, 2),
                                 (59, 6), (48, 4), (40, 8)]):

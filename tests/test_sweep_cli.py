@@ -433,3 +433,11 @@ def test_cli_refuses_out_of_range_p_and_threads(capsys, tmp_path):
         assert code == 2 and "trials must be positive" in err and out == ""
     code, _, err = run_cli(capsys, "disc", "--input", path, "--heuristic", "--restarts", "-2")
     assert code == 2 and "restarts must be positive" in err
+
+
+@pytest.mark.parametrize("argv, k", [(["--k", "50"], 50),
+                                     (["--heuristic", "--k", "-1"], -1)])
+def test_cli_refuses_out_of_range_k(capsys, tmp_path, argv, k):
+    path = graph_file(tmp_path, gen_gnp(12, Fraction(1, 2), seed=0))
+    code, out, err = run_cli(capsys, "disc", "--input", path, *argv)
+    assert (code, out, err) == (2, "", f"refused: k must lie in 0..12, got {k}\n")
