@@ -39,6 +39,7 @@ from .graph import (
 from .percolation import (
     THETA_CAP_DEFAULT,
     _monte_carlo,
+    _trial_batches,
     full_infection_probability,
     full_infection_probability_exact,
 )
@@ -194,7 +195,10 @@ def cmd_percolate(args) -> int:
     g = _read_graph(args.input)
     if args.exact:  # refusals come before any trial runs
         theta = full_infection_probability_exact(g, args.p, cap=args.exact_cap)
-    if args.witness:  # one pass gives the estimate and the witness
+    if args.exact and args.witness:  # no estimate is shown: stop at the first failure
+        failure = next((f for _, f in _trial_batches(g, args.p, args.trials, _seed(args))
+                        if f), None)
+    elif args.witness:  # one pass gives the estimate and the witness
         est, failure = _monte_carlo(g, args.p, args.trials, _seed(args))
     elif not args.exact:
         est = full_infection_probability(g, args.p, trials=args.trials, seed=_seed(args))

@@ -240,9 +240,9 @@ def jumbledness_exact(g: Graph, p, k: Optional[int] = None,
     k is given), with a lexicographically-smallest witness attaining it."""
     p = as_probability(p)
     _require_cap(g.n, cap, "exact jumbledness")
+    _check_k(k, 1, g.n)
     if g.n == 0:
         return JumbledReport(Fraction(0), frozenset(), k)
-    _check_k(k, 1, g.n)
     return _jumbled_from_slots(_subset_extremes(g), p, k)
 
 

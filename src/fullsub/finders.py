@@ -247,6 +247,9 @@ def _first_full_set(adj, cands: list, m: int, bar: int) -> Optional[int]:
         i += 1
 
 
+_GONE = np.int64(1 << 62)  # a deleted vertex's degree, above every live one
+
+
 def _peel(g: Graph, p: Fraction, tie_break: str = "min-index",
           stop: Optional[Callable[[int, int], bool]] = None
           ) -> tuple[int, tuple[int, ...], bool]:
@@ -255,21 +258,19 @@ def _peel(g: Graph, p: Fraction, tie_break: str = "min-index",
     survivors' mask, the deleted vertices in order and whether stop
     fired. tie_break is as in greedy_full; n must be positive.
 
-    The degree table is dense: argmin finds the minimum in C (first
-    occurrence = smallest index among ties), and a deletion decrements
-    all surviving neighbours in one vectorized step."""
+    The degree table is dense, a deleted vertex's entry starts at _GONE
+    and loses at most n - 1, so it stays above every live degree: argmin
+    finds the minimum live degree (first occurrence = smallest index
+    among ties), and a deletion subtracts the victim's row from all."""
     n = count = g.n
     deg = np.array(g.degrees, dtype=np.int64)
-    rows = g.matrix
-    gone = np.zeros(n, dtype=np.bool_)
-    never = np.iinfo(np.int64).max
+    rows = g.matrix.view(np.int8)
     trace: list[int] = []
     last: Optional[int] = None
     stopped = False
     while True:
-        masked = np.where(gone, never, deg)
-        victim = int(np.argmin(masked))
-        dmin = int(masked[victim])
+        victim = int(np.argmin(deg))
+        dmin = int(deg[victim])
         if dmin >= _fullness_bar(p, count, "full"):
             break
         if stop is not None and stop(count, dmin):
@@ -277,14 +278,14 @@ def _peel(g: Graph, p: Fraction, tie_break: str = "min-index",
             break
         if tie_break == "adversarial-antipodal" and last is not None:
             anti = (last + n // 2) % n
-            if not gone[anti] and deg[anti] == dmin:
+            if deg[anti] == dmin:  # never true of a deleted antipode
                 victim = anti
         count -= 1
-        gone[victim] = True
-        deg[rows[victim] & ~gone] -= 1
+        deg[victim] = _GONE
+        np.subtract(deg, rows[victim], out=deg)
         trace.append(victim)
         last = victim
-    return _pack_rows(~gone[None])[0], tuple(trace), stopped
+    return _pack_rows((deg < n)[None])[0], tuple(trace), stopped
 
 
 def greedy_full(g: Graph, p=None, tie_break: str = "min-index",
@@ -353,10 +354,11 @@ def qfull_partition(g: Graph, q, seed: Optional[int] = None) -> QFullOutcome:
     in_x = np.zeros(n, dtype=bool)
     in_x[order[:kx]] = True
 
-    # neighbours inside X, counted on a column slice (n*|X| bytes, not
-    # the n*n int64 copy a matrix product would make)
-    dx = np.count_nonzero(adj[:, in_x], axis=1).astype(np.int64)
+    # neighbours inside X, counted down the contiguous rows of X (not
+    # a column slice, nor the n*n int64 copy a matrix product would make)
+    dx = np.count_nonzero(adj[in_x], axis=0).astype(np.int64)
     u = a * deg - b * dx
+    adj8, b64 = adj.view(np.int8), np.int64(b)
     NEG = np.int64(-(1 << 62))
     POS = np.int64(1 << 62)
 
@@ -391,10 +393,7 @@ def qfull_partition(g: Graph, q, seed: Optional[int] = None) -> QFullOutcome:
             x, y = swap
             in_x[x] = False
             in_x[y] = True
-            rx = adj[x].astype(np.int64)
-            ry = adj[y].astype(np.int64)
-            dx += ry - rx
-            u += b * (rx - ry)
+            u -= b64 * (adj8[y] - adj8[x])  # d_X(v) moves by A[y,v] - A[x,v]
         else:
             raise VerificationError("swap search exceeded its potential bound")
 

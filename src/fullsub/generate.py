@@ -20,7 +20,8 @@ from typing import Optional
 
 import numpy as np
 
-from .graph import Graph, PreconditionError, VerificationError, _pack_rows, as_probability, density
+from .graph import (Graph, PreconditionError, VerificationError, _pack_rows, _symmetrize,
+                    as_probability, density)
 from .rng import _bernoulli, uniform_u64
 
 FAMILIES = ("gnp", "clique-isolated", "multipartite-planted", "adversary")
@@ -59,11 +60,13 @@ def gen_gnp(n: int, p, seed: int) -> Graph:
         return Graph._from_adj(n, [full ^ (1 << v) for v in range(n)])
     keep = _bernoulli(seed, total, p)
     mat = np.zeros((n, n), dtype=bool)
-    # a boolean-mask store visits the upper triangle (u < v) row by
-    # row, which is the lexicographic pair order of the draws
-    idx = np.arange(n)
-    mat[idx[:, None] < idx] = keep
-    mat |= mat.T
+    # the draws run in lexicographic pair order: row u's pairs (u, v > u)
+    # take the next n-1-u; the lower triangle is then mirrored in tiles
+    start = 0
+    for u in range(n - 1):
+        mat[u, u + 1:] = keep[start:start + n - 1 - u]
+        start += n - 1 - u
+    _symmetrize(mat)
     # packed without priming Graph.matrix: many generated graphs are
     # only written out, and the cache would hold n^2 bytes each
     return Graph._from_adj(n, _pack_rows(mat))

@@ -6,9 +6,11 @@ for a few thousand vertices. The vectorized kernels read the same
 adjacency as Graph.matrix, a read-only numpy bool matrix built once per
 graph; this module is the only place that converts between the two
 forms. Reading a canonical edge list builds the matrix first and packs
-the masks from it. Graphs are frozen after construction and every
-function in this package treats them as shared read-only values; all
-density and degree arithmetic is exact (integers and Fractions).
+the masks from it; a matrix is mirrored by _symmetrize, which ORs in
+its transpose one pair of 512 x 512 tiles at a time, so that the
+strided reads stay in cache. Graphs are frozen after construction and
+every function in this package treats them as shared read-only values;
+all density and degree arithmetic is exact (integers and Fractions).
 """
 
 from __future__ import annotations
@@ -72,6 +74,20 @@ def _pack_rows(rows: np.ndarray) -> list[int]:
     buf = packed.tobytes()
     return [int.from_bytes(buf[i:i + width], "little")
             for i in range(0, len(buf), width)]
+
+
+_TILE = 512  # a pair of 256 KB tiles fits in cache
+
+
+def _symmetrize(mat: np.ndarray) -> None:
+    """mat |= mat.T in place, one pair of mirrored tiles at a time: the
+    whole transpose reads with a stride of n bytes, missing cache at
+    every element once n is in the thousands."""
+    for i in range(0, len(mat), _TILE):
+        for j in range(i, len(mat), _TILE):
+            upper, lower = mat[i:i + _TILE, j:j + _TILE], mat[j:j + _TILE, i:i + _TILE]
+            upper |= lower.T
+            lower[...] = upper.T
 
 
 def _unpack_rows(masks: list[int], n: int) -> np.ndarray:
@@ -232,7 +248,9 @@ def induced_subgraph(g: Graph, vertices: Iterable[int]) -> tuple[Graph, tuple[in
     of h; labels are sorted ascending.
     """
     labels = tuple(iter_bits(as_mask(vertices, g.n)))
-    return Graph._from_matrix(g.matrix[np.ix_(labels, labels)]), labels
+    idx = np.array(labels, dtype=np.intp)  # rows, then columns: np.ix_ is ~3x slower
+    sub = g.matrix[idx].view(np.uint8).take(idx, axis=1).view(np.bool_)
+    return Graph._from_matrix(sub), labels
 
 
 def complement(g: Graph) -> Graph:
@@ -314,7 +332,7 @@ def _read_canonical(text: str, block: int = 1 << 16) -> Graph | None:
         lines += len(eol)
     if lines != m or np.count_nonzero(mat) != m:  # a duplicate sets no new entry
         return None
-    mat |= mat.T
+    _symmetrize(mat)
     return Graph._from_matrix(mat)
 
 

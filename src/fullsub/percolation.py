@@ -19,6 +19,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Iterator
 
 import numpy as np
 
@@ -99,25 +100,32 @@ def sample_initial_mask(n: int, p, seed: int, trial: int) -> int:
     return _pack_rows(_initial_rows(n, as_probability(p), seed, range(trial, trial + 1)))[0]
 
 
-def _monte_carlo(g: Graph, p, trials: int,
-                 seed: int) -> tuple[InfectionEstimate, tuple[int, frozenset[int]] | None]:
-    """Percolate trials p-random starts, _CHUNK at a time: the estimate,
-    and the first failing trial with its surviving set (None if none)."""
+def _trial_batches(g: Graph, p, trials: int, seed: int) -> Iterator[tuple]:
+    """Percolate trials p-random starts, _CHUNK at a time, yielding per
+    batch its successes and its first failing trial with the surviving
+    set (None if every start in it infected everything)."""
     if trials < 1:
         raise PreconditionError(f"trials must be positive, got {trials}")
     p = as_probability(p)
-    successes, failure = 0, None
     for start in range(0, trials, _CHUNK):
         batch = range(start, min(start + _CHUNK, trials))
         final, _ = _percolate_rows(g, _initial_rows(g.n, p, seed, batch))
         done = final.all(axis=1)
-        successes += int(done.sum())
-        if failure is None and not done.all():
-            i = int(np.argmin(done))
-            failure = (batch[i], frozenset(np.flatnonzero(~final[i]).tolist()))
+        i = int(np.argmin(done))
+        yield int(done.sum()), None if done[i] else (
+            batch[i], frozenset(np.flatnonzero(~final[i]).tolist()))
+
+
+def _monte_carlo(g: Graph, p, trials: int,
+                 seed: int) -> tuple[InfectionEstimate, tuple[int, frozenset[int]] | None]:
+    """The estimate over every batch of _trial_batches, and the first
+    failing trial with its surviving set (None if none)."""
+    batches = list(_trial_batches(g, p, trials, seed))
+    successes = sum(done for done, _ in batches)
     est = Fraction(successes, trials)
     var = float(est) * (1.0 - float(est)) / trials
-    return InfectionEstimate(est, 1.96 * math.sqrt(var), trials, successes), failure
+    return (InfectionEstimate(est, 1.96 * math.sqrt(var), trials, successes),
+            next((f for _, f in batches if f), None))
 
 
 def full_infection_probability(g: Graph, p, trials: int = 1000,

@@ -18,7 +18,8 @@ import numpy as np
 from fullsub import (EdgeListError, Graph, PreconditionError, VerificationError,
                      complement, density, gen_gnp, half_full, induced_subgraph,
                      qfull_partition)
-from fullsub.graph import iter_bits, lex_less
+from fullsub.finders import QFullOutcome, _certify_relative
+from fullsub.graph import _pack_rows, as_probability, from_mask, iter_bits, lex_less
 from fullsub.rng import philox, split_seed, uniform_u64
 
 from_edges = Graph.from_edges
@@ -538,6 +539,96 @@ def has_half_full_subset(g: Graph, within) -> bool:
             if brute_is_relatively_full(g, Fraction(1, 2), xs):
                 return True
     return False
+
+
+def reference_qfull_partition(g: Graph, q, seed: Optional[int] = None) -> QFullOutcome:
+    """The QFullOutcome of qfull_partition as it ran before its X-degree
+    count read rows and its swap updated u from one int8 row difference:
+    d_X counted on a column slice, and dx and u both updated from two
+    int64 copies of the adjacency rows per swap."""
+    q = as_probability(q, "q")
+    a, b = q.numerator, q.denominator
+    n = g.n
+    if b * max(n, 1) >= 1 << 62:
+        raise PreconditionError("q denominator too large for int64 swap scores")
+    if n == 0:
+        return QFullOutcome("i", q, set_q=frozenset())
+    kx = -((-a * n) // b)
+
+    deg = np.array(g.degrees, dtype=np.int64)
+    adj = g.matrix
+    if seed is None:
+        order = np.lexsort((np.arange(n), -deg))
+    else:
+        order = philox(split_seed(seed, 0)).permutation(n)
+    in_x = np.zeros(n, dtype=bool)
+    in_x[order[:kx]] = True
+
+    # neighbours inside X, counted on a column slice (n*|X| bytes, not
+    # the n*n int64 copy a matrix product would make)
+    dx = np.count_nonzero(adj[:, in_x], axis=1).astype(np.int64)
+    u = a * deg - b * dx
+    NEG = np.int64(-(1 << 62))
+    POS = np.int64(1 << 62)
+
+    if 0 < kx < n:
+        max_swaps = b * n * (n - 1) // 2 + n + 10
+        for _ in range(max_swaps):
+            ux = np.where(in_x, u, NEG)
+            uy = np.where(in_x, POS, u)
+            x_star = int(np.argmax(ux))
+            y_star = int(np.argmin(uy))
+            gain_cap = int(u[x_star]) - int(u[y_star])
+            if gain_cap <= 0:
+                break
+            swap = None
+            if gain_cap - b * int(adj[x_star, y_star]) > 0:
+                swap = (x_star, y_star)
+            else:
+                # all adjacent pairs are non-improving here; scan for a
+                # non-adjacent pair with positive u difference
+                y_floor = int(u[y_star])
+                for x in np.argsort(-ux, kind="stable"):
+                    x = int(x)
+                    if not in_x[x] or int(u[x]) <= y_floor:
+                        break
+                    cand = np.where(~in_x & ~adj[x], u, POS)
+                    y = int(np.argmin(cand))
+                    if int(cand[y]) < int(u[x]):
+                        swap = (x, y)
+                        break
+            if swap is None:
+                break
+            x, y = swap
+            in_x[x] = False
+            in_x[y] = True
+            rx = adj[x].astype(np.int64)
+            ry = adj[y].astype(np.int64)
+            dx += ry - rx
+            u += b * (rx - ry)
+        else:
+            raise VerificationError("swap search exceeded its potential bound")
+
+    bx = np.flatnonzero(in_x & (u > 0))
+    x_mask = _pack_rows(in_x[None])[0]
+    y_mask = ((1 << n) - 1) ^ x_mask
+    x_set = from_mask(x_mask)
+    y_set = from_mask(y_mask)
+    if bx.size == 0:
+        _certify_relative(g, q, x_mask, "variant i")
+        return QFullOutcome("i", q, set_q=x_set, x_side=x_set, y_side=y_set)
+    by = np.flatnonzero(~in_x & (u < 0))
+    if by.size == 0:
+        _certify_relative(g, 1 - q, y_mask, "variant ii")
+        return QFullOutcome("ii", q, set_1mq=y_set, x_side=x_set, y_side=y_set)
+    x0 = int(bx[0])
+    y0 = int(by[0])
+    grown_x = x_mask | (1 << y0)
+    grown_y = y_mask | (1 << x0)
+    _certify_relative(g, q, grown_x, "variant iii (q side)")
+    _certify_relative(g, 1 - q, grown_y, "variant iii (1-q side)")
+    return QFullOutcome("iii", q, set_q=from_mask(grown_x),
+                        set_1mq=from_mask(grown_y), x_side=x_set, y_side=y_set)
 
 
 def reference_one_over_r_full(g: Graph, r: int, seed: Optional[int] = None) -> frozenset:

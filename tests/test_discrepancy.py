@@ -339,6 +339,16 @@ def test_k_out_of_range_is_refused():
             jumbledness_exact(K31, HALF, k=k)
 
 
+def test_k_is_checked_on_the_empty_graph():
+    empty = support.empty(0)
+    for k in (0, 3):
+        with pytest.raises(PreconditionError, match=f"k must lie in 1..0, got {k}"):
+            jumbledness_exact(empty, HALF, k=k)
+    with pytest.raises(PreconditionError, match="k must lie in 0..0, got 3"):
+        discrepancy_exact(empty, HALF, k=3)
+    assert jumbledness_exact(empty, HALF).j == 0
+
+
 @given(graphs(min_n=1, max_n=7), densities, st.integers(0, 3), st.data())
 def test_local_search_k_keeps_the_size(g, p, seed, data):
     k = data.draw(st.integers(1, g.n))

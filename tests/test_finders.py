@@ -39,6 +39,7 @@ from fullsub import (
     small_p_size_floor,
     two_thirds_size_floor,
 )
+from fullsub import finders
 from fullsub.finders import _fullness_bar, _peel
 
 K31 = support.disjoint_union(support.clique(3), support.empty(1))
@@ -220,6 +221,27 @@ def test_peel_with_stop_matches_reference(g, p, tie_break, k):
     assert _peel(g, p, tie_break, stop) == support.reference_peel(g, p, tie_break, stop)
 
 
+@pytest.mark.parametrize("n", [300, 1200])
+@pytest.mark.parametrize("p", [Fraction(1, 2), Fraction(1, 3)])
+def test_peel_matches_reference_on_gnp(monkeypatch, n, p):
+    g = gen_gnp(n, p, seed=n)
+    dens = density(g)
+    for tie_break in ("min-index", "adversarial-antipodal"):
+        assert _peel(g, dens, tie_break) == support.reference_peel(g, dens, tie_break)
+    # full_two_thirds' aligned stop, taken from its own call
+    calls = []
+
+    def spy(*args, **kwargs):
+        calls.append((args, kwargs, _peel(*args, **kwargs)))
+        return calls[-1][2]
+
+    monkeypatch.setattr(finders, "_peel", spy)
+    full_two_thirds(g)
+    [(args, kwargs, got)] = calls
+    assert got[2]  # the switch fired on these graphs
+    assert got == support.reference_peel(*args, **kwargs)
+
+
 @pytest.mark.parametrize("p", [Fraction(0), Fraction(1), Fraction(1, 3), Fraction(2, 3),
                                Fraction(999999, 1000000), Fraction(1, 2 ** 70 + 1)])
 def test_fullness_bar_rounds_p_times_m_minus_1(p):
@@ -337,6 +359,23 @@ def test_qfull_variant_sizes_and_certificates(g, q):
 @given(graphs(min_n=1, max_n=8), proper_fractions)
 def test_qfull_lands_on_a_swap_local_maximum(g, q):
     assert_swap_local_max(g, q, qfull_partition(g, q))
+
+
+QFULL_RATIOS = [Fraction(1, 2), Fraction(1, 3), Fraction(2, 5), Fraction(3, 4)]
+
+
+@settings(max_examples=200)
+@given(graphs(), st.sampled_from(QFULL_RATIOS), st.sampled_from([None, 0, 1]))
+def test_qfull_matches_reference(g, q, seed):
+    assert qfull_partition(g, q, seed) == support.reference_qfull_partition(g, q, seed)
+
+
+@pytest.mark.parametrize("n", [40, 200, 600])
+@pytest.mark.parametrize("q", QFULL_RATIOS)
+def test_qfull_matches_reference_on_gnp(n, q):
+    g = gen_gnp(n, HALF, seed=n)
+    for seed in (None, 0, 1):
+        assert qfull_partition(g, q, seed) == support.reference_qfull_partition(g, q, seed)
 
 
 @given(graphs(min_n=1, max_n=8), proper_fractions, st.integers(0, 5))

@@ -19,7 +19,7 @@ from fullsub import (
     read_edge_list,
     write_edge_list,
 )
-from fullsub.graph import _lines, _read_canonical
+from fullsub.graph import _lines, _read_canonical, _symmetrize
 
 K3_TEXT = "3 3\n0 1\n0 2\n1 2\n"
 
@@ -309,6 +309,37 @@ def test_induced_subgraph_matches_reference(n):
             assert labels == want_labels
             assert h.adj == want.adj
             assert np.array_equal(h.matrix, want.matrix)
+
+
+def test_induced_subgraph_matches_reference_on_dense_gnp():
+    g = gen_gnp(1200, Fraction(1, 2), seed=3)
+    rng = np.random.default_rng(0)
+    subsets = [[], list(range(1200))] + [
+        np.flatnonzero(rng.random(1200) < share).tolist() for share in (0.9, 0.5, 0.02)]
+    for subset in subsets:
+        want, want_labels = support.reference_induced_subgraph(g, subset)
+        h, labels = induced_subgraph(g, subset)
+        assert labels == want_labels
+        assert h.adj == want.adj
+        assert np.array_equal(h.matrix, want.matrix)
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 511, 512, 513, 1025, 1537])
+def test_symmetrize_matches_transpose_or(n):
+    rng = np.random.default_rng(n)
+    for mat in (np.triu(rng.random((n, n)) < 0.5, 1), rng.random((n, n)) < 0.3):
+        want = mat | mat.T
+        _symmetrize(mat)
+        assert np.array_equal(mat, want)
+
+
+def test_dense_canonical_text_matches_reference_parser():
+    # n = 1300 spans three 512-wide tiles, the last one partial
+    text = write_edge_list(gen_gnp(1300, Fraction(1, 2), seed=4))
+    got, want = read_edge_list(text), support.reference_read_edge_list(text)
+    assert "matrix" in got.__dict__  # read by the vectorized path
+    assert got.adj == want.adj
+    assert np.array_equal(got.matrix, want.matrix)
 
 
 def _assert_matrix_mirrors_masks(g):

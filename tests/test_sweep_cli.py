@@ -34,6 +34,7 @@ from fullsub import (
     write_csv,
     write_edge_list,
 )
+from fullsub import percolation
 from fullsub.cli import main
 from fullsub.sweep import CSV_COLUMNS, ExperimentRow, frac_str
 
@@ -310,6 +311,37 @@ def test_cli_percolate_witness_matches_reference(capsys, tmp_path, g, p, exact):
         t, left = failure
         assert rest == [f"surviving half-full set (trial {t}, size {len(left)}):",
                         "witness: " + " ".join(map(str, sorted(left)))]
+
+
+@pytest.mark.parametrize("g, p, first", [
+    (gen_gnp(16, Fraction(1, 2), seed=2), Fraction(1, 4), 0),
+    (gen_gnp(16, Fraction(1, 2), seed=4), Fraction(3, 4), 256),  # second batch, first row
+    (gen_gnp(12, Fraction(1, 2), seed=4), Fraction(7, 10), 287),
+    (gen_gnp(16, Fraction(1, 2), seed=2), Fraction(4, 5), None),  # every trial succeeds
+], ids=["trial0", "trial256", "trial287", "none"])
+def test_cli_exact_witness_stops_at_the_first_failing_batch(capsys, tmp_path, monkeypatch,
+                                                            g, p, first):
+    path = graph_file(tmp_path, g)
+    args = ["percolate", "--input", path, "--p", frac_str(p), "--trials", "1000",
+            "--seed", "0", "--exact", "--witness"]
+    successes, failure = support.reference_monte_carlo(g, p, 1000, 0)
+    assert (failure and failure[0]) == first
+    batches = []
+    real = percolation._percolate_rows
+    monkeypatch.setattr(percolation, "_percolate_rows",
+                        lambda *a: batches.append(1) or real(*a))
+    code, out, _ = run_cli(capsys, *args)
+    assert code == 0
+    assert len(batches) == (4 if first is None else first // percolation._CHUNK + 1)
+    # stdout equals the full pass's: the exact value, then its first failure
+    want = [f"theta_exact={frac_str(full_infection_probability_exact(g, p))}"]
+    if failure is None:
+        want.append("witness: none (every sampled start infected the whole graph)")
+    else:
+        t, left = failure
+        want += [f"surviving half-full set (trial {t}, size {len(left)}):",
+                 "witness: " + " ".join(map(str, sorted(left)))]
+    assert out.splitlines() == want
 
 
 def test_cli_sweep_writes_csv(capsys, tmp_path):
