@@ -11,7 +11,7 @@ import argparse
 import sys
 from fractions import Fraction
 
-from fullsub import SweepConfig, rows_to_csv, run_sweep, summarize, write_csv
+from fullsub import PreconditionError, SweepConfig, rows_to_csv, run_sweep, summarize, write_csv
 
 
 def parse_args(argv):
@@ -37,7 +37,11 @@ def main(argv=None) -> int:
         timings=args.timings,
         threads=args.threads,
     )
-    rows = run_sweep(config)
+    try:
+        rows = run_sweep(config)
+    except PreconditionError as e:
+        print(f"error: {e}", file=sys.stderr)
+        return 2
     if args.out:
         write_csv(rows, args.out)
         print(f"wrote {len(rows)} rows to {args.out}")

@@ -20,8 +20,8 @@ from typing import Optional
 
 import numpy as np
 
-from .graph import (Graph, PreconditionError, VerificationError, _pack_rows, _symmetrize,
-                    as_probability, density)
+from .graph import (Graph, PreconditionError, VerificationError, _check_dense_size,
+                    _pack_rows, _symmetrize, as_probability, density)
 from .rng import _bernoulli, uniform_u64
 
 FAMILIES = ("gnp", "clique-isolated", "multipartite-planted", "adversary")
@@ -47,7 +47,9 @@ def gen_gnp(n: int, p, seed: int) -> Graph:
     when its 64-bit draw falls below floor(p * 2^64), so the per-edge
     bias is under 2^-64 (zero when the denominator is a power of two).
     Pairs are indexed in lexicographic order, independent of n's
-    representation, so prefixes agree across runs."""
+    representation, so prefixes agree across runs. The draws fill the
+    upper triangle of an n x n bool matrix a block of rows at a time
+    (rng._bernoulli), so the peak is that matrix plus one block."""
     if n < 0:
         raise PreconditionError(f"n must be nonnegative, got {n}")
     p = as_probability(p)
@@ -55,17 +57,14 @@ def gen_gnp(n: int, p, seed: int) -> Graph:
     total = n * (n - 1) // 2
     if total == 0 or num == 0:
         return Graph.from_edges(n, [])
+    _check_dense_size(n)
     if num == den:
         full = (1 << n) - 1
         return Graph._from_adj(n, [full ^ (1 << v) for v in range(n)])
-    keep = _bernoulli(seed, total, p)
     mat = np.zeros((n, n), dtype=bool)
     # the draws run in lexicographic pair order: row u's pairs (u, v > u)
     # take the next n-1-u; the lower triangle is then mirrored in tiles
-    start = 0
-    for u in range(n - 1):
-        mat[u, u + 1:] = keep[start:start + n - 1 - u]
-        start += n - 1 - u
+    _bernoulli(seed, p, [mat[u, u + 1:] for u in range(n - 1)])
     _symmetrize(mat)
     # packed without priming Graph.matrix: many generated graphs are
     # only written out, and the cache would hold n^2 bytes each

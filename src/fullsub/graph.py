@@ -8,13 +8,16 @@ graph; this module is the only place that converts between the two
 forms. Reading a canonical edge list builds the matrix first and packs
 the masks from it; a matrix is mirrored by _symmetrize, which ORs in
 its transpose one pair of 512 x 512 tiles at a time, so that the
-strided reads stay in cache. Graphs are frozen after construction and
-every function in this package treats them as shared read-only values;
-all density and degree arithmetic is exact (integers and Fractions).
+strided reads stay in cache. Before any n x n matrix is allocated,
+_check_dense_size refuses one larger than physical memory. Graphs are
+frozen after construction and every function in this package treats
+them as shared read-only values; all density and degree arithmetic is
+exact (integers and Fractions).
 """
 
 from __future__ import annotations
 
+import os
 import re
 from dataclasses import dataclass
 from fractions import Fraction
@@ -46,6 +49,16 @@ def as_probability(p, name: str = "p") -> Fraction:
     if not 0 <= p <= 1:
         raise PreconditionError(f"{name} must lie in [0, 1], got {p}")
     return p
+
+
+def _check_dense_size(n: int) -> None:
+    """Refuse, before allocating it, an n x n bool matrix whose n^2
+    bytes exceed the machine's physical memory."""
+    memory = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    if n * n > memory:
+        raise PreconditionError(
+            f"a dense {n} x {n} matrix needs {n * n} bytes, more than the "
+            f"{memory} bytes of physical memory")
 
 
 def to_mask(vertices: Iterable[int], n: int) -> int:
@@ -195,6 +208,7 @@ class Graph:
     def matrix(self) -> np.ndarray:
         """Dense n x n bool adjacency, built on first use and cached;
         read-only, since the graph it mirrors is immutable."""
+        _check_dense_size(self.n)
         mat = _unpack_rows(self.adj, self.n)
         mat.setflags(write=False)
         return mat
@@ -314,6 +328,7 @@ def _read_canonical(text: str, block: int = 1 << 16) -> Graph | None:
     n, m = int(head[1]), int(head[2])
     if n * n > len(text):
         return None
+    _check_dense_size(n)
     mat = np.zeros((n, n), dtype=np.bool_)
     lines = 0
     for chunk in _blocks(text, head.end(), block):

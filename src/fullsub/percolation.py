@@ -90,9 +90,11 @@ def surviving_half_full(g: Graph, initial) -> frozenset[int]:
 def _initial_rows(n: int, p: Fraction, seed: int, trials: range) -> np.ndarray:
     """Row i is trial trials[i]'s p-random initial set: 64-bit threshold
     draws under the per-trial split seed, one per vertex."""
-    if p == 0 or p == 1:
-        return np.full((len(trials), n), p == 1)
-    return np.stack([_bernoulli(split_seed(seed, t), n, p) for t in trials])
+    rows = np.full((len(trials), n), p == 1)
+    if 0 < p < 1:
+        for t, row in zip(trials, rows):
+            _bernoulli(split_seed(seed, t), p, [row])
+    return rows
 
 
 def sample_initial_mask(n: int, p, seed: int, trial: int) -> int:

@@ -1,12 +1,14 @@
 """Seeded experiment sweeps over (n, p, seed, algorithm) grids.
 
 Rows are produced in grid order (n outer, then p, seed, algorithm) no
-matter how many workers run the cells, and every witness is re-checked
-against its own certificate (fullness at the density the finder used,
-or relative half-fullness for the half-full algorithm) before a row is
-written; any failure aborts the sweep naming the offending cell. With
-timings disabled (the default) the emitted CSV is byte-identical
-across reruns of the same config.
+matter how many workers run the cells. Each (family, n, p, seed) graph
+is generated once and every algorithm runs on it; with threads > 1
+each such group is one task of the process pool. Every witness is
+re-checked against its own certificate (fullness at the density the
+finder used, or relative half-fullness for the half-full algorithm)
+before a row is written; any failure aborts the sweep naming the
+offending cell. With timings disabled (the default) the emitted CSV is
+byte-identical across reruns of the same config.
 
 The n column records the generated graph's order; for the gnp family
 the p column echoes the grid value, for other families it records the
@@ -91,64 +93,69 @@ def _validate(config: SweepConfig) -> None:
             f"family {config.family!r} ignores p; give a single p entry")
 
 
-def _run_cell(task) -> ExperimentRow:
-    family, n, p, seed, algo, r, c, timings, exact_cap = task
-    cell = f"family={family} n={n} p={frac_str(p)} seed={seed} algorithm={algo}"
-    try:
-        if family == "gnp":
-            g, _ = generate(GenSpec(family, n, p=p, seed=seed))
-        else:
-            g, _ = generate(GenSpec(family, n, r=r, c=c, seed=seed))
-        t0 = time.perf_counter()
-        if algo == "greedy":
-            res = greedy_full(g)
-            bound = Fraction(1)
-        elif algo == "two-thirds":
-            res = full_two_thirds(g)
-            bound = res.guarantee
-        elif algo == "small-p":
-            res = small_p_full(g)
-            bound = res.guarantee
-        elif algo == "half-full":
-            res = half_full(g)
-            bound = Fraction(g.n // 2)
-        else:
-            res = oracle_largest_full(g, density(g), cap=exact_cap)
-            bound = Fraction(res.size)
-        if algo == "half-full":
-            ok, _v = is_relatively_full(g, Fraction(1, 2), res.vertices)
-        else:
-            ok, _v = is_full(g, res.p_used, res.vertices)
-        elapsed_ms = (time.perf_counter() - t0) * 1000.0
-        if not ok:
-            raise VerificationError("witness failed re-verification")
-        p_col = p if family == "gnp" else density(g)
-        return ExperimentRow(family, g.n, p_col, seed, algo, res.size,
-                             frac_str(bound),
-                             f"{elapsed_ms:.1f}" if timings else "", True)
-    except PreconditionError as e:
-        raise PreconditionError(f"sweep cell [{cell}]: {e}") from e
-    except VerificationError as e:
-        raise VerificationError(f"sweep cell [{cell}]: {e}") from e
+def _run_group(task) -> list[ExperimentRow]:
+    """The rows of one (family, n, p, seed) group: the graph is
+    generated once, inside the first algorithm's cell, and every
+    algorithm runs on it, so later ones reuse its Graph.matrix."""
+    family, n, p, seed, algos, r, c, timings, exact_cap = task
+    g, rows = None, []
+    for algo in algos:
+        cell = f"family={family} n={n} p={frac_str(p)} seed={seed} algorithm={algo}"
+        try:
+            if g is None:  # generate ignores the p placeholder of other families
+                g, _ = generate(GenSpec(family, n, p=p, r=r, c=c, seed=seed))
+            t0 = time.perf_counter()
+            if algo == "greedy":
+                res = greedy_full(g)
+                bound = Fraction(1)
+            elif algo == "two-thirds":
+                res = full_two_thirds(g)
+                bound = res.guarantee
+            elif algo == "small-p":
+                res = small_p_full(g)
+                bound = res.guarantee
+            elif algo == "half-full":
+                res = half_full(g)
+                bound = Fraction(g.n // 2)
+            else:
+                res = oracle_largest_full(g, density(g), cap=exact_cap)
+                bound = Fraction(res.size)
+            if algo == "half-full":
+                ok, _v = is_relatively_full(g, Fraction(1, 2), res.vertices)
+            else:
+                ok, _v = is_full(g, res.p_used, res.vertices)
+            elapsed_ms = (time.perf_counter() - t0) * 1000.0
+            if not ok:
+                raise VerificationError("witness failed re-verification")
+            p_col = p if family == "gnp" else density(g)
+            rows.append(ExperimentRow(family, g.n, p_col, seed, algo, res.size,
+                                      frac_str(bound),
+                                      f"{elapsed_ms:.1f}" if timings else "", True))
+        except PreconditionError as e:
+            raise PreconditionError(f"sweep cell [{cell}]: {e}") from e
+        except VerificationError as e:
+            raise VerificationError(f"sweep cell [{cell}]: {e}") from e
+    return rows
 
 
 def run_sweep(config: SweepConfig) -> tuple[ExperimentRow, ...]:
     """Run every (n, p, seed, algorithm) cell and return rows in grid
-    order. threads > 1 distributes cells over a process pool; results
-    are still collected in submission order."""
+    order. Each (n, p, seed) graph is generated once for all the
+    algorithms; threads > 1 distributes these groups over a process
+    pool, one task per group, and results are still collected in
+    submission order."""
     _validate(config)
-    tasks = [(config.family, n, p, seed, algo, config.r, config.c,
+    tasks = [(config.family, n, p, seed, config.algorithms, config.r, config.c,
               config.timings, config.exact_cap)
              for n in config.n_grid
              for p in config.p_grid
-             for seed in config.seeds
-             for algo in config.algorithms]
+             for seed in config.seeds]
     if config.threads > 1:
         with ProcessPoolExecutor(max_workers=config.threads) as pool:
-            rows = tuple(pool.map(_run_cell, tasks))
+            groups = list(pool.map(_run_group, tasks))
     else:
-        rows = tuple(_run_cell(t) for t in tasks)
-    return rows
+        groups = [_run_group(t) for t in tasks]
+    return tuple(row for rows in groups for row in rows)
 
 
 def rows_to_csv(rows) -> str:

@@ -21,8 +21,11 @@ from fullsub import (
     gen_multipartite_planted,
     generate,
     oracle_largest_full,
+    read_edge_list,
+    sample_initial_mask,
     write_edge_list,
 )
+from fullsub import graph as graph_mod, rng
 
 
 # ---------------------------------------------------------------------------
@@ -63,6 +66,57 @@ def test_gnp_matches_reference_fill(n, p, seed):
     g = gen_gnp(n, p, seed)
     assert np.array_equal(g.matrix, want)
     assert g.edge_count == int(want.sum()) // 2
+
+
+@pytest.mark.parametrize("n", [9, 10, 11, 30, 60])
+@pytest.mark.parametrize("p", [Fraction(1, 2), Fraction(1, 3)])
+def test_gnp_block_boundaries_match_reference(monkeypatch, n, p):
+    # with 45 draws a block, C(9,2) = 36 fits one block, C(10,2) = 45
+    # fills it exactly and C(11,2) = 55 spills into a second; n = 30
+    # spans ten blocks, and n = 60 opens with a 59-draw row, longer
+    # than a block
+    monkeypatch.setattr(rng, "_BLOCK", 45)
+    for seed in (0, 5):
+        want = support.reference_gnp_adjacency(n, p, seed)
+        assert np.array_equal(gen_gnp(n, p, seed).matrix, want)
+
+
+@pytest.mark.parametrize("n", [724, 725])
+@pytest.mark.parametrize("p", [Fraction(1, 2), Fraction(1, 3)])
+def test_gnp_matches_reference_around_one_block(n, p):
+    # C(724,2) draws fit in one block of the real size, C(725,2) do not
+    assert 724 * 723 // 2 <= rng._BLOCK < 725 * 724 // 2
+    want = support.reference_gnp_adjacency(n, p, 3)
+    assert np.array_equal(gen_gnp(n, p, 3).matrix, want)
+
+
+@pytest.mark.parametrize("n", [4, 5, 6, 13])
+@pytest.mark.parametrize("p", [Fraction(1, 2), Fraction(1, 3)])
+def test_initial_mask_block_boundaries_match_reference(monkeypatch, n, p):
+    # a trial's n draws are one row: below, at and above a 5-draw block
+    monkeypatch.setattr(rng, "_BLOCK", 5)
+    for seed, trial in ((0, 0), (4, 7)):
+        assert sample_initial_mask(n, p, seed, trial) == \
+            support.reference_initial_mask(n, p, seed, trial)
+
+
+def test_gnp_refuses_a_matrix_beyond_physical_memory():
+    with pytest.raises(PreconditionError, match="physical memory"):
+        gen_gnp(10 ** 7, Fraction(1, 2), 0)
+
+
+def test_dense_matrices_are_guarded(monkeypatch):
+    g = gen_gnp(6, Fraction(1, 2), 0)
+    text = write_edge_list(g)
+    assert 6 * 6 <= len(text)  # so the canonical reader takes it
+    monkeypatch.setattr(graph_mod.os, "sysconf", lambda name: 5)  # 25 bytes
+    assert gen_gnp(5, Fraction(1, 2), 0).n == 5
+    with pytest.raises(PreconditionError, match="physical memory"):
+        gen_gnp(6, Fraction(1, 2), 0)
+    with pytest.raises(PreconditionError, match="physical memory"):
+        Graph.from_masks(6, g.adj).matrix
+    with pytest.raises(PreconditionError, match="physical memory"):
+        read_edge_list(text)
 
 
 def test_gnp_rejects_bad_probability():

@@ -4,9 +4,12 @@ CLI tests call main(argv) in-process and compare every printed number
 against the library call it fronts.
 """
 
+import hashlib
+import importlib.util
 import io
 import itertools
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -123,6 +126,48 @@ def test_sweep_cell_errors_name_the_cell():
     cfg = SweepConfig(n_grid=(25,), p_grid=(Fraction(1, 2),), seeds=(3,),
                       algorithms=("oracle",), exact_cap=20)
     with pytest.raises(PreconditionError, match=r"n=25 .*seed=3.*oracle"):
+        run_sweep(cfg)
+
+
+# two orders, two densities, two seeds and three algorithms: eight
+# graphs; the digest was recorded with one generation per cell, so
+# generating once per graph must not change a byte
+MIXED = dict(n_grid=(9, 14), p_grid=(Fraction(1, 3), Fraction(1, 2)), seeds=(0, 1),
+             algorithms=("greedy", "half-full", "oracle"))
+MIXED_CSV_SHA256 = "4af660705d40be744a1170391f902dfbb99a6f4b50a905bcba62fdf89c11036f"
+
+
+def test_sweep_generates_each_graph_once(monkeypatch):
+    import fullsub.sweep as sweep_mod
+
+    specs = []
+    real = sweep_mod.generate
+
+    def counting(spec):
+        specs.append((spec.n, spec.p, spec.seed))
+        return real(spec)
+
+    monkeypatch.setattr(sweep_mod, "generate", counting)
+    rows = run_sweep(SweepConfig(**MIXED))
+    assert specs == list(itertools.product(MIXED["n_grid"], MIXED["p_grid"], MIXED["seeds"]))
+    assert len(rows) == 3 * len(specs)
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_sweep_csv_is_unchanged_by_generating_once(threads):
+    csv_text = rows_to_csv(run_sweep(SweepConfig(**MIXED, threads=threads)))
+    assert hashlib.sha256(csv_text.encode("ascii")).hexdigest() == MIXED_CSV_SHA256
+
+
+def test_sweep_errors_name_the_failing_algorithm_of_a_group():
+    cfg = SweepConfig(n_grid=(25,), p_grid=(Fraction(1, 2),), seeds=(3,),
+                      algorithms=("greedy", "oracle", "half-full"), exact_cap=20)
+    with pytest.raises(PreconditionError, match=r"seed=3 algorithm=oracle\]"):
+        run_sweep(cfg)
+    # a generation failure names the group's first cell
+    cfg = SweepConfig(n_grid=(1,), p_grid=(Fraction(1, 2),), seeds=(0,),
+                      algorithms=("half-full", "greedy"), family="adversary")
+    with pytest.raises(PreconditionError, match=r"n=1 .*algorithm=half-full\]: n must be"):
         run_sweep(cfg)
 
 
@@ -388,6 +433,12 @@ def test_cli_exit_code_2_on_refusal(capsys, tmp_path):
     assert code == 2
 
 
+def test_cli_gen_refuses_a_matrix_beyond_physical_memory(capsys):
+    code, out, err = run_cli(capsys, "gen", "--family", "gnp", "--n", "10000000",
+                             "--p", "1/2")
+    assert code == 2 and out == "" and "physical memory" in err
+
+
 def test_cli_exit_code_3_on_verification_failure(capsys, tmp_path, monkeypatch):
     # force a bogus witness through the sweep's re-check
     import fullsub.sweep as sweep_mod
@@ -473,3 +524,37 @@ def test_cli_refuses_out_of_range_k(capsys, tmp_path, argv, k):
     path = graph_file(tmp_path, gen_gnp(12, Fraction(1, 2), seed=0))
     code, out, err = run_cli(capsys, "disc", "--input", path, *argv)
     assert (code, out, err) == (2, "", f"refused: k must lie in 0..12, got {k}\n")
+
+
+# ---------------------------------------------------------------------------
+# experiment scripts
+
+def load_script(name):
+    path = Path(__file__).resolve().parents[1] / "scripts" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(name, path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_scaling_sweep_script_smoke(capsys, tmp_path):
+    script = load_script("scaling_sweep")
+    out = str(tmp_path / "scaling.csv")
+    # p = 1/4: at p = 1/2 the two-thirds finder needs n > 128
+    assert script.main(["--n-grid", "30,60", "--seeds", "0,1", "--p", "1/4",
+                        "--out", out]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    rows = read_csv(out)
+    assert len(rows) == 2 * 2 * 3 and lines[0] == f"wrote 12 rows to {out}"
+    assert lines[2:5] == summarize(rows).splitlines()
+    assert all("rows=4 verified=4 " in line for line in lines[2:5])
+    table = [line.split() for line in lines[6:]]
+    assert table[0] == ["algorithm", "n", "mean", "size", "size/n^(2/3)"]
+    assert [(algo, n) for algo, n, *_ in table[1:]] == [
+        (algo, n) for algo in ("greedy", "two-thirds", "half-full") for n in ("30", "60")]
+
+
+def test_scaling_sweep_script_refuses_cleanly(capsys):
+    code = load_script("scaling_sweep").main(["--n-grid", "30", "--seeds", "0"])
+    err = capsys.readouterr().err
+    assert code == 2 and err.startswith("error: sweep cell [") and "two-thirds" in err
