@@ -1,0 +1,122 @@
+"""Mutation check for the differential tests.
+
+Each entry of MUTANTS names a file under src/, an exact snippet that
+must occur in it once, the snippet's replacement and the pytest node ids
+that should catch the change. For each entry the script copies src/ to
+a temporary directory, applies that one replacement to the copy and
+runs only the named tests, one pytest process at a time, with
+PYTHONPATH on the copy; the work tree is never modified. A mutant is
+killed when a named test fails and survives when all pass. First the
+named tests run once on an unmodified copy, so that a failure that is
+not the mutant's counts as an error rather than a kill.
+
+The script exits 1 on a survivor, on a stale entry (its snippet no
+longer occurs exactly once, so the change that moved the code updates
+the entry with it) or on any other error, and 0 when every mutant is
+killed. Answer a survivor with a new test, never by dropping the entry.
+
+    python scripts/mutants.py
+
+It starts one pytest process per entry plus one, about 15 s in all on
+a 2-vCPU Xeon virtual machine, and is not part of the test suite.
+"""
+
+from __future__ import annotations
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+import time
+from pathlib import Path
+from typing import NamedTuple
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+class Mutant(NamedTuple):
+    name: str
+    path: str  # relative to src/
+    snippet: str
+    replacement: str
+    tests: tuple[str, ...]  # node ids relative to the repository root
+
+
+MUTANTS = (
+    Mutant("gray-code add", "fullsub/discrepancy.py",
+           "shift += cross[rows_log + b]", "shift -= cross[rows_log + b]",
+           ("tests/test_discrepancy.py::test_extremes_match_reference_on_gnp",)),
+    Mutant("gray-code subtract", "fullsub/discrepancy.py",
+           "shift -= cross[rows_log + b]", "shift += cross[rows_log + b]",
+           ("tests/test_discrepancy.py::test_extremes_match_reference_on_gnp",)),
+    Mutant("extremes cached per n, not per graph", "fullsub/discrepancy.py",
+           "cache = g.__dict__",
+           "cache = _subset_extremes.__dict__.setdefault(g.n, {})",
+           ("tests/test_discrepancy.py::test_derived_graphs_get_their_own_tables",)),
+    Mutant("weak majority", "fullsub/percolation.py",
+           "np.float32) // 2 + 1", "np.float32) // 2",
+           ("tests/test_percolation.py::test_batched_closure_matches_reference_per_row",)),
+    Mutant("inverted bernoulli threshold", "fullsub/rng.py",
+           "random_raw(size) < threshold", "random_raw(size) >= threshold",
+           ("tests/test_generate.py::test_gnp_matches_reference_fill",
+            "tests/test_percolation.py::test_initial_sample_matches_reference")),
+    Mutant("peel keeps deleted vertices", "fullsub/finders.py",
+           "_pack_rows((deg < n)[None])", "_pack_rows((deg >= 0)[None])",
+           ("tests/test_finders.py::test_peel_matches_reference_on_gnp",)),
+    Mutant("canonical reader takes self-loops", "fullsub/graph.py",
+           "if (u >= v).any()", "if (u > v).any()",
+           ("tests/test_graph.py::test_vectorized_reader_matches_reference_parser_across_blocks"
+            "[two-self-loops]",)),
+    Mutant("qfull swaps out the last best vertex", "fullsub/finders.py",
+           "x_star = int(np.argmax(ux))",
+           "x_star = len(ux) - 1 - int(np.argmax(ux[::-1]))",
+           ("tests/test_finders.py::test_qfull_matches_reference_on_gnp",)),
+)
+
+
+def pytest_on_copy(src: Path, tests, cwd: Path) -> int:
+    """pytest's exit code for the named tests against the package in src.
+    It runs from cwd, a scratch directory, so that the work tree gains no
+    hypothesis database entries for mutants."""
+    env = dict(os.environ, PYTHONPATH=str(src), PYTHONDONTWRITEBYTECODE="1")
+    cmd = [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider",
+           *(str(ROOT / t) for t in tests)]
+    return subprocess.run(cmd, cwd=cwd, env=env, stdout=subprocess.DEVNULL,
+                          stderr=subprocess.DEVNULL).returncode
+
+
+def main() -> int:
+    bad = 0
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        src = tmp / "src"
+        shutil.copytree(ROOT / "src", src, ignore=shutil.ignore_patterns("__pycache__"))
+        every_test = sorted({t for m in MUTANTS for t in m.tests})
+        code = pytest_on_copy(src, every_test, tmp)
+        if code != 0:
+            print(f"error: the named tests fail without a mutant (pytest exit {code})")
+            return 1
+        for m in MUTANTS:
+            target = src / m.path
+            original = target.read_text(encoding="utf-8")
+            if original.count(m.snippet) != 1:
+                print(f"stale     {m.name}: {m.snippet!r} occurs "
+                      f"{original.count(m.snippet)} times in src/{m.path}")
+                bad += 1
+                continue
+            target.write_text(original.replace(m.snippet, m.replacement), encoding="utf-8")
+            start = time.monotonic()
+            try:
+                code = pytest_on_copy(src, m.tests, tmp)
+            finally:
+                target.write_text(original, encoding="utf-8")
+            verdict = {0: "survived", 1: "killed"}.get(code, f"error (pytest exit {code})")
+            bad += verdict != "killed"
+            print(f"{verdict:<9} {m.name} ({time.monotonic() - start:.1f} s)")
+    print(f"{len(MUTANTS) - bad} of {len(MUTANTS)} mutants killed")
+    return 1 if bad else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

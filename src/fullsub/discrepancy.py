@@ -9,7 +9,10 @@ fixed size. Exact maxima come from one table of the least and greatest
 edge count of each subset size over all 2^n subsets, built by a
 meet-in-the-middle numpy kernel and capped at EXACT_CAP_DEFAULT
 vertices; past the cap a seeded hill-climbing heuristic gives certified
-lower bounds.
+lower bounds. The table does not depend on p, so it is built once per
+graph and stored on it, and every exact query on that graph reads the
+same table; the kernel's graph-independent tables are built once per
+width.
 
 All values are Fractions. Internally every subset is scored by the
 integer e(X)*den - num*C(|X|,2) where p = num/den, so comparisons and
@@ -18,20 +21,24 @@ tie-breaks never touch floating point.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
 import numpy as np
 
-from .graph import (Graph, PreconditionError, VerificationError, _degrees_within, _pack_rows,
-                    as_mask, as_probability, from_mask, lex_less)
+from .graph import (Graph, PreconditionError, VerificationError, _check_memory,
+                    _degrees_within, _pack_rows, as_mask, as_probability, from_mask, lex_less)
 from .rng import philox, split_seed
 
 EXACT_CAP_DEFAULT = 20
 # Subsets scored in one numpy step of the exact kernel (int64, 256 kB):
 # bounds its working memory without costing speed at the caps.
 _CHUNK_ENTRIES = 1 << 15
+# The kernel packs a subset's edge count above its n-bit mask in one
+# int64 key; C(n, 2) < 2^11 up to n = 52, so the keys fit that far.
+_MAX_EXACT_N = 52
 
 
 @dataclass(frozen=True)
@@ -82,11 +89,19 @@ def _check_k(k: Optional[int], lo: int, n: int) -> None:
 
 
 def _require_cap(n: int, cap: int, what: str) -> None:
+    """Refuse n above the caller's cap, and whatever the cap, n above
+    _MAX_EXACT_N or an n whose 2^ceil(n/2) x (floor(n/2) + 1) int64
+    kernel tables exceed physical memory."""
     if n > cap:
         raise PreconditionError(
             f"{what} enumerates all subsets and needs n <= {cap} (got n={n}); "
             "use the local-search heuristic for larger graphs"
         )
+    if n > _MAX_EXACT_N:
+        raise PreconditionError(
+            f"{what} packs edge counts and subsets into 64-bit keys and needs "
+            f"n <= {_MAX_EXACT_N} whatever the cap (got n={n})")
+    _check_memory((8 << (n - n // 2)) * (n // 2 + 1), f"{what} at n={n}")
 
 
 def _bits(values: np.ndarray, width: int) -> np.ndarray:
@@ -101,14 +116,57 @@ def _lex_weights(width: int) -> np.ndarray:
     return 1 << np.arange(width - 1, -1, -1)
 
 
-def _subset_extremes(g: Graph) -> list:
+def _read_only(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
+    """The arrays, each set read-only, as a tuple."""
+    for a in arrays:
+        a.setflags(write=False)
+    return arrays
+
+
+# Each cached width holds no more than the kernel itself allocates at
+# that width; eight cover the widths of the caps several times over.
+@functools.lru_cache(maxsize=8)
+def _low_half(low_n: int) -> tuple[np.ndarray, ...]:
+    """The kernel's low-half tables at low_n vertices, read-only: the
+    bit rows of all 2^low_n low halves sorted by size and
+    lexicographically within a size, their reversed masks (low_key) and
+    the first row of each size (starts)."""
+    low = _bits(np.arange(1 << low_n), low_n)
+    low_key = low @ _lex_weights(low_n)
+    order = np.lexsort((-low_key, low.sum(1)))
+    low, low_key = low[order], low_key[order]
+    starts = np.searchsorted(low.sum(1), np.arange(low_n + 1))
+    return _read_only(low, low_key, starts)
+
+
+@functools.lru_cache(maxsize=8)
+def _high_half(high_n: int) -> tuple[np.ndarray, ...]:
+    """The kernel's high-half tables at high_n vertices, read-only: the
+    bit rows of all 2^high_n high halves in mask order, their reversed
+    masks (high_key) and their sizes."""
+    high = _bits(np.arange(1 << high_n), high_n)
+    return _read_only(high, high @ _lex_weights(high_n), high.sum(1))
+
+
+def _subset_extremes(g: Graph) -> tuple:
     """Per-size extremes of the induced edge count over all subsets.
 
     Returns slots with slots[k] = (max_edges, max_mask, min_edges,
     min_mask) for 0 <= k <= n, each mask the lexicographically smallest
     k-set attaining its count. Within one size the surplus
     e(X) - p*C(k,2) orders subsets as e(X) does, so one table serves
-    every p, in small integers.
+    every p, in small integers. The first call builds the table and
+    stores it on g, as Graph._from_matrix primes Graph.matrix; later
+    calls on g return it.
+    """
+    cache = g.__dict__
+    if "_subset_extremes" not in cache:
+        cache["_subset_extremes"] = _build_extremes(g)
+    return cache["_subset_extremes"]
+
+
+def _build_extremes(g: Graph) -> tuple:
+    """The slots of _subset_extremes, by a meet-in-the-middle kernel.
 
     Meet in the middle: X = lo | hi << L with L = n // 2. One table
     holds e(lo) for the 2^L low halves, sorted by size and
@@ -125,18 +183,14 @@ def _subset_extremes(g: Graph) -> list:
     high_n = n - low_n
     width = 1 << low_n
     adj = g.matrix.astype(np.int64)
-    low = _bits(np.arange(width), low_n)
-    low_key = low @ _lex_weights(low_n)
-    order = np.lexsort((-low_key, low.sum(1)))
-    low, low_key = low[order], low_key[order]
-    starts = np.searchsorted(low.sum(1), np.arange(low_n + 1))
+    low, low_key, starts = _low_half(low_n)
+    high, high_key, high_sizes = _high_half(high_n)
     e_low = ((low @ adj[:low_n, :low_n]) * low).sum(1) // 2 * width
     pos = np.arange(width)
     max_base = e_low + (width - 1 - pos)
     min_base = e_low + pos
     # cross[h, i]: edges between high vertex h and low half i, times 2^L
     cross = adj[low_n:, :low_n] @ low.T * width
-    high = _bits(np.arange(1 << high_n), high_n)
     rows_log = high_n
     while rows_log and width << rows_log > _CHUNK_ENTRIES:
         rows_log -= 1
@@ -160,8 +214,8 @@ def _subset_extremes(g: Graph) -> list:
     # Merge over the high halves: the winners of one size k compete on
     # (edges, reversed lo | hi << L), packed into one integer.
     e_high = ((high @ adj[low_n:, low_n:]) * high).sum(1)[:, None] // 2
-    high_key = (high @ _lex_weights(high_n))[:, None]
-    sizes = (high.sum(1)[:, None] + np.arange(low_n + 1)).ravel()
+    high_key = high_key[:, None]
+    sizes = (high_sizes[:, None] + np.arange(low_n + 1)).ravel()
     most = best_max // width + e_high
     fewest = best_min // width + e_high
     max_key = (most << n) | (low_key[width - 1 - best_max % width] << high_n) | high_key
@@ -171,11 +225,11 @@ def _subset_extremes(g: Graph) -> list:
     np.maximum.at(top[1], sizes, min_key.ravel())
     edges = (top >> n).tolist()
     masks = (_bits(top.ravel(), n) @ _lex_weights(n)).reshape(2, n + 1).tolist()
-    return [(edges[0][k], masks[0][k], g.edge_count - edges[1][k], masks[1][k])
-            for k in range(n + 1)]
+    return tuple((edges[0][k], masks[0][k], g.edge_count - edges[1][k], masks[1][k])
+                 for k in range(n + 1))
 
 
-def _disc_from_slots(slots: list, p: Fraction, sign: str,
+def _disc_from_slots(slots: tuple, p: Fraction, sign: str,
                      k: Optional[int]) -> DiscWitness:
     num, den = p.numerator, p.denominator
 
@@ -203,7 +257,7 @@ def _disc_from_slots(slots: list, p: Fraction, sign: str,
     return DiscWitness(Fraction(best_score, den), from_mask(best_mask), sign, None)
 
 
-def _jumbled_from_slots(slots: list, p: Fraction, k: Optional[int]) -> JumbledReport:
+def _jumbled_from_slots(slots: tuple, p: Fraction, k: Optional[int]) -> JumbledReport:
     num, den = p.numerator, p.denominator
     best: Optional[Fraction] = None
     best_mask = 0

@@ -9,10 +9,11 @@ forms. Reading a canonical edge list builds the matrix first and packs
 the masks from it; a matrix is mirrored by _symmetrize, which ORs in
 its transpose one pair of 512 x 512 tiles at a time, so that the
 strided reads stay in cache. Before any n x n matrix is allocated,
-_check_dense_size refuses one larger than physical memory. Graphs are
-frozen after construction and every function in this package treats
-them as shared read-only values; all density and degree arithmetic is
-exact (integers and Fractions).
+_check_dense_size refuses one larger than physical memory, and the
+exact kernels refuse their tables the same way through _check_memory.
+Graphs are frozen after construction and every function in this
+package treats them as shared read-only values; all density and degree
+arithmetic is exact (integers and Fractions).
 """
 
 from __future__ import annotations
@@ -51,14 +52,20 @@ def as_probability(p, name: str = "p") -> Fraction:
     return p
 
 
+def _check_memory(nbytes: int, what: str) -> None:
+    """Refuse, before allocating it, a table of nbytes bytes that exceeds
+    the machine's physical memory; what names the table."""
+    memory = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    if nbytes > memory:
+        raise PreconditionError(
+            f"{what} needs {nbytes} bytes, more than the "
+            f"{memory} bytes of physical memory")
+
+
 def _check_dense_size(n: int) -> None:
     """Refuse, before allocating it, an n x n bool matrix whose n^2
     bytes exceed the machine's physical memory."""
-    memory = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
-    if n * n > memory:
-        raise PreconditionError(
-            f"a dense {n} x {n} matrix needs {n * n} bytes, more than the "
-            f"{memory} bytes of physical memory")
+    _check_memory(n * n, f"a dense {n} x {n} matrix")
 
 
 def to_mask(vertices: Iterable[int], n: int) -> int:

@@ -24,7 +24,8 @@ from typing import Iterator
 import numpy as np
 
 from .finders import is_relatively_full
-from .graph import Graph, PreconditionError, _pack_rows, _unpack_rows, as_mask, as_probability
+from .graph import (Graph, PreconditionError, _check_memory, _pack_rows, _unpack_rows, as_mask,
+                    as_probability)
 from .rng import _bernoulli, split_seed
 
 THETA_CAP_DEFAULT = 16
@@ -144,12 +145,14 @@ def full_infection_probability_exact(g: Graph, p,
     """Exact full-infection probability: sums p^|I| (1-p)^(n-|I|) over
     initial sets I whose complement contains no nonempty relatively
     half-full subgraph. Enumerates all 2^n vertex subsets; refuses
-    n > cap."""
+    n > cap, and whatever the cap, an n whose 2^n-entry int64 array
+    exceeds physical memory."""
     p = as_probability(p)
     n = g.n
     if n > cap:
         raise PreconditionError(
             f"exact infection probability needs n <= {cap} (got n={g.n})")
+    _check_memory(8 << n, f"exact infection probability at n={n}")
     if n == 0:
         return Fraction(1)
     masks = np.arange(1 << n, dtype=np.int64)

@@ -35,6 +35,14 @@ from fullsub import (
 
 MIXED_P = (Fraction(1, 4), Fraction(1, 3), Fraction(1, 2), Fraction(3, 5),
            Fraction(2, 3), Fraction(3, 4))
+# Sampled G(n, p) at the exact caps for criteria 3 and 8: every n in
+# 13..20 at every p of MIXED_P.
+WIDE_GRAPHS = 8 * len(MIXED_P)
+
+
+def wide_sample(i: int) -> tuple[int, Fraction]:
+    """(n, p) of the i-th wide sample."""
+    return 13 + i % 8, MIXED_P[i // 8]
 
 
 def ceil_div(a: int, b: int) -> int:
@@ -89,9 +97,10 @@ def test_criterion_3():
             assert Fraction(f * f) * (1 - p) >= 2 * dplus, (n, g.adj)
             exhaustive += 1
     sampled = nontrivial = 0
-    for i in range(500):
-        n = 7 + i % 6
-        g = gen_gnp(n, MIXED_P[i % len(MIXED_P)], seed=5000 + i)
+    samples = [(7 + i % 6, MIXED_P[i % len(MIXED_P)], 5000 + i) for i in range(500)]
+    samples += [(*wide_sample(i), 5500 + i) for i in range(WIDE_GRAPHS)]
+    for i, (n, q, seed) in enumerate(samples):
+        g = gen_gnp(n, q, seed=seed)
         p = density(g)
         f = oracle_largest_full(g, p).size
         dplus = discrepancy_exact(g, p, "positive").value
@@ -99,7 +108,7 @@ def test_criterion_3():
         sampled += 1
         nontrivial += dplus > 0
     record_criterion(3, f"squared-size bound held on {exhaustive} graphs "
-                        f"(all n <= 6) and {sampled} random graphs on 7..12 "
+                        f"(all n <= 6) and {sampled} random graphs on 7..20 "
                         f"vertices ({nontrivial} with positive discrepancy)")
 
 
@@ -223,10 +232,12 @@ def test_criterion_8():
     for i in range(600):
         n = 7 + i % 2
         sampled += check(gen_gnp(n, MIXED_P[i % len(MIXED_P)], seed=30000 + i))
+    wide = sum(check(gen_gnp(*wide_sample(i), seed=30600 + i)) for i in range(WIDE_GRAPHS))
     record_criterion(8, f"ratio bounds held on {exhaustive} graphs with "
-                        f"nonzero jumbledness (all n <= 6) and {sampled} of "
-                        f"600 sampled graphs on 7..8 vertices (full "
-                        f"enumeration beyond n = 6 is infeasible)")
+                        f"nonzero jumbledness (all n <= 6), {sampled} of "
+                        f"600 sampled graphs on 7..8 vertices and {wide} of "
+                        f"{WIDE_GRAPHS} on 13..20 (full enumeration beyond "
+                        f"n = 6 is infeasible)")
 
 
 def test_criterion_9():

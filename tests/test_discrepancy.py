@@ -24,7 +24,10 @@ from fullsub import (
     jumbledness_exact,
     verify_jumbledness_bound,
 )
-from fullsub.discrepancy import _subset_extremes
+from fullsub import discrepancy
+from fullsub import graph as graph_mod
+from fullsub.discrepancy import _build_extremes, _high_half, _low_half, _subset_extremes
+from fullsub.graph import induced_subgraph
 
 K31 = support.disjoint_union(support.clique(3), support.empty(1))
 HALF = Fraction(1, 2)
@@ -91,6 +94,87 @@ def test_extremes_match_reference_on_tie_heavy_graphs():
 def test_extremes_match_reference_on_gnp(n):
     for p in (Fraction(1, 4), HALF, Fraction(3, 4)):
         assert_extremes_match_reference(gen_gnp(n, p, seed=n), p)
+
+
+# ---------------------------------------------------------------------------
+# one table per graph, one set of kernel tables per width
+
+@pytest.fixture
+def builds(monkeypatch):
+    """The graphs the kernel runs on, in call order."""
+    built = []
+    real = discrepancy._build_extremes
+
+    def counting(g):
+        built.append(g)
+        return real(g)
+    monkeypatch.setattr(discrepancy, "_build_extremes", counting)
+    return built
+
+
+def test_exact_queries_on_one_graph_share_one_table(builds):
+    g = gen_gnp(12, HALF, seed=7)
+    for p in (Fraction(1, 5), density(g), Fraction(5, 7)):
+        for k in (None, 1, 3, 12):
+            discrepancy_exact(g, p, "positive", k=k)
+            discrepancy_exact(g, p, "negative", k=k)
+            jumbledness_exact(g, p, k=k)
+        verify_jumbledness_bound(g, p, g.n, g.n)
+    assert len(builds) == 1 and builds[0] is g
+
+
+def test_derived_graphs_get_their_own_tables(builds):
+    g = gen_gnp(11, Fraction(1, 3), seed=2)
+    first = _subset_extremes(g)
+    co = complement(g)
+    sub, _ = induced_subgraph(g, range(1, 10))
+    whole, _ = induced_subgraph(g, range(g.n))
+    assert whole == g and whole is not g
+    for h in (co, sub, whole):
+        assert _subset_extremes(h) == _build_extremes(h)
+        assert_extremes_match_reference(h, HALF)
+    assert _subset_extremes(g) is first
+    assert builds == [g, co, sub, whole]
+
+
+def test_cached_table_equals_a_fresh_build_and_the_reference():
+    for g in (support.petersen(), gen_gnp(15, Fraction(2, 5), seed=4)):
+        first = _subset_extremes(g)
+        assert isinstance(first, tuple) and _subset_extremes(g) is first
+        assert first == _build_extremes(g)
+        for p in (density(g), Fraction(1, 3)):
+            assert_extremes_match_reference(g, p)
+
+
+def test_width_tables_are_read_only():
+    for table in _low_half(5) + _high_half(6):
+        with pytest.raises(ValueError, match="read-only"):
+            table[0] = 1
+    assert _low_half(5)[0] is _low_half(5)[0]
+
+
+def test_exact_kernels_refuse_keys_beyond_64_bits():
+    big = support.empty(53)
+    for call in (lambda: discrepancy_exact(big, HALF, cap=60),
+                 lambda: discrepancy_exact(big, HALF, "negative", cap=60),
+                 lambda: jumbledness_exact(big, HALF, cap=60),
+                 lambda: verify_jumbledness_bound(big, HALF, 53, 53, cap=60)):
+        with pytest.raises(PreconditionError, match="n <= 52 whatever the cap"):
+            call()
+
+
+def test_exact_kernels_refuse_tables_beyond_physical_memory(monkeypatch):
+    g12, g13 = gen_gnp(12, HALF, seed=1), gen_gnp(13, HALF, seed=1)
+    want = discrepancy_exact(g12, HALF)
+    monkeypatch.setattr(graph_mod.os, "sysconf", lambda name: 64)  # 4096 bytes
+    # n = 12: 2^6 x 7 entries, 3584 bytes; n = 13: 2^7 x 7, 7168 bytes.
+    # A copy of g12 without its table, so that the kernel runs again.
+    assert discrepancy_exact(complement(complement(g12)), HALF) == want
+    for call in (lambda: discrepancy_exact(g13, HALF),
+                 lambda: jumbledness_exact(g13, HALF),
+                 lambda: verify_jumbledness_bound(g13, HALF, 13, 13)):
+        with pytest.raises(PreconditionError, match="physical memory"):
+            call()
 
 
 def test_bound_checker_reads_the_standalone_values():

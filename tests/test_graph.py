@@ -174,7 +174,8 @@ def multi_block_lines():
 
 
 REFUSED = ("duplicate", "counted-duplicate", "reversed", "self-loop", "out-of-range",
-           "one-token", "huge-token", "split-line", "count-low", "last-one-token")
+           "one-token", "huge-token", "split-line", "count-low", "last-one-token",
+           "two-self-loops")
 
 
 @pytest.mark.parametrize("fault", ("none", "int-spelling", "long-token", "double-space",
@@ -196,6 +197,8 @@ def test_vectorized_reader_matches_reference_parser_across_blocks(multi_block_li
         lines[0] = f"200 {len(lines) - 2}"
     if fault == "last-one-token":
         lines[-1] = lines[-1].split()[0]
+    if fault == "two-self-loops":  # the count and the degree sum's parity still hold
+        lines[-4:-2] = [f"{u} {u}", f"{v} {v}"]
     end = {"no-final-newline": "", "last-one-token": "", "trailing-blank": "\n\n"}.get(fault, "\n")
     text = "\n".join(lines) + end
     assert len("\n".join(lines[:-3])) > 3 << 16

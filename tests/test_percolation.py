@@ -18,6 +18,7 @@ from fullsub import (
     sample_initial_mask,
     surviving_half_full,
 )
+from fullsub import graph as graph_mod
 from fullsub import percolation
 from fullsub.graph import _unpack_rows
 
@@ -199,6 +200,14 @@ def test_exact_infection_probability_cap():
     # isolated vertices infect nothing, so everyone must start infected
     got = full_infection_probability_exact(g, Fraction(1, 2), cap=17)
     assert got == Fraction(1, 2 ** 17)
+
+
+def test_exact_infection_probability_refuses_arrays_beyond_physical_memory(monkeypatch):
+    monkeypatch.setattr(graph_mod.os, "sysconf", lambda name: 64)  # 4096 bytes
+    # 2^9 int64 masks take 4096 bytes, 2^10 take 8192
+    assert full_infection_probability_exact(support.empty(9), 1) == 1
+    with pytest.raises(PreconditionError, match="physical memory"):
+        full_infection_probability_exact(support.empty(10), 1, cap=40)
 
 
 # ---------------------------------------------------------------------------

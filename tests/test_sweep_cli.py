@@ -433,6 +433,12 @@ def test_cli_exit_code_2_on_refusal(capsys, tmp_path):
     assert code == 2
 
 
+def test_cli_refuses_exact_caps_beyond_the_kernel(capsys, tmp_path):
+    path = graph_file(tmp_path, support.empty(60))
+    code, out, err = run_cli(capsys, "disc", "--input", path, "--exact-cap", "60")
+    assert code == 2 and out == "" and "n <= 52 whatever the cap" in err
+
+
 def test_cli_gen_refuses_a_matrix_beyond_physical_memory(capsys):
     code, out, err = run_cli(capsys, "gen", "--family", "gnp", "--n", "10000000",
                              "--p", "1/2")
