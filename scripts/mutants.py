@@ -17,7 +17,7 @@ killed. Answer a survivor with a new test, never by dropping the entry.
 
     python scripts/mutants.py
 
-It starts one pytest process per entry plus one, about 15 s in all on
+It starts one pytest process per entry plus one, about 20 s in all on
 a 2-vCPU Xeon virtual machine, and is not part of the test suite.
 """
 
@@ -54,6 +54,12 @@ MUTANTS = (
            "cache = g.__dict__",
            "cache = _subset_extremes.__dict__.setdefault(g.n, {})",
            ("tests/test_discrepancy.py::test_derived_graphs_get_their_own_tables",)),
+    Mutant("ties go to the lexicographically largest set", "fullsub/discrepancy.py",
+           "lex_less(mask, best[1])", "lex_less(best[1], mask)",
+           ("tests/test_discrepancy.py::test_table_readers_match_reference_on_tie_heavy_graphs",)),
+    Mutant("scores read the other sign's extreme", "fullsub/discrepancy.py",
+           'if sign == "positive":\n            yield', 'if sign == "negative":\n            yield',
+           ("tests/test_discrepancy.py::test_table_readers_match_reference_on_gnp[8]",)),
     Mutant("weak majority", "fullsub/percolation.py",
            "np.float32) // 2 + 1", "np.float32) // 2",
            ("tests/test_percolation.py::test_batched_closure_matches_reference_per_row",)),

@@ -45,6 +45,7 @@ from .percolation import (
 )
 from .sweep import (
     SWEEP_ALGORITHMS,
+    ExperimentRow,
     SweepConfig,
     frac_str,
     rows_to_csv,
@@ -96,9 +97,9 @@ def _seed(args, default=0):
     return args.seed if args.seed is not None else default
 
 
-def _record_line(family, n, p, seed, algorithm, size, bound) -> str:
-    seed_txt = "" if seed is None else str(seed)
-    return f"{family},{n},{frac_str(p)},{seed_txt},{algorithm},{size},{frac_str(bound)},,true"
+def _record_line(n, p, seed, algorithm, size, bound) -> str:
+    row = ExperimentRow("file", n, p, seed, algorithm, size, frac_str(bound), "", True)
+    return rows_to_csv([row], header=False).rstrip("\n")
 
 
 def cmd_gen(args) -> int:
@@ -159,8 +160,7 @@ def cmd_full(args) -> int:
     print(_witness_line(res.vertices))
     if args.trace and res.trace:
         print("trace: " + " ".join(str(v) for v in res.trace))
-    print(_record_line("file", g.n, res.p_used, args.seed, args.algo,
-                       res.size, bound))
+    print(_record_line(g.n, res.p_used, args.seed, args.algo, res.size, bound))
     return 0
 
 
@@ -186,8 +186,7 @@ def cmd_g(args) -> int:
                                  seed=_seed(args))
     print(f"g n={g.n} p={frac_str(res.p)} value={res.value} side={res.side}")
     print(_witness_line(res.witness))
-    print(_record_line("file", g.n, res.p, args.seed, f"g-{args.method}",
-                       res.value, Fraction(1)))
+    print(_record_line(g.n, res.p, args.seed, f"g-{args.method}", res.value, Fraction(1)))
     return 0
 
 

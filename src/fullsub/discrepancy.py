@@ -24,7 +24,7 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
+from typing import Iterable, Iterator, Optional
 
 import numpy as np
 
@@ -229,47 +229,49 @@ def _build_extremes(g: Graph) -> tuple:
                  for k in range(n + 1))
 
 
-def _disc_from_slots(slots: tuple, p: Fraction, sign: str,
-                     k: Optional[int]) -> DiscWitness:
-    num, den = p.numerator, p.denominator
+def _lex_best(candidates: Iterable[tuple]) -> tuple:
+    """The (key, mask) pair with the largest key, ties going to the
+    lexicographically smallest mask; every answer here is chosen by it."""
+    best = None
+    for key, mask in candidates:
+        if best is None or key > best[0] or (key == best[0] and lex_less(mask, best[1])):
+            best = key, mask
+    return best
 
-    def extreme(size: int) -> tuple[int, int]:
-        """The sign's best den-scaled surplus over size-sets, and its set."""
+
+def _scored(slots: tuple, p: Fraction, sign: str,
+            sizes: Iterable[int]) -> Iterator[tuple[int, int]]:
+    """Per size, the sign's best den-scaled surplus and its set: most*den - e
+    when positive, e - least*den when negative, where e = num*C(size, 2)."""
+    num, den = p.numerator, p.denominator
+    for size in sizes:
         most, most_mask, least, least_mask = slots[size]
         expected = num * (size * (size - 1) // 2)
         if sign == "positive":
-            return most * den - expected, most_mask
-        return expected - least * den, least_mask
+            yield most * den - expected, most_mask
+        else:
+            yield expected - least * den, least_mask
 
-    if k is not None:
-        score, mask = extreme(k)
-        return DiscWitness(Fraction(score, den), from_mask(mask), sign, k)
-    # Unrestricted: the empty set scores 0 and is lex-smallest, so it
-    # wins outright unless some subset scores strictly higher.
-    best_score = 0
-    best_mask = 0
-    for size in range(1, len(slots)):
-        score, mask = extreme(size)
-        if score > best_score or (score == best_score and best_score > 0
-                                  and lex_less(mask, best_mask)):
-            best_score = score
-            best_mask = mask
-    return DiscWitness(Fraction(best_score, den), from_mask(best_mask), sign, None)
+
+def _disc_from_slots(slots: tuple, p: Fraction, sign: str,
+                     k: Optional[int]) -> DiscWitness:
+    # with k None size 0 competes: the empty set scores 0 and is
+    # lexicographically smallest, so it wins unless strictly beaten
+    score, mask = _lex_best(_scored(slots, p, sign, range(len(slots)) if k is None else [k]))
+    return DiscWitness(Fraction(score, p.denominator), from_mask(mask), sign, k)
 
 
 def _jumbled_from_slots(slots: tuple, p: Fraction, k: Optional[int]) -> JumbledReport:
-    num, den = p.numerator, p.denominator
-    best: Optional[Fraction] = None
-    best_mask = 0
-    for size in ([k] if k is not None else range(1, len(slots))):
-        most, most_mask, least, least_mask = slots[size]
-        expected = num * (size * (size - 1) // 2)
-        for edges, mask in ((most, most_mask), (least, least_mask)):
-            ratio = Fraction(abs(edges * den - expected), size * den)
-            if best is None or ratio > best or (ratio == best and lex_less(mask, best_mask)):
-                best = ratio
-                best_mask = mask
-    return JumbledReport(Fraction(0) if best is None else best, from_mask(best_mask), k)
+    """The larger of a size's two signed scores is the larger of its two
+    |surplus|es, as the two sum to (most - least)*den >= 0; they tie
+    across signs only if most = least, when the two sets are one."""
+    if len(slots) == 1:  # the empty graph has no nonempty subset
+        return JumbledReport(Fraction(0), frozenset(), k)
+    sizes = range(1, len(slots)) if k is None else [k]
+    j, mask = _lex_best((Fraction(score, size * p.denominator), mask)
+                        for sign in ("positive", "negative")
+                        for size, (score, mask) in zip(sizes, _scored(slots, p, sign, sizes)))
+    return JumbledReport(j, from_mask(mask), k)
 
 
 def discrepancy_exact(g: Graph, p, sign: str = "positive", k: Optional[int] = None,
@@ -295,8 +297,6 @@ def jumbledness_exact(g: Graph, p, k: Optional[int] = None,
     p = as_probability(p)
     _require_cap(g.n, cap, "exact jumbledness")
     _check_k(k, 1, g.n)
-    if g.n == 0:
-        return JumbledReport(Fraction(0), frozenset(), k)
     return _jumbled_from_slots(_subset_extremes(g), p, k)
 
 
@@ -338,15 +338,8 @@ def discrepancy_local_search(g: Graph, p, sign: str = "positive", seed: int = 0,
         else:
             starts.append(first(gen.permutation(n)))
 
-    best_score: Optional[int] = None
-    best_mask = 0
-    for start in starts:
-        mask, score = _climb(g, num, den, orient, start, k)
-        if best_score is None or score > best_score or (
-                score == best_score and lex_less(mask, best_mask)):
-            best_score = score
-            best_mask = mask
-    assert best_score is not None
+    best_score, best_mask = _lex_best(_climb(g, num, den, orient, start, k)
+                                      for start in starts)
     if k is None and best_score < 0:
         best_score, best_mask = 0, 0
     return DiscWitness(Fraction(best_score, den), from_mask(best_mask), sign, k)
@@ -357,7 +350,7 @@ def _climb(g: Graph, num: int, den: int, orient: int, in_set: np.ndarray,
     """Strict best-improvement hill climbing from the bool row in_set,
     which it updates in place.
 
-    Returns (local_opt_mask, oriented_scaled_score). d[v] counts the
+    Returns (oriented_scaled_score, local_opt_mask). d[v] counts the
     neighbours of v inside the set, and every gain is read off it:
     adding v gains orient*(den*d[v] - num*size), removing it
     orient*(num*(size-1) - den*d[v]), and swapping x out for y in
@@ -400,7 +393,7 @@ def _climb(g: Graph, num: int, den: int, orient: int, in_set: np.ndarray,
                 i, j = divmod(int(np.argmax(gains)), ys.size)
                 move = (xs[i], ys[j])
         if gain <= 0:
-            return _pack_rows(in_set[None])[0], score
+            return score, _pack_rows(in_set[None])[0]
         for v in move:
             step = -1 if in_set[v] else 1
             e += step * int(d[v])

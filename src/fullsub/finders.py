@@ -104,16 +104,9 @@ class GValue:
 
 
 def ceil_sqrt_frac(x: Fraction) -> int:
-    """Smallest nonnegative integer c with c*c >= x, exactly."""
-    if x <= 0:
-        return 0
-    a, b = x.numerator, x.denominator
-    c = math.isqrt((a + b - 1) // b)
-    while c * c * b < a:
-        c += 1
-    while c >= 1 and (c - 1) * (c - 1) * b >= a:
-        c -= 1
-    return c
+    """Smallest nonnegative integer c with c*c >= x, exactly: for an
+    integer c, c*c >= x iff c*c >= ceil(x)."""
+    return 0 if x <= 0 else math.isqrt(math.ceil(x) - 1) + 1
 
 
 def _fullness_bar(p: Fraction, m: int, mode: str) -> int:

@@ -21,7 +21,7 @@ from typing import Optional
 import numpy as np
 
 from .graph import (Graph, PreconditionError, VerificationError, _check_dense_size,
-                    _pack_rows, _symmetrize, as_probability, density)
+                    _check_memory, _pack_rows, _symmetrize, as_probability, density)
 from .rng import _bernoulli, uniform_u64
 
 FAMILIES = ("gnp", "clique-isolated", "multipartite-planted", "adversary")
@@ -135,6 +135,7 @@ def gen_multipartite_planted(n: int, r: int, c=Fraction(1)):
         warnings.warn(f"c = {c} < 1: planted density below the guaranteed regime",
                       stacklevel=2)
     N = (r + 1) * n
+    _check_memory(N * N // 8, f"{N} adjacency masks of {N} bits")
     pairs = N * (N - 1) // 2
     base = Fraction(r, r + 1) * pairs + Fraction(1, 2)
     target = _floor_with_cbrt_term(base, c * pairs, n)
@@ -190,6 +191,7 @@ def gen_greedy_adversary(n: int) -> Graph:
     if n < 2:
         raise PreconditionError(f"n must be at least 2, got {n}")
     N = 4 * n + 2
+    _check_memory(N * N // 8, f"{N} adjacency masks of {N} bits")
     wrap = (1 << N) - 1
     base = 1 << (2 * n + 1)
     for j in range(1, n + 1):

@@ -97,6 +97,7 @@ def _pack_rows(rows: np.ndarray) -> list[int]:
 
 
 _TILE = 512  # a pair of 256 KB tiles fits in cache
+_TEXT_BLOCK = 1 << 16  # characters of edge-list text handled at a time
 
 
 def _symmetrize(mat: np.ndarray) -> None:
@@ -163,6 +164,7 @@ class Graph:
         duplicate pairs collapse to a single edge."""
         if n < 0:
             raise ValueError("n must be nonnegative")
+        _check_memory(8 * n, f"{n} adjacency masks")
         adj = [0] * n
         for u, v in edges:
             if u == v:
@@ -294,7 +296,7 @@ def write_edge_list(g: Graph) -> str:
     return "".join(rows)
 
 
-def _blocks(text: str, start: int = 0, block: int = 1 << 16) -> Iterator[str]:
+def _blocks(text: str, start: int = 0, block: int = _TEXT_BLOCK) -> Iterator[str]:
     """text[start:] in consecutive slices of about block characters.
     Slices end just after a '\\n', or after a '\\r' when no '\\n'
     follows, so no slice splits a line or a "\\r\\n"."""
@@ -308,7 +310,7 @@ def _blocks(text: str, start: int = 0, block: int = 1 << 16) -> Iterator[str]:
         start = end
 
 
-def _lines(text: str, block: int = 1 << 16) -> Iterator[str]:
+def _lines(text: str, block: int = _TEXT_BLOCK) -> Iterator[str]:
     """The lines of text.splitlines(), produced a block at a time so no
     list of every line is built."""
     for chunk in _blocks(text, 0, block):
@@ -323,7 +325,7 @@ _BYTE_KIND = np.zeros(256, dtype=np.uint8)
 _BYTE_KIND[list(b"0123456789 \n")] = [1] * 10 + [2, 3]
 
 
-def _read_canonical(text: str, block: int = 1 << 16) -> Graph | None:
+def _read_canonical(text: str, block: int = _TEXT_BLOCK) -> Graph | None:
     """The graph of a canonical text, checked and decoded a block at a
     time by vectorized passes, or None when the text is not
     canonical or fails any check, so that the line parser names the
@@ -379,6 +381,7 @@ def read_edge_list(text: str) -> Graph:
         raise EdgeListError(1, f"expected integer header 'n m', got {header!r}") from None
     if n < 0 or m < 0:
         raise EdgeListError(1, "header counts must be nonnegative")
+    _check_memory(8 * n, f"{n} adjacency masks")
     adj = [0] * n
     count = 0
     line_no = 1

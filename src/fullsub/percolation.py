@@ -122,13 +122,14 @@ def _trial_batches(g: Graph, p, trials: int, seed: int) -> Iterator[tuple]:
 def _monte_carlo(g: Graph, p, trials: int,
                  seed: int) -> tuple[InfectionEstimate, tuple[int, frozenset[int]] | None]:
     """The estimate over every batch of _trial_batches, and the first
-    failing trial with its surviving set (None if none)."""
-    batches = list(_trial_batches(g, p, trials, seed))
-    successes = sum(done for done, _ in batches)
+    failing trial with its surviving set (None if none), the only one kept."""
+    successes, failure = 0, None
+    for done, batch_failure in _trial_batches(g, p, trials, seed):
+        successes += done
+        failure = failure or batch_failure
     est = Fraction(successes, trials)
     var = float(est) * (1.0 - float(est)) / trials
-    return (InfectionEstimate(est, 1.96 * math.sqrt(var), trials, successes),
-            next((f for _, f in batches if f), None))
+    return InfectionEstimate(est, 1.96 * math.sqrt(var), trials, successes), failure
 
 
 def full_infection_probability(g: Graph, p, trials: int = 1000,

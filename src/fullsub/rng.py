@@ -33,14 +33,18 @@ def split_seed(seed: int, index: int) -> int:
     return _splitmix64((seed & _MASK64) ^ _splitmix64(index & _MASK64))
 
 
+def _bit_generator(seed: int) -> np.random.Philox:
+    """The Philox bit generator that every stream of seed draws from."""
+    return np.random.Philox(key=seed & _MASK64)
+
+
 def philox(seed: int) -> np.random.Generator:
-    return np.random.Generator(np.random.Philox(key=seed & _MASK64))
+    return np.random.Generator(_bit_generator(seed))
 
 
 def uniform_u64(seed: int, count: int) -> np.ndarray:
     """count iid uniform uint64 draws from the Philox stream of seed."""
-    bitgen = np.random.Philox(key=seed & _MASK64)
-    return bitgen.random_raw(count)
+    return _bit_generator(seed).random_raw(count)
 
 
 def _bernoulli(seed: int, p: Fraction, rows: list[np.ndarray]) -> None:
@@ -51,7 +55,7 @@ def _bernoulli(seed: int, p: Fraction, rows: list[np.ndarray]) -> None:
     floor(p * 2^64). The draws come a block of whole rows at a time, at
     most _BLOCK of them unless one row is longer, from a single bit
     generator, so the bits are those of one uniform_u64 call."""
-    bitgen = np.random.Philox(key=seed & _MASK64)
+    bitgen = _bit_generator(seed)
     threshold = np.uint64((p.numerator << 64) // p.denominator)
     i = 0
     while i < len(rows):

@@ -63,7 +63,7 @@ class ExperimentRow:
     family: str
     n: int
     p: Fraction
-    seed: int
+    seed: Optional[int]  # None, for a CLI record line without --seed, is an empty field
     algorithm: str
     witness_size: int
     bound_value: str
@@ -158,10 +158,11 @@ def run_sweep(config: SweepConfig) -> tuple[ExperimentRow, ...]:
     return tuple(row for rows in groups for row in rows)
 
 
-def rows_to_csv(rows) -> str:
+def rows_to_csv(rows, header: bool = True) -> str:
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(CSV_COLUMNS)
+    if header:
+        writer.writerow(CSV_COLUMNS)
     for row in rows:
         writer.writerow([
             row.family, row.n, frac_str(row.p), row.seed, row.algorithm,

@@ -18,6 +18,7 @@ import numpy as np
 from fullsub import (EdgeListError, Graph, PreconditionError, VerificationError,
                      complement, density, gen_gnp, half_full, induced_subgraph,
                      qfull_partition)
+from fullsub.discrepancy import DiscWitness, JumbledReport
 from fullsub.finders import QFullOutcome, _certify_relative
 from fullsub.graph import _pack_rows, as_probability, from_mask, iter_bits, lex_less
 from fullsub.rng import philox, split_seed, uniform_u64
@@ -267,6 +268,53 @@ def reference_subset_extremes(g: Graph, num: int, den: int) -> list:
                 slot[2] = score
                 slot[3] = gray
     return slots
+
+
+def reference_disc_from_slots(slots: tuple, p: Fraction, sign: str,
+                              k: Optional[int]) -> DiscWitness:
+    """discrepancy._disc_from_slots as it was before the one selection
+    helper: its own loop, with the empty set as the starting best."""
+    num, den = p.numerator, p.denominator
+
+    def extreme(size: int) -> tuple[int, int]:
+        """The sign's best den-scaled surplus over size-sets, and its set."""
+        most, most_mask, least, least_mask = slots[size]
+        expected = num * (size * (size - 1) // 2)
+        if sign == "positive":
+            return most * den - expected, most_mask
+        return expected - least * den, least_mask
+
+    if k is not None:
+        score, mask = extreme(k)
+        return DiscWitness(Fraction(score, den), from_mask(mask), sign, k)
+    # Unrestricted: the empty set scores 0 and is lex-smallest, so it
+    # wins outright unless some subset scores strictly higher.
+    best_score = 0
+    best_mask = 0
+    for size in range(1, len(slots)):
+        score, mask = extreme(size)
+        if score > best_score or (score == best_score and best_score > 0
+                                  and lex_less(mask, best_mask)):
+            best_score = score
+            best_mask = mask
+    return DiscWitness(Fraction(best_score, den), from_mask(best_mask), sign, None)
+
+
+def reference_jumbled_from_slots(slots: tuple, p: Fraction, k: Optional[int]) -> JumbledReport:
+    """discrepancy._jumbled_from_slots as it was before the one selection
+    helper: |surplus| of both extremes of each size, in its own loop."""
+    num, den = p.numerator, p.denominator
+    best: Optional[Fraction] = None
+    best_mask = 0
+    for size in ([k] if k is not None else range(1, len(slots))):
+        most, most_mask, least, least_mask = slots[size]
+        expected = num * (size * (size - 1) // 2)
+        for edges, mask in ((most, most_mask), (least, least_mask)):
+            ratio = Fraction(abs(edges * den - expected), size * den)
+            if best is None or ratio > best or (ratio == best and lex_less(mask, best_mask)):
+                best = ratio
+                best_mask = mask
+    return JumbledReport(Fraction(0) if best is None else best, from_mask(best_mask), k)
 
 
 def reference_discrepancy_local_search(g: Graph, p, sign: str = "positive", seed: int = 0,

@@ -26,7 +26,8 @@ from fullsub import (
 )
 from fullsub import discrepancy
 from fullsub import graph as graph_mod
-from fullsub.discrepancy import _build_extremes, _high_half, _low_half, _subset_extremes
+from fullsub.discrepancy import (_build_extremes, _disc_from_slots, _high_half,
+                                 _jumbled_from_slots, _low_half, _subset_extremes)
 from fullsub.graph import induced_subgraph
 
 K31 = support.disjoint_union(support.clique(3), support.empty(1))
@@ -94,6 +95,37 @@ def test_extremes_match_reference_on_tie_heavy_graphs():
 def test_extremes_match_reference_on_gnp(n):
     for p in (Fraction(1, 4), HALF, Fraction(3, 4)):
         assert_extremes_match_reference(gen_gnp(n, p, seed=n), p)
+
+
+# ---------------------------------------------------------------------------
+# the table's readers against the loops they replaced
+
+def assert_readers_match_reference(g):
+    """Disc at both signs and jumbledness, unrestricted and at every k,
+    read off g's table equal the former selection loops: value and
+    witness, at p from the density to both ends of the unit interval."""
+    slots = _subset_extremes(g)
+    tiny = Fraction(1, 10 ** 30)
+    for p in {density(g), Fraction(0), Fraction(1), HALF, tiny, 1 - tiny}:
+        for k in (None, *range(g.n + 1)):
+            for sign in ("positive", "negative"):
+                assert _disc_from_slots(slots, p, sign, k) == \
+                    support.reference_disc_from_slots(slots, p, sign, k), (g, p, sign, k)
+            if k != 0:
+                assert _jumbled_from_slots(slots, p, k) == \
+                    support.reference_jumbled_from_slots(slots, p, k), (g, p, k)
+
+
+def test_table_readers_match_reference_on_tie_heavy_graphs():
+    for g in tie_heavy_graphs():
+        assert_readers_match_reference(g)
+
+
+@pytest.mark.parametrize("n", range(15))
+def test_table_readers_match_reference_on_gnp(n):
+    for p in (Fraction(1, 4), Fraction(1, 3), HALF, Fraction(3, 4)):
+        for seed in range(3):
+            assert_readers_match_reference(gen_gnp(n, p, seed=100 * n + seed))
 
 
 # ---------------------------------------------------------------------------

@@ -119,6 +119,15 @@ def test_dense_matrices_are_guarded(monkeypatch):
         read_edge_list(text)
 
 
+def test_adjacency_masks_are_guarded(monkeypatch):
+    monkeypatch.setattr(graph_mod.os, "sysconf", lambda name: 2)  # 4 bytes
+    for build in (lambda: gen_gnp(1, 0, 0), lambda: gen_clique_plus_isolated(1, 0),
+                  lambda: gen_multipartite_planted(4, 1), lambda: gen_greedy_adversary(2)):
+        with pytest.raises(PreconditionError, match="adjacency masks .*physical memory"):
+            build()
+    assert gen_gnp(0, 0, 0).n == 0
+
+
 def test_gnp_rejects_bad_probability():
     with pytest.raises(PreconditionError):
         gen_gnp(5, Fraction(3, 2), seed=0)

@@ -11,6 +11,7 @@ from conftest import graphs
 from fullsub import (
     EdgeListError,
     Graph,
+    PreconditionError,
     complement,
     density,
     gen_gnp,
@@ -19,6 +20,7 @@ from fullsub import (
     read_edge_list,
     write_edge_list,
 )
+from fullsub import graph as graph_mod
 from fullsub.graph import _lines, _read_canonical, _symmetrize
 
 K3_TEXT = "3 3\n0 1\n0 2\n1 2\n"
@@ -403,3 +405,12 @@ def test_lex_less_orders_by_sorted_tuple():
     assert lex_less(mask(0), mask(0, 1))
     assert not lex_less(mask(0, 1), mask(0))
     assert not lex_less(mask(1), mask(0, 3))
+
+
+def test_adjacency_mask_lists_are_guarded(monkeypatch):
+    monkeypatch.setattr(graph_mod.os, "sysconf", lambda name: 2)  # 4 bytes
+    assert Graph.from_edges(0, []).n == read_edge_list("0 0").n == 0
+    with pytest.raises(PreconditionError, match="1 adjacency masks .*physical memory"):
+        Graph.from_edges(1, [])
+    with pytest.raises(PreconditionError, match="1 adjacency masks .*physical memory"):
+        read_edge_list("1 0")  # no final newline: the line parser reads it

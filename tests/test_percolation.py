@@ -1,5 +1,6 @@
 """Bootstrap percolation: closure, certificates, infection probability."""
 
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -281,6 +282,28 @@ def test_monte_carlo_pass_spans_chunks(monkeypatch):
     for g, p, trials, seed in MIXED[:3] + [(ISOLATED, Fraction(3, 4), 30, 1)]:
         est, failure = percolation._monte_carlo(g, p, trials, seed)
         assert (est.successes, failure) == support.reference_monte_carlo(g, p, trials, seed)
+
+
+def test_monte_carlo_pass_keeps_only_the_first_surviving_set(monkeypatch):
+    """Every batch fails on isolated vertices, so a pass that held each
+    batch's surviving set would grow with the batch count."""
+    monkeypatch.setattr(percolation, "_CHUNK", 4)
+    g, p = support.empty(300), Fraction(1, 10)
+
+    def traced(trials):
+        tracemalloc.start()
+        try:
+            est, failure = percolation._monte_carlo(g, p, trials, 3)
+            return tracemalloc.get_traced_memory()[1], (est.successes, failure)
+        finally:
+            tracemalloc.stop()
+
+    traced(4)  # builds g.matrix and numpy's first-use state
+    one_peak, _ = traced(4)
+    many_peak, got = traced(800)  # 200 batches, each with ~270 survivors
+    assert got == support.reference_monte_carlo(g, p, 800, 3)
+    assert got[1] is not None
+    assert many_peak < 2 * one_peak, (one_peak, many_peak)
 
 
 def test_initial_sample_extremes_and_determinism():

@@ -272,6 +272,11 @@ def test_cli_full_greedy_record_line(capsys, tmp_path):
     assert f"size={res.size}" in out
     assert out.rstrip().endswith(
         f"file,15,1/2,,greedy,{res.size},1/1,,true")
+    code, out, _ = run_cli(capsys, "g", "--input", path, "--method", "heuristic",
+                           "--seed", "4")
+    res = largest_full_or_cofull(g, method="heuristic", seed=4)
+    assert code == 0 and out.endswith(
+        f"\nfile,15,{frac_str(res.p)},4,g-heuristic,{res.value},1/1,,true\n")
 
 
 def test_cli_full_oracle_and_density_default(capsys, tmp_path):
@@ -443,6 +448,12 @@ def test_cli_gen_refuses_a_matrix_beyond_physical_memory(capsys):
     code, out, err = run_cli(capsys, "gen", "--family", "gnp", "--n", "10000000",
                              "--p", "1/2")
     assert code == 2 and out == "" and "physical memory" in err
+
+
+def test_cli_gen_refuses_mask_lists_beyond_physical_memory(capsys):
+    code, out, err = run_cli(capsys, "gen", "--family", "gnp", "--n", str(10 ** 12),
+                             "--p", "0")
+    assert code == 2 and out == "" and "adjacency masks" in err and "physical memory" in err
 
 
 def test_cli_exit_code_3_on_verification_failure(capsys, tmp_path, monkeypatch):
