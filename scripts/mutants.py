@@ -74,6 +74,15 @@ MUTANTS = (
            "if (u >= v).any()", "if (u > v).any()",
            ("tests/test_graph.py::test_vectorized_reader_matches_reference_parser_across_blocks"
             "[two-self-loops]",)),
+    Mutant("canonical reader takes 20-digit tokens", "fullsub/graph.py",
+           "top > 18", "top > 20",
+           ("tests/test_graph.py::test_reader_refuses_tokens_past_18_digits",)),
+    Mutant("canonical reader skips its final-newline check", "fullsub/graph.py",
+           "body[-1] != 10 or ", "",
+           ("tests/test_graph.py::test_reader_matches_reference_on_an_unterminated_last_line",)),
+    Mutant("digit mask keeps one byte too many", "fullsub/graph.py",
+           "np.minimum(lens, 8)", "np.minimum(lens + 1, 8)",
+           ("tests/test_graph.py::test_zero_padded_tokens_take_the_vectorized_path",)),
     Mutant("qfull swaps out the last best vertex", "fullsub/finders.py",
            "x_star = int(np.argmax(ux))",
            "x_star = len(ux) - 1 - int(np.argmax(ux[::-1]))",

@@ -6,7 +6,10 @@ for a few thousand vertices. The vectorized kernels read the same
 adjacency as Graph.matrix, a read-only numpy bool matrix built once per
 graph; this module is the only place that converts between the two
 forms. Reading a canonical edge list builds the matrix first and packs
-the masks from it; a matrix is mirrored by _symmetrize, which ORs in
+the masks from it. It decodes each block of text with one scan for the
+separators and reads every token from the eight bytes that end at it,
+folding the digits of a 64-bit word in three multiply-shift-mask steps
+(_word_value). A matrix is mirrored by _symmetrize, which ORs in
 its transpose one pair of 512 x 512 tiles at a time, so that the
 strided reads stay in cache. Before any n x n matrix is allocated,
 _check_dense_size refuses one larger than physical memory, and the
@@ -318,19 +321,35 @@ def _lines(text: str, block: int = _TEXT_BLOCK) -> Iterator[str]:
 
 
 # The canonical form: a header "n m\n", then lines "u v\n", every token
-# 1-18 ASCII digits (so it fits in int64). _BYTE_KIND maps a byte to 1
-# for a digit, 2 for the space, 3 for '\n' and 0 for any other.
+# 1-18 ASCII digits (so it fits in int64). _DIGITS[r] keeps the low
+# nibbles of the last r bytes of a little-endian 64-bit word: the values
+# of the r digits that end there, as '0' is 0x30.
 _CANONICAL_HEADER = re.compile(r"([0-9]{1,18}) ([0-9]{1,18})\n")
-_BYTE_KIND = np.zeros(256, dtype=np.uint8)
-_BYTE_KIND[list(b"0123456789 \n")] = [1] * 10 + [2, 3]
+_DIGITS = np.array([0x0F0F0F0F0F0F0F0F >> 8 * (8 - r) << 8 * (8 - r) for r in range(9)],
+                   dtype=np.uint64)
+
+
+def _word_value(words: np.ndarray, digits: np.ndarray) -> np.ndarray:
+    """The number spelled by the last digits[i] bytes of words[i], 0 to
+    8 ASCII digits, most significant first (Langdale and Lemire,
+    "Parsing Gigabytes of JSON per Second", 2019): adjacent digits fold
+    into pairs, pairs into fours and fours into the eight-digit value."""
+    w = words & _DIGITS[digits]
+    w = (w * (10 << 8 | 1) >> 8) & 0x00FF00FF00FF00FF
+    w = (w * (100 << 16 | 1) >> 16) & 0x0000FFFF0000FFFF
+    return w * (10000 << 32 | 1) >> 32
 
 
 def _read_canonical(text: str, block: int = _TEXT_BLOCK) -> Graph | None:
     """The graph of a canonical text, checked and decoded a block at a
     time by vectorized passes, or None when the text is not
     canonical or fails any check, so that the line parser names the
-    fault. Only graphs whose n x n matrix is no larger than the text
-    are read here; Graph.matrix comes out already built."""
+    fault. One scan finds the separators, every byte below '0'; they
+    must alternate ' ' and '\\n' up to the block's final '\\n', and no
+    byte may lie above '9'. Each token is then read from the 8 bytes
+    that end at it, plus one more word for each further 8 of its 1-18
+    digits, by _word_value. Only graphs whose n x n matrix is no larger
+    than the text are read here; Graph.matrix comes out already built."""
     head = _CANONICAL_HEADER.match(text)
     if head is None or not text.isascii():
         return None
@@ -341,19 +360,34 @@ def _read_canonical(text: str, block: int = _TEXT_BLOCK) -> Graph | None:
     mat = np.zeros((n, n), dtype=np.bool_)
     lines = 0
     for chunk in _blocks(text, head.end(), block):
-        kind = _BYTE_KIND[np.frombuffer(chunk.encode("ascii"), dtype=np.uint8)]
-        eol, gap = np.flatnonzero(kind == 3), np.flatnonzero(kind == 2)
-        if kind[-1] != 3 or len(gap) != len(eol) or not kind.all():
+        # seven bytes of padding, so the word ending at any body byte
+        # starts inside buf; word i ends at body[i]
+        buf = ("\0" * 7 + chunk).encode("ascii")
+        body = np.frombuffer(buf, dtype=np.uint8, offset=7)
+        words = np.ndarray(len(body), dtype="<u8", buffer=buf, strides=(1,))
+        seps = np.flatnonzero(body < 48)
+        kinds = body[seps]
+        # each pair of separators is " \n", 0x0A20 as a little-endian uint16
+        if (body[-1] != 10 or len(seps) % 2 or body.max() > 57
+                or (kinds.view("<u2") != 0x0A20).any()):
             return None
-        # each line holds one space with 1-18 digits on either side
-        tokens = np.concatenate([gap - np.r_[-1, eol[:-1]], eol - gap]) - 1
-        if tokens.min() < 1 or tokens.max() > 18:
+        lens = np.diff(seps, prepend=-1) - 1  # one space per line, 1-18 digits each side
+        top = lens.max()
+        if lens.min() < 1 or top > 18:
             return None
-        u, v = np.fromstring(chunk, dtype=np.int64, sep=" ").reshape(-1, 2).T
-        if (u >= v).any() or (v >= n).any():
+        # word ends[i] ends at the last digit of token i; "clip" sends a
+        # word that would start before buf, of a token with no digits
+        # left (rest 0, an empty mask), to word 0
+        ends = seps - 1
+        vals = _word_value(words.take(ends, mode="clip"), np.minimum(lens, 8))
+        for k in range(1, (int(top) + 7) // 8):  # 18 digits < 2^63: exact
+            rest = np.clip(lens - 8 * k, 0, 8)
+            vals += _word_value(words.take(ends - 8 * k, mode="clip"), rest) * 10 ** (8 * k)
+        u, v = vals.view(np.int64).reshape(-1, 2).T
+        if (u >= v).any() or vals.max() >= n:  # so every v < n
             return None
         mat[u, v] = True
-        lines += len(eol)
+        lines += len(seps) // 2
     if lines != m or np.count_nonzero(mat) != m:  # a duplicate sets no new entry
         return None
     _symmetrize(mat)

@@ -178,7 +178,8 @@ def write_csv(rows, path: str) -> None:
 
 
 def read_csv(source: Union[str, io.TextIOBase]) -> tuple[ExperimentRow, ...]:
-    """Parse a sweep CSV (path or file object) back into rows."""
+    """Parse a sweep CSV (path or file object) back into rows; an empty
+    seed field, as in the CLI's record line, reads as None."""
     if isinstance(source, str):
         with open(source, "r", encoding="ascii") as fh:
             return read_csv(fh)
@@ -189,7 +190,7 @@ def read_csv(source: Union[str, io.TextIOBase]) -> tuple[ExperimentRow, ...]:
     rows = []
     for rec in reader:
         family, n, p, seed, algo, size, bound, ms, passed = rec
-        rows.append(ExperimentRow(family, int(n), Fraction(p), int(seed),
+        rows.append(ExperimentRow(family, int(n), Fraction(p), int(seed) if seed else None,
                                   algo, int(size), bound, ms,
                                   passed == "true"))
     return tuple(rows)

@@ -218,6 +218,39 @@ def test_canonical_text_takes_the_vectorized_path():
     assert write_edge_list(g) == text
 
 
+@pytest.mark.parametrize("width", (1, 7, 8, 9, 16, 17, 18))
+@pytest.mark.parametrize("block", (1, 7, 64, 1 << 16))
+def test_zero_padded_tokens_take_the_vectorized_path(width, block):
+    # every u and every other v padded to width digits, so one block
+    # mixes long and short tokens; block = 1 puts each line, and so a
+    # token, at the first byte of its block
+    g = Graph.from_edges(9, [(u, v) for u in range(9) for v in range(u + 1, 9)
+                             if (u + v) % 4])
+    lines = [f"{u:0{width}d} {v:0{width if i % 2 else 1}d}" for i, (u, v) in enumerate(g.edges())]
+    text = "\n".join([f"{g.n} {g.edge_count}"] + lines) + "\n"
+    want = support.reference_read_edge_list(text)
+    for got in (_read_canonical(text, block), read_edge_list(text)):
+        assert got is not None and "matrix" in got.__dict__
+        assert (got.n, got.adj) == (want.n, want.adj) == (g.n, g.adj)
+
+
+def test_reader_refuses_tokens_past_18_digits():
+    text = "3 1\n0 18446744073709551617\n"  # 2^64 + 1, which is 1 modulo 2^64
+    assert _read_canonical(text) is None
+    got = parse_outcome(read_edge_list, text)
+    assert got == parse_outcome(support.reference_read_edge_list, text)
+    assert "need 0 <= u < v < n=3, got 0 18446744073709551617" in got[0]
+
+
+@pytest.mark.parametrize("text", ("3 1\n0 1\n2", "3 2\n0 1\n1 2", "3 1\n0 1\n2 "))
+def test_reader_matches_reference_on_an_unterminated_last_line(text):
+    # the last line lacks its '\n': the vectorized reader declines, and
+    # the line parser gives the reference's graph or error
+    assert _read_canonical(text) is None
+    assert parse_outcome(read_edge_list, text) == \
+        parse_outcome(support.reference_read_edge_list, text)
+
+
 def test_reader_builds_no_matrix_larger_than_the_text():
     g = read_edge_list("1000000 0\n")
     assert g.n == 1000000 and g.edge_count == 0

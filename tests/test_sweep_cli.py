@@ -193,6 +193,14 @@ def test_summarize_same_from_rows_or_csv():
     assert "gnp/greedy: rows=2 verified=2" in text
 
 
+def test_csv_round_trips_an_empty_seed():
+    # the CLI's record line writes seed None as an empty field
+    rows = (ExperimentRow("file", 5, Fraction(1, 2), None, "greedy", 3, "1/1", "", True),)
+    text = rows_to_csv(rows)
+    assert text.splitlines()[1] == "file,5,1/2,,greedy,3,1/1,,true"
+    assert read_csv(io.StringIO(text)) == rows
+
+
 # ---------------------------------------------------------------------------
 # CLI plumbing
 
