@@ -87,6 +87,13 @@ MUTANTS = (
            "x_star = int(np.argmax(ux))",
            "x_star = len(ux) - 1 - int(np.argmax(ux[::-1]))",
            ("tests/test_finders.py::test_qfull_matches_reference_on_gnp",)),
+    Mutant("swapped-out vertex keeps its X key", "fullsub/finders.py",
+           "ux[x], uy[y] = NEG, POS", "uy[y] = POS",
+           ("tests/test_finders.py::test_qfull_matches_reference_on_gnp",)),
+    Mutant("pin restores the wrong side", "fullsub/finders.py",
+           "ux[~in_x] = NEG\n                uy[in_x] = POS",
+           "ux[in_x] = NEG\n                uy[~in_x] = POS",
+           ("tests/test_finders.py::test_qfull_matches_reference_past_a_sentinel_pin",)),
 )
 
 

@@ -351,34 +351,42 @@ def qfull_partition(g: Graph, q, seed: Optional[int] = None) -> QFullOutcome:
     # a column slice, nor the n*n int64 copy a matrix product would make)
     dx = np.count_nonzero(adj[in_x], axis=0).astype(np.int64)
     u = a * deg - b * dx
-    adj8, b64 = adj.view(np.int8), np.int64(b)
-    NEG = np.int64(-(1 << 62))
-    POS = np.int64(1 << 62)
 
     if 0 < kx < n:
+        # The swap keys, kept across swaps: ux is u on X and NEG on Y, uy
+        # is POS on X and u on Y. A swap subtracts its row difference from
+        # both, so a sentinel drifts by at most b per swap; pinning them
+        # back every n // 2 swaps keeps the drift under b*n/2 < 2^61 (the
+        # refusal above), so NEG stays in (-2^63, -2^62) and POS in
+        # (2^62, 2^63), apart from every |u| <= b*(n-1) < 2^62: each
+        # argmax and argmin is the one over u on its side alone.
+        NEG = np.int64(-3 << 61)
+        POS = np.int64(3 << 61)
+        keys = np.array((np.where(in_x, u, NEG), np.where(in_x, POS, u)))
+        ux, uy = keys
+        adj8, b64 = adj.view(np.int8), np.int64(b)
+        step = np.empty(n, dtype=np.int64)
+        pin_every = max(1, n // 2)
         max_swaps = b * n * (n - 1) // 2 + n + 10
-        for _ in range(max_swaps):
-            ux = np.where(in_x, u, NEG)
-            uy = np.where(in_x, POS, u)
+        for swaps in range(1, max_swaps + 1):
             x_star = int(np.argmax(ux))
             y_star = int(np.argmin(uy))
-            gain_cap = int(u[x_star]) - int(u[y_star])
+            gain_cap = int(ux[x_star]) - int(uy[y_star])
             if gain_cap <= 0:
                 break
             swap = None
             if gain_cap - b * int(adj[x_star, y_star]) > 0:
                 swap = (x_star, y_star)
             else:
-                # all adjacent pairs are non-improving here; scan for a
-                # non-adjacent pair with positive u difference
-                y_floor = int(u[y_star])
-                for x in np.argsort(-ux, kind="stable"):
+                # all adjacent pairs are non-improving here; scan the x
+                # above the least u on Y, by falling u (ties to the smaller
+                # index), for a non-adjacent y with smaller u
+                tops = np.flatnonzero(ux > uy[y_star])
+                for x in tops[np.argsort(-ux[tops], kind="stable")]:
                     x = int(x)
-                    if not in_x[x] or int(u[x]) <= y_floor:
-                        break
-                    cand = np.where(~in_x & ~adj[x], u, POS)
+                    cand = np.where(adj[x], POS, uy)
                     y = int(np.argmin(cand))
-                    if int(cand[y]) < int(u[x]):
+                    if int(cand[y]) < int(ux[x]):
                         swap = (x, y)
                         break
             if swap is None:
@@ -386,9 +394,18 @@ def qfull_partition(g: Graph, q, seed: Optional[int] = None) -> QFullOutcome:
             x, y = swap
             in_x[x] = False
             in_x[y] = True
-            u -= b64 * (adj8[y] - adj8[x])  # d_X(v) moves by A[y,v] - A[x,v]
+            # d_X(v) moves by A[y,v] - A[x,v]; u moves by b times minus that
+            np.subtract(adj8[y], adj8[x], out=step)
+            np.multiply(step, b64, out=step)
+            keys -= step
+            uy[x], ux[y] = ux[x], uy[y]  # the two moved vertices change sides
+            ux[x], uy[y] = NEG, POS
+            if swaps % pin_every == 0:
+                ux[~in_x] = NEG
+                uy[in_x] = POS
         else:
             raise VerificationError("swap search exceeded its potential bound")
+        u = np.where(in_x, ux, uy)
 
     bx = np.flatnonzero(in_x & (u > 0))
     x_mask = _pack_rows(in_x[None])[0]

@@ -4,7 +4,8 @@ adversarial instances.
 Every generator is deterministic given its parameters (and seed, where
 one applies), platform-independent, and validated before generation.
 The adjacency masks they build are symmetric and loop-free by
-construction, so they go to Graph._from_adj without a second check.
+construction, so they go to Graph._from_adj (or Graph._from_matrix,
+for a G(n, p) matrix kept with its graph) without a second check.
 generate(GenSpec) dispatches by family tag using the same family names
 the command line accepts.
 """
@@ -42,14 +43,20 @@ class GenSpec:
     seed: int = 0
 
 
-def gen_gnp(n: int, p, seed: int) -> Graph:
+def gen_gnp(n: int, p, seed: int, keep_matrix: bool = False) -> Graph:
     """Erdos-Renyi G(n, p) with exact rational p: pair {u,v} is an edge
     when its 64-bit draw falls below floor(p * 2^64), so the per-edge
     bias is under 2^-64 (zero when the denominator is a power of two).
     Pairs are indexed in lexicographic order, independent of n's
     representation, so prefixes agree across runs. The draws fill the
     upper triangle of an n x n bool matrix a block of rows at a time
-    (rng._bernoulli), so the peak is that matrix plus one block."""
+    (rng._bernoulli), so the peak is that matrix plus one block.
+
+    With keep_matrix the matrix stays with the graph as its
+    Graph.matrix, so finders run on the graph need not unpack it from
+    the masks again. Without it the matrix is dropped once packed: a
+    graph that is only written out or certified would hold n^2 bytes
+    beside its n^2/8 bytes of masks."""
     if n < 0:
         raise PreconditionError(f"n must be nonnegative, got {n}")
     p = as_probability(p)
@@ -66,9 +73,7 @@ def gen_gnp(n: int, p, seed: int) -> Graph:
     # take the next n-1-u; the lower triangle is then mirrored in tiles
     _bernoulli(seed, p, [mat[u, u + 1:] for u in range(n - 1)])
     _symmetrize(mat)
-    # packed without priming Graph.matrix: many generated graphs are
-    # only written out, and the cache would hold n^2 bytes each
-    return Graph._from_adj(n, _pack_rows(mat))
+    return Graph._from_matrix(mat) if keep_matrix else Graph._from_adj(n, _pack_rows(mat))
 
 
 def gen_clique_plus_isolated(n: int, E: int) -> Graph:
@@ -250,13 +255,14 @@ def gen_glued(a: Graph, b: Graph, seed: int) -> Graph:
     return Graph._from_adj(2 * off, adj)
 
 
-def generate(spec: GenSpec):
+def generate(spec: GenSpec, keep_matrix: bool = False):
     """Dispatch a GenSpec to its family generator; returns
-    (Graph, meta) where meta always includes the realized density."""
+    (Graph, meta) where meta always includes the realized density.
+    keep_matrix goes to gen_gnp; the other families build masks only."""
     if spec.family == "gnp":
         if spec.p is None:
             raise PreconditionError("gnp requires p")
-        g = gen_gnp(spec.n, spec.p, spec.seed)
+        g = gen_gnp(spec.n, spec.p, spec.seed, keep_matrix)
         meta = {}
     elif spec.family == "clique-isolated":
         if spec.E is None:

@@ -96,14 +96,17 @@ def _validate(config: SweepConfig) -> None:
 def _run_group(task) -> list[ExperimentRow]:
     """The rows of one (family, n, p, seed) group: the graph is
     generated once, inside the first algorithm's cell, and every
-    algorithm runs on it, so later ones reuse its Graph.matrix."""
+    algorithm runs on it. A G(n, p) graph keeps the matrix it was
+    drawn into as its Graph.matrix; other families build it on first
+    use, and later algorithms reuse it."""
     family, n, p, seed, algos, r, c, timings, exact_cap = task
     g, rows = None, []
     for algo in algos:
         cell = f"family={family} n={n} p={frac_str(p)} seed={seed} algorithm={algo}"
         try:
             if g is None:  # generate ignores the p placeholder of other families
-                g, _ = generate(GenSpec(family, n, p=p, r=r, c=c, seed=seed))
+                g, _ = generate(GenSpec(family, n, p=p, r=r, c=c, seed=seed),
+                                keep_matrix=True)
             t0 = time.perf_counter()
             if algo == "greedy":
                 res = greedy_full(g)

@@ -378,6 +378,45 @@ def test_qfull_matches_reference_on_gnp(n, q):
         assert qfull_partition(g, q, seed) == support.reference_qfull_partition(g, q, seed)
 
 
+@pytest.mark.parametrize("n", [200, 600])
+@pytest.mark.parametrize("p", [Fraction(1, 4), Fraction(3, 4)])
+@pytest.mark.parametrize("q", QFULL_RATIOS)
+def test_qfull_matches_reference_on_sparser_and_denser_gnp(n, p, q):
+    g = gen_gnp(n, p, seed=n)
+    for seed in (None, 0, 1):
+        assert qfull_partition(g, q, seed) == support.reference_qfull_partition(g, q, seed)
+
+
+def test_qfull_matches_reference_on_gnp_2000():
+    g = gen_gnp(2000, HALF, seed=2000)
+    for seed in (None, 0, 1):
+        assert qfull_partition(g, HALF, seed) == \
+            support.reference_qfull_partition(g, HALF, seed)
+
+
+# (n, p, graph seed, q, start seed): G(n, p) inputs on which the swap
+# search makes 5 to 13 swaps, more than n // 2, so its sentinels are
+# pinned back at least once before it stops. The swap counts were read
+# from a copy of qfull_partition instrumented to count its loop, and the
+# "pin restores the wrong side" mutant of scripts/mutants.py fails here.
+PIN_CASES = [
+    (6, HALF, 33, Fraction(2, 5), 0),
+    (7, HALF, 86, Fraction(1, 3), 0),
+    (8, Fraction(1, 3), 192, Fraction(2, 5), 0),
+    (9, Fraction(1, 4), 120, Fraction(2, 5), 1),
+    (10, Fraction(1, 3), 135, HALF, None),
+    (12, Fraction(1, 3), 181, Fraction(1, 3), None),
+    (16, HALF, 44, Fraction(2, 5), 0),
+    (24, Fraction(2, 3), 1, Fraction(2, 5), 0),
+]
+
+
+@pytest.mark.parametrize("n, p, graph_seed, q, seed", PIN_CASES)
+def test_qfull_matches_reference_past_a_sentinel_pin(n, p, graph_seed, q, seed):
+    g = gen_gnp(n, p, graph_seed)
+    assert qfull_partition(g, q, seed) == support.reference_qfull_partition(g, q, seed)
+
+
 @given(graphs(min_n=1, max_n=8), proper_fractions, st.integers(0, 5))
 def test_qfull_seeded_starts_still_certify(g, q, seed):
     got = qfull_partition(g, q, seed=seed)

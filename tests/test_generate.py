@@ -90,6 +90,30 @@ def test_gnp_matches_reference_around_one_block(n, p):
     assert np.array_equal(gen_gnp(n, p, 3).matrix, want)
 
 
+@pytest.mark.parametrize("n", [2, 3, 724, 725])
+@pytest.mark.parametrize("p", [Fraction(1, 2), Fraction(1, 3)])
+def test_gnp_graph_keeps_its_generated_matrix_on_request(n, p):
+    want = support.reference_gnp_adjacency(n, p, 4)
+    for g in (gen_gnp(n, p, seed=4, keep_matrix=True),
+              generate(GenSpec("gnp", n, p=p, seed=4), keep_matrix=True)[0]):
+        assert "matrix" in g.__dict__  # no later unpack from the masks
+        assert not g.matrix.flags.writeable
+        assert np.array_equal(g.matrix, want)
+        assert np.array_equal(g.matrix, graph_mod._unpack_rows(g.adj, n))
+    for g in (gen_gnp(n, p, seed=4), generate(GenSpec("gnp", n, p=p, seed=4))[0]):
+        assert "matrix" not in g.__dict__
+        assert np.array_equal(g.matrix, want)
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 9])
+@pytest.mark.parametrize("p", [0, 1])
+def test_gnp_extreme_probabilities_give_their_matrix(n, p):
+    for keep in (False, True):
+        g = gen_gnp(n, p, seed=4, keep_matrix=keep)
+        assert np.array_equal(g.matrix, support.reference_gnp_adjacency(n, p, 4))
+        assert np.array_equal(g.matrix, graph_mod._unpack_rows(g.adj, n))
+
+
 @pytest.mark.parametrize("n", [4, 5, 6, 13])
 @pytest.mark.parametrize("p", [Fraction(1, 2), Fraction(1, 3)])
 def test_initial_mask_block_boundaries_match_reference(monkeypatch, n, p):

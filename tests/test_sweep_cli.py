@@ -143,14 +143,30 @@ def test_sweep_generates_each_graph_once(monkeypatch):
     specs = []
     real = sweep_mod.generate
 
-    def counting(spec):
+    def counting(spec, **kwargs):
         specs.append((spec.n, spec.p, spec.seed))
-        return real(spec)
+        return real(spec, **kwargs)
 
     monkeypatch.setattr(sweep_mod, "generate", counting)
     rows = run_sweep(SweepConfig(**MIXED))
     assert specs == list(itertools.product(MIXED["n_grid"], MIXED["p_grid"], MIXED["seeds"]))
     assert len(rows) == 3 * len(specs)
+
+
+def test_sweep_finders_get_the_generated_matrix(monkeypatch):
+    import fullsub.sweep as sweep_mod
+
+    primed = []
+    real = sweep_mod.greedy_full
+
+    def recording(g):
+        primed.append("matrix" in g.__dict__)
+        return real(g)
+
+    monkeypatch.setattr(sweep_mod, "greedy_full", recording)
+    run_sweep(SweepConfig(n_grid=(30,), p_grid=(Fraction(1, 2),), seeds=(0, 1),
+                          algorithms=("greedy",)))
+    assert primed == [True, True]
 
 
 @pytest.mark.parametrize("threads", [1, 2])
