@@ -68,8 +68,32 @@ MUTANTS = (
            ("tests/test_generate.py::test_gnp_matches_reference_fill",
             "tests/test_percolation.py::test_initial_sample_matches_reference")),
     Mutant("peel keeps deleted vertices", "fullsub/finders.py",
-           "_pack_rows((deg < n)[None])", "_pack_rows((deg >= 0)[None])",
+           "np.flatnonzero(deg < n)", "np.flatnonzero(deg >= 0)",
            ("tests/test_finders.py::test_peel_matches_reference_on_gnp",)),
+    Mutant("byte-wide in-set degree total", "fullsub/graph.py",
+           "dtype=np.uint16 if n < 1 << 16 else np.uint32", "dtype=np.uint8",
+           ("tests/test_finders.py::test_matrix_certification_matches_the_mask_walk",)),
+    Mutant("block of 256 rows summed as bytes", "fullsub/graph.py",
+           "_BYTE_ROWS = 128", "_BYTE_ROWS = 256",
+           ("tests/test_finders.py::test_matrix_certification_matches_the_mask_walk",)),
+    Mutant("violator picked one past the first", "fullsub/finders.py",
+           "return int(idx[bad.argmax()]) if bad.any() else None",
+           "return int(idx[min(bad.argmax() + 1, len(idx) - 1)]) if bad.any() else None",
+           ("tests/test_finders.py::test_matrix_certification_matches_the_mask_walk",)),
+    Mutant("relative check scales in int64 at any q", "fullsub/finders.py",
+           "np.int64 if max(abs(a), b) * g.n < 1 << 63 else object", "np.int64",
+           ("tests/test_finders.py::test_matrix_certification_matches_the_mask_walk",)),
+    Mutant("certification primes the matrix", "fullsub/graph.py",
+           'if "matrix" in g.__dict__:\n        return _column_counts',
+           'if True:\n        return _column_counts',
+           ("tests/test_finders.py::test_certifying_a_mask_graph_builds_no_matrix",)),
+    Mutant("vertex array taken unsorted", "fullsub/graph.py",
+           "inside[ids] = True\n    return np.flatnonzero(inside)",
+           "inside[ids] = True\n    return ids",
+           ("tests/test_finders.py::test_certification_reads_any_array_as_a_set",)),
+    Mutant("text written a character short per piece", "fullsub/cli.py",
+           "fh.write(text[start:start + _PIECE])", "fh.write(text[start:start + _PIECE - 1])",
+           ("tests/test_sweep_cli.py::test_cli_gen_writes_the_reference_text",)),
     Mutant("canonical reader takes self-loops", "fullsub/graph.py",
            "if (u >= v).any()", "if (u > v).any()",
            ("tests/test_graph.py::test_vectorized_reader_matches_reference_parser_across_blocks"

@@ -10,6 +10,7 @@ parse errors.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import sys
 from fractions import Fraction
 
@@ -81,12 +82,16 @@ def _read_graph(path: str):
         return read_edge_list(fh.read())
 
 
+_PIECE = 1 << 16  # characters handed to a text file per write
+
+
 def _write_text(text: str, path: str) -> None:
-    if path == "-":
-        sys.stdout.write(text)
-    else:
-        with open(path, "w", encoding="ascii", newline="") as fh:
-            fh.write(text)
+    """Write text to path, or to stdout for "-", _PIECE characters at a
+    time: a text file encodes a copy of each string it is given whole."""
+    with (contextlib.nullcontext(sys.stdout) if path == "-"
+          else open(path, "w", encoding="ascii", newline="")) as fh:
+        for start in range(0, len(text), _PIECE):
+            fh.write(text[start:start + _PIECE])
 
 
 def _witness_line(vertices) -> str:

@@ -29,7 +29,8 @@ from typing import Iterable, Iterator, Optional
 import numpy as np
 
 from .graph import (Graph, PreconditionError, VerificationError, _check_memory,
-                    _degrees_within, _pack_rows, as_mask, as_probability, from_mask, lex_less)
+                    _as_index, _column_counts, _degrees_within, _pack_rows, as_probability,
+                    from_mask, lex_less)
 from .rng import philox, split_seed
 
 EXACT_CAP_DEFAULT = 20
@@ -73,9 +74,9 @@ class JumblednessBoundReport:
 def edge_surplus(g: Graph, p, vertices) -> Fraction:
     """e(X) - p*C(|X|,2), exactly. Subsets of size <= 1 score 0."""
     p = Fraction(p)
-    degs = _degrees_within(g, as_mask(vertices, g.n))
+    degs = _degrees_within(g, _as_index(vertices, g.n))
     size = len(degs)
-    return sum(degs) // 2 - p * Fraction(size * (size - 1), 2)
+    return int(degs.sum()) // 2 - p * Fraction(size * (size - 1), 2)
 
 
 def _check_sign(sign: str) -> None:
@@ -362,8 +363,7 @@ def _climb(g: Graph, num: int, den: int, orient: int, in_set: np.ndarray,
     adj = g.matrix
     n = g.n
     low = -n - 1  # below every orient * d[v]
-    # counted on a column slice (n*|X| bytes, not an n*n int64 copy)
-    d = np.count_nonzero(adj[:, in_set], axis=1).astype(np.int64)
+    d = _column_counts(adj, np.flatnonzero(in_set)).astype(np.int64)
     size = int(np.count_nonzero(in_set))
     e = int(d[in_set].sum()) // 2
 

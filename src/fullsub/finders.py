@@ -18,9 +18,10 @@ reference density. This module houses:
   - largest_full_or_cofull: best of both orientations.
 
 The bar p(m-1) has one integer form, _fullness_bar, and in-set degrees
-one walk, graph._degrees_within. Every FullSubgraphResult leaves
-through _certified, which checks the witness against the bar and takes
-its minimum degree from the same walk; a failure raises
+one count, graph._degrees_within. Vertex sets stay sorted index arrays
+inside the finders. Every FullSubgraphResult leaves through _certified,
+which checks the witness against the bar, takes its minimum degree from
+the same count and makes it a frozenset; a failure raises
 VerificationError because it can only mean an implementation bug.
 """
 
@@ -40,16 +41,14 @@ from .graph import (
     Graph,
     PreconditionError,
     VerificationError,
+    _as_index,
+    _column_counts,
     _degrees_within,
-    _pack_rows,
-    as_mask,
     as_probability,
     complement,
     density,
-    from_mask,
     induced_subgraph,
     iter_bits,
-    to_mask,
 )
 from .rng import philox, split_seed
 
@@ -121,15 +120,14 @@ def _fullness_bar(p: Fraction, m: int, mode: str) -> int:
     raise ValueError(f"mode must be 'full' or 'cofull', got {mode!r}")
 
 
-def _first_violator(p: Fraction, mask: int, degs: list[int], mode: str) -> Optional[int]:
-    """The smallest member of mask whose in-set degree (degs, as from
-    _degrees_within) misses the fullness bar at p, or None."""
-    bar = _fullness_bar(p, len(degs), mode)
-    if mode == "cofull":
-        degs, bar = [-d for d in degs], -bar
-    if min(degs, default=bar) >= bar:
-        return None
-    return next(v for v, d in zip(iter_bits(mask), degs) if d < bar)
+def _first_violator(p: Fraction, idx: np.ndarray, degs: np.ndarray,
+                    mode: str) -> Optional[int]:
+    """The smallest member of the vertex set idx, a sorted index array,
+    whose in-set degree (degs, as from _degrees_within) misses the
+    fullness bar at p, or None."""
+    bar = _fullness_bar(p, len(idx), mode)
+    bad = degs > bar if mode == "cofull" else degs < bar
+    return int(idx[bad.argmax()]) if bad.any() else None
 
 
 def is_full(g: Graph, p, vertices, mode: str = "full"):
@@ -137,8 +135,8 @@ def is_full(g: Graph, p, vertices, mode: str = "full"):
     else (False, v) for the smallest violating vertex. Empty sets and
     singletons pass vacuously."""
     p = Fraction(p)
-    mask = as_mask(vertices, g.n)
-    bad = _first_violator(p, mask, _degrees_within(g, mask), mode)
+    idx = _as_index(vertices, g.n)
+    bad = _first_violator(p, idx, _degrees_within(g, idx), mode)
     return bad is None, bad
 
 
@@ -146,26 +144,26 @@ def is_relatively_full(g: Graph, q, vertices):
     """(True, None) when every member v keeps d_S(v) >= q * d_G(v),
     else (False, v) for the smallest violating vertex."""
     q = Fraction(q)
-    a, b = q.numerator, q.denominator
-    mask = as_mask(vertices, g.n)
-    for v, d in zip(iter_bits(mask), _degrees_within(g, mask)):
-        if b * d < a * g.degrees[v]:
-            return False, v
-    return True, None
+    a, b, idx = q.numerator, q.denominator, _as_index(vertices, g.n)
+    exact = np.int64 if max(abs(a), b) * g.n < 1 << 63 else object  # degrees are below n
+    bad = b * _degrees_within(g, idx).astype(exact) < a * np.array(g.degrees, dtype=exact)[idx]
+    return (False, int(idx[bad.argmax()])) if bad.any() else (True, None)
 
 
-def _certified(g: Graph, p: Fraction, mask: int, guarantee: Optional[Fraction] = None,
+def _certified(g: Graph, p: Fraction, vertices, guarantee: Optional[Fraction] = None,
                trace: Optional[tuple[int, ...]] = None,
                mode: str = "full") -> FullSubgraphResult:
-    """The result for the witness mask once it is certified full (or
-    co-full) at p, its minimum degree read off the same degree walk; a
-    failure raises VerificationError, since it means a finder bug."""
-    degs = _degrees_within(g, mask)
-    bad = _first_violator(p, mask, degs, mode)
+    """The result for the witness (a mask or a sorted index array) once
+    it is certified full (or co-full) at p, its minimum degree read off
+    the same degrees; a failure raises VerificationError, since it means
+    a finder bug."""
+    idx = _as_index(vertices, g.n)
+    degs = _degrees_within(g, idx)
+    bad = _first_violator(p, idx, degs, mode)
     if bad is not None:
         raise VerificationError(f"witness not {mode} at p={p}: vertex {bad}")
-    return FullSubgraphResult(from_mask(mask), len(degs), p, min(degs, default=0),
-                              guarantee, trace)
+    return FullSubgraphResult(frozenset(idx.tolist()), len(idx), p,
+                              int(degs.min()) if len(idx) else 0, guarantee, trace)
 
 
 def oracle_largest_full(g: Graph, p, mode: str = "full",
@@ -249,7 +247,8 @@ def _peel(g: Graph, p: Fraction, tie_break: str = "min-index",
     """Delete minimum-degree vertices until the survivors are full at p,
     or until stop(count, dmin) holds before a deletion; returns the
     survivors' mask, the deleted vertices in order and whether stop
-    fired. tie_break is as in greedy_full; n must be positive.
+    fired. tie_break is as in greedy_full; n must be positive. The
+    survivors come as a sorted index array.
 
     The degree table is dense, a deleted vertex's entry starts at _GONE
     and loses at most n - 1, so it stays above every live degree: argmin
@@ -278,7 +277,7 @@ def _peel(g: Graph, p: Fraction, tie_break: str = "min-index",
         np.subtract(deg, rows[victim], out=deg)
         trace.append(victim)
         last = victim
-    return _pack_rows((deg < n)[None])[0], tuple(trace), stopped
+    return np.flatnonzero(deg < n), tuple(trace), stopped
 
 
 def greedy_full(g: Graph, p=None, tie_break: str = "min-index",
@@ -302,7 +301,7 @@ def greedy_full(g: Graph, p=None, tie_break: str = "min-index",
     p = density(g) if p is None else as_probability(p)
     if g.n == 0:
         return _certified(g, p, 0, None, ())
-    mask, trace, _ = _peel(g, p, tie_break)
+    kept, trace, _ = _peel(g, p, tie_break)
     guarantee = None
     if alpha is not None:
         alpha = Fraction(alpha)
@@ -310,7 +309,7 @@ def greedy_full(g: Graph, p=None, tie_break: str = "min-index",
             if p == 1:
                 raise ValueError("alpha > 0 is impossible at p = 1")
             guarantee = Fraction(ceil_sqrt_frac(2 * alpha / (1 - p)))
-    return _certified(g, p, mask, guarantee, trace)
+    return _certified(g, p, kept, guarantee, trace)
 
 
 def qfull_partition(g: Graph, q, seed: Optional[int] = None) -> QFullOutcome:
@@ -347,9 +346,9 @@ def qfull_partition(g: Graph, q, seed: Optional[int] = None) -> QFullOutcome:
     in_x = np.zeros(n, dtype=bool)
     in_x[order[:kx]] = True
 
-    # neighbours inside X, counted down the contiguous rows of X (not
-    # a column slice, nor the n*n int64 copy a matrix product would make)
-    dx = np.count_nonzero(adj[in_x], axis=0).astype(np.int64)
+    # neighbours inside X, summed down the contiguous rows of X as bytes
+    # (not a column slice, nor the n*n int64 copy a matrix product would make)
+    dx = _column_counts(adj, np.flatnonzero(in_x)).astype(np.int64)
     u = a * deg - b * dx
 
     if 0 < kx < n:
@@ -407,30 +406,27 @@ def qfull_partition(g: Graph, q, seed: Optional[int] = None) -> QFullOutcome:
             raise VerificationError("swap search exceeded its potential bound")
         u = np.where(in_x, ux, uy)
 
+    xs, ys = np.flatnonzero(in_x), np.flatnonzero(~in_x)
+    x_set, y_set = frozenset(xs.tolist()), frozenset(ys.tolist())
     bx = np.flatnonzero(in_x & (u > 0))
-    x_mask = _pack_rows(in_x[None])[0]
-    y_mask = ((1 << n) - 1) ^ x_mask
-    x_set = from_mask(x_mask)
-    y_set = from_mask(y_mask)
     if bx.size == 0:
-        _certify_relative(g, q, x_mask, "variant i")
+        _certify_relative(g, q, xs, "variant i")
         return QFullOutcome("i", q, set_q=x_set, x_side=x_set, y_side=y_set)
     by = np.flatnonzero(~in_x & (u < 0))
     if by.size == 0:
-        _certify_relative(g, 1 - q, y_mask, "variant ii")
+        _certify_relative(g, 1 - q, ys, "variant ii")
         return QFullOutcome("ii", q, set_1mq=y_set, x_side=x_set, y_side=y_set)
-    x0 = int(bx[0])
-    y0 = int(by[0])
-    grown_x = x_mask | (1 << y0)
-    grown_y = y_mask | (1 << x0)
+    grown_x, grown_y = in_x.copy(), ~in_x
+    grown_x[by[0]] = grown_y[bx[0]] = True
+    grown_x, grown_y = np.flatnonzero(grown_x), np.flatnonzero(grown_y)
     _certify_relative(g, q, grown_x, "variant iii (q side)")
     _certify_relative(g, 1 - q, grown_y, "variant iii (1-q side)")
-    return QFullOutcome("iii", q, set_q=from_mask(grown_x),
-                        set_1mq=from_mask(grown_y), x_side=x_set, y_side=y_set)
+    return QFullOutcome("iii", q, set_q=frozenset(grown_x.tolist()),
+                        set_1mq=frozenset(grown_y.tolist()), x_side=x_set, y_side=y_set)
 
 
-def _certify_relative(g: Graph, q: Fraction, mask: int, label: str) -> None:
-    ok, bad = is_relatively_full(g, q, mask)
+def _certify_relative(g: Graph, q: Fraction, vertices, label: str) -> None:
+    ok, bad = is_relatively_full(g, q, vertices)
     if not ok:
         raise VerificationError(f"{label} witness not relatively {q}-full at vertex {bad}")
 
@@ -441,7 +437,6 @@ def half_full(g: Graph, seed: Optional[int] = None) -> RelativelyFullResult:
     from variant iii we keep the (1-q) side, which has floor(n/2)+1."""
     out = qfull_partition(g, Fraction(1, 2), seed=seed)
     chosen = out.set_q if out.variant == "i" else out.set_1mq
-    assert chosen is not None
     return RelativelyFullResult(chosen, len(chosen), Fraction(1, 2))
 
 
@@ -459,7 +454,7 @@ def one_over_r_full(g: Graph, r: int, seed: Optional[int] = None) -> RelativelyF
         raise PreconditionError(f"r must be a positive integer, got {r}")
     n0 = g.n
     halving = r & (r - 1) == 0
-    labels = tuple(range(n0))
+    labels = np.arange(n0)
     cur = g
     rr = r
     level = 0
@@ -473,20 +468,19 @@ def one_over_r_full(g: Graph, r: int, seed: Optional[int] = None) -> RelativelyF
             keep, rr = out.set_1mq, rr - 1
         else:
             keep, rr = out.set_q, 1
-        assert keep is not None
-        labels = tuple(labels[j] for j in sorted(keep))
+        keep = _as_index(keep, cur.n)
+        labels = labels[keep]
         if rr > 1:
             cur = induced_subgraph(cur, keep)[0]
         level += 1
-    final = frozenset(labels)
 
-    _certify_relative(g, Fraction(1, r), to_mask(final, n0), "one_over_r_full")
+    _certify_relative(g, Fraction(1, r), labels, "one_over_r_full")
     lo = n0 // r
     hi = -((-n0) // r) + 1
-    if not lo <= len(final) <= hi:
+    if not lo <= len(labels) <= hi:
         raise VerificationError(
-            f"1/{r}-full witness size {len(final)} outside [{lo}, {hi}]")
-    return RelativelyFullResult(final, len(final), Fraction(1, r))
+            f"1/{r}-full witness size {len(labels)} outside [{lo}, {hi}]")
+    return RelativelyFullResult(frozenset(labels.tolist()), len(labels), Fraction(1, r))
 
 
 def two_thirds_size_floor(n: int, p) -> int:
@@ -546,12 +540,10 @@ def full_two_thirds(g: Graph) -> FullSubgraphResult:
         r_i = d_i % r
         return r_i * den <= (den - num) * r and dmin >= d_i - r_i + 1
 
-    mask, trace, switched = _peel(g, p, stop=aligned)
+    kept, trace, switched = _peel(g, p, stop=aligned)
     if switched:
-        sub, sub_labels = induced_subgraph(g, mask)
-        rel = one_over_r_full(sub, r)
-        mask = to_mask((sub_labels[j] for j in rel.vertices), n)
-    res = _certified(g, p, mask, Fraction(s_min), trace)
+        kept = kept[sorted(one_over_r_full(induced_subgraph(g, kept)[0], r).vertices)]
+    res = _certified(g, p, kept, Fraction(s_min), trace)
     if res.size < s_min:
         raise VerificationError(f"output size {res.size} below the bound {s_min}")
     return res

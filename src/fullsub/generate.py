@@ -52,11 +52,10 @@ def gen_gnp(n: int, p, seed: int, keep_matrix: bool = False) -> Graph:
     upper triangle of an n x n bool matrix a block of rows at a time
     (rng._bernoulli), so the peak is that matrix plus one block.
 
-    With keep_matrix the matrix stays with the graph as its
-    Graph.matrix, so finders run on the graph need not unpack it from
-    the masks again. Without it the matrix is dropped once packed: a
-    graph that is only written out or certified would hold n^2 bytes
-    beside its n^2/8 bytes of masks."""
+    With keep_matrix the matrix becomes the graph's Graph.matrix and no
+    mask is packed, for finders that read the matrix. Without it the
+    graph holds its n^2/8 bytes of masks alone: one that is only
+    certified or written out would otherwise hold n^2 bytes."""
     if n < 0:
         raise PreconditionError(f"n must be nonnegative, got {n}")
     p = as_probability(p)

@@ -1,26 +1,26 @@
 """Immutable simple graphs over vertices 0..n-1 with exact rational density.
 
-Adjacency lives in one Python int bitmask per vertex, so counting a
-neighbourhood inside a vertex subset is a single AND plus popcount even
-for a few thousand vertices. The vectorized kernels read the same
-adjacency as Graph.matrix, a read-only numpy bool matrix built once per
-graph; this module is the only place that converts between the two
-forms. Reading a canonical edge list builds the matrix first and packs
-the masks from it. It decodes each block of text with one scan for the
-separators and reads every token from the eight bytes that end at it,
-folding the digits of a 64-bit word in three multiply-shift-mask steps
-(_word_value). A matrix is mirrored by _symmetrize, which ORs in
-its transpose one pair of 512 x 512 tiles at a time, so that the
-strided reads stay in cache. Before any n x n matrix is allocated,
-_check_dense_size refuses one larger than physical memory, and the
-exact kernels refuse their tables the same way through _check_memory.
-Graphs are frozen after construction and every function in this
-package treats them as shared read-only values; all density and degree
-arithmetic is exact (integers and Fractions).
+A Graph holds the form it was built from and builds the other on first
+use: Graph.adj, one Python int bitmask per vertex, or Graph.matrix, a
+read-only numpy bool matrix. Graphs built from edges or masks hold
+masks; a G(n, p) graph kept with its matrix, an induced subgraph and a
+graph read from canonical text hold the matrix, with degrees from its
+column sums (_column_counts). Inside the package a vertex set is a
+sorted index array (_as_index), and in-set degrees are read from the
+matrix when it is there, by the mask walk only when the graph holds
+masks alone (_degrees_within). This module is the only place that
+converts between the two forms; canonical edge-list text is decoded
+straight into a matrix (_read_canonical). Before any n x n matrix or
+exact table is allocated, _check_memory refuses one larger than
+physical memory or the cgroup's memory limit. Graphs are frozen after
+construction and every function in this package treats them as shared
+read-only values; all density and degree arithmetic is exact (integers
+and Fractions).
 """
 
 from __future__ import annotations
 
+import functools
 import os
 import re
 from dataclasses import dataclass
@@ -55,20 +55,54 @@ def as_probability(p, name: str = "p") -> Fraction:
     return p
 
 
+_CGROUP_MEMORY_MAX = "/sys/fs/cgroup/memory.max"
+
+
+@functools.cache
+def _cgroup_limit() -> int | None:
+    """The limit in the cgroup v2 file memory.max, read (never written)
+    once per process; None when the file is missing or reads "max"."""
+    try:
+        with open(_CGROUP_MEMORY_MAX, encoding="ascii") as fh:
+            limit = fh.read().strip()
+    except OSError:
+        return None
+    return None if limit == "max" else int(limit)
+
+
 def _check_memory(nbytes: int, what: str) -> None:
     """Refuse, before allocating it, a table of nbytes bytes that exceeds
-    the machine's physical memory; what names the table."""
-    memory = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    the machine's physical memory or the cgroup's limit (_cgroup_limit),
+    whichever is smaller; what names the table."""
+    memory, where = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES"), "physical memory"
+    limit = _cgroup_limit()
+    if limit is not None and limit < memory:
+        memory, where = limit, "cgroup memory limit"
     if nbytes > memory:
         raise PreconditionError(
-            f"{what} needs {nbytes} bytes, more than the "
-            f"{memory} bytes of physical memory")
+            f"{what} needs {nbytes} bytes, more than the {memory} bytes of {where}")
 
 
 def _check_dense_size(n: int) -> None:
     """Refuse, before allocating it, an n x n bool matrix whose n^2
-    bytes exceed the machine's physical memory."""
+    bytes exceed the memory _check_memory allows."""
     _check_memory(n * n, f"a dense {n} x {n} matrix")
+
+
+_BYTE_ROWS = 128  # rows summed as bytes at a time: at most 255, so no byte overflows
+
+
+def _column_counts(mat: np.ndarray, rows: np.ndarray | None = None) -> np.ndarray:
+    """Column sums of an n x n bool matrix with a zero diagonal over the
+    rows given as an index array (None: every row), so at most n - 1:
+    exact in uint16 while n < 2^16. Each block of _BYTE_ROWS rows is
+    summed as bytes while it is in cache, and added to the total."""
+    u8, n = mat.view(np.uint8), mat.shape[1]
+    total = np.zeros(n, dtype=np.uint16 if n < 1 << 16 else np.uint32)
+    for s in range(0, len(u8) if rows is None else len(rows), _BYTE_ROWS):
+        block = u8[s:s + _BYTE_ROWS] if rows is None else u8[rows[s:s + _BYTE_ROWS]]
+        total += block.sum(axis=0, dtype=np.uint8)
+    return total
 
 
 def to_mask(vertices: Iterable[int], n: int) -> int:
@@ -81,10 +115,21 @@ def to_mask(vertices: Iterable[int], n: int) -> int:
     return mask
 
 
-def as_mask(vertices, n: int) -> int:
-    """A vertex set as a bitmask: an int is taken as one already, any
-    other iterable of ids is packed by to_mask."""
-    return vertices if isinstance(vertices, int) else to_mask(vertices, n)
+def _as_index(vertices, n: int) -> np.ndarray:
+    """A vertex set as its sorted index array: an int is a bitmask, any
+    other iterable of ids is taken as a set; ids outside 0..n-1 are refused."""
+    if isinstance(vertices, int):
+        if vertices >> n:
+            raise ValueError(f"mask {vertices:#x} mentions vertices outside 0..{n - 1}")
+        return np.flatnonzero(_unpack_rows([vertices], n)[0])
+    ids = np.asarray(vertices if isinstance(vertices, np.ndarray) else list(vertices),
+                     dtype=np.intp)
+    for v in (ids.min(), ids.max()) if ids.size else ():
+        if not 0 <= v < n:
+            raise ValueError(f"vertex {v} out of range 0..{n - 1}")
+    inside = np.zeros(n, dtype=np.bool_)
+    inside[ids] = True
+    return np.flatnonzero(inside)
 
 
 def _pack_rows(rows: np.ndarray) -> list[int]:
@@ -152,12 +197,12 @@ def lex_less(a: int, b: int) -> bool:
     return (a & ~(low - 1)) == 0
 
 
-@dataclass(frozen=True, repr=False)
+@dataclass(frozen=True, eq=False, repr=False)
 class Graph:
-    """A labelled simple graph. Build via from_edges or from_masks."""
+    """A labelled simple graph. Build via from_edges or from_masks.
+    Graphs on the same edges are equal whichever form they hold."""
 
     n: int
-    adj: tuple[int, ...]
     degrees: tuple[int, ...]
     edge_count: int
 
@@ -204,17 +249,26 @@ class Graph:
         degrees = tuple(m.bit_count() for m in adj)
         total = sum(degrees)
         assert total % 2 == 0
-        return cls(n=n, adj=tuple(adj), degrees=degrees, edge_count=total // 2)
+        g = cls(n, degrees, total // 2)
+        g.__dict__["adj"] = tuple(adj)
+        return g
 
     @classmethod
     def _from_matrix(cls, mat: np.ndarray) -> "Graph":
         """Build from a symmetric bool matrix with a zero diagonal
         (not checked). The matrix is taken over, not copied: it becomes
-        the graph's read-only Graph.matrix."""
-        g = cls._from_adj(mat.shape[0], _pack_rows(mat))
+        the graph's read-only Graph.matrix, and no mask is packed."""
+        degrees = tuple(_column_counts(mat).tolist())  # = row sums, by symmetry
         mat.setflags(write=False)
+        g = cls(mat.shape[0], degrees, sum(degrees) // 2)
         g.__dict__["matrix"] = mat
         return g
+
+    @cached_property
+    def adj(self) -> tuple[int, ...]:
+        """One neighbour bitmask per vertex (bit u of adj[v]: edge uv);
+        a graph built from a matrix packs them on first use and caches them."""
+        return tuple(_pack_rows(self.matrix))
 
     @cached_property
     def matrix(self) -> np.ndarray:
@@ -224,6 +278,17 @@ class Graph:
         mat = _unpack_rows(self.adj, self.n)
         mat.setflags(write=False)
         return mat
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, Graph):
+            return NotImplemented
+        if "adj" in self.__dict__ and "adj" in other.__dict__:
+            return (self.n, self.adj) == (other.n, other.adj)
+        return ((self.n, self.degrees) == (other.n, other.degrees)
+                and all(map(np.array_equal, _rows(self), _rows(other))))
+
+    def __hash__(self) -> int:
+        return hash((self.n, self.edge_count, self.degrees))
 
     def degree(self, v: int) -> int:
         return self.degrees[v]
@@ -260,23 +325,27 @@ def density(g: Graph) -> Fraction:
     return Fraction(2 * g.edge_count, g.n * (g.n - 1))
 
 
-def _degrees_within(g: Graph, mask: int) -> list[int]:
-    """d_S(v) for each member v of the vertex set S given by mask, in
-    increasing vertex order."""
-    adj = g.adj
-    return [(adj[v] & mask).bit_count() for v in iter_bits(mask)]
+def _degrees_within(g: Graph, idx: np.ndarray) -> np.ndarray:
+    """d_S(v) for each member v of S, a sorted index array, in order:
+    column sums over the rows of S when Graph.matrix is there, else the
+    mask walk, so that this never builds the matrix."""
+    if "matrix" in g.__dict__:
+        return _column_counts(g.matrix, idx)[idx]
+    inside = np.zeros(g.n, dtype=np.bool_)
+    inside[idx] = True
+    mask, adj = _pack_rows(inside[None])[0], g.adj
+    return np.array([(adj[v] & mask).bit_count() for v in idx.tolist()], dtype=np.int64)
 
 
 def induced_subgraph(g: Graph, vertices: Iterable[int]) -> tuple[Graph, tuple[int, ...]]:
     """Induced subgraph plus the relabelling map.
 
     Returns (h, labels) where labels[i] is the original id of vertex i
-    of h; labels are sorted ascending.
+    of h; labels are sorted ascending. h holds its matrix only.
     """
-    labels = tuple(iter_bits(as_mask(vertices, g.n)))
-    idx = np.array(labels, dtype=np.intp)  # rows, then columns: np.ix_ is ~3x slower
+    idx = _as_index(vertices, g.n)  # rows, then columns: np.ix_ is ~3x slower
     sub = g.matrix[idx].view(np.uint8).take(idx, axis=1).view(np.bool_)
-    return Graph._from_matrix(sub), labels
+    return Graph._from_matrix(sub), tuple(idx.tolist())
 
 
 def complement(g: Graph) -> Graph:
@@ -284,16 +353,24 @@ def complement(g: Graph) -> Graph:
     return Graph._from_adj(g.n, [full ^ m ^ (1 << v) for v, m in enumerate(g.adj)])
 
 
+def _rows(g: Graph) -> Iterator[np.ndarray]:
+    """Each vertex's bool adjacency row: Graph.matrix's when it is
+    there, else its mask unpacked alone, building no n x n matrix."""
+    if "matrix" in g.__dict__:
+        return iter(g.matrix)
+    return (_unpack_rows([m], g.n)[0] for m in g.adj)
+
+
 def write_edge_list(g: Graph) -> str:
     """Canonical text form: header "n m", then one "u v" line per edge
     with u < v, edges sorted lexicographically. The text is joined from
-    one string per vertex, formatted from that vertex's unpacked mask
-    with a table of vertex names, so no string per edge outlives its row
-    and no n x n matrix is built."""
+    one string per vertex, formatted from its row (_rows) with a table
+    of vertex names, so no string per edge outlives its row and no n x n
+    matrix is built."""
     names = [str(v) for v in range(g.n)]
     rows = [f"{g.n} {g.edge_count}\n"]
-    for u, m in enumerate(g.adj):
-        vs = (np.flatnonzero(_unpack_rows([m], g.n)[0, u + 1:]) + (u + 1)).tolist()
+    for u, row in enumerate(_rows(g)):
+        vs = (np.flatnonzero(row[u + 1:]) + (u + 1)).tolist()
         if vs:
             rows.append(f"{u} " + f"\n{u} ".join(map(names.__getitem__, vs)) + "\n")
     return "".join(rows)

@@ -24,8 +24,7 @@ from typing import Iterator
 import numpy as np
 
 from .finders import is_relatively_full
-from .graph import (Graph, PreconditionError, _check_memory, _pack_rows, _unpack_rows, as_mask,
-                    as_probability)
+from .graph import Graph, PreconditionError, _as_index, _check_memory, _pack_rows, as_probability
 from .rng import _bernoulli, split_seed
 
 THETA_CAP_DEFAULT = 16
@@ -73,7 +72,9 @@ def _percolate_rows(g: Graph, infected: np.ndarray) -> tuple[np.ndarray, np.ndar
 def bootstrap_percolate(g: Graph, initial) -> PercolationState:
     """Run synchronous rounds until no new vertex is infected; at most
     n rounds since each round infects at least one vertex."""
-    final, rounds = _percolate_rows(g, _unpack_rows([as_mask(initial, g.n)], g.n))
+    start = np.zeros((1, g.n), dtype=np.bool_)
+    start[0, _as_index(initial, g.n)] = True
+    final, rounds = _percolate_rows(g, start)
     return PercolationState(frozenset(np.flatnonzero(final[0]).tolist()), int(rounds[0]))
 
 

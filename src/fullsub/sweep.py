@@ -96,9 +96,10 @@ def _validate(config: SweepConfig) -> None:
 def _run_group(task) -> list[ExperimentRow]:
     """The rows of one (family, n, p, seed) group: the graph is
     generated once, inside the first algorithm's cell, and every
-    algorithm runs on it. A G(n, p) graph keeps the matrix it was
-    drawn into as its Graph.matrix; other families build it on first
-    use, and later algorithms reuse it."""
+    algorithm runs on it. A G(n, p) graph holds the matrix it was drawn
+    into as its Graph.matrix, and no masks unless a finder asks for
+    them; other families build the matrix on first use, and later
+    algorithms reuse it."""
     family, n, p, seed, algos, r, c, timings, exact_cap = task
     g, rows = None, []
     for algo in algos:

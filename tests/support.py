@@ -430,6 +430,30 @@ def brute_is_full(g: Graph, p, xs, mode: str = "full") -> bool:
     return True
 
 
+def reference_masks(g: Graph) -> list[int]:
+    """One neighbour bitmask per vertex, summed bit by bit from the rows
+    of g.matrix."""
+    return [sum(1 << int(u) for u in np.flatnonzero(row)) for row in g.matrix]
+
+
+def reference_degrees_within(masks: list[int], xs) -> list[int]:
+    """d_S(v) for each member of S in increasing order, by the mask walk
+    (one AND and popcount per member) over the given masks."""
+    members = sorted(set(xs))
+    inside = sum(1 << v for v in members)
+    return [(masks[v] & inside).bit_count() for v in members]
+
+
+def reference_violator(masks: list[int], xs, keeps) -> Optional[int]:
+    """The smallest member v of xs whose in-set degree d fails
+    keeps(v, d), by the mask walk over masks, or None."""
+    members = sorted(set(xs))
+    for v, d in zip(members, reference_degrees_within(masks, members)):
+        if not keeps(v, d):
+            return v
+    return None
+
+
 def brute_largest_full(g: Graph, p, mode: str = "full"):
     """(size, witness tuple) of the largest full (or co-full) induced
     subgraph, first witness in size-descending lex order."""

@@ -10,6 +10,7 @@ import math
 from fractions import Fraction
 from itertools import combinations
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -40,7 +41,8 @@ from fullsub import (
     two_thirds_size_floor,
 )
 from fullsub import finders
-from fullsub.finders import _fullness_bar, _peel
+from fullsub.finders import _certified, _fullness_bar, _peel
+from fullsub.graph import _as_index, _degrees_within, to_mask
 
 K31 = support.disjoint_union(support.clique(3), support.empty(1))
 HALF = Fraction(1, 2)
@@ -208,9 +210,16 @@ def test_greedy_honours_p_override(g, p):
 TIE_BREAKS = st.sampled_from(["min-index", "adversarial-antipodal"])
 
 
+def peel(g, *args, **kwargs):
+    """_peel with its survivors' index array as a mask, the form
+    reference_peel returns."""
+    kept, trace, stopped = _peel(g, *args, **kwargs)
+    return to_mask(kept.tolist(), g.n), trace, stopped
+
+
 @given(graphs(min_n=1), densities, TIE_BREAKS)
 def test_peel_matches_reference(g, p, tie_break):
-    assert _peel(g, p, tie_break) == support.reference_peel(g, p, tie_break)
+    assert peel(g, p, tie_break) == support.reference_peel(g, p, tie_break)
 
 
 @given(graphs(min_n=1), densities, TIE_BREAKS, st.integers(0, 9))
@@ -218,7 +227,7 @@ def test_peel_with_stop_matches_reference(g, p, tie_break, k):
     def stop(count, dmin):
         return count <= k
 
-    assert _peel(g, p, tie_break, stop) == support.reference_peel(g, p, tie_break, stop)
+    assert peel(g, p, tie_break, stop) == support.reference_peel(g, p, tie_break, stop)
 
 
 @pytest.mark.parametrize("n", [300, 1200])
@@ -227,13 +236,13 @@ def test_peel_matches_reference_on_gnp(monkeypatch, n, p):
     g = gen_gnp(n, p, seed=n)
     dens = density(g)
     for tie_break in ("min-index", "adversarial-antipodal"):
-        assert _peel(g, dens, tie_break) == support.reference_peel(g, dens, tie_break)
+        assert peel(g, dens, tie_break) == support.reference_peel(g, dens, tie_break)
     # full_two_thirds' aligned stop, taken from its own call
     calls = []
 
     def spy(*args, **kwargs):
-        calls.append((args, kwargs, _peel(*args, **kwargs)))
-        return calls[-1][2]
+        calls.append((args, kwargs, peel(*args, **kwargs)))
+        return _peel(*args, **kwargs)
 
     monkeypatch.setattr(finders, "_peel", spy)
     full_two_thirds(g)
@@ -757,3 +766,91 @@ FROZEN_DIGESTS = {
 def test_finder_outputs_are_frozen(name):
     text = _result_text(_frozen_cases()[name]())
     assert hashlib.sha256(text.encode()).hexdigest() == FROZEN_DIGESTS[name]
+
+
+# ---------------------------------------------------------------------------
+# certification on matrix rows against the mask walk
+
+def random_subsets(n: int, count: int, seed: int):
+    rng = np.random.default_rng(seed)
+    for _ in range(count):
+        yield sorted(rng.choice(n, int(rng.integers(0, n + 1)), replace=False).tolist())
+
+
+@pytest.mark.parametrize("n,p,seed", [(30, HALF, 0), (257, Fraction(1, 3), 1),
+                                      (1000, HALF, 2), (1000, Fraction(9, 10), 3),
+                                      (600, Fraction(1), 4)])
+def test_matrix_certification_matches_the_mask_walk(n, p, seed):
+    g = gen_gnp(n, p, seed, keep_matrix=True)
+    if "matrix" not in g.__dict__:  # K_n comes as masks; a column of K_n fills every byte block
+        g = Graph._from_matrix(np.array(g.matrix))
+    assert "adj" not in g.__dict__  # the matrix alone
+    masks = support.reference_masks(g)
+    h = Graph._from_adj(n, masks)  # the masks alone
+    later_violators = 0
+    for xs in random_subsets(n, 10, seed):
+        m = len(xs)
+        want = support.reference_degrees_within(masks, xs)
+        forms = (xs, frozenset(xs), to_mask(xs, n), np.array(xs, dtype=np.intp))
+        for graph in (g, h):
+            assert _degrees_within(graph, _as_index(xs, n)).tolist() == want
+        # bars at the set's own density and around it, so that some members miss them
+        for pp in {Fraction(sum(want), max(m * (m - 1), 1)), Fraction(1, 3), Fraction(2, 3)}:
+            for mode in ("full", "cofull"):
+                bar = pp * (m - 1)
+                keeps = (lambda v, d: d >= bar) if mode == "full" else (lambda v, d: d <= bar)
+                bad = support.reference_violator(masks, xs, keeps)
+                later_violators += bad is not None and bad != xs[0]
+                for graph in (g, h):
+                    for vs in forms:
+                        assert is_full(graph, pp, vs, mode) == (bad is None, bad)
+                    if bad is None:
+                        res = _certified(graph, pp, xs, mode=mode)
+                        assert (res.vertices, res.size) == (frozenset(xs), m)
+                        assert res.min_degree == min(want, default=0)
+                    else:
+                        with pytest.raises(VerificationError, match=f"vertex {bad}$"):
+                            _certified(graph, pp, xs, mode=mode)
+        for q in (Fraction(1, 3), HALF, Fraction(2, 3), Fraction(2 ** 70 + 1, 2 ** 71)):
+            bad = support.reference_violator(masks, xs, lambda v, d: d >= q * g.degrees[v])
+            later_violators += bad is not None and bad != xs[0]
+            for graph in (g, h):
+                for vs in forms:
+                    assert is_relatively_full(graph, q, vs) == (bad is None, bad)
+    assert later_violators or p == 1  # the smallest violator is not always the first member
+    assert "matrix" not in h.__dict__ and "adj" not in g.__dict__
+
+
+def test_certifying_a_mask_graph_builds_no_matrix():
+    g = gen_gnp(300, HALF, 1)
+    xs = range(0, 300, 3)
+    assert "matrix" not in g.__dict__
+    is_full(g, HALF, xs)
+    is_full(g, HALF, xs, "cofull")
+    is_relatively_full(g, HALF, xs)
+    _certified(g, HALF, 1)
+    assert "matrix" not in g.__dict__
+
+
+def test_certification_reads_any_array_as_a_set():
+    g = gen_gnp(40, HALF, 2, keep_matrix=True)
+    xs = [3, 1, 9, 3, 30, 1, 12]
+    for vs in (np.array(xs), np.array(xs[::-1], dtype=np.int32), np.array(xs, dtype=np.uint8),
+               np.array([30, 12, 9, 3, 1], dtype=np.uint8)):
+        assert is_full(g, HALF, vs) == is_full(g, HALF, set(xs))
+        assert is_relatively_full(g, HALF, vs) == is_relatively_full(g, HALF, set(xs))
+        assert induced_subgraph(g, vs)[1] == (1, 3, 9, 12, 30)
+    flags = np.array([True, False, True, True])  # as a set of ids: {0, 1}
+    assert is_full(g, HALF, flags) == is_full(g, HALF, {0, 1})
+    assert is_relatively_full(g, HALF, flags) == is_relatively_full(g, HALF, {0, 1})
+
+
+def test_certification_refuses_vertices_outside_the_graph():
+    g = support.cycle(5)
+    for vs in ([0, 5], [-1, 2], 1 << 5, -1, np.array([-1, 2]), np.array([0, 5]),
+               np.array([1, 100, 3]), np.array([0, 5], dtype=np.uint8),
+               np.array([4, 2, 9], dtype=np.uint8)):
+        with pytest.raises(ValueError):
+            is_full(g, HALF, vs)
+        with pytest.raises(ValueError):
+            is_relatively_full(g, HALF, vs)

@@ -14,14 +14,18 @@ from fullsub import (
     PreconditionError,
     complement,
     density,
+    gen_clique_plus_isolated,
+    gen_glued,
     gen_gnp,
+    gen_greedy_adversary,
+    gen_multipartite_planted,
     induced_subgraph,
     lex_less,
     read_edge_list,
     write_edge_list,
 )
 from fullsub import graph as graph_mod
-from fullsub.graph import _lines, _read_canonical, _symmetrize
+from fullsub.graph import _column_counts, _lines, _pack_rows, _read_canonical, _symmetrize
 
 K3_TEXT = "3 3\n0 1\n0 2\n1 2\n"
 
@@ -447,3 +451,152 @@ def test_adjacency_mask_lists_are_guarded(monkeypatch):
         Graph.from_edges(1, [])
     with pytest.raises(PreconditionError, match="1 adjacency masks .*physical memory"):
         read_edge_list("1 0")  # no final newline: the line parser reads it
+
+
+# ---------------------------------------------------------------------------
+# a graph holds the form it was built from: masks or matrix
+
+def _dense_text() -> str:
+    text = write_edge_list(gen_gnp(120, Fraction(1, 2), seed=8))
+    assert 120 * 120 <= len(text)  # so the canonical reader takes it
+    return text
+
+
+FAMILIES = {
+    "gnp": lambda: gen_gnp(300, Fraction(1, 2), seed=5),
+    "gnp-kept-matrix": lambda: gen_gnp(257, Fraction(1, 3), seed=6, keep_matrix=True),
+    "gnp-p0": lambda: gen_gnp(40, 0, seed=1, keep_matrix=True),
+    "gnp-p1": lambda: gen_gnp(40, 1, seed=1, keep_matrix=True),
+    "clique-isolated": lambda: gen_clique_plus_isolated(30, 100),
+    "multipartite-planted": lambda: gen_multipartite_planted(8, 2)[0],
+    "adversary": lambda: gen_greedy_adversary(20),
+    "glued": lambda: gen_glued(support.cycle(6), support.path(6), 3),
+    "read-canonical": lambda: read_edge_list(_dense_text()),
+    "read-line-parser": lambda: read_edge_list(_dense_text().replace("\n", "\r\n")),
+    "induced": lambda: induced_subgraph(gen_gnp(300, Fraction(1, 2), seed=9), range(0, 300, 2))[0],
+}
+
+
+def matrix_twin(g: Graph) -> Graph:
+    """g rebuilt from a copy of its matrix, so that it holds the matrix alone."""
+    return Graph._from_matrix(np.array(g.matrix))
+
+
+def mask_twin(g: Graph) -> Graph:
+    """g rebuilt from its masks, so that it holds the masks alone."""
+    return Graph._from_adj(g.n, list(g.adj))
+
+
+@pytest.mark.parametrize("make", FAMILIES.values(), ids=FAMILIES.keys())
+def test_lazy_masks_equal_the_packed_matrix(make):
+    g = make()
+    twin = matrix_twin(g)
+    assert "adj" not in twin.__dict__
+    for h in (g, twin):
+        assert h.adj == tuple(_pack_rows(h.matrix)) == tuple(support.reference_masks(h))
+        assert h.degrees == tuple(m.bit_count() for m in h.adj)
+        assert h.edge_count == sum(h.degrees) // 2
+    assert (twin.n, twin.degrees, twin.edge_count) == (g.n, g.degrees, g.edge_count)
+
+
+def test_readers_and_subgraphs_hold_the_matrix_alone():
+    for g in (read_edge_list(_dense_text()), gen_gnp(30, Fraction(1, 2), 1, keep_matrix=True),
+              induced_subgraph(support.petersen(), [0, 2, 4, 5])[0]):
+        assert "matrix" in g.__dict__ and "adj" not in g.__dict__
+    for g in (read_edge_list(_dense_text().replace("\n", "\r\n")), gen_gnp(30, Fraction(1, 2), 1)):
+        assert "adj" in g.__dict__ and "matrix" not in g.__dict__
+
+
+@given(graphs())
+def test_matrix_twins_of_small_graphs(g):
+    twin = matrix_twin(g)
+    assert twin.degrees == g.degrees and twin.edge_count == g.edge_count
+    assert twin.adj == g.adj
+    assert complement(twin) == complement(g)
+
+
+def test_column_counts_widen_past_uint16():
+    # a count of at most n - 1 fits uint16 while n < 2^16
+    for n, dtype in ((1, np.uint16), (2 ** 16 - 1, np.uint16), (2 ** 16, np.uint32)):
+        assert _column_counts(np.zeros((1, n), dtype=np.bool_)).dtype == dtype
+
+
+@pytest.mark.parametrize("make", FAMILIES.values(), ids=FAMILIES.keys())
+def test_mask_and_matrix_twins_are_equal_and_hash_alike(make):
+    g = make()
+    masks, mat = mask_twin(g), matrix_twin(g)
+    assert masks == mat and mat == masks and mat == g and masks == g
+    assert hash(masks) == hash(mat) == hash(g)
+    assert len({g, masks, mat}) == 1
+    assert "matrix" not in masks.__dict__ and "adj" not in mat.__dict__  # comparing built neither
+    assert complement(masks) == complement(mat) == matrix_twin(complement(g))
+
+
+def test_equal_degrees_on_other_edges_are_unequal():
+    c6 = support.cycle(6)
+    triangles = support.disjoint_union(support.clique(3), support.clique(3))
+    for a in (c6, matrix_twin(c6)):
+        for b in (triangles, matrix_twin(triangles)):
+            assert a.degrees == b.degrees and a.edge_count == b.edge_count
+            assert a != b and b != a
+    assert c6 != "C6" and c6 != support.cycle(7)
+
+
+@pytest.mark.parametrize("make", FAMILIES.values(), ids=FAMILIES.keys())
+def test_write_from_the_matrix_matches_the_mask_writer(make):
+    g = make()
+    text = support.reference_write_edge_list(g)
+    assert write_edge_list(matrix_twin(g)) == text
+    assert write_edge_list(mask_twin(g)) == text
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 200, 1001])
+@pytest.mark.parametrize("p", [Fraction(1, 50), Fraction(1, 2)])
+def test_gen_writes_the_same_text_with_its_matrix_kept(n, p):
+    kept = gen_gnp(n, p, seed=3, keep_matrix=True)
+    assert write_edge_list(kept) == write_edge_list(gen_gnp(n, p, seed=3))
+    assert "adj" not in kept.__dict__ or n <= 1 or p == 0
+
+
+# ---------------------------------------------------------------------------
+# the memory limit: physical memory or the cgroup's memory.max, the smaller
+
+@pytest.fixture
+def memory_max(monkeypatch, tmp_path):
+    """Physical memory patched to 2^32 bytes and the cgroup file moved to
+    tmp_path, not yet written; returns its path. The limit, read once
+    per process, is read afresh in the test and again after it."""
+    monkeypatch.setattr(graph_mod.os, "sysconf", lambda name: 1 << 16)
+    path = tmp_path / "memory.max"
+    monkeypatch.setattr(graph_mod, "_CGROUP_MEMORY_MAX", str(path))
+    graph_mod._cgroup_limit.cache_clear()
+    yield path
+    graph_mod._cgroup_limit.cache_clear()
+
+
+def test_a_lower_cgroup_limit_refuses(memory_max):
+    limit = 1 << 25
+    memory_max.write_text(f"{limit}\n")
+    graph_mod._check_memory(limit, "a table")
+    with pytest.raises(PreconditionError, match=f"a table needs {limit + 1} bytes, "
+                       f"more than the {limit} bytes of cgroup memory limit"):
+        graph_mod._check_memory(limit + 1, "a table")
+    graph_mod._check_dense_size(5792)  # 5792^2 <= 2^25 < 5793^2
+    with pytest.raises(PreconditionError, match="cgroup memory limit"):
+        gen_gnp(5793, Fraction(1, 2), 0)
+
+
+def test_a_higher_cgroup_limit_leaves_physical_memory(memory_max):
+    memory_max.write_text(f"{1 << 40}\n")
+    graph_mod._check_memory(1 << 32, "a table")
+    with pytest.raises(PreconditionError, match=f"{1 << 32} bytes of physical memory"):
+        graph_mod._check_memory((1 << 32) + 1, "a table")
+
+
+@pytest.mark.parametrize("content", ["max\n", None])
+def test_no_cgroup_limit_leaves_physical_memory(memory_max, content):
+    if content is not None:
+        memory_max.write_text(content)
+    graph_mod._check_memory(1 << 32, "a table")
+    with pytest.raises(PreconditionError, match=f"{1 << 32} bytes of physical memory"):
+        graph_mod._check_memory((1 << 32) + 1, "a table")

@@ -5,6 +5,7 @@ against the library call it fronts.
 """
 
 import hashlib
+import importlib
 import importlib.util
 import io
 import itertools
@@ -169,6 +170,26 @@ def test_sweep_finders_get_the_generated_matrix(monkeypatch):
     assert primed == [True, True]
 
 
+def test_dense_sweep_group_packs_no_masks(monkeypatch):
+    modules = [importlib.import_module(f"fullsub.{name}")
+               for name in ("graph", "generate", "discrepancy", "percolation")]
+    packed = []
+    real = modules[0]._pack_rows
+
+    def counting(rows):
+        packed.append(rows.shape)
+        return real(rows)
+
+    for mod in modules:  # every module that binds the name
+        monkeypatch.setattr(mod, "_pack_rows", counting)
+    rows = run_sweep(SweepConfig(n_grid=(1000,), p_grid=(Fraction(1, 2),), seeds=(0,),
+                                 algorithms=("greedy", "two-thirds", "half-full")))
+    assert [r.passed_verification for r in rows] == [True] * 3
+    assert packed == []
+    generate(GenSpec("gnp", 10, p=Fraction(1, 2)))  # the count sees a mask-built G(n, p)
+    assert packed == [(10, 10)]
+
+
 @pytest.mark.parametrize("threads", [1, 2])
 def test_sweep_csv_is_unchanged_by_generating_once(threads):
     csv_text = rows_to_csv(run_sweep(SweepConfig(**MIXED, threads=threads)))
@@ -240,6 +261,26 @@ def test_cli_gen_writes_canonical_edge_list(capsys, tmp_path):
     want = gen_gnp(12, Fraction(1, 3), seed=5)
     assert open(out, encoding="ascii").read() == write_edge_list(want)
     assert "generated family=gnp n=12" in err
+
+
+@pytest.mark.parametrize("argv,spec", [
+    (["--family", "gnp", "--n", "300", "--p", "1/2"],
+     GenSpec("gnp", 300, p=Fraction(1, 2), seed=4)),
+    (["--family", "gnp", "--n", "300", "--p", "1/50"],
+     GenSpec("gnp", 300, p=Fraction(1, 50), seed=4)),
+    (["--family", "clique-isolated", "--n", "30", "--E", "40"],
+     GenSpec("clique-isolated", 30, E=40)),
+    (["--family", "multipartite-planted", "--n", "6", "--r", "2"],
+     GenSpec("multipartite-planted", 6, r=2)),
+    (["--family", "adversary", "--n", "9"], GenSpec("adversary", 9)),
+])
+def test_cli_gen_writes_the_reference_text(capsys, tmp_path, argv, spec):
+    want = support.reference_write_edge_list(generate(spec)[0])
+    out = str(tmp_path / "g.txt")
+    assert run_cli(capsys, "gen", *argv, "--seed", "4", "--out", out)[0] == 0
+    assert open(out, encoding="ascii").read() == want
+    code, text, _ = run_cli(capsys, "gen", *argv, "--seed", "4")
+    assert code == 0 and text == want
 
 
 def test_cli_gen_to_stdout_parses_back(capsys):
