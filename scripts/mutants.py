@@ -81,7 +81,7 @@ MUTANTS = (
            "return int(idx[min(bad.argmax() + 1, len(idx) - 1)]) if bad.any() else None",
            ("tests/test_finders.py::test_matrix_certification_matches_the_mask_walk",)),
     Mutant("relative check scales in int64 at any q", "fullsub/finders.py",
-           "np.int64 if max(abs(a), b) * g.n < 1 << 63 else object", "np.int64",
+           "np.int64 if b * g.n < 1 << 63 else object", "np.int64",
            ("tests/test_finders.py::test_matrix_certification_matches_the_mask_walk",)),
     Mutant("certification primes the matrix", "fullsub/graph.py",
            'if "matrix" in g.__dict__:\n        return _column_counts',
@@ -91,9 +91,18 @@ MUTANTS = (
            "inside[ids] = True\n    return np.flatnonzero(inside)",
            "inside[ids] = True\n    return ids",
            ("tests/test_finders.py::test_certification_reads_any_array_as_a_set",)),
+    Mutant("float vertex ids truncated", "fullsub/graph.py",
+           'ids.dtype.kind not in "biu"', 'ids.dtype.kind not in "biuf"',
+           ("tests/test_finders.py::test_certification_refuses_vertices_outside_the_graph",)),
     Mutant("text written a character short per piece", "fullsub/cli.py",
-           "fh.write(text[start:start + _PIECE])", "fh.write(text[start:start + _PIECE - 1])",
+           "fh.write(piece)", "fh.write(piece[:-1])",
            ("tests/test_sweep_cli.py::test_cli_gen_writes_the_reference_text",)),
+    Mutant("small-p window one too wide above", "fullsub/finders.py",
+           "1 + math.isqrt(num * n * n // den)", "2 + math.isqrt(num * n * n // den)",
+           ("tests/test_finders.py::test_small_p_window_stops_where_the_reference_predicates_do",)),
+    Mutant("g(G) ties go to the co-full side", "fullsub/finders.py",
+           'c[0] != "full"', 'c[0] != "cofull"',
+           ("tests/test_finders.py::test_g_value_oracle_breaks_ties_to_the_full_side",)),
     Mutant("canonical reader takes self-loops", "fullsub/graph.py",
            "if (u >= v).any()", "if (u > v).any()",
            ("tests/test_graph.py::test_vectorized_reader_matches_reference_parser_across_blocks"

@@ -33,6 +33,7 @@ from .graph import (
     EdgeListError,
     PreconditionError,
     VerificationError,
+    _blocks,
     density,
     read_edge_list,
     write_edge_list,
@@ -82,24 +83,21 @@ def _read_graph(path: str):
         return read_edge_list(fh.read())
 
 
-_PIECE = 1 << 16  # characters handed to a text file per write
-
-
 def _write_text(text: str, path: str) -> None:
-    """Write text to path, or to stdout for "-", _PIECE characters at a
+    """Write text to path, or to stdout for "-", a _blocks slice at a
     time: a text file encodes a copy of each string it is given whole."""
     with (contextlib.nullcontext(sys.stdout) if path == "-"
           else open(path, "w", encoding="ascii", newline="")) as fh:
-        for start in range(0, len(text), _PIECE):
-            fh.write(text[start:start + _PIECE])
+        for piece in _blocks(text):
+            fh.write(piece)
 
 
 def _witness_line(vertices) -> str:
     return "witness: " + " ".join(str(v) for v in sorted(vertices))
 
 
-def _seed(args, default=0):
-    return args.seed if args.seed is not None else default
+def _seed(args):
+    return args.seed if args.seed is not None else 0
 
 
 def _record_line(n, p, seed, algorithm, size, bound) -> str:

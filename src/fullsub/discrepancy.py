@@ -73,7 +73,7 @@ class JumblednessBoundReport:
 
 def edge_surplus(g: Graph, p, vertices) -> Fraction:
     """e(X) - p*C(|X|,2), exactly. Subsets of size <= 1 score 0."""
-    p = Fraction(p)
+    p = as_probability(p)
     degs = _degrees_within(g, _as_index(vertices, g.n))
     size = len(degs)
     return int(degs.sum()) // 2 - p * Fraction(size * (size - 1), 2)
@@ -419,14 +419,12 @@ def verify_jumbledness_bound(g: Graph, p, f_value: int, g_value: int,
     minus = _disc_from_slots(slots, p, "negative", None)
     disc_both = max(plus.value, minus.value)
     jrep = _jumbled_from_slots(slots, p, None)
-    if jrep.j == 0:
-        return JumblednessBoundReport(p, plus.value, disc_both, jrep.j,
-                                      f_value, g_value, vacuous=True)
-    if Fraction(f_value) < plus.value / jrep.j:
+    vacuous = jrep.j == 0
+    if not vacuous and Fraction(f_value) < plus.value / jrep.j:
         raise VerificationError(
             f"largest-full order {f_value} below disc+/j = {plus.value / jrep.j}")
-    if Fraction(g_value) < disc_both / jrep.j:
+    if not vacuous and Fraction(g_value) < disc_both / jrep.j:
         raise VerificationError(
             f"full-or-co-full order {g_value} below disc/j = {disc_both / jrep.j}")
     return JumblednessBoundReport(p, plus.value, disc_both, jrep.j,
-                                  f_value, g_value, vacuous=False)
+                                  f_value, g_value, vacuous)

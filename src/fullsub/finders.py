@@ -134,7 +134,7 @@ def is_full(g: Graph, p, vertices, mode: str = "full"):
     """(True, None) when the induced subgraph is full (co-full) at p,
     else (False, v) for the smallest violating vertex. Empty sets and
     singletons pass vacuously."""
-    p = Fraction(p)
+    p = as_probability(p)
     idx = _as_index(vertices, g.n)
     bad = _first_violator(p, idx, _degrees_within(g, idx), mode)
     return bad is None, bad
@@ -143,9 +143,9 @@ def is_full(g: Graph, p, vertices, mode: str = "full"):
 def is_relatively_full(g: Graph, q, vertices):
     """(True, None) when every member v keeps d_S(v) >= q * d_G(v),
     else (False, v) for the smallest violating vertex."""
-    q = Fraction(q)
+    q = as_probability(q, "q")
     a, b, idx = q.numerator, q.denominator, _as_index(vertices, g.n)
-    exact = np.int64 if max(abs(a), b) * g.n < 1 << 63 else object  # degrees are below n
+    exact = np.int64 if b * g.n < 1 << 63 else object  # 0 <= a <= b, degrees below n
     bad = b * _degrees_within(g, idx).astype(exact) < a * np.array(g.degrees, dtype=exact)[idx]
     return (False, int(idx[bad.argmax()])) if bad.any() else (True, None)
 
@@ -459,15 +459,12 @@ def one_over_r_full(g: Graph, r: int, seed: Optional[int] = None) -> RelativelyF
     rr = r
     level = 0
     while rr > 1:
-        out = qfull_partition(cur, Fraction(1, 2) if halving else Fraction(1, rr),
-                              seed=None if seed is None else split_seed(seed, level))
+        level_seed = None if seed is None else split_seed(seed, level)
         if halving:
-            keep = out.set_q if out.variant == "i" else out.set_1mq
-            rr //= 2
-        elif out.variant == "ii":
-            keep, rr = out.set_1mq, rr - 1
+            keep, rr = half_full(cur, seed=level_seed).vertices, rr // 2
         else:
-            keep, rr = out.set_q, 1
+            out = qfull_partition(cur, Fraction(1, rr), seed=level_seed)
+            keep, rr = (out.set_1mq, rr - 1) if out.variant == "ii" else (out.set_q, 1)
         keep = _as_index(keep, cur.n)
         labels = labels[keep]
         if rr > 1:
@@ -574,13 +571,8 @@ def small_p_full(g: Graph) -> FullSubgraphResult:
     if num ** 3 * n * n > den ** 3:
         raise PreconditionError(
             f"density {p} exceeds n^(-2/3); use full_two_thirds instead")
-    nn = num * n * n
-
-    def lower_ok(c: int) -> bool:
-        return (c + 1) * (c + 1) * den >= nn
-
-    def upper_ok(c: int) -> bool:
-        return c <= 1 or (c - 1) * (c - 1) * den <= nn
+    # lo <= c iff (c+1)^2 den >= num n^2; c <= hi iff c <= 1 or (c-1)^2 den <= num n^2
+    lo, hi = small_p_size_floor(n, p), 1 + math.isqrt(num * n * n // den)
 
     trace = [v for v in range(n) if g.degrees[v] == 0]
     alive = 0
@@ -608,10 +600,10 @@ def small_p_full(g: Graph) -> FullSubgraphResult:
 
     leaves = [v for v in range(n) if fadj[v].bit_count() == 1]
     for _ in range(n + 1):
-        if lower_ok(count) and upper_ok(count):
-            break
-        if not lower_ok(count):
+        if count < lo:
             raise VerificationError("order fell below the target window")
+        if count <= hi:
+            break
         # the lowest forest leaf: skip entries that lost their last
         # forest edge since the push (removed vertices keep none)
         while leaves and fadj[leaves[0]].bit_count() != 1:
@@ -634,7 +626,7 @@ def small_p_full(g: Graph) -> FullSubgraphResult:
             trace.append(w)
     else:
         raise VerificationError("leaf peeling failed to reach the window")
-    return _certified(g, p, alive, Fraction(small_p_size_floor(n, p)), tuple(trace))
+    return _certified(g, p, alive, Fraction(lo), tuple(trace))
 
 
 def largest_full_or_cofull(g: Graph, method: str = "oracle",
@@ -644,28 +636,27 @@ def largest_full_or_cofull(g: Graph, method: str = "oracle",
     (the latter equals the largest co-full subgraph of G), at
     p = density(G). method="oracle" is exact under the cap;
     method="heuristic" takes the best verified candidate from the
-    polynomial finders on both orientations. Ties prefer the full side."""
+    polynomial finders on both orientations. Both pick by one rule: the
+    largest witness wins, ties go to the full side and then to the
+    lexicographically smallest set."""
     p = density(g)
     if method == "oracle":
-        f_res = oracle_largest_full(g, p, "full", cap)
-        co_res = oracle_largest_full(g, p, "cofull", cap)
-        if co_res.size > f_res.size:
-            return GValue(co_res.size, "cofull", co_res.vertices, p)
-        return GValue(f_res.size, "full", f_res.vertices, p)
-    if method != "heuristic":
+        cands = [(side, oracle_largest_full(g, p, side, cap).vertices)
+                 for side in ("full", "cofull")]
+    elif method == "heuristic":
+        cands = []
+        for side, h in (("full", g), ("cofull", complement(g))):
+            dens = density(h)
+            cands.append((side, greedy_full(h, dens).vertices))
+            for finder in (full_two_thirds, small_p_full):
+                try:
+                    cands.append((side, finder(h).vertices))
+                except PreconditionError:
+                    pass
+            hf = half_full(h, seed=seed)
+            if is_full(h, dens, hf.vertices)[0]:
+                cands.append((side, hf.vertices))
+    else:
         raise ValueError(f"method must be 'oracle' or 'heuristic', got {method!r}")
-
-    cands = []
-    for side, h in (("full", g), ("cofull", complement(g))):
-        dens = density(h)
-        cands.append((side, greedy_full(h, dens).vertices))
-        for finder in (full_two_thirds, small_p_full):
-            try:
-                cands.append((side, finder(h).vertices))
-            except PreconditionError:
-                pass
-        hf = half_full(h, seed=seed)
-        if is_full(h, dens, hf.vertices)[0]:
-            cands.append((side, hf.vertices))
     side, best = min(cands, key=lambda c: (-len(c[1]), c[0] != "full", sorted(c[1])))
     return GValue(len(best), side, best, p)

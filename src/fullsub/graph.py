@@ -117,13 +117,16 @@ def to_mask(vertices: Iterable[int], n: int) -> int:
 
 def _as_index(vertices, n: int) -> np.ndarray:
     """A vertex set as its sorted index array: an int is a bitmask, any
-    other iterable of ids is taken as a set; ids outside 0..n-1 are refused."""
+    other iterable of ids is taken as a set; ids outside 0..n-1, and a
+    nonempty set of ids that are neither integers nor bools, are refused."""
     if isinstance(vertices, int):
         if vertices >> n:
             raise ValueError(f"mask {vertices:#x} mentions vertices outside 0..{n - 1}")
         return np.flatnonzero(_unpack_rows([vertices], n)[0])
-    ids = np.asarray(vertices if isinstance(vertices, np.ndarray) else list(vertices),
-                     dtype=np.intp)
+    ids = np.asarray(vertices if isinstance(vertices, np.ndarray) else list(vertices))
+    if ids.size and ids.dtype.kind not in "biu":
+        raise ValueError(f"vertex ids must be integers in 0..{n - 1}, got {ids.dtype} values")
+    ids = ids.astype(np.intp, copy=False)
     for v in (ids.min(), ids.max()) if ids.size else ():
         if not 0 <= v < n:
             raise ValueError(f"vertex {v} out of range 0..{n - 1}")
@@ -282,8 +285,6 @@ class Graph:
     def __eq__(self, other) -> bool:
         if not isinstance(other, Graph):
             return NotImplemented
-        if "adj" in self.__dict__ and "adj" in other.__dict__:
-            return (self.n, self.adj) == (other.n, other.adj)
         return ((self.n, self.degrees) == (other.n, other.degrees)
                 and all(map(np.array_equal, _rows(self), _rows(other))))
 

@@ -99,14 +99,15 @@ def _run_group(task) -> list[ExperimentRow]:
     algorithm runs on it. A G(n, p) graph holds the matrix it was drawn
     into as its Graph.matrix, and no masks unless a finder asks for
     them; other families build the matrix on first use, and later
-    algorithms reuse it."""
-    family, n, p, seed, algos, r, c, timings, exact_cap = task
+    algorithms reuse it. task is (config, n, p, seed)."""
+    config, n, p, seed = task
+    family = config.family
     g, rows = None, []
-    for algo in algos:
+    for algo in config.algorithms:
         cell = f"family={family} n={n} p={frac_str(p)} seed={seed} algorithm={algo}"
         try:
             if g is None:  # generate ignores the p placeholder of other families
-                g, _ = generate(GenSpec(family, n, p=p, r=r, c=c, seed=seed),
+                g, _ = generate(GenSpec(family, n, p=p, r=config.r, c=config.c, seed=seed),
                                 keep_matrix=True)
             t0 = time.perf_counter()
             if algo == "greedy":
@@ -122,7 +123,7 @@ def _run_group(task) -> list[ExperimentRow]:
                 res = half_full(g)
                 bound = Fraction(g.n // 2)
             else:
-                res = oracle_largest_full(g, density(g), cap=exact_cap)
+                res = oracle_largest_full(g, density(g), cap=config.exact_cap)
                 bound = Fraction(res.size)
             if algo == "half-full":
                 ok, _v = is_relatively_full(g, Fraction(1, 2), res.vertices)
@@ -134,11 +135,9 @@ def _run_group(task) -> list[ExperimentRow]:
             p_col = p if family == "gnp" else density(g)
             rows.append(ExperimentRow(family, g.n, p_col, seed, algo, res.size,
                                       frac_str(bound),
-                                      f"{elapsed_ms:.1f}" if timings else "", True))
-        except PreconditionError as e:
-            raise PreconditionError(f"sweep cell [{cell}]: {e}") from e
-        except VerificationError as e:
-            raise VerificationError(f"sweep cell [{cell}]: {e}") from e
+                                      f"{elapsed_ms:.1f}" if config.timings else "", True))
+        except (PreconditionError, VerificationError) as e:
+            raise type(e)(f"sweep cell [{cell}]: {e}") from e
     return rows
 
 
@@ -149,8 +148,7 @@ def run_sweep(config: SweepConfig) -> tuple[ExperimentRow, ...]:
     pool, one task per group, and results are still collected in
     submission order."""
     _validate(config)
-    tasks = [(config.family, n, p, seed, config.algorithms, config.r, config.c,
-              config.timings, config.exact_cap)
+    tasks = [(config, n, p, seed)
              for n in config.n_grid
              for p in config.p_grid
              for seed in config.seeds]

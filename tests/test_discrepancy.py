@@ -220,7 +220,7 @@ def test_bound_checker_reads_the_standalone_values():
 
 
 def test_exact_and_heuristic_refuse_p_outside_unit_interval():
-    for p in (3, -1, Fraction(3, 2)):
+    for p in (3, -1, Fraction(3, 2), 5):
         with pytest.raises(PreconditionError):
             discrepancy_exact(K31, p)
         with pytest.raises(PreconditionError):
@@ -229,6 +229,8 @@ def test_exact_and_heuristic_refuse_p_outside_unit_interval():
             verify_jumbledness_bound(K31, p, 3, 3)
         with pytest.raises(PreconditionError):
             discrepancy_local_search(K31, p)
+        with pytest.raises(PreconditionError):
+            edge_surplus(K31, p, [0, 1, 2])
 
 
 # ---------------------------------------------------------------------------

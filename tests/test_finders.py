@@ -492,6 +492,7 @@ def test_one_over_r_matches_reference_on_gnp():
              for n, t in ((5, 500), (6, 282), (9, 32), (12, 166), (18, 338), (21, 95))
              for r in (3, 6, 9)]
     cases += [(gen_gnp(n, Fraction(1 + r % 3, 4), r), r) for n in (30, 60) for r in range(1, 10)]
+    cases += [(gen_gnp(200, Fraction(t, 5), t), r) for t in (1, 2, 4) for r in (2, 4, 8)]
     for g, r in cases:
         for seed in (None, 0, 1, 2):
             assert one_over_r_full(g, r, seed).vertices == \
@@ -632,6 +633,27 @@ def test_small_p_peel_matches_reference(g):
         _small_p_outcome(support.reference_small_p_peel, g)
 
 
+def test_small_p_window_stops_where_the_reference_predicates_do():
+    # sparse G(n, p) up to n = 200, from about p = n^(-2/3) down to 1/(2n),
+    # and cliques plus isolated vertices; the reference peel stops by its
+    # lower_ok/upper_ok predicates, small_p_full by its integer window
+    from fullsub import gen_clique_plus_isolated
+
+    graphs = [gen_gnp(n, Fraction(1, den), seed)
+              for n in (3, 8, 20, 50, 99, 150, 200)
+              for den in sorted({math.ceil(n ** (2 / 3)), n, 2 * n})
+              for seed in range(3)]
+    graphs += [gen_clique_plus_isolated(n, e) for n in (16, 64, 200) for e in range(1, 13)]
+    stopped = 0
+    for g in graphs:
+        got = _small_p_outcome(_small_p_peel, g)
+        assert got == _small_p_outcome(support.reference_small_p_peel, g)
+        if not isinstance(got[0], type):
+            stopped += 1
+            assert small_p_full(g).guarantee == small_p_size_floor(g.n, density(g))
+    assert stopped >= len(graphs) // 2
+
+
 @pytest.mark.parametrize("n,inv_p,seed", [(300, 100, 0), (1000, 110, 3), (2000, 2000, 0),
                                           (2000, 2000, 1)])
 def test_small_p_peel_matches_reference_on_gnp(n, inv_p, seed):
@@ -647,6 +669,19 @@ def test_g_value_closed_cases():
     got = largest_full_or_cofull(support.clique(6))
     assert got.value == 6 and got.side == "full"
     assert largest_full_or_cofull(support.cycle(5)).value == 5
+
+
+def test_g_value_oracle_breaks_ties_to_the_full_side():
+    # K_6 at p = 1: f(G) = f(G^c) = 6; the star K_{1,4} at p = 2/5:
+    # f(G) = 3 (the centre and two leaves) < 4 = f(G^c) (the leaves)
+    for g, f, co, side in ((support.clique(6), 6, 6, "full"),
+                           (support.star(5), 3, 4, "cofull")):
+        p = density(g)
+        assert support.brute_largest_full(g, p)[0] == f
+        assert support.brute_largest_full(g, p, "cofull")[0] == co
+        got = largest_full_or_cofull(g)
+        assert (got.value, got.side) == (max(f, co), side)
+        assert got.witness == oracle_largest_full(g, p, side).vertices
 
 
 @settings(max_examples=25)
@@ -849,8 +884,20 @@ def test_certification_refuses_vertices_outside_the_graph():
     g = support.cycle(5)
     for vs in ([0, 5], [-1, 2], 1 << 5, -1, np.array([-1, 2]), np.array([0, 5]),
                np.array([1, 100, 3]), np.array([0, 5], dtype=np.uint8),
-               np.array([4, 2, 9], dtype=np.uint8)):
+               np.array([4, 2, 9], dtype=np.uint8),
+               [1.7, 2], [1, 2.0], np.array([1.7, 2]), np.array([1.0, 2.0])):
         with pytest.raises(ValueError):
             is_full(g, HALF, vs)
         with pytest.raises(ValueError):
             is_relatively_full(g, HALF, vs)
+        with pytest.raises(ValueError):
+            induced_subgraph(g, vs)
+
+
+@pytest.mark.parametrize("p", [2, -1, Fraction(-1, 3), Fraction(3, 2)])
+def test_certification_refuses_p_outside_unit_interval(p):
+    for mode in ("full", "cofull"):
+        with pytest.raises(PreconditionError, match=r"^p must lie in \[0, 1\]"):
+            is_full(K31, p, [0, 1], mode)
+    with pytest.raises(PreconditionError, match=r"^q must lie in \[0, 1\]"):
+        is_relatively_full(K31, p, [0, 1])
