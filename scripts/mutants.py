@@ -94,9 +94,20 @@ MUTANTS = (
     Mutant("float vertex ids truncated", "fullsub/graph.py",
            'ids.dtype.kind not in "biu"', 'ids.dtype.kind not in "biuf"',
            ("tests/test_finders.py::test_certification_refuses_vertices_outside_the_graph",)),
-    Mutant("text written a character short per piece", "fullsub/cli.py",
-           "fh.write(piece)", "fh.write(piece[:-1])",
+    Mutant("text written a character short per piece", "fullsub/graph.py",
+           '".join(map(names.__getitem__, vs)) + "\\n"', '".join(map(names.__getitem__, vs))',
            ("tests/test_sweep_cli.py::test_cli_gen_writes_the_reference_text",)),
+    Mutant("mask rows unpacked a block short", "fullsub/graph.py",
+           "g.adj[s:s + _BYTE_ROWS]", "g.adj[s:s + _BYTE_ROWS - 1]",
+           ("tests/test_graph.py::test_write_from_the_matrix_matches_the_mask_writer[gnp]",
+            "tests/test_graph.py::test_mask_and_matrix_twins_are_equal_and_hash_alike[gnp]",
+            "tests/test_graph.py::"
+            "test_mask_graphs_past_one_unpacked_block_compare_and_write_every_row")),
+    Mutant("K_n kept as masks", "fullsub/generate.py",
+           "return Graph._from_matrix(~np.eye(n, dtype=bool))",
+           "return Graph.from_edges(n, itertools.combinations(range(n), 2))",
+           ("tests/test_generate.py::"
+            "test_every_gnp_graph_that_may_have_edges_holds_its_matrix_alone",)),
     Mutant("small-p window one too wide above", "fullsub/finders.py",
            "1 + math.isqrt(num * n * n // den)", "2 + math.isqrt(num * n * n // den)",
            ("tests/test_finders.py::test_small_p_window_stops_where_the_reference_predicates_do",)),

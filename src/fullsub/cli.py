@@ -34,9 +34,9 @@ from .graph import (
     PreconditionError,
     VerificationError,
     _blocks,
+    _edge_text,
     density,
     read_edge_list,
-    write_edge_list,
 )
 from .percolation import (
     THETA_CAP_DEFAULT,
@@ -83,13 +83,12 @@ def _read_graph(path: str):
         return read_edge_list(fh.read())
 
 
-def _write_text(text: str, path: str) -> None:
-    """Write text to path, or to stdout for "-", a _blocks slice at a
-    time: a text file encodes a copy of each string it is given whole."""
+def _write_text(pieces, path: str) -> None:
+    """Write pieces to path, or to stdout for "-": a text file encodes a
+    copy of each string it is given whole, so each piece is bounded."""
     with (contextlib.nullcontext(sys.stdout) if path == "-"
           else open(path, "w", encoding="ascii", newline="")) as fh:
-        for piece in _blocks(text):
-            fh.write(piece)
+        fh.writelines(pieces)
 
 
 def _witness_line(vertices) -> str:
@@ -118,7 +117,7 @@ def cmd_gen(args) -> int:
         spec = GenSpec(args.family, args.n, p=args.p, E=args.E, r=args.r,
                        c=args.c, seed=seed)
         g, meta = generate(spec)
-    _write_text(write_edge_list(g), args.out)
+    _write_text(_edge_text(g), args.out)
     extras = " ".join(
         f"{key}={frac_str(val) if isinstance(val, Fraction) else val}"
         for key, val in sorted(meta.items()))
@@ -232,7 +231,7 @@ def cmd_sweep(args) -> int:
         exact_cap=args.exact_cap,
     )
     rows = run_sweep(config)
-    _write_text(rows_to_csv(rows), args.out)
+    _write_text(_blocks(rows_to_csv(rows)), args.out)
     print(summarize(rows), file=sys.stderr if args.out == "-" else sys.stdout)
     return 0
 

@@ -243,12 +243,11 @@ _GONE = np.int64(1 << 62)  # a deleted vertex's degree, above every live one
 
 def _peel(g: Graph, p: Fraction, tie_break: str = "min-index",
           stop: Optional[Callable[[int, int], bool]] = None
-          ) -> tuple[int, tuple[int, ...], bool]:
+          ) -> tuple[np.ndarray, tuple[int, ...], bool]:
     """Delete minimum-degree vertices until the survivors are full at p,
     or until stop(count, dmin) holds before a deletion; returns the
-    survivors' mask, the deleted vertices in order and whether stop
-    fired. tie_break is as in greedy_full; n must be positive. The
-    survivors come as a sorted index array.
+    survivors as a sorted index array, the deleted vertices in order
+    and whether stop fired. tie_break is as in greedy_full; n must be positive.
 
     The degree table is dense, a deleted vertex's entry starts at _GONE
     and loses at most n - 1, so it stays above every live degree: argmin

@@ -3,9 +3,9 @@ adversarial instances.
 
 Every generator is deterministic given its parameters (and seed, where
 one applies), platform-independent, and validated before generation.
-The adjacency masks they build are symmetric and loop-free by
-construction, so they go to Graph._from_adj (or Graph._from_matrix,
-for a G(n, p) matrix kept with its graph) without a second check.
+The adjacency they build is symmetric and loop-free by construction,
+so it goes to Graph._from_adj (or Graph._from_matrix, for the matrix a
+G(n, p) graph is drawn into) without a second check.
 generate(GenSpec) dispatches by family tag using the same family names
 the command line accepts.
 """
@@ -22,7 +22,7 @@ from typing import Optional
 import numpy as np
 
 from .graph import (Graph, PreconditionError, VerificationError, _check_dense_size,
-                    _check_memory, _pack_rows, _symmetrize, as_probability, density)
+                    _check_memory, _symmetrize, as_probability, density)
 from .rng import _bernoulli, uniform_u64
 
 FAMILIES = ("gnp", "clique-isolated", "multipartite-planted", "adversary")
@@ -43,36 +43,31 @@ class GenSpec:
     seed: int = 0
 
 
-def gen_gnp(n: int, p, seed: int, keep_matrix: bool = False) -> Graph:
+def gen_gnp(n: int, p, seed: int) -> Graph:
     """Erdos-Renyi G(n, p) with exact rational p: pair {u,v} is an edge
     when its 64-bit draw falls below floor(p * 2^64), so the per-edge
     bias is under 2^-64 (zero when the denominator is a power of two).
     Pairs are indexed in lexicographic order, independent of n's
     representation, so prefixes agree across runs. The draws fill the
     upper triangle of an n x n bool matrix a block of rows at a time
-    (rng._bernoulli), so the peak is that matrix plus one block.
-
-    With keep_matrix the matrix becomes the graph's Graph.matrix and no
-    mask is packed, for finders that read the matrix. Without it the
-    graph holds its n^2/8 bytes of masks alone: one that is only
-    certified or written out would otherwise hold n^2 bytes."""
+    (rng._bernoulli), so the peak is that matrix plus one block. It
+    becomes Graph.matrix, and masks are packed only if read; with no
+    possible edge (p = 0 or n <= 1) no matrix is allocated."""
     if n < 0:
         raise PreconditionError(f"n must be nonnegative, got {n}")
     p = as_probability(p)
     num, den = p.numerator, p.denominator
-    total = n * (n - 1) // 2
-    if total == 0 or num == 0:
+    if n <= 1 or num == 0:
         return Graph.from_edges(n, [])
     _check_dense_size(n)
-    if num == den:
-        full = (1 << n) - 1
-        return Graph._from_adj(n, [full ^ (1 << v) for v in range(n)])
+    if num == den:  # K_n: every pair is an edge, and nothing is drawn
+        return Graph._from_matrix(~np.eye(n, dtype=bool))
     mat = np.zeros((n, n), dtype=bool)
     # the draws run in lexicographic pair order: row u's pairs (u, v > u)
     # take the next n-1-u; the lower triangle is then mirrored in tiles
     _bernoulli(seed, p, [mat[u, u + 1:] for u in range(n - 1)])
     _symmetrize(mat)
-    return Graph._from_matrix(mat) if keep_matrix else Graph._from_adj(n, _pack_rows(mat))
+    return Graph._from_matrix(mat)
 
 
 def gen_clique_plus_isolated(n: int, E: int) -> Graph:
@@ -254,14 +249,13 @@ def gen_glued(a: Graph, b: Graph, seed: int) -> Graph:
     return Graph._from_adj(2 * off, adj)
 
 
-def generate(spec: GenSpec, keep_matrix: bool = False):
+def generate(spec: GenSpec):
     """Dispatch a GenSpec to its family generator; returns
-    (Graph, meta) where meta always includes the realized density.
-    keep_matrix goes to gen_gnp; the other families build masks only."""
+    (Graph, meta) where meta always includes the realized density."""
     if spec.family == "gnp":
         if spec.p is None:
             raise PreconditionError("gnp requires p")
-        g = gen_gnp(spec.n, spec.p, spec.seed, keep_matrix)
+        g = gen_gnp(spec.n, spec.p, spec.seed)
         meta = {}
     elif spec.family == "clique-isolated":
         if spec.E is None:

@@ -3,24 +3,26 @@
 A Graph holds the form it was built from and builds the other on first
 use: Graph.adj, one Python int bitmask per vertex, or Graph.matrix, a
 read-only numpy bool matrix. Graphs built from edges or masks hold
-masks; a G(n, p) graph kept with its matrix, an induced subgraph and a
-graph read from canonical text hold the matrix, with degrees from its
-column sums (_column_counts). Inside the package a vertex set is a
-sorted index array (_as_index), and in-set degrees are read from the
-matrix when it is there, by the mask walk only when the graph holds
-masks alone (_degrees_within). This module is the only place that
-converts between the two forms; canonical edge-list text is decoded
-straight into a matrix (_read_canonical). Before any n x n matrix or
-exact table is allocated, _check_memory refuses one larger than
-physical memory or the cgroup's memory limit. Graphs are frozen after
-construction and every function in this package treats them as shared
-read-only values; all density and degree arithmetic is exact (integers
-and Fractions).
+masks; a G(n, p) graph, an induced subgraph and a graph read from
+canonical text hold the matrix, with degrees from its column sums
+(_column_counts). NumPy integer ids and masks are taken as Python ints
+(operator.index), so no shift wraps at 64 bits. Inside the package a
+vertex set is a sorted index array (_as_index), and in-set degrees are
+read from the matrix when it is there, by the mask walk only when the
+graph holds masks alone (_degrees_within). This module is the only
+place that converts between the two forms; canonical edge-list text is
+decoded straight into a matrix (_read_canonical). Before any n x n
+matrix or exact table is allocated, _check_memory refuses one larger
+than physical memory or the cgroup's memory limit. Graphs are frozen
+after construction and every function in this package treats them as
+shared read-only values; all density and degree arithmetic is exact
+(integers and Fractions).
 """
 
 from __future__ import annotations
 
 import functools
+import operator
 import os
 import re
 from dataclasses import dataclass
@@ -89,7 +91,7 @@ def _check_dense_size(n: int) -> None:
     _check_memory(n * n, f"a dense {n} x {n} matrix")
 
 
-_BYTE_ROWS = 128  # rows summed as bytes at a time: at most 255, so no byte overflows
+_BYTE_ROWS = 128  # rows summed as bytes (at most 255: no byte overflows) or unpacked at once
 
 
 def _column_counts(mat: np.ndarray, rows: np.ndarray | None = None) -> np.ndarray:
@@ -108,7 +110,7 @@ def _column_counts(mat: np.ndarray, rows: np.ndarray | None = None) -> np.ndarra
 def to_mask(vertices: Iterable[int], n: int) -> int:
     """Pack vertex ids into a bitmask, rejecting ids outside 0..n-1."""
     mask = 0
-    for v in vertices:
+    for v in map(operator.index, vertices):
         if not 0 <= v < n:
             raise ValueError(f"vertex {v} out of range 0..{n - 1}")
         mask |= 1 << v
@@ -218,6 +220,7 @@ class Graph:
         _check_memory(8 * n, f"{n} adjacency masks")
         adj = [0] * n
         for u, v in edges:
+            u, v = operator.index(u), operator.index(v)
             if u == v:
                 raise ValueError(f"self-loop at vertex {u}")
             if not (0 <= u < n and 0 <= v < n):
@@ -232,7 +235,7 @@ class Graph:
         is one mask per vertex, every bit names a vertex, no vertex is
         its own neighbour and the masks are symmetric. The generators,
         which build well-formed masks by construction, use _from_adj."""
-        adj = list(adj)
+        adj = list(map(operator.index, adj))
         if len(adj) != n:
             raise ValueError("need one adjacency mask per vertex")
         for v, m in enumerate(adj):
@@ -350,31 +353,37 @@ def induced_subgraph(g: Graph, vertices: Iterable[int]) -> tuple[Graph, tuple[in
 
 
 def complement(g: Graph) -> Graph:
+    """The complement, as masks: refused as the generators' masks are."""
+    _check_memory(g.n * g.n // 8, f"{g.n} adjacency masks of {g.n} bits")
     full = (1 << g.n) - 1
     return Graph._from_adj(g.n, [full ^ m ^ (1 << v) for v, m in enumerate(g.adj)])
 
 
 def _rows(g: Graph) -> Iterator[np.ndarray]:
-    """Each vertex's bool adjacency row: Graph.matrix's when it is
-    there, else its mask unpacked alone, building no n x n matrix."""
+    """Each vertex's bool adjacency row: Graph.matrix's when it is there,
+    else unpacked _BYTE_ROWS masks at a time, building no n x n matrix."""
     if "matrix" in g.__dict__:
         return iter(g.matrix)
-    return (_unpack_rows([m], g.n)[0] for m in g.adj)
+    return (row for s in range(0, g.n, _BYTE_ROWS)
+            for row in _unpack_rows(g.adj[s:s + _BYTE_ROWS], g.n))
+
+
+def _edge_text(g: Graph) -> Iterator[str]:
+    """write_edge_list's text as pieces: the header, then one string per
+    vertex with a later neighbour, formatted from its row (_rows) with a
+    table of names, so no per-edge string outlives its row."""
+    names = [str(v) for v in range(g.n)]
+    yield f"{g.n} {g.edge_count}\n"
+    for u, row in enumerate(_rows(g)):
+        vs = (np.flatnonzero(row[u + 1:]) + (u + 1)).tolist()
+        if vs:
+            yield f"{u} " + f"\n{u} ".join(map(names.__getitem__, vs)) + "\n"
 
 
 def write_edge_list(g: Graph) -> str:
     """Canonical text form: header "n m", then one "u v" line per edge
-    with u < v, edges sorted lexicographically. The text is joined from
-    one string per vertex, formatted from its row (_rows) with a table
-    of vertex names, so no string per edge outlives its row and no n x n
-    matrix is built."""
-    names = [str(v) for v in range(g.n)]
-    rows = [f"{g.n} {g.edge_count}\n"]
-    for u, row in enumerate(_rows(g)):
-        vs = (np.flatnonzero(row[u + 1:]) + (u + 1)).tolist()
-        if vs:
-            rows.append(f"{u} " + f"\n{u} ".join(map(names.__getitem__, vs)) + "\n")
-    return "".join(rows)
+    with u < v, edges sorted lexicographically (joined from _edge_text)."""
+    return "".join(_edge_text(g))
 
 
 def _blocks(text: str, start: int = 0, block: int = _TEXT_BLOCK) -> Iterator[str]:

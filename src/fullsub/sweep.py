@@ -107,8 +107,7 @@ def _run_group(task) -> list[ExperimentRow]:
         cell = f"family={family} n={n} p={frac_str(p)} seed={seed} algorithm={algo}"
         try:
             if g is None:  # generate ignores the p placeholder of other families
-                g, _ = generate(GenSpec(family, n, p=p, r=config.r, c=config.c, seed=seed),
-                                keep_matrix=True)
+                g, _ = generate(GenSpec(family, n, p=p, r=config.r, c=config.c, seed=seed))
             t0 = time.perf_counter()
             if algo == "greedy":
                 res = greedy_full(g)

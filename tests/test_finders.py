@@ -816,9 +816,7 @@ def random_subsets(n: int, count: int, seed: int):
                                       (1000, HALF, 2), (1000, Fraction(9, 10), 3),
                                       (600, Fraction(1), 4)])
 def test_matrix_certification_matches_the_mask_walk(n, p, seed):
-    g = gen_gnp(n, p, seed, keep_matrix=True)
-    if "matrix" not in g.__dict__:  # K_n comes as masks; a column of K_n fills every byte block
-        g = Graph._from_matrix(np.array(g.matrix))
+    g = gen_gnp(n, p, seed)  # a column of K_n fills every byte block
     assert "adj" not in g.__dict__  # the matrix alone
     masks = support.reference_masks(g)
     h = Graph._from_adj(n, masks)  # the masks alone
@@ -857,7 +855,7 @@ def test_matrix_certification_matches_the_mask_walk(n, p, seed):
 
 
 def test_certifying_a_mask_graph_builds_no_matrix():
-    g = gen_gnp(300, HALF, 1)
+    g = Graph._from_adj(300, list(gen_gnp(300, HALF, 1).adj))
     xs = range(0, 300, 3)
     assert "matrix" not in g.__dict__
     is_full(g, HALF, xs)
@@ -868,7 +866,7 @@ def test_certifying_a_mask_graph_builds_no_matrix():
 
 
 def test_certification_reads_any_array_as_a_set():
-    g = gen_gnp(40, HALF, 2, keep_matrix=True)
+    g = gen_gnp(40, HALF, 2)
     xs = [3, 1, 9, 3, 30, 1, 12]
     for vs in (np.array(xs), np.array(xs[::-1], dtype=np.int32), np.array(xs, dtype=np.uint8),
                np.array([30, 12, 9, 3, 1], dtype=np.uint8)):

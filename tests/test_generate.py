@@ -94,24 +94,34 @@ def test_gnp_matches_reference_around_one_block(n, p):
 @pytest.mark.parametrize("p", [Fraction(1, 2), Fraction(1, 3)])
 def test_gnp_graph_keeps_its_generated_matrix_on_request(n, p):
     want = support.reference_gnp_adjacency(n, p, 4)
-    for g in (gen_gnp(n, p, seed=4, keep_matrix=True),
-              generate(GenSpec("gnp", n, p=p, seed=4), keep_matrix=True)[0]):
+    for g in (gen_gnp(n, p, seed=4), generate(GenSpec("gnp", n, p=p, seed=4))[0]):
         assert "matrix" in g.__dict__  # no later unpack from the masks
         assert not g.matrix.flags.writeable
         assert np.array_equal(g.matrix, want)
         assert np.array_equal(g.matrix, graph_mod._unpack_rows(g.adj, n))
-    for g in (gen_gnp(n, p, seed=4), generate(GenSpec("gnp", n, p=p, seed=4))[0]):
-        assert "matrix" not in g.__dict__
-        assert np.array_equal(g.matrix, want)
+
+
+@pytest.mark.parametrize("n", [2, 3, 9, 130])
+@pytest.mark.parametrize("p", [Fraction(1, 1000), Fraction(1, 3), Fraction(1)])
+def test_every_gnp_graph_that_may_have_edges_holds_its_matrix_alone(n, p):
+    # K_n too: a G(n, p) that allocates a matrix keeps it, and packs no masks
+    for g in (gen_gnp(n, p, seed=2), generate(GenSpec("gnp", n, p=p, seed=2))[0]):
+        assert "matrix" in g.__dict__ and "adj" not in g.__dict__
+        assert g.degrees == tuple(support.reference_gnp_adjacency(n, p, 2).sum(axis=0))
+
+
+@pytest.mark.parametrize("n,p", [(0, Fraction(1, 2)), (1, Fraction(1)), (9, 0)])
+def test_gnp_graphs_without_a_possible_edge_hold_empty_masks(n, p):
+    g = gen_gnp(n, p, seed=2)
+    assert g.adj == (0,) * n and "matrix" not in g.__dict__
 
 
 @pytest.mark.parametrize("n", [0, 1, 2, 9])
 @pytest.mark.parametrize("p", [0, 1])
 def test_gnp_extreme_probabilities_give_their_matrix(n, p):
-    for keep in (False, True):
-        g = gen_gnp(n, p, seed=4, keep_matrix=keep)
-        assert np.array_equal(g.matrix, support.reference_gnp_adjacency(n, p, 4))
-        assert np.array_equal(g.matrix, graph_mod._unpack_rows(g.adj, n))
+    g = gen_gnp(n, p, seed=4)
+    assert np.array_equal(g.matrix, support.reference_gnp_adjacency(n, p, 4))
+    assert np.array_equal(g.matrix, graph_mod._unpack_rows(g.adj, n))
 
 
 @pytest.mark.parametrize("n", [4, 5, 6, 13])

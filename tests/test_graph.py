@@ -22,6 +22,7 @@ from fullsub import (
     induced_subgraph,
     lex_less,
     read_edge_list,
+    to_mask,
     write_edge_list,
 )
 from fullsub import graph as graph_mod
@@ -294,6 +295,27 @@ def test_from_masks_refuses_malformed_masks(n, adj, message):
     assert str(err.value) == message
 
 
+def test_numpy_integer_ids_and_masks_are_read_as_python_ints():
+    # 1 << np.int64(70) wraps to 0, and np.int64 has no bit_length
+    wide = Graph.from_edges(100, [(np.int64(0), np.int64(70))])
+    assert list(wide.edges()) == [(0, 70)] and wide.edge_count == 1
+    assert wide.degrees[0] == wide.degrees[70] == 1 and wide.adj[0] == 1 << 70
+    path = Graph.from_edges(3, np.array([[0, 1], [1, 2]]))
+    assert path == support.path(3) and list(path.edges()) == [(0, 1), (1, 2)]
+    k3 = Graph.from_masks(3, np.array([6, 5, 3]))
+    assert k3 == support.clique(3) and list(k3.edges()) == [(0, 1), (0, 2), (1, 2)]
+    for g in (wide, path, k3):
+        assert all(type(m) is int for m in g.adj)
+    want = (1 << 3) | (1 << 70)
+    assert to_mask(np.array([3, 70]), 100) == to_mask([np.uint8(3), np.int32(70)], 100) == want
+    with pytest.raises(ValueError, match="vertex 100 out of range"):
+        to_mask(np.array([3, 100]), 100)
+    with pytest.raises(ValueError, match="out of range"):
+        Graph.from_edges(100, np.array([[0, 100]]))
+    with pytest.raises(ValueError, match="mentions vertices >= 3"):
+        Graph.from_masks(3, np.array([6, 13, 3]))
+
+
 def test_density_closed_cases():
     assert density(support.clique(4)) == 1
     assert density(support.cycle(4)) == Fraction(2, 3)
@@ -464,9 +486,9 @@ def _dense_text() -> str:
 
 FAMILIES = {
     "gnp": lambda: gen_gnp(300, Fraction(1, 2), seed=5),
-    "gnp-kept-matrix": lambda: gen_gnp(257, Fraction(1, 3), seed=6, keep_matrix=True),
-    "gnp-p0": lambda: gen_gnp(40, 0, seed=1, keep_matrix=True),
-    "gnp-p1": lambda: gen_gnp(40, 1, seed=1, keep_matrix=True),
+    "gnp-kept-matrix": lambda: gen_gnp(257, Fraction(1, 3), seed=6),
+    "gnp-p0": lambda: gen_gnp(40, 0, seed=1),
+    "gnp-p1": lambda: gen_gnp(40, 1, seed=1),
     "clique-isolated": lambda: gen_clique_plus_isolated(30, 100),
     "multipartite-planted": lambda: gen_multipartite_planted(8, 2)[0],
     "adversary": lambda: gen_greedy_adversary(20),
@@ -500,11 +522,11 @@ def test_lazy_masks_equal_the_packed_matrix(make):
 
 
 def test_readers_and_subgraphs_hold_the_matrix_alone():
-    for g in (read_edge_list(_dense_text()), gen_gnp(30, Fraction(1, 2), 1, keep_matrix=True),
+    for g in (read_edge_list(_dense_text()), gen_gnp(30, Fraction(1, 2), 1),
               induced_subgraph(support.petersen(), [0, 2, 4, 5])[0]):
         assert "matrix" in g.__dict__ and "adj" not in g.__dict__
-    for g in (read_edge_list(_dense_text().replace("\n", "\r\n")), gen_gnp(30, Fraction(1, 2), 1)):
-        assert "adj" in g.__dict__ and "matrix" not in g.__dict__
+    g = read_edge_list(_dense_text().replace("\n", "\r\n"))
+    assert "adj" in g.__dict__ and "matrix" not in g.__dict__
 
 
 @given(graphs())
@@ -550,12 +572,27 @@ def test_write_from_the_matrix_matches_the_mask_writer(make):
     assert write_edge_list(mask_twin(g)) == text
 
 
+def test_mask_graphs_past_one_unpacked_block_compare_and_write_every_row():
+    g = Graph._from_adj(300, list(gen_gnp(300, Fraction(1, 2), seed=5).adj))
+    # a degree-preserving 2-switch at rows 127 and 255, the last of _rows' first two blocks
+    x = next(v for v in g.neighbors(127) if v != 255 and not g.has_edge(255, v))
+    y = next(v for v in g.neighbors(255) if v != 127 and not g.has_edge(127, v))
+    switch = {tuple(sorted(e)) for e in ((127, x), (255, y), (127, y), (255, x))}
+    h = Graph.from_edges(300, set(g.edges()) ^ switch)
+    assert h.degrees == g.degrees and g != h and h != g
+    assert g == Graph._from_adj(300, list(g.adj))
+    for k in (g, h):
+        assert write_edge_list(k) == support.reference_write_edge_list(k)
+        assert "matrix" not in k.__dict__
+
+
 @pytest.mark.parametrize("n", [0, 1, 2, 200, 1001])
 @pytest.mark.parametrize("p", [Fraction(1, 50), Fraction(1, 2)])
 def test_gen_writes_the_same_text_with_its_matrix_kept(n, p):
-    kept = gen_gnp(n, p, seed=3, keep_matrix=True)
-    assert write_edge_list(kept) == write_edge_list(gen_gnp(n, p, seed=3))
+    kept = gen_gnp(n, p, seed=3)
+    text = write_edge_list(kept)
     assert "adj" not in kept.__dict__ or n <= 1 or p == 0
+    assert text == write_edge_list(mask_twin(kept))
 
 
 # ---------------------------------------------------------------------------
@@ -591,6 +628,17 @@ def test_a_higher_cgroup_limit_leaves_physical_memory(memory_max):
     graph_mod._check_memory(1 << 32, "a table")
     with pytest.raises(PreconditionError, match=f"{1 << 32} bytes of physical memory"):
         graph_mod._check_memory((1 << 32) + 1, "a table")
+
+
+def test_complement_refuses_masks_beyond_the_limit(memory_max):
+    memory_max.write_text(f"{1 << 24}\n")
+    g = complement(read_edge_list("4000 0\n"))  # 4000^2 / 8 = 2 MB of masks
+    assert g.edge_count == 4000 * 3999 // 2 and g.degrees == (3999,) * 4000
+    with pytest.raises(PreconditionError, match="20000 adjacency masks of 20000 bits needs "
+                       "50000000 bytes, more than the 16777216 bytes of cgroup memory limit"):
+        complement(read_edge_list("20000 0\n"))
+    with pytest.raises(PreconditionError, match="^19998 adjacency masks of 19998 bits needs"):
+        gen_greedy_adversary(4999)  # 4 * 4999 + 2 vertices, in the same words
 
 
 @pytest.mark.parametrize("content", ["max\n", None])

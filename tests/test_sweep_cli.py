@@ -38,7 +38,7 @@ from fullsub import (
     write_csv,
     write_edge_list,
 )
-from fullsub import percolation
+from fullsub import cli as cli_mod, percolation
 from fullsub.cli import main
 from fullsub.sweep import CSV_COLUMNS, ExperimentRow, frac_str
 
@@ -172,7 +172,7 @@ def test_sweep_finders_get_the_generated_matrix(monkeypatch):
 
 def test_dense_sweep_group_packs_no_masks(monkeypatch):
     modules = [importlib.import_module(f"fullsub.{name}")
-               for name in ("graph", "generate", "discrepancy", "percolation")]
+               for name in ("graph", "discrepancy", "percolation")]
     packed = []
     real = modules[0]._pack_rows
 
@@ -186,7 +186,7 @@ def test_dense_sweep_group_packs_no_masks(monkeypatch):
                                  algorithms=("greedy", "two-thirds", "half-full")))
     assert [r.passed_verification for r in rows] == [True] * 3
     assert packed == []
-    generate(GenSpec("gnp", 10, p=Fraction(1, 2)))  # the count sees a mask-built G(n, p)
+    gen_gnp(10, Fraction(1, 2), 0).adj  # the count sees masks packed from a G(n, p) matrix
     assert packed == [(10, 10)]
 
 
@@ -281,6 +281,20 @@ def test_cli_gen_writes_the_reference_text(capsys, tmp_path, argv, spec):
     assert open(out, encoding="ascii").read() == want
     code, text, _ = run_cli(capsys, "gen", *argv, "--seed", "4")
     assert code == 0 and text == want
+
+
+def test_cli_gen_writes_one_piece_per_vertex_with_a_later_neighbour(capsys, monkeypatch):
+    pieces, real = [], cli_mod._write_text
+
+    def recording(it, path):
+        real((pieces.append(piece) or piece for piece in it), path)
+
+    monkeypatch.setattr(cli_mod, "_write_text", recording)
+    code, text, _ = run_cli(capsys, "gen", "--family", "gnp", "--n", "300", "--p", "1/2")
+    g = gen_gnp(300, Fraction(1, 2), seed=0)
+    assert code == 0 and text == "".join(pieces) == support.reference_write_edge_list(g)
+    later = sum(any(v > u for v in g.neighbors(u)) for u in range(g.n))
+    assert len(pieces) == 1 + later  # the header, then one piece per row: never the whole text
 
 
 def test_cli_gen_to_stdout_parses_back(capsys):
