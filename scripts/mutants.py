@@ -111,6 +111,18 @@ MUTANTS = (
     Mutant("small-p window one too wide above", "fullsub/finders.py",
            "1 + math.isqrt(num * n * n // den)", "2 + math.isqrt(num * n * n // den)",
            ("tests/test_finders.py::test_small_p_window_stops_where_the_reference_predicates_do",)),
+    Mutant("oracle scan cut one position early (+ 1 dropped)", "fullsub/finders.py",
+           "nbr_rows[i] = [j + 1 for", "nbr_rows[i] = [j for",
+           ("tests/test_finders.py::test_dfs_matches_reference_on_gnp[24]",
+            "tests/test_finders.py::test_finder_outputs_are_frozen[oracle-full-gnp28-seed1]")),
+    Mutant("oracle tight members ignored", "fullsub/finders.py",
+           "tight |= b", "tight |= 0",
+           ("tests/test_finders.py::test_dfs_matches_reference_on_gnp[24]",
+            "tests/test_finders.py::test_finder_outputs_are_frozen[oracle-full-gnp28-seed1]")),
+    Mutant("oracle backtracks at t = need", "fullsub/finders.py",
+           "if t > need:", "if t >= need:",
+           ("tests/test_finders.py::test_dfs_matches_reference_on_gnp[24]",
+            "tests/test_finders.py::test_finder_outputs_are_frozen[oracle-full-gnp28-seed1]")),
     Mutant("g(G) ties go to the co-full side", "fullsub/finders.py",
            'c[0] != "full"', 'c[0] != "cofull"',
            ("tests/test_finders.py::test_g_value_oracle_breaks_ties_to_the_full_side",)),

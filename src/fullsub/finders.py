@@ -28,7 +28,6 @@ VerificationError because it can only mean an implementation bug.
 from __future__ import annotations
 
 import heapq
-import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -198,43 +197,64 @@ def _first_full_set(adj, cands: list, m: int, bar: int) -> Optional[int]:
     """Mask of the lexicographically smallest m-subset X of the sorted
     cands whose members all have at least bar neighbors in X, or None.
 
-    Depth-first search in lex order that skips a vertex whose set can
-    no longer be completed: when some member has fewer than bar
-    neighbors in the set plus the vertices still to pick from it. The
-    first set reached is the one a lex-order scan of all m-subsets
-    meets first."""
+    Lex-order depth-first search that takes u = cands[i] only if u and
+    each member v can still reach bar in X + u with need - 1 more picks
+    from cands[i+1:]. For v with deficit t = bar - |N(v) & X| > 0 that is
+    t <= need, at least t neighbors in cands[i:], and v ~ u if t = need. So
+    each node fixes on entry (1) limit, where its scan stops: the first i
+    at which a member has fewer than t neighbors left (0 if some t > need),
+    and (2) tight, the members with t = need, which u must neighbor; only
+    u's own count is tested per candidate. Both rules skip only candidates
+    that fail the full test, so the first set reached is the one a
+    lex-order scan of all m-subsets meets first."""
     k = len(cands)
+    if k < m:
+        return None
+    rows = [adj[v] for v in cands]
     after = [0] * (k + 1)  # after[i]: mask of cands[i:]
     for i in range(k - 1, -1, -1):
         after[i] = after[i + 1] | (1 << cands[i])
+    nbr_rows: list = [None] * k  # per position, built on its first push
     picked: list = []  # positions in cands
-    members: list = []  # vertices at those positions
-    masks = [0]
+    frames = [(0, [], k - m + 1, 0)]  # X, (bit, t, nbrs) of members with t > 0, limit, tight
     i = 0
     while True:
         need = m - len(picked)
         if not need:
-            return masks[-1]
-        mask = masks[-1]
-        while i <= k - need:
-            u = cands[i]
-            grown = mask | (1 << u)
-            rest, left = after[i + 1], need - 1
-            if all((adj[v] & grown).bit_count()
-                   + min((adj[v] & rest).bit_count(), left) >= bar
-                   for v in itertools.chain(members, (u,))):
-                break
+            return frames[-1][0]
+        mask, members, limit, tight = frames[-1]
+        while i < limit:
+            au = rows[i]
+            if not tight & ~au:
+                inside = (au & mask).bit_count()
+                if inside + min((au & after[i + 1]).bit_count(), need - 1) >= bar:
+                    break
             i += 1
         else:
             if not picked:
                 return None
             i = picked.pop() + 1
-            members.pop()
-            masks.pop()
+            frames.pop()
             continue
         picked.append(i)
-        members.append(u)
-        masks.append(grown)
+        need -= 1
+        nbrs = nbr_rows[i]
+        if nbrs is None:  # one past each neighbor's position, ascending
+            nbrs = nbr_rows[i] = [j + 1 for j, w in enumerate(cands) if au >> w & 1]
+        bit, limit, tight, kept = 1 << cands[i], k - need + 1, 0, []
+        for b, t, ns in members + [(bit, bar - inside, nbrs)]:
+            if au & b:
+                t -= 1
+            if t < 1:
+                continue
+            if t > need:
+                limit = 0
+            elif ns[-t] < limit:  # t <= len(ns), as the test that took u ensures
+                limit = ns[-t]
+            if t == need:
+                tight |= b
+            kept.append((b, t, ns))
+        frames.append((mask | bit, kept, limit, tight))
         i += 1
 
 

@@ -353,7 +353,14 @@ def induced_subgraph(g: Graph, vertices: Iterable[int]) -> tuple[Graph, tuple[in
 
 
 def complement(g: Graph) -> Graph:
-    """The complement, as masks: refused as the generators' masks are."""
+    """The complement, in g's form: of a graph holding Graph.matrix, the
+    inverted matrix with its diagonal cleared, refused as any dense
+    matrix is; else masks, refused as the generators' masks are."""
+    if "matrix" in g.__dict__:
+        _check_dense_size(g.n)
+        mat = ~g.matrix
+        np.fill_diagonal(mat, False)
+        return Graph._from_matrix(mat)
     _check_memory(g.n * g.n // 8, f"{g.n} adjacency masks of {g.n} bits")
     full = (1 << g.n) - 1
     return Graph._from_adj(g.n, [full ^ m ^ (1 << v) for v, m in enumerate(g.adj)])

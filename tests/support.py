@@ -487,6 +487,46 @@ def reference_oracle_largest_full(g: Graph, p, mode: str = "full"):
     return 0, (), 0
 
 
+def reference_first_full_set(adj, cands: list, m: int, bar: int) -> Optional[int]:
+    """finders._first_full_set by its first form: the same lex-order
+    depth-first search, with each candidate u accepted only when every
+    member of the grown set, u included, still has at least bar
+    neighbors in the set plus the vertices left to pick after u."""
+    k = len(cands)
+    after = [0] * (k + 1)  # after[i]: mask of cands[i:]
+    for i in range(k - 1, -1, -1):
+        after[i] = after[i + 1] | (1 << cands[i])
+    picked: list = []  # positions in cands
+    members: list = []  # vertices at those positions
+    masks = [0]
+    i = 0
+    while True:
+        need = m - len(picked)
+        if not need:
+            return masks[-1]
+        mask = masks[-1]
+        while i <= k - need:
+            u = cands[i]
+            grown = mask | (1 << u)
+            rest, left = after[i + 1], need - 1
+            if all((adj[v] & grown).bit_count()
+                   + min((adj[v] & rest).bit_count(), left) >= bar
+                   for v in members + [u]):
+                break
+            i += 1
+        else:
+            if not picked:
+                return None
+            i = picked.pop() + 1
+            members.pop()
+            masks.pop()
+            continue
+        picked.append(i)
+        members.append(u)
+        masks.append(grown)
+        i += 1
+
+
 def reference_peel(g: Graph, p, tie_break: str = "min-index", stop=None):
     """(survivors' mask, deletion trace, whether stop fired) of the
     minimum-degree peel: the loop the finders ran before it became one

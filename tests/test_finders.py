@@ -27,6 +27,8 @@ from fullsub import (
     discrepancy_exact,
     full_two_thirds,
     gen_gnp,
+    gen_greedy_adversary,
+    gen_multipartite_planted,
     greedy_full,
     half_full,
     induced_subgraph,
@@ -169,6 +171,44 @@ def test_oracle_matches_reference_on_gnp(n):
             for h, q in ((g, d), (complement(g), 1 - d)):
                 for mode in ("full", "cofull"):
                     _assert_oracle_matches_reference(h, q, mode)
+
+
+def _oracle_at_density(g, mode):
+    return oracle_largest_full(g, density(g), mode, cap=g.n)
+
+
+def _assert_dfs_matches_reference(monkeypatch, graphs):
+    """Every call the oracle makes to finders._first_full_set on graphs,
+    at p = density in both modes, gives what the reference gives."""
+    calls, real = [], finders._first_full_set
+
+    def spy(*args):
+        got = real(*args)
+        calls.append((args, got))
+        return got
+
+    monkeypatch.setattr(finders, "_first_full_set", spy)
+    for g in graphs:
+        for mode in ("full", "cofull"):
+            _oracle_at_density(g, mode)
+    assert calls
+    for args, got in calls:
+        assert got == support.reference_first_full_set(*args), args[1:]
+
+
+# past the exhaustive reference's reach: the depth-first search against
+# its first form, call by call
+@pytest.mark.parametrize("n", [24, 28, 32])
+def test_dfs_matches_reference_on_gnp(n, monkeypatch):
+    _assert_dfs_matches_reference(monkeypatch, [
+        gen_gnp(n, p, seed) for p in (Fraction(1, 4), HALF, Fraction(3, 4)) for seed in range(3)])
+
+
+def test_dfs_matches_reference_on_constructions(monkeypatch):
+    graphs = [gen_multipartite_planted(k, 1)[0] for k in range(7, 13)]
+    graphs += [gen_multipartite_planted(k, 2)[0] for k in range(6, 9)]  # N = 18, 21, 24
+    graphs += [gen_greedy_adversary(k) for k in range(2, 6)]
+    _assert_dfs_matches_reference(monkeypatch, graphs)
 
 
 def test_oracle_refuses_p_outside_unit_interval():
@@ -720,8 +760,6 @@ def _result_text(res) -> str:
 
 
 def _frozen_cases():
-    from fullsub import gen_greedy_adversary
-
     quarter = Fraction(1, 4)
     cases = {}
     for tie in ("min-index", "adversarial-antipodal"):
@@ -742,6 +780,14 @@ def _frozen_cases():
     for mode in ("full", "cofull"):
         cases[f"oracle-{mode}-gnp14"] = (
             lambda mode=mode: oracle_largest_full(gen_gnp(14, HALF, 0), HALF, mode))
+    # past the exhaustive reference's reach, at p = density as the exact
+    # caps run it
+    for name, mode, make in (("gnp28-seed1", "full", lambda: gen_gnp(28, HALF, 1)),
+                             ("gnp32-seed0", "cofull", lambda: gen_gnp(32, HALF, 0)),
+                             ("multipartite-r1-N24", "full",
+                              lambda: gen_multipartite_planted(12, 1)[0])):
+        cases[f"oracle-{mode}-{name}"] = (
+            lambda mode=mode, make=make: _oracle_at_density(make(), mode))
     cases["g-heuristic-gnp60"] = (
         lambda: largest_full_or_cofull(gen_gnp(60, quarter, 0), method="heuristic"))
     return cases
@@ -792,6 +838,12 @@ FROZEN_DIGESTS = {
         "8db9fda23df738cbeb7993e0f4652e6f421c3cdec4071eca74cb97c9f1b3c61a",
     "oracle-cofull-gnp14":
         "e2e22a3ff0e41cfc54fc8dd9022a0b9f2906e888ef1c7de110f199e09d130c12",
+    "oracle-full-gnp28-seed1":
+        "f9ae6be2b7d77be5c6cb55cc54db61d168af65686b80227de2f5ad7e9966e46d",
+    "oracle-cofull-gnp32-seed0":
+        "84148b741aa3446d7b8359be94b3f0356d511fd6047277d1ecf7d304b890495e",
+    "oracle-full-multipartite-r1-N24":
+        "0d564bd68ff255885ce1e93070ee291646f6bb305ce3bde2795e2882b92f7454",
     "g-heuristic-gnp60":
         "cc1b8a75890a411db27282737339cc5aa23dc40df7d23b63e1fcb01139d82288",
 }

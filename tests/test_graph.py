@@ -554,6 +554,20 @@ def test_mask_and_matrix_twins_are_equal_and_hash_alike(make):
     assert complement(masks) == complement(mat) == matrix_twin(complement(g))
 
 
+@pytest.mark.parametrize("make", FAMILIES.values(), ids=FAMILIES.keys())
+def test_complement_keeps_the_form_and_equals_the_mask_complement(make):
+    g = make()
+    held = "matrix" if "matrix" in g.__dict__ else "adj"
+    h = complement(g)
+    assert h.__dict__.keys() & {"matrix", "adj"} == {held}
+    full = (1 << g.n) - 1
+    want = tuple(full ^ m ^ (1 << v) for v, m in enumerate(g.adj))
+    twin = complement(mask_twin(g))
+    assert "matrix" not in twin.__dict__
+    assert h.adj == twin.adj == want and h.degrees == twin.degrees
+    assert h.edge_count == twin.edge_count == g.n * (g.n - 1) // 2 - g.edge_count
+
+
 def test_equal_degrees_on_other_edges_are_unequal():
     c6 = support.cycle(6)
     triangles = support.disjoint_union(support.clique(3), support.clique(3))

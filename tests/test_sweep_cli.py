@@ -654,3 +654,17 @@ def test_scaling_sweep_script_refuses_cleanly(capsys):
     code = load_script("scaling_sweep").main(["--n-grid", "30", "--seeds", "0"])
     err = capsys.readouterr().err
     assert code == 2 and err.startswith("error: sweep cell [") and "two-thirds" in err
+
+
+def test_oracle_worst_cases_script_smoke(capsys):
+    assert load_script("oracle_worst_cases").main(["--max-n", "24"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0].split() == ["case", "mode", "n", "size", "witness", "seconds"]
+    # sizes and witness digests are pinned: a faster search keeps each witness
+    assert [line.split()[:5] for line in lines[1:]] == [
+        ["gnp24-seed0", "full", "24", "17", "d9467bae8d67f835"],
+        ["gnp24-seed0", "cofull", "24", "18", "1915c67e50eee00f"],
+        ["gnp24-seed1", "full", "24", "16", "51c21f8a0dd0b5be"],
+        ["gnp24-seed1", "cofull", "24", "17", "13947b88e588a5cb"],
+        ["multipartite-r1-N24", "full", "24", "16", "4a906a4912ca469d"]]
+    assert all(float(line.split()[5]) >= 0 for line in lines[1:])
