@@ -123,6 +123,18 @@ MUTANTS = (
            "if t > need:", "if t >= need:",
            ("tests/test_finders.py::test_dfs_matches_reference_on_gnp[24]",
             "tests/test_finders.py::test_finder_outputs_are_frozen[oracle-full-gnp28-seed1]")),
+    Mutant("co-full oracle's complement masks keep the diagonal", "fullsub/finders.py",
+           "full ^ a ^ (1 << v) for v, a", "full ^ a for v, a",
+           ("tests/test_finders.py::test_cofull_oracle_gives_one_witness_on_both_twins",
+            "tests/test_finders.py::test_finder_outputs_are_frozen[oracle-cofull-gnp14]")),
+    Mutant("co-full degrees not complemented", "fullsub/finders.py",
+           "p, degs = 1 - p, m - 1 - degs.astype(np.int64)",
+           "p, degs = 1 - p, degs.astype(np.int64)",
+           ("tests/test_finders.py::test_fullness_bar_rounds_p_times_m_minus_1",
+            "tests/test_finders.py::test_cofull_is_full_in_the_complement")),
+    Mutant("complement keeps its diagonal", "fullsub/graph.py",
+           "\n    np.fill_diagonal(mat, False)", "",
+           ("tests/test_graph.py::test_complement_keeps_the_form_and_equals_the_mask_complement",)),
     Mutant("g(G) ties go to the co-full side", "fullsub/finders.py",
            'c[0] != "full"', 'c[0] != "cofull"',
            ("tests/test_finders.py::test_g_value_oracle_breaks_ties_to_the_full_side",)),

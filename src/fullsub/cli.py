@@ -253,8 +253,8 @@ def build_parser() -> argparse.ArgumentParser:
         description="Full subgraphs, discrepancy, and bootstrap percolation.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def command(name, func, summary, reads_input=True):
-        cmd = sub.add_parser(name, parents=[common], allow_abbrev=False, help=summary)
+    def command(name, func, summary, reads_input=True, parents=(common,)):
+        cmd = sub.add_parser(name, parents=parents, allow_abbrev=False, help=summary)
         if reads_input:
             cmd.add_argument("--input", required=True)
         cmd.set_defaults(func=func)
@@ -316,7 +316,8 @@ def build_parser() -> argparse.ArgumentParser:
                         help="show a surviving half-full set when a trial fails")
     _add_exact_cap(p_perc, THETA_CAP_DEFAULT)
 
-    p_sweep = command("sweep", cmd_sweep, "experiment grid writing CSV", reads_input=False)
+    p_sweep = command("sweep", cmd_sweep, "experiment grid writing CSV", reads_input=False,
+                      parents=())  # its seeds come from --seeds
     p_sweep.add_argument("--family", default="gnp", choices=FAMILIES)
     p_sweep.add_argument("--n-grid", type=_int_list, required=True)
     p_sweep.add_argument("--p-grid", type=_fraction_list, required=True)

@@ -107,25 +107,25 @@ def ceil_sqrt_frac(x: Fraction) -> int:
     return 0 if x <= 0 else math.isqrt(math.ceil(x) - 1) + 1
 
 
-def _fullness_bar(p: Fraction, m: int, mode: str) -> int:
-    """The integer form of the bar p(m-1) for an m-vertex set: members
-    of a full set need at least ceil(p(m-1)) neighbours inside it, and
-    those of a co-full set at most floor(p(m-1))."""
-    thr = p.numerator * (m - 1)
-    if mode == "full":
-        return -(-thr // p.denominator)
-    if mode == "cofull":
-        return thr // p.denominator
-    raise ValueError(f"mode must be 'full' or 'cofull', got {mode!r}")
+def _fullness_bar(p: Fraction, m: int) -> int:
+    """ceil(p(m-1)), the integer form of the bar p(m-1): members of a
+    full m-vertex set need at least that many neighbours inside it."""
+    return -(-p.numerator * (m - 1) // p.denominator)
 
 
 def _first_violator(p: Fraction, idx: np.ndarray, degs: np.ndarray,
                     mode: str) -> Optional[int]:
     """The smallest member of the vertex set idx, a sorted index array,
     whose in-set degree (degs, as from _degrees_within) misses the
-    fullness bar at p, or None."""
-    bar = _fullness_bar(p, len(idx), mode)
-    bad = degs > bar if mode == "cofull" else degs < bar
+    fullness bar at p, or None. A co-full set is checked as a full set
+    of the complement at 1 - p, since d <= floor(p(m-1)) iff
+    (m-1) - d >= ceil((1-p)(m-1))."""
+    m = len(idx)
+    if mode == "cofull":
+        p, degs = 1 - p, m - 1 - degs.astype(np.int64)
+    elif mode != "full":
+        raise ValueError(f"mode must be 'full' or 'cofull', got {mode!r}")
+    bad = degs < _fullness_bar(p, m)
     return int(idx[bad.argmax()]) if bad.any() else None
 
 
@@ -169,9 +169,9 @@ def oracle_largest_full(g: Graph, p, mode: str = "full",
                         cap: int = EXACT_CAP_DEFAULT) -> FullSubgraphResult:
     """Exact largest full (or co-full) subgraph by descending-size
     search; the witness is the lexicographically smallest optimum.
-    Co-full sets of G at p are the full sets of its complement at 1 - p,
-    since d_S(v) <= floor(p(m-1)) iff (m-1) - d_S(v) >= ceil((1-p)(m-1)),
-    so both modes run the full search and certify the witness in G.
+    Co-full sets of G at p are the full sets of its complement at 1 - p
+    (_first_violator), so the co-full search is the full search on the
+    complement's masks and degrees; both modes certify the witness in G.
     Exponential: refuses n > cap."""
     p = as_probability(p)
     if mode not in ("full", "cofull"):
@@ -183,11 +183,15 @@ def oracle_largest_full(g: Graph, p, mode: str = "full",
     n = g.n
     if n == 0:
         return _certified(g, p, 0, mode=mode)
-    h, q = (g, p) if mode == "full" else (complement(g), 1 - p)
+    adj, degrees, q = g.adj, g.degrees, p
+    if mode == "cofull":
+        full = (1 << n) - 1
+        adj = [full ^ a ^ (1 << v) for v, a in enumerate(adj)]
+        degrees, q = [n - 1 - d for d in degrees], 1 - p
     for m in range(n, 0, -1):
-        bar = _fullness_bar(q, m, "full")
-        elig = [v for v in range(n) if h.degrees[v] >= bar]
-        mask = _first_full_set(h.adj, elig, m, bar)
+        bar = _fullness_bar(q, m)
+        elig = [v for v in range(n) if degrees[v] >= bar]
+        mask = _first_full_set(adj, elig, m, bar)
         if mask is not None:
             return _certified(g, p, mask, mode=mode)
     raise AssertionError("single vertices are always full")
@@ -282,7 +286,7 @@ def _peel(g: Graph, p: Fraction, tie_break: str = "min-index",
     while True:
         victim = int(np.argmin(deg))
         dmin = int(deg[victim])
-        if dmin >= _fullness_bar(p, count, "full"):
+        if dmin >= _fullness_bar(p, count):
             break
         if stop is not None and stop(count, dmin):
             stopped = True
@@ -552,7 +556,7 @@ def full_two_thirds(g: Graph) -> FullSubgraphResult:
         # while more than floor(n/2) vertices remain
         if s <= n // 2:
             return False
-        d_i = _fullness_bar(p, s, "full")
+        d_i = _fullness_bar(p, s)
         r_i = d_i % r
         return r_i * den <= (den - num) * r and dmin >= d_i - r_i + 1
 
@@ -610,7 +614,7 @@ def small_p_full(g: Graph) -> FullSubgraphResult:
         stack = [root]
         while stack:
             v = stack.pop()
-            fresh = g.adj[v] & alive & ~seen
+            fresh = g.adj[v] & ~seen  # a live vertex's neighbours are all live
             seen |= fresh
             for u in iter_bits(fresh):
                 fadj[v] |= 1 << u
@@ -638,7 +642,7 @@ def small_p_full(g: Graph) -> FullSubgraphResult:
         trace.append(leaf)
         if fadj[w].bit_count() == 1:
             heapq.heappush(leaves, w)
-        if (g.adj[w] & alive).bit_count() == 0:
+        if not fadj[w]:  # the forest spans each live component: w has no live neighbour
             alive ^= 1 << w
             fadj[w] = 0
             count -= 1

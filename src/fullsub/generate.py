@@ -152,15 +152,12 @@ def gen_multipartite_planted(n: int, r: int, c=Fraction(1)):
                 f"planted clique size would exceed the part size {n}; "
                 "c too large for this part size")
 
-    part_pairs = [list(itertools.combinations(range(j * n, j * n + k), 2))
+    # round-robin in closed form: the surplus is below (r+1)(k-1), by the
+    # minimality of k, so no part runs out of pairs to drop
+    drop, extra = divmod((r + 1) * (k * (k - 1) // 2) - deficit, r + 1)
+    part_pairs = [itertools.islice(itertools.combinations(range(j * n, j * n + k), 2),
+                                   k * (k - 1) // 2 - drop - (j < extra))
                   for j in range(r + 1)]
-    surplus = (r + 1) * (k * (k - 1) // 2) - deficit
-    j = 0
-    while surplus > 0:
-        if part_pairs[j]:
-            part_pairs[j].pop()
-            surplus -= 1
-        j = (j + 1) % (r + 1)
 
     full = (1 << N) - 1
     adj = [0] * N

@@ -3,8 +3,8 @@
 A Graph holds the form it was built from and builds the other on first
 use: Graph.adj, one Python int bitmask per vertex, or Graph.matrix, a
 read-only numpy bool matrix. Graphs built from edges or masks hold
-masks; a G(n, p) graph, an induced subgraph and a graph read from
-canonical text hold the matrix, with degrees from its column sums
+masks; a G(n, p) graph, an induced subgraph, a complement and a graph
+read from canonical text hold the matrix, with degrees from its column sums
 (_column_counts). NumPy integer ids and masks are taken as Python ints
 (operator.index), so no shift wraps at 64 bits. Inside the package a
 vertex set is a sorted index array (_as_index), and in-set degrees are
@@ -353,17 +353,11 @@ def induced_subgraph(g: Graph, vertices: Iterable[int]) -> tuple[Graph, tuple[in
 
 
 def complement(g: Graph) -> Graph:
-    """The complement, in g's form: of a graph holding Graph.matrix, the
-    inverted matrix with its diagonal cleared, refused as any dense
-    matrix is; else masks, refused as the generators' masks are."""
-    if "matrix" in g.__dict__:
-        _check_dense_size(g.n)
-        mat = ~g.matrix
-        np.fill_diagonal(mat, False)
-        return Graph._from_matrix(mat)
-    _check_memory(g.n * g.n // 8, f"{g.n} adjacency masks of {g.n} bits")
-    full = (1 << g.n) - 1
-    return Graph._from_adj(g.n, [full ^ m ^ (1 << v) for v, m in enumerate(g.adj)])
+    """The complement, holding its matrix alone: the inverted Graph.matrix
+    with its diagonal cleared, refused as any dense matrix is."""
+    mat = ~g.matrix
+    np.fill_diagonal(mat, False)
+    return Graph._from_matrix(mat)
 
 
 def _rows(g: Graph) -> Iterator[np.ndarray]:

@@ -110,6 +110,21 @@ def reference_induced_subgraph(g: Graph, vertices) -> tuple[Graph, tuple[int, ..
                           if g.has_edge(labels[i], labels[j])]), labels
 
 
+def reference_multipartite_clique_pairs(n: int, r: int, k: int, surplus: int) -> list:
+    """The clique pairs gen_multipartite_planted keeps in each of its r+1
+    parts of size n: the C(k,2) pairs of the part's first k vertices in
+    lex order, trimmed round-robin from part 0, one lex-largest pair of
+    a nonempty part at a time, until surplus pairs are gone."""
+    part_pairs = [list(combinations(range(j * n, j * n + k), 2)) for j in range(r + 1)]
+    j = 0
+    while surplus > 0:
+        if part_pairs[j]:
+            part_pairs[j].pop()
+            surplus -= 1
+        j = (j + 1) % (r + 1)
+    return part_pairs
+
+
 def reference_gnp_adjacency(n: int, p, seed: int) -> np.ndarray:
     """Bool adjacency of G(n, p): pair k of the lexicographic order
     (triu_indices) is an edge when draw k falls below floor(p * 2^64),
@@ -428,6 +443,14 @@ def brute_is_full(g: Graph, p, xs, mode: str = "full") -> bool:
         if mode == "cofull" and d > bar:
             return False
     return True
+
+
+def twins(g: Graph) -> tuple[Graph, Graph]:
+    """g rebuilt twice, from its masks and from a copy of its matrix, so
+    that each twin holds one form alone."""
+    masks, mat = Graph._from_adj(g.n, list(g.adj)), Graph._from_matrix(np.array(g.matrix))
+    assert "matrix" not in masks.__dict__ and "adj" not in mat.__dict__
+    return masks, mat
 
 
 def reference_masks(g: Graph) -> list[int]:

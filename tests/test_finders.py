@@ -89,8 +89,16 @@ def test_is_full_matches_brute_force(g, p, data):
 def test_cofull_is_full_in_the_complement(g, p, data):
     subset = data.draw(st.lists(st.integers(0, max(0, g.n - 1)),
                                 max_size=g.n, unique=True)) if g.n else []
-    assert is_full(g, p, subset, "cofull")[0] == \
-        is_full(complement(g), 1 - p, subset, "full")[0]
+    for h in support.twins(g):
+        assert is_full(h, p, subset, "cofull") == is_full(complement(h), 1 - p, subset, "full")
+
+
+@given(graphs(max_n=9), densities)
+def test_cofull_oracle_gives_one_witness_on_both_twins(g, p):
+    masks, mat = support.twins(g)
+    got = [oracle_largest_full(h, p, "cofull") for h in (masks, mat)]
+    assert got[0] == got[1]
+    assert got[0].size == support.brute_largest_full(g, p, "cofull")[0]
 
 
 @given(graphs(max_n=8), proper_fractions, st.data())
@@ -295,10 +303,17 @@ def test_peel_matches_reference_on_gnp(monkeypatch, n, p):
                                Fraction(999999, 1000000), Fraction(1, 2 ** 70 + 1)])
 def test_fullness_bar_rounds_p_times_m_minus_1(p):
     for m in range(1, 61):
-        assert _fullness_bar(p, m, "full") == math.ceil(p * (m - 1))
-        assert _fullness_bar(p, m, "cofull") == math.floor(p * (m - 1))
+        assert _fullness_bar(p, m) == math.ceil(p * (m - 1))
+        # co-full is checked as full in the complement at 1 - p; in G it
+        # must still mean at most floor(p(m-1)): a star whose centre has
+        # d leaves is co-full exactly when d is at most that
+        floor = math.floor(p * (m - 1))
+        for d in {floor, floor + 1} & set(range(m)):
+            star = Graph.from_edges(m, [(0, v) for v in range(1, d + 1)])
+            want = (True, None) if d <= floor else (False, 0)
+            assert is_full(star, p, range(m), "cofull") == want
     with pytest.raises(ValueError, match="mode must be"):
-        _fullness_bar(p, 3, "half")
+        is_full(K31, p, range(3), "half")
 
 
 def test_greedy_rejects_unknown_tie_break():

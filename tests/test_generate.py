@@ -1,7 +1,8 @@
 """Graph generators: exact structure, edge accounting, determinism."""
 
+import warnings
 from fractions import Fraction
-from itertools import combinations, islice
+from itertools import combinations, islice, product
 
 import numpy as np
 import pytest
@@ -256,6 +257,29 @@ def test_multipartite_structure(n, r):
               for j in range(r + 1)]
     assert max(inside) - min(inside) <= 1
     assert all(e <= meta["k"] * (meta["k"] - 1) // 2 for e in inside)
+
+
+def test_multipartite_trim_matches_the_round_robin_reference():
+    compared = 0
+    for n, r, c in product(range(1, 41), range(1, 6),
+                           (Fraction(1, 2), 1, Fraction(3, 2), 2, 5, 20)):
+        try:
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", UserWarning)  # c = 1/2 < 1
+                g, meta = gen_multipartite_planted(n, r, c)
+        except PreconditionError:
+            continue
+        k = meta["k"]
+        surplus = (r + 1) * (k * (k - 1) // 2) - (meta["target_edges"] - r * (r + 1) // 2 * n * n)
+        want = [0] * g.n
+        for pp in support.reference_multipartite_clique_pairs(n, r, k, surplus):
+            for u, v in pp:
+                want[u] |= 1 << v
+                want[v] |= 1 << u
+        part = (1 << n) - 1
+        assert [a & part << v // n * n for v, a in enumerate(g.adj)] == want
+        compared += 1
+    assert compared == 571
 
 
 def test_multipartite_planted_caps_full_subgraphs():

@@ -556,14 +556,14 @@ def test_mask_and_matrix_twins_are_equal_and_hash_alike(make):
 
 @pytest.mark.parametrize("make", FAMILIES.values(), ids=FAMILIES.keys())
 def test_complement_keeps_the_form_and_equals_the_mask_complement(make):
+    # whichever form g holds, its complement holds the matrix alone
     g = make()
-    held = "matrix" if "matrix" in g.__dict__ else "adj"
     h = complement(g)
-    assert h.__dict__.keys() & {"matrix", "adj"} == {held}
+    assert h.__dict__.keys() & {"matrix", "adj"} == {"matrix"}
     full = (1 << g.n) - 1
     want = tuple(full ^ m ^ (1 << v) for v, m in enumerate(g.adj))
     twin = complement(mask_twin(g))
-    assert "matrix" not in twin.__dict__
+    assert "adj" not in twin.__dict__
     assert h.adj == twin.adj == want and h.degrees == twin.degrees
     assert h.edge_count == twin.edge_count == g.n * (g.n - 1) // 2 - g.edge_count
 
@@ -646,10 +646,11 @@ def test_a_higher_cgroup_limit_leaves_physical_memory(memory_max):
 
 def test_complement_refuses_masks_beyond_the_limit(memory_max):
     memory_max.write_text(f"{1 << 24}\n")
-    g = complement(read_edge_list("4000 0\n"))  # 4000^2 / 8 = 2 MB of masks
+    # the complement is always a dense matrix, even of a graph that holds masks
+    g = complement(read_edge_list("4000 0\n"))  # 4000^2 = 16 MB of matrix
     assert g.edge_count == 4000 * 3999 // 2 and g.degrees == (3999,) * 4000
-    with pytest.raises(PreconditionError, match="20000 adjacency masks of 20000 bits needs "
-                       "50000000 bytes, more than the 16777216 bytes of cgroup memory limit"):
+    with pytest.raises(PreconditionError, match="a dense 20000 x 20000 matrix needs "
+                       "400000000 bytes, more than the 16777216 bytes of cgroup memory limit"):
         complement(read_edge_list("20000 0\n"))
     with pytest.raises(PreconditionError, match="^19998 adjacency masks of 19998 bits needs"):
         gen_greedy_adversary(4999)  # 4 * 4999 + 2 vertices, in the same words

@@ -565,10 +565,13 @@ def test_cli_usage_errors_exit_2(capsys):
     ["percolate", "--input", "g.txt", "--p", "1/2", "--threads", "2"],
     ["gen", "--family", "gnp", "--n", "4", "--p", "1/2", "--exact-cap", "5"],
     ["qfull", "--input", "g.txt", "--q", "1/2", "--exact-cap", "5"],
+    ["sweep", "--n-grid", "6", "--p-grid", "1/2", "--seeds", "0", "--algos", "greedy",
+     "--seed", "1"],
 ])
 def test_cli_rejects_removed_flags(capsys, argv):
     # disc is exact unless --heuristic; --threads belongs to sweep only;
-    # --exact-cap only to the subcommands that enumerate
+    # --exact-cap only to the subcommands that enumerate; sweep's seeds
+    # come from --seeds, not --seed
     with pytest.raises(SystemExit) as exc:
         main(argv)
     assert exc.value.code == 2
