@@ -17,7 +17,7 @@ killed. Answer a survivor with a new test, never by dropping the entry.
 
     python scripts/mutants.py
 
-It starts one pytest process per entry plus one, about 20 s in all on
+It starts one pytest process per entry plus one, about 90 s in all on
 a 2-vCPU Xeon virtual machine, and is not part of the test suite.
 """
 
@@ -63,6 +63,25 @@ MUTANTS = (
     Mutant("weak majority", "fullsub/percolation.py",
            "np.float32) // 2 + 1", "np.float32) // 2",
            ("tests/test_percolation.py::test_batched_closure_matches_reference_per_row",)),
+    Mutant("theta need met only past it", "fullsub/percolation.py",
+           "[:, None] >= _R)", "[:, None] > _R)",
+           ("tests/test_percolation.py::"
+            "test_exact_infection_probability_matches_brute_on_every_small_graph[4]",)),
+    Mutant("theta closure shifts by 2^v + 1", "fullsub/percolation.py",
+           "np.uint64(1 << v)", "np.uint64((1 << v) + 1)",
+           ("tests/test_percolation.py::"
+            "test_exact_infection_probability_matches_brute_on_every_small_graph[4]",)),
+    Mutant("theta word-level closure runs downward", "fullsub/percolation.py",
+           "pairs[:, 1] |= pairs[:, 0]", "pairs[:, 0] |= pairs[:, 1]",
+           ("tests/test_percolation.py::"
+            "test_exact_infection_probability_matches_reference_dp_on_both_twins[half-8]",)),
+    Mutant("theta keeps the empty set blocked", "fullsub/percolation.py",
+           "    blocked[0] &= ~np.uint64(1)  # the empty set\n", "",
+           ("tests/test_percolation.py::test_exact_infection_probability_closed_cases",)),
+    Mutant("theta marks the words without v", "fullsub/percolation.py",
+           "x.reshape(-1, 2, 1 << v - 6)[:, 1]", "x.reshape(-1, 2, 1 << v - 6)[:, 0]",
+           ("tests/test_percolation.py::"
+            "test_exact_infection_probability_matches_reference_dp_on_both_twins[half-7]",)),
     Mutant("inverted bernoulli threshold", "fullsub/rng.py",
            "random_raw(size) < threshold", "random_raw(size) >= threshold",
            ("tests/test_generate.py::test_gnp_matches_reference_fill",

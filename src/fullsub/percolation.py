@@ -9,9 +9,9 @@ uninfected set is itself relatively half-full. One engine closes a
 batch of initial sets at once: one set for bootstrap_percolate, chunks
 of Monte Carlo trials for full_infection_probability, whose pass also
 yields the witness of `fullsub percolate --witness`. The exact
-probability enumerates instead: numpy popcounts mark the relatively
-half-full sets among all 2^n subsets, and a subset-sum transform marks
-every subset that contains one.
+probability enumerates instead, on a bitset of all 2^n subsets (64 to a
+word, 2^n / 2 bytes): 64-bit constants per need mark the relatively
+half-full sets, and an OR subset-sum transform marks their supersets.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ from .finders import is_relatively_full
 from .graph import Graph, PreconditionError, _as_index, _check_memory, _pack_rows, as_probability
 from .rng import _bernoulli, split_seed
 
-THETA_CAP_DEFAULT = 16
+THETA_CAP_DEFAULT = 20
 _CHUNK = 256  # rows percolated together, which bounds memory at any trial count
 
 
@@ -142,38 +142,63 @@ def full_infection_probability(g: Graph, p, trials: int = 1000,
     return _monte_carlo(g, p, trials, seed)[0]
 
 
+def _packed(sel: np.ndarray) -> np.ndarray:
+    """Bool rows sel[..., 64] as uint64 words: bit b is entry b."""
+    return np.packbits(sel, axis=-1, bitorder="little").view("<u8")[..., 0]
+
+
+# 64-bit constants over the low patterns b of a set, its vertices 0..5
+_LOW, _R = np.arange(64, dtype=np.uint8), np.arange(8, dtype=np.uint8)[:, None]
+_IN = _packed(_LOW >> _R[:6] & 1 == 1)  # [v]: v in b, for v < 6
+_LC = _packed(np.bitwise_count(_LOW) == _R[:7])  # [c]: |b| = c
+_MEETS = _packed(np.bitwise_count(_LOW[:, None] & _LOW)[:, None] >= _R)  # [lo, r]: |b & lo| >= r
+
+
 def full_infection_probability_exact(g: Graph, p,
                                      cap: int = THETA_CAP_DEFAULT) -> Fraction:
     """Exact full-infection probability: sums p^|I| (1-p)^(n-|I|) over
     initial sets I whose complement contains no nonempty relatively
-    half-full subgraph. Enumerates all 2^n vertex subsets; refuses
-    n > cap, and whatever the cap, an n whose 2^n-entry int64 array
-    exceeds physical memory."""
-    p = as_probability(p)
-    n = g.n
+    half-full subgraph. Bit b of uint64 word w stands for the vertex set
+    (w << 6) | b (2^n bits of one word when n < 6). Refuses n > cap, and
+    whatever the cap, an n whose 2^n / 2 bytes exceed physical memory."""
+    p, n, size = as_probability(p), g.n, max(1 << g.n >> 6, 1)  # size: words
     if n > cap:
-        raise PreconditionError(
-            f"exact infection probability needs n <= {cap} (got n={g.n})")
-    _check_memory(8 << n, f"exact infection probability at n={n}")
-    if n == 0:
-        return Fraction(1)
-    masks = np.arange(1 << n, dtype=np.int64)
-    # first blocked[mask]: mask is nonempty and relatively half-full; row
-    # [:, 1] of the (-1, 2, 2^v) reshape holds the masks containing v
-    blocked = np.ones(1 << n, dtype=np.bool_)
-    blocked[0] = False
-    for v, row in enumerate(g.adj):
-        inside = np.bitwise_count(masks.reshape(-1, 2, 1 << v)[:, 1] & row)
-        blocked.reshape(-1, 2, 1 << v)[:, 1] &= inside >= (g.degrees[v] + 1) // 2
-    # then its upward closure, a subset-sum transform over OR: blocked[mask]
-    # iff mask contains a nonempty relatively half-full set
-    for v in range(n):
-        pairs = blocked.reshape(-1, 2, 1 << v)
+        raise PreconditionError(f"exact infection probability needs n <= {cap} (got n={n})")
+    # 4 arrays of 8 bytes a word, ufunc buffers on the half views, need
+    _check_memory(32 * size + 24 * min(size // 2, np.getbufsize()) + 8 * n * max(n - 5, 1),
+                  f"exact infection probability at n={n}")
+    # need[v, h]: the low patterns b that hold ceil(d(v)/2) neighbours of
+    # v with h = |w & adj[v] >> 6| more in w, or (v < 6) lack v
+    need = _MEETS[np.array([a & 63 for a in g.adj], np.uint8)[:, None], np.clip(
+        (np.array(g.degrees, np.int64)[:, None] + 1 >> 1) - np.arange(max(n - 5, 1)), 0, 7)]
+    need[:6] |= ~_IN[:n, None]
+    words, blocked = np.arange(size, dtype=np.uint64), np.full(size, ~np.uint64(0))
+    tmp, scratch = np.empty_like(words), np.empty_like(words)
+    # first blocked: the set is relatively half-full. Each v clears the sets
+    # that hold it and miss its need: in every word, or the half with v - 6
+    for v, a in enumerate(g.adj):
+        held, have = (x if v < 6 else x.reshape(-1, 2, 1 << v - 6)[:, 1] for x in (blocked, words))
+        out, idx = (x[:held.size].reshape(held.shape) for x in (tmp, scratch.view(np.int64)))
+        np.bitwise_and(have, a >> 6, out=out)
+        held &= np.take(need[v], np.bitwise_count(out, out=idx), out=out, mode="clip")
+    blocked[0] &= ~np.uint64(1)  # the empty set
+    # then its upward closure, a subset-sum transform over OR: blocked iff
+    # the set contains a nonempty relatively half-full set. Bits past 2^n
+    # (n < 6) stay blocked, as no vertex clears their part above bit n - 1
+    for v in range(min(n, 6)):
+        np.bitwise_and(blocked, ~_IN[v], out=tmp)
+        blocked |= np.left_shift(tmp, np.uint64(1 << v), out=tmp)
+    for v in range(6, n):
+        pairs = blocked.reshape(-1, 2, 1 << v - 6)
         pairs[:, 1] |= pairs[:, 0]
-    counts = np.bincount(np.bitwise_count(masks)[~blocked], minlength=n + 1).tolist()
-    q = 1 - p
-    theta = Fraction(0)
-    for k, cnt in enumerate(counts):
-        if cnt:
-            theta += cnt * p ** (n - k) * q ** k
-    return theta
+    # count the free sets by size |w| + |b|, class |b| = c at a time;
+    # the float64 sums are integers below 2^53, so exact
+    free = np.invert(blocked, out=blocked)
+    high, counts = np.bitwise_count(words, out=words).view(np.int64), np.zeros(n + 8, np.int64)
+    for c in range(7):
+        np.bitwise_and(free, _LC[c], out=tmp)
+        got = np.bincount(high, np.bitwise_count(tmp, out=scratch.view(np.float64)))
+        counts[c:c + len(got)] += got.astype(np.int64)
+    num, other, den = p.numerator, p.denominator - p.numerator, p.denominator
+    return Fraction(sum(cnt * num ** (n - k) * other ** k
+                        for k, cnt in enumerate(counts[:n + 1].tolist())), den ** n)

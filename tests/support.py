@@ -877,6 +877,28 @@ def reference_theta_exact(g: Graph, p) -> Fraction:
                 for mask in range(1 << n) if not blocked[mask]), Fraction(0))
 
 
+def reference_theta_zeta(g: Graph, p) -> Fraction:
+    """Exact full-infection probability on one int64 entry and one bool
+    per subset: numpy popcounts mark the relatively half-full masks, an
+    OR subset-sum transform over the (-1, 2, 2^v) reshapes marks every
+    mask that contains one, and the unblocked masks are counted by size.
+    No cap and no memory check: keep n small enough for 9 * 2^n bytes."""
+    p = Fraction(p)
+    n = g.n
+    masks = np.arange(1 << n, dtype=np.int64)
+    blocked = np.ones(1 << n, dtype=np.bool_)
+    blocked[0] = False
+    for v, row in enumerate(g.adj):
+        inside = np.bitwise_count(masks.reshape(-1, 2, 1 << v)[:, 1] & row)
+        blocked.reshape(-1, 2, 1 << v)[:, 1] &= inside >= (g.degrees[v] + 1) // 2
+    for v in range(n):
+        pairs = blocked.reshape(-1, 2, 1 << v)
+        pairs[:, 1] |= pairs[:, 0]
+    counts = np.bincount(np.bitwise_count(masks)[~blocked], minlength=n + 1).tolist()
+    return sum((cnt * p ** (n - k) * (1 - p) ** k for k, cnt in enumerate(counts)),
+               Fraction(0))
+
+
 def brute_theta(g: Graph, p) -> Fraction:
     """Probability of total infection, by simulating every initial set."""
     p = Fraction(p)

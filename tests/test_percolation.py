@@ -179,6 +179,34 @@ def test_exact_infection_probability_matches_brute(g, p):
     assert full_infection_probability_exact(g, p) == support.brute_theta(g, p)
 
 
+THETA_PS = (0, Fraction(1, 3), Fraction(1, 2), 1)
+
+
+@pytest.mark.parametrize("n", range(6))
+def test_exact_infection_probability_matches_brute_on_every_small_graph(n):
+    # n < 6: one word whose bits past 2^n are not sets
+    for g in support.all_graphs(n):
+        for p in THETA_PS:
+            assert full_infection_probability_exact(g, p) == support.brute_theta(g, p)
+
+
+@pytest.mark.parametrize("n", [6, 7, 8, 13])  # 1, 2, 4 and 128 words
+@pytest.mark.parametrize("density", [Fraction(1, 4), Fraction(1, 2), Fraction(3, 4)],
+                         ids=["sparse", "half", "dense"])
+def test_exact_infection_probability_matches_reference_dp_on_both_twins(n, density):
+    g = gen_gnp(n, density, seed=n)
+    for p in THETA_PS:
+        want = support.reference_theta_exact(g, p)
+        assert [full_infection_probability_exact(h, p) for h in support.twins(g)] == [want] * 2
+
+
+@pytest.mark.parametrize("n", [17, 20])
+def test_exact_infection_probability_matches_the_zeta_reference_past_the_old_cap(n):
+    g = gen_gnp(n, Fraction(1, 2), seed=n)
+    for p in (Fraction(1, 3), Fraction(1, 2)):
+        assert full_infection_probability_exact(g, p) == support.reference_theta_zeta(g, p)
+
+
 @pytest.mark.parametrize("g", [
     support.empty(16),
     support.clique(16),
@@ -195,20 +223,38 @@ def test_exact_infection_probability_matches_reference_dp(g):
 
 
 def test_exact_infection_probability_cap():
-    g = support.empty(17)
+    g = support.empty(21)
     with pytest.raises(PreconditionError):
         full_infection_probability_exact(g, Fraction(1, 2))
     # isolated vertices infect nothing, so everyone must start infected
-    got = full_infection_probability_exact(g, Fraction(1, 2), cap=17)
-    assert got == Fraction(1, 2 ** 17)
+    got = full_infection_probability_exact(g, Fraction(1, 2), cap=21)
+    assert got == Fraction(1, 2 ** 21)
 
 
 def test_exact_infection_probability_refuses_arrays_beyond_physical_memory(monkeypatch):
     monkeypatch.setattr(graph_mod.os, "sysconf", lambda name: 64)  # 4096 bytes
-    # 2^9 int64 masks take 4096 bytes, 2^10 take 8192
-    assert full_infection_probability_exact(support.empty(9), 1) == 1
+    # n = 12 takes 32 * 64 bytes of words, 24 * 32 of ufunc buffers and
+    # 8 * 12 * 7 of need: 3488 bytes; n = 13 takes 6464
+    assert full_infection_probability_exact(support.empty(12), 1) == 1
     with pytest.raises(PreconditionError, match="physical memory"):
-        full_infection_probability_exact(support.empty(10), 1, cap=40)
+        full_infection_probability_exact(support.empty(13), 1, cap=40)
+
+
+@pytest.mark.parametrize("n", [12, 16, 18])
+def test_exact_infection_probability_checks_its_real_peak(monkeypatch, n):
+    """The bytes handed to the memory check are the kernel's traced peak,
+    up to a few kilobytes of interpreter objects."""
+    named = []
+    monkeypatch.setattr(percolation, "_check_memory", lambda nbytes, what: named.append(nbytes))
+    g = support.twins(gen_gnp(n, Fraction(1, 2), seed=1))[0]
+    full_infection_probability_exact(g, Fraction(1, 3))  # builds g.adj and numpy's first-use state
+    tracemalloc.start()
+    try:
+        full_infection_probability_exact(g, Fraction(1, 3))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert named[-1] <= peak <= named[-1] + 8192, (named[-1], peak)
 
 
 # ---------------------------------------------------------------------------
