@@ -74,14 +74,15 @@ MUTANTS = (
     Mutant("theta word-level closure runs downward", "fullsub/percolation.py",
            "pairs[:, 1] |= pairs[:, 0]", "pairs[:, 0] |= pairs[:, 1]",
            ("tests/test_percolation.py::"
-            "test_exact_infection_probability_matches_reference_dp_on_both_twins[half-8]",)),
+            "test_exact_infection_probability_matches_reference_dp[gnp8-half]",)),
     Mutant("theta keeps the empty set blocked", "fullsub/percolation.py",
            "    blocked[0] &= ~np.uint64(1)  # the empty set\n", "",
            ("tests/test_percolation.py::test_exact_infection_probability_closed_cases",)),
     Mutant("theta marks the words without v", "fullsub/percolation.py",
-           "x.reshape(-1, 2, 1 << v - 6)[:, 1]", "x.reshape(-1, 2, 1 << v - 6)[:, 0]",
+           "held = blocked.reshape(-1, 2, 1 << v - 6)[:, 1]",
+           "held = blocked.reshape(-1, 2, 1 << v - 6)[:, 0]",
            ("tests/test_percolation.py::"
-            "test_exact_infection_probability_matches_reference_dp_on_both_twins[half-7]",)),
+            "test_exact_infection_probability_matches_reference_dp[gnp7-half]",)),
     Mutant("inverted bernoulli threshold", "fullsub/rng.py",
            "random_raw(size) < threshold", "random_raw(size) >= threshold",
            ("tests/test_generate.py::test_gnp_matches_reference_fill",

@@ -2,14 +2,12 @@
 """Time exact theta on G(n, 1/2) for n = 16, 18, ..., 24 (seed 0,
 p = 1/3) with the cap lifted to n. One line per n gives a digest of
 theta (the first 16 hex digits of the sha256 of its "num/den" string)
-and the best of --repeat wall times in seconds, so two trees can be
+and the best of REPEAT wall times in seconds, so two trees can be
 compared line by line: equal digests, then the times.
 
     python3 scripts/theta_timings.py
-    python3 scripts/theta_timings.py --max-n 20 --repeat 9
 """
 
-import argparse
 import hashlib
 import sys
 import time
@@ -17,25 +15,17 @@ from fractions import Fraction
 
 from fullsub import full_infection_probability_exact, gen_gnp
 
+NS = range(16, 25, 2)
 P = Fraction(1, 3)
+REPEAT = 5
 
 
-def parse_args(argv):
-    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("--max-n", type=int, default=24,
-                    help="skip n above this (default: 24)")
-    ap.add_argument("--repeat", type=int, default=5,
-                    help="runs per n, the best one reported (default: 5)")
-    return ap.parse_args(argv)
-
-
-def main(argv=None) -> int:
-    args = parse_args(argv)
+def main() -> int:
     print(f"{'n':>3} {'theta':<16} {'seconds':>9}")
-    for n in range(16, args.max_n + 1, 2):
+    for n in NS:
         g = gen_gnp(n, Fraction(1, 2), seed=0)
         best = float("inf")
-        for _ in range(args.repeat):
+        for _ in range(REPEAT):
             start = time.perf_counter()
             theta = full_infection_probability_exact(g, P, cap=n)
             best = min(best, time.perf_counter() - start)

@@ -161,12 +161,12 @@ def full_infection_probability_exact(g: Graph, p,
     half-full subgraph. Bit b of uint64 word w stands for the vertex set
     (w << 6) | b (2^n bits of one word when n < 6). Refuses n > cap, and
     whatever the cap, an n whose 2^n / 2 bytes exceed physical memory."""
-    p, n, size = as_probability(p), g.n, max(1 << g.n >> 6, 1)  # size: words
+    p, n = as_probability(p), g.n
+    size = max(1 << n >> 6, 1)  # words
     if n > cap:
         raise PreconditionError(f"exact infection probability needs n <= {cap} (got n={n})")
-    # 4 arrays of 8 bytes a word, ufunc buffers on the half views, need
-    _check_memory(32 * size + 24 * min(size // 2, np.getbufsize()) + 8 * n * max(n - 5, 1),
-                  f"exact infection probability at n={n}")
+    # 4 arrays of 8 bytes a word and the need table
+    _check_memory(32 * size + 8 * n * max(n - 5, 1), f"exact infection probability at n={n}")
     # need[v, h]: the low patterns b that hold ceil(d(v)/2) neighbours of
     # v with h = |w & adj[v] >> 6| more in w, or (v < 6) lack v
     need = _MEETS[np.array([a & 63 for a in g.adj], np.uint8)[:, None], np.clip(
@@ -177,10 +177,16 @@ def full_infection_probability_exact(g: Graph, p,
     # first blocked: the set is relatively half-full. Each v clears the sets
     # that hold it and miss its need: in every word, or the half with v - 6
     for v, a in enumerate(g.adj):
-        held, have = (x if v < 6 else x.reshape(-1, 2, 1 << v - 6)[:, 1] for x in (blocked, words))
-        out, idx = (x[:held.size].reshape(held.shape) for x in (tmp, scratch.view(np.int64)))
+        if v < 6:
+            held, have = blocked, words
+        else:
+            held = blocked.reshape(-1, 2, 1 << v - 6)[:, 1]
+            have = words.reshape(-1, 2, 1 << v - 6)[:, 1]
+        out = tmp[:held.size].reshape(held.shape)
+        idx = scratch.view(np.int64)[:held.size].reshape(held.shape)
         np.bitwise_and(have, a >> 6, out=out)
-        held &= np.take(need[v], np.bitwise_count(out, out=idx), out=out, mode="clip")
+        np.bitwise_count(out, out=idx)
+        held &= np.take(need[v], idx, out=out, mode="clip")
     blocked[0] &= ~np.uint64(1)  # the empty set
     # then its upward closure, a subset-sum transform over OR: blocked iff
     # the set contains a nonempty relatively half-full set. Bits past 2^n
@@ -194,7 +200,9 @@ def full_infection_probability_exact(g: Graph, p,
     # count the free sets by size |w| + |b|, class |b| = c at a time;
     # the float64 sums are integers below 2^53, so exact
     free = np.invert(blocked, out=blocked)
-    high, counts = np.bitwise_count(words, out=words).view(np.int64), np.zeros(n + 8, np.int64)
+    high = words.view(np.int64)
+    np.bitwise_count(words, out=high)
+    counts = np.zeros(n + 8, np.int64)
     for c in range(7):
         np.bitwise_and(free, _LC[c], out=tmp)
         got = np.bincount(high, np.bitwise_count(tmp, out=scratch.view(np.float64)))
