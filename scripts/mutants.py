@@ -45,11 +45,24 @@ class Mutant(NamedTuple):
 
 MUTANTS = (
     Mutant("gray-code add", "fullsub/discrepancy.py",
-           "shift += cross[rows_log + b]", "shift -= cross[rows_log + b]",
+           "base += cross[rows_log + b]", "base -= cross[rows_log + b]",
            ("tests/test_discrepancy.py::test_extremes_match_reference_on_gnp",)),
     Mutant("gray-code subtract", "fullsub/discrepancy.py",
-           "shift -= cross[rows_log + b]", "shift += cross[rows_log + b]",
+           "base -= cross[rows_log + b]", "base += cross[rows_log + b]",
            ("tests/test_discrepancy.py::test_extremes_match_reference_on_gnp",)),
+    Mutant("max tie-break takes the last set of its size segment", "fullsub/discrepancy.py",
+           "flip = np.array([[mask], [0]])", "flip = np.array([[0], [0]])",
+           ("tests/test_discrepancy.py::test_extremes_match_reference_on_tie_heavy_graphs",
+            "tests/test_discrepancy.py::"
+            "test_extremes_match_the_int64_kernel_across_the_key_width_change[21]")),
+    Mutant("key dtype one width too narrow", "fullsub/discrepancy.py",
+           "np.min_scalar_type((math.comb(n, 2) << bits) | ((1 << bits) - 1))",
+           "np.min_scalar_type(((math.comb(n, 2) << bits) | ((1 << bits) - 1)) >> 8)",
+           ("tests/test_discrepancy.py::"
+            "test_extremes_match_the_int64_kernel_across_the_key_width_change[22]",)),
+    Mutant("chunk doubled one row-block short", "fullsub/discrepancy.py",
+           "for j in range(rows_log):", "for j in range(rows_log - 1):",
+           ("tests/test_discrepancy.py::test_extremes_match_reference_on_gnp[20]",)),
     Mutant("extremes cached per n, not per graph", "fullsub/discrepancy.py",
            "cache = g.__dict__",
            "cache = _subset_extremes.__dict__.setdefault(g.n, {})",
@@ -104,9 +117,12 @@ MUTANTS = (
            "np.int64 if b * g.n < 1 << 63 else object", "np.int64",
            ("tests/test_finders.py::test_matrix_certification_matches_the_mask_walk",)),
     Mutant("certification primes the matrix", "fullsub/graph.py",
-           'if "matrix" in g.__dict__:\n        return _column_counts',
-           'if True:\n        return _column_counts',
+           'if "matrix" in g.__dict__:\n        return idx, _column_counts',
+           'if True:\n        return idx, _column_counts',
            ("tests/test_finders.py::test_certifying_a_mask_graph_builds_no_matrix",)),
+    Mutant("mask walk drops a set given as a mask", "fullsub/graph.py",
+           "mask, adj = vertices, g.adj", "mask, adj = 0, g.adj",
+           ("tests/test_finders.py::test_matrix_certification_matches_the_mask_walk",)),
     Mutant("vertex array taken unsorted", "fullsub/graph.py",
            "inside[ids] = True\n    return np.flatnonzero(inside)",
            "inside[ids] = True\n    return ids",

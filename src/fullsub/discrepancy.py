@@ -9,10 +9,11 @@ fixed size. Exact maxima come from one table of the least and greatest
 edge count of each subset size over all 2^n subsets, built by a
 meet-in-the-middle numpy kernel and capped at EXACT_CAP_DEFAULT
 vertices; past the cap a seeded hill-climbing heuristic gives certified
-lower bounds. The table does not depend on p, so it is built once per
-graph and stored on it, and every exact query on that graph reads the
-same table; the kernel's graph-independent tables are built once per
-width.
+lower bounds. The kernel's keys pack edge counts above positions within
+a size segment, uint16 up to n = 21, and it scores _CHUNK_BYTES of them
+a step. The table does not depend on p, so it is built once per graph
+and stored on it, and every exact query on that graph reads the same
+table; the kernel's graph-independent tables are built once per width.
 
 All values are Fractions. Internally every subset is scored by the
 integer e(X)*den - num*C(|X|,2) where p = num/den, so comparisons and
@@ -22,6 +23,7 @@ tie-breaks never touch floating point.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator, Optional
@@ -29,16 +31,16 @@ from typing import Iterable, Iterator, Optional
 import numpy as np
 
 from .graph import (Graph, PreconditionError, VerificationError, _check_memory,
-                    _as_index, _column_counts, _degrees_within, _pack_rows, as_probability,
+                    _column_counts, _degrees_within, _pack_rows, as_probability,
                     from_mask, lex_less)
 from .rng import philox, split_seed
 
 EXACT_CAP_DEFAULT = 20
-# Subsets scored in one numpy step of the exact kernel (int64, 256 kB):
+# Bytes of keys the exact kernel scores in one numpy step (256 KB):
 # bounds its working memory without costing speed at the caps.
-_CHUNK_ENTRIES = 1 << 15
-# The kernel packs a subset's edge count above its n-bit mask in one
-# int64 key; C(n, 2) < 2^11 up to n = 52, so the keys fit that far.
+_CHUNK_BYTES = 1 << 18
+# The kernel's merge packs a subset's edge count above its n-bit mask in
+# one int64 key; C(n, 2) < 2^11 up to n = 52, so the keys fit that far.
 _MAX_EXACT_N = 52
 
 
@@ -74,7 +76,7 @@ class JumblednessBoundReport:
 def edge_surplus(g: Graph, p, vertices) -> Fraction:
     """e(X) - p*C(|X|,2), exactly. Subsets of size <= 1 score 0."""
     p = as_probability(p)
-    degs = _degrees_within(g, _as_index(vertices, g.n))
+    degs = _degrees_within(g, vertices)[1]
     size = len(degs)
     return int(degs.sum()) // 2 - p * Fraction(size * (size - 1), 2)
 
@@ -91,8 +93,7 @@ def _check_k(k: Optional[int], lo: int, n: int) -> None:
 
 def _require_cap(n: int, cap: int, what: str) -> None:
     """Refuse n above the caller's cap, and whatever the cap, n above
-    _MAX_EXACT_N or an n whose 2^ceil(n/2) x (floor(n/2) + 1) int64
-    kernel tables exceed physical memory."""
+    _MAX_EXACT_N; the kernel refuses tables beyond memory itself."""
     if n > cap:
         raise PreconditionError(
             f"{what} enumerates all subsets and needs n <= {cap} (got n={n}); "
@@ -102,19 +103,12 @@ def _require_cap(n: int, cap: int, what: str) -> None:
         raise PreconditionError(
             f"{what} packs edge counts and subsets into 64-bit keys and needs "
             f"n <= {_MAX_EXACT_N} whatever the cap (got n={n})")
-    _check_memory((8 << (n - n // 2)) * (n // 2 + 1), f"{what} at n={n}")
 
 
-def _bits(values: np.ndarray, width: int) -> np.ndarray:
-    """0/1 matrix whose row i holds the low `width` bits of values[i]."""
-    return (values[:, None] >> np.arange(width)) & 1
-
-
-def _lex_weights(width: int) -> np.ndarray:
-    """Powers that turn a bit row into the mask with its bits reversed.
-    Among sets of one size the lexicographically smaller set has the
-    larger reversed mask, and reversing twice gives the mask back."""
-    return 1 << np.arange(width - 1, -1, -1)
+def _reversed(masks: np.ndarray, width: int) -> np.ndarray:
+    """Each mask's low `width` bits, reversed: among sets of one size the
+    lexicographically smaller has the larger reversed mask."""
+    return ((masks[:, None] >> np.arange(width)) & 1) @ (1 << np.arange(width - 1, -1, -1))
 
 
 def _read_only(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
@@ -128,25 +122,31 @@ def _read_only(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
 # that width; eight cover the widths of the caps several times over.
 @functools.lru_cache(maxsize=8)
 def _low_half(low_n: int) -> tuple[np.ndarray, ...]:
-    """The kernel's low-half tables at low_n vertices, read-only: the
-    bit rows of all 2^low_n low halves sorted by size and
-    lexicographically within a size, their reversed masks (low_key) and
-    the first row of each size (starts)."""
-    low = _bits(np.arange(1 << low_n), low_n)
-    low_key = low @ _lex_weights(low_n)
-    order = np.lexsort((-low_key, low.sum(1)))
-    low, low_key = low[order], low_key[order]
-    starts = np.searchsorted(low.sum(1), np.arange(low_n + 1))
-    return _read_only(low, low_key, starts)
+    """The kernel's low-half tables at low_n vertices, read-only: all 2^low_n
+    masks sorted by size and lexicographically within a size, their reversed
+    masks (low_key), each size's first row (starts) and each row's rel."""
+    low = np.arange(1 << low_n)
+    low = low[np.lexsort((-_reversed(low, low_n), np.bitwise_count(low)))]
+    sizes = np.bitwise_count(low)
+    starts = np.searchsorted(sizes, np.arange(low_n + 1))
+    return _read_only(low, _reversed(low, low_n), starts, np.arange(1 << low_n) - starts[sizes])
 
 
 @functools.lru_cache(maxsize=8)
 def _high_half(high_n: int) -> tuple[np.ndarray, ...]:
     """The kernel's high-half tables at high_n vertices, read-only: the
-    bit rows of all 2^high_n high halves in mask order, their reversed
-    masks (high_key) and their sizes."""
-    high = _bits(np.arange(1 << high_n), high_n)
-    return _read_only(high, high @ _lex_weights(high_n), high.sum(1))
+    reversed masks (high_key) and sizes of all 2^high_n high halves."""
+    high = np.arange(1 << high_n)
+    return _read_only(_reversed(high, high_n), np.bitwise_count(high))
+
+
+def _edges_within(rows: list[int]) -> np.ndarray:
+    """e(X) for every mask X over the vertices of rows (their adjacency
+    masks) in mask order, by doubling over the top vertex v."""
+    masks, edges = np.arange(1 << len(rows)), np.zeros(1 << len(rows), dtype=np.int64)
+    for v, row in enumerate(rows):
+        np.add(edges[:1 << v], np.bitwise_count(masks[:1 << v] & row), out=edges[1 << v:2 << v])
+    return edges
 
 
 def _subset_extremes(g: Graph) -> tuple:
@@ -169,64 +169,82 @@ def _subset_extremes(g: Graph) -> tuple:
 def _build_extremes(g: Graph) -> tuple:
     """The slots of _subset_extremes, by a meet-in-the-middle kernel.
 
-    Meet in the middle: X = lo | hi << L with L = n // 2. One table
-    holds e(lo) for the 2^L low halves, sorted by size and
-    lexicographically within a size. The high halves are scored a chunk
-    of rows at a time: a row adds the cross-edge counts of its high
-    vertices to the table, and the chunks follow a Gray code, so moving
-    to the next adds or subtracts one vertex's counts. The best low half
-    of each size in a row is one reduceat over keys that pack e above
-    the position, so ties go to the first, lexicographically smallest,
-    low half.
+    X = lo | hi << L with L = n // 2. The 2^L low halves are sorted by
+    size and lexicographically within a size, and a key packs e(lo)
+    above lo's position rel in its size segment, in b bits: 2^b - 1 - rel
+    for max keys and rel for min keys, so ties go to the first,
+    lexicographically smallest, low half. Keys take the narrowest dtype
+    that holds C(n, 2) << b | (2^b - 1), uint16 up to n = 21. A chunk of
+    high halves, as many as fit in _CHUNK_BYTES, adds their vertices'
+    cross-edge counts to the keys; chunks follow a Gray code, so the
+    next adds or subtracts one vertex's counts, and each row's best of
+    each size is one reduceat. _check_memory gets the peak: the width
+    tables; the chunk, its buffer, cross, both bases and the 2 x 2^H x
+    (L + 1) best keys (H = n - L) in the key dtype; four 2^H x (L + 1)
+    int64 merge arrays.
     """
     n = g.n
     low_n = n // 2
     high_n = n - low_n
-    width = 1 << low_n
-    adj = g.matrix.astype(np.int64)
-    low, low_key, starts = _low_half(low_n)
-    high, high_key, high_sizes = _high_half(high_n)
-    e_low = ((low @ adj[:low_n, :low_n]) * low).sum(1) // 2 * width
-    pos = np.arange(width)
-    max_base = e_low + (width - 1 - pos)
-    min_base = e_low + pos
-    # cross[h, i]: edges between high vertex h and low half i, times 2^L
-    cross = adj[low_n:, :low_n] @ low.T * width
-    rows_log = high_n
-    while rows_log and width << rows_log > _CHUNK_ENTRIES:
+    bits = (math.comb(low_n, low_n // 2) - 1).bit_length()
+    dtype = np.min_scalar_type((math.comb(n, 2) << bits) | ((1 << bits) - 1))
+    rows_log = high_n  # a chunk is 2^rows_log rows of 2^L keys
+    while rows_log and dtype.itemsize << low_n << rows_log > _CHUNK_BYTES:
         rows_log -= 1
-    chunk = high[:1 << rows_log, :rows_log] @ cross[:rows_log]
-    best_max = np.empty((1 << high_n, low_n + 1), dtype=np.int64)
-    best_min = np.empty_like(best_max)
-    shift = np.zeros(width, dtype=np.int64)
+    best_keys = (1 << high_n) * (low_n + 1)
+    narrow = (2 << rows_log << low_n) + (high_n + 2 << low_n) + 2 * best_keys
+    _check_memory((24 << low_n) + (9 << high_n) + dtype.itemsize * narrow + 32 * best_keys,
+                  f"the exact extremes table at n={n}")
+    low, low_key, starts, rel = _low_half(low_n)
+    high_key, high_sizes = _high_half(high_n)
+    mask = (1 << bits) - 1
+    flip = np.array([[mask], [0]])  # mask ^ rel = 2^b - 1 - rel for the max keys
+    base = ((_edges_within(g.adj[:low_n])[low] << bits) | (rel ^ flip)).astype(dtype)
+    # cross[h, i]: edges between high vertex h and low half i, times 2^b
+    cross = np.bitwise_count(np.array(g.adj[low_n:], dtype=np.int64)[:, None] & low)
+    cross = cross.astype(dtype) << bits
+    # the chunk's rows holding high vertex j are its rows below 2^j plus j's counts
+    chunk = np.zeros((1 << rows_log, 1 << low_n), dtype=dtype)
+    for j in range(rows_log):
+        np.add(chunk[:1 << j], cross[j], out=chunk[1 << j:2 << j])
+    buf = np.empty_like(chunk)
+    best = np.empty((2, 1 << high_n, low_n + 1), dtype=dtype)
     gray = 0
     for step in range(1 << (high_n - rows_log)):
         if step:
             b = (step & -step).bit_length() - 1
             gray ^= 1 << b
             if (gray >> b) & 1:
-                shift += cross[rows_log + b]
+                base += cross[rows_log + b]
             else:
-                shift -= cross[rows_log + b]
+                base -= cross[rows_log + b]
         rows = slice(gray << rows_log, (gray + 1) << rows_log)
-        best_max[rows] = np.maximum.reduceat(chunk + (max_base + shift), starts, axis=1)
-        best_min[rows] = np.minimum.reduceat(chunk + (min_base + shift), starts, axis=1)
+        np.add(chunk, base[0], out=buf)
+        np.maximum.reduceat(buf, starts, axis=1, out=best[0, rows])
+        np.add(chunk, base[1], out=buf)
+        np.minimum.reduceat(buf, starts, axis=1, out=best[1, rows])
 
-    # Merge over the high halves: the winners of one size k compete on
-    # (edges, reversed lo | hi << L), packed into one integer.
-    e_high = ((high @ adj[low_n:, low_n:]) * high).sum(1)[:, None] // 2
-    high_key = high_key[:, None]
+    # Merge over the high halves: e(hi) joins each row's keys, whose dtype
+    # holds C(n, 2), and the winners of one size compete on (edges,
+    # reversed lo | hi << L) in one int64 key, the min side on -edges.
+    best += (_edges_within([row >> low_n for row in g.adj[low_n:]])[:, None] << bits).astype(dtype)
     sizes = (high_sizes[:, None] + np.arange(low_n + 1)).ravel()
-    most = best_max // width + e_high
-    fewest = best_min // width + e_high
-    max_key = (most << n) | (low_key[width - 1 - best_max % width] << high_n) | high_key
-    min_key = ((g.edge_count - fewest) << n) | (low_key[best_min % width] << high_n) | high_key
-    top = np.full((2, n + 1), -1, dtype=np.int64)
-    np.maximum.at(top[0], sizes, max_key.ravel())
-    np.maximum.at(top[1], sizes, min_key.ravel())
+    key, pos = np.empty((2, 1 << high_n, low_n + 1), dtype=np.int64)
+    top = np.full((2, n + 1), -1 << 63, dtype=np.int64)
+    for side, sign in enumerate((1, -1)):
+        np.right_shift(best[side], bits, out=key)
+        key *= sign
+        np.bitwise_and(best[side], mask, out=pos)
+        pos ^= flip[side]
+        pos += starts
+        key <<= low_n
+        key |= low_key[pos]
+        key <<= high_n
+        key |= high_key[:, None]
+        np.maximum.at(top[side], sizes, key.ravel())
     edges = (top >> n).tolist()
-    masks = (_bits(top.ravel(), n) @ _lex_weights(n)).reshape(2, n + 1).tolist()
-    return tuple((edges[0][k], masks[0][k], g.edge_count - edges[1][k], masks[1][k])
+    masks = _reversed(top.ravel(), n).reshape(2, n + 1).tolist()
+    return tuple((edges[0][k], masks[0][k], -edges[1][k], masks[1][k])
                  for k in range(n + 1))
 
 

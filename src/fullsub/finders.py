@@ -134,8 +134,7 @@ def is_full(g: Graph, p, vertices, mode: str = "full"):
     else (False, v) for the smallest violating vertex. Empty sets and
     singletons pass vacuously."""
     p = as_probability(p)
-    idx = _as_index(vertices, g.n)
-    bad = _first_violator(p, idx, _degrees_within(g, idx), mode)
+    bad = _first_violator(p, *_degrees_within(g, vertices), mode)
     return bad is None, bad
 
 
@@ -143,9 +142,10 @@ def is_relatively_full(g: Graph, q, vertices):
     """(True, None) when every member v keeps d_S(v) >= q * d_G(v),
     else (False, v) for the smallest violating vertex."""
     q = as_probability(q, "q")
-    a, b, idx = q.numerator, q.denominator, _as_index(vertices, g.n)
+    a, b = q.numerator, q.denominator
+    idx, degs = _degrees_within(g, vertices)
     exact = np.int64 if b * g.n < 1 << 63 else object  # 0 <= a <= b, degrees below n
-    bad = b * _degrees_within(g, idx).astype(exact) < a * np.array(g.degrees, dtype=exact)[idx]
+    bad = b * degs.astype(exact) < a * np.array(g.degrees, dtype=exact)[idx]
     return (False, int(idx[bad.argmax()])) if bad.any() else (True, None)
 
 
@@ -156,8 +156,7 @@ def _certified(g: Graph, p: Fraction, vertices, guarantee: Optional[Fraction] = 
     it is certified full (or co-full) at p, its minimum degree read off
     the same degrees; a failure raises VerificationError, since it means
     a finder bug."""
-    idx = _as_index(vertices, g.n)
-    degs = _degrees_within(g, idx)
+    idx, degs = _degrees_within(g, vertices)
     bad = _first_violator(p, idx, degs, mode)
     if bad is not None:
         raise VerificationError(f"witness not {mode} at p={p}: vertex {bad}")

@@ -329,16 +329,17 @@ def density(g: Graph) -> Fraction:
     return Fraction(2 * g.edge_count, g.n * (g.n - 1))
 
 
-def _degrees_within(g: Graph, idx: np.ndarray) -> np.ndarray:
-    """d_S(v) for each member v of S, a sorted index array, in order:
-    column sums over the rows of S when Graph.matrix is there, else the
-    mask walk, so that this never builds the matrix."""
+def _degrees_within(g: Graph, vertices) -> tuple[np.ndarray, np.ndarray]:
+    """S as a sorted index array (_as_index) and d_S(v) for each member:
+    column sums over S's rows when Graph.matrix is there, else the mask
+    walk, on S's own mask if given one, never building the matrix."""
+    idx = _as_index(vertices, g.n)
     if "matrix" in g.__dict__:
-        return _column_counts(g.matrix, idx)[idx]
-    inside = np.zeros(g.n, dtype=np.bool_)
-    inside[idx] = True
-    mask, adj = _pack_rows(inside[None])[0], g.adj
-    return np.array([(adj[v] & mask).bit_count() for v in idx.tolist()], dtype=np.int64)
+        return idx, _column_counts(g.matrix, idx)[idx]
+    mask, adj = vertices, g.adj
+    if not isinstance(mask, int):
+        mask = _pack_rows(np.bincount(idx, minlength=g.n)[None] > 0)[0]
+    return idx, np.array([(adj[v] & mask).bit_count() for v in idx.tolist()], dtype=np.int64)
 
 
 def induced_subgraph(g: Graph, vertices: Iterable[int]) -> tuple[Graph, tuple[int, ...]]:

@@ -285,6 +285,73 @@ def reference_subset_extremes(g: Graph, num: int, den: int) -> list:
     return slots
 
 
+def reference_extremes_mitm(g: Graph) -> tuple:
+    """discrepancy._build_extremes as it was before its narrow keys: the
+    same slots from one int64 key per entry, e * 2^L + the low half's
+    position in the whole low table, with L = n // 2. Low halves are bit
+    rows sorted by size and lexicographically within a size; the high
+    halves follow a Gray code, 2^15 entries scored per numpy step, and
+    the best low half of each size is one reduceat. No cap and no memory
+    check: keep n small enough for the int64 tables."""
+    n = g.n
+    low_n = n // 2
+    high_n = n - low_n
+    width = 1 << low_n
+
+    def bits(values: np.ndarray, w: int) -> np.ndarray:
+        return (values[:, None] >> np.arange(w)) & 1
+
+    def lex_weights(w: int) -> np.ndarray:
+        return 1 << np.arange(w - 1, -1, -1)
+
+    adj = g.matrix.astype(np.int64)
+    low = bits(np.arange(width), low_n)
+    low_key = low @ lex_weights(low_n)
+    order = np.lexsort((-low_key, low.sum(1)))
+    low, low_key = low[order], low_key[order]
+    starts = np.searchsorted(low.sum(1), np.arange(low_n + 1))
+    high = bits(np.arange(1 << high_n), high_n)
+    high_key, high_sizes = high @ lex_weights(high_n), high.sum(1)
+    e_low = ((low @ adj[:low_n, :low_n]) * low).sum(1) // 2 * width
+    pos = np.arange(width)
+    max_base = e_low + (width - 1 - pos)
+    min_base = e_low + pos
+    cross = adj[low_n:, :low_n] @ low.T * width
+    rows_log = high_n
+    while rows_log and width << rows_log > 1 << 15:
+        rows_log -= 1
+    chunk = high[:1 << rows_log, :rows_log] @ cross[:rows_log]
+    best_max = np.empty((1 << high_n, low_n + 1), dtype=np.int64)
+    best_min = np.empty_like(best_max)
+    shift = np.zeros(width, dtype=np.int64)
+    gray = 0
+    for step in range(1 << (high_n - rows_log)):
+        if step:
+            b = (step & -step).bit_length() - 1
+            gray ^= 1 << b
+            if (gray >> b) & 1:
+                shift += cross[rows_log + b]
+            else:
+                shift -= cross[rows_log + b]
+        rows = slice(gray << rows_log, (gray + 1) << rows_log)
+        best_max[rows] = np.maximum.reduceat(chunk + (max_base + shift), starts, axis=1)
+        best_min[rows] = np.minimum.reduceat(chunk + (min_base + shift), starts, axis=1)
+    e_high = ((high @ adj[low_n:, low_n:]) * high).sum(1)[:, None] // 2
+    high_key = high_key[:, None]
+    sizes = (high_sizes[:, None] + np.arange(low_n + 1)).ravel()
+    most = best_max // width + e_high
+    fewest = best_min // width + e_high
+    max_key = (most << n) | (low_key[width - 1 - best_max % width] << high_n) | high_key
+    min_key = ((g.edge_count - fewest) << n) | (low_key[best_min % width] << high_n) | high_key
+    top = np.full((2, n + 1), -1, dtype=np.int64)
+    np.maximum.at(top[0], sizes, max_key.ravel())
+    np.maximum.at(top[1], sizes, min_key.ravel())
+    edges = (top >> n).tolist()
+    masks = (bits(top.ravel(), n) @ lex_weights(n)).reshape(2, n + 1).tolist()
+    return tuple((edges[0][k], masks[0][k], g.edge_count - edges[1][k], masks[1][k])
+                 for k in range(n + 1))
+
+
 def reference_disc_from_slots(slots: tuple, p: Fraction, sign: str,
                               k: Optional[int]) -> DiscWitness:
     """discrepancy._disc_from_slots as it was before the one selection

@@ -5,6 +5,7 @@ support.py (explicit subset loops with Fraction arithmetic).
 """
 
 import hashlib
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -95,6 +96,35 @@ def test_extremes_match_reference_on_tie_heavy_graphs():
 def test_extremes_match_reference_on_gnp(n):
     for p in (Fraction(1, 4), HALF, Fraction(3, 4)):
         assert_extremes_match_reference(gen_gnp(n, p, seed=n), p)
+
+
+@pytest.mark.parametrize("n", [21, 22, 23])
+def test_extremes_match_the_int64_kernel_across_the_key_width_change(n):
+    """Past the Gray walk's reach: keys are uint16 up to n = 21 and
+    uint32 from n = 22, and the empty and complete graphs tie everywhere."""
+    cases = [gen_gnp(n, p, seed=n) for p in (Fraction(1, 4), HALF, Fraction(3, 4))]
+    for g in cases + [support.empty(n), support.clique(n)]:
+        assert _build_extremes(g) == support.reference_extremes_mitm(g), g.edge_count
+
+
+@pytest.mark.parametrize("n", [16, 20, 22])
+def test_extremes_kernel_checks_its_real_peak(monkeypatch, n):
+    """The bytes handed to the memory check are the kernel's traced peak,
+    its width tables built afresh, up to a few kilobytes of small arrays
+    and interpreter objects."""
+    named = []
+    monkeypatch.setattr(discrepancy, "_check_memory", lambda nbytes, what: named.append(nbytes))
+    g = gen_gnp(n, HALF, seed=1)
+    _build_extremes(g)  # builds g.adj and numpy's first-use state
+    _low_half.cache_clear()
+    _high_half.cache_clear()
+    tracemalloc.start()
+    try:
+        _build_extremes(g)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert named[-1] <= peak <= named[-1] + 16384, (named[-1], peak)
 
 
 # ---------------------------------------------------------------------------
@@ -198,8 +228,9 @@ def test_exact_kernels_refuse_keys_beyond_64_bits():
 def test_exact_kernels_refuse_tables_beyond_physical_memory(monkeypatch):
     g12, g13 = gen_gnp(12, HALF, seed=1), gen_gnp(13, HALF, seed=1)
     want = discrepancy_exact(g12, HALF)
-    monkeypatch.setattr(graph_mod.os, "sysconf", lambda name: 64)  # 4096 bytes
-    # n = 12: 2^6 x 7 entries, 3584 bytes; n = 13: 2^7 x 7, 7168 bytes.
+    monkeypatch.setattr(graph_mod.os, "sysconf", lambda name: 256)  # 65536 bytes
+    # The kernel's tables, uint16 keys and int64 merge arrays (_build_extremes):
+    # 35648 bytes at n = 12, 68864 at n = 13.
     # A copy of g12 without its table, so that the kernel runs again.
     assert discrepancy_exact(complement(complement(g12)), HALF) == want
     for call in (lambda: discrepancy_exact(g13, HALF),

@@ -44,7 +44,7 @@ from fullsub import (
 )
 from fullsub import finders
 from fullsub.finders import _certified, _fullness_bar, _peel
-from fullsub.graph import _as_index, _degrees_within, to_mask
+from fullsub.graph import _degrees_within, to_mask
 
 K31 = support.disjoint_union(support.clique(3), support.empty(1))
 HALF = Fraction(1, 2)
@@ -893,7 +893,9 @@ def test_matrix_certification_matches_the_mask_walk(n, p, seed):
         want = support.reference_degrees_within(masks, xs)
         forms = (xs, frozenset(xs), to_mask(xs, n), np.array(xs, dtype=np.intp))
         for graph in (g, h):
-            assert _degrees_within(graph, _as_index(xs, n)).tolist() == want
+            for vs in forms:
+                idx, degs = _degrees_within(graph, vs)
+                assert (idx.tolist(), degs.tolist()) == (xs, want)
         # bars at the set's own density and around it, so that some members miss them
         for pp in {Fraction(sum(want), max(m * (m - 1), 1)), Fraction(1, 3), Fraction(2, 3)}:
             for mode in ("full", "cofull"):
