@@ -130,15 +130,24 @@ MUTANTS = (
     Mutant("float vertex ids truncated", "fullsub/graph.py",
            'ids.dtype.kind not in "biu"', 'ids.dtype.kind not in "biuf"',
            ("tests/test_finders.py::test_certification_refuses_vertices_outside_the_graph",)),
-    Mutant("text written a character short per piece", "fullsub/graph.py",
-           '".join(map(names.__getitem__, vs)) + "\\n"', '".join(map(names.__getitem__, vs))',
-           ("tests/test_sweep_cli.py::test_cli_gen_writes_the_reference_text",)),
+    Mutant("name slot without its separator", "fullsub/graph.py",
+           'np.strings.add(names, b" ")', 'np.strings.add(names, b"")',
+           ("tests/test_graph.py::test_write_is_canonical_sorted",
+            "tests/test_graph.py::test_write_matches_reference_at_digit_width_edges[10]")),
+    Mutant("mask writer shifts one bit short of the diagonal", "fullsub/graph.py",
+           "enumerate(g.adj[s:s + _WRITE_ROWS], start=s + 1)",
+           "enumerate(g.adj[s:s + _WRITE_ROWS], start=s)",
+           ("tests/test_graph.py::test_writing_a_mask_graph_unpacks_no_row",
+            "tests/test_graph.py::test_write_from_the_matrix_matches_the_mask_writer[gnp]")),
     Mutant("mask rows unpacked a block short", "fullsub/graph.py",
-           "g.adj[s:s + _BYTE_ROWS]", "g.adj[s:s + _BYTE_ROWS - 1]",
-           ("tests/test_graph.py::test_write_from_the_matrix_matches_the_mask_writer[gnp]",
-            "tests/test_graph.py::test_mask_and_matrix_twins_are_equal_and_hash_alike[gnp]",
+           "_unpack_rows(g.adj[s:s + _BYTE_ROWS], g.n)",
+           "_unpack_rows(g.adj[s:s + _BYTE_ROWS - 1], g.n)",
+           ("tests/test_graph.py::test_mask_and_matrix_twins_are_equal_and_hash_alike[gnp]",
             "tests/test_graph.py::"
             "test_mask_graphs_past_one_unpacked_block_compare_and_write_every_row")),
+    Mutant("vertex mask unpacked big-endian", "fullsub/graph.py",
+           'np.unpackbits(packed, bitorder="little")', 'np.unpackbits(packed, bitorder="big")',
+           ("tests/test_graph.py::test_induced_subgraph_matches_reference[300]",)),
     Mutant("K_n kept as masks", "fullsub/generate.py",
            "return Graph._from_matrix(~np.eye(n, dtype=bool))",
            "return Graph.from_edges(n, itertools.combinations(range(n), 2))",
@@ -185,8 +194,18 @@ MUTANTS = (
            "body[-1] != 10 or ", "",
            ("tests/test_graph.py::test_reader_matches_reference_on_an_unterminated_last_line",)),
     Mutant("digit mask keeps one byte too many", "fullsub/graph.py",
-           "np.minimum(lens, 8)", "np.minimum(lens + 1, 8)",
+           "np.minimum(lens, width)", "np.minimum(lens + 1, width)",
            ("tests/test_graph.py::test_zero_padded_tokens_take_the_vectorized_path",)),
+    Mutant("4-byte words taken for a 5-digit token", "fullsub/graph.py",
+           "width = 4 if top <= 4 else 8", "width = 4 if top <= 5 else 8",
+           ("tests/test_graph.py::test_tokens_past_four_digits_are_read_whole",)),
+    Mutant("a pipe's header line read before its size is known", "fullsub/graph.py",
+           'first = source.readline() if size else b""', "first = source.readline()",
+           ("tests/test_sweep_cli.py::test_cli_reads_a_file_that_is_a_pipe",)),
+    Mutant("file blocks drop the carry to the end of the line", "fullsub/graph.py",
+           "(d + source.readline() for d in iter(", "(d for d in iter(",
+           ("tests/test_graph.py::test_file_reader_matches_the_text_reader",
+            "tests/test_graph.py::test_file_reader_matches_the_reference_across_blocks")),
     Mutant("qfull swaps out the last best vertex", "fullsub/finders.py",
            "x_star = int(np.argmax(ux))",
            "x_star = len(ux) - 1 - int(np.argmax(ux[::-1]))",

@@ -10,9 +10,9 @@ parse errors.
 from __future__ import annotations
 
 import argparse
-import contextlib
 import sys
 from fractions import Fraction
+from pathlib import Path
 
 from .discrepancy import (
     EXACT_CAP_DEFAULT,
@@ -35,6 +35,7 @@ from .graph import (
     VerificationError,
     _blocks,
     _edge_text,
+    _read_canonical,
     density,
     read_edge_list,
 )
@@ -79,15 +80,16 @@ def _fraction_list(text: str) -> tuple[Fraction, ...]:
 def _read_graph(path: str):
     if path == "-":
         return read_edge_list(sys.stdin.read())
-    with open(path, "r", encoding="ascii") as fh:
-        return read_edge_list(fh.read())
+    with open(path, "rb") as fh:
+        g = _read_canonical(fh)  # else None: the line parser reads the text and names any fault
+    return g if g is not None else read_edge_list(Path(path).read_text(encoding="ascii"))
 
 
 def _write_text(pieces, path: str) -> None:
-    """Write pieces to path, or to stdout for "-": a text file encodes a
-    copy of each string it is given whole, so each piece is bounded."""
-    with (contextlib.nullcontext(sys.stdout) if path == "-"
-          else open(path, "w", encoding="ascii", newline="")) as fh:
+    """Write ASCII byte pieces to path, or decode each to stdout for "-"."""
+    if path == "-":
+        return sys.stdout.writelines(piece.decode("ascii") for piece in pieces)
+    with open(path, "wb") as fh:
         fh.writelines(pieces)
 
 
@@ -231,7 +233,7 @@ def cmd_sweep(args) -> int:
         exact_cap=args.exact_cap,
     )
     rows = run_sweep(config)
-    _write_text(_blocks(rows_to_csv(rows)), args.out)
+    _write_text((chunk.encode("ascii") for chunk in _blocks(rows_to_csv(rows))), args.out)
     print(summarize(rows), file=sys.stderr if args.out == "-" else sys.stdout)
     return 0
 

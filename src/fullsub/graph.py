@@ -28,7 +28,7 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Iterable, Iterator
+from typing import BinaryIO, Iterable, Iterator
 
 import numpy as np
 
@@ -92,6 +92,7 @@ def _check_dense_size(n: int) -> None:
 
 
 _BYTE_ROWS = 128  # rows summed as bytes (at most 255: no byte overflows) or unpacked at once
+_WRITE_ROWS = 32  # rows written as one piece of edge-list text, bounding its temporaries
 
 
 def _column_counts(mat: np.ndarray, rows: np.ndarray | None = None) -> np.ndarray:
@@ -124,7 +125,8 @@ def _as_index(vertices, n: int) -> np.ndarray:
     if isinstance(vertices, int):
         if vertices >> n:
             raise ValueError(f"mask {vertices:#x} mentions vertices outside 0..{n - 1}")
-        return np.flatnonzero(_unpack_rows([vertices], n)[0])
+        packed = np.frombuffer(vertices.to_bytes((n + 7) // 8, "little"), dtype=np.uint8)
+        return np.unpackbits(packed, bitorder="little").nonzero()[0]
     ids = np.asarray(vertices if isinstance(vertices, np.ndarray) else list(vertices))
     if ids.size and ids.dtype.kind not in "biu":
         raise ValueError(f"vertex ids must be integers in 0..{n - 1}, got {ids.dtype} values")
@@ -150,7 +152,7 @@ def _pack_rows(rows: np.ndarray) -> list[int]:
 
 
 _TILE = 512  # a pair of 256 KB tiles fits in cache
-_TEXT_BLOCK = 1 << 16  # characters of edge-list text handled at a time
+_TEXT_BLOCK = 1 << 16  # characters of edge-list text, or bytes of a file, handled at a time
 
 
 def _symmetrize(mat: np.ndarray) -> None:
@@ -370,22 +372,36 @@ def _rows(g: Graph) -> Iterator[np.ndarray]:
             for row in _unpack_rows(g.adj[s:s + _BYTE_ROWS], g.n))
 
 
-def _edge_text(g: Graph) -> Iterator[str]:
-    """write_edge_list's text as pieces: the header, then one string per
-    vertex with a later neighbour, formatted from its row (_rows) with a
-    table of names, so no per-edge string outlives its row."""
-    names = [str(v) for v in range(g.n)]
-    yield f"{g.n} {g.edge_count}\n"
-    for u, row in enumerate(_rows(g)):
-        vs = (np.flatnonzero(row[u + 1:]) + (u + 1)).tolist()
-        if vs:
-            yield f"{u} " + f"\n{u} ".join(map(names.__getitem__, vs)) + "\n"
+def _edge_text(g: Graph) -> Iterator[bytes]:
+    """write_edge_list's text as ASCII pieces: the header, then one piece
+    per block of rows with an edge, gathered from name slots "u " and
+    "v\\n" NUL-padded to one more byte than n - 1 has digits. A block's
+    edges (u, v), u < v, come from Graph.matrix's upper triangle, or else
+    from the masks shifted past the diagonal, unpacking only their nonzero
+    64-bit words, so no mask is unpacked to a row of n bools."""
+    yield b"%d %d\n" % (g.n, g.edge_count)
+    names = np.arange(g.n).astype(f"S{len(str(g.n - 1))}")
+    first, second = np.strings.add(names, b" "), np.strings.add(names, b"\n")
+    for s in range(0, g.n, _WRITE_ROWS):  # u and v count from s
+        if "matrix" in g.__dict__:
+            u, v = np.divmod(np.flatnonzero(np.triu(g.matrix[s:s + _WRITE_ROWS, s:], 1)), g.n - s)
+        else:
+            high = [m >> k for k, m in enumerate(g.adj[s:s + _WRITE_ROWS], start=s + 1)]
+            width = max(high).bit_length() // 64 + 1
+            words = np.frombuffer(b"".join(h.to_bytes(8 * width, "little") for h in high), "<u8")
+            at = np.flatnonzero(words)
+            i, bit = np.nonzero(np.unpackbits(words[at, None].view(np.uint8), 1, bitorder="little"))
+            u, word = np.divmod(at[i], width)
+            v = u + 1 + 64 * word + bit
+        if len(u):
+            pairs = np.stack((first[s:].take(u), second[s:].take(v)), axis=1)
+            yield pairs.tobytes().translate(None, b"\0")
 
 
 def write_edge_list(g: Graph) -> str:
     """Canonical text form: header "n m", then one "u v" line per edge
     with u < v, edges sorted lexicographically (joined from _edge_text)."""
-    return "".join(_edge_text(g))
+    return b"".join(_edge_text(g)).decode("ascii")
 
 
 def _blocks(text: str, start: int = 0, block: int = _TEXT_BLOCK) -> Iterator[str]:
@@ -410,50 +426,60 @@ def _lines(text: str, block: int = _TEXT_BLOCK) -> Iterator[str]:
 
 
 # The canonical form: a header "n m\n", then lines "u v\n", every token
-# 1-18 ASCII digits (so it fits in int64). _DIGITS[r] keeps the low
-# nibbles of the last r bytes of a little-endian 64-bit word: the values
-# of the r digits that end there, as '0' is 0x30.
-_CANONICAL_HEADER = re.compile(r"([0-9]{1,18}) ([0-9]{1,18})\n")
-_DIGITS = np.array([0x0F0F0F0F0F0F0F0F >> 8 * (8 - r) << 8 * (8 - r) for r in range(9)],
-                   dtype=np.uint64)
+# 1-18 ASCII digits (so it fits in int64). _DIGITS[size][r] keeps the low
+# nibbles of the last r bytes of a little-endian word of size bytes: the
+# values of the r digits that end there, as '0' is 0x30.
+_CANONICAL_HEADER = re.compile(rb"([0-9]{1,18}) ([0-9]{1,18})\n")
+_DIGITS = {size: np.array([0x0F0F0F0F0F0F0F0F >> 8 * (8 - r) << 8 * (size - r)
+                           for r in range(size + 1)], dtype=f"<u{size}") for size in (4, 8)}
 
 
 def _word_value(words: np.ndarray, digits: np.ndarray) -> np.ndarray:
     """The number spelled by the last digits[i] bytes of words[i], 0 to
-    8 ASCII digits, most significant first (Langdale and Lemire,
-    "Parsing Gigabytes of JSON per Second", 2019): adjacent digits fold
-    into pairs, pairs into fours and fours into the eight-digit value."""
-    w = words & _DIGITS[digits]
-    w = (w * (10 << 8 | 1) >> 8) & 0x00FF00FF00FF00FF
-    w = (w * (100 << 16 | 1) >> 16) & 0x0000FFFF0000FFFF
-    return w * (10000 << 32 | 1) >> 32
+    4 or 8 ASCII digits as words are 4 or 8 bytes wide, most significant
+    first (Langdale and Lemire, "Parsing Gigabytes of JSON per Second",
+    2019): adjacent digits fold into pairs, pairs into fours and, in an
+    8-byte word, fours into the eight-digit value."""
+    w, bits = words & _DIGITS[words.itemsize][digits], 8 * words.itemsize
+    for s in (8, 16, 32)[:bits // 32 + 1]:
+        keep = ((1 << bits) - 1) // ((1 << 2 * s) - 1) * ((1 << s) - 1)  # 0x00FF00FF... at s = 8
+        w = (w * (10 ** (s // 8) << s | 1) >> s) & keep
+    return w
 
 
-def _read_canonical(text: str, block: int = _TEXT_BLOCK) -> Graph | None:
-    """The graph of a canonical text, checked and decoded a block at a
-    time by vectorized passes, or None when the text is not
-    canonical or fails any check, so that the line parser names the
-    fault. One scan finds the separators, every byte below '0'; they
-    must alternate ' ' and '\\n' up to the block's final '\\n', and no
-    byte may lie above '9'. Each token is then read from the 8 bytes
-    that end at it, plus one more word for each further 8 of its 1-18
-    digits, by _word_value. Only graphs whose n x n matrix is no larger
-    than the text are read here; Graph.matrix comes out already built."""
-    head = _CANONICAL_HEADER.match(text)
-    if head is None or not text.isascii():
+def _read_canonical(source: str | BinaryIO, block: int = _TEXT_BLOCK) -> Graph | None:
+    """The graph of a canonical text, a str cut by _blocks or a binary file
+    read in blocks that run on to the end of a line, decoded a block at a
+    time by one loop of vectorized passes, or None when any check fails,
+    so that the line parser names the fault. One scan finds the
+    separators, every byte below '0': they must alternate ' ' and '\\n' to
+    the block's final '\\n', and no byte may lie above '9'. _word_value
+    reads each token from the word ending at it, 4 bytes wide when no
+    token of the block is longer, else 8 plus one more for each further 8
+    of its 1-18 digits. Only graphs whose n x n matrix is no larger than
+    the text (the file's size) are read; Graph.matrix comes out built."""
+    if isinstance(source, str):  # non-ASCII characters become '?', which no check passes
+        size, end = len(source), source.find("\n") + 1
+        first = source[:end].encode("ascii", "replace")
+        blocks = (c.encode("ascii", "replace") for c in _blocks(source, end, block))
+    else:
+        size = os.fstat(source.fileno()).st_size  # 0 for a pipe, which is left unread
+        first = source.readline() if size else b""
+        blocks = (d + source.readline() for d in iter(functools.partial(source.read, block), b""))
+    head = _CANONICAL_HEADER.fullmatch(first)
+    if head is None:
         return None
     n, m = int(head[1]), int(head[2])
-    if n * n > len(text):
+    if n * n > size:
         return None
     _check_dense_size(n)
     mat = np.zeros((n, n), dtype=np.bool_)
     lines = 0
-    for chunk in _blocks(text, head.end(), block):
+    for chunk in blocks:
         # seven bytes of padding, so the word ending at any body byte
         # starts inside buf; word i ends at body[i]
-        buf = ("\0" * 7 + chunk).encode("ascii")
+        buf = b"\0" * 7 + chunk
         body = np.frombuffer(buf, dtype=np.uint8, offset=7)
-        words = np.ndarray(len(body), dtype="<u8", buffer=buf, strides=(1,))
         seps = np.flatnonzero(body < 48)
         kinds = body[seps]
         # each pair of separators is " \n", 0x0A20 as a little-endian uint16
@@ -467,15 +493,17 @@ def _read_canonical(text: str, block: int = _TEXT_BLOCK) -> Graph | None:
         # word ends[i] ends at the last digit of token i; "clip" sends a
         # word that would start before buf, of a token with no digits
         # left (rest 0, an empty mask), to word 0
+        width = 4 if top <= 4 else 8
+        words = np.ndarray(len(body), f"<u{width}", buf, 8 - width, strides=(1,))
         ends = seps - 1
-        vals = _word_value(words.take(ends, mode="clip"), np.minimum(lens, 8))
+        vals = _word_value(words.take(ends, mode="clip"), np.minimum(lens, width))
         for k in range(1, (int(top) + 7) // 8):  # 18 digits < 2^63: exact
             rest = np.clip(lens - 8 * k, 0, 8)
             vals += _word_value(words.take(ends - 8 * k, mode="clip"), rest) * 10 ** (8 * k)
-        u, v = vals.view(np.int64).reshape(-1, 2).T
+        u, v = vals.astype(np.int64).reshape(-1, 2).T
         if (u >= v).any() or vals.max() >= n:  # so every v < n
             return None
-        mat[u, v] = True
+        mat.ravel()[u * n + v] = True
         lines += len(seps) // 2
     if lines != m or np.count_nonzero(mat) != m:  # a duplicate sets no new entry
         return None

@@ -1,5 +1,6 @@
 """Graph core: construction, edge-list I/O, density, induced subgraphs."""
 
+import tempfile
 from fractions import Fraction
 
 import numpy as np
@@ -260,6 +261,50 @@ def test_reader_builds_no_matrix_larger_than_the_text():
     g = read_edge_list("1000000 0\n")
     assert g.n == 1000000 and g.edge_count == 0
     assert "matrix" not in g.__dict__
+
+
+def read_file(text: str, block: int):
+    """_read_canonical of text streamed from a binary file in blocks of
+    about block bytes."""
+    with tempfile.TemporaryFile() as fh:
+        fh.write(text.encode("ascii"))
+        fh.seek(0)
+        return _read_canonical(fh, block)
+
+
+@given(canonical_texts(), st.integers(1, 40))
+def test_file_reader_matches_the_text_reader(case, block):
+    # blocks of at most 40 bytes cut most texts inside a line, so each
+    # block carries the head of its last line into the next
+    _, _, text = case
+    got, want = read_file(text, block), _read_canonical(text)
+    assert (got is None) == (want is None)
+    if got is not None:
+        assert "matrix" in got.__dict__ and (got.n, got.adj) == (want.n, want.adj)
+
+
+@pytest.mark.parametrize("block", (16, 4096, 1 << 16))
+def test_file_reader_matches_the_reference_across_blocks(multi_block_lines, block):
+    text = "\n".join(multi_block_lines) + "\n"
+    want = support.reference_read_edge_list(text)
+    got = read_file(text, block)
+    assert got is not None and (got.n, got.adj) == (want.n, want.adj)
+    assert read_file(text.replace("\n", "\r\n"), block) is None
+
+
+@pytest.mark.parametrize("line", ("0 10003", "10000 3", "0 00003"))
+def test_tokens_past_four_digits_are_read_whole(line):
+    # the last four digits name the missing edge 0 3: read four bytes
+    # wide, the first two lines would pass as that edge
+    edges = [(u, v) for u in range(9) for v in range(u + 1, 9) if (u, v) != (0, 3)]
+    lines = [f"{u} {v}" for u, v in edges[:2]] + [line] + [f"{u} {v}" for u, v in edges[2:]]
+    text = "\n".join(["9 36"] + lines) + "\n"
+    want = parse_outcome(support.reference_read_edge_list, text)
+    for got in (_read_canonical(text), read_file(text, 1 << 16)):
+        assert (got is None) == isinstance(want[0], str)
+        if got is not None:
+            assert (got.n, got.adj) == want
+    assert parse_outcome(read_edge_list, text) == want
 
 
 @given(st.text(alphabet="ab \n\r\f\v\x1c\x85\u2028", max_size=40), st.integers(1, 6))
@@ -663,3 +708,19 @@ def test_no_cgroup_limit_leaves_physical_memory(memory_max, content):
     graph_mod._check_memory(1 << 32, "a table")
     with pytest.raises(PreconditionError, match=f"{1 << 32} bytes of physical memory"):
         graph_mod._check_memory((1 << 32) + 1, "a table")
+
+
+@pytest.mark.parametrize("n", (10, 11, 100, 101, 1000, 1001))
+def test_write_matches_reference_at_digit_width_edges(n):
+    # n - 1 gains a digit between each pair: the name slots widen
+    for g in support.twins(gen_gnp(n, Fraction(1, 2), seed=n)):
+        assert write_edge_list(g) == support.reference_write_edge_list(g)
+
+
+def test_writing_a_mask_graph_unpacks_no_row(monkeypatch):
+    calls = []
+    real = graph_mod._unpack_rows
+    monkeypatch.setattr(graph_mod, "_unpack_rows", lambda *a: calls.append(a) or real(*a))
+    g = Graph.from_edges(30000, [(0, 1), (5, 29999)])
+    assert write_edge_list(g) == "30000 2\n0 1\n5 29999\n" == support.reference_write_edge_list(g)
+    assert not calls and "matrix" not in g.__dict__

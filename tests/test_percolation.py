@@ -217,9 +217,12 @@ THIRD = (Fraction(1, 3),)
                             (Fraction(3, 4), "dense"))),
 ])
 def test_exact_infection_probability_matches_reference_dp(g, ps):
-    # on both twins, the mask-held and the matrix-held form
+    # on both twins, the mask-held and the matrix-held form; the per-mask
+    # DP loops over 2^n masks in Python, so the n = 16 graphs are checked
+    # against the zeta reference instead
+    reference = support.reference_theta_exact if g.n <= 13 else support.reference_theta_zeta
     for p in ps:
-        want = support.reference_theta_exact(g, p)
+        want = reference(g, p)
         assert [full_infection_probability_exact(h, p) for h in support.twins(g)] == [want] * 2
 
 

@@ -9,6 +9,7 @@ import importlib
 import importlib.util
 import io
 import itertools
+import os
 from fractions import Fraction
 from pathlib import Path
 
@@ -16,6 +17,7 @@ import pytest
 
 import support
 from fullsub import (
+    EdgeListError,
     GenSpec,
     PreconditionError,
     SweepConfig,
@@ -38,7 +40,7 @@ from fullsub import (
     write_csv,
     write_edge_list,
 )
-from fullsub import cli as cli_mod, percolation
+from fullsub import cli as cli_mod, graph as graph_mod, percolation
 from fullsub.cli import main
 from fullsub.sweep import CSV_COLUMNS, ExperimentRow, frac_str
 
@@ -283,18 +285,31 @@ def test_cli_gen_writes_the_reference_text(capsys, tmp_path, argv, spec):
     assert code == 0 and text == want
 
 
-def test_cli_gen_writes_one_piece_per_vertex_with_a_later_neighbour(capsys, monkeypatch):
+@pytest.mark.parametrize("argv,spec", [
+    (["--family", "gnp", "--n", "300", "--p", "1/2"], GenSpec("gnp", 300, p=Fraction(1, 2))),
+    (["--family", "clique-isolated", "--n", "300", "--E", "10000"],
+     GenSpec("clique-isolated", 300, E=10000)),
+], ids=("matrix-held", "mask-held"))
+def test_cli_gen_writes_the_header_then_one_piece_per_row_block(capsys, monkeypatch, argv, spec):
+    # each graph has edges in several blocks of rows
     pieces, real = [], cli_mod._write_text
 
     def recording(it, path):
         real((pieces.append(piece) or piece for piece in it), path)
 
     monkeypatch.setattr(cli_mod, "_write_text", recording)
-    code, text, _ = run_cli(capsys, "gen", "--family", "gnp", "--n", "300", "--p", "1/2")
-    g = gen_gnp(300, Fraction(1, 2), seed=0)
-    assert code == 0 and text == "".join(pieces) == support.reference_write_edge_list(g)
-    later = sum(any(v > u for v in g.neighbors(u)) for u in range(g.n))
-    assert len(pieces) == 1 + later  # the header, then one piece per row: never the whole text
+    code, text, _ = run_cli(capsys, "gen", *argv)
+    want = support.reference_write_edge_list(generate(spec)[0])
+    assert code == 0 and text == b"".join(pieces).decode("ascii") == want
+    header, *lines = want.splitlines(keepends=True)
+    rows = graph_mod._WRITE_ROWS
+    blocks = ["".join(line for line in lines if int(line.split()[0]) // rows == b)
+              for b in range(-(-300 // rows))]
+    assert pieces[0] == header.encode("ascii")
+    # at most one piece per row block, each no longer than its block's
+    # lines: never the whole text
+    assert [piece.decode("ascii") for piece in pieces[1:]] == [b for b in blocks if b]
+    assert len(pieces) > 2
 
 
 def test_cli_gen_to_stdout_parses_back(capsys):
@@ -496,6 +511,43 @@ def test_cli_exit_code_1_on_bad_input(capsys, tmp_path):
     assert code == 1 and "error" in err
     code, _, err = run_cli(capsys, "disc", "--input", str(tmp_path / "no.txt"))
     assert code == 1
+
+
+@pytest.mark.parametrize("variant", ("crlf", "duplicate", "reversed", "non-ascii"))
+def test_cli_reads_files_the_canonical_reader_declines_as_text(capsys, tmp_path, variant):
+    # the text spans several of the streamed blocks, and each variant
+    # edits a line in the last one: the file is read again as ASCII text
+    text = write_edge_list(gen_gnp(600, Fraction(1, 2), seed=3))
+    assert len(text) > 2 * graph_mod._TEXT_BLOCK
+    lines = text.splitlines()
+    u, v = lines[-3].split()
+    lines[-3] = {"duplicate": lines[-4], "reversed": f"{v} {u}",
+                 "non-ascii": f"{u} \u0661"}.get(variant, lines[-3])
+    bad = tmp_path / "bad.txt"
+    bad.write_bytes(("\r\n" if variant == "crlf" else "\n").join(lines + [""]).encode("utf-8"))
+    code, out, err = run_cli(capsys, "full", "--input", str(bad))
+    if variant == "crlf":  # text mode reads "\r\n" as "\n"
+        want = run_cli(capsys, "full", "--input", graph_file(tmp_path, read_edge_list(text)))[1]
+        assert (code, out, err) == (0, want, "")
+        return
+    with pytest.raises((EdgeListError, UnicodeDecodeError)) as e:
+        support.reference_read_edge_list(bad.read_text(encoding="ascii"))
+    assert (code, out, err) == (1, "", f"error: {e.value}\n")
+
+
+def test_cli_reads_a_file_that_is_a_pipe(capsys, tmp_path):
+    # a pipe has no size, so the canonical reader must leave it unread
+    # for the line parser, which opens it again and reads it whole
+    text = write_edge_list(support.petersen())
+    r, w = os.pipe()
+    os.write(w, text.encode("ascii"))
+    os.close(w)
+    try:
+        code, out, err = run_cli(capsys, "full", "--input", f"/dev/fd/{r}")
+    finally:
+        os.close(r)
+    want = run_cli(capsys, "full", "--input", graph_file(tmp_path, support.petersen()))[1]
+    assert (code, out, err) == (0, want, "")
 
 
 def test_cli_reports_undecodable_input_file(capsys, tmp_path):
