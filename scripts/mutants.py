@@ -153,6 +153,17 @@ MUTANTS = (
            "return Graph.from_edges(n, itertools.combinations(range(n), 2))",
            ("tests/test_generate.py::"
             "test_every_gnp_graph_that_may_have_edges_holds_its_matrix_alone",)),
+    Mutant("glued coin sense inverted", "fullsub/generate.py",
+           "coin = (uniform_u64(seed, h * h) & 1).astype(bool)",
+           "coin = (uniform_u64(seed, h * h) & 1 ^ 1).astype(bool)",
+           ("tests/test_generate.py::test_glued_picks_the_reference_matching_per_coin",)),
+    Mutant("adversary rows rotated one place too far", "fullsub/generate.py",
+           "np.concatenate((base[1:], base))", "np.concatenate((base, base[:-1]))",
+           ("tests/test_generate.py::test_adversary_matches_its_pairwise_definition",)),
+    Mutant("multipartite keeps one clique pair too many", "fullsub/generate.py",
+           "x[:k * (k - 1) // 2 - drop - (j < extra)]",
+           "x[:k * (k - 1) // 2 - drop - (j < extra) + 1]",
+           ("tests/test_generate.py::test_multipartite_trim_matches_the_round_robin_reference",)),
     Mutant("small-p window one too wide above", "fullsub/finders.py",
            "1 + math.isqrt(num * n * n // den)", "2 + math.isqrt(num * n * n // den)",
            ("tests/test_finders.py::test_small_p_window_stops_where_the_reference_predicates_do",)),

@@ -272,27 +272,6 @@ def _scored(slots: tuple, p: Fraction, sign: str,
             yield expected - least * den, least_mask
 
 
-def _disc_from_slots(slots: tuple, p: Fraction, sign: str,
-                     k: Optional[int]) -> DiscWitness:
-    # with k None size 0 competes: the empty set scores 0 and is
-    # lexicographically smallest, so it wins unless strictly beaten
-    score, mask = _lex_best(_scored(slots, p, sign, range(len(slots)) if k is None else [k]))
-    return DiscWitness(Fraction(score, p.denominator), from_mask(mask), sign, k)
-
-
-def _jumbled_from_slots(slots: tuple, p: Fraction, k: Optional[int]) -> JumbledReport:
-    """The larger of a size's two signed scores is the larger of its two
-    |surplus|es, as the two sum to (most - least)*den >= 0; they tie
-    across signs only if most = least, when the two sets are one."""
-    if len(slots) == 1:  # the empty graph has no nonempty subset
-        return JumbledReport(Fraction(0), frozenset(), k)
-    sizes = range(1, len(slots)) if k is None else [k]
-    j, mask = _lex_best((Fraction(score, size * p.denominator), mask)
-                        for sign in ("positive", "negative")
-                        for size, (score, mask) in zip(sizes, _scored(slots, p, sign, sizes)))
-    return JumbledReport(j, from_mask(mask), k)
-
-
 def discrepancy_exact(g: Graph, p, sign: str = "positive", k: Optional[int] = None,
                       cap: int = EXACT_CAP_DEFAULT) -> DiscWitness:
     """Exact maximum of the (signed) surplus over all subsets.
@@ -306,17 +285,29 @@ def discrepancy_exact(g: Graph, p, sign: str = "positive", k: Optional[int] = No
     _check_sign(sign)
     _require_cap(g.n, cap, "exact discrepancy")
     _check_k(k, 0, g.n)
-    return _disc_from_slots(_subset_extremes(g), p, sign, k)
+    # with k None size 0 competes: the empty set scores 0 and is
+    # lexicographically smallest, so it wins unless strictly beaten
+    sizes = range(g.n + 1) if k is None else [k]
+    score, mask = _lex_best(_scored(_subset_extremes(g), p, sign, sizes))
+    return DiscWitness(Fraction(score, p.denominator), from_mask(mask), sign, k)
 
 
 def jumbledness_exact(g: Graph, p, k: Optional[int] = None,
                       cap: int = EXACT_CAP_DEFAULT) -> JumbledReport:
     """Exact max of |surplus(X)|/|X| over nonempty subsets (k-sets if
-    k is given), with a lexicographically-smallest witness attaining it."""
+    k is given), with a lexicographically-smallest witness attaining it.
+    A size's larger signed score is its larger |surplus|: the two sum to
+    (most - least)*den >= 0, and tie only if most = least, one set."""
     p = as_probability(p)
     _require_cap(g.n, cap, "exact jumbledness")
     _check_k(k, 1, g.n)
-    return _jumbled_from_slots(_subset_extremes(g), p, k)
+    if g.n == 0:  # the empty graph has no nonempty subset
+        return JumbledReport(Fraction(0), frozenset(), k)
+    slots, sizes = _subset_extremes(g), range(1, g.n + 1) if k is None else [k]
+    j, mask = _lex_best((Fraction(score, size * p.denominator), mask)
+                        for sign in ("positive", "negative")
+                        for size, (score, mask) in zip(sizes, _scored(slots, p, sign, sizes)))
+    return JumbledReport(j, from_mask(mask), k)
 
 
 def discrepancy_local_search(g: Graph, p, sign: str = "positive", seed: int = 0,
@@ -431,12 +422,10 @@ def verify_jumbledness_bound(g: Graph, p, f_value: int, g_value: int,
     in the oracles, not a counterexample.
     """
     p = as_probability(p)
-    _require_cap(g.n, cap, "exact discrepancy")
-    slots = _subset_extremes(g)
-    plus = _disc_from_slots(slots, p, "positive", None)
-    minus = _disc_from_slots(slots, p, "negative", None)
+    plus = discrepancy_exact(g, p, "positive", cap=cap)
+    minus = discrepancy_exact(g, p, "negative", cap=cap)
     disc_both = max(plus.value, minus.value)
-    jrep = _jumbled_from_slots(slots, p, None)
+    jrep = jumbledness_exact(g, p, cap=cap)
     vacuous = jrep.j == 0
     if not vacuous and Fraction(f_value) < plus.value / jrep.j:
         raise VerificationError(

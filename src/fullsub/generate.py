@@ -3,9 +3,9 @@ adversarial instances.
 
 Every generator is deterministic given its parameters (and seed, where
 one applies), platform-independent, and validated before generation.
-The adjacency they build is symmetric and loop-free by construction,
-so it goes to Graph._from_adj (or Graph._from_matrix, for the matrix a
-G(n, p) graph is drawn into) without a second check.
+The dense families build their n x n bool matrix, symmetric and
+loop-free by construction, after _check_dense_size, and hand it to
+Graph._from_matrix unchecked; clique-isolated uses Graph.from_edges.
 generate(GenSpec) dispatches by family tag using the same family names
 the command line accepts.
 """
@@ -20,9 +20,10 @@ from fractions import Fraction
 from typing import Optional
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .graph import (Graph, PreconditionError, VerificationError, _check_dense_size,
-                    _check_memory, _symmetrize, as_probability, density)
+                    _symmetrize, as_probability, density)
 from .rng import _bernoulli, uniform_u64
 
 FAMILIES = ("gnp", "clique-isolated", "multipartite-planted", "adversary")
@@ -134,7 +135,7 @@ def gen_multipartite_planted(n: int, r: int, c=Fraction(1)):
         warnings.warn(f"c = {c} < 1: planted density below the guaranteed regime",
                       stacklevel=2)
     N = (r + 1) * n
-    _check_memory(N * N // 8, f"{N} adjacency masks of {N} bits")
+    _check_dense_size(N)
     pairs = N * (N - 1) // 2
     base = Fraction(r, r + 1) * pairs + Fraction(1, 2)
     target = _floor_with_cbrt_term(base, c * pairs, n)
@@ -153,23 +154,16 @@ def gen_multipartite_planted(n: int, r: int, c=Fraction(1)):
                 "c too large for this part size")
 
     # round-robin in closed form: the surplus is below (r+1)(k-1), by the
-    # minimality of k, so no part runs out of pairs to drop
+    # minimality of k, so no part runs out of pairs to drop; part j keeps
+    # a prefix of its clique's pairs in lex order, as triu_indices lists them
     drop, extra = divmod((r + 1) * (k * (k - 1) // 2) - deficit, r + 1)
-    part_pairs = [itertools.islice(itertools.combinations(range(j * n, j * n + k), 2),
-                                   k * (k - 1) // 2 - drop - (j < extra))
-                  for j in range(r + 1)]
-
-    full = (1 << N) - 1
-    adj = [0] * N
-    for v in range(N):
-        part = v // n
-        part_mask = ((1 << n) - 1) << (part * n)
-        adj[v] = (full ^ part_mask)
-    for pp in part_pairs:
-        for u, v in pp:
-            adj[u] |= 1 << v
-            adj[v] |= 1 << u
-    g = Graph._from_adj(N, adj)
+    part = np.arange(N) // n
+    mat = part[:, None] != part
+    clique = np.triu_indices(k, 1)
+    for j in range(r + 1):
+        u, v = (x[:k * (k - 1) // 2 - drop - (j < extra)] + j * n for x in clique)
+        mat[u, v] = mat[v, u] = True
+    g = Graph._from_matrix(mat)
     if g.edge_count != target:
         raise VerificationError(
             f"built {g.edge_count} edges, target was {target}")
@@ -187,20 +181,14 @@ def gen_greedy_adversary(n: int) -> Graph:
     if n < 2:
         raise PreconditionError(f"n must be at least 2, got {n}")
     N = 4 * n + 2
-    _check_memory(N * N // 8, f"{N} adjacency masks of {N} bits")
-    wrap = (1 << N) - 1
-    base = 1 << (2 * n + 1)
-    for j in range(1, n + 1):
-        base |= (1 << j) | (1 << (N - j))
-    adj = [((base << i) | (base >> (N - i))) & wrap for i in range(N)]
-
+    _check_dense_size(N)
+    base = np.zeros(N, dtype=bool)  # row 0: cyclic distance 1..n or 2n+1
+    base[1:n + 1] = base[N - n:] = base[2 * n + 1] = True
+    # row i is row 0 rotated i places: reversed windows of base[1:] + base
+    mat = sliding_window_view(np.concatenate((base[1:], base)), N)[::-1].copy()
     m = adversary_planted_size(n)
-    for i in range(m):
-        for j in range(m):
-            u, v = i, 2 * n + 1 + j
-            adj[u] |= 1 << v
-            adj[v] |= 1 << u
-    g = Graph._from_adj(N, adj)
+    mat[:m, 2 * n + 1:2 * n + 1 + m] = mat[2 * n + 1:2 * n + 1 + m, :m] = True
+    g = Graph._from_matrix(mat)
     expected = (2 * n + 1) ** 2 + m * (m - 1)
     if g.edge_count != expected:
         raise VerificationError(
@@ -226,24 +214,18 @@ def gen_glued(a: Graph, b: Graph, seed: int) -> Graph:
         raise PreconditionError(f"orders differ: {a.n} vs {b.n}")
     if a.n % 2:
         raise PreconditionError(f"orders must be even, got {a.n}")
-    h = a.n // 2
-    off = a.n
-    adj = list(a.adj) + [row << off for row in b.adj]
-    if h:
-        coins = uniform_u64(seed, h * h)
-        for i in range(h):
-            for j in range(h):
-                flip = int(coins[i * h + j]) & 1
-                a0, a1 = 2 * i, 2 * i + 1
-                b0, b1 = off + 2 * j, off + 2 * j + 1
-                if flip:
-                    pairs = ((a0, b1), (a1, b0))
-                else:
-                    pairs = ((a0, b0), (a1, b1))
-                for u, v in pairs:
-                    adj[u] |= 1 << v
-                    adj[v] |= 1 << u
-    return Graph._from_adj(2 * off, adj)
+    h, N = a.n // 2, 2 * a.n
+    _check_dense_size(N)
+    mat = np.zeros((N, N), dtype=bool)
+    mat[:a.n, :a.n], mat[a.n:, a.n:] = a.matrix, b.matrix
+    # A's vertex 2i + s meets B's vertex 2j + t when s xor t is coin (i, j):
+    # entry blocks[0, i, s, 1, j, t], mirrored at blocks[1, j, t, 0, i, s]
+    coin = (uniform_u64(seed, h * h) & 1).astype(bool).reshape(h, h)
+    blocks = mat.reshape(2, h, 2, 2, h, 2)
+    s_xor_t = np.array([[[False, True]], [[True, False]]])
+    np.equal(s_xor_t, coin[:, None, :, None], out=blocks[0, :, :, 1])
+    np.equal(s_xor_t, coin.T[:, None, :, None], out=blocks[1, :, :, 0])
+    return Graph._from_matrix(mat)
 
 
 def generate(spec: GenSpec):

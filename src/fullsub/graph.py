@@ -3,9 +3,9 @@
 A Graph holds the form it was built from and builds the other on first
 use: Graph.adj, one Python int bitmask per vertex, or Graph.matrix, a
 read-only numpy bool matrix. Graphs built from edges or masks hold
-masks; a G(n, p) graph, an induced subgraph, a complement and a graph
-read from canonical text hold the matrix, with degrees from its column sums
-(_column_counts). NumPy integer ids and masks are taken as Python ints
+masks; a generated dense graph, an induced subgraph, a complement and a
+graph read from canonical text hold the matrix, with degrees from its
+column sums (_column_counts). NumPy integer ids and masks are taken as Python ints
 (operator.index), so no shift wraps at 64 bits. Inside the package a
 vertex set is a sorted index array (_as_index), and in-set degrees are
 read from the matrix when it is there, by the mask walk only when the
@@ -235,8 +235,8 @@ class Graph:
     def from_masks(cls, n: int, adj: Iterable[int]) -> "Graph":
         """Build from per-vertex neighbour bitmasks, checking that there
         is one mask per vertex, every bit names a vertex, no vertex is
-        its own neighbour and the masks are symmetric. The generators,
-        which build well-formed masks by construction, use _from_adj."""
+        its own neighbour and the masks are symmetric. Masks built well
+        formed, by from_edges and the line parser, go to _from_adj."""
         adj = list(map(operator.index, adj))
         if len(adj) != n:
             raise ValueError("need one adjacency mask per vertex")

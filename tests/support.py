@@ -9,6 +9,7 @@ so agreement between the two is evidence, not tautology.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from itertools import combinations
 from typing import Iterable, Optional
@@ -123,6 +124,38 @@ def reference_multipartite_clique_pairs(n: int, r: int, k: int, surplus: int) ->
             surplus -= 1
         j = (j + 1) % (r + 1)
     return part_pairs
+
+
+def reference_adversary(n: int) -> Graph:
+    """gen_greedy_adversary from its definition, one pair at a time: u < v
+    of the 4n+2 vertices are adjacent when their cyclic distance lies in
+    1..n or is exactly 2n+1, or when u < m <= 2n+1 <= v < 2n+1+m, the
+    planted K_{m,m}, with m = round(sqrt(3n))."""
+    N, m = 4 * n + 2, round(math.sqrt(3 * n))
+
+    def adjacent(u: int, v: int) -> bool:
+        d = min(v - u, N - (v - u))
+        return 1 <= d <= n or d == 2 * n + 1 or (u < m and 2 * n + 1 <= v < 2 * n + 1 + m)
+
+    return from_edges(N, [(u, v) for u, v in combinations(range(N), 2) if adjacent(u, v)])
+
+
+def reference_glued(a: Graph, b: Graph, seed: int) -> Graph:
+    """gen_glued as a per-pair mask loop: B's masks shifted past A's, and
+    for each pair (2i, 2i+1) of A and (2j, 2j+1) of B the matching picked
+    by coin i*h + j, straight when it is even, crossed when it is odd."""
+    h, off = a.n // 2, a.n
+    adj = list(a.adj) + [row << off for row in b.adj]
+    coins = uniform_u64(seed, h * h)
+    for i in range(h):
+        for j in range(h):
+            flip = int(coins[i * h + j]) & 1
+            a0, a1 = 2 * i, 2 * i + 1
+            b0, b1 = off + 2 * j, off + 2 * j + 1
+            for u, v in ((a0, b1), (a1, b0)) if flip else ((a0, b0), (a1, b1)):
+                adj[u] |= 1 << v
+                adj[v] |= 1 << u
+    return Graph.from_masks(2 * off, adj)
 
 
 def reference_gnp_adjacency(n: int, p, seed: int) -> np.ndarray:

@@ -27,8 +27,7 @@ from fullsub import (
 )
 from fullsub import discrepancy
 from fullsub import graph as graph_mod
-from fullsub.discrepancy import (_build_extremes, _disc_from_slots, _high_half,
-                                 _jumbled_from_slots, _low_half, _subset_extremes)
+from fullsub.discrepancy import _build_extremes, _high_half, _low_half, _subset_extremes
 from fullsub.graph import induced_subgraph
 
 K31 = support.disjoint_union(support.clique(3), support.empty(1))
@@ -139,10 +138,10 @@ def assert_readers_match_reference(g):
     for p in {density(g), Fraction(0), Fraction(1), HALF, tiny, 1 - tiny}:
         for k in (None, *range(g.n + 1)):
             for sign in ("positive", "negative"):
-                assert _disc_from_slots(slots, p, sign, k) == \
+                assert discrepancy_exact(g, p, sign, k) == \
                     support.reference_disc_from_slots(slots, p, sign, k), (g, p, sign, k)
             if k != 0:
-                assert _jumbled_from_slots(slots, p, k) == \
+                assert jumbledness_exact(g, p, k) == \
                     support.reference_jumbled_from_slots(slots, p, k), (g, p, k)
 
 

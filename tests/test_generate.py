@@ -111,6 +111,16 @@ def test_every_gnp_graph_that_may_have_edges_holds_its_matrix_alone(n, p):
         assert g.degrees == tuple(support.reference_gnp_adjacency(n, p, 2).sum(axis=0))
 
 
+def test_every_dense_family_holds_its_matrix_alone():
+    for g in (gen_multipartite_planted(6, 2)[0], gen_greedy_adversary(5),
+              gen_glued(support.cycle(6), support.path(6), 3),
+              gen_glued(gen_gnp(8, Fraction(1, 2), 1), gen_gnp(8, Fraction(1, 3), 2), 4),
+              generate(GenSpec("multipartite-planted", 5, r=1))[0],
+              generate(GenSpec("adversary", 3))[0]):
+        assert "matrix" in g.__dict__ and "adj" not in g.__dict__
+        assert not g.matrix.flags.writeable
+
+
 @pytest.mark.parametrize("n,p", [(0, Fraction(1, 2)), (1, Fraction(1)), (9, 0)])
 def test_gnp_graphs_without_a_possible_edge_hold_empty_masks(n, p):
     g = gen_gnp(n, p, seed=2)
@@ -155,12 +165,18 @@ def test_dense_matrices_are_guarded(monkeypatch):
 
 
 def test_adjacency_masks_are_guarded(monkeypatch):
+    a = support.empty(2)  # built before the limit
     monkeypatch.setattr(graph_mod.os, "sysconf", lambda name: 2)  # 4 bytes
-    for build in (lambda: gen_gnp(1, 0, 0), lambda: gen_clique_plus_isolated(1, 0),
-                  lambda: gen_multipartite_planted(4, 1), lambda: gen_greedy_adversary(2)):
+    for build in (lambda: gen_gnp(1, 0, 0), lambda: gen_clique_plus_isolated(1, 0)):
         with pytest.raises(PreconditionError, match="adjacency masks .*physical memory"):
             build()
     assert gen_gnp(0, 0, 0).n == 0
+    # the dense families are refused as G(n, p) is, at the N^2 bytes of their matrix
+    for build, N in ((lambda: gen_multipartite_planted(4, 1), 8),
+                     (lambda: gen_greedy_adversary(2), 10), (lambda: gen_glued(a, a, 0), 4)):
+        with pytest.raises(PreconditionError, match=f"^a dense {N} x {N} matrix needs "
+                           f"{N * N} bytes, more than the 4 bytes of physical memory"):
+            build()
 
 
 def test_gnp_rejects_bad_probability():
@@ -324,6 +340,12 @@ def test_adversary_structure(n):
     assert 2 * g.edge_count > N * (N - 1) // 2
 
 
+@pytest.mark.parametrize("n", [2, 3, 4, 7, 12, 100])
+def test_adversary_matches_its_pairwise_definition(n):
+    g, want = gen_greedy_adversary(n), support.reference_adversary(n)
+    assert g == want and write_edge_list(g) == write_edge_list(want)
+
+
 def test_adversary_rejects_tiny_n():
     with pytest.raises(PreconditionError):
         gen_greedy_adversary(1)
@@ -361,6 +383,15 @@ def test_glued_is_deterministic_and_seed_sensitive():
     assert len(lists) > 1
     assert write_edge_list(gen_glued(a, b, seed=3)) == \
         write_edge_list(gen_glued(a, b, seed=3))
+
+
+@pytest.mark.parametrize("n", [0, 2, 4, 6, 10, 30])
+@pytest.mark.parametrize("seed", [0, 1, 5, 12])
+def test_glued_picks_the_reference_matching_per_coin(n, seed):
+    # A holds its matrix, B its masks
+    a, b = gen_gnp(n, Fraction(1, 2), seed + 1), support.path(n)
+    g, want = gen_glued(a, b, seed), support.reference_glued(a, b, seed)
+    assert g == want and write_edge_list(g) == write_edge_list(want)
 
 
 def test_glued_rejects_mismatched_or_odd_orders():
@@ -406,8 +437,8 @@ GENERATED = {
 
 @pytest.mark.parametrize("name", GENERATED)
 def test_generated_masks_pass_the_checked_constructor(name):
-    # the generators build through the unchecked Graph._from_adj, so
-    # their masks must pass every check of Graph.from_masks
+    # the dense generators build through the unchecked Graph._from_matrix,
+    # so the masks packed from it must pass every check of Graph.from_masks
     g = GENERATED[name]()
     assert Graph.from_masks(g.n, g.adj).adj == g.adj
 

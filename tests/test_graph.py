@@ -697,7 +697,8 @@ def test_complement_refuses_masks_beyond_the_limit(memory_max):
     with pytest.raises(PreconditionError, match="a dense 20000 x 20000 matrix needs "
                        "400000000 bytes, more than the 16777216 bytes of cgroup memory limit"):
         complement(read_edge_list("20000 0\n"))
-    with pytest.raises(PreconditionError, match="^19998 adjacency masks of 19998 bits needs"):
+    with pytest.raises(PreconditionError, match="^a dense 19998 x 19998 matrix needs "
+                       "399920004 bytes, more than the 16777216 bytes of cgroup memory limit"):
         gen_greedy_adversary(4999)  # 4 * 4999 + 2 vertices, in the same words
 
 
