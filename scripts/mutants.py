@@ -150,7 +150,7 @@ MUTANTS = (
            ("tests/test_graph.py::test_induced_subgraph_matches_reference[300]",)),
     Mutant("K_n kept as masks", "fullsub/generate.py",
            "return Graph._from_matrix(~np.eye(n, dtype=bool))",
-           "return Graph.from_edges(n, itertools.combinations(range(n), 2))",
+           "return Graph.from_edges(n, zip(*np.triu_indices(n, 1)))",
            ("tests/test_generate.py::"
             "test_every_gnp_graph_that_may_have_edges_holds_its_matrix_alone",)),
     Mutant("glued coin sense inverted", "fullsub/generate.py",
@@ -164,6 +164,18 @@ MUTANTS = (
            "x[:k * (k - 1) // 2 - drop - (j < extra)]",
            "x[:k * (k - 1) // 2 - drop - (j < extra) + 1]",
            ("tests/test_generate.py::test_multipartite_trim_matches_the_round_robin_reference",)),
+    Mutant("clique block keeps one pair too many", "fullsub/generate.py",
+           "x[:E] for x in np.triu_indices(m, 1)", "x[:E + 1] for x in np.triu_indices(m, 1)",
+           ("tests/test_generate.py::test_clique_isolated_fills_lexicographically",)),
+    Mutant("small-p leaf's neighbour keeps the leaf in its forest XOR", "fullsub/finders.py",
+           "        fx[w] ^= leaf\n", "",
+           ("tests/test_finders.py::test_small_p_peel_matches_reference_on_gnp",)),
+    Mutant("small-p isolated neighbour left in the graph", "fullsub/finders.py",
+           "live neighbour\n            trace.append(w)\n", "live neighbour\n            pass\n",
+           ("tests/test_finders.py::test_small_p_peel_matches_reference_on_gnp",)),
+    Mutant("jumbledness key scaled by size, not lcm // size", "fullsub/discrepancy.py",
+           "score * (lcm // size)", "score * size",
+           ("tests/test_discrepancy.py::test_table_readers_match_reference_on_gnp[8]",)),
     Mutant("small-p window one too wide above", "fullsub/finders.py",
            "1 + math.isqrt(num * n * n // den)", "2 + math.isqrt(num * n * n // den)",
            ("tests/test_finders.py::test_small_p_window_stops_where_the_reference_predicates_do",)),

@@ -304,10 +304,11 @@ def jumbledness_exact(g: Graph, p, k: Optional[int] = None,
     if g.n == 0:  # the empty graph has no nonempty subset
         return JumbledReport(Fraction(0), frozenset(), k)
     slots, sizes = _subset_extremes(g), range(1, g.n + 1) if k is None else [k]
-    j, mask = _lex_best((Fraction(score, size * p.denominator), mask)
-                        for sign in ("positive", "negative")
-                        for size, (score, mask) in zip(sizes, _scored(slots, p, sign, sizes)))
-    return JumbledReport(j, from_mask(mask), k)
+    lcm = math.lcm(*sizes)  # each score/size, times lcm, is an integer key
+    key, mask = _lex_best((score * (lcm // size), mask)
+                          for sign in ("positive", "negative")
+                          for size, (score, mask) in zip(sizes, _scored(slots, p, sign, sizes)))
+    return JumbledReport(Fraction(key, lcm * p.denominator), from_mask(mask), k)
 
 
 def discrepancy_local_search(g: Graph, p, sign: str = "positive", seed: int = 0,

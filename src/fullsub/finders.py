@@ -596,18 +596,15 @@ def small_p_full(g: Graph) -> FullSubgraphResult:
     # lo <= c iff (c+1)^2 den >= num n^2; c <= hi iff c <= 1 or (c-1)^2 den <= num n^2
     lo, hi = small_p_size_floor(n, p), 1 + math.isqrt(num * n * n // den)
 
+    # removed vertices join the trace, so n - len(trace) are live; the
+    # spanning forest, by depth-first search over the live graph, is held
+    # as each vertex's forest degree fdeg and the XOR fx of its forest
+    # neighbours, so a leaf's one neighbour is fx[leaf]
     trace = [v for v in range(n) if g.degrees[v] == 0]
-    alive = 0
-    for v in range(n):
-        if g.degrees[v] > 0:
-            alive |= 1 << v
-    count = alive.bit_count()
-
-    # spanning forest by depth-first search over the live graph
-    fadj = [0] * n
+    fdeg, fx = [0] * n, [0] * n
     seen = 0
-    for root in iter_bits(alive):
-        if (seen >> root) & 1:
+    for root in range(n):
+        if not g.degrees[root] or (seen >> root) & 1:
             continue
         seen |= 1 << root
         stack = [root]
@@ -615,40 +612,37 @@ def small_p_full(g: Graph) -> FullSubgraphResult:
             v = stack.pop()
             fresh = g.adj[v] & ~seen  # a live vertex's neighbours are all live
             seen |= fresh
-            for u in iter_bits(fresh):
-                fadj[v] |= 1 << u
-                fadj[u] |= 1 << v
+            fdeg[v] += fresh.bit_count()
+            for u in iter_bits(fresh):  # u is fresh: no forest edge yet
+                fdeg[u], fx[u] = 1, v
+                fx[v] ^= u
                 stack.append(u)
 
-    leaves = [v for v in range(n) if fadj[v].bit_count() == 1]
+    leaves = [v for v in range(n) if fdeg[v] == 1]
     for _ in range(n + 1):
-        if count < lo:
+        if n - len(trace) < lo:
             raise VerificationError("order fell below the target window")
-        if count <= hi:
+        if n - len(trace) <= hi:
             break
         # the lowest forest leaf: skip entries that lost their last
         # forest edge since the push (removed vertices keep none)
-        while leaves and fadj[leaves[0]].bit_count() != 1:
+        while leaves and fdeg[leaves[0]] != 1:
             heapq.heappop(leaves)
         if not leaves:
             raise VerificationError("no forest leaf while above the window")
         leaf = heapq.heappop(leaves)
-        w = fadj[leaf].bit_length() - 1
-        alive ^= 1 << leaf
-        fadj[w] &= ~(1 << leaf)
-        fadj[leaf] = 0
-        count -= 1
+        w = fx[leaf]
+        fdeg[leaf] = 0
+        fdeg[w] -= 1
+        fx[w] ^= leaf
         trace.append(leaf)
-        if fadj[w].bit_count() == 1:
+        if fdeg[w] == 1:
             heapq.heappush(leaves, w)
-        if not fadj[w]:  # the forest spans each live component: w has no live neighbour
-            alive ^= 1 << w
-            fadj[w] = 0
-            count -= 1
+        if not fdeg[w]:  # the forest spans each live component: w has no live neighbour
             trace.append(w)
     else:
         raise VerificationError("leaf peeling failed to reach the window")
-    return _certified(g, p, alive, Fraction(lo), tuple(trace))
+    return _certified(g, p, np.setdiff1d(np.arange(n), trace), Fraction(lo), tuple(trace))
 
 
 def largest_full_or_cofull(g: Graph, method: str = "oracle",

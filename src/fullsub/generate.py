@@ -5,14 +5,14 @@ Every generator is deterministic given its parameters (and seed, where
 one applies), platform-independent, and validated before generation.
 The dense families build their n x n bool matrix, symmetric and
 loop-free by construction, after _check_dense_size, and hand it to
-Graph._from_matrix unchecked; clique-isolated uses Graph.from_edges.
+Graph._from_matrix unchecked; clique-isolated builds only its m x m
+clique block, packs it into masks and hands them to Graph._from_adj.
 generate(GenSpec) dispatches by family tag using the same family names
 the command line accepts.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 import warnings
 from dataclasses import dataclass
@@ -23,7 +23,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .graph import (Graph, PreconditionError, VerificationError, _check_dense_size,
-                    _symmetrize, as_probability, density)
+                    _check_memory, _pack_rows, _symmetrize, as_probability, density)
 from .rng import _bernoulli, uniform_u64
 
 FAMILIES = ("gnp", "clique-isolated", "multipartite-planted", "adversary")
@@ -72,17 +72,21 @@ def gen_gnp(n: int, p, seed: int) -> Graph:
 
 
 def gen_clique_plus_isolated(n: int, E: int) -> Graph:
-    """The first E edges of a clique in lexicographic order, plus
-    isolated vertices: the clique part has the minimal m with
-    C(m,2) >= E."""
+    """The first E edges of a clique in lexicographic order (as
+    np.triu_indices lists them), plus isolated vertices: the clique part
+    has the minimal m with C(m,2) >= E. The graph holds masks alone,
+    packed from the m x m block that _check_dense_size allows."""
     if n < 0:
         raise PreconditionError(f"n must be nonnegative, got {n}")
     if not 0 <= E <= n * (n - 1) // 2:
         raise PreconditionError(
             f"E must lie in [0, C({n},2)] = [0, {n * (n - 1) // 2}], got {E}")
+    _check_memory(8 * n, f"{n} adjacency masks")
     m = clique_part_size(E)
-    edges = list(itertools.islice(itertools.combinations(range(m), 2), E))
-    return Graph.from_edges(n, edges)
+    _check_dense_size(m)
+    block = np.zeros((m, m), dtype=bool)
+    block[tuple(x[:E] for x in np.triu_indices(m, 1))] = True
+    return Graph._from_adj(n, _pack_rows(block | block.T) + [0] * (n - m))
 
 
 def clique_part_size(E: int) -> int:

@@ -235,8 +235,8 @@ class Graph:
     def from_masks(cls, n: int, adj: Iterable[int]) -> "Graph":
         """Build from per-vertex neighbour bitmasks, checking that there
         is one mask per vertex, every bit names a vertex, no vertex is
-        its own neighbour and the masks are symmetric. Masks built well
-        formed, by from_edges and the line parser, go to _from_adj."""
+        its own neighbour and the masks are symmetric. Well-formed masks
+        (from_edges, the line parser, clique-isolated) go to _from_adj."""
         adj = list(map(operator.index, adj))
         if len(adj) != n:
             raise ValueError("need one adjacency mask per vertex")

@@ -179,6 +179,15 @@ def test_adjacency_masks_are_guarded(monkeypatch):
             build()
 
 
+def test_clique_isolated_block_is_guarded(monkeypatch):
+    # 81 bytes hold the 8n = 80 bytes of masks but not the m x m = 100-byte block
+    monkeypatch.setattr(graph_mod.os, "sysconf", lambda name: 9)
+    assert gen_clique_plus_isolated(10, 6).edge_count == 6  # a 4 x 4 block
+    with pytest.raises(PreconditionError, match="^a dense 10 x 10 matrix needs "
+                       "100 bytes, more than the 81 bytes of physical memory"):
+        gen_clique_plus_isolated(10, 45)
+
+
 def test_gnp_rejects_bad_probability():
     with pytest.raises(PreconditionError):
         gen_gnp(5, Fraction(3, 2), seed=0)
@@ -209,8 +218,13 @@ def test_clique_isolated_boundaries():
 
 
 def test_clique_isolated_fills_lexicographically():
-    for n, e in ((8, 5), (10, 17), (12, 30)):
+    # at m = 6 the block's rows hold 5, 4, 3, 2, 1 pairs: 12 pairs end a
+    # row and 13 end partway through the next; n = 6 is the block itself
+    cases = [(8, 5), (10, 17), (12, 30)]
+    cases += [(n, e) for n in (6, 100) for e in (0, 1, 12, 13, n * (n - 1) // 2)]
+    for n, e in cases:
         g = gen_clique_plus_isolated(n, e)
+        assert "adj" in g.__dict__ and "matrix" not in g.__dict__
         m = clique_part_size(e)
         want = list(islice(combinations(range(m), 2), e))
         assert list(g.edges()) == want
