@@ -165,7 +165,7 @@ MUTANTS = (
            "x[:k * (k - 1) // 2 - drop - (j < extra) + 1]",
            ("tests/test_generate.py::test_multipartite_trim_matches_the_round_robin_reference",)),
     Mutant("clique block keeps one pair too many", "fullsub/generate.py",
-           "x[:E] for x in np.triu_indices(m, 1)", "x[:E + 1] for x in np.triu_indices(m, 1)",
+           "np.clip(E - i *", "np.clip(E + 1 - i *",
            ("tests/test_generate.py::test_clique_isolated_fills_lexicographically",)),
     Mutant("small-p leaf's neighbour keeps the leaf in its forest XOR", "fullsub/finders.py",
            "        fx[w] ^= leaf\n", "",
@@ -205,7 +205,22 @@ MUTANTS = (
            ("tests/test_graph.py::test_complement_keeps_the_form_and_equals_the_mask_complement",)),
     Mutant("g(G) ties go to the co-full side", "fullsub/finders.py",
            'c[0] != "full"', 'c[0] != "cofull"',
-           ("tests/test_finders.py::test_g_value_oracle_breaks_ties_to_the_full_side",)),
+           ("tests/test_finders.py::test_g_value_heuristic_breaks_ties_to_the_full_side",)),
+    Mutant("joint g tests co-full before full at a size", "fullsub/finders.py",
+           'for side in ("full", "cofull")]', 'for side in ("cofull", "full")]',
+           ("tests/test_finders.py::test_g_value_oracle_breaks_ties_to_the_full_side",
+            "tests/test_finders.py::"
+            "test_kept_searches_match_a_fresh_graph_on_every_small_graph[4]")),
+    Mutant("a resumed search restarts one size too low", "fullsub/finders.py",
+           "for m in range(s.m, -1, -1):", "for m in range(s.m - (s.m < g.n), -1, -1):",
+           ("tests/test_finders.py::"
+            "test_kept_searches_match_a_fresh_graph_on_every_small_graph[4]",
+            "tests/test_finders.py::test_kept_searches_match_a_fresh_graph_on_gnp[12]")),
+    Mutant("kept search keyed by mode alone", "fullsub/finders.py",
+           'key = (p.numerator, p.denominator, mode)', 'key = mode',
+           ("tests/test_finders.py::"
+            "test_kept_searches_match_a_fresh_graph_on_every_small_graph[4]",
+            "tests/test_finders.py::test_kept_searches_match_a_fresh_graph_on_gnp[12]")),
     Mutant("canonical reader takes self-loops", "fullsub/graph.py",
            "if (u >= v).any()", "if (u > v).any()",
            ("tests/test_graph.py::test_vectorized_reader_matches_reference_parser_across_blocks"

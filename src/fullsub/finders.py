@@ -8,6 +8,7 @@ reference density. This module houses:
 
   - is_full / is_relatively_full: exact certification predicates,
   - oracle_largest_full: the exponential exact optimum (desk scale),
+    a descending search kept on the graph per (p, mode),
   - greedy_full: threshold peeling with a choice of tie-breaks,
   - qfull_partition: swap local search over (ceil(qn), rest)
     bipartitions whose local maxima force one of three witness shapes,
@@ -15,7 +16,8 @@ reference density. This module houses:
   - full_two_thirds: the peel-until-aligned procedure whose output is
     full and has order at least (1-p)^(2/3) n^(2/3) / 4 - 1,
   - small_p_full: the sparse-regime finder (p <= n^(-2/3)),
-  - largest_full_or_cofull: best of both orientations.
+  - largest_full_or_cofull: best of both orientations, exactly by one
+    joint search that walks both kept searches down in lockstep.
 
 The bar p(m-1) has one integer form, _fullness_bar, and in-set degrees
 one count, graph._degrees_within. Vertex sets stay sorted index arrays
@@ -31,6 +33,7 @@ import heapq
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from types import SimpleNamespace
 from typing import Callable, Optional
 
 import numpy as np
@@ -167,33 +170,55 @@ def _certified(g: Graph, p: Fraction, vertices, guarantee: Optional[Fraction] = 
 def oracle_largest_full(g: Graph, p, mode: str = "full",
                         cap: int = EXACT_CAP_DEFAULT) -> FullSubgraphResult:
     """Exact largest full (or co-full) subgraph by descending-size
-    search; the witness is the lexicographically smallest optimum.
-    Co-full sets of G at p are the full sets of its complement at 1 - p
-    (_first_violator), so the co-full search is the full search on the
-    complement's masks and degrees; both modes certify the witness in G.
-    Exponential: refuses n > cap."""
-    p = as_probability(p)
+    search; the witness is the lexicographically smallest optimum. The
+    search is kept on g (_kept_search), so a repeated call returns its
+    result and a search that largest_full_or_cofull stopped part-way
+    resumes at its next size. Exponential: refuses n > cap."""
+    s = _kept_search(g, as_probability(p), mode, cap)
+    for m in range(s.m, -1, -1):
+        if _holds(g, s, m):
+            return s.result
+    raise AssertionError("the empty set is always full")
+
+
+def _kept_search(g: Graph, p: Fraction, mode: str, cap: int) -> SimpleNamespace:
+    """g's search s for its largest full (or co-full) set at p, after
+    the refusals: every size above s.m is refuted, and s.result, once
+    found, is the certified witness of size s.m. Co-full sets of G at p
+    are the full sets of its complement at 1 - p (_first_violator), so
+    the co-full search is the full search on the complement's masks and
+    degrees, built once; both modes certify the witness in G. g.__dict__
+    keeps one search per (p, mode), as it keeps _subset_extremes' table."""
     if mode not in ("full", "cofull"):
         raise ValueError(f"mode must be 'full' or 'cofull', got {mode!r}")
     if g.n > cap:
         raise PreconditionError(
             f"exact search needs n <= {cap} (got n={g.n}); "
             "use greedy_full or full_two_thirds instead")
-    n = g.n
-    if n == 0:
-        return _certified(g, p, 0, mode=mode)
-    adj, degrees, q = g.adj, g.degrees, p
-    if mode == "cofull":
-        full = (1 << n) - 1
-        adj = [full ^ a ^ (1 << v) for v, a in enumerate(adj)]
-        degrees, q = [n - 1 - d for d in degrees], 1 - p
-    for m in range(n, 0, -1):
-        bar = _fullness_bar(q, m)
-        elig = [v for v in range(n) if degrees[v] >= bar]
-        mask = _first_full_set(adj, elig, m, bar)
-        if mask is not None:
-            return _certified(g, p, mask, mode=mode)
-    raise AssertionError("single vertices are always full")
+    searches = g.__dict__.setdefault("_oracle_searches", {})
+    key = (p.numerator, p.denominator, mode)  # a Fraction hashes slowly
+    if (s := searches.get(key)) is None:
+        n, adj, degrees, q = g.n, g.adj, g.degrees, p
+        if mode == "cofull":
+            full = (1 << n) - 1
+            adj = [full ^ a ^ (1 << v) for v, a in enumerate(adj)]
+            degrees, q = [n - 1 - d for d in degrees], 1 - p
+        s = searches[key] = SimpleNamespace(m=n, result=None, p=p, mode=mode,
+                                            adj=adj, degrees=degrees, q=q)
+    return s
+
+
+def _holds(g: Graph, s: SimpleNamespace, m: int) -> bool:
+    """Whether the kept search s holds a set of size m, testing size m
+    first if it is the next to try. Callers walk m downward."""
+    if s.result is None and s.m == m:
+        bar = _fullness_bar(s.q, m)
+        mask = _first_full_set(s.adj, [v for v, d in enumerate(s.degrees) if d >= bar], m, bar)
+        if mask is None:
+            s.m = m - 1
+        else:
+            s.result = _certified(g, s.p, mask, mode=s.mode)
+    return s.result is not None and s.m == m
 
 
 def _first_full_set(adj, cands: list, m: int, bar: int) -> Optional[int]:
@@ -650,15 +675,17 @@ def largest_full_or_cofull(g: Graph, method: str = "oracle",
                            seed: int = 0) -> GValue:
     """Best of the largest full subgraph of G and of its complement
     (the latter equals the largest co-full subgraph of G), at
-    p = density(G). method="oracle" is exact under the cap;
-    method="heuristic" takes the best verified candidate from the
-    polynomial finders on both orientations. Both pick by one rule: the
-    largest witness wins, ties go to the full side and then to the
-    lexicographically smallest set."""
+    p = density(G): the largest witness wins, ties go to the full side
+    and then to the lexicographically smallest set. method="oracle" is
+    exact under the cap: one joint search walks the sizes down, tests
+    full before co-full at each on the searches oracle_largest_full
+    keeps on g, and stops at the first set; method="heuristic" takes the
+    best verified candidate from the polynomial finders on both sides."""
     p = density(g)
     if method == "oracle":
-        cands = [(side, oracle_largest_full(g, p, side, cap).vertices)
-                 for side in ("full", "cofull")]
+        kept = [_kept_search(g, p, side, cap) for side in ("full", "cofull")]
+        return next(GValue(m, s.mode, s.result.vertices, p) for m in range(g.n, -1, -1)
+                    for s in kept if _holds(g, s, m))
     elif method == "heuristic":
         cands = []
         for side, h in (("full", g), ("cofull", complement(g))):

@@ -75,7 +75,8 @@ def gen_clique_plus_isolated(n: int, E: int) -> Graph:
     """The first E edges of a clique in lexicographic order (as
     np.triu_indices lists them), plus isolated vertices: the clique part
     has the minimal m with C(m,2) >= E. The graph holds masks alone,
-    packed from the m x m block that _check_dense_size allows."""
+    packed from the m x m block that _check_dense_size allows, built as
+    a few m x m bools: row i keeps its pairs (i, j) up to the E-th."""
     if n < 0:
         raise PreconditionError(f"n must be nonnegative, got {n}")
     if not 0 <= E <= n * (n - 1) // 2:
@@ -84,8 +85,10 @@ def gen_clique_plus_isolated(n: int, E: int) -> Graph:
     _check_memory(8 * n, f"{n} adjacency masks")
     m = clique_part_size(E)
     _check_dense_size(m)
-    block = np.zeros((m, m), dtype=bool)
-    block[tuple(x[:E] for x in np.triu_indices(m, 1))] = True
+    i = np.arange(m)
+    # C(m,2) - C(m-i,2) pairs precede row i
+    ends = i + 1 + np.clip(E - i * (2 * m - i - 1) // 2, 0, m - 1 - i)
+    block = (i[:, None] < i) & (i < ends[:, None])
     return Graph._from_adj(n, _pack_rows(block | block.T) + [0] * (n - m))
 
 

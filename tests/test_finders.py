@@ -17,6 +17,7 @@ from hypothesis import given, settings, strategies as st
 import support
 from conftest import densities, graphs, proper_fractions
 from fullsub import (
+    FullSubgraphResult,
     GValue,
     Graph,
     PreconditionError,
@@ -759,6 +760,78 @@ def test_g_value_heuristic_is_a_certified_lower_bound(g):
 def test_g_value_rejects_unknown_method():
     with pytest.raises(ValueError):
         largest_full_or_cofull(K31, method="magic")
+
+
+def test_g_value_heuristic_breaks_ties_to_the_full_side():
+    # K_6 and its complement both keep all six vertices
+    got = largest_full_or_cofull(support.clique(6), method="heuristic")
+    assert (got.value, got.side, got.witness) == (6, "full", frozenset(range(6)))
+
+
+# ---------------------------------------------------------------------------
+# the oracle's searches kept on a graph
+
+_CALL_ORDERS = (("g", "full", "cofull"), ("full", "g", "cofull"),
+                ("cofull", "g", "full"), ("at q", "g", "full"))
+
+
+def _assert_kept_searches_match_a_fresh_graph(g, orders=_CALL_ORDERS, brute=False):
+    """Each call order runs on its own rebuilt copy of g, so its later
+    calls meet the searches its earlier ones kept; every answer must be
+    the one a fresh graph gives, as the references give it. q is a p
+    other than the density."""
+    d = density(g)
+    q = HALF if d != HALF else Fraction(1, 3)
+    calls = {"g": largest_full_or_cofull,
+             "full": lambda h: oracle_largest_full(h, d),
+             "cofull": lambda h: oracle_largest_full(h, d, "cofull"),
+             "at q": lambda h: oracle_largest_full(h, q)}
+    want, refs = {}, {}
+    for name, p, mode in (("full", d, "full"), ("cofull", d, "cofull"), ("at q", q, "full")):
+        size, witness, min_degree = refs[name] = support.reference_oracle_largest_full(g, p, mode)
+        want[name] = FullSubgraphResult(frozenset(witness), size, p, min_degree)
+    side = "full" if refs["full"][0] >= refs["cofull"][0] else "cofull"
+    want["g"] = GValue(refs[side][0], side, frozenset(refs[side][1]), d)
+    if brute:
+        assert want["g"].value == support.brute_g_value(g)
+    for order in orders:
+        h = Graph._from_adj(g.n, list(g.adj))
+        for name in order:
+            assert calls[name](h) == want[name], (g.adj, order, name)
+
+
+@pytest.mark.parametrize("n", range(7))
+def test_kept_searches_match_a_fresh_graph_on_every_small_graph(n):
+    # all four orders on every graph up to n = 5; at n = 6 each of the
+    # 32,768 graphs runs one order, the four in turn
+    for i, g in enumerate(support.all_graphs(n)):
+        orders = _CALL_ORDERS if n < 6 else [_CALL_ORDERS[i % len(_CALL_ORDERS)]]
+        _assert_kept_searches_match_a_fresh_graph(g, orders, brute=n <= 5)
+
+
+@pytest.mark.parametrize("n", range(7, 15))
+def test_kept_searches_match_a_fresh_graph_on_gnp(n):
+    for p in (Fraction(1, 4), HALF, Fraction(3, 4)):
+        for seed in range(3):
+            _assert_kept_searches_match_a_fresh_graph(gen_gnp(n, p, seed), brute=n <= 10)
+
+
+def test_kept_searches_still_refuse():
+    g = gen_gnp(8, HALF, 0)
+    d = density(g)
+    for mode in ("full", "cofull"):
+        assert oracle_largest_full(g, d, mode, cap=8).size
+    assert largest_full_or_cofull(g, cap=8).value
+    for mode in ("full", "cofull"):
+        with pytest.raises(PreconditionError):
+            oracle_largest_full(g, d, mode, cap=7)
+        for p in (Fraction(-1, 2), Fraction(3, 2)):
+            with pytest.raises(PreconditionError):
+                oracle_largest_full(g, p, mode)
+    with pytest.raises(PreconditionError):
+        largest_full_or_cofull(g, cap=7)
+    with pytest.raises(ValueError):
+        oracle_largest_full(g, d, "both")
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 """Graph generators: exact structure, edge accounting, determinism."""
 
+import tracemalloc
 import warnings
 from fractions import Fraction
 from itertools import combinations, islice, product
@@ -186,6 +187,22 @@ def test_clique_isolated_block_is_guarded(monkeypatch):
     with pytest.raises(PreconditionError, match="^a dense 10 x 10 matrix needs "
                        "100 bytes, more than the 81 bytes of physical memory"):
         gen_clique_plus_isolated(10, 45)
+
+
+def test_clique_isolated_block_peak_is_a_few_times_its_bytes():
+    # the m x m block and its temporaries, not the C(m,2) index pairs of
+    # np.triu_indices (about 8 m^2 bytes), set the peak
+    n, e = 700, 200_000  # m = 633 ends partway through a row
+    m = clique_part_size(e)
+    gen_clique_plus_isolated(10, 13)  # numpy's first-use state
+    tracemalloc.start()
+    try:
+        g = gen_clique_plus_isolated(n, e)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert g.edge_count == e and "matrix" not in g.__dict__
+    assert peak <= 4 * m * m, (peak, m * m)
 
 
 def test_gnp_rejects_bad_probability():
