@@ -110,8 +110,9 @@ MUTANTS = (
            "_BYTE_ROWS = 128", "_BYTE_ROWS = 256",
            ("tests/test_finders.py::test_matrix_certification_matches_the_mask_walk",)),
     Mutant("violator picked one past the first", "fullsub/finders.py",
-           "return int(idx[bad.argmax()]) if bad.any() else None",
-           "return int(idx[min(bad.argmax() + 1, len(idx) - 1)]) if bad.any() else None",
+           "_fullness_bar(p, m)\n    return int(idx[bad.argmax()]) if bad.any() else None",
+           "_fullness_bar(p, m)\n"
+           "    return int(idx[min(bad.argmax() + 1, len(idx) - 1)]) if bad.any() else None",
            ("tests/test_finders.py::test_matrix_certification_matches_the_mask_walk",)),
     Mutant("relative check scales in int64 at any q", "fullsub/finders.py",
            "np.int64 if b * g.n < 1 << 63 else object", "np.int64",
@@ -245,16 +246,30 @@ MUTANTS = (
            ("tests/test_graph.py::test_file_reader_matches_the_text_reader",
             "tests/test_graph.py::test_file_reader_matches_the_reference_across_blocks")),
     Mutant("qfull swaps out the last best vertex", "fullsub/finders.py",
-           "x_star = int(np.argmax(ux))",
-           "x_star = len(ux) - 1 - int(np.argmax(ux[::-1]))",
+           "x_star = int(ux.argmax())",
+           "x_star = len(ux) - 1 - int(ux[::-1].argmax())",
            ("tests/test_finders.py::test_qfull_matches_reference_on_gnp",)),
     Mutant("swapped-out vertex keeps its X key", "fullsub/finders.py",
            "ux[x], uy[y] = NEG, POS", "uy[y] = POS",
            ("tests/test_finders.py::test_qfull_matches_reference_on_gnp",)),
     Mutant("pin restores the wrong side", "fullsub/finders.py",
-           "ux[~in_x] = NEG\n                uy[in_x] = POS",
+           "ux[~in_x] = NEG\n                uy[in_x | ~member] = POS",
            "ux[in_x] = NEG\n                uy[~in_x] = POS",
            ("tests/test_finders.py::test_qfull_matches_reference_past_a_sentinel_pin",)),
+    Mutant("Y pin leaves non-members of the live set unpinned", "fullsub/finders.py",
+           "uy[in_x | ~member] = POS", "uy[in_x] = POS",
+           ("tests/test_finders.py::"
+            "test_one_over_r_live_levels_match_the_induced_subgraph_reference",
+            "tests/test_finders.py::"
+            "test_two_thirds_matches_the_induced_subgraph_reference_on_gnp")),
+    Mutant("int32 swap keys past their bound", "fullsub/finders.py",
+           "if b * m < 1 << 28 else", "if b * m < 1 << 31 else",
+           ("tests/test_finders.py::"
+            "test_qfull_matches_the_int64_reference_across_the_key_width_change",)),
+    Mutant("peel's deleted-vertex sentinel below n", "fullsub/finders.py",
+           "_GONE = np.int32(1 << 30)", "_GONE = np.int32(1 << 8)",
+           ("tests/test_finders.py::"
+            "test_two_thirds_matches_the_induced_subgraph_reference_on_gnp",)),
 )
 
 

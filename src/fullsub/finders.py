@@ -14,7 +14,9 @@ reference density. This module houses:
     bipartitions whose local maxima force one of three witness shapes,
   - half_full / one_over_r_full: relatively full subgraphs near n/r,
   - full_two_thirds: the peel-until-aligned procedure whose output is
-    full and has order at least (1-p)^(2/3) n^(2/3) / 4 - 1,
+    full and has order at least (1-p)^(2/3) n^(2/3) / 4 - 1; its 1/r
+    levels run on G's own matrix within the kept set, as all qfull
+    levels do (_qfull), so no finder builds an induced subgraph,
   - small_p_full: the sparse-regime finder (p <= n^(-2/3)),
   - largest_full_or_cofull: best of both orientations, exactly by one
     joint search that walks both kept searches down in lockstep.
@@ -43,13 +45,11 @@ from .graph import (
     Graph,
     PreconditionError,
     VerificationError,
-    _as_index,
     _column_counts,
     _degrees_within,
     as_probability,
     complement,
     density,
-    induced_subgraph,
     iter_bits,
 )
 from .rng import philox, split_seed
@@ -144,12 +144,18 @@ def is_full(g: Graph, p, vertices, mode: str = "full"):
 def is_relatively_full(g: Graph, q, vertices):
     """(True, None) when every member v keeps d_S(v) >= q * d_G(v),
     else (False, v) for the smallest violating vertex."""
-    q = as_probability(q, "q")
+    bad = _relative_violator(g, as_probability(q, "q"), vertices, np.asarray(g.degrees))
+    return bad is None, bad
+
+
+def _relative_violator(g: Graph, q: Fraction, vertices, base: np.ndarray) -> Optional[int]:
+    """The smallest member v of S = vertices with d_S(v) < q * base[v],
+    or None: base is d_G, or d_W for a level run within W (_qfull)."""
     a, b = q.numerator, q.denominator
     idx, degs = _degrees_within(g, vertices)
     exact = np.int64 if b * g.n < 1 << 63 else object  # 0 <= a <= b, degrees below n
-    bad = b * degs.astype(exact) < a * np.array(g.degrees, dtype=exact)[idx]
-    return (False, int(idx[bad.argmax()])) if bad.any() else (True, None)
+    bad = b * degs.astype(exact) < a * base[idx].astype(exact)
+    return int(idx[bad.argmax()]) if bad.any() else None
 
 
 def _certified(g: Graph, p: Fraction, vertices, guarantee: Optional[Fraction] = None,
@@ -286,7 +292,7 @@ def _first_full_set(adj, cands: list, m: int, bar: int) -> Optional[int]:
         i += 1
 
 
-_GONE = np.int64(1 << 62)  # a deleted vertex's degree, above every live one
+_GONE = np.int32(1 << 30)  # a deleted vertex's degree, above every live one
 
 
 def _peel(g: Graph, p: Fraction, tie_break: str = "min-index",
@@ -297,18 +303,18 @@ def _peel(g: Graph, p: Fraction, tie_break: str = "min-index",
     survivors as a sorted index array, the deleted vertices in order
     and whether stop fired. tie_break is as in greedy_full; n must be positive.
 
-    The degree table is dense, a deleted vertex's entry starts at _GONE
-    and loses at most n - 1, so it stays above every live degree: argmin
-    finds the minimum live degree (first occurrence = smallest index
-    among ties), and a deletion subtracts the victim's row from all."""
+    The degree table is dense int32; a deleted vertex's entry starts at
+    _GONE = 2^30 and loses at most n - 1 < 2^29, so it stays above every
+    live degree: argmin finds the minimum live degree (first occurrence =
+    smallest index among ties), and a deletion subtracts its row from all."""
     n = count = g.n
-    deg = np.array(g.degrees, dtype=np.int64)
+    deg = np.array(g.degrees, dtype=np.int32)
     rows = g.matrix.view(np.int8)
     trace: list[int] = []
     last: Optional[int] = None
     stopped = False
     while True:
-        victim = int(np.argmin(deg))
+        victim = int(deg.argmin())
         dmin = int(deg[victim])
         if dmin >= _fullness_bar(p, count):
             break
@@ -360,8 +366,8 @@ def greedy_full(g: Graph, p=None, tie_break: str = "min-index",
 
 
 def qfull_partition(g: Graph, q, seed: Optional[int] = None) -> QFullOutcome:
-    """Swap local search over bipartitions (|X| = ceil(qn)) and the
-    forced case analysis at a local maximum.
+    """Swap local search over bipartitions (|X| = ceil(qn)) and the forced case
+    analysis at a local maximum: _qfull on all of G; the 1/r levels run it within a live set.
 
     With q = a/b the integer potential (b-a)e(X) + a*e(Y) rises by at
     least 1 per applied swap, so at most b*C(n,2) swaps occur. At a
@@ -376,47 +382,57 @@ def qfull_partition(g: Graph, q, seed: Optional[int] = None) -> QFullOutcome:
     smaller index); a seed switches to a random start for restarts.
     """
     q = as_probability(q, "q")
-    a, b = q.numerator, q.denominator
-    n = g.n
-    if b * max(n, 1) >= 1 << 62:
-        raise PreconditionError("q denominator too large for int64 swap scores")
-    if n == 0:
-        return QFullOutcome("i", q, set_q=frozenset())
-    kx = -((-a * n) // b)
+    variant, *sets = _qfull(g, q, np.arange(g.n), seed)
+    return QFullOutcome(variant, q, *(None if s is None else frozenset(s.tolist()) for s in sets))
 
-    deg = np.array(g.degrees, dtype=np.int64)
+
+def _qfull(g: Graph, q: Fraction, live: np.ndarray, seed: Optional[int]) -> tuple:
+    """qfull_partition's search on G[live] for the sorted index array live,
+    run on G's own matrix: (variant, set_q, set_1mq, X, Y) as index arrays
+    or None, certified relative to d_live. Non-members stay pinned at the
+    key sentinels and ids keep live's order, so every swap is G[live]'s."""
+    a, b = q.numerator, q.denominator
+    n, m = g.n, len(live)
+    if b * max(m, 1) >= 1 << 62:
+        raise PreconditionError("q denominator too large for int64 swap scores")
+    if m == 0:
+        return "i", live, None, None, None
+    kx = -((-a * m) // b)
+
     adj = g.matrix
-    if seed is None:
-        order = np.lexsort((np.arange(n), -deg))
-    else:
-        order = philox(split_seed(seed, 0)).permutation(n)
-    in_x = np.zeros(n, dtype=bool)
-    in_x[order[:kx]] = True
+    deg = np.array(g.degrees if m == n else _column_counts(adj, live), np.int64)  # d_live
+    start = np.lexsort((live, -deg[live])) if seed is None else \
+        philox(split_seed(seed, 0)).permutation(m)
+    in_x = np.bincount(live[start[:kx]], minlength=n) > 0
+    member = np.bincount(live, minlength=n) > 0
 
     # neighbours inside X, summed down the contiguous rows of X as bytes
     # (not a column slice, nor the n*n int64 copy a matrix product would make)
-    dx = _column_counts(adj, np.flatnonzero(in_x)).astype(np.int64)
-    u = a * deg - b * dx
+    u = a * deg - b * _column_counts(adj, np.flatnonzero(in_x)).astype(np.int64)
 
-    if 0 < kx < n:
-        # The swap keys, kept across swaps: ux is u on X and NEG on Y, uy
-        # is POS on X and u on Y. A swap subtracts its row difference from
-        # both, so a sentinel drifts by at most b per swap; pinning them
-        # back every n // 2 swaps keeps the drift under b*n/2 < 2^61 (the
-        # refusal above), so NEG stays in (-2^63, -2^62) and POS in
-        # (2^62, 2^63), apart from every |u| <= b*(n-1) < 2^62: each
-        # argmax and argmin is the one over u on its side alone.
-        NEG = np.int64(-3 << 61)
-        POS = np.int64(3 << 61)
-        keys = np.array((np.where(in_x, u, NEG), np.where(in_x, POS, u)))
-        ux, uy = keys
-        adj8, b64 = adj.view(np.int8), np.int64(b)
-        step = np.empty(n, dtype=np.int64)
-        pin_every = max(1, n // 2)
-        max_swaps = b * n * (n - 1) // 2 + n + 10
-        for swaps in range(1, max_swaps + 1):
-            x_star = int(np.argmax(ux))
-            y_star = int(np.argmin(uy))
+    if 0 < kx < m:
+        # The swap keys, kept across swaps: ux is u on X and NEG elsewhere,
+        # uy is POS on X and off live and u on Y. They are int32 while
+        # b*m < 2^L = 2^28, else int64 with L = 62 (the refusal above). A
+        # swap subtracts its row difference from both, so a sentinel drifts
+        # by at most b per swap; pinning them back every m // 2 swaps keeps
+        # the drift under b*m/2 < 2^(L-1), so POS = -NEG = 3 * 2^(L-1) stay
+        # in magnitude in (2^L, 2^(L+1)), inside the width and apart from
+        # every |u| <= b*(m-1) < 2^L: argmax and argmin see u on one side.
+        kdt, width = (np.int32, 28) if b * m < 1 << 28 else (np.int64, 62)
+        POS = kdt(3 << width - 1)
+        NEG = -POS
+        ux, uy = keys = np.array((u, u), dtype=kdt)
+        adj8, bk = adj.view(np.int8), kdt(b)
+        step = np.empty(n, dtype=kdt)
+        pin_every = max(1, m // 2)
+        max_swaps = b * m * (m - 1) // 2 + m + 10
+        for swaps in range(max_swaps):
+            if swaps % pin_every == 0:
+                ux[~in_x] = NEG
+                uy[in_x | ~member] = POS
+            x_star = int(ux.argmax())
+            y_star = int(uy.argmin())
             gain_cap = int(ux[x_star]) - int(uy[y_star])
             if gain_cap <= 0:
                 break
@@ -431,7 +447,7 @@ def qfull_partition(g: Graph, q, seed: Optional[int] = None) -> QFullOutcome:
                 for x in tops[np.argsort(-ux[tops], kind="stable")]:
                     x = int(x)
                     cand = np.where(adj[x], POS, uy)
-                    y = int(np.argmin(cand))
+                    y = int(cand.argmin())
                     if int(cand[y]) < int(ux[x]):
                         swap = (x, y)
                         break
@@ -442,89 +458,87 @@ def qfull_partition(g: Graph, q, seed: Optional[int] = None) -> QFullOutcome:
             in_x[y] = True
             # d_X(v) moves by A[y,v] - A[x,v]; u moves by b times minus that
             np.subtract(adj8[y], adj8[x], out=step)
-            np.multiply(step, b64, out=step)
+            np.multiply(step, bk, out=step)
             keys -= step
             uy[x], ux[y] = ux[x], uy[y]  # the two moved vertices change sides
             ux[x], uy[y] = NEG, POS
-            if swaps % pin_every == 0:
-                ux[~in_x] = NEG
-                uy[in_x] = POS
         else:
             raise VerificationError("swap search exceeded its potential bound")
         u = np.where(in_x, ux, uy)
 
-    xs, ys = np.flatnonzero(in_x), np.flatnonzero(~in_x)
-    x_set, y_set = frozenset(xs.tolist()), frozenset(ys.tolist())
+    in_y = member & ~in_x
+    xs, ys = np.flatnonzero(in_x), np.flatnonzero(in_y)
     bx = np.flatnonzero(in_x & (u > 0))
     if bx.size == 0:
-        _certify_relative(g, q, xs, "variant i")
-        return QFullOutcome("i", q, set_q=x_set, x_side=x_set, y_side=y_set)
-    by = np.flatnonzero(~in_x & (u < 0))
+        _certify_relative(g, q, xs, deg, "variant i")
+        return "i", xs, None, xs, ys
+    by = np.flatnonzero(in_y & (u < 0))
     if by.size == 0:
-        _certify_relative(g, 1 - q, ys, "variant ii")
-        return QFullOutcome("ii", q, set_1mq=y_set, x_side=x_set, y_side=y_set)
-    grown_x, grown_y = in_x.copy(), ~in_x
-    grown_x[by[0]] = grown_y[bx[0]] = True
-    grown_x, grown_y = np.flatnonzero(grown_x), np.flatnonzero(grown_y)
-    _certify_relative(g, q, grown_x, "variant iii (q side)")
-    _certify_relative(g, 1 - q, grown_y, "variant iii (1-q side)")
-    return QFullOutcome("iii", q, set_q=frozenset(grown_x.tolist()),
-                        set_1mq=frozenset(grown_y.tolist()), x_side=x_set, y_side=y_set)
+        _certify_relative(g, 1 - q, ys, deg, "variant ii")
+        return "ii", None, ys, xs, ys
+    in_x[by[0]] = in_y[bx[0]] = True
+    grown_x, grown_y = np.flatnonzero(in_x), np.flatnonzero(in_y)
+    _certify_relative(g, q, grown_x, deg, "variant iii (q side)")
+    _certify_relative(g, 1 - q, grown_y, deg, "variant iii (1-q side)")
+    return "iii", grown_x, grown_y, xs, ys
 
 
-def _certify_relative(g: Graph, q: Fraction, vertices, label: str) -> None:
-    ok, bad = is_relatively_full(g, q, vertices)
-    if not ok:
+def _certify_relative(g: Graph, q: Fraction, vertices, base: np.ndarray, label: str) -> None:
+    if (bad := _relative_violator(g, q, vertices, base)) is not None:
         raise VerificationError(f"{label} witness not relatively {q}-full at vertex {bad}")
+
+
+def _half(g: Graph, live: np.ndarray, seed: Optional[int]) -> np.ndarray:
+    """G[live]'s relatively half-full side at 1/2: set_q in variant i, else set_1mq."""
+    variant, set_q, set_1mq, *_ = _qfull(g, Fraction(1, 2), live, seed)
+    return set_q if variant == "i" else set_1mq
 
 
 def half_full(g: Graph, seed: Optional[int] = None) -> RelativelyFullResult:
     """A relatively half-full subgraph on floor(n/2) or floor(n/2)+1
     vertices: variant i gives ceil(n/2), variant ii floor(n/2), and
     from variant iii we keep the (1-q) side, which has floor(n/2)+1."""
-    out = qfull_partition(g, Fraction(1, 2), seed=seed)
-    chosen = out.set_q if out.variant == "i" else out.set_1mq
-    return RelativelyFullResult(chosen, len(chosen), Fraction(1, 2))
+    chosen = _half(g, np.arange(g.n), seed)
+    return RelativelyFullResult(frozenset(chosen.tolist()), len(chosen), Fraction(1, 2))
 
 
 def one_over_r_full(g: Graph, r: int, seed: Optional[int] = None) -> RelativelyFullResult:
     """A relatively (1/r)-full subgraph on floor(n/r) to ceil(n/r)+1
     vertices: every member keeps at least a 1/r share of its degree.
 
-    One loop of qfull_partition levels, level i seeded split_seed(seed, i).
+    One loop of qfull levels on G's own matrix, level i seeded
+    split_seed(seed, i) and run within the set the last one kept.
     Powers of two split at 1/2 log2(r) times, keeping half_full's side
     and composing the degree shares; other r split at 1/r, where
     variants i/iii keep the 1/r side and stop and variant ii recurses
     into the (1-1/r)-full side with r - 1.
     """
+    kept = _one_over_r(g, r, np.arange(g.n), seed)
+    return RelativelyFullResult(frozenset(kept.tolist()), len(kept), Fraction(1, r))
+
+
+def _one_over_r(g: Graph, r: int, live: np.ndarray, seed: Optional[int] = None) -> np.ndarray:
+    """one_over_r_full's witness within the sorted index array live, as an
+    index array certified relative to d_live and sized in |live|'s window."""
     if r < 1:
         raise PreconditionError(f"r must be a positive integer, got {r}")
-    n0 = g.n
+    m, base = len(live), np.array(g.degrees if len(live) == g.n else _column_counts(g.matrix, live))
     halving = r & (r - 1) == 0
-    labels = np.arange(n0)
-    cur = g
-    rr = r
-    level = 0
+    rr, level = r, 0
     while rr > 1:
         level_seed = None if seed is None else split_seed(seed, level)
         if halving:
-            keep, rr = half_full(cur, seed=level_seed).vertices, rr // 2
+            live, rr = _half(g, live, level_seed), rr // 2
         else:
-            out = qfull_partition(cur, Fraction(1, rr), seed=level_seed)
-            keep, rr = (out.set_1mq, rr - 1) if out.variant == "ii" else (out.set_q, 1)
-        keep = _as_index(keep, cur.n)
-        labels = labels[keep]
-        if rr > 1:
-            cur = induced_subgraph(cur, keep)[0]
+            variant, set_q, set_1mq, *_ = _qfull(g, Fraction(1, rr), live, level_seed)
+            live, rr = (set_1mq, rr - 1) if variant == "ii" else (set_q, 1)
         level += 1
 
-    _certify_relative(g, Fraction(1, r), labels, "one_over_r_full")
-    lo = n0 // r
-    hi = -((-n0) // r) + 1
-    if not lo <= len(labels) <= hi:
-        raise VerificationError(
-            f"1/{r}-full witness size {len(labels)} outside [{lo}, {hi}]")
-    return RelativelyFullResult(frozenset(labels.tolist()), len(labels), Fraction(1, r))
+    _certify_relative(g, Fraction(1, r), live, base, "one_over_r_full")
+    lo, hi = m // r, -(-m // r) + 1
+    if not lo <= len(live) <= hi:
+        raise VerificationError(f"1/{r}-full witness size {len(live)} outside [{lo}, {hi}]")
+    return live
 
 
 def two_thirds_size_floor(n: int, p) -> int:
@@ -540,9 +554,10 @@ def two_thirds_size_floor(n: int, p) -> int:
 
 
 def full_two_thirds(g: Graph) -> FullSubgraphResult:
-    """Peel minimum-degree vertices, switching to one_over_r_full at
-    the first degree-aligned step; the output is full at p = density
-    and has at least (1-p)^(2/3) n^(2/3) / 4 - 1 vertices.
+    """Peel minimum-degree vertices, switching at the first
+    degree-aligned step to one_over_r_full's levels, run on G's own
+    matrix within the survivors (_one_over_r); the output is full at
+    p = density and has at least (1-p)^(2/3) n^(2/3) / 4 - 1 vertices.
 
     Requires n^(-2/3) < p < 1 - n^(-1/7) (checked exactly; n <= 2
     short-circuits to V(G), which is full at its own density). With
@@ -586,7 +601,7 @@ def full_two_thirds(g: Graph) -> FullSubgraphResult:
 
     kept, trace, switched = _peel(g, p, stop=aligned)
     if switched:
-        kept = kept[sorted(one_over_r_full(induced_subgraph(g, kept)[0], r).vertices)]
+        kept = _one_over_r(g, r, kept)
     res = _certified(g, p, kept, Fraction(s_min), trace)
     if res.size < s_min:
         raise VerificationError(f"output size {res.size} below the bound {s_min}")

@@ -845,23 +845,24 @@ def reference_qfull_partition(g: Graph, q, seed: Optional[int] = None) -> QFullO
             raise VerificationError("swap search exceeded its potential bound")
 
     bx = np.flatnonzero(in_x & (u > 0))
+    degs = np.asarray(g.degrees)
     x_mask = _pack_rows(in_x[None])[0]
     y_mask = ((1 << n) - 1) ^ x_mask
     x_set = from_mask(x_mask)
     y_set = from_mask(y_mask)
     if bx.size == 0:
-        _certify_relative(g, q, x_mask, "variant i")
+        _certify_relative(g, q, x_mask, degs, "variant i")
         return QFullOutcome("i", q, set_q=x_set, x_side=x_set, y_side=y_set)
     by = np.flatnonzero(~in_x & (u < 0))
     if by.size == 0:
-        _certify_relative(g, 1 - q, y_mask, "variant ii")
+        _certify_relative(g, 1 - q, y_mask, degs, "variant ii")
         return QFullOutcome("ii", q, set_1mq=y_set, x_side=x_set, y_side=y_set)
     x0 = int(bx[0])
     y0 = int(by[0])
     grown_x = x_mask | (1 << y0)
     grown_y = y_mask | (1 << x0)
-    _certify_relative(g, q, grown_x, "variant iii (q side)")
-    _certify_relative(g, 1 - q, grown_y, "variant iii (1-q side)")
+    _certify_relative(g, q, grown_x, degs, "variant iii (q side)")
+    _certify_relative(g, 1 - q, grown_y, degs, "variant iii (1-q side)")
     return QFullOutcome("iii", q, set_q=from_mask(grown_x),
                         set_1mq=from_mask(grown_y), x_side=x_set, y_side=y_set)
 
@@ -904,6 +905,31 @@ def reference_one_over_r_full(g: Graph, r: int, seed: Optional[int] = None) -> f
         else:
             final = frozenset(labels[j] for j in chosen)
     return final
+
+
+def reference_full_two_thirds(g: Graph) -> tuple[frozenset, tuple, bool]:
+    """(witness, deletion trace, whether the switch fired) of full_two_thirds
+    as it ran when its switch built the induced subgraph G[kept] and took a
+    relatively 1/2^t-full set of it (here by reference_one_over_r_full); the
+    size floor and the certificate are left out. The caller picks n >= 3
+    and a density inside the finder's range."""
+    n = g.n
+    p = density(g)
+    t = 0
+    while 2 ** (3 * t) * (1 - p) ** 2 < n:  # 2^t >= (1-p)^(-2/3) n^(1/3)
+        t += 1
+    r = 2 ** t
+
+    def aligned(s, dmin):
+        bar = math.ceil(p * (s - 1))
+        return s > n // 2 and bar % r <= (1 - p) * r and dmin > bar - bar % r
+
+    alive, trace, stopped = reference_peel(g, p, stop=aligned)
+    kept = sorted(iter_bits(alive))
+    if stopped:
+        h, labels = induced_subgraph(g, kept)
+        kept = [labels[v] for v in reference_one_over_r_full(h, r)]
+    return frozenset(kept), trace, stopped
 
 
 # ---------------------------------------------------------------------------

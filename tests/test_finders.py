@@ -482,6 +482,31 @@ def test_qfull_matches_reference_past_a_sentinel_pin(n, p, graph_seed, q, seed):
     assert qfull_partition(g, q, seed) == support.reference_qfull_partition(g, q, seed)
 
 
+def _q_over(b: int, share: Fraction) -> Fraction:
+    """The first a/b in lowest terms with a >= share * b."""
+    a = math.ceil(share * b)
+    while math.gcd(a, b) != 1:
+        a += 1
+    return Fraction(a, b)
+
+
+@pytest.mark.parametrize("g", [gen_gnp(30, Fraction(1, 3), 30), gen_gnp(30, HALF, 30),
+                               gen_gnp(41, HALF, 41), support.complete_bipartite(12, 18)],
+                         ids=["gnp30-third", "gnp30-half", "gnp41-half", "k12-18"])
+def test_qfull_matches_the_int64_reference_across_the_key_width_change(g):
+    """The swap keys are int32 while b*n < 2^28 and int64 from there: q
+    with b*n just below and just above 2^28, and just below 2^31, where
+    int32 keys would overflow. On K_{12,18} at q = 2/5 the start takes
+    the small side, so |u| reaches 7.2b, past int32's sentinels there."""
+    below = ((1 << 28) - 1) // g.n
+    for b in (below, below + 1, ((1 << 31) - 1) // g.n):
+        for share in (Fraction(1, 3), Fraction(2, 5), HALF):
+            q = _q_over(b, share)
+            for seed in (None, 0, 1):
+                assert qfull_partition(g, q, seed) == \
+                    support.reference_qfull_partition(g, q, seed), (q, seed)
+
+
 @given(graphs(min_n=1, max_n=8), proper_fractions, st.integers(0, 5))
 def test_qfull_seeded_starts_still_certify(g, q, seed):
     got = qfull_partition(g, q, seed=seed)
@@ -566,6 +591,40 @@ def test_one_over_r_window_on_larger_random_graphs():
         assert ok, f"vertex {bad} below a 1/{r} share"
 
 
+@pytest.mark.parametrize("g", [gen_gnp(n, p, seed=n) for n in (300, 1200)
+                               for p in (Fraction(1, 3), HALF)] + [gen_greedy_adversary(100)],
+                         ids=["gnp300-third", "gnp300-half", "gnp1200-third", "gnp1200-half",
+                              "adversary100"])
+def test_one_over_r_live_levels_match_the_induced_subgraph_reference(g):
+    """Each level runs on G's matrix within the set the last one kept; the
+    reference builds that set's induced subgraph and splits it instead."""
+    for r in (2, 3, 4, 5, 8, 32):
+        for seed in (None, 0, 1, 2):
+            assert one_over_r_full(g, r, seed).vertices == \
+                support.reference_one_over_r_full(g, r, seed), (r, seed)
+
+
+# (n, p, graph seed, r, start seed): G(n, p) inputs with a second or
+# third level that runs on m = 7 to 17 live vertices and makes more
+# than m // 2 swaps, so its keys are pinned back with non-members off
+# the live set. The
+# swap counts were read from a copy of the level search instrumented to
+# count its loop.
+LIVE_PIN_CASES = [
+    (14, Fraction(1, 4), 14, 4, 0),
+    (18, Fraction(1, 4), 0, 8, 0),
+    (29, Fraction(1, 4), 39, 4, 2),
+    (34, Fraction(1, 4), 52, 4, None),
+    (35, Fraction(1, 4), 34, 8, 2),
+]
+
+
+@pytest.mark.parametrize("n, p, graph_seed, r, seed", LIVE_PIN_CASES)
+def test_one_over_r_matches_reference_past_a_pin_within_a_live_set(n, p, graph_seed, r, seed):
+    g = gen_gnp(n, p, graph_seed)
+    assert one_over_r_full(g, r, seed).vertices == support.reference_one_over_r_full(g, r, seed)
+
+
 # ---------------------------------------------------------------------------
 # the two-thirds-exponent finder
 
@@ -608,6 +667,26 @@ def test_two_thirds_on_random_graphs_certifies_and_meets_floor():
         assert got.size >= two_thirds_size_floor(200, p)
         ok, bad = is_full(g, p, got.vertices)
         assert ok, f"vertex {bad} under-degreed"
+
+
+@pytest.mark.parametrize("n", [300, 600, 1200, 2000])
+def test_two_thirds_matches_the_induced_subgraph_reference_on_gnp(n):
+    """The switch hands the kept set to the 1/r levels on G's matrix; the
+    reference switches through the induced subgraph G[kept]."""
+    for p in (Fraction(1, 4), Fraction(1, 3), HALF):
+        for seed in (0, 1):
+            g = gen_gnp(n, p, seed)
+            got = full_two_thirds(g)
+            vertices, trace, stopped = support.reference_full_two_thirds(g)
+            assert stopped and (got.vertices, got.trace) == (vertices, trace), (p, seed)
+
+
+@pytest.mark.parametrize("n", [100, 400])
+def test_two_thirds_matches_the_induced_subgraph_reference_on_the_adversary(n):
+    g = gen_greedy_adversary(n)
+    got = full_two_thirds(g)
+    vertices, trace, stopped = support.reference_full_two_thirds(g)
+    assert stopped and (got.vertices, got.trace) == (vertices, trace)
 
 
 # ---------------------------------------------------------------------------
@@ -1005,6 +1084,7 @@ def test_certifying_a_mask_graph_builds_no_matrix():
     is_full(g, HALF, xs, "cofull")
     is_relatively_full(g, HALF, xs)
     _certified(g, HALF, 1)
+    one_over_r_full(g, 1)  # no level runs, so only the certificate reads degrees
     assert "matrix" not in g.__dict__
 
 

@@ -725,3 +725,16 @@ def test_oracle_worst_cases_script_smoke(capsys):
         ["gnp24-seed1", "g", "24", "17", "13947b88e588a5cb"],
         ["multipartite-r1-N24", "full", "24", "16", "4a906a4912ca469d"]]
     assert all(float(line.split()[5]) >= 0 for line in lines[1:])
+
+
+def test_dense_cell_timings_script_smoke(capsys):
+    assert load_script("dense_cell_timings").main(["--n", "200", "--repeat", "1"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0].split() == ["n", "call", "digest", "seconds"]
+    # digests are pinned: a faster call keeps each graph and witness
+    assert [line.split()[:3] for line in lines[1:]] == [
+        ["200", "gen_gnp", "cc9e118cb777b6b0"],
+        ["200", "greedy_full", "4580ce135a5c9773"],
+        ["200", "full_two_thirds", "9f367847b5618dd6"],
+        ["200", "half_full", "d269aff37d5967a1"]]
+    assert all(float(line.split()[3]) >= 0 for line in lines[1:])
