@@ -262,6 +262,11 @@ MUTANTS = (
             "test_one_over_r_live_levels_match_the_induced_subgraph_reference",
             "tests/test_finders.py::"
             "test_two_thirds_matches_the_induced_subgraph_reference_on_gnp")),
+    Mutant("a level after the first reuses the previous level's d_live", "fullsub/finders.py",
+           "deg = _column_counts(g.matrix, live) if level else base",
+           "deg = deg if level else base",
+           ("tests/test_finders.py::"
+            "test_one_over_r_live_levels_match_the_induced_subgraph_reference",)),
     Mutant("int32 swap keys past their bound", "fullsub/finders.py",
            "if b * m < 1 << 28 else", "if b * m < 1 << 31 else",
            ("tests/test_finders.py::"

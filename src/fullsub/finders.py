@@ -382,15 +382,15 @@ def qfull_partition(g: Graph, q, seed: Optional[int] = None) -> QFullOutcome:
     smaller index); a seed switches to a random start for restarts.
     """
     q = as_probability(q, "q")
-    variant, *sets = _qfull(g, q, np.arange(g.n), seed)
+    variant, *sets = _qfull(g, q, np.arange(g.n), g.degrees, seed)
     return QFullOutcome(variant, q, *(None if s is None else frozenset(s.tolist()) for s in sets))
 
 
-def _qfull(g: Graph, q: Fraction, live: np.ndarray, seed: Optional[int]) -> tuple:
-    """qfull_partition's search on G[live] for the sorted index array live,
-    run on G's own matrix: (variant, set_q, set_1mq, X, Y) as index arrays
-    or None, certified relative to d_live. Non-members stay pinned at the
-    key sentinels and ids keep live's order, so every swap is G[live]'s."""
+def _qfull(g: Graph, q: Fraction, live: np.ndarray, deg, seed: Optional[int]) -> tuple:
+    """qfull_partition's search on G[live], for the sorted index array live and
+    deg = d_live by vertex id, on G's own matrix: (variant, set_q, set_1mq, X, Y)
+    as index arrays or None, certified relative to d_live. Non-members stay
+    pinned at the key sentinels and ids keep live's order: G[live]'s swaps."""
     a, b = q.numerator, q.denominator
     n, m = g.n, len(live)
     if b * max(m, 1) >= 1 << 62:
@@ -399,8 +399,7 @@ def _qfull(g: Graph, q: Fraction, live: np.ndarray, seed: Optional[int]) -> tupl
         return "i", live, None, None, None
     kx = -((-a * m) // b)
 
-    adj = g.matrix
-    deg = np.array(g.degrees if m == n else _column_counts(adj, live), np.int64)  # d_live
+    adj, deg = g.matrix, np.asarray(deg, np.int64)
     start = np.lexsort((live, -deg[live])) if seed is None else \
         philox(split_seed(seed, 0)).permutation(m)
     in_x = np.bincount(live[start[:kx]], minlength=n) > 0
@@ -488,9 +487,9 @@ def _certify_relative(g: Graph, q: Fraction, vertices, base: np.ndarray, label: 
         raise VerificationError(f"{label} witness not relatively {q}-full at vertex {bad}")
 
 
-def _half(g: Graph, live: np.ndarray, seed: Optional[int]) -> np.ndarray:
+def _half(g: Graph, live: np.ndarray, deg, seed: Optional[int]) -> np.ndarray:
     """G[live]'s relatively half-full side at 1/2: set_q in variant i, else set_1mq."""
-    variant, set_q, set_1mq, *_ = _qfull(g, Fraction(1, 2), live, seed)
+    variant, set_q, set_1mq, *_ = _qfull(g, Fraction(1, 2), live, deg, seed)
     return set_q if variant == "i" else set_1mq
 
 
@@ -498,7 +497,7 @@ def half_full(g: Graph, seed: Optional[int] = None) -> RelativelyFullResult:
     """A relatively half-full subgraph on floor(n/2) or floor(n/2)+1
     vertices: variant i gives ceil(n/2), variant ii floor(n/2), and
     from variant iii we keep the (1-q) side, which has floor(n/2)+1."""
-    chosen = _half(g, np.arange(g.n), seed)
+    chosen = _half(g, np.arange(g.n), g.degrees, seed)
     return RelativelyFullResult(frozenset(chosen.tolist()), len(chosen), Fraction(1, 2))
 
 
@@ -527,10 +526,11 @@ def _one_over_r(g: Graph, r: int, live: np.ndarray, seed: Optional[int] = None) 
     rr, level = r, 0
     while rr > 1:
         level_seed = None if seed is None else split_seed(seed, level)
+        deg = _column_counts(g.matrix, live) if level else base  # d_live
         if halving:
-            live, rr = _half(g, live, level_seed), rr // 2
+            live, rr = _half(g, live, deg, level_seed), rr // 2
         else:
-            variant, set_q, set_1mq, *_ = _qfull(g, Fraction(1, rr), live, level_seed)
+            variant, set_q, set_1mq, *_ = _qfull(g, Fraction(1, rr), live, deg, level_seed)
             live, rr = (set_1mq, rr - 1) if variant == "ii" else (set_q, 1)
         level += 1
 

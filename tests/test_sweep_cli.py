@@ -711,30 +711,46 @@ def test_scaling_sweep_script_refuses_cleanly(capsys):
     assert code == 2 and err.startswith("error: sweep cell [") and "two-thirds" in err
 
 
-def test_oracle_worst_cases_script_smoke(capsys):
-    assert load_script("oracle_worst_cases").main(["--max-n", "24"]) == 0
+def test_layer_timings_script_smoke(capsys):
+    assert load_script("layer_timings").main(["--n", "200", "--max-n", "24"]) == 0
     lines = capsys.readouterr().out.splitlines()
-    assert lines[0].split() == ["case", "mode", "n", "size", "witness", "seconds"]
-    # sizes and witness digests are pinned: a faster search keeps each witness
+    assert lines[0].split() == ["layer", "case", "n", "size", "digest", "seconds"]
+    # sizes and digests are pinned: a faster layer keeps each graph, text,
+    # table, theta and witness
     assert [line.split()[:5] for line in lines[1:]] == [
-        ["gnp24-seed0", "full", "24", "17", "d9467bae8d67f835"],
-        ["gnp24-seed0", "cofull", "24", "18", "1915c67e50eee00f"],
-        ["gnp24-seed0", "g", "24", "18", "1915c67e50eee00f"],
-        ["gnp24-seed1", "full", "24", "16", "51c21f8a0dd0b5be"],
-        ["gnp24-seed1", "cofull", "24", "17", "13947b88e588a5cb"],
-        ["gnp24-seed1", "g", "24", "17", "13947b88e588a5cb"],
-        ["multipartite-r1-N24", "full", "24", "16", "4a906a4912ca469d"]]
+        ["gen", "gen_gnp", "200", "10008", "cc9e118cb777b6b0"],
+        ["dense", "greedy_full", "200", "138", "4580ce135a5c9773"],
+        ["dense", "full_two_thirds", "200", "10", "9f367847b5618dd6"],
+        ["dense", "half_full", "200", "100", "d269aff37d5967a1"],
+        ["io", "write-gnp", "200", "69044", "9319cbed553a8eed"],
+        ["io", "read-gnp", "200", "69044", "9319cbed553a8eed"],
+        ["io", "write-cycles", "20000", "217792", "a1da6c3ddc54a3d1"],
+        ["io", "read-cycles", "20000", "217792", "a1da6c3ddc54a3d1"],
+        ["extremes", "build_extremes", "16", "17", "c968a963fba6c122"],
+        ["extremes", "build_extremes", "18", "19", "7b1ce1b47ff513a4"],
+        ["extremes", "build_extremes", "20", "21", "d397d98b59319d16"],
+        ["extremes", "build_extremes", "22", "23", "efa272a0c629ee44"],
+        ["extremes", "build_extremes", "24", "25", "913741b45857dec1"],
+        ["theta", "theta_exact", "16", "-", "aab9b05af607f968"],
+        ["theta", "theta_exact", "18", "-", "80c85b4d7ada30d7"],
+        ["theta", "theta_exact", "20", "-", "d63f74cb2d72b69a"],
+        ["theta", "theta_exact", "22", "-", "8ecfe77399dfb264"],
+        ["theta", "theta_exact", "24", "-", "6efe6f5b0afae126"],
+        ["oracle", "gnp-seed0-full", "24", "17", "d9467bae8d67f835"],
+        ["oracle", "gnp-seed0-cofull", "24", "18", "1915c67e50eee00f"],
+        ["oracle", "gnp-seed0-g", "24", "18", "1915c67e50eee00f"],
+        ["oracle", "gnp-seed1-full", "24", "16", "51c21f8a0dd0b5be"],
+        ["oracle", "gnp-seed1-cofull", "24", "17", "13947b88e588a5cb"],
+        ["oracle", "gnp-seed1-g", "24", "17", "13947b88e588a5cb"],
+        ["oracle", "multipartite-r1-full", "24", "16", "4a906a4912ca469d"]]
     assert all(float(line.split()[5]) >= 0 for line in lines[1:])
 
 
-def test_dense_cell_timings_script_smoke(capsys):
-    assert load_script("dense_cell_timings").main(["--n", "200", "--repeat", "1"]) == 0
+def test_layer_timings_script_fails_on_a_read_that_changes_the_graph(capsys, monkeypatch):
+    script = load_script("layer_timings")
+    monkeypatch.setattr(script, "_read_graph", lambda path: gen_gnp(200, Fraction(1, 2), 1))
+    assert script.main(["--n", "200", "--max-n", "0"]) == 1
     lines = capsys.readouterr().out.splitlines()
-    assert lines[0].split() == ["n", "call", "digest", "seconds"]
-    # digests are pinned: a faster call keeps each graph and witness
-    assert [line.split()[:3] for line in lines[1:]] == [
-        ["200", "gen_gnp", "cc9e118cb777b6b0"],
-        ["200", "greedy_full", "4580ce135a5c9773"],
-        ["200", "full_two_thirds", "9f367847b5618dd6"],
-        ["200", "half_full", "d269aff37d5967a1"]]
-    assert all(float(line.split()[3]) >= 0 for line in lines[1:])
+    assert [line.split()[1] for line in lines[1:-1]] == [
+        "gen_gnp", "greedy_full", "full_two_thirds", "half_full", "write-gnp"]
+    assert lines[-1] == "error: read-gnp n=200 reads back as a different graph"
