@@ -4,6 +4,7 @@ CLI tests call main(argv) in-process and compare every printed number
 against the library call it fronts.
 """
 
+import contextlib
 import hashlib
 import importlib
 import importlib.util
@@ -711,17 +712,32 @@ def test_scaling_sweep_script_refuses_cleanly(capsys):
     assert code == 2 and err.startswith("error: sweep cell [") and "two-thirds" in err
 
 
-def test_layer_timings_script_smoke(capsys):
-    assert load_script("layer_timings").main(["--n", "200", "--max-n", "24"]) == 0
-    lines = capsys.readouterr().out.splitlines()
-    assert lines[0].split() == ["layer", "case", "n", "size", "digest", "seconds"]
-    # sizes and digests are pinned: a faster layer keeps each graph, text,
-    # table, theta and witness
-    assert [line.split()[:5] for line in lines[1:]] == [
-        ["gen", "gen_gnp", "200", "10008", "cc9e118cb777b6b0"],
-        ["dense", "greedy_full", "200", "138", "4580ce135a5c9773"],
-        ["dense", "full_two_thirds", "200", "10", "9f367847b5618dd6"],
-        ["dense", "half_full", "200", "100", "d269aff37d5967a1"],
+@pytest.fixture(scope="module")
+def layer_timing_rows():
+    """One run of scripts/layer_timings.py at --n 200 --max-n 24, shared by
+    the tests that pin its rows: each row split into its six fields."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = load_script("layer_timings").main(["--n", "200", "--max-n", "24"])
+    assert code == 0
+    return [line.split() for line in out.getvalue().splitlines()]
+
+
+def _layer_rows(rows, *layers):
+    return [row[:5] for row in rows[1:] if row[0] in layers]
+
+
+# sizes and digests are pinned: a faster layer keeps each graph, text,
+# table, theta and witness
+
+
+def test_layer_timings_script_smoke(layer_timing_rows):
+    rows = layer_timing_rows
+    assert rows[0] == ["layer", "case", "n", "size", "digest", "seconds"]
+    assert [row[0] for row in rows[1:]] == (
+        ["gen"] + ["dense"] * 3 + ["io"] * 4 + ["extremes"] * 5 + ["theta"] * 5
+        + ["oracle"] * 7)
+    assert _layer_rows(rows, "io", "extremes", "theta") == [
         ["io", "write-gnp", "200", "69044", "9319cbed553a8eed"],
         ["io", "read-gnp", "200", "69044", "9319cbed553a8eed"],
         ["io", "write-cycles", "20000", "217792", "a1da6c3ddc54a3d1"],
@@ -735,7 +751,22 @@ def test_layer_timings_script_smoke(capsys):
         ["theta", "theta_exact", "18", "-", "80c85b4d7ada30d7"],
         ["theta", "theta_exact", "20", "-", "d63f74cb2d72b69a"],
         ["theta", "theta_exact", "22", "-", "8ecfe77399dfb264"],
-        ["theta", "theta_exact", "24", "-", "6efe6f5b0afae126"],
+        ["theta", "theta_exact", "24", "-", "6efe6f5b0afae126"]]
+    assert all(float(row[5]) >= 0 for row in rows[1:])
+
+
+def test_dense_cell_timings_script_smoke(layer_timing_rows):
+    # the dense-cell rows of scripts/layer_timings.py
+    assert _layer_rows(layer_timing_rows, "gen", "dense") == [
+        ["gen", "gen_gnp", "200", "10008", "cc9e118cb777b6b0"],
+        ["dense", "greedy_full", "200", "138", "4580ce135a5c9773"],
+        ["dense", "full_two_thirds", "200", "10", "9f367847b5618dd6"],
+        ["dense", "half_full", "200", "100", "d269aff37d5967a1"]]
+
+
+def test_oracle_worst_cases_script_smoke(layer_timing_rows):
+    # the oracle worst-case rows of scripts/layer_timings.py
+    assert _layer_rows(layer_timing_rows, "oracle") == [
         ["oracle", "gnp-seed0-full", "24", "17", "d9467bae8d67f835"],
         ["oracle", "gnp-seed0-cofull", "24", "18", "1915c67e50eee00f"],
         ["oracle", "gnp-seed0-g", "24", "18", "1915c67e50eee00f"],
@@ -743,7 +774,6 @@ def test_layer_timings_script_smoke(capsys):
         ["oracle", "gnp-seed1-cofull", "24", "17", "13947b88e588a5cb"],
         ["oracle", "gnp-seed1-g", "24", "17", "13947b88e588a5cb"],
         ["oracle", "multipartite-r1-full", "24", "16", "4a906a4912ca469d"]]
-    assert all(float(line.split()[5]) >= 0 for line in lines[1:])
 
 
 def test_layer_timings_script_fails_on_a_read_that_changes_the_graph(capsys, monkeypatch):
