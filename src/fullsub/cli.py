@@ -33,7 +33,6 @@ from .graph import (
     EdgeListError,
     PreconditionError,
     VerificationError,
-    _blocks,
     _edge_text,
     _read_canonical,
     density,
@@ -233,7 +232,7 @@ def cmd_sweep(args) -> int:
         exact_cap=args.exact_cap,
     )
     rows = run_sweep(config)
-    _write_text((chunk.encode("ascii") for chunk in _blocks(rows_to_csv(rows))), args.out)
+    _write_text([rows_to_csv(rows).encode("ascii")], args.out)
     print(summarize(rows), file=sys.stderr if args.out == "-" else sys.stdout)
     return 0
 
@@ -320,7 +319,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_sweep = command("sweep", cmd_sweep, "experiment grid writing CSV", reads_input=False,
                       parents=())  # its seeds come from --seeds
-    p_sweep.add_argument("--family", default="gnp", choices=FAMILIES)
+    p_sweep.add_argument("--family", default="gnp",  # a sweep has no --E
+                         choices=[f for f in FAMILIES if f != "clique-isolated"])
     p_sweep.add_argument("--n-grid", type=_int_list, required=True)
     p_sweep.add_argument("--p-grid", type=_fraction_list, required=True)
     p_sweep.add_argument("--seeds", type=_int_list, required=True)

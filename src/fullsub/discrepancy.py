@@ -321,8 +321,8 @@ def discrepancy_local_search(g: Graph, p, sign: str = "positive", seed: int = 0,
     subsets. Returns the best local optimum across restarts; its value
     never exceeds the exact discrepancy. Deterministic given
     (seed, restarts); restarts counts the climbs and must be positive.
-    With k=None the value is >= 0 because the empty set is always in
-    play.
+    With k=None the value is >= 0: a climb stops only when no removal
+    gains, and the removal gains over a set sum to -2 times its score.
     """
     p = as_probability(p)
     _check_sign(sign)
@@ -351,8 +351,6 @@ def discrepancy_local_search(g: Graph, p, sign: str = "positive", seed: int = 0,
 
     best_score, best_mask = _lex_best(_climb(g, num, den, orient, start, k)
                                       for start in starts)
-    if k is None and best_score < 0:
-        best_score, best_mask = 0, 0
     return DiscWitness(Fraction(best_score, den), from_mask(best_mask), sign, k)
 
 

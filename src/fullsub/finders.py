@@ -181,10 +181,7 @@ def oracle_largest_full(g: Graph, p, mode: str = "full",
     result and a search that largest_full_or_cofull stopped part-way
     resumes at its next size. Exponential: refuses n > cap."""
     s = _kept_search(g, as_probability(p), mode, cap)
-    for m in range(s.m, -1, -1):
-        if _holds(g, s, m):
-            return s.result
-    raise AssertionError("the empty set is always full")
+    return next(s.result for m in range(s.m, -1, -1) if _holds(g, s, m))
 
 
 def _kept_search(g: Graph, p: Fraction, mode: str, cap: int) -> SimpleNamespace:
@@ -236,11 +233,12 @@ def _first_full_set(adj, cands: list, m: int, bar: int) -> Optional[int]:
     from cands[i+1:]. For v with deficit t = bar - |N(v) & X| > 0 that is
     t <= need, at least t neighbors in cands[i:], and v ~ u if t = need. So
     each node fixes on entry (1) limit, where its scan stops: the first i
-    at which a member has fewer than t neighbors left (0 if some t > need),
-    and (2) tight, the members with t = need, which u must neighbor; only
-    u's own count is tested per candidate. Both rules skip only candidates
-    that fail the full test, so the first set reached is the one a
-    lex-order scan of all m-subsets meets first."""
+    at which a member has fewer than t neighbors left, and (2) tight, the
+    members with t = need, which u must neighbor (no t exceeds need: u's
+    test leaves it t < need, and a tight member's t falls with need);
+    only u's own count is tested per candidate. Both rules skip only
+    candidates that fail the full test, so the first set reached is the
+    one a lex-order scan of all m-subsets meets first."""
     k = len(cands)
     if k < m:
         return None
@@ -281,9 +279,7 @@ def _first_full_set(adj, cands: list, m: int, bar: int) -> Optional[int]:
                 t -= 1
             if t < 1:
                 continue
-            if t > need:
-                limit = 0
-            elif ns[-t] < limit:  # t <= len(ns), as the test that took u ensures
+            if ns[-t] < limit:  # t <= len(ns), as the test that took u ensures
                 limit = ns[-t]
             if t == need:
                 tight |= b

@@ -418,13 +418,6 @@ def _blocks(text: str, start: int = 0, block: int = _TEXT_BLOCK) -> Iterator[str
         start = end
 
 
-def _lines(text: str, block: int = _TEXT_BLOCK) -> Iterator[str]:
-    """The lines of text.splitlines(), produced a block at a time so no
-    list of every line is built."""
-    for chunk in _blocks(text, 0, block):
-        yield from chunk.splitlines()
-
-
 # The canonical form: a header "n m\n", then lines "u v\n", every token
 # 1-18 ASCII digits (so it fits in int64). _DIGITS[size][r] keeps the low
 # nibbles of the last r bytes of a little-endian word of size bytes: the
@@ -519,7 +512,7 @@ def read_edge_list(text: str) -> Graph:
     g = _read_canonical(text)
     if g is not None:
         return g
-    lines = _lines(text)
+    lines = (line for chunk in _blocks(text) for line in chunk.splitlines())  # a block at a time
     header = next(lines, None)
     if header is None:
         raise EdgeListError(1, "missing header line")

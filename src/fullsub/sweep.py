@@ -88,6 +88,8 @@ def _validate(config: SweepConfig) -> None:
             raise PreconditionError(
                 f"unknown algorithm {algo!r}; expected one of "
                 f"{', '.join(SWEEP_ALGORITHMS)}")
+    if config.family == "clique-isolated":
+        raise PreconditionError("the sweep has no E, which family 'clique-isolated' requires")
     if config.family != "gnp" and len(config.p_grid) != 1:
         raise PreconditionError(
             f"family {config.family!r} ignores p; give a single p entry")

@@ -379,6 +379,9 @@ def test_local_search_frozen_values():
     got = discrepancy_local_search(K31, HALF, "positive", seed=0)
     assert got.value == Fraction(3, 2) and got.witness == {0, 1, 2}
     assert discrepancy_local_search(support.clique(6), 1, "positive", seed=3).value == 0
+    for g, k in ((support.empty(0), None), (K31, 0)):  # only the empty set to score
+        got = discrepancy_local_search(g, HALF, "negative", k=k)
+        assert (got.value, got.witness, got.k) == (0, frozenset(), k)
 
 
 def test_local_search_is_deterministic():

@@ -21,6 +21,7 @@ from fullsub import (
     GValue,
     Graph,
     PreconditionError,
+    QFullOutcome,
     VerificationError,
     ceil_sqrt_frac,
     complement,
@@ -343,6 +344,11 @@ def test_greedy_from_surplus_witness_meets_the_guarantee(g):
     assert support.brute_is_full(h, p, sorted(got.vertices))
 
 
+def test_greedy_refuses_a_surplus_at_p_one():
+    with pytest.raises(ValueError, match="alpha > 0 is impossible at p = 1"):
+        greedy_full(support.clique(4), alpha=1)
+
+
 def test_greedy_guarantee_is_exact_on_planted_cliques():
     # clique of size m plus isolated vertices: the guarantee collapses
     # to ceil(sqrt(m(m-1))) = m whenever n > m
@@ -394,11 +400,18 @@ def test_qfull_closed_cases():
             support.complete_bipartite(3, 3), HALF, xs)
 
 
+def test_qfull_refuses_a_denominator_past_int64_swap_scores():
+    with pytest.raises(PreconditionError, match="q denominator too large"):
+        qfull_partition(support.cycle(5), Fraction(1, 2 ** 62))
+
+
 def test_qfull_boundary_ratios():
     got = qfull_partition(support.cycle(5), Fraction(0))
     assert got.variant == "i" and got.set_q == frozenset()
     got = qfull_partition(support.cycle(5), Fraction(1))
     assert got.variant == "i" and got.set_q == frozenset(range(5))
+    got = qfull_partition(support.empty(0), HALF)
+    assert got == QFullOutcome("i", HALF, frozenset())
 
 
 @settings(max_examples=40)
@@ -551,6 +564,11 @@ def test_one_over_r_closed_cases():
     assert support.brute_is_relatively_full(support.cycle(6), HALF, got.vertices)
 
 
+def test_one_over_r_refuses_r_below_one():
+    with pytest.raises(PreconditionError, match="r must be a positive integer, got 0"):
+        one_over_r_full(support.cycle(6), 0)
+
+
 @settings(max_examples=40)
 @given(graphs(min_n=1, max_n=10), st.integers(1, 8))
 def test_one_over_r_window_and_certificate(g, r):
@@ -687,6 +705,18 @@ def test_two_thirds_matches_the_induced_subgraph_reference_on_the_adversary(n):
     got = full_two_thirds(g)
     vertices, trace, stopped = support.reference_full_two_thirds(g)
     assert stopped and (got.vertices, got.trace) == (vertices, trace)
+
+
+@pytest.mark.parametrize("n, m", [(26, 12), (31, 13), (32, 13), (38, 14)])
+def test_two_thirds_peels_on_past_its_switch_window(n, m):
+    """K_m on 0..m-1 plus the path m-(m+1)-...-(n-1): no step aligns
+    within the first ceil(n/2) deletions, so the switch closes and plain
+    peeling runs on down to the clique."""
+    g = Graph.from_edges(n, [*combinations(range(m), 2), *zip(range(m, n - 1), range(m + 1, n))])
+    got = full_two_thirds(g)
+    vertices, trace, stopped = support.reference_full_two_thirds(g)
+    assert not stopped and (got.vertices, got.trace) == (vertices, trace)
+    assert got.vertices == frozenset(range(m)) and len(got.trace) > -(-n // 2)
 
 
 # ---------------------------------------------------------------------------

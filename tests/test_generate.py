@@ -28,6 +28,7 @@ from fullsub import (
     write_edge_list,
 )
 from fullsub import graph as graph_mod, rng
+from fullsub.generate import _floor_with_cbrt_term
 
 
 # ---------------------------------------------------------------------------
@@ -210,6 +211,11 @@ def test_gnp_rejects_bad_probability():
         gen_gnp(5, Fraction(3, 2), seed=0)
 
 
+def test_gnp_refuses_a_negative_order():
+    with pytest.raises(PreconditionError, match="n must be nonnegative, got -1"):
+        gen_gnp(-1, Fraction(1, 2), seed=0)
+
+
 # ---------------------------------------------------------------------------
 # partial clique plus isolated vertices
 
@@ -232,6 +238,8 @@ def test_clique_isolated_boundaries():
     assert gen_clique_plus_isolated(5, 10).adj == support.clique(5).adj
     with pytest.raises(PreconditionError):
         gen_clique_plus_isolated(4, 7)
+    with pytest.raises(PreconditionError, match="n must be nonnegative, got -1"):
+        gen_clique_plus_isolated(-1, 0)
 
 
 def test_clique_isolated_fills_lexicographically():
@@ -343,6 +351,21 @@ def test_multipartite_parameter_validation():
         gen_multipartite_planted(5, 1, 0)
     with pytest.warns(UserWarning):
         gen_multipartite_planted(8, 1, Fraction(1, 2))
+    with pytest.raises(PreconditionError, match="part size must be positive, got 0"):
+        gen_multipartite_planted(0, 1)
+    with pytest.raises(PreconditionError, match="r must be a positive integer, got 0"):
+        gen_multipartite_planted(3, 0)
+    with pytest.warns(UserWarning), pytest.raises(
+            PreconditionError, match="edge target 60 below the 64 cross-part edges"):
+        gen_multipartite_planted(8, 1, Fraction(1, 1000))
+
+
+@pytest.mark.parametrize("base", [2 ** 60 - 1, 2 ** 60 + 1])
+def test_floor_with_cbrt_term_corrects_the_float_guess(base):
+    # float(base) is 2^60 both times: the guess is one above floor(base),
+    # then one below, and the exact steps move it back
+    assert float(base) == 2 ** 60
+    assert _floor_with_cbrt_term(Fraction(base), Fraction(0), 1) == base
 
 
 # ---------------------------------------------------------------------------

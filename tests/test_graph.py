@@ -27,7 +27,7 @@ from fullsub import (
     write_edge_list,
 )
 from fullsub import graph as graph_mod
-from fullsub.graph import _column_counts, _lines, _pack_rows, _read_canonical, _symmetrize
+from fullsub.graph import _blocks, _column_counts, _pack_rows, _read_canonical, _symmetrize
 
 K3_TEXT = "3 3\n0 1\n0 2\n1 2\n"
 
@@ -69,6 +69,9 @@ def test_round_trip_any_graph(g):
     ("3 1\n0 1\n1 2\n", "announced 1 edges, found 2"),
     ("x y\n", "header"),
     ("3 1\n0\n", "line 2"),
+    ("", "missing header line"),
+    ("-1 0\n", "header counts must be nonnegative"),
+    ("3 1\n0 x\n", "expected integers, got '0 x'"),
 ])
 def test_read_rejects_malformed(text, fragment):
     with pytest.raises(EdgeListError) as err:
@@ -309,7 +312,9 @@ def test_tokens_past_four_digits_are_read_whole(line):
 
 @given(st.text(alphabet="ab \n\r\f\v\x1c\x85\u2028", max_size=40), st.integers(1, 6))
 def test_lines_split_like_splitlines_at_any_block_size(text, block):
-    assert list(_lines(text, block)) == text.splitlines()
+    # read_edge_list's line parser splits each _blocks slice in turn
+    assert [line for chunk in _blocks(text, 0, block) for line in chunk.splitlines()] \
+        == text.splitlines()
 
 
 def test_self_loop_rejected_with_line_number():
@@ -323,6 +328,8 @@ def test_from_edges_rejects_bad_vertices():
         Graph.from_edges(3, [(0, 3)])
     with pytest.raises(ValueError):
         Graph.from_edges(3, [(1, 1)])
+    with pytest.raises(ValueError, match="n must be nonnegative"):
+        Graph.from_edges(-1, [])
 
 
 @pytest.mark.parametrize("n,adj,message", [

@@ -25,7 +25,9 @@ from fullsub import (
     density,
     discrepancy_exact,
     discrepancy_local_search,
+    full_infection_probability,
     full_infection_probability_exact,
+    gen_clique_plus_isolated,
     gen_gnp,
     gen_greedy_adversary,
     generate,
@@ -37,6 +39,8 @@ from fullsub import (
     read_edge_list,
     rows_to_csv,
     run_sweep,
+    small_p_full,
+    small_p_size_floor,
     summarize,
     write_csv,
     write_edge_list,
@@ -118,6 +122,15 @@ def test_sweep_config_validation():
     with pytest.raises(PreconditionError):
         run_sweep(SweepConfig((2,), (Fraction(1, 3), Fraction(1, 2)), (0,),
                               ("greedy",), family="adversary"))
+
+
+def test_sweep_refuses_clique_isolated_before_any_cell(monkeypatch):
+    import fullsub.sweep as sweep_mod
+
+    monkeypatch.setattr(sweep_mod, "generate", lambda spec: pytest.fail("a cell ran"))
+    with pytest.raises(PreconditionError, match="the sweep has no E"):
+        run_sweep(SweepConfig((9,), (Fraction(1, 2),), (0,), ("greedy",),
+                              family="clique-isolated"))
 
 
 @pytest.mark.parametrize("threads", [0, -3])
@@ -390,6 +403,23 @@ def test_cli_full_two_thirds_rejects_p_override(capsys, tmp_path):
     assert code == 2 and "refused" in err
 
 
+@pytest.mark.parametrize("algo, g", [
+    ("two-thirds", gen_gnp(60, Fraction(1, 3), seed=0)),
+    ("small-p", gen_clique_plus_isolated(27, 13)),
+])
+def test_cli_full_size_law_finders_print_certified_witnesses(capsys, tmp_path, algo, g):
+    path = graph_file(tmp_path, g)
+    code, out, _ = run_cli(capsys, "full", "--input", path, "--algo", algo, "--seed", "2")
+    head, witness, record = out.splitlines()
+    fields = dict(field.split("=") for field in head.split()[1:])
+    p, size, bound = Fraction(fields["p"]), int(fields["size"]), Fraction(fields["guarantee"])
+    vertices = [int(v) for v in witness.split()[1:]]
+    assert code == 0 and fields["algo"] == algo and p == density(g)
+    assert size == len(vertices) >= bound > 0
+    assert support.brute_is_full(g, p, vertices)
+    assert record == f"file,{g.n},{frac_str(p)},2,{algo},{size},{frac_str(bound)},,true"
+
+
 def test_cli_qfull_both_modes(capsys, tmp_path):
     g = support.complete_bipartite(3, 3)
     path = graph_file(tmp_path, g)
@@ -416,6 +446,17 @@ def test_cli_percolate_exact_spot(capsys, tmp_path):
     code, out, _ = run_cli(capsys, "percolate", "--input", path,
                            "--p", "2/5", "--exact")
     assert code == 0 and "theta_exact=33872/78125" in out
+
+
+def test_cli_percolate_estimate_matches_the_library(capsys, tmp_path):
+    g, p = gen_gnp(14, Fraction(1, 3), seed=1), Fraction(1, 2)
+    path = graph_file(tmp_path, g)
+    code, out, _ = run_cli(capsys, "percolate", "--input", path, "--p", "1/2",
+                           "--trials", "300", "--seed", "5")
+    est = full_infection_probability(g, p, trials=300, seed=5)
+    assert 0 < est.successes == support.reference_monte_carlo(g, p, 300, 5)[0] < 300
+    assert (code, out) == (0, f"theta_estimate={est.successes}/300 (~{float(est.estimate):.4f}) "
+                              f"half_width={est.half_width:.4f}\n")
 
 
 def test_cli_percolate_estimate_with_witness(capsys, tmp_path):
@@ -497,6 +538,26 @@ def test_cli_sweep_writes_csv(capsys, tmp_path):
     assert code == 0
     assert read_csv(out) == run_sweep(BASE)
     assert "gnp/oracle" in stdout
+
+
+def test_cli_sweep_small_p_rows_carry_the_finder_guarantee(capsys):
+    code, out, err = run_cli(capsys, "sweep", "--n-grid", "60,100", "--p-grid", "1/100",
+                             "--seeds", "0,1", "--algos", "small-p")
+    lines = out.splitlines()
+    assert code == 0 and len(lines) == 5 and all(line.endswith(",true") for line in lines[1:])
+    assert err.startswith("gnp/small-p: rows=4 verified=4 ")
+    for row in read_csv(io.StringIO(out)):
+        g = gen_gnp(row.n, row.p, row.seed)
+        res, bound = small_p_full(g), Fraction(row.bound_value)
+        assert bound == res.guarantee == small_p_size_floor(g.n, density(g))
+        assert row.witness_size == res.size >= bound
+
+
+def test_cli_sweep_offers_no_clique_isolated_family(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["sweep", "--family", "clique-isolated", "--n-grid", "9", "--p-grid", "1/2",
+              "--seeds", "0", "--algos", "greedy"])
+    assert exc.value.code == 2 and "invalid choice: 'clique-isolated'" in capsys.readouterr().err
 
 
 def test_cli_reads_stdin(capsys, monkeypatch):
@@ -612,6 +673,22 @@ def test_cli_usage_errors_exit_2(capsys):
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["percolate", "--input", "g.txt", "--p", "abc"], "expected a rational like 1/2, got 'abc'"),
+    (["sweep", "--n-grid", "1,x", "--p-grid", "1/2", "--seeds", "0", "--algos", "greedy"],
+     "expected comma-separated integers, got '1,x'"),
+])
+def test_cli_malformed_numbers_are_usage_errors(capsys, argv, message):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2 and message in capsys.readouterr().err
+
+
+def test_cli_gen_refuses_a_family_without_its_order(capsys):
+    code, out, err = run_cli(capsys, "gen", "--family", "gnp", "--p", "1/2")
+    assert (code, out, err) == (2, "", "refused: family gnp requires --n\n")
+
+
 @pytest.mark.parametrize("argv", [
     ["disc", "--input", "g.txt", "--exact"],
     ["full", "--input", "g.txt", "--threads", "2"],
@@ -704,6 +781,19 @@ def test_scaling_sweep_script_smoke(capsys, tmp_path):
     assert table[0] == ["algorithm", "n", "mean", "size", "size/n^(2/3)"]
     assert [(algo, n) for algo, n, *_ in table[1:]] == [
         (algo, n) for algo in ("greedy", "two-thirds", "half-full") for n in ("30", "60")]
+
+
+def test_mutant_table_entries_apply_to_the_tree():
+    """Every entry of scripts/mutants.py names a snippet that occurs once
+    in its file and test functions that exist, so a stale entry shows up
+    without running the mutants."""
+    root = Path(__file__).resolve().parents[1]
+    for m in load_script("mutants").MUTANTS:
+        assert (root / "src" / m.path).read_text(encoding="utf-8").count(m.snippet) == 1, m.name
+        for node in m.tests:
+            path, test = node.split("::")
+            name = test.split("[")[0]
+            assert f"\ndef {name}(" in (root / path).read_text(encoding="utf-8"), node
 
 
 def test_scaling_sweep_script_refuses_cleanly(capsys):
