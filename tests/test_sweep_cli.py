@@ -538,6 +538,18 @@ def test_cli_sweep_writes_csv(capsys, tmp_path):
     assert code == 0
     assert read_csv(out) == run_sweep(BASE)
     assert "gnp/oracle" in stdout
+    # two-thirds rows through a written file (at p = 1/2 that finder needs n > 128)
+    code, stdout, _ = run_cli(
+        capsys, "sweep", "--n-grid", "30,60", "--p-grid", "1/4", "--seeds", "0,1",
+        "--algos", "greedy,two-thirds,half-full", "--out", out)
+    rows = read_csv(out)
+    assert code == 0 and len(rows) == 2 * 2 * 3
+    assert rows == run_sweep(SweepConfig(n_grid=(30, 60), p_grid=(Fraction(1, 4),),
+                                         seeds=(0, 1),
+                                         algorithms=("greedy", "two-thirds", "half-full")))
+    assert stdout.splitlines() == summarize(rows).splitlines()
+    assert [line.split(" size")[0] for line in stdout.splitlines()] == [
+        f"gnp/{algo}: rows=4 verified=4" for algo in ("greedy", "half-full", "two-thirds")]
 
 
 def test_cli_sweep_small_p_rows_carry_the_finder_guarantee(capsys):
@@ -766,21 +778,32 @@ def load_script(name):
     return module
 
 
-def test_scaling_sweep_script_smoke(capsys, tmp_path):
-    script = load_script("scaling_sweep")
-    out = str(tmp_path / "scaling.csv")
-    # p = 1/4: at p = 1/2 the two-thirds finder needs n > 128
-    assert script.main(["--n-grid", "30,60", "--seeds", "0,1", "--p", "1/4",
-                        "--out", out]) == 0
-    lines = capsys.readouterr().out.splitlines()
-    rows = read_csv(out)
-    assert len(rows) == 2 * 2 * 3 and lines[0] == f"wrote 12 rows to {out}"
-    assert lines[2:5] == summarize(rows).splitlines()
-    assert all("rows=4 verified=4 " in line for line in lines[2:5])
-    table = [line.split() for line in lines[6:]]
-    assert table[0] == ["algorithm", "n", "mean", "size", "size/n^(2/3)"]
-    assert [(algo, n) for algo, n, *_ in table[1:]] == [
-        (algo, n) for algo in ("greedy", "two-thirds", "half-full") for n in ("30", "60")]
+def test_scaling_sweep_script_smoke(capsys):
+    # scripts/paper_claims.py took over scaling_sweep.py's ratios: every
+    # row on at most 500 vertices
+    assert load_script("paper_claims").main(["--max-n", "500"]) == 0
+    rows = [line.split() for line in capsys.readouterr().out.splitlines()]
+    assert rows == [
+        ["claim", "family", "n", "p", "finder", "method", "value", "bound", "ratio", "status"],
+        ["C2", "gnp", "200", "0.5000", "two-thirds", "certified", "9", "5", "0.263", "holds"],
+        ["C5", "gnp", "200", "0.5000", "greedy", "certified", "126", "-", "3.684", "open"],
+        ["C2", "gnp", "500", "0.5000", "two-thirds", "certified", "23", "9", "0.365", "holds"],
+        ["C5", "gnp", "500", "0.5000", "greedy", "certified", "315", "-", "5.000", "open"],
+        ["crit9", "adversary", "102", "0.5189", "greedy", "certified", "60", "20", "2.748",
+         "fails"],
+        ["crit9", "adversary", "102", "0.5189", "greedy-antipodal", "certified", "26", "20",
+         "1.191", "fails"],
+        ["C2", "adversary", "402", "0.5046", "two-thirds", "certified", "26", "8", "0.477",
+         "holds"],
+        ["crit9", "adversary", "402", "0.5046", "greedy", "certified", "218", "36", "4.002",
+         "fails"],
+        ["crit9", "adversary", "402", "0.5046", "greedy-antipodal", "certified", "108", "36",
+         "1.983", "fails"],
+        ["C1", "all", "-", "0.5000", "-", "-", "-",
+         "(2n)^(1/2)-2<=f(n,1/2)<=4n^(2/3)(log(n))^(1/3)", "-", "open"],
+        ["C3", "multipartite", "-", "~r/(r+1)", "-", "-", "-", "f(n,p)=O((1-p)^(2/3)n^(2/3))",
+         "-", "open"],
+        ["C4", "all", "-", "-", "-", "-", "-", "g(G)=Omega(n/log(n))", "-", "open"]]
 
 
 def test_mutant_table_entries_apply_to_the_tree():
@@ -796,10 +819,26 @@ def test_mutant_table_entries_apply_to_the_tree():
             assert f"\ndef {name}(" in (root / path).read_text(encoding="utf-8"), node
 
 
-def test_scaling_sweep_script_refuses_cleanly(capsys):
-    code = load_script("scaling_sweep").main(["--n-grid", "30", "--seeds", "0"])
-    err = capsys.readouterr().err
-    assert code == 2 and err.startswith("error: sweep cell [") and "two-thirds" in err
+def test_scaling_sweep_script_refuses_cleanly(capsys, monkeypatch):
+    script = load_script("paper_claims")
+
+    def refuse(g):
+        raise PreconditionError("density 1/2 is out of range")
+
+    monkeypatch.setattr(script, "greedy_full", refuse)
+    assert script.main(["--max-n", "500"]) == 2
+    out, err = capsys.readouterr()
+    assert [line.split()[:3] for line in out.splitlines()[1:]] == [["C2", "gnp", "200"]]
+    assert err == "error: C5 gnp n=200 greedy: density 1/2 is out of range\n"
+
+
+def test_paper_claims_script_exits_3_on_a_witness_that_is_not_full(capsys, monkeypatch):
+    script = load_script("paper_claims")
+    monkeypatch.setattr(script, "is_full", lambda g, p, vertices: (False, 7))
+    assert script.main(["--max-n", "500"]) == 3
+    out, err = capsys.readouterr()
+    assert len(out.splitlines()) == 1
+    assert err == "error: C2 gnp n=200 two-thirds: witness not full at vertex 7\n"
 
 
 @pytest.fixture(scope="module")
