@@ -9,48 +9,53 @@ constant for infinitely many p near 1/2, 2/3, ...; C4, G or its
 complement has a full subgraph on Omega(n / log n) vertices; C5, full
 subgraphs of random graphs. Why each case is here:
 
-  C2     full_two_thirds' witness bounds f(G) from below; on G(n, 1/2),
-         n = 200..5000, its smallest size over seeds 0-4 must meet the
-         largest two_thirds_size_floor, each graph at its own density. On
-         the adversary (N = 4k + 2 vertices) it is criterion 9's aligned
-         finder. N = 102 has no C2 row: its density 0.5189 is at least
-         1 - N^(-1/7) = 0.4835, so full_two_thirds refuses it.
-  C5     greedy_full's smallest witness on the same graphs bounds a
+  C2     full_two_thirds' witness bounds f(G) from below and must meet
+         its own guarantee, two_thirds_size_floor at G's density, on
+         G(n, 1/2), n = 200..5000, seeds 0-4, and on the greedy
+         adversary (N = 4k + 2 vertices). N = 102 has no C2 row: its
+         density 0.5189 is at least 1 - N^(-1/7) = 0.4835, so
+         full_two_thirds refuses it.
+  C5     greedy_full's witness on the same G(n, 1/2) graphs bounds a
          random graph's f from below; with no figure in the abstract to
          compare, these rows read open.
-  crit9  acceptance criterion 9: greedy_full, min-index and antipodal
-         tie-breaks, on the adversary at N = 102, 402, 1602 holds if it
-         stops within the planted cap 2m + 2, m = round(sqrt(3k)). Every
-         row reads fails, as criterion 9 does.
+  crit9  acceptance criterion 9's two assertions: on the adversary at
+         N = 102, 402, 1602, greedy_full with the antipodal tie-break
+         stops within the planted cap 2m + 2, m = round(sqrt(3k)); at N =
+         1602 the aligned full_two_thirds keeps more than it. Both read
+         fails, as criterion 9 does. The min-index greedy rows are no
+         claim (status -): they show how far the tie-break moves greedy.
   C1, C3, C4  nothing checks these yet: open, the abstract's bound as text.
 
 A row gives claim, family, n (vertices), p (G(n, p)'s parameter or the
 adversary's density), finder, method (certified: the finder certified
 the witness and is_full checks it again here), value, bound, ratio =
-value / n^(2/3) and status. A refused case prints `error: <case>: ...`
-and exits 2, a witness found not full exits 3. --max-n skips cases on
-more vertices.
+value / n^(2/3) and status. Over seeds 0-4 a row holds if every
+graph's witness meets its own bound, and shows the smallest witness and
+its graph's bound. A refused case prints `error: <case>: ...` and exits
+2; a witness found not full, by its finder or by is_full, exits 3.
 
     python3 scripts/paper_claims.py
-    python3 scripts/paper_claims.py --max-n 500
 """
 
 import argparse
+import functools
 import operator
 import sys
 from fractions import Fraction
 
-from fullsub import (PreconditionError, adversary_planted_size, density, full_two_thirds,
-                     gen_gnp, gen_greedy_adversary, greedy_full, is_full,
-                     two_thirds_size_floor)
+from fullsub import (PreconditionError, VerificationError, adversary_planted_size, density,
+                     full_two_thirds, gen_gnp, gen_greedy_adversary, greedy_full, is_full)
 
 HALF = Fraction(1, 2)
 ROW = "{:<6} {:<12} {:>5} {:>8} {:<16} {:<9} {:>6} {:>6} {:>6} {}"
+FINDERS = {"two-thirds": full_two_thirds, "greedy": greedy_full,
+           "greedy-antipodal": lambda g: greedy_full(g, tie_break="adversarial-antipodal")}
 OPEN = [("C1", "all", "0.5000", "(2n)^(1/2)-2<=f(n,1/2)<=4n^(2/3)(log(n))^(1/3)"),
         ("C3", "multipartite", "~r/(r+1)", "f(n,p)=O((1-p)^(2/3)n^(2/3))"),
         ("C4", "all", "-", "g(G)=Omega(n/log(n))")]
 
 
+@functools.cache
 def graphs(family, n):
     """G(n, 1/2) at seeds 0-4, or the adversary on n = 4k + 2 vertices."""
     if family == "gnp":
@@ -58,63 +63,64 @@ def graphs(family, n):
     return (gen_greedy_adversary((n - 2) // 4),)
 
 
-def floor(g):
-    return two_thirds_size_floor(g.n, density(g))
+@functools.cache
+def results(family, n, finder):
+    """The finder's certified results on those graphs."""
+    return tuple(FINDERS[finder](g) for g in graphs(family, n))
 
 
-def cap(g):
+def floor(g, res):
+    return int(res.guarantee)
+
+
+def cap(g, res):
     return 2 * adversary_planted_size((g.n - 2) // 4) + 2
 
 
+def antipodal(g, res):
+    return results("adversary", g.n, "greedy-antipodal")[0].size
+
+
 def cases():
-    """(claim, family, n, finder name, finder, one graph's bound or None,
-    test of the value against the bound) in print order."""
+    """(claim, family, n, finder, one graph's bound or None, test of a
+    witness size against it) in print order."""
     out = []
     for n in (200, 500, 1000, 2000, 5000):
-        out += [("C2", "gnp", n, "two-thirds", full_two_thirds, floor, operator.ge),
-                ("C5", "gnp", n, "greedy", greedy_full, None, None)]
+        out += [("C2", "gnp", n, "two-thirds", floor, operator.ge),
+                ("C5", "gnp", n, "greedy", None, None)]
     for n in (102, 402, 1602):
         if n > 102:  # N = 102 lies outside full_two_thirds' p-range
-            out.append(("C2", "adversary", n, "two-thirds", full_two_thirds, floor, operator.ge))
-        out += [("crit9", "adversary", n, "greedy", greedy_full, cap, operator.le),
-                ("crit9", "adversary", n, "greedy-antipodal",
-                 lambda g: greedy_full(g, tie_break="adversarial-antipodal"), cap, operator.le)]
+            out.append(("C2", "adversary", n, "two-thirds", floor, operator.ge))
+        out += [("crit9", "adversary", n, "greedy", None, None),
+                ("crit9", "adversary", n, "greedy-antipodal", cap, operator.le)]
+    out.append(("crit9", "adversary", 1602, "two-thirds", antipodal, operator.gt))
     return out
 
 
 def main(argv=None) -> int:
-    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("--max-n", type=int,
-                    help="skip cases on more vertices (default: run every case)")
-    max_n = ap.parse_args(argv).max_n
+    argparse.ArgumentParser(description=__doc__.splitlines()[0]).parse_args(argv)
     print(ROW.format("claim", "family", "n", "p", "finder", "method", "value", "bound",
                      "ratio", "status"))
-    key = None  # the rows of one (family, n) share its graphs
-    for claim, family, n, name, finder, bound, holds in cases():
-        if max_n is not None and n > max_n:
-            continue
-        case = f"{claim} {family} n={n} {name}"
+    for claim, family, n, finder, bound, holds in cases():
+        case = f"{claim} {family} n={n} {finder}"
         try:
-            if key != (family, n):
-                key, gs = (family, n), graphs(family, n)
-            results = [finder(g) for g in gs]
-        except PreconditionError as e:
+            gs, rs = graphs(family, n), results(family, n, finder)
+            for g, res in zip(gs, rs):
+                ok, bad = is_full(g, res.p_used, res.vertices)
+                if not ok:
+                    raise VerificationError(f"witness not full at vertex {bad}")
+        except (PreconditionError, VerificationError) as e:
             print(f"error: {case}: {e}", file=sys.stderr)
-            return 2
-        for g, res in zip(gs, results):
-            ok, bad = is_full(g, res.p_used, res.vertices)
-            if not ok:
-                print(f"error: {case}: witness not full at vertex {bad}", file=sys.stderr)
-                return 3
-        # the smallest witness against the largest bound
-        value = min(res.size for res in results)
-        limit, status = "-", "open"
+            return 2 if isinstance(e, PreconditionError) else 3
+        g, res = min(zip(gs, rs), key=lambda pair: pair[1].size)
+        limit, status = "-", "-" if claim == "crit9" else "open"
         if bound is not None:
-            limit = max(bound(g) for g in gs)
-            status = "holds" if holds(value, limit) else "fails"
-        p = HALF if family == "gnp" else density(gs[0])
-        print(ROW.format(claim, family, n, f"{float(p):.4f}", name, "certified", value, limit,
-                         f"{value / n ** (2 / 3):.3f}", status))
+            limit = bound(g, res)
+            met = all(holds(r.size, bound(h, r)) for h, r in zip(gs, rs))
+            status = "holds" if met else "fails"
+        p = HALF if family == "gnp" else density(g)
+        print(ROW.format(claim, family, n, f"{float(p):.4f}", finder, "certified", res.size,
+                         limit, f"{res.size / n ** (2 / 3):.3f}", status))
     for claim, family, p, text in OPEN:
         print(ROW.format(claim, family, "-", p, "-", "-", "-", text, "-", "open"))
     return 0

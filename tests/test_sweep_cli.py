@@ -22,6 +22,7 @@ from fullsub import (
     GenSpec,
     PreconditionError,
     SweepConfig,
+    VerificationError,
     density,
     discrepancy_exact,
     discrepancy_local_search,
@@ -779,26 +780,37 @@ def load_script(name):
 
 
 def test_scaling_sweep_script_smoke(capsys):
-    # scripts/paper_claims.py took over scaling_sweep.py's ratios: every
-    # row on at most 500 vertices
-    assert load_script("paper_claims").main(["--max-n", "500"]) == 0
+    # scripts/paper_claims.py took over scaling_sweep.py's ratios and
+    # adversary_separation.py's figures: every row of the default run
+    assert load_script("paper_claims").main([]) == 0
     rows = [line.split() for line in capsys.readouterr().out.splitlines()]
+    certified = [
+        ["C2", "gnp", "200", "0.5000", "two-thirds", "9", "5", "0.263", "holds"],
+        ["C5", "gnp", "200", "0.5000", "greedy", "126", "-", "3.684", "open"],
+        ["C2", "gnp", "500", "0.5000", "two-thirds", "23", "9", "0.365", "holds"],
+        ["C5", "gnp", "500", "0.5000", "greedy", "315", "-", "5.000", "open"],
+        ["C2", "gnp", "1000", "0.5000", "two-thirds", "47", "15", "0.470", "holds"],
+        ["C5", "gnp", "1000", "0.5000", "greedy", "630", "-", "6.300", "open"],
+        ["C2", "gnp", "2000", "0.5000", "two-thirds", "49", "24", "0.309", "holds"],
+        ["C5", "gnp", "2000", "0.5000", "greedy", "1275", "-", "8.032", "open"],
+        ["C2", "gnp", "5000", "0.5000", "two-thirds", "117", "46", "0.400", "holds"],
+        ["C5", "gnp", "5000", "0.5000", "greedy", "3143", "-", "10.749", "open"],
+        ["crit9", "adversary", "102", "0.5189", "greedy", "60", "-", "2.748", "-"],
+        ["crit9", "adversary", "102", "0.5189", "greedy-antipodal", "26", "20", "1.191",
+         "fails"],
+        ["C2", "adversary", "402", "0.5046", "two-thirds", "26", "8", "0.477", "holds"],
+        ["crit9", "adversary", "402", "0.5046", "greedy", "218", "-", "4.002", "-"],
+        ["crit9", "adversary", "402", "0.5046", "greedy-antipodal", "108", "36", "1.983",
+         "fails"],
+        ["C2", "adversary", "1602", "0.5012", "two-thirds", "51", "21", "0.373", "holds"],
+        ["crit9", "adversary", "1602", "0.5012", "greedy", "836", "-", "6.106", "-"],
+        ["crit9", "adversary", "1602", "0.5012", "greedy-antipodal", "404", "72", "2.951",
+         "fails"],
+        # criterion 9's second assertion: the aligned finder against antipodal greedy
+        ["crit9", "adversary", "1602", "0.5012", "two-thirds", "51", "404", "0.373", "fails"]]
     assert rows == [
         ["claim", "family", "n", "p", "finder", "method", "value", "bound", "ratio", "status"],
-        ["C2", "gnp", "200", "0.5000", "two-thirds", "certified", "9", "5", "0.263", "holds"],
-        ["C5", "gnp", "200", "0.5000", "greedy", "certified", "126", "-", "3.684", "open"],
-        ["C2", "gnp", "500", "0.5000", "two-thirds", "certified", "23", "9", "0.365", "holds"],
-        ["C5", "gnp", "500", "0.5000", "greedy", "certified", "315", "-", "5.000", "open"],
-        ["crit9", "adversary", "102", "0.5189", "greedy", "certified", "60", "20", "2.748",
-         "fails"],
-        ["crit9", "adversary", "102", "0.5189", "greedy-antipodal", "certified", "26", "20",
-         "1.191", "fails"],
-        ["C2", "adversary", "402", "0.5046", "two-thirds", "certified", "26", "8", "0.477",
-         "holds"],
-        ["crit9", "adversary", "402", "0.5046", "greedy", "certified", "218", "36", "4.002",
-         "fails"],
-        ["crit9", "adversary", "402", "0.5046", "greedy-antipodal", "certified", "108", "36",
-         "1.983", "fails"],
+        *[row[:5] + ["certified"] + row[5:] for row in certified],
         ["C1", "all", "-", "0.5000", "-", "-", "-",
          "(2n)^(1/2)-2<=f(n,1/2)<=4n^(2/3)(log(n))^(1/3)", "-", "open"],
         ["C3", "multipartite", "-", "~r/(r+1)", "-", "-", "-", "f(n,p)=O((1-p)^(2/3)n^(2/3))",
@@ -825,8 +837,8 @@ def test_scaling_sweep_script_refuses_cleanly(capsys, monkeypatch):
     def refuse(g):
         raise PreconditionError("density 1/2 is out of range")
 
-    monkeypatch.setattr(script, "greedy_full", refuse)
-    assert script.main(["--max-n", "500"]) == 2
+    monkeypatch.setitem(script.FINDERS, "greedy", refuse)
+    assert script.main([]) == 2
     out, err = capsys.readouterr()
     assert [line.split()[:3] for line in out.splitlines()[1:]] == [["C2", "gnp", "200"]]
     assert err == "error: C5 gnp n=200 greedy: density 1/2 is out of range\n"
@@ -834,8 +846,19 @@ def test_scaling_sweep_script_refuses_cleanly(capsys, monkeypatch):
 
 def test_paper_claims_script_exits_3_on_a_witness_that_is_not_full(capsys, monkeypatch):
     script = load_script("paper_claims")
+
+    def fault(g):
+        raise VerificationError("witness not full at p=1/2: vertex 7")
+
+    # the finder's own certificate fails, then the script's is_full check
+    monkeypatch.setitem(script.FINDERS, "two-thirds", fault)
+    assert script.main([]) == 3
+    out, err = capsys.readouterr()
+    assert len(out.splitlines()) == 1
+    assert err == "error: C2 gnp n=200 two-thirds: witness not full at p=1/2: vertex 7\n"
+    script = load_script("paper_claims")
     monkeypatch.setattr(script, "is_full", lambda g, p, vertices: (False, 7))
-    assert script.main(["--max-n", "500"]) == 3
+    assert script.main([]) == 3
     out, err = capsys.readouterr()
     assert len(out.splitlines()) == 1
     assert err == "error: C2 gnp n=200 two-thirds: witness not full at vertex 7\n"
