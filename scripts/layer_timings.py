@@ -4,7 +4,12 @@
 Layers: gen (gen_gnp on G(n, 1/2), seed 0, for each --n order); dense
 (greedy_full, full_two_thirds and half_full on those graphs); io
 (write_edge_list's text and the CLI's read of its file, on those graphs
-and on a union of cycles on 20000 vertices held as masks); extremes
+and on a union of cycles on 20000 vertices held as masks); percolate (a
+300-trial Monte Carlo pass at seed 0 on G(1000, 1/110) at p = 5/16, 2/5
+and 1/2, G(1000, 1/20) at p = 2/5, G(2000, 1/2) and the greedy adversary
+at n = 400 (1602 vertices) at p = 1/2, and the cycles at p = 1/2; and
+bootstrap_percolate on G(1000, 1/110) from trial 0's start at 5/16,
+every graph at seed 0, whatever the options); extremes
 (discrepancy._build_extremes on G(n, 1/2), n = 16, 18, ..., 24); theta
 (exact theta on the same graphs at p = 1/3); oracle (oracle_largest_full
 at p = density, full and co-full, and the joint g search of
@@ -13,14 +18,16 @@ and at seed 1 co-full n = 40 and full n = 48, and full on the r = 1
 multipartite construction at N = 24, 30). Caps are lifted to n.
 
 A row gives layer, case, n, size (witness members, graph edges, text
-characters or table slots; - for theta), a digest (the first 16 hex
-digits of the sha256 of the packed matrix, the sorted witness, the text,
-repr(slots) or str(theta)) and the best of 5 wall times in seconds;
-oracle cases run once. Each timed run gets an input built afresh and
-untimed, so no run reads state an earlier one kept on its graph. A read
-that does not give back the written graph exits 1. Extremes, theta and
-oracle cases above --max-n vertices are skipped; full G(48, 1/2) alone
-takes about 45 s on a 2-vCPU Xeon virtual machine.
+characters, successful trials, finally infected vertices or table slots;
+- for theta), a digest (the first 16 hex digits of the sha256 of the
+packed matrix, the sorted witness, the text, the successes with the
+first failing trial and its sorted survivors, the rounds with the
+sorted infected set, repr(slots) or str(theta)) and the best of 5 wall
+times in seconds; oracle cases run once. Each timed run gets an input
+built afresh and untimed, so no run reads state an earlier one kept on
+its graph. A read that does not give back the written graph exits 1.
+Extremes, theta and oracle cases above --max-n vertices are skipped;
+full G(48, 1/2) alone takes about 45 s on a 2-vCPU Xeon virtual machine.
 
     python3 scripts/layer_timings.py
     python3 scripts/layer_timings.py --n 1000 --max-n 48
@@ -36,19 +43,23 @@ from pathlib import Path
 
 import numpy as np
 
-from fullsub import (Graph, density, full_infection_probability_exact, full_two_thirds,
-                     gen_gnp, gen_multipartite_planted, greedy_full, half_full,
-                     largest_full_or_cofull, oracle_largest_full, write_edge_list)
+from fullsub import (Graph, bootstrap_percolate, density, full_infection_probability_exact,
+                     full_two_thirds, gen_gnp, gen_greedy_adversary, gen_multipartite_planted,
+                     greedy_full, half_full, largest_full_or_cofull, oracle_largest_full,
+                     sample_initial_mask, write_edge_list)
 from fullsub.cli import _read_graph
 from fullsub.discrepancy import _build_extremes
+from fullsub.percolation import _monte_carlo
 
 HALF = Fraction(1, 2)
 REPEAT = 5
 CYCLES_N = 20000
+TRIALS = 300
+SPARSE = Fraction(1, 110)
 
 
-def gnp(n, seed=0):
-    return lambda: gen_gnp(n, HALF, seed)
+def gnp(n, seed=0, p=HALF):
+    return lambda: gen_gnp(n, p, seed)
 
 
 def cycles():
@@ -74,6 +85,20 @@ def witness(vertices):
     return len(vertices), str(sorted(vertices)).encode()
 
 
+def monte_carlo(p):
+    return lambda g: _monte_carlo(g, p, TRIALS, 0)
+
+
+def estimate(out):
+    est, failure = out
+    first = failure and (failure[0], sorted(failure[1]))
+    return est.successes, repr((est.successes, first)).encode()
+
+
+def closure(state):
+    return len(state.infected), repr((state.rounds, sorted(state.infected))).encode()
+
+
 def cases(ns, max_n, tmp):
     """(layer, case, n, build, call, digest) in the order they run: build
     makes the call's input untimed, and digest gives (size, hashed bytes),
@@ -91,6 +116,17 @@ def cases(ns, max_n, tmp):
                     lambda path: _read_graph(str(path)),
                     lambda back, make=make:
                         text(write_edge_list(back)) if back == make() else None))
+    out += [("percolate", f"mc-{name}-p{p}", n, make, monte_carlo(p), estimate)
+            for name, n, make, p in [
+                *(("gnp-1/110", 1000, gnp(1000, p=SPARSE), p)
+                  for p in (Fraction(5, 16), Fraction(2, 5), HALF)),
+                ("gnp-1/20", 1000, gnp(1000, p=Fraction(1, 20)), Fraction(2, 5)),
+                ("gnp-1/2", 2000, gnp(2000), HALF),
+                ("adversary", 1602, lambda: gen_greedy_adversary(400), HALF),
+                ("cycles", CYCLES_N, cycles, HALF)]]
+    out.append(("percolate", "bootstrap-gnp-1/110", 1000, gnp(1000, p=SPARSE),
+                lambda g: bootstrap_percolate(g, sample_initial_mask(g.n, Fraction(5, 16), 0, 0)),
+                closure))
     small = range(16, 25, 2)
     out += [("extremes", "build_extremes", n, gnp(n), _build_extremes,
              lambda slots: (len(slots), repr(slots).encode())) for n in small]
@@ -105,7 +141,7 @@ def cases(ns, max_n, tmp):
     out += [("oracle", "multipartite-r1-full", 2 * k,
              lambda k=k: gen_multipartite_planted(k, 1)[0], oracle("full"), witness)
             for k in (12, 15)]
-    return [c for c in out if c[0] in ("gen", "dense", "io") or c[2] <= max_n]
+    return [c for c in out if c[0] in ("gen", "dense", "io", "percolate") or c[2] <= max_n]
 
 
 def parse_args(argv):
@@ -121,7 +157,7 @@ def parse_args(argv):
 
 def main(argv=None) -> int:
     args = parse_args(argv)
-    print(f"{'layer':<8} {'case':<22} {'n':>5} {'size':>8} {'digest':<16} {'seconds':>9}")
+    print(f"{'layer':<9} {'case':<22} {'n':>5} {'size':>8} {'digest':<16} {'seconds':>9}")
     with tempfile.TemporaryDirectory() as tmp:
         for layer, case, n, build, call, digest in cases(
                 [int(n) for n in args.n.split(",")], args.max_n, Path(tmp)):
@@ -135,7 +171,7 @@ def main(argv=None) -> int:
                 print(f"error: {case} n={n} reads back as a different graph")
                 return 1
             size, data = sized
-            print(f"{layer:<8} {case:<22} {n:>5} {size:>8} "
+            print(f"{layer:<9} {case:<22} {n:>5} {size:>8} "
                   f"{hashlib.sha256(data).hexdigest()[:16]:<16} {best:>9.5f}")
     return 0
 

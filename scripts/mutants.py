@@ -75,8 +75,28 @@ MUTANTS = (
            'if sign == "positive":\n            yield', 'if sign == "negative":\n            yield',
            ("tests/test_discrepancy.py::test_table_readers_match_reference_on_gnp[8]",)),
     Mutant("weak majority", "fullsub/percolation.py",
-           "np.float32) // 2 + 1", "np.float32) // 2",
+           "need, width = degrees // 2 + 1,", "need, width = degrees // 2,",
            ("tests/test_percolation.py::test_batched_closure_matches_reference_per_row",)),
+    Mutant("scatter pads table rows with vertex 0", "fullsub/percolation.py",
+           "table = np.repeat(np.arange(g.n), width)",
+           "table = np.zeros(g.n * width, dtype=np.intp)",
+           ("tests/test_percolation.py::test_batched_closure_matches_reference_per_row",)),
+    Mutant("scatter block reads the fresh rows one row down", "fullsub/percolation.py",
+           "np.flatnonzero(fresh[a:a + step])", "np.flatnonzero(fresh[a + 1:a + 1 + step])",
+           ("tests/test_percolation.py::test_batched_closure_matches_reference_per_row",)),
+    Mutant("scatter piece drops its last entry", "fullsub/percolation.py",
+           "idx = at[s:s + piece]", "idx = at[s:s + piece - 1]",
+           ("tests/test_percolation.py::test_batched_closure_matches_reference_per_row",)),
+    Mutant("mask neighbour table reads each word's bits big-endian", "fullsub/percolation.py",
+           "v = 64 * word + bit", "v = 64 * word + 63 - bit",
+           ("tests/test_percolation.py::test_batched_closure_matches_reference_per_row",)),
+    Mutant("cost model picks the dearer update", "fullsub/percolation.py",
+           "+ cnt.size) < cnt.size * cols.size", "+ cnt.size) > cnt.size * cols.size",
+           ("tests/test_percolation.py::test_sparse_rounds_on_a_mask_graph_build_no_matrix",
+            "tests/test_percolation.py::test_shipped_cost_model_switches_update_within_a_batch")),
+    Mutant("a round with nothing fresh multiplies anyway", "fullsub/percolation.py",
+           "elif cols.size:", "else:",
+           ("tests/test_percolation.py::test_sparse_rounds_on_a_mask_graph_build_no_matrix",)),
     Mutant("theta need met only past it", "fullsub/percolation.py",
            "[:, None] >= _R)", "[:, None] > _R)",
            ("tests/test_percolation.py::"
@@ -260,8 +280,12 @@ MUTANTS = (
             "tests/test_finders.py::"
             "test_two_thirds_matches_the_induced_subgraph_reference_on_gnp")),
     Mutant("a level after the first reuses the previous level's d_live", "fullsub/finders.py",
-           "deg = _column_counts(g.matrix, live) if level else base",
-           "deg = deg if level else base",
+           "(live, deg), rr = _half(g, live, deg, level_seed)",
+           "(live, _), rr = _half(g, live, deg, level_seed)",
+           ("tests/test_finders.py::"
+            "test_one_over_r_live_levels_match_the_induced_subgraph_reference",)),
+    Mutant("a certificate hands on its base, not the side's own degrees", "fullsub/finders.py",
+           "within[idx] = degs", "within[idx] = base[idx]",
            ("tests/test_finders.py::"
             "test_one_over_r_live_levels_match_the_induced_subgraph_reference",)),
     Mutant("int32 swap keys past their bound", "fullsub/finders.py",

@@ -144,18 +144,20 @@ def is_full(g: Graph, p, vertices, mode: str = "full"):
 def is_relatively_full(g: Graph, q, vertices):
     """(True, None) when every member v keeps d_S(v) >= q * d_G(v),
     else (False, v) for the smallest violating vertex."""
-    bad = _relative_violator(g, as_probability(q, "q"), vertices, np.asarray(g.degrees))
+    bad = _relative_violator(g, as_probability(q, "q"), vertices, np.asarray(g.degrees))[0]
     return bad is None, bad
 
 
-def _relative_violator(g: Graph, q: Fraction, vertices, base: np.ndarray) -> Optional[int]:
+def _relative_violator(g: Graph, q: Fraction, vertices,
+                       base: np.ndarray) -> tuple[Optional[int], np.ndarray, np.ndarray]:
     """The smallest member v of S = vertices with d_S(v) < q * base[v],
-    or None: base is d_G, or d_W for a level run within W (_qfull)."""
+    or None, then S and d_S as _degrees_within gives them: base is d_G,
+    or d_W for a level run within W (_qfull)."""
     a, b = q.numerator, q.denominator
     idx, degs = _degrees_within(g, vertices)
     exact = np.int64 if b * g.n < 1 << 63 else object  # 0 <= a <= b, degrees below n
     bad = b * degs.astype(exact) < a * base[idx].astype(exact)
-    return int(idx[bad.argmax()]) if bad.any() else None
+    return (int(idx[bad.argmax()]) if bad.any() else None), idx, degs
 
 
 def _certified(g: Graph, p: Fraction, vertices, guarantee: Optional[Fraction] = None,
@@ -378,21 +380,23 @@ def qfull_partition(g: Graph, q, seed: Optional[int] = None) -> QFullOutcome:
     smaller index); a seed switches to a random start for restarts.
     """
     q = as_probability(q, "q")
-    variant, *sets = _qfull(g, q, np.arange(g.n), g.degrees, seed)
+    variant, *sets, _ = _qfull(g, q, np.arange(g.n), g.degrees, seed)
     return QFullOutcome(variant, q, *(None if s is None else frozenset(s.tolist()) for s in sets))
 
 
 def _qfull(g: Graph, q: Fraction, live: np.ndarray, deg, seed: Optional[int]) -> tuple:
     """qfull_partition's search on G[live], for the sorted index array live and
-    deg = d_live by vertex id, on G's own matrix: (variant, set_q, set_1mq, X, Y)
-    as index arrays or None, certified relative to d_live. Non-members stay
-    pinned at the key sentinels and ids keep live's order: G[live]'s swaps."""
+    deg = d_live by vertex id (read at members only), on G's own matrix:
+    (variant, set_q, set_1mq, X, Y) as index arrays or None, certified
+    relative to d_live, then d_S by vertex id for the side S that _half
+    keeps, counted by its certificate. Non-members stay pinned at the key
+    sentinels and ids keep live's order: G[live]'s swaps."""
     a, b = q.numerator, q.denominator
     n, m = g.n, len(live)
     if b * max(m, 1) >= 1 << 62:
         raise PreconditionError("q denominator too large for int64 swap scores")
     if m == 0:
-        return "i", live, None, None, None
+        return "i", live, None, None, None, np.zeros(n, dtype=np.int64)
     kx = -((-a * m) // b)
 
     adj, deg = g.matrix, np.asarray(deg, np.int64)
@@ -465,35 +469,43 @@ def _qfull(g: Graph, q: Fraction, live: np.ndarray, deg, seed: Optional[int]) ->
     xs, ys = np.flatnonzero(in_x), np.flatnonzero(in_y)
     bx = np.flatnonzero(in_x & (u > 0))
     if bx.size == 0:
-        _certify_relative(g, q, xs, deg, "variant i")
-        return "i", xs, None, xs, ys
+        within = _certify_relative(g, q, xs, deg, "variant i")
+        return "i", xs, None, xs, ys, within
     by = np.flatnonzero(in_y & (u < 0))
     if by.size == 0:
-        _certify_relative(g, 1 - q, ys, deg, "variant ii")
-        return "ii", None, ys, xs, ys
+        within = _certify_relative(g, 1 - q, ys, deg, "variant ii")
+        return "ii", None, ys, xs, ys, within
     in_x[by[0]] = in_y[bx[0]] = True
     grown_x, grown_y = np.flatnonzero(in_x), np.flatnonzero(in_y)
     _certify_relative(g, q, grown_x, deg, "variant iii (q side)")
-    _certify_relative(g, 1 - q, grown_y, deg, "variant iii (1-q side)")
-    return "iii", grown_x, grown_y, xs, ys
+    within = _certify_relative(g, 1 - q, grown_y, deg, "variant iii (1-q side)")
+    return "iii", grown_x, grown_y, xs, ys, within
 
 
-def _certify_relative(g: Graph, q: Fraction, vertices, base: np.ndarray, label: str) -> None:
-    if (bad := _relative_violator(g, q, vertices, base)) is not None:
+def _certify_relative(g: Graph, q: Fraction, vertices, base: np.ndarray,
+                      label: str) -> np.ndarray:
+    """d_S by vertex id, 0 off S = vertices, once S is certified
+    relatively q-full against base."""
+    bad, idx, degs = _relative_violator(g, q, vertices, base)
+    if bad is not None:
         raise VerificationError(f"{label} witness not relatively {q}-full at vertex {bad}")
+    within = np.zeros(g.n, dtype=np.int64)
+    within[idx] = degs
+    return within
 
 
-def _half(g: Graph, live: np.ndarray, deg, seed: Optional[int]) -> np.ndarray:
-    """G[live]'s relatively half-full side at 1/2: set_q in variant i, else set_1mq."""
-    variant, set_q, set_1mq, *_ = _qfull(g, Fraction(1, 2), live, deg, seed)
-    return set_q if variant == "i" else set_1mq
+def _half(g: Graph, live: np.ndarray, deg, seed: Optional[int]) -> tuple[np.ndarray, np.ndarray]:
+    """G[live]'s relatively half-full side at 1/2 (set_q in variant i,
+    else set_1mq) and its in-side degrees by vertex id."""
+    variant, set_q, set_1mq, _, _, within = _qfull(g, Fraction(1, 2), live, deg, seed)
+    return set_q if variant == "i" else set_1mq, within
 
 
 def half_full(g: Graph, seed: Optional[int] = None) -> RelativelyFullResult:
     """A relatively half-full subgraph on floor(n/2) or floor(n/2)+1
     vertices: variant i gives ceil(n/2), variant ii floor(n/2), and
     from variant iii we keep the (1-q) side, which has floor(n/2)+1."""
-    chosen = _half(g, np.arange(g.n), g.degrees, seed)
+    chosen = _half(g, np.arange(g.n), g.degrees, seed)[0]
     return RelativelyFullResult(frozenset(chosen.tolist()), len(chosen), Fraction(1, 2))
 
 
@@ -519,14 +531,13 @@ def _one_over_r(g: Graph, r: int, live: np.ndarray, seed: Optional[int] = None) 
         raise PreconditionError(f"r must be a positive integer, got {r}")
     m, base = len(live), np.array(g.degrees if len(live) == g.n else _column_counts(g.matrix, live))
     halving = r & (r - 1) == 0
-    rr, level = r, 0
+    rr, level, deg = r, 0, base  # d_live, the last level's count of the side it kept
     while rr > 1:
         level_seed = None if seed is None else split_seed(seed, level)
-        deg = _column_counts(g.matrix, live) if level else base  # d_live
         if halving:
-            live, rr = _half(g, live, deg, level_seed), rr // 2
+            (live, deg), rr = _half(g, live, deg, level_seed), rr // 2
         else:
-            variant, set_q, set_1mq, *_ = _qfull(g, Fraction(1, rr), live, deg, level_seed)
+            variant, set_q, set_1mq, _, _, deg = _qfull(g, Fraction(1, rr), live, deg, level_seed)
             live, rr = (set_1mq, rr - 1) if variant == "ii" else (set_q, 1)
         level += 1
 

@@ -8,7 +8,15 @@ nonempty relatively half-full subgraph avoids it, and a nonempty final
 uninfected set is itself relatively half-full. One engine closes a
 batch of initial sets at once: one set for bootstrap_percolate, chunks
 of Monte Carlo trials for full_infection_probability, whose pass also
-yields the witness of `fullsub percolate --witness`. The exact
+yields the witness of `fullsub percolate --witness`. Each round adds
+its new infections to the rows' infected-neighbour counts by whichever
+of two exact updates one cost constant prices lower: a dense float32
+product with the adjacency rows of the newly infected vertices
+(Graph.matrix), or a scatter of each new infection's neighbours from an
+n x max-degree table of neighbour ids, read from whichever form the
+graph holds. The scatter's temporaries are bounded by _SCATTER_BLOCK
+counters or table entries, whatever the batch, and a graph held as
+masks builds no n x n matrix for its scattered rounds. The exact
 probability enumerates instead, on a bitset of all 2^n subsets (64 to a
 word, 2^n / 2 bytes): 64-bit constants per need mark the relatively
 half-full sets, and an OR subset-sum transform marks their supersets.
@@ -24,11 +32,14 @@ from typing import Iterator
 import numpy as np
 
 from .finders import is_relatively_full
-from .graph import Graph, PreconditionError, _as_index, _check_memory, _pack_rows, as_probability
+from .graph import (_BYTE_ROWS, Graph, PreconditionError, _as_index, _check_memory, _pack_rows,
+                    as_probability)
 from .rng import _bernoulli, split_seed
 
 THETA_CAP_DEFAULT = 20
 _CHUNK = 256  # rows percolated together, which bounds memory at any trial count
+_SCATTER_COST = 128  # product multiply-adds worth a scatter entry or counter (_percolate_rows)
+_SCATTER_BLOCK = 1 << 16  # counters, or table entries, one scatter step holds
 
 
 @dataclass(frozen=True)
@@ -45,20 +56,84 @@ class InfectionEstimate:
     successes: int
 
 
+def _neighbour_table(g: Graph) -> np.ndarray:
+    """The n x max-degree array whose row v lists v's neighbours in
+    increasing order, padded with v itself; built on first use and kept
+    on g, as discrepancy keeps its tables. It is read from Graph.matrix
+    when the graph holds it, else from the set bits of the masks' nonzero
+    64-bit words, _BYTE_ROWS masks at a time, unpacking none to n bools."""
+    if "_neighbour_table" not in g.__dict__:
+        degrees = np.array(g.degrees, dtype=np.intp)
+        width = int(degrees.max(initial=0))
+        table = np.repeat(np.arange(g.n), width)
+        # arc e (in row order) of vertex u goes to u's row at slot e - first[u]
+        shift, arc = np.arange(g.n) * width - (np.cumsum(degrees) - degrees), 0
+        for s in range(0, g.n, _BYTE_ROWS):
+            if "matrix" in g.__dict__:
+                u, v = np.divmod(np.flatnonzero(g.matrix[s:s + _BYTE_ROWS]), g.n)
+            else:
+                masks = g.adj[s:s + _BYTE_ROWS]
+                words = max(masks).bit_length() // 64 + 1
+                packed = np.frombuffer(b"".join(m.to_bytes(8 * words, "little") for m in masks),
+                                       "<u8")
+                at = np.flatnonzero(packed)
+                bits = np.unpackbits(packed[at].view(np.uint8), bitorder="little")
+                i, bit = np.divmod(np.flatnonzero(bits), 64)
+                u, word = np.divmod(at[i], words)
+                v = 64 * word + bit
+            table[shift[s + u] + np.arange(arc, arc + len(u))] = v
+            arc += len(u)
+        g.__dict__["_neighbour_table"] = table.reshape(g.n, width)
+    return g.__dict__["_neighbour_table"]
+
+
+def _scatter(cnt: np.ndarray, fresh: np.ndarray, table: np.ndarray) -> None:
+    """cnt[r, u] += 1 for every neighbour u of every fresh[r, v], through
+    v's row of the neighbour table; its padding counts at v, whose count
+    is never read again. Each block of rows holds _SCATTER_BLOCK counters
+    (or one row) and its fresh entries go a piece of _SCATTER_BLOCK table
+    entries (or one entry) at a time, which bounds the bincounts."""
+    n, width = table.shape
+    step, piece = max(1, _SCATTER_BLOCK // n), max(1, _SCATTER_BLOCK // max(width, 1))
+    for a in range(0, len(cnt), step):
+        block, at = cnt[a:a + step], np.flatnonzero(fresh[a:a + step])
+        for s in range(0, len(at), piece):
+            idx = at[s:s + piece]
+            v = idx % n
+            hits = table[v]
+            hits += (idx - v)[:, None]
+            np.add(block, np.bincount(hits.ravel(), minlength=block.size).reshape(block.shape),
+                   out=block, dtype=np.float32, casting="unsafe")
+
+
 def _percolate_rows(g: Graph, infected: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Synchronous rounds from each row of the bool array infected[T, n]
     until the row is stable: the final rows and each row's round count.
     A round adds only its new infections to the rows' infected-neighbour
-    counts, through the adjacency rows they touch. float32 counts are
-    exact: each is at most a degree, and a degree of 2^24 or more would
-    need an unallocatable n^2-byte Graph.matrix."""
+    counts, by the cheaper of two updates. The float32 product of the
+    fresh columns with the adjacency rows they touch costs T * |cols| * n
+    multiply-adds, |cols| the vertices fresh in some row; _scatter reads
+    max-degree table entries for each of the K fresh entries and passes
+    once over the T * n counts. Timed round by round on a 2-vCPU Xeon VM
+    (OpenBLAS), a multiply-add took about 0.02 ns, a scatter entry 3.7 ns
+    and a counter 2.7 ns, so one entry or counter is worth 135-185
+    multiply-adds: _SCATTER_COST is the power of two below. With it the
+    rounds' choices came within 10 % of the faster update of each round
+    on the percolate rows of scripts/layer_timings.py, where 64 lost 1.7x
+    on G(1000, 1/20) at p = 2/5. float32 counts are exact: each is at
+    most a degree, and a degree of 2^24 or more would need 2^24 masks or
+    matrix rows of 2^24 bits."""
     final, rounds = np.empty_like(infected), np.zeros(len(infected), dtype=np.int64)
-    need = np.asarray(g.degrees, dtype=np.float32) // 2 + 1
+    degrees = np.asarray(g.degrees, dtype=np.float32)
+    need, width = degrees // 2 + 1, int(degrees.max(initial=0))
     rows, cnt = np.arange(len(infected)), np.zeros(infected.shape, dtype=np.float32)
     inf, fresh = infected.copy(), infected
     while rows.size:
         cols = np.flatnonzero(fresh.any(axis=0))
-        cnt += np.matmul(fresh[:, cols], g.matrix[cols], dtype=np.float32)
+        if _SCATTER_COST * (width * np.count_nonzero(fresh) + cnt.size) < cnt.size * cols.size:
+            _scatter(cnt, fresh, _neighbour_table(g))
+        elif cols.size:  # a round with nothing fresh changes no count
+            cnt += np.matmul(fresh[:, cols], g.matrix[cols], dtype=np.float32)
         fresh = (cnt >= need) & ~inf
         live = fresh.any(axis=1)
         if not live.all():  # stable rows are done

@@ -62,22 +62,86 @@ def test_closure_matches_reference_simulation(g, data):
     assert (state.rounds == 0) == (state.infected == frozenset(initial))
 
 
+# _SCATTER_COST values that make every round with a fresh vertex take
+# one update: the dense product, or the neighbour scatter
+DENSE, SCATTER = 1 << 40, 0
+
+
+def _closures(g, masks):
+    """Each start's final set and round count, one _percolate_rows batch."""
+    final, rounds = percolation._percolate_rows(g, _unpack_rows(masks, g.n))
+    return [(set(np.flatnonzero(row).tolist()), int(r)) for row, r in zip(final, rounds)]
+
+
 @pytest.mark.parametrize("g", support.structured_catalog() + [
+    support.empty(0),
     gen_gnp(30, Fraction(1, 5), seed=0),
     gen_gnp(40, Fraction(1, 8), seed=1),
     gen_gnp(60, Fraction(1, 10), seed=2),
+    gen_gnp(150, Fraction(1, 10), seed=2),  # masks of three 64-bit words
     support.disjoint_union(gen_gnp(12, Fraction(1, 2), seed=4), support.empty(3)),
 ], ids=repr)
-def test_batched_closure_matches_reference_per_row(g):
-    # rows of one batch finish after different numbers of rounds
+def test_batched_closure_matches_reference_per_row(g, monkeypatch):
+    """Rows of one batch finish after different numbers of rounds. Each
+    update runs on both twins (the scatter's table is read from the masks
+    on one, from the matrix on the other): as shipped, forced one way,
+    and scattered in blocks of one row and pieces of at most 3 entries."""
     masks = [support.reference_initial_mask(g.n, p, 3, t)
              for p in (Fraction(1, 4), Fraction(1, 2), Fraction(3, 4)) for t in range(12)]
-    final, rounds = percolation._percolate_rows(g, _unpack_rows(masks, g.n))
-    for mask, row, got_rounds in zip(masks, final, rounds):
-        infected, want_rounds = support.sync_percolate(
-            g, [v for v in range(g.n) if mask >> v & 1])
-        assert set(np.flatnonzero(row).tolist()) == infected
-        assert got_rounds == want_rounds
+    want = [support.sync_percolate(g, [v for v in range(g.n) if mask >> v & 1])
+            for mask in masks]
+    shipped = percolation._SCATTER_COST, percolation._SCATTER_BLOCK
+    for cost, block in (shipped, (DENSE, shipped[1]), (SCATTER, shipped[1]), (SCATTER, 3)):
+        monkeypatch.setattr(percolation, "_SCATTER_COST", cost)
+        monkeypatch.setattr(percolation, "_SCATTER_BLOCK", block)
+        for h in support.twins(g):
+            assert _closures(h, masks) == want, (cost, block, h.__dict__.keys())
+
+
+def test_shipped_cost_model_switches_update_within_a_batch(monkeypatch):
+    # 40 starts on G(300, 1/50): the first rounds scatter (3 of them, on
+    # 40, 38 and 36 live rows), the later ones multiply
+    g, p = gen_gnp(300, Fraction(1, 50), seed=1), Fraction(1, 3)
+    masks = [support.reference_initial_mask(g.n, p, 3, t) for t in range(40)]
+    scattered, real = [], percolation._scatter
+    monkeypatch.setattr(percolation, "_scatter",
+                        lambda cnt, *args: scattered.append(len(cnt)) or real(cnt, *args))
+    got = _closures(g, masks)
+    assert got == [support.sync_percolate(g, [v for v in range(g.n) if mask >> v & 1])
+                   for mask in masks]
+    assert scattered == [40, 38, 36] and max(r for _, r in got) == 20
+
+
+def test_sparse_rounds_on_a_mask_graph_build_no_matrix():
+    g = support.cycle(3000)
+    est, failure = percolation._monte_carlo(g, Fraction(1, 2), 40, 0)
+    assert (est.successes, failure) == support.reference_monte_carlo(g, Fraction(1, 2), 40, 0)
+    # nor does a start that infects nobody, whose one round has nothing fresh
+    assert bootstrap_percolate(g, set()) == percolation.PercolationState(frozenset(), 0)
+    assert "matrix" not in g.__dict__
+
+
+def test_scatter_holds_one_block_of_temporaries():
+    """A scatter step holds the block's fresh indices, its table entries
+    and its bincount, each at most _SCATTER_BLOCK of 8 bytes, whatever
+    the batch; the whole batch at once would take over 8 times that."""
+    g = gen_gnp(2000, Fraction(1, 200), seed=0)
+    table = percolation._neighbour_table(g)
+    fresh = _unpack_rows([support.reference_initial_mask(g.n, Fraction(1, 2), 0, t)
+                          for t in range(128)], g.n)
+    cnt = np.zeros(fresh.shape, dtype=np.float32)
+    tracemalloc.start()
+    try:
+        percolation._scatter(cnt, fresh, table)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    bound, whole = 4 * 8 * percolation._SCATTER_BLOCK, 8 * (
+        np.count_nonzero(fresh) * table.shape[1] + cnt.size)
+    assert peak <= bound and 8 * bound < whole, (peak, whole)
+    # every count but the padding's, at the fresh vertices themselves
+    want = np.matmul(fresh, g.matrix, dtype=np.float32)
+    assert np.array_equal(cnt[~fresh], want[~fresh])
 
 
 @given(graphs(), st.data())

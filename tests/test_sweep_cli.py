@@ -887,8 +887,8 @@ def test_layer_timings_script_smoke(layer_timing_rows):
     rows = layer_timing_rows
     assert rows[0] == ["layer", "case", "n", "size", "digest", "seconds"]
     assert [row[0] for row in rows[1:]] == (
-        ["gen"] + ["dense"] * 3 + ["io"] * 4 + ["extremes"] * 5 + ["theta"] * 5
-        + ["oracle"] * 7)
+        ["gen"] + ["dense"] * 3 + ["io"] * 4 + ["percolate"] * 8 + ["extremes"] * 5
+        + ["theta"] * 5 + ["oracle"] * 7)
     assert _layer_rows(rows, "io", "extremes", "theta") == [
         ["io", "write-gnp", "200", "69044", "9319cbed553a8eed"],
         ["io", "read-gnp", "200", "69044", "9319cbed553a8eed"],
@@ -905,6 +905,20 @@ def test_layer_timings_script_smoke(layer_timing_rows):
         ["theta", "theta_exact", "22", "-", "8ecfe77399dfb264"],
         ["theta", "theta_exact", "24", "-", "6efe6f5b0afae126"]]
     assert all(float(row[5]) >= 0 for row in rows[1:])
+
+
+def test_percolate_timings_script_smoke(layer_timing_rows):
+    # Monte Carlo sizes are successes out of 300; digests cover the first
+    # failing trial and its survivors, or the closure's rounds and set
+    assert _layer_rows(layer_timing_rows, "percolate") == [
+        ["percolate", "mc-gnp-1/110-p5/16", "1000", "135", "69776463db826542"],
+        ["percolate", "mc-gnp-1/110-p2/5", "1000", "300", "440d039388746e85"],
+        ["percolate", "mc-gnp-1/110-p1/2", "1000", "300", "440d039388746e85"],
+        ["percolate", "mc-gnp-1/20-p2/5", "1000", "289", "6094f16f21e578f4"],
+        ["percolate", "mc-gnp-1/2-p1/2", "2000", "298", "672aa443598e1f04"],
+        ["percolate", "mc-adversary-p1/2", "1602", "282", "6738e2a6658bab09"],
+        ["percolate", "mc-cycles-p1/2", "20000", "0", "8ca80ac2807a895e"],
+        ["percolate", "bootstrap-gnp-1/110", "1000", "1000", "f355e2706b5f79ba"]]
 
 
 def test_dense_cell_timings_script_smoke(layer_timing_rows):
