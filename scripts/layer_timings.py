@@ -8,8 +8,9 @@ and on a union of cycles on 20000 vertices held as masks); percolate (a
 300-trial Monte Carlo pass at seed 0 on G(1000, 1/110) at p = 5/16, 2/5
 and 1/2, G(1000, 1/20) at p = 2/5, G(2000, 1/2) and the greedy adversary
 at n = 400 (1602 vertices) at p = 1/2, and the cycles at p = 1/2; and
-bootstrap_percolate on G(1000, 1/110) from trial 0's start at 5/16,
-every graph at seed 0, whatever the options); extremes
+bootstrap_percolate on G(1000, 1/110) from trial 0's start at 5/16 and
+on the cycles from {0, 1, 2, 10, 11}, every graph at seed 0, whatever
+the options); extremes
 (discrepancy._build_extremes on G(n, 1/2), n = 16, 18, ..., 24); theta
 (exact theta on the same graphs at p = 1/3); oracle (oracle_largest_full
 at p = density, full and co-full, and the joint g search of
@@ -127,6 +128,8 @@ def cases(ns, max_n, tmp):
     out.append(("percolate", "bootstrap-gnp-1/110", 1000, gnp(1000, p=SPARSE),
                 lambda g: bootstrap_percolate(g, sample_initial_mask(g.n, Fraction(5, 16), 0, 0)),
                 closure))
+    out.append(("percolate", "bootstrap-cycles", CYCLES_N, cycles,
+                lambda g: bootstrap_percolate(g, {0, 1, 2, 10, 11}), closure))
     small = range(16, 25, 2)
     out += [("extremes", "build_extremes", n, gnp(n), _build_extremes,
              lambda slots: (len(slots), repr(slots).encode())) for n in small]

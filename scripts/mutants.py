@@ -87,16 +87,10 @@ MUTANTS = (
     Mutant("scatter piece drops its last entry", "fullsub/percolation.py",
            "idx = at[s:s + piece]", "idx = at[s:s + piece - 1]",
            ("tests/test_percolation.py::test_batched_closure_matches_reference_per_row",)),
-    Mutant("mask neighbour table reads each word's bits big-endian", "fullsub/percolation.py",
-           "v = 64 * word + bit", "v = 64 * word + 63 - bit",
-           ("tests/test_percolation.py::test_batched_closure_matches_reference_per_row",)),
     Mutant("cost model picks the dearer update", "fullsub/percolation.py",
            "+ cnt.size) < cnt.size * cols.size", "+ cnt.size) > cnt.size * cols.size",
            ("tests/test_percolation.py::test_sparse_rounds_on_a_mask_graph_build_no_matrix",
             "tests/test_percolation.py::test_shipped_cost_model_switches_update_within_a_batch")),
-    Mutant("a round with nothing fresh multiplies anyway", "fullsub/percolation.py",
-           "elif cols.size:", "else:",
-           ("tests/test_percolation.py::test_sparse_rounds_on_a_mask_graph_build_no_matrix",)),
     Mutant("theta need met only past it", "fullsub/percolation.py",
            "[:, None] >= _R)", "[:, None] > _R)",
            ("tests/test_percolation.py::"
@@ -161,9 +155,17 @@ MUTANTS = (
            "enumerate(g.adj[s:s + _WRITE_ROWS], start=s)",
            ("tests/test_graph.py::test_writing_a_mask_graph_unpacks_no_row",
             "tests/test_graph.py::test_write_from_the_matrix_matches_the_mask_writer[gnp]")),
+    Mutant("mask set bits read big-endian", "fullsub/graph.py",
+           "+ (bits & 63)", "+ (63 - (bits & 63))",
+           ("tests/test_graph.py::test_writing_a_mask_graph_unpacks_no_row",
+            "tests/test_percolation.py::test_batched_closure_matches_reference_per_row")),
+    Mutant("product's mask rows read one vertex off", "fullsub/graph.py",
+           "[g.adj[v] for v in rows.tolist()]", "[g.adj[v - 1] for v in rows.tolist()]",
+           ("tests/test_percolation.py::test_batched_closure_matches_reference_per_row",
+            "tests/test_percolation.py::"
+            "test_a_mask_graph_percolates_under_a_limit_below_its_matrix")),
     Mutant("mask rows unpacked a block short", "fullsub/graph.py",
-           "_unpack_rows(g.adj[s:s + _BYTE_ROWS], g.n)",
-           "_unpack_rows(g.adj[s:s + _BYTE_ROWS - 1], g.n)",
+           "return _unpack_rows(masks, g.n)", "return _unpack_rows(masks[:-1], g.n)",
            ("tests/test_graph.py::test_mask_and_matrix_twins_are_equal_and_hash_alike[gnp]",
             "tests/test_graph.py::"
             "test_mask_graphs_past_one_unpacked_block_compare_and_write_every_row")),

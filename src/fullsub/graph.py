@@ -4,19 +4,19 @@ A Graph holds the form it was built from and builds the other on first
 use: Graph.adj, one Python int bitmask per vertex, or Graph.matrix, a
 read-only numpy bool matrix. Graphs built from edges or masks hold
 masks; a generated dense graph, an induced subgraph, a complement and a
-graph read from canonical text hold the matrix, with degrees from its
-column sums (_column_counts). NumPy integer ids and masks are taken as Python ints
-(operator.index), so no shift wraps at 64 bits. Inside the package a
-vertex set is a sorted index array (_as_index), and in-set degrees are
-read from the matrix when it is there, by the mask walk only when the
-graph holds masks alone (_degrees_within). This module is the only
-place that converts between the two forms; canonical edge-list text is
-decoded straight into a matrix (_read_canonical). Before any n x n
-matrix or exact table is allocated, _check_memory refuses one larger
-than physical memory or the cgroup's memory limit. Graphs are frozen
-after construction and every function in this package treats them as
-shared read-only values; all density and degree arithmetic is exact
-(integers and Fractions).
+graph read from canonical text (_read_canonical) hold the matrix, with
+degrees from its column sums (_column_counts). NumPy integer ids and
+masks are taken as Python ints (operator.index), so no shift wraps at 64
+bits. Inside the package a vertex set is a sorted index array
+(_as_index). This module alone converts between the two forms and asks
+which one a graph holds: the others read adjacency rows (_rows), arcs
+(_arcs) and in-set degrees (_degrees_within) through it, from the matrix
+when it is there, else from the masks alone, whose nonzero 64-bit words
+_set_bits alone decodes. Before any n x n matrix or exact table is
+allocated, _check_memory refuses one larger than physical memory or the
+cgroup's memory limit. Graphs are frozen after construction and every
+function in this package treats them as shared read-only values; all
+density and degree arithmetic is exact (integers and Fractions).
 """
 
 from __future__ import annotations
@@ -291,7 +291,8 @@ class Graph:
         if not isinstance(other, Graph):
             return NotImplemented
         return ((self.n, self.degrees) == (other.n, other.degrees)
-                and all(map(np.array_equal, _rows(self), _rows(other))))
+                and all(np.array_equal(_rows(self, b), _rows(other, b)) for b in
+                        (slice(s, s + _BYTE_ROWS) for s in range(0, self.n, _BYTE_ROWS))))
 
     def __hash__(self) -> int:
         return hash((self.n, self.edge_count, self.degrees))
@@ -363,13 +364,28 @@ def complement(g: Graph) -> Graph:
     return Graph._from_matrix(mat)
 
 
-def _rows(g: Graph) -> Iterator[np.ndarray]:
-    """Each vertex's bool adjacency row: Graph.matrix's when it is there,
-    else unpacked _BYTE_ROWS masks at a time, building no n x n matrix."""
+def _rows(g: Graph, rows: slice | np.ndarray) -> np.ndarray:
+    """g.matrix[rows] (rows a slice or an index array), or else those masks alone, unpacked."""
     if "matrix" in g.__dict__:
-        return iter(g.matrix)
-    return (row for s in range(0, g.n, _BYTE_ROWS)
-            for row in _unpack_rows(g.adj[s:s + _BYTE_ROWS], g.n))
+        return g.matrix[rows]
+    masks = g.adj[rows] if isinstance(rows, slice) else [g.adj[v] for v in rows.tolist()]
+    return _unpack_rows(masks, g.n)
+
+
+def _set_bits(masks: list[int]) -> tuple[np.ndarray, np.ndarray]:
+    """(i, b) for each set bit b of each masks[i], in order, from their nonzero 64-bit words."""
+    width = max(masks).bit_length() // 64 + 1
+    words = np.frombuffer(b"".join(m.to_bytes(8 * width, "little") for m in masks), "<u8")
+    at = np.flatnonzero(words)
+    bits = np.flatnonzero(np.unpackbits(words[at].view(np.uint8), bitorder="little"))
+    return np.divmod(64 * at[bits >> 6] + (bits & 63), 64 * width)
+
+
+def _arcs(g: Graph, s: int, stop: int) -> tuple[np.ndarray, np.ndarray]:
+    """(u - s, v) for each edge uv, s <= u < stop, in order, from the form g holds."""
+    if "matrix" in g.__dict__:
+        return np.divmod(np.flatnonzero(g.matrix[s:stop]), g.n)
+    return _set_bits(g.adj[s:stop])
 
 
 def _edge_text(g: Graph) -> Iterator[bytes]:
@@ -377,8 +393,7 @@ def _edge_text(g: Graph) -> Iterator[bytes]:
     per block of rows with an edge, gathered from name slots "u " and
     "v\\n" NUL-padded to one more byte than n - 1 has digits. A block's
     edges (u, v), u < v, come from Graph.matrix's upper triangle, or else
-    from the masks shifted past the diagonal, unpacking only their nonzero
-    64-bit words, so no mask is unpacked to a row of n bools."""
+    from the set bits of the masks shifted past the diagonal (_set_bits)."""
     yield b"%d %d\n" % (g.n, g.edge_count)
     names = np.arange(g.n).astype(f"S{len(str(g.n - 1))}")
     first, second = np.strings.add(names, b" "), np.strings.add(names, b"\n")
@@ -386,13 +401,8 @@ def _edge_text(g: Graph) -> Iterator[bytes]:
         if "matrix" in g.__dict__:
             u, v = np.divmod(np.flatnonzero(np.triu(g.matrix[s:s + _WRITE_ROWS, s:], 1)), g.n - s)
         else:
-            high = [m >> k for k, m in enumerate(g.adj[s:s + _WRITE_ROWS], start=s + 1)]
-            width = max(high).bit_length() // 64 + 1
-            words = np.frombuffer(b"".join(h.to_bytes(8 * width, "little") for h in high), "<u8")
-            at = np.flatnonzero(words)
-            i, bit = np.nonzero(np.unpackbits(words[at, None].view(np.uint8), 1, bitorder="little"))
-            u, word = np.divmod(at[i], width)
-            v = u + 1 + 64 * word + bit
+            u, v = _set_bits([m >> k for k, m in enumerate(g.adj[s:s + _WRITE_ROWS], start=s + 1)])
+            v += u + 1
         if len(u):
             pairs = np.stack((first[s:].take(u), second[s:].take(v)), axis=1)
             yield pairs.tobytes().translate(None, b"\0")

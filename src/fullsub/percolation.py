@@ -11,15 +11,15 @@ of Monte Carlo trials for full_infection_probability, whose pass also
 yields the witness of `fullsub percolate --witness`. Each round adds
 its new infections to the rows' infected-neighbour counts by whichever
 of two exact updates one cost constant prices lower: a dense float32
-product with the adjacency rows of the newly infected vertices
-(Graph.matrix), or a scatter of each new infection's neighbours from an
-n x max-degree table of neighbour ids, read from whichever form the
-graph holds. The scatter's temporaries are bounded by _SCATTER_BLOCK
-counters or table entries, whatever the batch, and a graph held as
-masks builds no n x n matrix for its scattered rounds. The exact
-probability enumerates instead, on a bitset of all 2^n subsets (64 to a
-word, 2^n / 2 bytes): 64-bit constants per need mark the relatively
-half-full sets, and an OR subset-sum transform marks their supersets.
+product with the adjacency rows of the newly infected vertices, or a
+scatter of each new infection's neighbours from an n x max-degree table
+of neighbour ids, its temporaries bounded by _SCATTER_BLOCK counters or
+table entries whatever the batch. Both read the graph in the form it
+holds, through graph.py (_rows, _arcs): a graph held as masks unpacks
+only the rows a product multiplies. The exact probability enumerates
+instead, on a bitset of all 2^n subsets (64 to a word, 2^n / 2 bytes):
+64-bit constants per need mark the relatively half-full sets, and an
+OR subset-sum transform marks their supersets.
 """
 
 from __future__ import annotations
@@ -32,8 +32,8 @@ from typing import Iterator
 import numpy as np
 
 from .finders import is_relatively_full
-from .graph import (_BYTE_ROWS, Graph, PreconditionError, _as_index, _check_memory, _pack_rows,
-                    as_probability)
+from .graph import (_BYTE_ROWS, Graph, PreconditionError, _arcs, _as_index, _check_memory,
+                    _pack_rows, _rows, as_probability)
 from .rng import _bernoulli, split_seed
 
 THETA_CAP_DEFAULT = 20
@@ -58,10 +58,8 @@ class InfectionEstimate:
 
 def _neighbour_table(g: Graph) -> np.ndarray:
     """The n x max-degree array whose row v lists v's neighbours in
-    increasing order, padded with v itself; built on first use and kept
-    on g, as discrepancy keeps its tables. It is read from Graph.matrix
-    when the graph holds it, else from the set bits of the masks' nonzero
-    64-bit words, _BYTE_ROWS masks at a time, unpacking none to n bools."""
+    increasing order, padded with v itself; built on first use from
+    _BYTE_ROWS rows of _arcs at a time and kept on g, as discrepancy's."""
     if "_neighbour_table" not in g.__dict__:
         degrees = np.array(g.degrees, dtype=np.intp)
         width = int(degrees.max(initial=0))
@@ -69,18 +67,7 @@ def _neighbour_table(g: Graph) -> np.ndarray:
         # arc e (in row order) of vertex u goes to u's row at slot e - first[u]
         shift, arc = np.arange(g.n) * width - (np.cumsum(degrees) - degrees), 0
         for s in range(0, g.n, _BYTE_ROWS):
-            if "matrix" in g.__dict__:
-                u, v = np.divmod(np.flatnonzero(g.matrix[s:s + _BYTE_ROWS]), g.n)
-            else:
-                masks = g.adj[s:s + _BYTE_ROWS]
-                words = max(masks).bit_length() // 64 + 1
-                packed = np.frombuffer(b"".join(m.to_bytes(8 * words, "little") for m in masks),
-                                       "<u8")
-                at = np.flatnonzero(packed)
-                bits = np.unpackbits(packed[at].view(np.uint8), bitorder="little")
-                i, bit = np.divmod(np.flatnonzero(bits), 64)
-                u, word = np.divmod(at[i], words)
-                v = 64 * word + bit
+            u, v = _arcs(g, s, s + _BYTE_ROWS)
             table[shift[s + u] + np.arange(arc, arc + len(u))] = v
             arc += len(u)
         g.__dict__["_neighbour_table"] = table.reshape(g.n, width)
@@ -120,9 +107,11 @@ def _percolate_rows(g: Graph, infected: np.ndarray) -> tuple[np.ndarray, np.ndar
     multiply-adds: _SCATTER_COST is the power of two below. With it the
     rounds' choices came within 10 % of the faster update of each round
     on the percolate rows of scripts/layer_timings.py, where 64 lost 1.7x
-    on G(1000, 1/20) at p = 2/5. float32 counts are exact: each is at
-    most a degree, and a degree of 2^24 or more would need 2^24 masks or
-    matrix rows of 2^24 bits."""
+    on G(1000, 1/20) at p = 2/5. It leaves out the product's read of its
+    |cols| * n adjacency entries (_rows), each worth about 17 multiply-adds,
+    so a batch of few rows multiplies on sparse graphs where scattering
+    wins. float32 counts are exact: each is at most a degree, and a degree
+    of 2^24 or more would need 2^24 masks or matrix rows of 2^24 bits."""
     final, rounds = np.empty_like(infected), np.zeros(len(infected), dtype=np.int64)
     degrees = np.asarray(g.degrees, dtype=np.float32)
     need, width = degrees // 2 + 1, int(degrees.max(initial=0))
@@ -132,8 +121,8 @@ def _percolate_rows(g: Graph, infected: np.ndarray) -> tuple[np.ndarray, np.ndar
         cols = np.flatnonzero(fresh.any(axis=0))
         if _SCATTER_COST * (width * np.count_nonzero(fresh) + cnt.size) < cnt.size * cols.size:
             _scatter(cnt, fresh, _neighbour_table(g))
-        elif cols.size:  # a round with nothing fresh changes no count
-            cnt += np.matmul(fresh[:, cols], g.matrix[cols], dtype=np.float32)
+        else:
+            cnt += np.matmul(fresh[:, cols], _rows(g, cols), dtype=np.float32)
         fresh = (cnt >= need) & ~inf
         live = fresh.any(axis=1)
         if not live.all():  # stable rows are done

@@ -5,9 +5,11 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 
+import pytest
 from hypothesis import HealthCheck, settings, strategies as st
 
 from fullsub import Graph
+from fullsub import graph as graph_mod
 
 settings.register_profile(
     "suite",
@@ -36,6 +38,19 @@ proper_fractions = st.sampled_from(
     [Fraction(a, b) for b in range(2, 8) for a in range(1, b)
      if Fraction(a, b).denominator == b]
 )
+
+
+@pytest.fixture
+def memory_max(monkeypatch, tmp_path):
+    """Physical memory patched to 2^32 bytes and the cgroup file moved to
+    tmp_path, not yet written; returns its path. The limit, read once
+    per process, is read afresh in the test and again after it."""
+    monkeypatch.setattr(graph_mod.os, "sysconf", lambda name: 1 << 16)
+    path = tmp_path / "memory.max"
+    monkeypatch.setattr(graph_mod, "_CGROUP_MEMORY_MAX", str(path))
+    graph_mod._cgroup_limit.cache_clear()
+    yield path
+    graph_mod._cgroup_limit.cache_clear()
 
 
 # ---------------------------------------------------------------------------

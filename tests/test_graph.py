@@ -1,7 +1,9 @@
 """Graph core: construction, edge-list I/O, density, induced subgraphs."""
 
+import re
 import tempfile
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -663,19 +665,7 @@ def test_gen_writes_the_same_text_with_its_matrix_kept(n, p):
 
 # ---------------------------------------------------------------------------
 # the memory limit: physical memory or the cgroup's memory.max, the smaller
-
-@pytest.fixture
-def memory_max(monkeypatch, tmp_path):
-    """Physical memory patched to 2^32 bytes and the cgroup file moved to
-    tmp_path, not yet written; returns its path. The limit, read once
-    per process, is read afresh in the test and again after it."""
-    monkeypatch.setattr(graph_mod.os, "sysconf", lambda name: 1 << 16)
-    path = tmp_path / "memory.max"
-    monkeypatch.setattr(graph_mod, "_CGROUP_MEMORY_MAX", str(path))
-    graph_mod._cgroup_limit.cache_clear()
-    yield path
-    graph_mod._cgroup_limit.cache_clear()
-
+# (the memory_max fixture is in conftest.py)
 
 def test_a_lower_cgroup_limit_refuses(memory_max):
     limit = 1 << 25
@@ -732,3 +722,16 @@ def test_writing_a_mask_graph_unpacks_no_row(monkeypatch):
     g = Graph.from_edges(30000, [(0, 1), (5, 29999)])
     assert write_edge_list(g) == "30000 2\n0 1\n5 29999\n" == support.reference_write_edge_list(g)
     assert not calls and "matrix" not in g.__dict__
+
+
+def test_only_graph_py_asks_which_form_a_graph_holds():
+    """graph.py alone converts between masks and the matrix: no other
+    module tests whether a graph holds its matrix or decodes a mask's
+    bytes; they read rows, arcs and in-set degrees through graph.py."""
+    modules = sorted(Path(graph_mod.__file__).parent.glob("*.py"))
+    assert len(modules) > 1
+    for path in modules:
+        if path.name != "graph.py":
+            source = path.read_text(encoding="utf-8")
+            assert not re.search(r"""["']matrix["']\s+(not\s+)?in\b""", source), path.name
+            assert "to_bytes" not in source, path.name

@@ -116,9 +116,33 @@ def test_sparse_rounds_on_a_mask_graph_build_no_matrix():
     g = support.cycle(3000)
     est, failure = percolation._monte_carlo(g, Fraction(1, 2), 40, 0)
     assert (est.successes, failure) == support.reference_monte_carlo(g, Fraction(1, 2), 40, 0)
-    # nor does a start that infects nobody, whose one round has nothing fresh
-    assert bootstrap_percolate(g, set()) == percolation.PercolationState(frozenset(), 0)
+    # nor does a start that infects nobody, whose one round has nothing fresh,
+    # nor one whose products read only the rows of its few new infections
+    for start in (set(), {0, 1, 2, 10, 11}):
+        infected, rounds = support.sync_percolate(g, start)
+        assert bootstrap_percolate(g, start) == percolation.PercolationState(
+            frozenset(infected), rounds)
     assert "matrix" not in g.__dict__
+
+
+def test_a_mask_graph_percolates_under_a_limit_below_its_matrix(memory_max, monkeypatch):
+    """The product reads only the rows it multiplies (graph._rows), so a
+    graph held as masks percolates where its n^2 bytes would be refused,
+    as shipped and with every round forced to the product."""
+    g = support.twins(gen_gnp(1000, Fraction(1, 100), seed=0))[0]
+    memory_max.write_text(f"{g.n * g.n - 1}\n")
+    graph_mod._cgroup_limit.cache_clear()  # gen_gnp read it while the file was missing
+    p = Fraction(5, 16)
+    start = [v for v in range(g.n) if support.reference_initial_mask(g.n, p, 0, 0) >> v & 1]
+    infected, rounds = support.sync_percolate(g, start)
+    want = support.reference_monte_carlo(g, p, 12, 0)
+    for cost in (percolation._SCATTER_COST, DENSE):
+        monkeypatch.setattr(percolation, "_SCATTER_COST", cost)
+        assert bootstrap_percolate(g, start) == percolation.PercolationState(
+            frozenset(infected), rounds)
+        est, failure = percolation._monte_carlo(g, p, 12, 0)
+        assert (est.successes, failure) == want
+    assert rounds > 1 and 0 < want[0] < 12 and "matrix" not in g.__dict__
 
 
 def test_scatter_holds_one_block_of_temporaries():

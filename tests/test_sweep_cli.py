@@ -779,7 +779,7 @@ def load_script(name):
     return module
 
 
-def test_scaling_sweep_script_smoke(capsys):
+def test_paper_claims_script_smoke(capsys):
     # scripts/paper_claims.py took over scaling_sweep.py's ratios and
     # adversary_separation.py's figures: every row of the default run
     assert load_script("paper_claims").main([]) == 0
@@ -831,7 +831,7 @@ def test_mutant_table_entries_apply_to_the_tree():
             assert f"\ndef {name}(" in (root / path).read_text(encoding="utf-8"), node
 
 
-def test_scaling_sweep_script_refuses_cleanly(capsys, monkeypatch):
+def test_paper_claims_script_refuses_cleanly(capsys, monkeypatch):
     script = load_script("paper_claims")
 
     def refuse(g):
@@ -887,7 +887,7 @@ def test_layer_timings_script_smoke(layer_timing_rows):
     rows = layer_timing_rows
     assert rows[0] == ["layer", "case", "n", "size", "digest", "seconds"]
     assert [row[0] for row in rows[1:]] == (
-        ["gen"] + ["dense"] * 3 + ["io"] * 4 + ["percolate"] * 8 + ["extremes"] * 5
+        ["gen"] + ["dense"] * 3 + ["io"] * 4 + ["percolate"] * 9 + ["extremes"] * 5
         + ["theta"] * 5 + ["oracle"] * 7)
     assert _layer_rows(rows, "io", "extremes", "theta") == [
         ["io", "write-gnp", "200", "69044", "9319cbed553a8eed"],
@@ -918,10 +918,11 @@ def test_percolate_timings_script_smoke(layer_timing_rows):
         ["percolate", "mc-gnp-1/2-p1/2", "2000", "298", "672aa443598e1f04"],
         ["percolate", "mc-adversary-p1/2", "1602", "282", "6738e2a6658bab09"],
         ["percolate", "mc-cycles-p1/2", "20000", "0", "8ca80ac2807a895e"],
-        ["percolate", "bootstrap-gnp-1/110", "1000", "1000", "f355e2706b5f79ba"]]
+        ["percolate", "bootstrap-gnp-1/110", "1000", "1000", "f355e2706b5f79ba"],
+        ["percolate", "bootstrap-cycles", "20000", "5", "b1b4745bd02565b1"]]
 
 
-def test_dense_cell_timings_script_smoke(layer_timing_rows):
+def test_dense_layer_timings_script_smoke(layer_timing_rows):
     # the dense-cell rows of scripts/layer_timings.py
     assert _layer_rows(layer_timing_rows, "gen", "dense") == [
         ["gen", "gen_gnp", "200", "10008", "cc9e118cb777b6b0"],
@@ -930,7 +931,7 @@ def test_dense_cell_timings_script_smoke(layer_timing_rows):
         ["dense", "half_full", "200", "100", "d269aff37d5967a1"]]
 
 
-def test_oracle_worst_cases_script_smoke(layer_timing_rows):
+def test_oracle_layer_timings_script_smoke(layer_timing_rows):
     # the oracle worst-case rows of scripts/layer_timings.py
     assert _layer_rows(layer_timing_rows, "oracle") == [
         ["oracle", "gnp-seed0-full", "24", "17", "d9467bae8d67f835"],
