@@ -304,6 +304,16 @@ MUTANTS = (
            "_GONE = np.int32(1 << 30)", "_GONE = np.int32(1 << 8)",
            ("tests/test_finders.py::"
             "test_two_thirds_matches_the_induced_subgraph_reference_on_gnp",)),
+    Mutant("certificate lets a violator through", "fullsub/finders.py",
+           'if bad is not None:\n        raise VerificationError(f"witness not {mode}',
+           'if False:\n        raise VerificationError(f"witness not {mode}',
+           ("tests/test_sweep_cli.py::"
+            "test_every_sweep_algorithm_stops_on_its_own_certificate[greedy]",)),
+    Mutant("relative certificate lets a violator through", "fullsub/finders.py",
+           'if bad is not None:\n        raise VerificationError(f"{label} witness',
+           'if False:\n        raise VerificationError(f"{label} witness',
+           ("tests/test_sweep_cli.py::"
+            "test_every_sweep_algorithm_stops_on_its_own_certificate[half-full]",)),
 )
 
 

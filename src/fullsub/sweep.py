@@ -4,11 +4,11 @@ Rows are produced in grid order (n outer, then p, seed, algorithm) no
 matter how many workers run the cells. Each (family, n, p, seed) graph
 is generated once and every algorithm runs on it; with threads > 1
 each such group is one task of the process pool. Every witness is
-re-checked against its own certificate (fullness at the density the
-finder used, or relative half-fullness for the half-full algorithm)
-before a row is written; any failure aborts the sweep naming the
-offending cell. With timings disabled (the default) the emitted CSV is
-byte-identical across reruns of the same config.
+certified once, by its finder, before it is returned (fullness at the
+density the finder used, or relative half-fullness for the half-full
+algorithm); a failure aborts the sweep naming the offending cell, and
+runtime_ms times the finder alone. With timings disabled (the default)
+the emitted CSV is byte-identical across reruns of the same config.
 
 The n column records the generated graph's order; for the gnp family
 the p column echoes the grid value, for other families it records the
@@ -31,8 +31,6 @@ from .finders import (
     full_two_thirds,
     greedy_full,
     half_full,
-    is_full,
-    is_relatively_full,
     oracle_largest_full,
     small_p_full,
 )
@@ -126,13 +124,7 @@ def _run_group(task) -> list[ExperimentRow]:
             else:
                 res = oracle_largest_full(g, density(g), cap=config.exact_cap)
                 bound = Fraction(res.size)
-            if algo == "half-full":
-                ok, _v = is_relatively_full(g, Fraction(1, 2), res.vertices)
-            else:
-                ok, _v = is_full(g, res.p_used, res.vertices)
             elapsed_ms = (time.perf_counter() - t0) * 1000.0
-            if not ok:
-                raise VerificationError("witness failed re-verification")
             p_col = p if family == "gnp" else density(g)
             rows.append(ExperimentRow(family, g.n, p_col, seed, algo, res.size,
                                       frac_str(bound),

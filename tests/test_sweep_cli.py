@@ -14,6 +14,7 @@ import os
 from fractions import Fraction
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import support
@@ -222,6 +223,32 @@ def test_sweep_errors_name_the_failing_algorithm_of_a_group():
     cfg = SweepConfig(n_grid=(1,), p_grid=(Fraction(1, 2),), seeds=(0,),
                       algorithms=("half-full", "greedy"), family="adversary")
     with pytest.raises(PreconditionError, match=r"n=1 .*algorithm=half-full\]: n must be"):
+        run_sweep(cfg)
+
+
+@pytest.mark.parametrize("algo, n, p", [
+    ("greedy", 40, Fraction(1, 2)),
+    ("two-thirds", 200, Fraction(1, 2)),
+    ("small-p", 64, Fraction(1, 64)),
+    ("half-full", 40, Fraction(1, 2)),
+    ("oracle", 10, Fraction(1, 2)),
+], ids=["greedy", "two-thirds", "small-p", "half-full", "oracle"])
+def test_every_sweep_algorithm_stops_on_its_own_certificate(monkeypatch, algo, n, p):
+    # the finder's certificate is the only one a sweep witness passes:
+    # with both violator searches naming the first member, every cell fails
+    from fullsub import finders
+
+    real = finders._relative_violator
+
+    def first_member(g, q, vertices, base):
+        _, idx, degs = real(g, q, vertices, base)
+        return (int(idx[0]) if len(idx) else None), idx, degs
+
+    monkeypatch.setattr(finders, "_first_violator",
+                        lambda bar_p, idx, degs, mode: int(idx[0]) if len(idx) else None)
+    monkeypatch.setattr(finders, "_relative_violator", first_member)
+    cfg = SweepConfig(n_grid=(n,), p_grid=(p,), seeds=(0,), algorithms=(algo,))
+    with pytest.raises(VerificationError, match=rf"algorithm={algo}\]: .*witness not"):
         run_sweep(cfg)
 
 
@@ -663,21 +690,17 @@ def test_cli_gen_refuses_mask_lists_beyond_physical_memory(capsys):
 
 
 def test_cli_exit_code_3_on_verification_failure(capsys, tmp_path, monkeypatch):
-    # force a bogus witness through the sweep's re-check
-    import fullsub.sweep as sweep_mod
+    # a peel that keeps every vertex hands greedy_full's certificate a
+    # witness that is not full
+    from fullsub import finders
 
-    real = sweep_mod.greedy_full
+    def keep_all(g, p, *a, **kw):
+        return np.arange(g.n), (), False
 
-    def bogus(g, *a, **kw):
-        res = real(g, *a, **kw)
-        # claims the whole (incomplete) graph is full at p = 1
-        return type(res)(frozenset(range(g.n)), g.n, Fraction(1),
-                         res.min_degree, res.guarantee, res.trace)
-
-    monkeypatch.setattr(sweep_mod, "greedy_full", bogus)
+    monkeypatch.setattr(finders, "_peel", keep_all)
     code, _, err = run_cli(capsys, "sweep", "--n-grid", "6", "--p-grid", "1/2",
                            "--seeds", "0", "--algos", "greedy", "--out", "-")
-    assert code == 3 and "verification failure" in err
+    assert code == 3 and "verification failure" in err and "algorithm=greedy" in err
 
 
 def test_cli_usage_errors_exit_2(capsys):
