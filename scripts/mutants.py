@@ -188,6 +188,11 @@ MUTANTS = (
            "x[:k * (k - 1) // 2 - drop - (j < extra)]",
            "x[:k * (k - 1) // 2 - drop - (j < extra) + 1]",
            ("tests/test_generate.py::test_multipartite_trim_matches_the_round_robin_reference",)),
+    Mutant("planted clique sized on the floor of the deficit share", "fullsub/generate.py",
+           "-(-deficit // (r + 1))", "deficit // (r + 1)",
+           ("tests/test_generate.py::"
+            "test_multipartite_k_is_the_least_clique_that_covers_the_deficit",
+            "tests/test_generate.py::test_multipartite_structure[5-1]")),
     Mutant("clique block keeps one pair too many", "fullsub/generate.py",
            "np.clip(E - i *", "np.clip(E + 1 - i *",
            ("tests/test_generate.py::test_clique_isolated_fills_lexicographically",)),

@@ -27,12 +27,12 @@ subgraphs of random graphs. Why each case is here:
   C1, C3, C4  nothing checks these yet: open, the abstract's bound as text.
 
 A row gives claim, family, n (vertices), p (G(n, p)'s parameter or the
-adversary's density), finder, method (certified: the finder certified
-the witness and is_full checks it again here), value, bound, ratio =
+adversary's density), finder, method (certified: the witness passed its
+finder's own certificate, the one check it gets), value, bound, ratio =
 value / n^(2/3) and status. Over seeds 0-4 a row holds if every
 graph's witness meets its own bound, and shows the smallest witness and
 its graph's bound. A refused case prints `error: <case>: ...` and exits
-2; a witness found not full, by its finder or by is_full, exits 3.
+2; a witness its finder's certificate finds not full exits 3.
 
     python3 scripts/paper_claims.py
 """
@@ -44,7 +44,7 @@ import sys
 from fractions import Fraction
 
 from fullsub import (PreconditionError, VerificationError, adversary_planted_size, density,
-                     full_two_thirds, gen_gnp, gen_greedy_adversary, greedy_full, is_full)
+                     full_two_thirds, gen_gnp, gen_greedy_adversary, greedy_full)
 
 HALF = Fraction(1, 2)
 ROW = "{:<6} {:<12} {:>5} {:>8} {:<16} {:<9} {:>6} {:>6} {:>6} {}"
@@ -105,10 +105,6 @@ def main(argv=None) -> int:
         case = f"{claim} {family} n={n} {finder}"
         try:
             gs, rs = graphs(family, n), results(family, n, finder)
-            for g, res in zip(gs, rs):
-                ok, bad = is_full(g, res.p_used, res.vertices)
-                if not ok:
-                    raise VerificationError(f"witness not full at vertex {bad}")
         except (PreconditionError, VerificationError) as e:
             print(f"error: {case}: {e}", file=sys.stderr)
             return 2 if isinstance(e, PreconditionError) else 3

@@ -127,8 +127,7 @@ def cmd_gen(args) -> int:
     return 0
 
 
-def cmd_disc(args) -> int:
-    g = _read_graph(args.input)
+def cmd_disc(args, g) -> int:
     p = args.p if args.p is not None else density(g)
     sign = "positive" if args.sign == "plus" else "negative"
     if args.heuristic:
@@ -143,8 +142,7 @@ def cmd_disc(args) -> int:
     return 0
 
 
-def cmd_full(args) -> int:
-    g = _read_graph(args.input)
+def cmd_full(args, g) -> int:
     if args.algo == "greedy":
         res = greedy_full(g, p=args.p, tie_break=args.tie_break)
     elif args.algo == "oracle":
@@ -167,8 +165,7 @@ def cmd_full(args) -> int:
     return 0
 
 
-def cmd_qfull(args) -> int:
-    g = _read_graph(args.input)
+def cmd_qfull(args, g) -> int:
     if args.q is not None:
         out = qfull_partition(g, args.q, seed=args.seed)
         print(f"qfull q={frac_str(out.q)} n={g.n} variant={out.variant}")
@@ -183,8 +180,7 @@ def cmd_qfull(args) -> int:
     return 0
 
 
-def cmd_g(args) -> int:
-    g = _read_graph(args.input)
+def cmd_g(args, g) -> int:
     res = largest_full_or_cofull(g, method=args.method, cap=args.exact_cap,
                                  seed=_seed(args))
     print(f"g n={g.n} p={frac_str(res.p)} value={res.value} side={res.side}")
@@ -193,8 +189,7 @@ def cmd_g(args) -> int:
     return 0
 
 
-def cmd_percolate(args) -> int:
-    g = _read_graph(args.input)
+def cmd_percolate(args, g) -> int:
     if args.exact:  # refusals come before any trial runs
         theta = full_infection_probability_exact(g, args.p, cap=args.exact_cap)
     if args.exact and args.witness:  # no estimate is shown: stop at the first failure
@@ -258,7 +253,8 @@ def build_parser() -> argparse.ArgumentParser:
         cmd = sub.add_parser(name, parents=parents, allow_abbrev=False, help=summary)
         if reads_input:
             cmd.add_argument("--input", required=True)
-        cmd.set_defaults(func=func)
+        cmd.set_defaults(func=lambda args: func(args, _read_graph(args.input)) if reads_input
+                         else func(args))
         return cmd
 
     p_gen = command("gen", cmd_gen, "generate a graph family instance", reads_input=False)
@@ -288,7 +284,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_full = command("full", cmd_full, "find a full subgraph")
     p_full.add_argument("--algo", default="greedy",
-                        choices=("greedy", "two-thirds", "small-p", "oracle"))
+                        choices=[a for a in SWEEP_ALGORITHMS if a != "half-full"])
     p_full.add_argument("--p", type=_fraction,
                         help="density override (greedy and oracle only)")
     p_full.add_argument("--tie-break", default="min-index",

@@ -93,8 +93,8 @@ def gen_clique_plus_isolated(n: int, E: int) -> Graph:
 
 
 def clique_part_size(E: int) -> int:
-    """Minimal m with C(m,2) >= E, the clique part of
-    gen_clique_plus_isolated."""
+    """Minimal m with C(m,2) >= E: the clique part of
+    gen_clique_plus_isolated, and gen_multipartite_planted's k."""
     m = 0
     while m * (m - 1) // 2 < E:
         m += 1
@@ -152,13 +152,11 @@ def gen_multipartite_planted(n: int, r: int, c=Fraction(1)):
         raise PreconditionError(
             f"edge target {target} below the {cross} cross-part edges; "
             "c too small for this part size")
-    k = 0
-    while (r + 1) * (k * (k - 1) // 2) < deficit:
-        k += 1
-        if k > n:
-            raise PreconditionError(
-                f"planted clique size would exceed the part size {n}; "
-                "c too large for this part size")
+    if deficit > (r + 1) * (n * (n - 1) // 2):  # k > n, refused first: the search stops by n
+        raise PreconditionError(
+            f"planted clique size would exceed the part size {n}; "
+            "c too large for this part size")
+    k = clique_part_size(-(-deficit // (r + 1)))  # least k with (r+1) C(k,2) >= deficit
 
     # round-robin in closed form: the surplus is below (r+1)(k-1), by the
     # minimality of k, so no part runs out of pairs to drop; part j keeps

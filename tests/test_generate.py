@@ -3,7 +3,7 @@
 import tracemalloc
 import warnings
 from fractions import Fraction
-from itertools import combinations, islice, product
+from itertools import combinations, count, islice, product
 
 import numpy as np
 import pytest
@@ -335,6 +335,37 @@ def test_multipartite_trim_matches_the_round_robin_reference():
         assert [a & part << v // n * n for v, a in enumerate(g.adj)] == want
         compared += 1
     assert compared == 571
+
+
+def test_multipartite_k_is_the_least_clique_that_covers_the_deficit():
+    # c = j/8 walks up to the first clique-size refusal: k is the least k
+    # with (r+1) C(k,2) at or above the target's deficit over the
+    # cross-part edges, and the refusal comes just when no k <= n is
+    boundaries = 0
+    for n, r in product(range(1, 25), range(1, 5)):
+        N = (r + 1) * n
+        pairs, cross = N * (N - 1) // 2, r * (r + 1) // 2 * n * n
+        accepted = None
+        for j in count(1):
+            c = Fraction(j, 8)
+            base = Fraction(r, r + 1) * pairs + Fraction(1, 2)
+            deficit = exact_floor_plus_cbrt(base, c * pairs, n) - cross
+            fits = [k for k in range(n + 1) if (r + 1) * (k * (k - 1) // 2) >= deficit]
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", UserWarning)  # c < 1
+                if deficit < 0 or not fits:
+                    with pytest.raises(PreconditionError, match="below the" if deficit < 0
+                                       else f"exceed the part size {n};"):
+                        gen_multipartite_planted(n, r, c)
+                    if deficit < 0:
+                        continue
+                    break
+                g, meta = gen_multipartite_planted(n, r, c)
+            assert meta["k"] == fits[0]
+            accepted = c
+        # the largest accepted c sits one step below the first refused one
+        boundaries += accepted == c - Fraction(1, 8)
+    assert boundaries == 95  # every (n, r) but n = 1, r = 4, which no c accepts
 
 
 def test_multipartite_planted_caps_full_subgraphs():

@@ -29,6 +29,7 @@ from fullsub import (
     discrepancy_local_search,
     full_infection_probability,
     full_infection_probability_exact,
+    full_two_thirds,
     gen_clique_plus_isolated,
     gen_gnp,
     gen_greedy_adversary,
@@ -606,6 +607,22 @@ def test_cli_reads_stdin(capsys, monkeypatch):
     assert code == 0 and "size=4" in out
 
 
+@pytest.mark.parametrize("argv, reads", [
+    (["disc"], 1), (["full"], 1), (["qfull", "--q", "1/2"], 1), (["g"], 1),
+    (["percolate", "--p", "1/2", "--exact"], 1),
+    (["gen", "--family", "gnp", "--n", "6", "--p", "1/2"], 0),
+    (["sweep", "--n-grid", "6", "--p-grid", "1/2", "--seeds", "0", "--algos", "greedy"], 0),
+], ids=["disc", "full", "qfull", "g", "percolate", "gen", "sweep"])
+def test_cli_reads_the_input_once_per_command(capsys, tmp_path, monkeypatch, argv, reads):
+    # the parser reads --input and hands the graph to the handler, which
+    # reads nothing itself; gen (without glued's --a/--b) and sweep read none
+    calls, real = [], cli_mod._read_graph
+    monkeypatch.setattr(cli_mod, "_read_graph", lambda path: calls.append(path) or real(path))
+    path = graph_file(tmp_path, support.cycle(6))
+    code, _, _ = run_cli(capsys, *argv, *(["--input", path] if reads else []))
+    assert code == 0 and calls == [path] * reads
+
+
 def test_cli_exit_code_1_on_bad_input(capsys, tmp_path):
     bad = tmp_path / "bad.txt"
     bad.write_text("what even is this\n", encoding="ascii")
@@ -873,18 +890,25 @@ def test_paper_claims_script_exits_3_on_a_witness_that_is_not_full(capsys, monke
     def fault(g):
         raise VerificationError("witness not full at p=1/2: vertex 7")
 
-    # the finder's own certificate fails, then the script's is_full check
+    # a finder that raises its own certificate's failure
     monkeypatch.setitem(script.FINDERS, "two-thirds", fault)
     assert script.main([]) == 3
     out, err = capsys.readouterr()
     assert len(out.splitlines()) == 1
     assert err == "error: C2 gnp n=200 two-thirds: witness not full at p=1/2: vertex 7\n"
-    script = load_script("paper_claims")
-    monkeypatch.setattr(script, "is_full", lambda g, p, vertices: (False, 7))
-    assert script.main([]) == 3
+    # a real finder whose own certificate names its first member: the
+    # table runs no check of its own, so the finder's is the one that stops it
+    from fullsub import finders
+
+    g = gen_gnp(200, Fraction(1, 2), 0)
+    first = min(full_two_thirds(g).vertices)
+    monkeypatch.setattr(finders, "_first_violator",
+                        lambda bar_p, idx, degs, mode: int(idx[0]) if len(idx) else None)
+    assert load_script("paper_claims").main([]) == 3
     out, err = capsys.readouterr()
     assert len(out.splitlines()) == 1
-    assert err == "error: C2 gnp n=200 two-thirds: witness not full at vertex 7\n"
+    assert err == (f"error: C2 gnp n=200 two-thirds: witness not full at p={density(g)}: "
+                   f"vertex {first}\n")
 
 
 @pytest.fixture(scope="module")
