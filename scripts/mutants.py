@@ -112,9 +112,13 @@ MUTANTS = (
            ("tests/test_percolation.py::"
             "test_exact_infection_probability_matches_reference_dp[gnp7-half]",)),
     Mutant("inverted bernoulli threshold", "fullsub/rng.py",
-           "random_raw(size) < threshold", "random_raw(size) >= threshold",
+           "np.less(raw[a:a + len(row)], threshold",
+           "np.greater_equal(raw[a:a + len(row)], threshold",
            ("tests/test_generate.py::test_gnp_matches_reference_fill",
             "tests/test_percolation.py::test_initial_sample_matches_reference")),
+    Mutant("bernoulli row reads the block from its start", "fullsub/rng.py",
+           "            a += len(row)\n", "",
+           ("tests/test_generate.py::test_bernoulli_rows_hold_the_bits_of_one_uniform_u64_call",)),
     Mutant("peel keeps deleted vertices", "fullsub/finders.py",
            "np.flatnonzero(deg < n)", "np.flatnonzero(deg >= 0)",
            ("tests/test_finders.py::test_peel_matches_reference_on_gnp",)),
@@ -254,14 +258,28 @@ MUTANTS = (
            "top > 18", "top > 20",
            ("tests/test_graph.py::test_reader_refuses_tokens_past_18_digits",)),
     Mutant("canonical reader skips its final-newline check", "fullsub/graph.py",
-           "body[-1] != 10 or ", "",
+           "scan[-1] != 10 or ", "",
            ("tests/test_graph.py::test_reader_matches_reference_on_an_unterminated_last_line",)),
     Mutant("digit mask keeps one byte too many", "fullsub/graph.py",
-           "np.minimum(lens, width)", "np.minimum(lens + 1, width)",
+           "_DIGITS.take(lens,", "_DIGITS.take(lens + 1,",
            ("tests/test_graph.py::test_zero_padded_tokens_take_the_vectorized_path",)),
-    Mutant("4-byte words taken for a 5-digit token", "fullsub/graph.py",
-           "width = 4 if top <= 4 else 8", "width = 4 if top <= 5 else 8",
+    Mutant("group count rounded down", "fullsub/graph.py",
+           "range((top + 3) // 4)", "range(max(1, top // 4))",
            ("tests/test_graph.py::test_tokens_past_four_digits_are_read_whole",)),
+    Mutant("group k's mask not moved down 4k digits", "fullsub/graph.py",
+           "            lens -= 4\n", "",
+           ("tests/test_graph.py::test_zero_padded_tokens_take_the_vectorized_path",
+            "tests/test_graph.py::test_a_line_may_pad_u_and_v_to_different_group_counts")),
+    Mutant("group k's word taken 3k bytes back", "fullsub/graph.py",
+           "ends -= 4\n", "ends -= 3\n",
+           ("tests/test_graph.py::test_tokens_past_four_digits_are_read_whole",)),
+    Mutant("digit pairs kept across the lane boundary", "fullsub/graph.py",
+           "& 0x00FF00FF00FF00FF", "& 0xFFFFFFFFFFFFFFFF",
+           ("tests/test_graph.py::test_canonical_text_takes_the_vectorized_path",)),
+    Mutant("diagonal tile left unmirrored", "fullsub/graph.py",
+           "        d |= d.T\n", "",
+           ("tests/test_graph.py::test_symmetrize_matches_transpose_or[513]",
+            "tests/test_generate.py::test_gnp_matches_reference_fill")),
     Mutant("a pipe's header line read before its size is known", "fullsub/graph.py",
            'first = source.readline() if size else b""', "first = source.readline()",
            ("tests/test_sweep_cli.py::test_cli_reads_a_file_that_is_a_pipe",)),

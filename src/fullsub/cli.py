@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+import warnings
 from fractions import Fraction
 from pathlib import Path
 
@@ -117,7 +118,10 @@ def cmd_gen(args) -> int:
             raise PreconditionError(f"family {args.family} requires --n")
         spec = GenSpec(args.family, args.n, p=args.p, E=args.E, r=args.r,
                        c=args.c, seed=seed)
-        g, meta = generate(spec)
+        with warnings.catch_warnings():  # each library warning as one line of the CLI's own
+            warnings.simplefilter("always")
+            warnings.showwarning = lambda msg, *_: print(f"warning: {msg}", file=sys.stderr)
+            g, meta = generate(spec)
     _write_text(_edge_text(g), args.out)
     extras = " ".join(
         f"{key}={frac_str(val) if isinstance(val, Fraction) else val}"

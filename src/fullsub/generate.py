@@ -23,7 +23,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .graph import (Graph, PreconditionError, VerificationError, _check_dense_size,
-                    _check_memory, _pack_rows, _symmetrize, as_probability, density)
+                    _check_memory, _mirror_upper, _pack_rows, as_probability, density)
 from .rng import _bernoulli, uniform_u64
 
 FAMILIES = ("gnp", "clique-isolated", "multipartite-planted", "adversary")
@@ -65,9 +65,9 @@ def gen_gnp(n: int, p, seed: int) -> Graph:
         return Graph._from_matrix(~np.eye(n, dtype=bool))
     mat = np.zeros((n, n), dtype=bool)
     # the draws run in lexicographic pair order: row u's pairs (u, v > u)
-    # take the next n-1-u; the lower triangle is then mirrored in tiles
+    # take the next n-1-u; the upper triangle is then mirrored in tiles
     _bernoulli(seed, p, [mat[u, u + 1:] for u in range(n - 1)])
-    _symmetrize(mat)
+    _mirror_upper(mat)
     return Graph._from_matrix(mat)
 
 
@@ -145,7 +145,9 @@ def gen_multipartite_planted(n: int, r: int, c=Fraction(1)):
     _check_dense_size(N)
     pairs = N * (N - 1) // 2
     base = Fraction(r, r + 1) * pairs + Fraction(1, 2)
-    target = _floor_with_cbrt_term(base, c * pairs, n)
+    # a target past C(N, 2) is capped at C(N, 2) + 1, which the clique-size check refuses
+    capped = (pairs + 1 - base) ** 3 * n * n <= (c * pairs) ** 3
+    target = pairs + 1 if capped else _floor_with_cbrt_term(base, c * pairs, n)
     cross = r * (r + 1) // 2 * n * n
     deficit = target - cross
     if deficit < 0:

@@ -155,15 +155,16 @@ _TILE = 512  # a pair of 256 KB tiles fits in cache
 _TEXT_BLOCK = 1 << 16  # characters of edge-list text, or bytes of a file, handled at a time
 
 
-def _symmetrize(mat: np.ndarray) -> None:
-    """mat |= mat.T in place, one pair of mirrored tiles at a time: the
-    whole transpose reads with a stride of n bytes, missing cache at
+def _mirror_upper(mat: np.ndarray) -> None:
+    """Copy the strictly upper triangle of mat, whose lower triangle is
+    all False, into that lower triangle in place, one tile at a time:
+    the whole transpose reads with a stride of n bytes, missing cache at
     every element once n is in the thousands."""
     for i in range(0, len(mat), _TILE):
-        for j in range(i, len(mat), _TILE):
-            upper, lower = mat[i:i + _TILE, j:j + _TILE], mat[j:j + _TILE, i:i + _TILE]
-            upper |= lower.T
-            lower[...] = upper.T
+        d = mat[i:i + _TILE, i:i + _TILE]
+        d |= d.T
+        for j in range(i + _TILE, len(mat), _TILE):
+            mat[j:j + _TILE, i:i + _TILE] = mat[i:i + _TILE, j:j + _TILE].T
 
 
 def _unpack_rows(masks: list[int], n: int) -> np.ndarray:
@@ -429,25 +430,11 @@ def _blocks(text: str, start: int = 0, block: int = _TEXT_BLOCK) -> Iterator[str
 
 
 # The canonical form: a header "n m\n", then lines "u v\n", every token
-# 1-18 ASCII digits (so it fits in int64). _DIGITS[size][r] keeps the low
-# nibbles of the last r bytes of a little-endian word of size bytes: the
-# values of the r digits that end there, as '0' is 0x30.
+# 1-18 ASCII digits (so it fits in int64). _DIGITS[r] keeps the low
+# nibbles of the last r bytes of a little-endian 4-byte word: the values
+# of the r digits that end there, as '0' is 0x30.
 _CANONICAL_HEADER = re.compile(rb"([0-9]{1,18}) ([0-9]{1,18})\n")
-_DIGITS = {size: np.array([0x0F0F0F0F0F0F0F0F >> 8 * (8 - r) << 8 * (size - r)
-                           for r in range(size + 1)], dtype=f"<u{size}") for size in (4, 8)}
-
-
-def _word_value(words: np.ndarray, digits: np.ndarray) -> np.ndarray:
-    """The number spelled by the last digits[i] bytes of words[i], 0 to
-    4 or 8 ASCII digits as words are 4 or 8 bytes wide, most significant
-    first (Langdale and Lemire, "Parsing Gigabytes of JSON per Second",
-    2019): adjacent digits fold into pairs, pairs into fours and, in an
-    8-byte word, fours into the eight-digit value."""
-    w, bits = words & _DIGITS[words.itemsize][digits], 8 * words.itemsize
-    for s in (8, 16, 32)[:bits // 32 + 1]:
-        keep = ((1 << bits) - 1) // ((1 << 2 * s) - 1) * ((1 << s) - 1)  # 0x00FF00FF... at s = 8
-        w = (w * (10 ** (s // 8) << s | 1) >> s) & keep
-    return w
+_DIGITS = np.array([0x0F0F0F0F & -1 << 32 - 8 * r for r in range(5)], dtype="<u4")
 
 
 def _read_canonical(source: str | BinaryIO, block: int = _TEXT_BLOCK) -> Graph | None:
@@ -456,11 +443,13 @@ def _read_canonical(source: str | BinaryIO, block: int = _TEXT_BLOCK) -> Graph |
     time by one loop of vectorized passes, or None when any check fails,
     so that the line parser names the fault. One scan finds the
     separators, every byte below '0': they must alternate ' ' and '\\n' to
-    the block's final '\\n', and no byte may lie above '9'. _word_value
-    reads each token from the word ending at it, 4 bytes wide when no
-    token of the block is longer, else 8 plus one more for each further 8
-    of its 1-18 digits. Only graphs whose n x n matrix is no larger than
-    the text (the file's size) are read; Graph.matrix comes out built."""
+    the block's final '\\n', and no byte may lie above '9'. Each token is
+    read 4 digits at a time, group k from the 4-byte word ending 4k bytes
+    before its last digit; a line's u and v words, paired as one 64-bit
+    word, are decoded together (Langdale and Lemire, "Parsing Gigabytes
+    of JSON per Second", 2019). Only graphs whose n x n matrix is no
+    larger than the text (the file's size) are read; Graph.matrix comes
+    out built."""
     if isinstance(source, str):  # non-ASCII characters become '?', which no check passes
         size, end = len(source), source.find("\n") + 1
         first = source[:end].encode("ascii", "replace")
@@ -479,38 +468,41 @@ def _read_canonical(source: str | BinaryIO, block: int = _TEXT_BLOCK) -> Graph |
     mat = np.zeros((n, n), dtype=np.bool_)
     lines = 0
     for chunk in blocks:
-        # seven bytes of padding, so the word ending at any body byte
-        # starts inside buf; word i ends at body[i]
-        buf = b"\0" * 7 + chunk
-        body = np.frombuffer(buf, dtype=np.uint8, offset=7)
-        seps = np.flatnonzero(body < 48)
-        kinds = body[seps]
+        # four NULs of padding: the last one, scan[0], stands as the
+        # separator before the first token, and word i ends at scan[i]
+        buf = b"\0" * 4 + chunk
+        scan = np.frombuffer(buf, dtype=np.uint8, offset=3)
+        words = np.ndarray(len(scan), "<u4", buf, strides=(1,))
+        seps = np.flatnonzero(scan < 48)
         # each pair of separators is " \n", 0x0A20 as a little-endian uint16
-        if (body[-1] != 10 or len(seps) % 2 or body.max() > 57
-                or (kinds.view("<u2") != 0x0A20).any()):
+        if (scan[-1] != 10 or len(seps) % 2 == 0 or scan.max() > 57
+                or (scan[seps[1:]].view("<u2") != 0x0A20).any()):
             return None
-        lens = np.diff(seps, prepend=-1) - 1  # one space per line, 1-18 digits each side
-        top = lens.max()
+        ends = seps[1:] - 1  # the last digit of each token
+        lens = np.subtract(ends, seps[:-1])  # one space per line, 1-18 digits each side
+        top = int(lens.max())
         if lens.min() < 1 or top > 18:
             return None
-        # word ends[i] ends at the last digit of token i; "clip" sends a
-        # word that would start before buf, of a token with no digits
-        # left (rest 0, an empty mask), to word 0
-        width = 4 if top <= 4 else 8
-        words = np.ndarray(len(body), f"<u{width}", buf, 8 - width, strides=(1,))
-        ends = seps - 1
-        vals = _word_value(words.take(ends, mode="clip"), np.minimum(lens, width))
-        for k in range(1, (int(top) + 7) // 8):  # 18 digits < 2^63: exact
-            rest = np.clip(lens - 8 * k, 0, 8)
-            vals += _word_value(words.take(ends - 8 * k, mode="clip"), rest) * 10 ** (8 * k)
-        u, v = vals.astype(np.int64).reshape(-1, 2).T
-        if (u >= v).any() or vals.max() >= n:  # so every v < n
+        # group k: the word ending 4k bytes before the last digit, masked to
+        # np.clip(lens - 4k, 0, 4) digits; "clip" sends words before buf to word 0
+        for k in range((top + 3) // 4):  # 18 digits < 2^63: exact in int64
+            w = words.take(ends, mode="clip").view("<u8")  # u's word, v's word << 32
+            w &= _DIGITS.take(lens, mode="clip").view("<u8")
+            # no sum carries, and each mask drops what a product moves across lanes
+            w = (w * (10 << 8 | 1) >> 8) & 0x00FF00FF00FF00FF
+            w = (w * (100 << 16 | 1) >> 16) & 0x0000FFFF0000FFFF
+            group = w.view("<u4").reshape(-1, 2).T  # u's group k, v's group k
+            uv = uv + group * np.int64(10 ** (4 * k)) if k else group.astype(np.int64)
+            ends -= 4
+            lens -= 4
+        u, v = uv
+        if (u >= v).any() or v.max() >= n:  # u < v, so every u < n too
             return None
         mat.ravel()[u * n + v] = True
-        lines += len(seps) // 2
+        lines += len(u)
     if lines != m or np.count_nonzero(mat) != m:  # a duplicate sets no new entry
         return None
-    _symmetrize(mat)
+    _mirror_upper(mat)
     return Graph._from_matrix(mat)
 
 

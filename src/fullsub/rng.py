@@ -54,7 +54,8 @@ def _bernoulli(seed: int, p: Fraction, rows: list[np.ndarray]) -> None:
     seed, counted across the rows, is kept iff it falls below
     floor(p * 2^64). The draws come a block of whole rows at a time, at
     most _BLOCK of them unless one row is longer, from a single bit
-    generator, so the bits are those of one uniform_u64 call."""
+    generator, so the bits are those of one uniform_u64 call; each row
+    is its slice of the block compared with the threshold in place."""
     bitgen = _bit_generator(seed)
     threshold = np.uint64((p.numerator << 64) // p.denominator)
     i = 0
@@ -63,8 +64,9 @@ def _bernoulli(seed: int, p: Fraction, rows: list[np.ndarray]) -> None:
         while j < len(rows) and size + len(rows[j]) <= _BLOCK:
             size += len(rows[j])
             j += 1
-        keep = bitgen.random_raw(size) < threshold
+        raw, a = bitgen.random_raw(size), 0
         for row in rows[i:j]:
-            row[...] = keep[:len(row)]
-            keep = keep[len(row):]
+            np.less(raw[a:a + len(row)], threshold, out=row)
+            a += len(row)
+        del raw  # before the next block's draws: one block is held at a time
         i = j

@@ -1,13 +1,18 @@
 """Graph generators: exact structure, edge accounting, determinism."""
 
+import os
+import subprocess
+import sys
 import tracemalloc
 import warnings
 from fractions import Fraction
 from itertools import combinations, count, islice, product
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import fullsub
 import support
 from fullsub import (
     GenSpec,
@@ -82,6 +87,21 @@ def test_gnp_block_boundaries_match_reference(monkeypatch, n, p):
     for seed in (0, 5):
         want = support.reference_gnp_adjacency(n, p, seed)
         assert np.array_equal(gen_gnp(n, p, seed).matrix, want)
+
+
+@pytest.mark.parametrize("block", [5, None])
+def test_bernoulli_rows_hold_the_bits_of_one_uniform_u64_call(monkeypatch, block):
+    # empty rows, single draws, rows of exactly one block and one past it,
+    # and short rows that share a block with long ones; every row starts
+    # all True, so a draw left unwritten shows
+    if block is not None:
+        monkeypatch.setattr(rng, "_BLOCK", block)
+    b, p = rng._BLOCK, Fraction(2, 7)
+    sizes = [0, 1, b, 0, b + 1, 1, 3, b - 2, 2, 0, b, 5, 1]
+    rows = [np.ones(size, dtype=bool) for size in sizes]
+    rng._bernoulli(11, p, rows)
+    threshold = np.uint64((p.numerator << 64) // p.denominator)
+    assert np.array_equal(np.concatenate(rows), rng.uniform_u64(11, sum(sizes)) < threshold)
 
 
 @pytest.mark.parametrize("n", [724, 725])
@@ -389,6 +409,24 @@ def test_multipartite_parameter_validation():
     with pytest.warns(UserWarning), pytest.raises(
             PreconditionError, match="edge target 60 below the 64 cross-part edges"):
         gen_multipartite_planted(8, 1, Fraction(1, 1000))
+
+
+def test_multipartite_refuses_a_huge_c_at_once():
+    # c = 10^30 puts the edge target far past C(N, 2): it is refused as
+    # c = 10^15 is, without correcting a float guess one unit at a time; the
+    # CLI runs in a subprocess, so that a regression fails on its timeout
+    env = dict(os.environ, PYTHONPATH=str(Path(fullsub.__file__).parents[1]))
+    argv = [sys.executable, "-m", "fullsub.cli", "gen", "--family", "multipartite-planted",
+            "--n", "10", "--r", "1", "--out", os.devnull, "--c"]
+    runs = [subprocess.run(argv + [str(c)], env=env, capture_output=True, text=True, timeout=60)
+            for c in (10 ** 15, 10 ** 30)]
+    refusal = ("refused: planted clique size would exceed the part size 10; "
+               "c too large for this part size\n")
+    assert [(run.returncode, run.stdout, run.stderr) for run in runs] == [(2, "", refusal)] * 2
+    for c in (10 ** 15, 10 ** 30, Fraction(10 ** 400)):
+        with pytest.raises(PreconditionError) as refused:
+            gen_multipartite_planted(10, 1, c)
+        assert f"refused: {refused.value}\n" == refusal
 
 
 @pytest.mark.parametrize("base", [2 ** 60 - 1, 2 ** 60 + 1])

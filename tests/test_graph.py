@@ -29,7 +29,7 @@ from fullsub import (
     write_edge_list,
 )
 from fullsub import graph as graph_mod
-from fullsub.graph import _blocks, _column_counts, _pack_rows, _read_canonical, _symmetrize
+from fullsub.graph import _blocks, _column_counts, _mirror_upper, _pack_rows, _read_canonical
 
 K3_TEXT = "3 3\n0 1\n0 2\n1 2\n"
 
@@ -229,18 +229,36 @@ def test_canonical_text_takes_the_vectorized_path():
     assert write_edge_list(g) == text
 
 
-@pytest.mark.parametrize("width", (1, 7, 8, 9, 16, 17, 18))
+@pytest.mark.parametrize("width", (1, 4, 5, 7, 8, 9, 12, 13, 16, 17, 18))
 @pytest.mark.parametrize("block", (1, 7, 64, 1 << 16))
 def test_zero_padded_tokens_take_the_vectorized_path(width, block):
     # every u and every other v padded to width digits, so one block
-    # mixes long and short tokens; block = 1 puts each line, and so a
-    # token, at the first byte of its block
+    # mixes long and short tokens; widths 4k and 4k + 1 sit on either side
+    # of a 4-digit group's edge. block = 1 puts each line, and so a token,
+    # at the first byte of its block; a file read in such blocks ends
+    # them inside a line and carries each on to the line's end
     g = Graph.from_edges(9, [(u, v) for u in range(9) for v in range(u + 1, 9)
                              if (u + v) % 4])
     lines = [f"{u:0{width}d} {v:0{width if i % 2 else 1}d}" for i, (u, v) in enumerate(g.edges())]
     text = "\n".join([f"{g.n} {g.edge_count}"] + lines) + "\n"
     want = support.reference_read_edge_list(text)
-    for got in (_read_canonical(text, block), read_edge_list(text)):
+    for got in (_read_canonical(text, block), read_file(text, block), read_edge_list(text)):
+        assert got is not None and "matrix" in got.__dict__
+        assert (got.n, got.adj) == (want.n, want.adj) == (g.n, g.adj)
+
+
+@pytest.mark.parametrize("block", (1, 5, 13, 1 << 16))
+def test_a_line_may_pad_u_and_v_to_different_group_counts(block):
+    # line i pads u and v to the widths (1, 18), (4, 17), ..., (18, 1) in
+    # turn, so u needs one 4-digit group and v five, then the reverse;
+    # files read in blocks of 1-13 bytes end inside lines
+    widths = (1, 4, 5, 8, 9, 12, 13, 16, 17, 18)
+    g = Graph.from_edges(12, [(u, v) for u in range(12) for v in range(u + 1, 12) if (u * v) % 3])
+    lines = [f"{u:0{widths[i % 10]}d} {v:0{widths[9 - i % 10]}d}"
+             for i, (u, v) in enumerate(g.edges())]
+    text = "\n".join([f"{g.n} {g.edge_count}"] + lines) + "\n"
+    want = support.reference_read_edge_list(text)
+    for got in (_read_canonical(text, block), read_file(text, block)):
         assert got is not None and "matrix" in got.__dict__
         assert (got.n, got.adj) == (want.n, want.adj) == (g.n, g.adj)
 
@@ -297,10 +315,12 @@ def test_file_reader_matches_the_reference_across_blocks(multi_block_lines, bloc
     assert read_file(text.replace("\n", "\r\n"), block) is None
 
 
-@pytest.mark.parametrize("line", ("0 10003", "10000 3", "0 00003"))
+@pytest.mark.parametrize("line", ("0 10003", "10000 3", "0 00003", "0 100000003",
+                                  "0 1000000000003", "100000000000000000 3"))
 def test_tokens_past_four_digits_are_read_whole(line):
-    # the last four digits name the missing edge 0 3: read four bytes
-    # wide, the first two lines would pass as that edge
+    # the last four digits name the missing edge 0 3: read without their
+    # higher 4-digit groups, the lines that are not zero-padded would pass
+    # as that edge
     edges = [(u, v) for u in range(9) for v in range(u + 1, 9) if (u, v) != (0, 3)]
     lines = [f"{u} {v}" for u, v in edges[:2]] + [line] + [f"{u} {v}" for u, v in edges[2:]]
     text = "\n".join(["9 36"] + lines) + "\n"
@@ -444,11 +464,12 @@ def test_induced_subgraph_matches_reference_on_dense_gnp():
 
 @pytest.mark.parametrize("n", [0, 1, 2, 511, 512, 513, 1025, 1537])
 def test_symmetrize_matches_transpose_or(n):
-    rng = np.random.default_rng(n)
-    for mat in (np.triu(rng.random((n, n)) < 0.5, 1), rng.random((n, n)) < 0.3):
-        want = mat | mat.T
-        _symmetrize(mat)
-        assert np.array_equal(mat, want)
+    # _mirror_upper symmetrizes what both its callers build: a strictly
+    # upper-triangular matrix, its lower triangle still all False
+    mat = np.triu(np.random.default_rng(n).random((n, n)) < 0.5, 1)
+    want = mat | mat.T
+    _mirror_upper(mat)
+    assert np.array_equal(mat, want)
 
 
 def test_dense_canonical_text_matches_reference_parser():

@@ -363,6 +363,22 @@ def test_cli_gen_to_stdout_parses_back(capsys):
     assert g.n == 9 and g.edge_count == 6
 
 
+def test_cli_gen_warns_in_its_own_words_below_c_1(capsys):
+    # one line of the CLI's own before the generated line, or before the
+    # refusal that follows it; stdout is the graph as before
+    argv = ("gen", "--family", "multipartite-planted", "--n", "10", "--r", "1", "--c")
+    with pytest.warns(UserWarning, match="c = 1/2 < 1"):
+        want = generate(GenSpec("multipartite-planted", 10, r=1, c=Fraction(1, 2)))[0]
+    assert run_cli(capsys, *argv, "1/2") == (0, support.reference_write_edge_list(want), (
+        "warning: c = 1/2 < 1: planted density below the guaranteed regime\n"
+        "generated family=multipartite-planted n=20 edges=115 density=23/38 k=5 "
+        "realized_p=23/38 target_edges=115\n"))
+    assert run_cli(capsys, *argv, "1/1000") == (2, "", (
+        "warning: c = 1/1000 < 1: planted density below the guaranteed regime\n"
+        "refused: edge target 95 below the 100 cross-part edges; "
+        "c too small for this part size\n"))
+
+
 def test_cli_gen_glued_needs_both_inputs(capsys, tmp_path):
     a = graph_file(tmp_path, support.cycle(6), "a.txt")
     b = graph_file(tmp_path, support.cycle(6), "b.txt")
