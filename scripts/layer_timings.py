@@ -1,10 +1,11 @@
 #!/usr/bin/env python3
 """Time each layer of fullsub on one table of fixed cases, a row per case.
 
-Layers: gen (gen_gnp on G(n, 1/2), seed 0, for each --n order); dense
-(greedy_full, full_two_thirds and half_full on those graphs); io
-(write_edge_list's text and the CLI's read of its file, on those graphs
-and on a union of cycles on 20000 vertices held as masks); percolate (a
+Layers: gen (gen_gnp on G(n, 1/2) and G(n, 1/2000), seed 0, for each
+--n order); dense (greedy_full, full_two_thirds and half_full on the
+G(n, 1/2) graphs); io (write_edge_list's text and the CLI's read of its
+file, on those graphs, on a union of cycles on 20000 vertices held as
+masks and on G(1000, 1/110), read into masks); percolate (a
 300-trial Monte Carlo pass at seed 0 on G(1000, 1/110) at p = 5/16, 2/5
 and 1/2, G(1000, 1/20) at p = 2/5, G(2000, 1/2) and the greedy adversary
 at n = 400 (1602 vertices) at p = 1/2, and the cycles at p = 1/2; and
@@ -106,12 +107,14 @@ def cases(ns, max_n, tmp):
     or None for a read that does not give back the written graph."""
     out = []
     for n in ns:
-        out.append(("gen", "gen_gnp", n, lambda: None, lambda _, n=n: gen_gnp(n, HALF, 0),
-                    lambda g: (g.edge_count, np.packbits(g.matrix).tobytes())))
+        out += [("gen", f"gen_gnp{tag}", n, lambda: None, lambda _, n=n, p=p: gen_gnp(n, p, 0),
+                 lambda g: (g.edge_count, np.packbits(g.matrix).tobytes()))
+                for tag, p in (("", HALF), ("-1/2000", Fraction(1, 2000)))]
         out += [("dense", f.__name__, n, gnp(n), lambda g, f=f: f(g).vertices, witness)
                 for f in (greedy_full, full_two_thirds, half_full)]
-    for name, n, make in [("gnp", n, gnp(n)) for n in ns] + [("cycles", CYCLES_N, cycles)]:
-        path = tmp / f"{name}{n}.txt"
+    for name, n, make in [("gnp", n, gnp(n)) for n in ns] + [
+            ("cycles", CYCLES_N, cycles), ("gnp-1/110", 1000, gnp(1000, p=SPARSE))]:
+        path = tmp / f"{name.replace('/', '_')}{n}.txt"
         out.append(("io", f"write-{name}", n, make, write_edge_list, text))
         out.append(("io", f"read-{name}", n, lambda path=path, make=make: written(path, make),
                     lambda path: _read_graph(str(path)),
@@ -150,7 +153,7 @@ def cases(ns, max_n, tmp):
 def parse_args(argv):
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--n", default="1000,2000,5000",
-                    help="comma-separated G(n, 1/2) orders of the gen, dense and io "
+                    help="comma-separated G(n, p) orders of the gen, dense and io "
                          "layers (default: 1000,2000,5000)")
     ap.add_argument("--max-n", type=int, default=32,
                     help="skip extremes, theta and oracle cases with more vertices "

@@ -119,6 +119,18 @@ MUTANTS = (
     Mutant("bernoulli row reads the block from its start", "fullsub/rng.py",
            "            a += len(row)\n", "",
            ("tests/test_generate.py::test_bernoulli_rows_hold_the_bits_of_one_uniform_u64_call",)),
+    Mutant("kept draws lose their block offset", "fullsub/rng.py",
+           "< threshold) + start", "< threshold)",
+           ("tests/test_generate.py::test_gnp_block_boundaries_match_reference[p3-1001]",)),
+    Mutant("row starts off by one", "fullsub/generate.py",
+           "rows * (rows - 1) // 2", "rows * (rows + 1) // 2",
+           ("tests/test_generate.py::test_gnp_matches_reference_fill",)),
+    Mutant("placed pair left unmirrored", "fullsub/generate.py",
+           "mat[u, v] = mat[v, u] = True\n    else:", "mat[u, v] = True\n    else:",
+           ("tests/test_generate.py::test_gnp_matches_reference_fill",)),
+    Mutant("switch places the draws only below 1/64", "fullsub/generate.py",
+           "if p <= _PLACE_MAX:", "if p < _PLACE_MAX:",
+           ("tests/test_generate.py::test_gnp_places_the_kept_draws_only_up_to_the_switch",)),
     Mutant("peel keeps deleted vertices", "fullsub/finders.py",
            "np.flatnonzero(deg < n)", "np.flatnonzero(deg >= 0)",
            ("tests/test_finders.py::test_peel_matches_reference_on_gnp",)),
@@ -209,6 +221,9 @@ MUTANTS = (
     Mutant("jumbledness key scaled by size, not lcm // size", "fullsub/discrepancy.py",
            "score * (lcm // size)", "score * size",
            ("tests/test_discrepancy.py::test_table_readers_match_reference_on_gnp[8]",)),
+    Mutant("small-p witness keeps the trace", "fullsub/finders.py",
+           "    live[trace] = False\n", "",
+           ("tests/test_finders.py::test_small_p_peel_matches_reference_on_gnp",)),
     Mutant("small-p window one too wide above", "fullsub/finders.py",
            "1 + math.isqrt(num * n * n // den)", "2 + math.isqrt(num * n * n // den)",
            ("tests/test_finders.py::test_small_p_window_stops_where_the_reference_predicates_do",)),
@@ -280,6 +295,13 @@ MUTANTS = (
            "        d |= d.T\n", "",
            ("tests/test_graph.py::test_symmetrize_matches_transpose_or[513]",
             "tests/test_generate.py::test_gnp_matches_reference_fill")),
+    Mutant("mask reader takes duplicates", "fullsub/graph.py",
+           "return g if g.edge_count == m else None", "return g",
+           ("tests/test_sweep_cli.py::"
+            "test_cli_reads_a_sparse_canonical_file_without_the_line_parser[duplicate]",)),
+    Mutant("mask reader sets one half of each pair", "fullsub/graph.py",
+           "                adj[b] |= 1 << a\n", "",
+           ("tests/test_graph.py::test_sparse_canonical_text_is_read_into_masks",)),
     Mutant("a pipe's header line read before its size is known", "fullsub/graph.py",
            'first = source.readline() if size else b""', "first = source.readline()",
            ("tests/test_sweep_cli.py::test_cli_reads_a_file_that_is_a_pipe",)),

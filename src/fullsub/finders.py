@@ -689,7 +689,9 @@ def small_p_full(g: Graph) -> FullSubgraphResult:
             trace.append(w)
     else:
         raise VerificationError("leaf peeling failed to reach the window")
-    return _certified(g, p, np.setdiff1d(np.arange(n), trace), Fraction(lo), tuple(trace))
+    live = np.ones(n, dtype=np.bool_)
+    live[trace] = False
+    return _certified(g, p, np.flatnonzero(live), Fraction(lo), tuple(trace))
 
 
 def largest_full_or_cofull(g: Graph, method: str = "oracle",

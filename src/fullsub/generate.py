@@ -5,10 +5,11 @@ Every generator is deterministic given its parameters (and seed, where
 one applies), platform-independent, and validated before generation.
 The dense families build their n x n bool matrix, symmetric and
 loop-free by construction, after _check_dense_size, and hand it to
-Graph._from_matrix unchecked; clique-isolated builds only its m x m
-clique block, packs it into masks and hands them to Graph._from_adj.
-generate(GenSpec) dispatches by family tag using the same family names
-the command line accepts.
+Graph._from_matrix unchecked (a sparse G(n, p) sets only the pairs its
+kept draws name, dense ones mirror thresholded rows); clique-isolated
+builds only its m x m clique block, packs it into masks and hands them
+to Graph._from_adj. generate(GenSpec) dispatches by family tag using
+the same family names the command line accepts.
 """
 
 from __future__ import annotations
@@ -24,9 +25,10 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .graph import (Graph, PreconditionError, VerificationError, _check_dense_size,
                     _check_memory, _mirror_upper, _pack_rows, as_probability, density)
-from .rng import _bernoulli, uniform_u64
+from .rng import _bernoulli, _kept, uniform_u64
 
 FAMILIES = ("gnp", "clique-isolated", "multipartite-planted", "adversary")
+_PLACE_MAX = Fraction(1, 64)  # gen_gnp places the kept draws at p up to this
 
 
 @dataclass(frozen=True)
@@ -49,11 +51,26 @@ def gen_gnp(n: int, p, seed: int) -> Graph:
     when its 64-bit draw falls below floor(p * 2^64), so the per-edge
     bias is under 2^-64 (zero when the denominator is a power of two).
     Pairs are indexed in lexicographic order, independent of n's
-    representation, so prefixes agree across runs. The draws fill the
-    upper triangle of an n x n bool matrix a block of rows at a time
-    (rng._bernoulli), so the peak is that matrix plus one block. It
-    becomes Graph.matrix, and masks are packed only if read; with no
-    possible edge (p = 0 or n <= 1) no matrix is allocated."""
+    representation, so prefixes agree across runs. The draws fill an
+    n x n bool matrix a block at a time, so the peak is that matrix plus
+    one block; it becomes Graph.matrix, and masks are packed only if
+    read. With no possible edge (p = 0 or n <= 1) no matrix is
+    allocated. Dense graphs threshold each row's draws into the row's
+    upper triangle (rng._bernoulli), which is then mirrored in tiles;
+    at p <= _PLACE_MAX the kept draws' pair indices (rng._kept) are
+    placed instead, both (u, v) and (v, u), so no row is looped over
+    and no mirror runs. Median ms of 7 alternating runs, row / placed,
+    on a 2-vCPU Xeon VM; _PLACE_MAX is the power of two below the
+    lowest crossover:
+
+        p          n = 1000     n = 2000     n = 5000
+        1/2000    4.4 / 2.7   15.3 / 11.0  76.3 / 60.4
+        1/110     4.2 / 2.8   15.6 / 12.4  78.4 / 70.7
+        1/64      4.1 / 2.9   15.0 / 12.7  76.4 / 73.3
+        1/32      4.7 / 3.4   14.8 / 14.4  74.2 / 82.2
+        1/16      4.4 / 3.9   14.7 / 16.7  72.5 / 99.5
+        1/8       5.0 / 4.0   14.6 / 17.9  73.5 / 105.0
+    """
     if n < 0:
         raise PreconditionError(f"n must be nonnegative, got {n}")
     p = as_probability(p)
@@ -65,9 +82,17 @@ def gen_gnp(n: int, p, seed: int) -> Graph:
         return Graph._from_matrix(~np.eye(n, dtype=bool))
     mat = np.zeros((n, n), dtype=bool)
     # the draws run in lexicographic pair order: row u's pairs (u, v > u)
-    # take the next n-1-u; the upper triangle is then mirrored in tiles
-    _bernoulli(seed, p, [mat[u, u + 1:] for u in range(n - 1)])
-    _mirror_upper(mat)
+    # take the next n-1-u, from pair index u(n-1) - u(u-1)/2 on
+    if p <= _PLACE_MAX:
+        rows = np.arange(n - 1)
+        starts = rows * (n - 1) - rows * (rows - 1) // 2
+        for k in _kept(seed, p, n * (n - 1) // 2):
+            u = np.searchsorted(starts, k, side="right") - 1
+            v = k - starts[u] + u + 1
+            mat[u, v] = mat[v, u] = True
+    else:
+        _bernoulli(seed, p, [mat[u, u + 1:] for u in range(n - 1)])
+        _mirror_upper(mat)
     return Graph._from_matrix(mat)
 
 

@@ -4,11 +4,12 @@ A Graph holds the form it was built from and builds the other on first
 use: Graph.adj, one Python int bitmask per vertex, or Graph.matrix, a
 read-only numpy bool matrix. Graphs built from edges or masks hold
 masks; a generated dense graph, an induced subgraph, a complement and a
-graph read from canonical text (_read_canonical) hold the matrix, with
-degrees from its column sums (_column_counts). NumPy integer ids and
-masks are taken as Python ints (operator.index), so no shift wraps at 64
-bits. Inside the package a vertex set is a sorted index array
-(_as_index). This module alone converts between the two forms and asks
+graph read from canonical text (_read_canonical) no smaller than its
+matrix hold the matrix, with degrees from its column sums
+(_column_counts); one read from sparser text holds masks. NumPy
+integer ids and masks are taken as Python ints (operator.index), so no
+shift wraps at 64 bits. Inside the package a vertex set is a sorted
+index array (_as_index). This module alone converts between the two forms and asks
 which one a graph holds: the others read adjacency rows (_rows), arcs
 (_arcs) and in-set degrees (_degrees_within) through it, from the matrix
 when it is there, else from the masks alone, whose nonzero 64-bit words
@@ -447,9 +448,10 @@ def _read_canonical(source: str | BinaryIO, block: int = _TEXT_BLOCK) -> Graph |
     read 4 digits at a time, group k from the 4-byte word ending 4k bytes
     before its last digit; a line's u and v words, paired as one 64-bit
     word, are decoded together (Langdale and Lemire, "Parsing Gigabytes
-    of JSON per Second", 2019). Only graphs whose n x n matrix is no
-    larger than the text (the file's size) are read; Graph.matrix comes
-    out built."""
+    of JSON per Second", 2019). A graph whose n x n matrix is no larger
+    than the text (the file's size) comes out holding Graph.matrix; a
+    sparser one holds masks alone, each line's pair placed as the line
+    parser places it, after the line parser's refusal of a huge n."""
     if isinstance(source, str):  # non-ASCII characters become '?', which no check passes
         size, end = len(source), source.find("\n") + 1
         first = source[:end].encode("ascii", "replace")
@@ -462,10 +464,12 @@ def _read_canonical(source: str | BinaryIO, block: int = _TEXT_BLOCK) -> Graph |
     if head is None:
         return None
     n, m = int(head[1]), int(head[2])
-    if n * n > size:
-        return None
-    _check_dense_size(n)
-    mat = np.zeros((n, n), dtype=np.bool_)
+    if sparse := n * n > size:
+        _check_memory(8 * n, f"{n} adjacency masks")
+        adj = [0] * n
+    else:
+        _check_dense_size(n)
+        mat = np.zeros((n, n), dtype=np.bool_)
     lines = 0
     for chunk in blocks:
         # four NULs of padding: the last one, scan[0], stands as the
@@ -498,9 +502,19 @@ def _read_canonical(source: str | BinaryIO, block: int = _TEXT_BLOCK) -> Graph |
         u, v = uv
         if (u >= v).any() or v.max() >= n:  # u < v, so every u < n too
             return None
-        mat.ravel()[u * n + v] = True
+        if sparse:
+            for a, b in zip(u.tolist(), v.tolist()):
+                adj[a] |= 1 << b
+                adj[b] |= 1 << a
+        else:
+            mat.ravel()[u * n + v] = True
         lines += len(u)
-    if lines != m or np.count_nonzero(mat) != m:  # a duplicate sets no new entry
+    if lines != m:
+        return None
+    if sparse:  # a duplicate adds no edge, so it shows in the count
+        g = Graph._from_adj(n, adj)
+        return g if g.edge_count == m else None
+    if np.count_nonzero(mat) != m:  # a duplicate sets no new entry
         return None
     _mirror_upper(mat)
     return Graph._from_matrix(mat)

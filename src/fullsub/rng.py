@@ -4,14 +4,16 @@ Every randomized routine takes an integer seed and derives independent
 substreams with split_seed, so results are reproducible across runs,
 platforms, and thread counts. Bulk sampling uses numpy's counter-based
 Philox generator, which produces identical streams regardless of how
-the draws are batched: _bernoulli thresholds one generator's stream a
-block of rows at a time, so filling G(n, p)'s n x n bool matrix holds
-its n^2 bytes plus one block of draws, not 8 bytes per pair.
+the draws are batched. _bernoulli (a block of whole rows at a time) and
+_kept (a block of _BLOCK draws, ending anywhere in a row) draw from one
+bit generator per seed and keep a draw below one _threshold, so each
+holds one block of draws, not 8 bytes per pair.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from typing import Iterator
 
 import numpy as np
 
@@ -47,17 +49,21 @@ def uniform_u64(seed: int, count: int) -> np.ndarray:
     return _bit_generator(seed).random_raw(count)
 
 
+def _threshold(p: Fraction) -> np.uint64:
+    """floor(p * 2^64), which a draw falls below with probability p, up to a
+    bias under 2^-64 (none when p's denominator is a power of two)."""
+    return np.uint64((p.numerator << 64) // p.denominator)
+
+
 def _bernoulli(seed: int, p: Fraction, rows: list[np.ndarray]) -> None:
     """Fill the 1-D bool arrays rows, in order, with independent bools,
-    each True with probability p < 1 up to a bias under 2^-64 (none when
-    p's denominator is a power of two): draw k of the Philox stream of
+    each True with probability p < 1: draw k of the Philox stream of
     seed, counted across the rows, is kept iff it falls below
-    floor(p * 2^64). The draws come a block of whole rows at a time, at
+    _threshold(p). The draws come a block of whole rows at a time, at
     most _BLOCK of them unless one row is longer, from a single bit
     generator, so the bits are those of one uniform_u64 call; each row
     is its slice of the block compared with the threshold in place."""
-    bitgen = _bit_generator(seed)
-    threshold = np.uint64((p.numerator << 64) // p.denominator)
+    bitgen, threshold = _bit_generator(seed), _threshold(p)
     i = 0
     while i < len(rows):
         j, size = i + 1, len(rows[i])
@@ -70,3 +76,12 @@ def _bernoulli(seed: int, p: Fraction, rows: list[np.ndarray]) -> None:
             a += len(row)
         del raw  # before the next block's draws: one block is held at a time
         i = j
+
+
+def _kept(seed: int, p: Fraction, count: int) -> Iterator[np.ndarray]:
+    """The increasing indices k < count of the True entries _bernoulli
+    would write across rows of count bools in all, yielded a block of
+    _BLOCK draws at a time, each thresholded in one call."""
+    bitgen, threshold = _bit_generator(seed), _threshold(p)
+    for start in range(0, count, _BLOCK):
+        yield np.flatnonzero(bitgen.random_raw(min(_BLOCK, count - start)) < threshold) + start

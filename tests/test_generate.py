@@ -33,7 +33,7 @@ from fullsub import (
     write_edge_list,
 )
 from fullsub import graph as graph_mod, rng
-from fullsub.generate import _floor_with_cbrt_term
+from fullsub.generate import _PLACE_MAX, _floor_with_cbrt_term
 
 
 # ---------------------------------------------------------------------------
@@ -76,17 +76,34 @@ def test_gnp_matches_reference_fill(n, p, seed):
     assert g.edge_count == int(want.sum()) // 2
 
 
-@pytest.mark.parametrize("n", [9, 10, 11, 30, 60])
-@pytest.mark.parametrize("p", [Fraction(1, 2), Fraction(1, 3)])
+@pytest.mark.parametrize("n", [2, 3, 9, 10, 11, 30, 37, 60, 724, 725, 1001])
+@pytest.mark.parametrize("p", [Fraction(1, 2), Fraction(1, 3), Fraction(1, 63),
+                               _PLACE_MAX, Fraction(1, 65), Fraction(1, 2000)])
 def test_gnp_block_boundaries_match_reference(monkeypatch, n, p):
     # with 45 draws a block, C(9,2) = 36 fits one block, C(10,2) = 45
     # fills it exactly and C(11,2) = 55 spills into a second; n = 30
     # spans ten blocks, and n = 60 opens with a 59-draw row, longer
-    # than a block
+    # than a block. At p <= 1/64 the kept draws are placed, and blocks
+    # end inside rows: rows and kept draws straddle them
+    assert Fraction(1, 63) > _PLACE_MAX == Fraction(1, 64)
     monkeypatch.setattr(rng, "_BLOCK", 45)
     for seed in (0, 5):
         want = support.reference_gnp_adjacency(n, p, seed)
         assert np.array_equal(gen_gnp(n, p, seed).matrix, want)
+
+
+@pytest.mark.parametrize("p", [Fraction(1, 63), _PLACE_MAX])
+def test_gnp_places_the_kept_draws_only_up_to_the_switch(monkeypatch, p):
+    # the row path alone thresholds rows and mirrors them; the placed
+    # path alone takes kept indices
+    calls = []
+    for name in ("_bernoulli", "_kept", "_mirror_upper"):
+        real = gen_gnp.__globals__[name]
+        monkeypatch.setitem(gen_gnp.__globals__, name,
+                            lambda *a, name=name, real=real: calls.append(name) or real(*a))
+    g = gen_gnp(40, p, 6)
+    assert calls == (["_kept"] if p <= _PLACE_MAX else ["_bernoulli", "_mirror_upper"])
+    assert np.array_equal(g.matrix, support.reference_gnp_adjacency(40, p, 6))
 
 
 @pytest.mark.parametrize("block", [5, None])

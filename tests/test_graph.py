@@ -173,8 +173,8 @@ def test_vectorized_reader_matches_reference_parser(case, block):
     if got is not None:
         assert (got.n, got.adj) == want
         _assert_matrix_mirrors_masks(got)
-    elif fault == "none" and end == "\n":
-        assert int(text.split()[0]) ** 2 > len(text)
+    else:  # a canonical text is read whatever its size
+        assert fault != "none" or end != "\n"
 
 
 @pytest.fixture(scope="module")
@@ -263,6 +263,17 @@ def test_a_line_may_pad_u_and_v_to_different_group_counts(block):
         assert (got.n, got.adj) == (want.n, want.adj) == (g.n, g.adj)
 
 
+@pytest.mark.parametrize("block", (1, 7, 64, 1 << 16))
+def test_sparse_canonical_text_is_read_into_masks(block):
+    # G(300, 1/110)'s ~5 kB of text are fewer than its 90 kB of matrix
+    text = write_edge_list(gen_gnp(300, Fraction(1, 110), seed=2))
+    assert 300 ** 2 > len(text)
+    want = support.reference_read_edge_list(text)
+    for got in (_read_canonical(text, block), read_file(text, block), read_edge_list(text)):
+        assert got is not None and "matrix" not in got.__dict__
+        assert (got.n, got.adj) == (want.n, want.adj)
+
+
 def test_reader_refuses_tokens_past_18_digits():
     text = "3 1\n0 18446744073709551617\n"  # 2^64 + 1, which is 1 modulo 2^64
     assert _read_canonical(text) is None
@@ -302,8 +313,10 @@ def test_file_reader_matches_the_text_reader(case, block):
     _, _, text = case
     got, want = read_file(text, block), _read_canonical(text)
     assert (got is None) == (want is None)
-    if got is not None:
-        assert "matrix" in got.__dict__ and (got.n, got.adj) == (want.n, want.adj)
+    if got is not None:  # the matrix if it is no larger than the text, else masks alone
+        for g in (got, want):
+            assert ("matrix" in g.__dict__) == (g.n ** 2 <= len(text)) != ("adj" in g.__dict__)
+        assert (got.n, got.adj) == (want.n, want.adj)
 
 
 @pytest.mark.parametrize("block", (16, 4096, 1 << 16))
@@ -548,6 +561,10 @@ def test_adjacency_mask_lists_are_guarded(monkeypatch):
         Graph.from_edges(1, [])
     with pytest.raises(PreconditionError, match="1 adjacency masks .*physical memory"):
         read_edge_list("1 0")  # no final newline: the line parser reads it
+    # canonical text sparser than its matrix is refused at its masks, as the line parser refuses it
+    for read, text in ((_read_canonical, "3 0\n"), (read_edge_list, "3 0")):
+        with pytest.raises(PreconditionError, match="^3 adjacency masks needs 24 bytes, more "):
+            read(text)
 
 
 # ---------------------------------------------------------------------------

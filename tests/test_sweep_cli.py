@@ -670,19 +670,49 @@ def test_cli_reads_files_the_canonical_reader_declines_as_text(capsys, tmp_path,
     assert (code, out, err) == (1, "", f"error: {e.value}\n")
 
 
+@pytest.mark.parametrize("variant", ("none", "duplicate", "self-loop", "out-of-range"))
+def test_cli_reads_a_sparse_canonical_file_without_the_line_parser(monkeypatch, tmp_path,
+                                                                   variant):
+    # the 10^6 bytes of an n = 1000 matrix exceed the file's ~40 kB, so the
+    # canonical reader places its pairs into masks; only a faulty file
+    # goes on to the line parser, which names the faulty line
+    g = gen_gnp(1000, Fraction(1, 110), seed=0)
+    lines = write_edge_list(g).splitlines()
+    u, v = lines[-3].split()
+    lines[-3] = {"duplicate": lines[-4], "self-loop": f"{u} {u}",
+                 "out-of-range": f"{u} 1000"}.get(variant, lines[-3])
+    path = tmp_path / "sparse.txt"
+    path.write_text("\n".join(lines + [""]), encoding="ascii")
+    parsed = []
+    monkeypatch.setattr(cli_mod, "read_edge_list",
+                        lambda text: parsed.append(text) or read_edge_list(text))
+    if variant == "none":
+        got = cli_mod._read_graph(str(path))
+        assert parsed == [] and "matrix" not in got.__dict__
+        assert (got.n, got.adj) == (g.n, g.adj)
+        return
+    with pytest.raises(EdgeListError) as e:
+        cli_mod._read_graph(str(path))
+    assert len(parsed) == 1 and e.value.line_no == len(lines) - 2
+    with pytest.raises(EdgeListError) as want:
+        support.reference_read_edge_list(path.read_text(encoding="ascii"))
+    assert str(e.value) == str(want.value)
+
+
 def test_cli_reads_a_file_that_is_a_pipe(capsys, tmp_path):
     # a pipe has no size, so the canonical reader must leave it unread
-    # for the line parser, which opens it again and reads it whole
-    text = write_edge_list(support.petersen())
-    r, w = os.pipe()
-    os.write(w, text.encode("ascii"))
-    os.close(w)
-    try:
-        code, out, err = run_cli(capsys, "full", "--input", f"/dev/fd/{r}")
-    finally:
-        os.close(r)
+    # for the line parser, which opens it again and reads it whole; the
+    # CRLF text is one the canonical reader would decline after its header
     want = run_cli(capsys, "full", "--input", graph_file(tmp_path, support.petersen()))[1]
-    assert (code, out, err) == (0, want, "")
+    for newline in ("\n", "\r\n"):
+        r, w = os.pipe()
+        os.write(w, write_edge_list(support.petersen()).replace("\n", newline).encode("ascii"))
+        os.close(w)
+        try:
+            code, out, err = run_cli(capsys, "full", "--input", f"/dev/fd/{r}")
+        finally:
+            os.close(r)
+        assert (code, out, err) == (0, want, "")
 
 
 def test_cli_reports_undecodable_input_file(capsys, tmp_path):
@@ -950,13 +980,15 @@ def test_layer_timings_script_smoke(layer_timing_rows):
     rows = layer_timing_rows
     assert rows[0] == ["layer", "case", "n", "size", "digest", "seconds"]
     assert [row[0] for row in rows[1:]] == (
-        ["gen"] + ["dense"] * 3 + ["io"] * 4 + ["percolate"] * 9 + ["extremes"] * 5
+        ["gen"] * 2 + ["dense"] * 3 + ["io"] * 6 + ["percolate"] * 9 + ["extremes"] * 5
         + ["theta"] * 5 + ["oracle"] * 7)
     assert _layer_rows(rows, "io", "extremes", "theta") == [
         ["io", "write-gnp", "200", "69044", "9319cbed553a8eed"],
         ["io", "read-gnp", "200", "69044", "9319cbed553a8eed"],
         ["io", "write-cycles", "20000", "217792", "a1da6c3ddc54a3d1"],
         ["io", "read-cycles", "20000", "217792", "a1da6c3ddc54a3d1"],
+        ["io", "write-gnp-1/110", "1000", "34904", "0657437e453955b3"],
+        ["io", "read-gnp-1/110", "1000", "34904", "0657437e453955b3"],
         ["extremes", "build_extremes", "16", "17", "c968a963fba6c122"],
         ["extremes", "build_extremes", "18", "19", "7b1ce1b47ff513a4"],
         ["extremes", "build_extremes", "20", "21", "d397d98b59319d16"],
@@ -989,6 +1021,7 @@ def test_dense_layer_timings_script_smoke(layer_timing_rows):
     # the dense-cell rows of scripts/layer_timings.py
     assert _layer_rows(layer_timing_rows, "gen", "dense") == [
         ["gen", "gen_gnp", "200", "10008", "cc9e118cb777b6b0"],
+        ["gen", "gen_gnp-1/2000", "200", "6", "77c2fe3a5adbf5a7"],
         ["dense", "greedy_full", "200", "138", "4580ce135a5c9773"],
         ["dense", "full_two_thirds", "200", "10", "9f367847b5618dd6"],
         ["dense", "half_full", "200", "100", "d269aff37d5967a1"]]
@@ -1012,5 +1045,6 @@ def test_layer_timings_script_fails_on_a_read_that_changes_the_graph(capsys, mon
     assert script.main(["--n", "200", "--max-n", "0"]) == 1
     lines = capsys.readouterr().out.splitlines()
     assert [line.split()[1] for line in lines[1:-1]] == [
-        "gen_gnp", "greedy_full", "full_two_thirds", "half_full", "write-gnp"]
+        "gen_gnp", "gen_gnp-1/2000", "greedy_full", "full_two_thirds", "half_full",
+        "write-gnp"]
     assert lines[-1] == "error: read-gnp n=200 reads back as a different graph"
