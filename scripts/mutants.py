@@ -185,6 +185,13 @@ MUTANTS = (
            ("tests/test_graph.py::test_mask_and_matrix_twins_are_equal_and_hash_alike[gnp]",
             "tests/test_graph.py::"
             "test_mask_graphs_past_one_unpacked_block_compare_and_write_every_row")),
+    Mutant("matrices never mapped", "fullsub/graph.py",
+           'if n * n < _MAP_BYTES or not hasattr(mmap, "MAP_PRIVATE"):', "if True:",
+           ("tests/test_graph.py::test_zero_matrix_lies_in_its_own_map_from_map_bytes_on[363]",
+            "tests/test_graph.py::test_read_and_complemented_matrices_lie_in_their_own_maps")),
+    Mutant("complement inverted into a malloc block", "fullsub/graph.py",
+           "np.logical_not(g.matrix, out=_zero_matrix(g.n))", "~g.matrix",
+           ("tests/test_graph.py::test_read_and_complemented_matrices_lie_in_their_own_maps",)),
     Mutant("vertex mask unpacked big-endian", "fullsub/graph.py",
            'np.unpackbits(packed, bitorder="little")', 'np.unpackbits(packed, bitorder="big")',
            ("tests/test_graph.py::test_induced_subgraph_matches_reference[300]",)),

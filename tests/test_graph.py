@@ -1,5 +1,6 @@
 """Graph core: construction, edge-list I/O, density, induced subgraphs."""
 
+import mmap
 import re
 import tempfile
 from fractions import Fraction
@@ -29,7 +30,8 @@ from fullsub import (
     write_edge_list,
 )
 from fullsub import graph as graph_mod
-from fullsub.graph import _blocks, _column_counts, _mirror_upper, _pack_rows, _read_canonical
+from fullsub.graph import (_blocks, _column_counts, _mirror_upper, _pack_rows, _read_canonical,
+                           _zero_matrix)
 
 K3_TEXT = "3 3\n0 1\n0 2\n1 2\n"
 
@@ -633,6 +635,34 @@ def test_column_counts_widen_past_uint16():
     # a count of at most n - 1 fits uint16 while n < 2^16
     for n, dtype in ((1, np.uint16), (2 ** 16 - 1, np.uint16), (2 ** 16, np.uint32)):
         assert _column_counts(np.zeros((1, n), dtype=np.bool_)).dtype == dtype
+
+
+def _owner(a):
+    """The object that holds an array's memory."""
+    while isinstance(a, np.ndarray):
+        a = a.base
+    return a.obj if isinstance(a, memoryview) else a
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 361, 362, 363, 400])
+def test_zero_matrix_lies_in_its_own_map_from_map_bytes_on(n):
+    mat = _zero_matrix(n)
+    assert mat.shape == (n, n) and mat.dtype == np.bool_ and not mat.any()
+    assert mat.flags.writeable and mat.flags.c_contiguous
+    assert isinstance(_owner(mat), mmap.mmap) == (n * n >= graph_mod._MAP_BYTES)
+    mat[n - 1:, :1] = True  # the map is private and writable
+    assert mat.sum() == min(n, 1)
+
+
+def test_read_and_complemented_matrices_lie_in_their_own_maps():
+    # 362^2 < 2^17 <= 363^2; generated matrices stay with malloc
+    assert 362 ** 2 < graph_mod._MAP_BYTES <= 363 ** 2
+    for n, mapped in ((362, False), (363, True)):
+        g = gen_gnp(n, Fraction(1, 2), 0)
+        assert not isinstance(_owner(g.matrix), mmap.mmap)
+        for h in (complement(g), _read_canonical(write_edge_list(g))):
+            assert isinstance(_owner(h.matrix), mmap.mmap) == mapped
+            assert not h.matrix.flags.writeable
 
 
 @pytest.mark.parametrize("make", FAMILIES.values(), ids=FAMILIES.keys())
