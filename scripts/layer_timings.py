@@ -2,10 +2,11 @@
 """Time each layer of fullsub on one table of fixed cases, a row per case.
 
 Layers: gen (gen_gnp on G(n, 1/2) and G(n, 1/2000), seed 0, for each
---n order); dense (greedy_full, full_two_thirds and half_full on the
-G(n, 1/2) graphs); io (write_edge_list's text and the CLI's read of its
-file, on those graphs, on a union of cycles on 20000 vertices held as
-masks and on G(1000, 1/110), read into masks); percolate (a
+--n order); dense (greedy_full, full_two_thirds, half_full and the
+heuristic largest_full_or_cofull on the G(n, 1/2) graphs); io
+(write_edge_list's text and the CLI's read of its file, on those
+graphs, on a union of cycles on 20000 vertices held as masks and on
+G(1000, 1/110), read into masks); percolate (a
 300-trial Monte Carlo pass at seed 0 on G(1000, 1/110) at p = 5/16, 2/5
 and 1/2, G(1000, 1/20) at p = 2/5, G(2000, 1/2) and the greedy adversary
 at n = 400 (1602 vertices) at p = 1/2, and the cycles at p = 1/2; and
@@ -22,12 +23,13 @@ multipartite construction at N = 24, 30). Caps are lifted to n.
 A row gives layer, case, n, size (witness members, graph edges, text
 characters, successful trials, finally infected vertices or table slots;
 - for theta), a digest (the first 16 hex digits of the sha256 of the
-packed matrix, the sorted witness, the text, the successes with the
-first failing trial and its sorted survivors, the rounds with the
-sorted infected set, repr(slots) or str(theta)) and the best of 5 wall
-times in seconds; oracle cases run once. Each timed run gets an input
-built afresh and untimed, so no run reads state an earlier one kept on
-its graph. A read that does not give back the written graph exits 1.
+packed matrix, the sorted witness, g's value, side and sorted witness,
+the text, the successes with the first failing trial and its sorted
+survivors, the rounds with the sorted infected set, repr(slots) or
+str(theta)) and the best of 5 wall times in seconds; oracle cases run
+once. Each timed run gets an input built afresh and untimed, so no run
+reads state an earlier one kept on its graph. A read that does not give
+back the written graph exits 1.
 Extremes, theta and oracle cases above --max-n vertices are skipped;
 full G(48, 1/2) alone takes about 45 s on a 2-vCPU Xeon virtual machine.
 
@@ -79,6 +81,10 @@ def written(path, make):
     return path
 
 
+def g_value(res):
+    return res.value, repr((res.value, res.side, sorted(res.witness))).encode()
+
+
 def text(edge_list):
     return len(edge_list), edge_list.encode("ascii")
 
@@ -112,6 +118,8 @@ def cases(ns, max_n, tmp):
                 for tag, p in (("", HALF), ("-1/2000", Fraction(1, 2000)))]
         out += [("dense", f.__name__, n, gnp(n), lambda g, f=f: f(g).vertices, witness)
                 for f in (greedy_full, full_two_thirds, half_full)]
+        out.append(("dense", "largest_full_or_cofull", n, gnp(n),
+                    lambda g: largest_full_or_cofull(g, method="heuristic"), g_value))
     for name, n, make in [("gnp", n, gnp(n)) for n in ns] + [
             ("cycles", CYCLES_N, cycles), ("gnp-1/110", 1000, gnp(1000, p=SPARSE))]:
         path = tmp / f"{name.replace('/', '_')}{n}.txt"

@@ -257,6 +257,23 @@ MUTANTS = (
     Mutant("g(G) ties go to the co-full side", "fullsub/finders.py",
            'c[0] != "full"', 'c[0] != "cofull"',
            ("tests/test_finders.py::test_g_value_heuristic_breaks_ties_to_the_full_side",)),
+    Mutant("half_full's ceiling without its + 1", "fullsub/finders.py",
+           "reaches(n // 2 + 1)", "reaches(n // 2)",
+           ("tests/test_finders.py::"
+            "test_g_heuristic_runs_a_finder_only_where_its_ceiling_reaches",
+            "tests/test_finders.py::"
+            "test_g_heuristic_matches_the_every_finder_reference_on_gnp[6]")),
+    Mutant("full_two_thirds' ceiling without its + 1", "fullsub/finders.py",
+           "-(-n // _two_thirds_r(n, p)) + 1", "-(-n // _two_thirds_r(n, p))",
+           ("tests/test_finders.py::"
+            "test_g_heuristic_runs_a_finder_only_where_its_ceiling_reaches",)),
+    Mutant("the heuristic also skips a finder whose ceiling ties the best size",
+           "fullsub/finders.py",
+           "return ceiling >= max(", "return ceiling > max(",
+           ("tests/test_finders.py::"
+            "test_g_heuristic_runs_a_finder_only_where_its_ceiling_reaches",
+            "tests/test_finders.py::"
+            "test_g_heuristic_matches_the_every_finder_reference_on_gnp[6]")),
     Mutant("joint g tests co-full before full at a size", "fullsub/finders.py",
            'for side in ("full", "cofull")]', 'for side in ("cofull", "full")]',
            ("tests/test_finders.py::test_g_value_oracle_breaks_ties_to_the_full_side",

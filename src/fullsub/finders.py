@@ -19,7 +19,8 @@ reference density. This module houses:
     levels do (_qfull), so no finder builds an induced subgraph,
   - small_p_full: the sparse-regime finder (p <= n^(-2/3)),
   - largest_full_or_cofull: best of both orientations, exactly by one
-    joint search that walks both kept searches down in lockstep.
+    joint search that walks both kept searches down in lockstep, or by
+    the polynomial finders whose size ceiling can still win.
 
 The bar p(m-1) has one integer form, _fullness_bar, and in-set degrees
 one count, graph._degrees_within. Vertex sets stay sorted index arrays
@@ -582,19 +583,7 @@ def full_two_thirds(g: Graph) -> FullSubgraphResult:
         # any graph on <= 2 vertices is full at its own density, and
         # the p-range below is empty there anyway
         return _certified(g, p, g.full_mask(), Fraction(0), ())
-    if num ** 3 * n * n <= den ** 3:
-        raise PreconditionError(
-            f"density {p} is at most n^(-2/3); use small_p_full instead")
-    if (den - num) ** 7 * n <= den ** 7:
-        raise PreconditionError(
-            f"density {p} is at least 1 - n^(-1/7); no size guarantee applies")
-    # smallest t with (1-p)^(-2/3) n^(1/3) <= 2^t, i.e. cubed and
-    # cleared: 2^(3t) (den-num)^2 >= n den^2; doubling keeps 2^t below
-    # twice the left-hand side
-    t = 0
-    while (1 << (3 * t)) * (den - num) ** 2 < n * den * den:
-        t += 1
-    r = 1 << t
+    r = _two_thirds_r(n, p)
     s_min = two_thirds_size_floor(n, p)
 
     def aligned(s: int, dmin: int) -> bool:
@@ -613,6 +602,25 @@ def full_two_thirds(g: Graph) -> FullSubgraphResult:
     if res.size < s_min:
         raise VerificationError(f"output size {res.size} below the bound {s_min}")
     return res
+
+
+def _two_thirds_r(n: int, p: Fraction) -> int:
+    """full_two_thirds' r = 2^t on n > 2 vertices at density p, after its
+    refusals of p outside n^(-2/3) < p < 1 - n^(-1/7) (at p = 1 the loop
+    below would not end): the smallest t with (1-p)^(-2/3) n^(1/3) <= 2^t,
+    i.e. cubed and cleared: 2^(3t) (den-num)^2 >= n den^2; doubling keeps
+    2^t below twice the left-hand side."""
+    num, den = p.numerator, p.denominator
+    if num ** 3 * n * n <= den ** 3:
+        raise PreconditionError(
+            f"density {p} is at most n^(-2/3); use small_p_full instead")
+    if (den - num) ** 7 * n <= den ** 7:
+        raise PreconditionError(
+            f"density {p} is at least 1 - n^(-1/7); no size guarantee applies")
+    t = 0
+    while (1 << (3 * t)) * (den - num) ** 2 < n * den * den:
+        t += 1
+    return 1 << t
 
 
 def small_p_size_floor(n: int, p) -> int:
@@ -634,14 +642,10 @@ def small_p_full(g: Graph) -> FullSubgraphResult:
     return V(G) outright."""
     n = g.n
     p = density(g)
-    num, den = p.numerator, p.denominator
-    if num == 0 or n <= 2:
+    if p == 0 or n <= 2:
         return _certified(g, p, g.full_mask(), Fraction(0), ())
-    if num ** 3 * n * n > den ** 3:
-        raise PreconditionError(
-            f"density {p} exceeds n^(-2/3); use full_two_thirds instead")
-    # lo <= c iff (c+1)^2 den >= num n^2; c <= hi iff c <= 1 or (c-1)^2 den <= num n^2
-    lo, hi = small_p_size_floor(n, p), 1 + math.isqrt(num * n * n // den)
+    hi = _small_p_top(n, p)
+    lo = small_p_size_floor(n, p)
 
     # removed vertices join the trace, so n - len(trace) are live; the
     # spanning forest, by depth-first search over the live graph, is held
@@ -694,6 +698,37 @@ def small_p_full(g: Graph) -> FullSubgraphResult:
     return _certified(g, p, np.flatnonzero(live), Fraction(lo), tuple(trace))
 
 
+def _small_p_top(n: int, p: Fraction) -> int:
+    """small_p_full's window top on n vertices at density p, after its
+    refusal of p > n^(-2/3): 1 + isqrt(num n^2 // den), so that c <= top
+    iff c <= 1 or (c-1)^2 den <= num n^2."""
+    num, den = p.numerator, p.denominator
+    if num ** 3 * n * n > den ** 3:
+        raise PreconditionError(
+            f"density {p} exceeds n^(-2/3); use full_two_thirds instead")
+    return 1 + math.isqrt(num * n * n // den)
+
+
+def _two_thirds_ceiling(n: int, p: Fraction) -> int:
+    """The most vertices full_two_thirds keeps on n vertices at density p
+    when it does not return greedy_full's witness, as a run that never
+    switches does: ceil(m/r) + 1 of m <= n survivors (_one_over_r's
+    window); n where it returns V(G) outright (n <= 2) or refuses p."""
+    try:
+        return n if n <= 2 else -(-n // _two_thirds_r(n, p)) + 1
+    except PreconditionError:
+        return n
+
+
+def _small_p_ceiling(n: int, p: Fraction) -> int:
+    """small_p_full's window top on n vertices at density p; n where it
+    returns V(G) outright (p = 0 or n <= 2) or refuses p."""
+    try:
+        return n if p == 0 or n <= 2 else _small_p_top(n, p)
+    except PreconditionError:
+        return n
+
+
 def largest_full_or_cofull(g: Graph, method: str = "oracle",
                            cap: int = EXACT_CAP_DEFAULT,
                            seed: int = 0) -> GValue:
@@ -704,25 +739,38 @@ def largest_full_or_cofull(g: Graph, method: str = "oracle",
     exact under the cap: one joint search walks the sizes down, tests
     full before co-full at each on the searches oracle_largest_full
     keeps on g, and stops at the first set; method="heuristic" takes the
-    best verified candidate from the polynomial finders on both sides."""
+    best verified candidate from the polynomial finders on both sides:
+    greedy_full on G and on its complement first, then on each side
+    full_two_thirds, small_p_full and half_full (kept when full), each
+    only where its size ceiling (_two_thirds_ceiling, _small_p_ceiling,
+    floor(n/2) + 1) reaches the largest candidate so far. A smaller set
+    loses on size whatever its side and members, so a skipped call
+    cannot change the answer."""
     p = density(g)
     if method == "oracle":
         kept = [_kept_search(g, p, side, cap) for side in ("full", "cofull")]
         return next(GValue(m, s.mode, s.result.vertices, p) for m in range(g.n, -1, -1)
                     for s in kept if _holds(g, s, m))
     elif method == "heuristic":
-        cands = []
-        for side, h in (("full", g), ("cofull", complement(g))):
-            dens = density(h)
-            cands.append((side, greedy_full(h, dens).vertices))
-            for finder in (full_two_thirds, small_p_full):
-                try:
-                    cands.append((side, finder(h).vertices))
-                except PreconditionError:
-                    pass
-            hf = half_full(h, seed=seed)
-            if is_full(h, dens, hf.vertices)[0]:
-                cands.append((side, hf.vertices))
+        sides = (("full", g), ("cofull", complement(g)))
+        cands = [(side, greedy_full(h).vertices) for side, h in sides]
+
+        def reaches(ceiling: int) -> bool:
+            return ceiling >= max(len(c[1]) for c in cands)
+
+        for side, h in sides:
+            n, dens = h.n, density(h)
+            for finder, ceiling in ((full_two_thirds, _two_thirds_ceiling),
+                                    (small_p_full, _small_p_ceiling)):
+                if reaches(ceiling(n, dens)):
+                    try:
+                        cands.append((side, finder(h).vertices))
+                    except PreconditionError:
+                        pass
+            if reaches(n // 2 + 1):
+                hf = half_full(h, seed=seed)
+                if is_full(h, dens, hf.vertices)[0]:
+                    cands.append((side, hf.vertices))
     else:
         raise ValueError(f"method must be 'oracle' or 'heuristic', got {method!r}")
     side, best = min(cands, key=lambda c: (-len(c[1]), c[0] != "full", sorted(c[1])))

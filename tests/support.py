@@ -16,9 +16,9 @@ from typing import Iterable, Optional
 
 import numpy as np
 
-from fullsub import (EdgeListError, Graph, PreconditionError, VerificationError,
-                     complement, density, gen_gnp, half_full, induced_subgraph,
-                     qfull_partition)
+from fullsub import (EdgeListError, GValue, Graph, PreconditionError, VerificationError,
+                     complement, density, full_two_thirds, gen_gnp, greedy_full, half_full,
+                     induced_subgraph, is_full, qfull_partition, small_p_full)
 from fullsub.discrepancy import DiscWitness, JumbledReport
 from fullsub.finders import QFullOutcome, _certify_relative
 from fullsub.graph import _pack_rows, as_probability, from_mask, iter_bits, lex_less
@@ -760,6 +760,28 @@ def brute_g_value(g: Graph) -> int:
     return max(f_here, f_comp)
 
 
+def reference_g_heuristic(g: Graph, seed: int = 0) -> GValue:
+    """largest_full_or_cofull(g, method="heuristic") as it ran every finder
+    on both sides, whatever the sizes found: greedy_full, full_two_thirds
+    and small_p_full where they do not refuse, and half_full's side where
+    it is full; the largest set wins, then the full side, then the
+    lexicographically smallest set."""
+    cands = []
+    for side, h in (("full", g), ("cofull", complement(g))):
+        dens = density(h)
+        cands.append((side, greedy_full(h, dens).vertices))
+        for finder in (full_two_thirds, small_p_full):
+            try:
+                cands.append((side, finder(h).vertices))
+            except PreconditionError:
+                pass
+        hf = half_full(h, seed=seed)
+        if is_full(h, dens, hf.vertices)[0]:
+            cands.append((side, hf.vertices))
+    side, best = min(cands, key=lambda c: (-len(c[1]), c[0] != "full", sorted(c[1])))
+    return GValue(len(best), side, best, density(g))
+
+
 def brute_is_relatively_full(g: Graph, q, xs) -> bool:
     q = Fraction(q)
     return all(degree_into(g, v, xs) >= q * g.degree(v) for v in xs)
@@ -907,6 +929,16 @@ def reference_one_over_r_full(g: Graph, r: int, seed: Optional[int] = None) -> f
     return final
 
 
+def reference_two_thirds_r(n: int, p: Fraction) -> int:
+    """full_two_thirds' 2^t, by Fraction arithmetic: the least power of two
+    whose cube times (1-p)^2 reaches n, i.e. 2^t >= (1-p)^(-2/3) n^(1/3).
+    The caller picks p < 1."""
+    t = 0
+    while 2 ** (3 * t) * (1 - p) ** 2 < n:
+        t += 1
+    return 2 ** t
+
+
 def reference_full_two_thirds(g: Graph) -> tuple[frozenset, tuple, bool]:
     """(witness, deletion trace, whether the switch fired) of full_two_thirds
     as it ran when its switch built the induced subgraph G[kept] and took a
@@ -915,10 +947,7 @@ def reference_full_two_thirds(g: Graph) -> tuple[frozenset, tuple, bool]:
     and a density inside the finder's range."""
     n = g.n
     p = density(g)
-    t = 0
-    while 2 ** (3 * t) * (1 - p) ** 2 < n:  # 2^t >= (1-p)^(-2/3) n^(1/3)
-        t += 1
-    r = 2 ** t
+    r = reference_two_thirds_r(n, p)
 
     def aligned(s, dmin):
         bar = math.ceil(p * (s - 1))

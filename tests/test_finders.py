@@ -9,6 +9,7 @@ import hashlib
 import math
 from fractions import Fraction
 from itertools import combinations
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -875,6 +876,120 @@ def test_g_value_heuristic_breaks_ties_to_the_full_side():
     # K_6 and its complement both keep all six vertices
     got = largest_full_or_cofull(support.clique(6), method="heuristic")
     assert (got.value, got.side, got.witness) == (6, "full", frozenset(range(6)))
+
+
+# the heuristic skips a finder whose size ceiling lies below the largest
+# candidate; these check the ceilings, the answer and the calls it skips
+
+G_DENSITIES = (Fraction(1, 50), Fraction(1, 10), Fraction(1, 4), HALF, Fraction(3, 4),
+               Fraction(9, 10))
+
+
+def _ceiling_graphs():
+    """The frozen two-thirds cases (seeds 0 and 2 at n = 30 peel to the
+    end, the other four switch), a G(n, p) grid, the greedy adversary and
+    the multipartite construction."""
+    graphs = [gen_gnp(n, p, seed) for n, p in ((30, Fraction(1, 4)), (200, HALF))
+              for seed in range(3)]
+    graphs += [gen_gnp(n, p, seed) for n in (3, 9, 20, 60, 120) for p in G_DENSITIES
+               for seed in range(2)]
+    graphs += [gen_greedy_adversary(k) for k in (2, 5, 25)]
+    graphs += [gen_multipartite_planted(k, r)[0] for k, r in ((8, 1), (16, 1), (8, 2), (12, 3))]
+    return graphs
+
+
+def test_size_ceilings_bound_what_each_finder_returns():
+    switched = 0
+    for g in _ceiling_graphs():
+        for h in (g, complement(g)):
+            n, p = h.n, density(h)
+            num, den = p.numerator, p.denominator
+            assert half_full(h, seed=0).size <= n // 2 + 1
+            # small_p_full keeps at most its window top, the largest c with
+            # c <= 1 or (c-1)^2 den <= num n^2
+            top = finders._small_p_ceiling(n, p)
+            try:
+                got = small_p_full(h)
+            except PreconditionError:
+                assert top == n
+            else:
+                assert got.size <= top
+                if p and n > 2:
+                    assert top <= 1 or (top - 1) ** 2 * den <= num * n * n
+                    assert top ** 2 * den > num * n * n
+            # full_two_thirds keeps greedy's witness or at most ceil(n/r) + 1
+            try:
+                got = full_two_thirds(h)
+            except PreconditionError:
+                assert finders._two_thirds_ceiling(n, p) == n
+                continue
+            top = -(-n // support.reference_two_thirds_r(n, p)) + 1
+            assert finders._two_thirds_ceiling(n, p) == top
+            if got.vertices != greedy_full(h).vertices:
+                switched += 1
+                assert got.size <= top
+    assert switched >= 4
+
+
+@pytest.mark.parametrize("n", range(6))
+def test_g_heuristic_matches_the_every_finder_reference_on_every_small_graph(n):
+    for g in support.all_graphs(n):
+        assert largest_full_or_cofull(g, method="heuristic") == \
+            support.reference_g_heuristic(g), g.adj
+
+
+@pytest.mark.parametrize("n", [*range(13), 20, 30, 60, 100])
+def test_g_heuristic_matches_the_every_finder_reference_on_gnp(n):
+    for p in G_DENSITIES:
+        for seed in range(3):
+            g = gen_gnp(n, p, seed)
+            assert largest_full_or_cofull(g, method="heuristic", seed=seed) == \
+                support.reference_g_heuristic(g, seed), (p, seed)
+
+
+def test_g_heuristic_matches_the_every_finder_reference_on_constructions():
+    graphs = [gen_greedy_adversary(k) for k in (2, 3, 5, 10, 25)]
+    graphs += [gen_multipartite_planted(k, r)[0] for k, r in (
+        (3, 1), (6, 1), (10, 1), (16, 1), (6, 2), (10, 2), (16, 2), (8, 3), (12, 3))]
+    for g in graphs:
+        assert largest_full_or_cofull(g, method="heuristic") == \
+            support.reference_g_heuristic(g), g
+
+
+def _count_calls(monkeypatch, names):
+    counts = dict.fromkeys(names, 0)
+    for name in names:
+        def spy(*args, real=getattr(finders, name), name=name, **kwargs):
+            counts[name] += 1
+            return real(*args, **kwargs)
+        monkeypatch.setattr(finders, name, spy)
+    return counts
+
+
+def test_g_heuristic_runs_a_finder_only_where_its_ceiling_reaches(monkeypatch):
+    counts = _count_calls(monkeypatch, ("half_full", "_one_over_r"))
+    # greedy keeps more than floor(n/2) + 1 on both sides of G(n, 1/2),
+    # far above full_two_thirds' ceiling ceil(n/16) + 1 there
+    for n in (200, 1000):
+        g = gen_gnp(n, HALF, 0)
+        assert min(len(greedy_full(h).vertices) for h in (g, complement(g))) > n // 2 + 1
+        largest_full_or_cofull(g, method="heuristic")
+    assert counts == {"half_full": 0, "_one_over_r": 0}
+    # greedy keeps 5 on both sides of this G(8, 1/2), which half_full's
+    # ceiling 8 // 2 + 1 reaches, so half_full runs on both
+    largest_full_or_cofull(gen_gnp(8, HALF, 1), method="heuristic")
+    assert counts == {"half_full": 2, "_one_over_r": 0}
+    # on no G(n, p) searched (n = 9..40, p = k/20, 40 seeds) does an
+    # in-range full_two_thirds ceiling reach greedy's size, so greedy is
+    # cut to the ceiling 14 of both sides of this G(200, 1/2): then
+    # full_two_thirds runs on both and switches to its 1/16 levels (and
+    # half_full, whose ceiling 101 reaches 14 too, runs on both)
+    g = gen_gnp(200, HALF, 1)
+    assert [finders._two_thirds_ceiling(200, density(h)) for h in (g, complement(g))] == [14, 14]
+    monkeypatch.setattr(finders, "greedy_full",
+                        lambda h: SimpleNamespace(vertices=frozenset(range(14))))
+    largest_full_or_cofull(g, method="heuristic")
+    assert counts == {"half_full": 4, "_one_over_r": 2}
 
 
 # ---------------------------------------------------------------------------
