@@ -132,8 +132,26 @@ MUTANTS = (
            "if p <= _PLACE_MAX:", "if p < _PLACE_MAX:",
            ("tests/test_generate.py::test_gnp_places_the_kept_draws_only_up_to_the_switch",)),
     Mutant("peel keeps deleted vertices", "fullsub/finders.py",
-           "np.flatnonzero(deg < n)", "np.flatnonzero(deg >= 0)",
+           "live = deg < n", "live = deg >= 0",
            ("tests/test_finders.py::test_peel_matches_reference_on_gnp",)),
+    Mutant("peel's degree table left unzeroed off the survivors", "fullsub/finders.py",
+           "np.where(live, -deg if cofull else deg, 0)",
+           "np.where(live, -deg if cofull else deg, deg)",
+           ("tests/test_finders.py::test_two_thirds_hands_its_peel_degrees_to_the_levels",)),
+    Mutant("co-full bar as a ceiling", "fullsub/finders.py",
+           "-(num * (count - 1) // den)", "-(-(-num * (count - 1) // den))",
+           ("tests/test_finders.py::"
+            "test_cofull_greedy_matches_greedy_on_the_complement_on_gnp[30]",)),
+    Mutant("co-full tie goes to the last index", "fullsub/finders.py",
+           "victim = int(deg.argmin())",
+           "victim = n - 1 - int(deg[::-1].argmin()) if cofull else int(deg.argmin())",
+           ("tests/test_finders.py::"
+            "test_cofull_greedy_matches_greedy_on_the_complement_on_every_small_graph[4]",)),
+    Mutant("pack drops the last partial block", "fullsub/graph.py",
+           "for s in range(0, len(rows), _BYTE_ROWS):",
+           "for s in range(0, len(rows) // _BYTE_ROWS * _BYTE_ROWS, _BYTE_ROWS):",
+           ("tests/test_graph.py::"
+            "test_packing_a_block_of_rows_at_a_time_matches_the_whole_array[129]",)),
     Mutant("byte-wide in-set degree total", "fullsub/graph.py",
            "dtype=np.uint16 if n < 1 << 16 else np.uint32", "dtype=np.uint8",
            ("tests/test_finders.py::test_matrix_certification_matches_the_mask_walk",)),
@@ -267,13 +285,18 @@ MUTANTS = (
            "-(-n // _two_thirds_r(n, p)) + 1", "-(-n // _two_thirds_r(n, p))",
            ("tests/test_finders.py::"
             "test_g_heuristic_runs_a_finder_only_where_its_ceiling_reaches",)),
-    Mutant("the heuristic also skips a finder whose ceiling ties the best size",
-           "fullsub/finders.py",
+    Mutant("the heuristic, and so its lazy complement, skips a finder whose ceiling "
+           "ties the best size", "fullsub/finders.py",
            "return ceiling >= max(", "return ceiling > max(",
            ("tests/test_finders.py::"
             "test_g_heuristic_runs_a_finder_only_where_its_ceiling_reaches",
             "tests/test_finders.py::"
             "test_g_heuristic_matches_the_every_finder_reference_on_gnp[6]")),
+    Mutant("the heuristic builds the complement whether or not a finder needs it",
+           "fullsub/finders.py",
+           'held = {"full": g}', 'held = {"full": g, "cofull": complement(g)}',
+           ("tests/test_finders.py::"
+            "test_g_heuristic_runs_a_finder_only_where_its_ceiling_reaches",)),
     Mutant("joint g tests co-full before full at a size", "fullsub/finders.py",
            'for side in ("full", "cofull")]', 'for side in ("cofull", "full")]',
            ("tests/test_finders.py::test_g_value_oracle_breaks_ties_to_the_full_side",

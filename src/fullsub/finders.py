@@ -9,7 +9,9 @@ reference density. This module houses:
   - is_full / is_relatively_full: exact certification predicates,
   - oracle_largest_full: the exponential exact optimum (desk scale),
     a descending search kept on the graph per (p, mode),
-  - greedy_full: threshold peeling with a choice of tie-breaks,
+  - greedy_full: threshold peeling with a choice of tie-breaks; its
+    peel (_peel) also runs in a co-full mode on G's own matrix, which
+    peels as greedy_full on the complement would (_cofull_greedy),
   - qfull_partition: swap local search over (ceil(qn), rest)
     bipartitions whose local maxima force one of three witness shapes,
   - half_full / one_over_r_full: relatively full subgraphs near n/r,
@@ -20,7 +22,8 @@ reference density. This module houses:
   - small_p_full: the sparse-regime finder (p <= n^(-2/3)),
   - largest_full_or_cofull: best of both orientations, exactly by one
     joint search that walks both kept searches down in lockstep, or by
-    the polynomial finders whose size ceiling can still win.
+    the polynomial finders whose size ceiling can still win, with the
+    complement built only for a co-full finder other than greedy.
 
 The bar p(m-1) has one integer form, _fullness_bar, and in-set degrees
 one count, graph._degrees_within. Vertex sets stay sorted index arrays
@@ -295,19 +298,29 @@ _GONE = np.int32(1 << 30)  # a deleted vertex's degree, above every live one
 
 
 def _peel(g: Graph, p: Fraction, tie_break: str = "min-index",
-          stop: Optional[Callable[[int, int], bool]] = None
-          ) -> tuple[np.ndarray, tuple[int, ...], bool]:
+          stop: Optional[Callable[[int, int], bool]] = None, mode: str = "full"
+          ) -> tuple[np.ndarray, tuple[int, ...], bool, np.ndarray]:
     """Delete minimum-degree vertices until the survivors are full at p,
     or until stop(count, dmin) holds before a deletion; returns the
-    survivors as a sorted index array, the deleted vertices in order
-    and whether stop fired. tie_break is as in greedy_full; n must be positive.
+    survivors as a sorted index array, the deleted vertices in order,
+    whether stop fired and d_kept by vertex id, 0 off the survivors.
+    tie_break is as in greedy_full; n must be positive. mode="cofull"
+    peels G toward a co-full set on its own matrix, as the full peel of
+    the complement at 1 - p would: its keys are -d, so the vertex deleted
+    has the most live neighbours (the smallest index among ties), until
+    each keeps at most floor(p(count-1)); stop then sees the key -d.
 
-    The degree table is dense int32; a deleted vertex's entry starts at
-    _GONE = 2^30 and loses at most n - 1 < 2^29, so it stays above every
-    live degree: argmin finds the minimum live degree (first occurrence =
-    smallest index among ties), and a deletion subtracts its row from all."""
+    The key table is dense int32; a deleted vertex's entry starts at
+    _GONE = 2^30 and moves by at most n - 1 < 2^29, so it stays above every
+    live key: argmin finds the minimum live key (first occurrence =
+    smallest index among ties), and a deletion moves every key by its row."""
     n = count = g.n
+    cofull = mode == "cofull"
+    num, den = p.numerator, p.denominator
     deg = np.array(g.degrees, dtype=np.int32)
+    if cofull:
+        np.negative(deg, out=deg)
+    update = np.add if cofull else np.subtract
     rows = g.matrix.view(np.int8)
     trace: list[int] = []
     last: Optional[int] = None
@@ -315,7 +328,7 @@ def _peel(g: Graph, p: Fraction, tie_break: str = "min-index",
     while True:
         victim = int(deg.argmin())
         dmin = int(deg[victim])
-        if dmin >= _fullness_bar(p, count):
+        if dmin >= (-(num * (count - 1) // den) if cofull else _fullness_bar(p, count)):
             break
         if stop is not None and stop(count, dmin):
             stopped = True
@@ -326,10 +339,11 @@ def _peel(g: Graph, p: Fraction, tie_break: str = "min-index",
                 victim = anti
         count -= 1
         deg[victim] = _GONE
-        np.subtract(deg, rows[victim], out=deg)
+        update(deg, rows[victim], out=deg)
         trace.append(victim)
         last = victim
-    return np.flatnonzero(deg < n), tuple(trace), stopped
+    live = deg < n
+    return np.flatnonzero(live), tuple(trace), stopped, np.where(live, -deg if cofull else deg, 0)
 
 
 def greedy_full(g: Graph, p=None, tie_break: str = "min-index",
@@ -353,7 +367,7 @@ def greedy_full(g: Graph, p=None, tie_break: str = "min-index",
     p = density(g) if p is None else as_probability(p)
     if g.n == 0:
         return _certified(g, p, 0, None, ())
-    kept, trace, _ = _peel(g, p, tie_break)
+    kept, trace, _, _ = _peel(g, p, tie_break)
     guarantee = None
     if alpha is not None:
         alpha = Fraction(alpha)
@@ -362,6 +376,16 @@ def greedy_full(g: Graph, p=None, tie_break: str = "min-index",
                 raise ValueError("alpha > 0 is impossible at p = 1")
             guarantee = Fraction(ceil_sqrt_frac(2 * alpha / (1 - p)))
     return _certified(g, p, kept, guarantee, trace)
+
+
+def _cofull_greedy(g: Graph) -> FullSubgraphResult:
+    """greedy_full(complement(g))'s witness and trace, from the co-full
+    peel on G's own matrix, certified co-full in G at p = density(g)."""
+    p = density(g)
+    if g.n == 0:
+        return _certified(g, p, 0, None, (), "cofull")
+    kept, trace, _, _ = _peel(g, p, mode="cofull")
+    return _certified(g, p, kept, None, trace, "cofull")
 
 
 def qfull_partition(g: Graph, q, seed: Optional[int] = None) -> QFullOutcome:
@@ -525,12 +549,17 @@ def one_over_r_full(g: Graph, r: int, seed: Optional[int] = None) -> RelativelyF
     return RelativelyFullResult(frozenset(kept.tolist()), len(kept), Fraction(1, r))
 
 
-def _one_over_r(g: Graph, r: int, live: np.ndarray, seed: Optional[int] = None) -> np.ndarray:
+def _one_over_r(g: Graph, r: int, live: np.ndarray, seed: Optional[int] = None,
+                base: Optional[np.ndarray] = None) -> np.ndarray:
     """one_over_r_full's witness within the sorted index array live, as an
-    index array certified relative to d_live and sized in |live|'s window."""
+    index array certified relative to d_live and sized in |live|'s window.
+    base is d_live by vertex id (read at members only), counted here when
+    not given."""
     if r < 1:
         raise PreconditionError(f"r must be a positive integer, got {r}")
-    m, base = len(live), np.array(g.degrees if len(live) == g.n else _column_counts(g.matrix, live))
+    m = len(live)
+    if base is None:
+        base = np.array(g.degrees if m == g.n else _column_counts(g.matrix, live))
     halving = r & (r - 1) == 0
     rr, level, deg = r, 0, base  # d_live, the last level's count of the side it kept
     while rr > 1:
@@ -595,9 +624,9 @@ def full_two_thirds(g: Graph) -> FullSubgraphResult:
         r_i = d_i % r
         return r_i * den <= (den - num) * r and dmin >= d_i - r_i + 1
 
-    kept, trace, switched = _peel(g, p, stop=aligned)
-    if switched:
-        kept = _one_over_r(g, r, kept)
+    kept, trace, switched, within = _peel(g, p, stop=aligned)
+    if switched:  # the peel's table holds d_kept: _one_over_r need not count it
+        kept = _one_over_r(g, r, kept, base=within)
     res = _certified(g, p, kept, Fraction(s_min), trace)
     if res.size < s_min:
         raise VerificationError(f"output size {res.size} below the bound {s_min}")
@@ -713,20 +742,21 @@ def _two_thirds_ceiling(n: int, p: Fraction) -> int:
     """The most vertices full_two_thirds keeps on n vertices at density p
     when it does not return greedy_full's witness, as a run that never
     switches does: ceil(m/r) + 1 of m <= n survivors (_one_over_r's
-    window); n where it returns V(G) outright (n <= 2) or refuses p."""
+    window); n where it returns V(G) outright (n <= 2), 0 where it
+    refuses p and so keeps nothing."""
     try:
         return n if n <= 2 else -(-n // _two_thirds_r(n, p)) + 1
     except PreconditionError:
-        return n
+        return 0
 
 
 def _small_p_ceiling(n: int, p: Fraction) -> int:
     """small_p_full's window top on n vertices at density p; n where it
-    returns V(G) outright (p = 0 or n <= 2) or refuses p."""
+    returns V(G) outright (p = 0 or n <= 2), 0 where it refuses p."""
     try:
         return n if p == 0 or n <= 2 else _small_p_top(n, p)
     except PreconditionError:
-        return n
+        return 0
 
 
 def largest_full_or_cofull(g: Graph, method: str = "oracle",
@@ -740,34 +770,41 @@ def largest_full_or_cofull(g: Graph, method: str = "oracle",
     full before co-full at each on the searches oracle_largest_full
     keeps on g, and stops at the first set; method="heuristic" takes the
     best verified candidate from the polynomial finders on both sides:
-    greedy_full on G and on its complement first, then on each side
+    greedy_full on G and, through the co-full peel on G's own matrix
+    (_cofull_greedy), on its complement first, then on each side
     full_two_thirds, small_p_full and half_full (kept when full), each
     only where its size ceiling (_two_thirds_ceiling, _small_p_ceiling,
-    floor(n/2) + 1) reaches the largest candidate so far. A smaller set
-    loses on size whatever its side and members, so a skipped call
-    cannot change the answer."""
+    floor(n/2) + 1) reaches the largest candidate so far. The co-full
+    ceilings are taken at the complement's density, 1 - p (0 for
+    n <= 1), and the complement is built when the first of them
+    reaches. A smaller set loses on size whatever its side and members,
+    so a skipped call cannot change the answer."""
     p = density(g)
     if method == "oracle":
         kept = [_kept_search(g, p, side, cap) for side in ("full", "cofull")]
         return next(GValue(m, s.mode, s.result.vertices, p) for m in range(g.n, -1, -1)
                     for s in kept if _holds(g, s, m))
     elif method == "heuristic":
-        sides = (("full", g), ("cofull", complement(g)))
-        cands = [(side, greedy_full(h).vertices) for side, h in sides]
+        n = g.n
+        cands = [("full", greedy_full(g).vertices), ("cofull", _cofull_greedy(g).vertices)]
 
         def reaches(ceiling: int) -> bool:
             return ceiling >= max(len(c[1]) for c in cands)
 
-        for side, h in sides:
-            n, dens = h.n, density(h)
+        held = {"full": g}
+
+        def on(side: str) -> Graph:  # the complement is built on first use
+            if side not in held:
+                held[side] = complement(g)
+            return held[side]
+
+        for side, dens in (("full", p), ("cofull", 1 - p if n > 1 else p)):  # density(on(side))
             for finder, ceiling in ((full_two_thirds, _two_thirds_ceiling),
                                     (small_p_full, _small_p_ceiling)):
-                if reaches(ceiling(n, dens)):
-                    try:
-                        cands.append((side, finder(h).vertices))
-                    except PreconditionError:
-                        pass
+                if reaches(ceiling(n, dens)):  # 0 where the finder refuses p
+                    cands.append((side, finder(on(side)).vertices))
             if reaches(n // 2 + 1):
+                h = on(side)
                 hf = half_full(h, seed=seed)
                 if is_full(h, dens, hf.vertices)[0]:
                     cands.append((side, hf.vertices))

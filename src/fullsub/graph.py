@@ -17,6 +17,9 @@ _set_bits alone decodes. Before any n x n matrix or exact table is
 allocated, _check_memory refuses one larger than physical memory or the
 cgroup's memory limit; the canonical reader and complement take theirs
 from _zero_matrix, in its own memory map once it reaches _MAP_BYTES.
+Masks are packed from a matrix _BYTE_ROWS rows at a time (_pack_rows),
+as its column sums are taken (_column_counts), so neither holds more
+than one block's temporaries beside it.
 Graphs are frozen after construction and every
 function in this package treats them as shared read-only values; all
 density and degree arithmetic is exact (integers and Fractions).
@@ -167,14 +170,17 @@ def _as_index(vertices, n: int) -> np.ndarray:
 
 def _pack_rows(rows: np.ndarray) -> list[int]:
     """The bitmask of each row of a 2-D bool array: bit j of mask i is
-    rows[i, j]. Pass vec[None] to pack a single vector."""
-    packed = np.packbits(rows, axis=1, bitorder="little")
-    width = packed.shape[1]
+    rows[i, j]. Pass vec[None] to pack a single vector. Rows are packed
+    _BYTE_ROWS at a time, so the packed bytes and their copy stay the
+    size of a block, not of the whole array."""
+    width = (rows.shape[1] + 7) // 8
     if not width:
         return [0] * len(rows)
-    buf = packed.tobytes()
-    return [int.from_bytes(buf[i:i + width], "little")
-            for i in range(0, len(buf), width)]
+    masks: list[int] = []
+    for s in range(0, len(rows), _BYTE_ROWS):
+        buf = np.packbits(rows[s:s + _BYTE_ROWS], axis=1, bitorder="little").tobytes()
+        masks += [int.from_bytes(buf[i:i + width], "little") for i in range(0, len(buf), width)]
+    return masks
 
 
 _TILE = 512  # a pair of 256 KB tiles fits in cache

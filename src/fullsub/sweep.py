@@ -21,7 +21,6 @@ from __future__ import annotations
 import csv
 import io
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Union
@@ -146,6 +145,10 @@ def run_sweep(config: SweepConfig) -> tuple[ExperimentRow, ...]:
              for p in config.p_grid
              for seed in config.seeds]
     if config.threads > 1:
+        # imported here: the pool's modules cost every importer of fullsub
+        # about 2 MB and 10 ms, and only a threaded sweep uses them
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=config.threads) as pool:
             groups = list(pool.map(_run_group, tasks))
     else:

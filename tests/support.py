@@ -559,6 +559,14 @@ def reference_masks(g: Graph) -> list[int]:
     return [sum(1 << int(u) for u in np.flatnonzero(row)) for row in g.matrix]
 
 
+def reference_pack_rows(rows: np.ndarray) -> list[int]:
+    """The bitmask of each row of a 2-D bool array, packed from the whole
+    array at once: np.packbits over every row, then one copy as bytes."""
+    packed = np.packbits(rows, axis=1, bitorder="little")
+    buf, width = packed.tobytes(), packed.shape[1]
+    return [int.from_bytes(buf[i * width:(i + 1) * width], "little") for i in range(len(rows))]
+
+
 def reference_degrees_within(masks: list[int], xs) -> list[int]:
     """d_S(v) for each member of S in increasing order, by the mask walk
     (one AND and popcount per member) over the given masks."""

@@ -263,14 +263,51 @@ TIE_BREAKS = st.sampled_from(["min-index", "adversarial-antipodal"])
 
 def peel(g, *args, **kwargs):
     """_peel with its survivors' index array as a mask, the form
-    reference_peel returns."""
-    kept, trace, stopped = _peel(g, *args, **kwargs)
+    reference_peel returns, once its degree table is checked: d_kept
+    by vertex id, 0 off the survivors, as the mask walk counts it."""
+    kept, trace, stopped, within = _peel(g, *args, **kwargs)
+    want = np.zeros(g.n, dtype=np.int64)
+    want[kept] = support.reference_degrees_within(support.reference_masks(g), kept.tolist())
+    assert within.tolist() == want.tolist()
     return to_mask(kept.tolist(), g.n), trace, stopped
 
 
 @given(graphs(min_n=1), densities, TIE_BREAKS)
 def test_peel_matches_reference(g, p, tie_break):
     assert peel(g, p, tie_break) == support.reference_peel(g, p, tie_break)
+
+
+@given(graphs(min_n=1), densities, TIE_BREAKS)
+def test_cofull_peel_is_the_full_peel_of_the_complement(g, p, tie_break):
+    assert peel(g, p, tie_break, mode="cofull") == \
+        support.reference_peel(complement(g), 1 - p, tie_break)
+
+
+def _assert_cofull_greedy_is_greedy_on_the_complement(g):
+    got, want = finders._cofull_greedy(g), greedy_full(complement(g))
+    assert (got.vertices, got.trace) == (want.vertices, want.trace), g.adj
+    assert got.p_used == density(g)
+
+
+@pytest.mark.parametrize("n", range(6))
+def test_cofull_greedy_matches_greedy_on_the_complement_on_every_small_graph(n):
+    for g in support.all_graphs(n):
+        _assert_cofull_greedy_is_greedy_on_the_complement(g)
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 3, 8, 30, 200, 600])
+def test_cofull_greedy_matches_greedy_on_the_complement_on_gnp(n):
+    for p in (Fraction(1, 50), Fraction(1, 10), Fraction(1, 3), HALF, Fraction(9, 10)):
+        for seed in range(3):
+            _assert_cofull_greedy_is_greedy_on_the_complement(gen_gnp(n, p, seed))
+
+
+def test_cofull_greedy_matches_greedy_on_the_complement_on_constructions():
+    graphs = [gen_greedy_adversary(k) for k in (2, 3, 5, 10, 25)]
+    graphs += [gen_multipartite_planted(k, r)[0] for k, r in (
+        (3, 1), (6, 1), (10, 1), (16, 1), (6, 2), (10, 2), (16, 2), (8, 3), (12, 3))]
+    for g in graphs:
+        _assert_cofull_greedy_is_greedy_on_the_complement(g)
 
 
 @given(graphs(min_n=1), densities, TIE_BREAKS, st.integers(0, 9))
@@ -708,6 +745,24 @@ def test_two_thirds_matches_the_induced_subgraph_reference_on_the_adversary(n):
     assert stopped and (got.vertices, got.trace) == (vertices, trace)
 
 
+def test_two_thirds_hands_its_peel_degrees_to_the_levels(monkeypatch):
+    handed = []
+
+    def spy(g, r, live, seed=None, base=None):
+        handed.append((g, live, base))
+        return real(g, r, live, seed, base)
+
+    real = finders._one_over_r
+    monkeypatch.setattr(finders, "_one_over_r", spy)
+    for seed in range(3):
+        full_two_thirds(gen_gnp(200, HALF, seed))
+    assert len(handed) == 3  # each of these switches to its 1/16 levels
+    for g, live, base in handed:
+        want = np.zeros(g.n, dtype=np.int64)
+        want[live] = support.reference_degrees_within(support.reference_masks(g), live.tolist())
+        assert base.tolist() == want.tolist()
+
+
 @pytest.mark.parametrize("n, m", [(26, 12), (31, 13), (32, 13), (38, 14)])
 def test_two_thirds_peels_on_past_its_switch_window(n, m):
     """K_m on 0..m-1 plus the path m-(m+1)-...-(n-1): no step aligns
@@ -911,7 +966,7 @@ def test_size_ceilings_bound_what_each_finder_returns():
             try:
                 got = small_p_full(h)
             except PreconditionError:
-                assert top == n
+                assert top == 0
             else:
                 assert got.size <= top
                 if p and n > 2:
@@ -921,7 +976,7 @@ def test_size_ceilings_bound_what_each_finder_returns():
             try:
                 got = full_two_thirds(h)
             except PreconditionError:
-                assert finders._two_thirds_ceiling(n, p) == n
+                assert finders._two_thirds_ceiling(n, p) == 0
                 continue
             top = -(-n // support.reference_two_thirds_r(n, p)) + 1
             assert finders._two_thirds_ceiling(n, p) == top
@@ -967,29 +1022,34 @@ def _count_calls(monkeypatch, names):
 
 
 def test_g_heuristic_runs_a_finder_only_where_its_ceiling_reaches(monkeypatch):
-    counts = _count_calls(monkeypatch, ("half_full", "_one_over_r"))
+    counts = _count_calls(monkeypatch, ("half_full", "_one_over_r", "complement"))
     # greedy keeps more than floor(n/2) + 1 on both sides of G(n, 1/2),
-    # far above full_two_thirds' ceiling ceil(n/16) + 1 there
+    # far above full_two_thirds' ceiling ceil(n/16) + 1 there, so no
+    # co-full finder but greedy runs, and greedy's co-full peel runs on
+    # G's own matrix: the complement is never built
     for n in (200, 1000):
         g = gen_gnp(n, HALF, 0)
         assert min(len(greedy_full(h).vertices) for h in (g, complement(g))) > n // 2 + 1
         largest_full_or_cofull(g, method="heuristic")
-    assert counts == {"half_full": 0, "_one_over_r": 0}
+    assert counts == {"half_full": 0, "_one_over_r": 0, "complement": 0}
     # greedy keeps 5 on both sides of this G(8, 1/2), which half_full's
-    # ceiling 8 // 2 + 1 reaches, so half_full runs on both
+    # ceiling 8 // 2 + 1 reaches, so half_full runs on both, and on the
+    # complement, built once
     largest_full_or_cofull(gen_gnp(8, HALF, 1), method="heuristic")
-    assert counts == {"half_full": 2, "_one_over_r": 0}
+    assert counts == {"half_full": 2, "_one_over_r": 0, "complement": 1}
     # on no G(n, p) searched (n = 9..40, p = k/20, 40 seeds) does an
     # in-range full_two_thirds ceiling reach greedy's size, so greedy is
     # cut to the ceiling 14 of both sides of this G(200, 1/2): then
     # full_two_thirds runs on both and switches to its 1/16 levels (and
-    # half_full, whose ceiling 101 reaches 14 too, runs on both)
+    # half_full, whose ceiling 101 reaches 14 too, runs on both), and
+    # both co-full finders run on the one complement built for them
     g = gen_gnp(200, HALF, 1)
     assert [finders._two_thirds_ceiling(200, density(h)) for h in (g, complement(g))] == [14, 14]
-    monkeypatch.setattr(finders, "greedy_full",
-                        lambda h: SimpleNamespace(vertices=frozenset(range(14))))
+    for greedy in ("greedy_full", "_cofull_greedy"):
+        monkeypatch.setattr(finders, greedy,
+                            lambda h: SimpleNamespace(vertices=frozenset(range(14))))
     largest_full_or_cofull(g, method="heuristic")
-    assert counts == {"half_full": 4, "_one_over_r": 2}
+    assert counts == {"half_full": 4, "_one_over_r": 2, "complement": 2}
 
 
 # ---------------------------------------------------------------------------

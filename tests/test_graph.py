@@ -3,6 +3,7 @@
 import mmap
 import re
 import tempfile
+import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 
@@ -613,6 +614,34 @@ def test_lazy_masks_equal_the_packed_matrix(make):
         assert h.degrees == tuple(m.bit_count() for m in h.adj)
         assert h.edge_count == sum(h.degrees) // 2
     assert (twin.n, twin.degrees, twin.edge_count) == (g.n, g.degrees, g.edge_count)
+
+
+@pytest.mark.parametrize("n", [0, 1, 127, 128, 129, 300])
+def test_packing_a_block_of_rows_at_a_time_matches_the_whole_array(n):
+    # row counts below, at and past one block of _BYTE_ROWS = 128 rows
+    rng = np.random.default_rng(n)
+    for width in (0, 1, 13, n):
+        rows = rng.random((n, width)) < 0.5
+        assert _pack_rows(rows) == support.reference_pack_rows(rows), width
+    twin = matrix_twin(gen_gnp(n, Fraction(1, 2), n))
+    assert "adj" not in twin.__dict__
+    assert twin.adj == tuple(support.reference_pack_rows(twin.matrix)) \
+        == tuple(support.reference_masks(twin))
+
+
+def test_packing_holds_one_block_of_packed_bytes_at_a_time():
+    n = 2000
+    mat = gen_gnp(n, Fraction(1, 2), 0).matrix
+    tracemalloc.start()
+    try:
+        masks = _pack_rows(mat)
+        current, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert masks == support.reference_pack_rows(mat)
+    # a block's packed bytes and their copy, with room to spare; packing
+    # the whole array at once holds 2 n^2 / 8 bytes, 8 times this bound
+    assert peak - current <= 4 * graph_mod._BYTE_ROWS * (n // 8)
 
 
 def test_readers_and_subgraphs_hold_the_matrix_alone():

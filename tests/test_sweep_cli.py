@@ -11,6 +11,8 @@ import importlib.util
 import io
 import itertools
 import os
+import subprocess
+import sys
 from fractions import Fraction
 from pathlib import Path
 
@@ -107,6 +109,17 @@ def test_sweep_threads_do_not_change_rows():
     serial = run_sweep(BASE)
     parallel = run_sweep(SweepConfig(**{**BASE.__dict__, "threads": 2}))
     assert serial == parallel
+
+
+def test_importing_fullsub_loads_no_process_pool():
+    # the pool's modules are imported by a threaded sweep alone
+    env = dict(os.environ, PYTHONPATH=str(Path(graph_mod.__file__).parents[1]))
+    code = ("import sys, fullsub; "
+            "print([m for m in ('concurrent.futures.process', 'multiprocessing') "
+            "if m in sys.modules])")
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True, timeout=60)
+    assert out.stdout == "[]\n"
 
 
 def test_sweep_nongnp_records_graph_order_and_realized_density():
@@ -758,7 +771,7 @@ def test_cli_exit_code_3_on_verification_failure(capsys, tmp_path, monkeypatch):
     from fullsub import finders
 
     def keep_all(g, p, *a, **kw):
-        return np.arange(g.n), (), False
+        return np.arange(g.n), (), False, np.array(g.degrees)
 
     monkeypatch.setattr(finders, "_peel", keep_all)
     code, _, err = run_cli(capsys, "sweep", "--n-grid", "6", "--p-grid", "1/2",
