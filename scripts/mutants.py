@@ -132,11 +132,10 @@ MUTANTS = (
            "if p <= _PLACE_MAX:", "if p < _PLACE_MAX:",
            ("tests/test_generate.py::test_gnp_places_the_kept_draws_only_up_to_the_switch",)),
     Mutant("peel keeps deleted vertices", "fullsub/finders.py",
-           "live = deg < n", "live = deg >= 0",
+           "np.flatnonzero(deg < n)", "np.flatnonzero(deg >= 0)",
            ("tests/test_finders.py::test_peel_matches_reference_on_gnp",)),
-    Mutant("peel's degree table left unzeroed off the survivors", "fullsub/finders.py",
-           "np.where(live, -deg if cofull else deg, 0)",
-           "np.where(live, -deg if cofull else deg, deg)",
+    Mutant("peel's keys handed on unzeroed off the survivors", "fullsub/finders.py",
+           "np.where(keys < n, keys, 0)", "np.where(keys < n, keys, keys)",
            ("tests/test_finders.py::test_two_thirds_hands_its_peel_degrees_to_the_levels",)),
     Mutant("co-full bar as a ceiling", "fullsub/finders.py",
            "-(num * (count - 1) // den)", "-(-(-num * (count - 1) // den))",

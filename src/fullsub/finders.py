@@ -303,12 +303,12 @@ def _peel(g: Graph, p: Fraction, tie_break: str = "min-index",
     """Delete minimum-degree vertices until the survivors are full at p,
     or until stop(count, dmin) holds before a deletion; returns the
     survivors as a sorted index array, the deleted vertices in order,
-    whether stop fired and d_kept by vertex id, 0 off the survivors.
+    whether stop fired and the key table (d_kept at the survivors).
     tie_break is as in greedy_full; n must be positive. mode="cofull"
     peels G toward a co-full set on its own matrix, as the full peel of
     the complement at 1 - p would: its keys are -d, so the vertex deleted
     has the most live neighbours (the smallest index among ties), until
-    each keeps at most floor(p(count-1)); stop then sees the key -d.
+    each keeps at most floor(p(count-1)).
 
     The key table is dense int32; a deleted vertex's entry starts at
     _GONE = 2^30 and moves by at most n - 1 < 2^29, so it stays above every
@@ -342,8 +342,7 @@ def _peel(g: Graph, p: Fraction, tie_break: str = "min-index",
         update(deg, rows[victim], out=deg)
         trace.append(victim)
         last = victim
-    live = deg < n
-    return np.flatnonzero(live), tuple(trace), stopped, np.where(live, -deg if cofull else deg, 0)
+    return np.flatnonzero(deg < n), tuple(trace), stopped, deg
 
 
 def greedy_full(g: Graph, p=None, tie_break: str = "min-index",
@@ -545,21 +544,18 @@ def one_over_r_full(g: Graph, r: int, seed: Optional[int] = None) -> RelativelyF
     variants i/iii keep the 1/r side and stop and variant ii recurses
     into the (1-1/r)-full side with r - 1.
     """
-    kept = _one_over_r(g, r, np.arange(g.n), seed)
+    kept = _one_over_r(g, r, np.arange(g.n), np.array(g.degrees), seed)
     return RelativelyFullResult(frozenset(kept.tolist()), len(kept), Fraction(1, r))
 
 
-def _one_over_r(g: Graph, r: int, live: np.ndarray, seed: Optional[int] = None,
-                base: Optional[np.ndarray] = None) -> np.ndarray:
+def _one_over_r(g: Graph, r: int, live: np.ndarray, base: np.ndarray,
+                seed: Optional[int] = None) -> np.ndarray:
     """one_over_r_full's witness within the sorted index array live, as an
     index array certified relative to d_live and sized in |live|'s window.
-    base is d_live by vertex id (read at members only), counted here when
-    not given."""
+    base is d_live by vertex id (read at members only)."""
     if r < 1:
         raise PreconditionError(f"r must be a positive integer, got {r}")
     m = len(live)
-    if base is None:
-        base = np.array(g.degrees if m == g.n else _column_counts(g.matrix, live))
     halving = r & (r - 1) == 0
     rr, level, deg = r, 0, base  # d_live, the last level's count of the side it kept
     while rr > 1:
@@ -624,9 +620,9 @@ def full_two_thirds(g: Graph) -> FullSubgraphResult:
         r_i = d_i % r
         return r_i * den <= (den - num) * r and dmin >= d_i - r_i + 1
 
-    kept, trace, switched, within = _peel(g, p, stop=aligned)
-    if switched:  # the peel's table holds d_kept: _one_over_r need not count it
-        kept = _one_over_r(g, r, kept, base=within)
+    kept, trace, switched, keys = _peel(g, p, stop=aligned)
+    if switched:  # the peel's keys are d_kept at the survivors: _one_over_r need not count it
+        kept = _one_over_r(g, r, kept, np.where(keys < n, keys, 0))
     res = _certified(g, p, kept, Fraction(s_min), trace)
     if res.size < s_min:
         raise VerificationError(f"output size {res.size} below the bound {s_min}")

@@ -263,12 +263,12 @@ TIE_BREAKS = st.sampled_from(["min-index", "adversarial-antipodal"])
 
 def peel(g, *args, **kwargs):
     """_peel with its survivors' index array as a mask, the form
-    reference_peel returns, once its degree table is checked: d_kept
-    by vertex id, 0 off the survivors, as the mask walk counts it."""
-    kept, trace, stopped, within = _peel(g, *args, **kwargs)
-    want = np.zeros(g.n, dtype=np.int64)
-    want[kept] = support.reference_degrees_within(support.reference_masks(g), kept.tolist())
-    assert within.tolist() == want.tolist()
+    reference_peel returns, once its key table is checked: d_kept (-d_kept
+    in the co-full mode) at the survivors, as the mask walk counts it."""
+    kept, trace, stopped, keys = _peel(g, *args, **kwargs)
+    sign = -1 if kwargs.get("mode") == "cofull" else 1
+    want = support.reference_degrees_within(support.reference_masks(g), kept.tolist())
+    assert (sign * keys[kept]).tolist() == list(want)
     return to_mask(kept.tolist(), g.n), trace, stopped
 
 
@@ -748,9 +748,9 @@ def test_two_thirds_matches_the_induced_subgraph_reference_on_the_adversary(n):
 def test_two_thirds_hands_its_peel_degrees_to_the_levels(monkeypatch):
     handed = []
 
-    def spy(g, r, live, seed=None, base=None):
+    def spy(g, r, live, base, seed=None):
         handed.append((g, live, base))
-        return real(g, r, live, seed, base)
+        return real(g, r, live, base, seed)
 
     real = finders._one_over_r
     monkeypatch.setattr(finders, "_one_over_r", spy)
