@@ -303,7 +303,8 @@ def _peel(g: Graph, p: Fraction, tie_break: str = "min-index",
     """Delete minimum-degree vertices until the survivors are full at p,
     or until stop(count, dmin) holds before a deletion; returns the
     survivors as a sorted index array, the deleted vertices in order,
-    whether stop fired and the key table (d_kept at the survivors).
+    whether stop fired and the key table (d_kept at the survivors, -d_kept
+    in the co-full mode).
     tie_break is as in greedy_full; n must be positive. mode="cofull"
     peels G toward a co-full set on its own matrix, as the full peel of
     the complement at 1 - p would: its keys are -d, so the vertex deleted
