@@ -138,7 +138,8 @@ MUTANTS = (
            "np.where(keys < n, keys, 0)", "np.where(keys < n, keys, keys)",
            ("tests/test_finders.py::test_two_thirds_hands_its_peel_degrees_to_the_levels",)),
     Mutant("co-full bar as a ceiling", "fullsub/finders.py",
-           "-(num * (count - 1) // den)", "-(-(-num * (count - 1) // den))",
+           "if dmin >= _fullness_bar(p, count):",
+           "if dmin >= (-_fullness_bar(-p, count) if cofull else _fullness_bar(p, count)):",
            ("tests/test_finders.py::"
             "test_cofull_greedy_matches_greedy_on_the_complement_on_gnp[30]",)),
     Mutant("co-full tie goes to the last index", "fullsub/finders.py",
@@ -275,27 +276,31 @@ MUTANTS = (
            'c[0] != "full"', 'c[0] != "cofull"',
            ("tests/test_finders.py::test_g_value_heuristic_breaks_ties_to_the_full_side",)),
     Mutant("half_full's ceiling without its + 1", "fullsub/finders.py",
-           "reaches(n // 2 + 1)", "reaches(n // 2)",
+           "else n // 2 + 1)", "else n // 2)",
            ("tests/test_finders.py::"
             "test_g_heuristic_runs_a_finder_only_where_its_ceiling_reaches",
             "tests/test_finders.py::"
             "test_g_heuristic_matches_the_every_finder_reference_on_gnp[6]")),
     Mutant("full_two_thirds' ceiling without its + 1", "fullsub/finders.py",
-           "-(-n // _two_thirds_r(n, p)) + 1", "-(-n // _two_thirds_r(n, p))",
+           "-(-n // _two_thirds_r(n, q)) + 1", "-(-n // _two_thirds_r(n, q))",
            ("tests/test_finders.py::"
             "test_g_heuristic_runs_a_finder_only_where_its_ceiling_reaches",)),
     Mutant("the heuristic, and so its lazy complement, skips a finder whose ceiling "
            "ties the best size", "fullsub/finders.py",
-           "return ceiling >= max(", "return ceiling > max(",
+           "if top >= max(", "if top > max(",
            ("tests/test_finders.py::"
             "test_g_heuristic_runs_a_finder_only_where_its_ceiling_reaches",
             "tests/test_finders.py::"
             "test_g_heuristic_matches_the_every_finder_reference_on_gnp[6]")),
     Mutant("the heuristic builds the complement whether or not a finder needs it",
            "fullsub/finders.py",
-           'held = {"full": g}', 'held = {"full": g, "cofull": complement(g)}',
+           '1 - p if n > 1 else p, None)', '1 - p if n > 1 else p, complement(g))',
            ("tests/test_finders.py::"
             "test_g_heuristic_runs_a_finder_only_where_its_ceiling_reaches",)),
+    Mutant("the heuristic runs a finder that refuses the side's density", "fullsub/finders.py",
+           "skip it\n                    continue", "skip it\n                    top = n",
+           ("tests/test_finders.py::"
+            "test_g_heuristic_runs_no_finder_where_greedy_keeps_every_vertex",)),
     Mutant("joint g tests co-full before full at a size", "fullsub/finders.py",
            'for side in ("full", "cofull")]', 'for side in ("cofull", "full")]',
            ("tests/test_finders.py::test_g_value_oracle_breaks_ties_to_the_full_side",

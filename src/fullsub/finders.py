@@ -317,10 +317,10 @@ def _peel(g: Graph, p: Fraction, tie_break: str = "min-index",
     smallest index among ties), and a deletion moves every key by its row."""
     n = count = g.n
     cofull = mode == "cofull"
-    num, den = p.numerator, p.denominator
     deg = np.array(g.degrees, dtype=np.int32)
-    if cofull:
+    if cofull:  # keys -d clear -floor(p(count-1)) = ceil(-p(count-1))
         np.negative(deg, out=deg)
+        p = -p
     update = np.add if cofull else np.subtract
     rows = g.matrix.view(np.int8)
     trace: list[int] = []
@@ -329,7 +329,7 @@ def _peel(g: Graph, p: Fraction, tie_break: str = "min-index",
     while True:
         victim = int(deg.argmin())
         dmin = int(deg[victim])
-        if dmin >= (-(num * (count - 1) // den) if cofull else _fullness_bar(p, count)):
+        if dmin >= _fullness_bar(p, count):
             break
         if stop is not None and stop(count, dmin):
             stopped = True
@@ -735,27 +735,6 @@ def _small_p_top(n: int, p: Fraction) -> int:
     return 1 + math.isqrt(num * n * n // den)
 
 
-def _two_thirds_ceiling(n: int, p: Fraction) -> int:
-    """The most vertices full_two_thirds keeps on n vertices at density p
-    when it does not return greedy_full's witness, as a run that never
-    switches does: ceil(m/r) + 1 of m <= n survivors (_one_over_r's
-    window); n where it returns V(G) outright (n <= 2), 0 where it
-    refuses p and so keeps nothing."""
-    try:
-        return n if n <= 2 else -(-n // _two_thirds_r(n, p)) + 1
-    except PreconditionError:
-        return 0
-
-
-def _small_p_ceiling(n: int, p: Fraction) -> int:
-    """small_p_full's window top on n vertices at density p; n where it
-    returns V(G) outright (p = 0 or n <= 2), 0 where it refuses p."""
-    try:
-        return n if p == 0 or n <= 2 else _small_p_top(n, p)
-    except PreconditionError:
-        return 0
-
-
 def largest_full_or_cofull(g: Graph, method: str = "oracle",
                            cap: int = EXACT_CAP_DEFAULT,
                            seed: int = 0) -> GValue:
@@ -770,12 +749,15 @@ def largest_full_or_cofull(g: Graph, method: str = "oracle",
     greedy_full on G and, through the co-full peel on G's own matrix
     (_cofull_greedy), on its complement first, then on each side
     full_two_thirds, small_p_full and half_full (kept when full), each
-    only where its size ceiling (_two_thirds_ceiling, _small_p_ceiling,
-    floor(n/2) + 1) reaches the largest candidate so far. The co-full
-    ceilings are taken at the complement's density, 1 - p (0 for
-    n <= 1), and the complement is built when the first of them
-    reaches. A smaller set loses on size whatever its side and members,
-    so a skipped call cannot change the answer."""
+    only where it takes the side's density (1 - p on the co-full side,
+    0 for n <= 1) and its size ceiling reaches the largest candidate so
+    far: ceil(n/r) + 1 (_two_thirds_r; a run that never switches returns
+    greedy's witness), the window top (_small_p_top), floor(n/2) + 1.
+    Where a finder returns V(G) outright (n <= 2, p = 0), greedy_full
+    has kept V(G) on the full side already. The complement is built for
+    the first co-full finder that runs. A smaller set loses on size
+    whatever its side and members, so a skipped call cannot change the
+    answer."""
     p = density(g)
     if method == "oracle":
         kept = [_kept_search(g, p, side, cap) for side in ("full", "cofull")]
@@ -784,27 +766,18 @@ def largest_full_or_cofull(g: Graph, method: str = "oracle",
     elif method == "heuristic":
         n = g.n
         cands = [("full", greedy_full(g).vertices), ("cofull", _cofull_greedy(g).vertices)]
-
-        def reaches(ceiling: int) -> bool:
-            return ceiling >= max(len(c[1]) for c in cands)
-
-        held = {"full": g}
-
-        def on(side: str) -> Graph:  # the complement is built on first use
-            if side not in held:
-                held[side] = complement(g)
-            return held[side]
-
-        for side, dens in (("full", p), ("cofull", 1 - p if n > 1 else p)):  # density(on(side))
-            for finder, ceiling in ((full_two_thirds, _two_thirds_ceiling),
-                                    (small_p_full, _small_p_ceiling)):
-                if reaches(ceiling(n, dens)):  # 0 where the finder refuses p
-                    cands.append((side, finder(on(side)).vertices))
-            if reaches(n // 2 + 1):
-                h = on(side)
-                hf = half_full(h, seed=seed)
-                if is_full(h, dens, hf.vertices)[0]:
-                    cands.append((side, hf.vertices))
+        for side, q, h in (("full", p, g), ("cofull", 1 - p if n > 1 else p, None)):
+            for finder in (full_two_thirds, small_p_full, half_full):
+                try:  # finder's size ceiling, from its own formula
+                    top = (-(-n // _two_thirds_r(n, q)) + 1 if finder is full_two_thirds
+                           else _small_p_top(n, q) if finder is small_p_full else n // 2 + 1)
+                except PreconditionError:  # finder refuses q: skip it
+                    continue
+                if top >= max(len(c[1]) for c in cands):
+                    h = complement(g) if h is None else h  # for the first co-full run
+                    got = (half_full(h, seed=seed) if finder is half_full else finder(h)).vertices
+                    if finder is not half_full or is_full(h, q, got)[0]:
+                        cands.append((side, got))
     else:
         raise ValueError(f"method must be 'oracle' or 'heuristic', got {method!r}")
     side, best = min(cands, key=lambda c: (-len(c[1]), c[0] != "full", sorted(c[1])))

@@ -95,10 +95,10 @@ def _validate(config: SweepConfig) -> None:
 def _run_group(task) -> list[ExperimentRow]:
     """The rows of one (family, n, p, seed) group: the graph is
     generated once, inside the first algorithm's cell, and every
-    algorithm runs on it. A G(n, p) graph holds the matrix it was drawn
-    into as its Graph.matrix, and no masks unless a finder asks for
-    them; other families build the matrix on first use, and later
-    algorithms reuse it. task is (config, n, p, seed)."""
+    algorithm runs on it. Every family the sweep runs holds its n x n
+    matrix from generation on (G(n, 0) and n <= 1 hold empty masks and
+    build it on first use), and no masks unless a finder asks for
+    them; later algorithms reuse both. task is (config, n, p, seed)."""
     config, n, p, seed = task
     family = config.family
     g, rows = None, []

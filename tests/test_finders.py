@@ -960,29 +960,32 @@ def test_size_ceilings_bound_what_each_finder_returns():
             n, p = h.n, density(h)
             num, den = p.numerator, p.denominator
             assert half_full(h, seed=0).size <= n // 2 + 1
-            # small_p_full keeps at most its window top, the largest c with
-            # c <= 1 or (c-1)^2 den <= num n^2
-            top = finders._small_p_ceiling(n, p)
+            # small_p_full refuses where its window top does; else it keeps at
+            # most the top, the largest c with c <= 1 or (c-1)^2 den <= num n^2,
+            # or V(G) at p = 0, which greedy keeps too
             try:
-                got = small_p_full(h)
+                top = finders._small_p_top(n, p)
             except PreconditionError:
-                assert top == 0
+                with pytest.raises(PreconditionError):
+                    small_p_full(h)
             else:
-                assert got.size <= top
-                if p and n > 2:
-                    assert top <= 1 or (top - 1) ** 2 * den <= num * n * n
-                    assert top ** 2 * den > num * n * n
-            # full_two_thirds keeps greedy's witness or at most ceil(n/r) + 1
+                got = small_p_full(h)
+                assert got.size <= top or got.vertices == greedy_full(h).vertices == set(range(n))
+                assert top <= 1 or (top - 1) ** 2 * den <= num * n * n
+                assert top ** 2 * den > num * n * n
+            # full_two_thirds refuses where its r does (n > 2 here); else it
+            # keeps greedy's witness or at most ceil(n/r) + 1
             try:
-                got = full_two_thirds(h)
+                r = finders._two_thirds_r(n, p)
             except PreconditionError:
-                assert finders._two_thirds_ceiling(n, p) == 0
+                with pytest.raises(PreconditionError):
+                    full_two_thirds(h)
                 continue
-            top = -(-n // support.reference_two_thirds_r(n, p)) + 1
-            assert finders._two_thirds_ceiling(n, p) == top
+            assert r == support.reference_two_thirds_r(n, p)
+            got = full_two_thirds(h)
             if got.vertices != greedy_full(h).vertices:
                 switched += 1
-                assert got.size <= top
+                assert got.size <= -(-n // r) + 1
     assert switched >= 4
 
 
@@ -1044,12 +1047,32 @@ def test_g_heuristic_runs_a_finder_only_where_its_ceiling_reaches(monkeypatch):
     # half_full, whose ceiling 101 reaches 14 too, runs on both), and
     # both co-full finders run on the one complement built for them
     g = gen_gnp(200, HALF, 1)
-    assert [finders._two_thirds_ceiling(200, density(h)) for h in (g, complement(g))] == [14, 14]
+    assert [-(-200 // finders._two_thirds_r(200, density(h))) + 1
+            for h in (g, complement(g))] == [14, 14]
     for greedy in ("greedy_full", "_cofull_greedy"):
         monkeypatch.setattr(finders, greedy,
                             lambda h: SimpleNamespace(vertices=frozenset(range(14))))
     largest_full_or_cofull(g, method="heuristic")
     assert counts == {"half_full": 4, "_one_over_r": 2, "complement": 2}
+
+
+def test_g_heuristic_runs_no_finder_where_greedy_keeps_every_vertex(monkeypatch):
+    # K_n and the edgeless graph are full at their density, so greedy keeps
+    # V(G) on the full side, which no finder's set can beat: none runs, and
+    # no complement is built
+    names = ("full_two_thirds", "small_p_full", "half_full", "complement")
+    counts = _count_calls(monkeypatch, names)
+    for n in (3, 50, 300):
+        for g in (support.clique(n), support.empty(n)):
+            got = largest_full_or_cofull(g, method="heuristic")
+            assert (got.value, got.side, got.witness) == (n, "full", frozenset(range(n)))
+    assert counts == dict.fromkeys(names, 0)
+    # every graph on at most two vertices is full at its density 0 or 1,
+    # which full_two_thirds' r refuses: it never runs there
+    for n in range(3):
+        for g in support.all_graphs(n):
+            largest_full_or_cofull(g, method="heuristic")
+    assert counts["full_two_thirds"] == 0
 
 
 # ---------------------------------------------------------------------------
