@@ -2,8 +2,9 @@
 """Time each layer of fullsub on one table of fixed cases, a row per case.
 
 Layers: gen (gen_gnp on G(n, 1/2) and G(n, 1/2000), seed 0, for each
---n order); dense (greedy_full, full_two_thirds, half_full and the
-heuristic largest_full_or_cofull on the G(n, 1/2) graphs); io
+--n order); dense (greedy_full, full_two_thirds, half_full, the
+heuristic largest_full_or_cofull and complement on the G(n, 1/2)
+graphs); io
 (write_edge_list's text and the CLI's read of its file, on those
 graphs, on a union of cycles on 20000 vertices held as masks and on
 G(1000, 1/110), read into masks); percolate (a
@@ -47,10 +48,11 @@ from pathlib import Path
 
 import numpy as np
 
-from fullsub import (Graph, bootstrap_percolate, density, full_infection_probability_exact,
-                     full_two_thirds, gen_gnp, gen_greedy_adversary, gen_multipartite_planted,
-                     greedy_full, half_full, largest_full_or_cofull, oracle_largest_full,
-                     sample_initial_mask, write_edge_list)
+from fullsub import (Graph, bootstrap_percolate, complement, density,
+                     full_infection_probability_exact, full_two_thirds, gen_gnp,
+                     gen_greedy_adversary, gen_multipartite_planted, greedy_full, half_full,
+                     largest_full_or_cofull, oracle_largest_full, sample_initial_mask,
+                     write_edge_list)
 from fullsub.cli import _read_graph
 from fullsub.discrepancy import _build_extremes
 from fullsub.percolation import _monte_carlo
@@ -79,6 +81,10 @@ def oracle(mode):
 def written(path, make):
     path.write_text(write_edge_list(make()), encoding="ascii")
     return path
+
+
+def packed(g):
+    return g.edge_count, np.packbits(g.matrix).tobytes()
 
 
 def g_value(res):
@@ -114,12 +120,12 @@ def cases(ns, max_n, tmp):
     out = []
     for n in ns:
         out += [("gen", f"gen_gnp{tag}", n, lambda: None, lambda _, n=n, p=p: gen_gnp(n, p, 0),
-                 lambda g: (g.edge_count, np.packbits(g.matrix).tobytes()))
-                for tag, p in (("", HALF), ("-1/2000", Fraction(1, 2000)))]
+                 packed) for tag, p in (("", HALF), ("-1/2000", Fraction(1, 2000)))]
         out += [("dense", f.__name__, n, gnp(n), lambda g, f=f: f(g).vertices, witness)
                 for f in (greedy_full, full_two_thirds, half_full)]
         out.append(("dense", "largest_full_or_cofull", n, gnp(n),
                     lambda g: largest_full_or_cofull(g, method="heuristic"), g_value))
+        out.append(("dense", "complement", n, gnp(n), complement, packed))
     for name, n, make in [("gnp", n, gnp(n)) for n in ns] + [
             ("cycles", CYCLES_N, cycles), ("gnp-1/110", 1000, gnp(1000, p=SPARSE))]:
         path = tmp / f"{name.replace('/', '_')}{n}.txt"

@@ -203,13 +203,12 @@ MUTANTS = (
            ("tests/test_graph.py::test_mask_and_matrix_twins_are_equal_and_hash_alike[gnp]",
             "tests/test_graph.py::"
             "test_mask_graphs_past_one_unpacked_block_compare_and_write_every_row")),
-    Mutant("matrices never mapped", "fullsub/graph.py",
-           'if n * n < _MAP_BYTES or not hasattr(mmap, "MAP_PRIVATE"):', "if True:",
-           ("tests/test_graph.py::test_zero_matrix_lies_in_its_own_map_from_map_bytes_on[363]",
-            "tests/test_graph.py::test_read_and_complemented_matrices_lie_in_their_own_maps")),
-    Mutant("complement inverted into a malloc block", "fullsub/graph.py",
-           "np.logical_not(g.matrix, out=_zero_matrix(g.n))", "~g.matrix",
-           ("tests/test_graph.py::test_read_and_complemented_matrices_lie_in_their_own_maps",)),
+    Mutant("complement inverts a copy of the matrix", "fullsub/graph.py",
+           "np.logical_not(g.matrix)", "np.logical_not(g.matrix.copy())",
+           ("tests/test_graph.py::test_complement_and_the_reader_peak_at_one_traced_matrix",)),
+    Mutant("reader mirrors through a transposed copy", "fullsub/graph.py",
+           "    _mirror_upper(mat)\n", "    mat |= mat.T.copy()\n",
+           ("tests/test_graph.py::test_complement_and_the_reader_peak_at_one_traced_matrix",)),
     Mutant("vertex mask unpacked big-endian", "fullsub/graph.py",
            'np.unpackbits(packed, bitorder="little")', 'np.unpackbits(packed, bitorder="big")',
            ("tests/test_graph.py::test_induced_subgraph_matches_reference[300]",)),
@@ -294,7 +293,7 @@ MUTANTS = (
             "test_g_heuristic_matches_the_every_finder_reference_on_gnp[6]")),
     Mutant("the heuristic builds the complement whether or not a finder needs it",
            "fullsub/finders.py",
-           '1 - p if n > 1 else p, None)', '1 - p if n > 1 else p, complement(g))',
+           '("cofull", 1 - p, None)', '("cofull", 1 - p, complement(g))',
            ("tests/test_finders.py::"
             "test_g_heuristic_runs_a_finder_only_where_its_ceiling_reaches",)),
     Mutant("the heuristic runs a finder that refuses the side's density", "fullsub/finders.py",

@@ -449,7 +449,7 @@ def _qfull(g: Graph, q: Fraction, live: np.ndarray, deg, seed: Optional[int]) ->
         ux, uy = keys = np.array((u, u), dtype=kdt)
         adj8, bk = adj.view(np.int8), kdt(b)
         step = np.empty(n, dtype=kdt)
-        pin_every = max(1, m // 2)
+        pin_every = m // 2
         max_swaps = b * m * (m - 1) // 2 + m + 10
         for swaps in range(max_swaps):
             if swaps % pin_every == 0:
@@ -749,9 +749,9 @@ def largest_full_or_cofull(g: Graph, method: str = "oracle",
     greedy_full on G and, through the co-full peel on G's own matrix
     (_cofull_greedy), on its complement first, then on each side
     full_two_thirds, small_p_full and half_full (kept when full), each
-    only where it takes the side's density (1 - p on the co-full side,
-    0 for n <= 1) and its size ceiling reaches the largest candidate so
-    far: ceil(n/r) + 1 (_two_thirds_r; a run that never switches returns
+    only where it takes the side's density (1 - p on the co-full side)
+    and its size ceiling reaches the largest candidate so far:
+    ceil(n/r) + 1 (_two_thirds_r; a run that never switches returns
     greedy's witness), the window top (_small_p_top), floor(n/2) + 1.
     Where a finder returns V(G) outright (n <= 2, p = 0), greedy_full
     has kept V(G) on the full side already. The complement is built for
@@ -766,7 +766,7 @@ def largest_full_or_cofull(g: Graph, method: str = "oracle",
     elif method == "heuristic":
         n = g.n
         cands = [("full", greedy_full(g).vertices), ("cofull", _cofull_greedy(g).vertices)]
-        for side, q, h in (("full", p, g), ("cofull", 1 - p if n > 1 else p, None)):
+        for side, q, h in (("full", p, g), ("cofull", 1 - p, None)):
             for finder in (full_two_thirds, small_p_full, half_full):
                 try:  # finder's size ceiling, from its own formula
                     top = (-(-n // _two_thirds_r(n, q)) + 1 if finder is full_two_thirds

@@ -15,11 +15,9 @@ which one a graph holds: the others read adjacency rows (_rows), arcs
 when it is there, else from the masks alone, whose nonzero 64-bit words
 _set_bits alone decodes. Before any n x n matrix or exact table is
 allocated, _check_memory refuses one larger than physical memory or the
-cgroup's memory limit; the canonical reader and complement take theirs
-from _zero_matrix, in its own memory map once it reaches _MAP_BYTES.
-Masks are packed from a matrix _BYTE_ROWS rows at a time (_pack_rows),
-as its column sums are taken (_column_counts), so neither holds more
-than one block's temporaries beside it.
+cgroup's memory limit. Masks are packed from a matrix _BYTE_ROWS rows
+at a time (_pack_rows), as its column sums are taken (_column_counts),
+so neither holds more than one block's temporaries beside it.
 Graphs are frozen after construction and every
 function in this package treats them as shared read-only values; all
 density and degree arithmetic is exact (integers and Fractions).
@@ -28,7 +26,6 @@ density and degree arithmetic is exact (integers and Fractions).
 from __future__ import annotations
 
 import functools
-import mmap
 import operator
 import os
 import re
@@ -96,28 +93,6 @@ def _check_dense_size(n: int) -> None:
     """Refuse, before allocating it, an n x n bool matrix whose n^2
     bytes exceed the memory _check_memory allows."""
     _check_memory(n * n, f"a dense {n} x {n} matrix")
-
-
-_MAP_BYTES = 1 << 17  # glibc's initial mmap threshold: a matrix this large gets its own map
-
-
-def _zero_matrix(n: int) -> np.ndarray:
-    """A writable all-False n x n bool matrix for the canonical reader and
-    complement, the graphs a CLI command builds once and drops. One of
-    at least _MAP_BYTES bytes lies in its own private anonymous map
-    (where mmap has one), prefaulted, so it goes back to the system
-    whole when its last view dies. From malloc, whose mmap threshold
-    slides up to the largest block freed (up to 32 MiB), each dropped
-    matrix would leave a resident hole in the heap that later blocks fit
-    or miss by the heap's exact layout, and a process running command
-    after command would peak a whole buffer higher or lower with
-    unrelated allocations. The generators keep malloc: a sweep builds
-    matrix after matrix, and reusing a resident heap block is about 4x
-    cheaper than faulting in a fresh map (n = 5000: 2.5 / 11.5 ms)."""
-    if n * n < _MAP_BYTES or not hasattr(mmap, "MAP_PRIVATE"):
-        return np.zeros((n, n), dtype=np.bool_)
-    flags = mmap.MAP_PRIVATE | getattr(mmap, "MAP_POPULATE", 0)
-    return np.frombuffer(mmap.mmap(-1, n * n, flags=flags), dtype=np.bool_).reshape(n, n)
 
 
 _BYTE_ROWS = 128  # rows summed as bytes (at most 255: no byte overflows) or unpacked at once
@@ -392,7 +367,7 @@ def induced_subgraph(g: Graph, vertices: Iterable[int]) -> tuple[Graph, tuple[in
 def complement(g: Graph) -> Graph:
     """The complement, holding its matrix alone: the inverted Graph.matrix
     with its diagonal cleared, refused as any dense matrix is."""
-    mat = np.logical_not(g.matrix, out=_zero_matrix(g.n))
+    mat = np.logical_not(g.matrix)
     np.fill_diagonal(mat, False)
     return Graph._from_matrix(mat)
 
@@ -500,7 +475,7 @@ def _read_canonical(source: str | BinaryIO, block: int = _TEXT_BLOCK) -> Graph |
         adj = [0] * n
     else:
         _check_dense_size(n)
-        mat = _zero_matrix(n)
+        mat = np.zeros((n, n), dtype=np.bool_)
     lines = 0
     for chunk in blocks:
         # four NULs of padding: the last one, scan[0], stands as the

@@ -1,6 +1,5 @@
 """Graph core: construction, edge-list I/O, density, induced subgraphs."""
 
-import mmap
 import re
 import tempfile
 import tracemalloc
@@ -31,8 +30,7 @@ from fullsub import (
     write_edge_list,
 )
 from fullsub import graph as graph_mod
-from fullsub.graph import (_blocks, _column_counts, _mirror_upper, _pack_rows, _read_canonical,
-                           _zero_matrix)
+from fullsub.graph import _blocks, _column_counts, _mirror_upper, _pack_rows, _read_canonical
 
 K3_TEXT = "3 3\n0 1\n0 2\n1 2\n"
 
@@ -666,32 +664,27 @@ def test_column_counts_widen_past_uint16():
         assert _column_counts(np.zeros((1, n), dtype=np.bool_)).dtype == dtype
 
 
-def _owner(a):
-    """The object that holds an array's memory."""
-    while isinstance(a, np.ndarray):
-        a = a.base
-    return a.obj if isinstance(a, memoryview) else a
-
-
-@pytest.mark.parametrize("n", [0, 1, 2, 361, 362, 363, 400])
-def test_zero_matrix_lies_in_its_own_map_from_map_bytes_on(n):
-    mat = _zero_matrix(n)
-    assert mat.shape == (n, n) and mat.dtype == np.bool_ and not mat.any()
-    assert mat.flags.writeable and mat.flags.c_contiguous
-    assert isinstance(_owner(mat), mmap.mmap) == (n * n >= graph_mod._MAP_BYTES)
-    mat[n - 1:, :1] = True  # the map is private and writable
-    assert mat.sum() == min(n, 1)
-
-
-def test_read_and_complemented_matrices_lie_in_their_own_maps():
-    # 362^2 < 2^17 <= 363^2; generated matrices stay with malloc
-    assert 362 ** 2 < graph_mod._MAP_BYTES <= 363 ** 2
-    for n, mapped in ((362, False), (363, True)):
-        g = gen_gnp(n, Fraction(1, 2), 0)
-        assert not isinstance(_owner(g.matrix), mmap.mmap)
-        for h in (complement(g), _read_canonical(write_edge_list(g))):
-            assert isinstance(_owner(h.matrix), mmap.mmap) == mapped
-            assert not h.matrix.flags.writeable
+def test_complement_and_the_reader_peak_at_one_traced_matrix():
+    # each builds its n x n matrix with numpy, where tracemalloc sees it,
+    # and holds no second one beside it: not a copy to invert, nor a
+    # transposed copy to mirror
+    n = 2000
+    g = gen_gnp(n, Fraction(1, 2), 0)
+    text = write_edge_list(g)
+    with tempfile.TemporaryFile() as fh:
+        fh.write(text.encode("ascii"))
+        fh.seek(0)
+        for call, want in ((lambda: complement(g), None), (lambda: _read_canonical(text), g),
+                           (lambda: _read_canonical(fh), g)):
+            tracemalloc.start()
+            try:
+                h = call()
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert h.__dict__.keys() & {"matrix", "adj"} == {"matrix"}
+            assert want is None or h == want
+            assert n * n <= peak < 2 * n * n
 
 
 @pytest.mark.parametrize("make", FAMILIES.values(), ids=FAMILIES.keys())

@@ -993,7 +993,7 @@ def test_layer_timings_script_smoke(layer_timing_rows):
     rows = layer_timing_rows
     assert rows[0] == ["layer", "case", "n", "size", "digest", "seconds"]
     assert [row[0] for row in rows[1:]] == (
-        ["gen"] * 2 + ["dense"] * 4 + ["io"] * 6 + ["percolate"] * 9 + ["extremes"] * 5
+        ["gen"] * 2 + ["dense"] * 5 + ["io"] * 6 + ["percolate"] * 9 + ["extremes"] * 5
         + ["theta"] * 5 + ["oracle"] * 7)
     assert _layer_rows(rows, "io", "extremes", "theta") == [
         ["io", "write-gnp", "200", "69044", "9319cbed553a8eed"],
@@ -1038,7 +1038,8 @@ def test_dense_layer_timings_script_smoke(layer_timing_rows):
         ["dense", "greedy_full", "200", "138", "4580ce135a5c9773"],
         ["dense", "full_two_thirds", "200", "10", "9f367847b5618dd6"],
         ["dense", "half_full", "200", "100", "d269aff37d5967a1"],
-        ["dense", "largest_full_or_cofull", "200", "138", "bd997cd5ed9d5fb1"]]
+        ["dense", "largest_full_or_cofull", "200", "138", "bd997cd5ed9d5fb1"],
+        ["dense", "complement", "200", "9892", "e25dc4d6ab3c1eda"]]
 
 
 def test_oracle_layer_timings_script_smoke(layer_timing_rows):
@@ -1060,5 +1061,5 @@ def test_layer_timings_script_fails_on_a_read_that_changes_the_graph(capsys, mon
     lines = capsys.readouterr().out.splitlines()
     assert [line.split()[1] for line in lines[1:-1]] == [
         "gen_gnp", "gen_gnp-1/2000", "greedy_full", "full_two_thirds", "half_full",
-        "largest_full_or_cofull", "write-gnp"]
+        "largest_full_or_cofull", "complement", "write-gnp"]
     assert lines[-1] == "error: read-gnp n=200 reads back as a different graph"
