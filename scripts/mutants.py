@@ -123,10 +123,11 @@ MUTANTS = (
            "< threshold) + start", "< threshold)",
            ("tests/test_generate.py::test_gnp_block_boundaries_match_reference[p3-1001]",)),
     Mutant("row starts off by one", "fullsub/generate.py",
-           "rows * (rows - 1) // 2", "rows * (rows + 1) // 2",
+           "firsts * (firsts - 1) // 2", "firsts * (firsts + 1) // 2",
            ("tests/test_generate.py::test_gnp_matches_reference_fill",)),
     Mutant("placed pair left unmirrored", "fullsub/generate.py",
-           "mat[u, v] = mat[v, u] = True\n    else:", "mat[u, v] = True\n    else:",
+           "_set_pairs(rows, np.concatenate((u, v)), np.concatenate((v, u)))",
+           "_set_pairs(rows, u, v)",
            ("tests/test_generate.py::test_gnp_matches_reference_fill",)),
     Mutant("switch places the draws only below 1/64", "fullsub/generate.py",
            "if p <= _PLACE_MAX:", "if p < _PLACE_MAX:",
@@ -152,12 +153,13 @@ MUTANTS = (
            "for s in range(0, len(rows) // _BYTE_ROWS * _BYTE_ROWS, _BYTE_ROWS):",
            ("tests/test_graph.py::"
             "test_packing_a_block_of_rows_at_a_time_matches_the_whole_array[129]",)),
-    Mutant("byte-wide in-set degree total", "fullsub/graph.py",
-           "dtype=np.uint16 if n < 1 << 16 else np.uint32", "dtype=np.uint8",
+    Mutant("in-set popcounts skip the set's words", "fullsub/graph.py",
+           "if words is not None:", "if False:",
            ("tests/test_finders.py::test_matrix_certification_matches_the_mask_walk",)),
-    Mutant("block of 256 rows summed as bytes", "fullsub/graph.py",
-           "_BYTE_ROWS = 128", "_BYTE_ROWS = 256",
-           ("tests/test_finders.py::test_matrix_certification_matches_the_mask_walk",)),
+    Mutant("popcounts read the first block of rows for every block", "fullsub/graph.py",
+           "block = rows[s:s + _BYTE_ROWS] if at is None", "block = rows[:_BYTE_ROWS] if at is None",
+           ("tests/test_generate.py::"
+            "test_every_gnp_graph_that_may_have_edges_holds_its_matrix_alone[p1-130]",)),
     Mutant("violator picked one past the first", "fullsub/finders.py",
            "_fullness_bar(p, m)\n    return int(idx[bad.argmax()]) if bad.any() else None",
            "_fullness_bar(p, m)\n"
@@ -166,9 +168,9 @@ MUTANTS = (
     Mutant("relative check scales in int64 at any q", "fullsub/finders.py",
            "np.int64 if b * g.n < 1 << 63 else object", "np.int64",
            ("tests/test_finders.py::test_matrix_certification_matches_the_mask_walk",)),
-    Mutant("certification primes the matrix", "fullsub/graph.py",
-           'if "matrix" in g.__dict__:\n        return idx, _column_counts',
-           'if True:\n        return idx, _column_counts',
+    Mutant("certification packs the rows", "fullsub/graph.py",
+           'if "packed" in g.__dict__:\n        return idx, _counts',
+           'if True:\n        return idx, _counts',
            ("tests/test_finders.py::test_certifying_a_mask_graph_builds_no_matrix",)),
     Mutant("mask walk drops a set given as a mask", "fullsub/graph.py",
            "mask, adj = vertices, g.adj", "mask, adj = 0, g.adj",
@@ -203,17 +205,26 @@ MUTANTS = (
            ("tests/test_graph.py::test_mask_and_matrix_twins_are_equal_and_hash_alike[gnp]",
             "tests/test_graph.py::"
             "test_mask_graphs_past_one_unpacked_block_compare_and_write_every_row")),
-    Mutant("complement inverts a copy of the matrix", "fullsub/graph.py",
-           "np.logical_not(g.matrix)", "np.logical_not(g.matrix.copy())",
-           ("tests/test_graph.py::test_complement_and_the_reader_peak_at_one_traced_matrix",)),
-    Mutant("reader mirrors through a transposed copy", "fullsub/graph.py",
-           "    _mirror_upper(mat)\n", "    mat |= mat.T.copy()\n",
-           ("tests/test_graph.py::test_complement_and_the_reader_peak_at_one_traced_matrix",)),
+    Mutant("complement inverts a copy of the rows", "fullsub/graph.py",
+           "out = np.invert(g.packed)", "out = np.invert(g.packed.copy())",
+           ("tests/test_graph.py::test_complement_and_the_reader_peak_at_packed_rows",)),
+    Mutant("reader's band holds n rows", "fullsub/graph.py",
+           "np.zeros((_BYTE_ROWS, n), dtype=np.bool_)", "np.zeros((n, n), dtype=np.bool_)",
+           ("tests/test_graph.py::test_complement_and_the_reader_peak_at_packed_rows",)),
+    Mutant("reader band's first row off by one", "fullsub/graph.py",
+           "_pack_band(rows, first, span)", "_pack_band(rows, first + 1, span)",
+           ("tests/test_graph.py::test_band_scatter_matches_reference_with_a_short_band",
+            "tests/test_graph.py::"
+            "test_dense_reader_matches_reference_across_small_blocks[written-333]")),
+    Mutant("complement leaves the padding bits set", "fullsub/graph.py",
+           "    if n % 64:  # the padding: the last word's bits from n % 64 on\n"
+           "        words[:, -1] &= np.uint64((1 << n % 64) - 1)\n", "",
+           ("tests/test_graph.py::test_packed_mask_and_matrix_twins_agree_bit_by_bit[complement]",)),
     Mutant("vertex mask unpacked big-endian", "fullsub/graph.py",
            'np.unpackbits(packed, bitorder="little")', 'np.unpackbits(packed, bitorder="big")',
            ("tests/test_graph.py::test_induced_subgraph_matches_reference[300]",)),
     Mutant("K_n kept as masks", "fullsub/generate.py",
-           "return Graph._from_matrix(~np.eye(n, dtype=bool))",
+           "return complement(Graph.from_edges(n, []))",
            "return Graph.from_edges(n, zip(*np.triu_indices(n, 1)))",
            ("tests/test_generate.py::"
             "test_every_gnp_graph_that_may_have_edges_holds_its_matrix_alone",)),
@@ -269,7 +280,7 @@ MUTANTS = (
            ("tests/test_finders.py::test_fullness_bar_rounds_p_times_m_minus_1",
             "tests/test_finders.py::test_cofull_is_full_in_the_complement")),
     Mutant("complement keeps its diagonal", "fullsub/graph.py",
-           "\n    np.fill_diagonal(mat, False)", "",
+           "    words[v, v >> 6] ^=", "    words[v, v >> 6] |=",
            ("tests/test_graph.py::test_complement_keeps_the_form_and_equals_the_mask_complement",)),
     Mutant("g(G) ties go to the co-full side", "fullsub/finders.py",
            'c[0] != "full"', 'c[0] != "cofull"',
@@ -317,8 +328,7 @@ MUTANTS = (
             "tests/test_finders.py::test_kept_searches_match_a_fresh_graph_on_gnp[12]")),
     Mutant("canonical reader takes self-loops", "fullsub/graph.py",
            "if (u >= v).any()", "if (u > v).any()",
-           ("tests/test_graph.py::test_vectorized_reader_matches_reference_parser_across_blocks"
-            "[two-self-loops]",)),
+           ("tests/test_graph.py::test_canonical_reader_refuses_a_self_loop_in_either_form",)),
     Mutant("canonical reader takes 20-digit tokens", "fullsub/graph.py",
            "top > 18", "top > 20",
            ("tests/test_graph.py::test_reader_refuses_tokens_past_18_digits",)),
@@ -341,10 +351,19 @@ MUTANTS = (
     Mutant("digit pairs kept across the lane boundary", "fullsub/graph.py",
            "& 0x00FF00FF00FF00FF", "& 0xFFFFFFFFFFFFFFFF",
            ("tests/test_graph.py::test_canonical_text_takes_the_vectorized_path",)),
-    Mutant("diagonal tile left unmirrored", "fullsub/graph.py",
-           "        d |= d.T\n", "",
-           ("tests/test_graph.py::test_symmetrize_matches_transpose_or[513]",
+    Mutant("8 x 8 transpose drops its middle stage", "fullsub/graph.py",
+           "(14, 0x0000CCCC0000CCCC), ", "",
+           ("tests/test_graph.py::test_symmetrize_matches_transpose_or[9]",
             "tests/test_generate.py::test_gnp_matches_reference_fill")),
+    Mutant("packed row added unscaled", "fullsub/graph.py",
+           "_bit_table(scale, out.dtype)", "_bit_table(1, out.dtype)",
+           ("tests/test_finders.py::test_peel_matches_reference_on_gnp",)),
+    Mutant("climb's added vertex keeps its add key", "fullsub/discrepancy.py",
+           "rem[v], add[v] = add[v], -_KEY_OFF", "rem[v] = add[v]",
+           ("tests/test_discrepancy.py::test_local_search_matches_reference_on_gnp[20]",)),
+    Mutant("climb's removed vertex keeps its remove key", "fullsub/discrepancy.py",
+           "add[v], rem[v] = rem[v], _KEY_OFF", "add[v] = rem[v]",
+           ("tests/test_discrepancy.py::test_local_search_matches_reference_on_gnp[20]",)),
     Mutant("mask reader takes duplicates", "fullsub/graph.py",
            "return g if g.edge_count == m else None", "return g",
            ("tests/test_sweep_cli.py::"
@@ -363,6 +382,9 @@ MUTANTS = (
            "x_star = int(ux.argmax())",
            "x_star = len(ux) - 1 - int(ux[::-1].argmax())",
            ("tests/test_finders.py::test_qfull_matches_reference_on_gnp",)),
+    Mutant("qfull scan skips the x between runs", "fullsub/finders.py",
+           "s, k = s + k, min(2 * k, _SCAN_ROWS)", "s, k = s + 2 * k, min(2 * k, _SCAN_ROWS)",
+           ("tests/test_finders.py::test_qfull_matches_reference_on_gnp_2000",)),
     Mutant("swapped-out vertex keeps its X key", "fullsub/finders.py",
            "ux[x], uy[y] = NEG, POS", "uy[y] = POS",
            ("tests/test_finders.py::test_qfull_matches_reference_on_gnp",)),

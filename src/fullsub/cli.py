@@ -10,6 +10,7 @@ parse errors.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 import warnings
 from fractions import Fraction
@@ -243,7 +244,10 @@ def _add_exact_cap(parser: argparse.ArgumentParser, default: int) -> None:
                         help=f"max n for exact enumeration (default {default})")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The fullsub parser, built once per process and shared by every
+    main call: parse_args leaves it unchanged, and no caller may change it."""
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--seed", type=int, default=None,
                         help="seed for randomized steps (default 0)")

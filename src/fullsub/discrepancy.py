@@ -23,6 +23,7 @@ tie-breaks never touch floating point.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -30,9 +31,9 @@ from typing import Iterable, Iterator, Optional
 
 import numpy as np
 
-from .graph import (Graph, PreconditionError, VerificationError, _check_memory,
-                    _column_counts, _degrees_within, _pack_rows, as_probability,
-                    from_mask, lex_less)
+from .graph import (Graph, PreconditionError, VerificationError, _add_row, _check_memory,
+                    _counts, _degrees_within, _pack_rows, _rows, as_probability, from_mask,
+                    lex_less)
 from .rng import philox, split_seed
 
 EXACT_CAP_DEFAULT = 20
@@ -157,7 +158,7 @@ def _subset_extremes(g: Graph) -> tuple:
     k-set attaining its count. Within one size the surplus
     e(X) - p*C(k,2) orders subsets as e(X) does, so one table serves
     every p, in small integers. The first call builds the table and
-    stores it on g, as Graph._from_matrix primes Graph.matrix; later
+    stores it on g, as Graph._from_packed primes Graph.packed; later
     calls on g return it.
     """
     cache = g.__dict__
@@ -354,6 +355,9 @@ def discrepancy_local_search(g: Graph, p, sign: str = "positive", seed: int = 0,
     return DiscWitness(Fraction(best_score, den), from_mask(best_mask), sign, k)
 
 
+_KEY_OFF = np.int32(1 << 30)  # _climb's sentinel key, beyond every live one
+
+
 def _climb(g: Graph, num: int, den: int, orient: int, in_set: np.ndarray,
            k: Optional[int]) -> tuple[int, int]:
     """Strict best-improvement hill climbing from the bool row in_set,
@@ -367,11 +371,18 @@ def _climb(g: Graph, num: int, den: int, orient: int, in_set: np.ndarray,
     each kind is its best move with the smallest vertex (smallest
     (out, in) pair for swaps); the finalists are scored in Python ints,
     so p stays exact whatever its denominator.
+
+    With k None the keys orient*d are kept across moves, as _qfull keeps
+    its swap keys: add holds them off the set and -_KEY_OFF on it, rem
+    holds them on the set and _KEY_OFF off it, so the best addition is
+    add's first argmax and the best removal rem's first argmin. A move
+    adds orient*step times the mover's row to both and swaps the mover's
+    key across. A sentinel drifts by at most 1 a move; pinning both every
+    n moves keeps it beyond every |orient*d| < n, as n < 2^29 (the rows
+    of a larger graph would not fit in memory).
     """
-    adj = g.matrix
     n = g.n
-    low = -n - 1  # below every orient * d[v]
-    d = _column_counts(adj, np.flatnonzero(in_set)).astype(np.int64)
+    d = _counts(g, np.flatnonzero(in_set))
     size = int(np.count_nonzero(in_set))
     e = int(d[in_set].sum()) // 2
 
@@ -379,35 +390,47 @@ def _climb(g: Graph, num: int, den: int, orient: int, in_set: np.ndarray,
         return orient * (edges * den - num * (sz * (sz - 1) // 2))
 
     score = scaled(e, size)
+    if k is None:
+        add, rem = keys = np.array((orient * d, orient * d), dtype=np.int32)
+        for moves in itertools.count():
+            if moves % n == 0:
+                add[in_set] = -_KEY_OFF
+                rem[~in_set] = _KEY_OFF
+            finalists = []  # (gain, -v, step, d[v]) of the best addition and removal
+            for v, step, side in ((int(add.argmax()), 1, add), (int(rem.argmin()), -1, rem)):
+                if 0 <= size + step <= n:
+                    dv = orient * int(side[v])
+                    finalists.append((scaled(e + step * dv, size + step) - score, -v, step, dv))
+            gain, neg_v, step, dv = max(finalists)
+            if gain <= 0:
+                return score, _pack_rows(in_set[None])[0]
+            v = -neg_v
+            e += step * dv
+            size += step
+            in_set[v] = step > 0
+            _add_row(g, v, keys, orient * step)
+            if step > 0:
+                rem[v], add[v] = add[v], -_KEY_OFF
+            else:
+                add[v], rem[v] = rem[v], _KEY_OFF
+            score = scaled(e, size)
     while True:
         od = orient * d
-        if k is None:
-            finalists = []  # (vertex, step) of the best addition and removal
-            if size < n:
-                finalists.append((int(np.argmax(np.where(in_set, low, od))), 1))
-            if size:
-                finalists.append((int(np.argmax(np.where(in_set, -od, low))), -1))
-            gain, neg_v = max((scaled(e + step * int(d[v]), size + step) - score, -v)
-                              for v, step in finalists)
-            move = (-neg_v,)
-        else:
-            # swap gains over X x (V \ X), divided by den, as int32: at
-            # most n*n bytes, the size of Graph.matrix
-            xs, ys = np.flatnonzero(in_set), np.flatnonzero(~in_set)
-            gains = od[ys].astype(np.int32) - od[xs, None].astype(np.int32)
-            np.subtract(gains, orient, out=gains, where=adj[np.ix_(xs, ys)])
-            gain = int(gains.max(initial=0))
-            if gain > 0:
-                i, j = divmod(int(np.argmax(gains)), ys.size)
-                move = (xs[i], ys[j])
+        # swap gains over X x (V \ X), divided by den, as int32, the
+        # adjacent pairs' read off X's rows unpacked (_rows)
+        xs, ys = np.flatnonzero(in_set), np.flatnonzero(~in_set)
+        gains = od[ys].astype(np.int32) - od[xs, None].astype(np.int32)
+        np.subtract(gains, orient, out=gains, where=_rows(g, xs)[:, ys])
+        gain = int(gains.max(initial=0))
         if gain <= 0:
             return score, _pack_rows(in_set[None])[0]
-        for v in move:
+        i, j = divmod(int(np.argmax(gains)), ys.size)
+        for v in (xs[i], ys[j]):
             step = -1 if in_set[v] else 1
             e += step * int(d[v])
             size += step
             in_set[v] = step > 0
-            d += step * adj[v]
+            _add_row(g, v, d, step)
         score = scaled(e, size)
 
 

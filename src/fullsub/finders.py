@@ -10,14 +10,14 @@ reference density. This module houses:
   - oracle_largest_full: the exponential exact optimum (desk scale),
     a descending search kept on the graph per (p, mode),
   - greedy_full: threshold peeling with a choice of tie-breaks; its
-    peel (_peel) also runs in a co-full mode on G's own matrix, which
+    peel (_peel) also runs in a co-full mode on G's own rows, which
     peels as greedy_full on the complement would (_cofull_greedy),
   - qfull_partition: swap local search over (ceil(qn), rest)
     bipartitions whose local maxima force one of three witness shapes,
   - half_full / one_over_r_full: relatively full subgraphs near n/r,
   - full_two_thirds: the peel-until-aligned procedure whose output is
     full and has order at least (1-p)^(2/3) n^(2/3) / 4 - 1; its 1/r
-    levels run on G's own matrix within the kept set, as all qfull
+    levels run on G's own rows within the kept set, as all qfull
     levels do (_qfull), so no finder builds an induced subgraph,
   - small_p_full: the sparse-regime finder (p <= n^(-2/3)),
   - largest_full_or_cofull: best of both orientations, exactly by one
@@ -49,8 +49,11 @@ from .graph import (
     Graph,
     PreconditionError,
     VerificationError,
-    _column_counts,
+    _adjacent,
+    _counts,
     _degrees_within,
+    _add_row,
+    _rows,
     as_probability,
     complement,
     density,
@@ -295,6 +298,7 @@ def _first_full_set(adj, cands: list, m: int, bar: int) -> Optional[int]:
 
 
 _GONE = np.int32(1 << 30)  # a deleted vertex's degree, above every live one
+_SCAN_ROWS = 32  # rows a qfull scan for a non-adjacent swap unpacks at most at once
 
 
 def _peel(g: Graph, p: Fraction, tie_break: str = "min-index",
@@ -306,7 +310,7 @@ def _peel(g: Graph, p: Fraction, tie_break: str = "min-index",
     whether stop fired and the key table (d_kept at the survivors, -d_kept
     in the co-full mode).
     tie_break is as in greedy_full; n must be positive. mode="cofull"
-    peels G toward a co-full set on its own matrix, as the full peel of
+    peels G toward a co-full set on its own rows, as the full peel of
     the complement at 1 - p would: its keys are -d, so the vertex deleted
     has the most live neighbours (the smallest index among ties), until
     each keeps at most floor(p(count-1)).
@@ -314,15 +318,14 @@ def _peel(g: Graph, p: Fraction, tie_break: str = "min-index",
     The key table is dense int32; a deleted vertex's entry starts at
     _GONE = 2^30 and moves by at most n - 1 < 2^29, so it stays above every
     live key: argmin finds the minimum live key (first occurrence =
-    smallest index among ties), and a deletion moves every key by its row."""
+    smallest index among ties), and a deletion moves every key by its row,
+    added from Graph.packed (graph._add_row)."""
     n = count = g.n
     cofull = mode == "cofull"
     deg = np.array(g.degrees, dtype=np.int32)
     if cofull:  # keys -d clear -floor(p(count-1)) = ceil(-p(count-1))
         np.negative(deg, out=deg)
         p = -p
-    update = np.add if cofull else np.subtract
-    rows = g.matrix.view(np.int8)
     trace: list[int] = []
     last: Optional[int] = None
     stopped = False
@@ -340,7 +343,7 @@ def _peel(g: Graph, p: Fraction, tie_break: str = "min-index",
                 victim = anti
         count -= 1
         deg[victim] = _GONE
-        update(deg, rows[victim], out=deg)
+        _add_row(g, victim, deg, 1 if cofull else -1)
         trace.append(victim)
         last = victim
     return np.flatnonzero(deg < n), tuple(trace), stopped, deg
@@ -380,7 +383,7 @@ def greedy_full(g: Graph, p=None, tie_break: str = "min-index",
 
 def _cofull_greedy(g: Graph) -> FullSubgraphResult:
     """greedy_full(complement(g))'s witness and trace, from the co-full
-    peel on G's own matrix, certified co-full in G at p = density(g)."""
+    peel on G's own rows, certified co-full in G at p = density(g)."""
     p = density(g)
     if g.n == 0:
         return _certified(g, p, 0, None, (), "cofull")
@@ -411,7 +414,7 @@ def qfull_partition(g: Graph, q, seed: Optional[int] = None) -> QFullOutcome:
 
 def _qfull(g: Graph, q: Fraction, live: np.ndarray, deg, seed: Optional[int]) -> tuple:
     """qfull_partition's search on G[live], for the sorted index array live and
-    deg = d_live by vertex id (read at members only), on G's own matrix:
+    deg = d_live by vertex id (read at members only), on G's own rows:
     (variant, set_q, set_1mq, X, Y) as index arrays or None, certified
     relative to d_live, then d_S by vertex id for the side S that _half
     keeps, counted by its certificate. Non-members stay pinned at the key
@@ -424,15 +427,14 @@ def _qfull(g: Graph, q: Fraction, live: np.ndarray, deg, seed: Optional[int]) ->
         return "i", live, None, None, None, np.zeros(n, dtype=np.int64)
     kx = -((-a * m) // b)
 
-    adj, deg = g.matrix, np.asarray(deg, np.int64)
+    deg = np.asarray(deg, np.int64)
     start = np.lexsort((live, -deg[live])) if seed is None else \
         philox(split_seed(seed, 0)).permutation(m)
     in_x = np.bincount(live[start[:kx]], minlength=n) > 0
     member = np.bincount(live, minlength=n) > 0
 
-    # neighbours inside X, summed down the contiguous rows of X as bytes
-    # (not a column slice, nor the n*n int64 copy a matrix product would make)
-    u = a * deg - b * _column_counts(adj, np.flatnonzero(in_x)).astype(np.int64)
+    # neighbours inside X: popcounts of each row ANDed with X's words
+    u = a * deg - b * _counts(g, np.flatnonzero(in_x))
 
     if 0 < kx < m:
         # The swap keys, kept across swaps: ux is u on X and NEG elsewhere,
@@ -447,8 +449,6 @@ def _qfull(g: Graph, q: Fraction, live: np.ndarray, deg, seed: Optional[int]) ->
         POS = kdt(3 << width - 1)
         NEG = -POS
         ux, uy = keys = np.array((u, u), dtype=kdt)
-        adj8, bk = adj.view(np.int8), kdt(b)
-        step = np.empty(n, dtype=kdt)
         pin_every = m // 2
         max_swaps = b * m * (m - 1) // 2 + m + 10
         for swaps in range(max_swaps):
@@ -461,29 +461,32 @@ def _qfull(g: Graph, q: Fraction, live: np.ndarray, deg, seed: Optional[int]) ->
             if gain_cap <= 0:
                 break
             swap = None
-            if gain_cap - b * int(adj[x_star, y_star]) > 0:
+            if gain_cap - b * _adjacent(g, x_star, y_star) > 0:
                 swap = (x_star, y_star)
             else:
                 # all adjacent pairs are non-improving here; scan the x
                 # above the least u on Y, by falling u (ties to the smaller
-                # index), for a non-adjacent y with smaller u
+                # index), for a non-adjacent y with smaller u, in runs of
+                # 1, 2, 4, ... up to _SCAN_ROWS x, whose rows unpack together
                 tops = np.flatnonzero(ux > uy[y_star])
-                for x in tops[np.argsort(-ux[tops], kind="stable")]:
-                    x = int(x)
-                    cand = np.where(adj[x], POS, uy)
-                    y = int(cand.argmin())
-                    if int(cand[y]) < int(ux[x]):
-                        swap = (x, y)
-                        break
+                order, s, k = tops[np.argsort(-ux[tops], kind="stable")], 0, 1
+                while swap is None and s < len(order):
+                    xs = order[s:s + k]
+                    cand = np.where(_rows(g, xs), POS, uy)
+                    ys = cand.argmin(axis=1)
+                    ok = cand[np.arange(len(xs)), ys] < ux[xs]
+                    if ok.any():
+                        i = int(ok.argmax())
+                        swap = (int(xs[i]), int(ys[i]))
+                    s, k = s + k, min(2 * k, _SCAN_ROWS)
             if swap is None:
                 break
             x, y = swap
             in_x[x] = False
             in_x[y] = True
             # d_X(v) moves by A[y,v] - A[x,v]; u moves by b times minus that
-            np.subtract(adj8[y], adj8[x], out=step)
-            np.multiply(step, bk, out=step)
-            keys -= step
+            _add_row(g, y, keys, -b)
+            _add_row(g, x, keys, b)
             uy[x], ux[y] = ux[x], uy[y]  # the two moved vertices change sides
             ux[x], uy[y] = NEG, POS
         else:
@@ -538,7 +541,7 @@ def one_over_r_full(g: Graph, r: int, seed: Optional[int] = None) -> RelativelyF
     """A relatively (1/r)-full subgraph on floor(n/r) to ceil(n/r)+1
     vertices: every member keeps at least a 1/r share of its degree.
 
-    One loop of qfull levels on G's own matrix, level i seeded
+    One loop of qfull levels on G's own rows, level i seeded
     split_seed(seed, i) and run within the set the last one kept.
     Powers of two split at 1/2 log2(r) times, keeping half_full's side
     and composing the degree shares; other r split at 1/r, where
@@ -590,7 +593,7 @@ def two_thirds_size_floor(n: int, p) -> int:
 def full_two_thirds(g: Graph) -> FullSubgraphResult:
     """Peel minimum-degree vertices, switching at the first
     degree-aligned step to one_over_r_full's levels, run on G's own
-    matrix within the survivors (_one_over_r); the output is full at
+    rows within the survivors (_one_over_r); the output is full at
     p = density and has at least (1-p)^(2/3) n^(2/3) / 4 - 1 vertices.
 
     Requires n^(-2/3) < p < 1 - n^(-1/7) (checked exactly; n <= 2
@@ -746,7 +749,7 @@ def largest_full_or_cofull(g: Graph, method: str = "oracle",
     full before co-full at each on the searches oracle_largest_full
     keeps on g, and stops at the first set; method="heuristic" takes the
     best verified candidate from the polynomial finders on both sides:
-    greedy_full on G and, through the co-full peel on G's own matrix
+    greedy_full on G and, through the co-full peel on G's own rows
     (_cofull_greedy), on its complement first, then on each side
     full_two_thirds, small_p_full and half_full (kept when full), each
     only where it takes the side's density (1 - p on the co-full side)

@@ -3,10 +3,12 @@ adversarial instances.
 
 Every generator is deterministic given its parameters (and seed, where
 one applies), platform-independent, and validated before generation.
-The dense families build their n x n bool matrix, symmetric and
-loop-free by construction, after _check_dense_size, and hand it to
-Graph._from_matrix unchecked (a sparse G(n, p) sets only the pairs its
-kept draws name, dense ones mirror thresholded rows); clique-isolated
+G(n, p) writes packed rows (graph.Graph.packed), one bit per pair,
+after _check_dense_size: a sparse one sets only the pairs its kept
+draws name, a dense one packs bands of thresholded rows and mirrors
+them. The structured dense families build their n x n bool matrix,
+symmetric and loop-free by construction, and hand it to
+Graph._from_matrix unchecked, which packs it once; clique-isolated
 builds only its m x m clique block, packs it into masks and hands them
 to Graph._from_adj. generate(GenSpec) dispatches by family tag using
 the same family names the command line accepts.
@@ -23,9 +25,10 @@ from typing import Optional
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .graph import (Graph, PreconditionError, VerificationError, _check_dense_size,
-                    _check_memory, _mirror_upper, _pack_rows, as_probability, density)
-from .rng import _bernoulli, _kept, uniform_u64
+from .graph import (_BYTE_ROWS, Graph, PreconditionError, VerificationError,
+                    _check_dense_size, _check_memory, _mirror, _pack_band, _pack_rows, _rows,
+                    _set_pairs, _zero_rows, as_probability, complement, density)
+from .rng import _kept, _row_blocks, _threshold, uniform_u64
 
 FAMILIES = ("gnp", "clique-isolated", "multipartite-planted", "adversary")
 _PLACE_MAX = Fraction(1, 64)  # gen_gnp places the kept draws at p up to this
@@ -51,25 +54,28 @@ def gen_gnp(n: int, p, seed: int) -> Graph:
     when its 64-bit draw falls below floor(p * 2^64), so the per-edge
     bias is under 2^-64 (zero when the denominator is a power of two).
     Pairs are indexed in lexicographic order, independent of n's
-    representation, so prefixes agree across runs. The draws fill an
-    n x n bool matrix a block at a time, so the peak is that matrix plus
-    one block; it becomes Graph.matrix, and masks are packed only if
-    read. With no possible edge (p = 0 or n <= 1) no matrix is
-    allocated. Dense graphs threshold each row's draws into the row's
-    upper triangle (rng._bernoulli), which is then mirrored in tiles;
-    at p <= _PLACE_MAX the kept draws' pair indices (rng._kept) are
-    placed instead, both (u, v) and (v, u), so no row is looped over
-    and no mirror runs. Median ms of 7 alternating runs, row / placed,
-    on a 2-vCPU Xeon VM; _PLACE_MAX is the power of two below the
-    lowest crossover:
+    representation, so prefixes agree across runs. The draws set bits
+    of packed rows (Graph.packed), n^2 / 8 bytes, a block of draws at a
+    time, so the peak is those rows, one block and a band of
+    _BYTE_ROWS bool rows; masks are copied out only if read. With no
+    possible edge (p = 0 or n <= 1) no row is allocated. Dense graphs
+    threshold each row's draws into the row's upper triangle in a bool
+    band, pack the band and mirror the rows (graph._mirror); at
+    p <= _PLACE_MAX the kept draws' pair indices (rng._kept) are set
+    instead, both (u, v) and (v, u), so no row is looped over and no
+    mirror runs. Median ms of 11 alternating runs, row / placed, on a
+    2-vCPU Xeon VM whose speed drifts (the 1/16 row at n = 5000 ran in
+    a slow spell); _PLACE_MAX is the power of two at or below the lowest
+    crossover, n = 5000 near 1/64, where 21 alternating pairs split
+    13 / 8 at medians of 74.8 / 73.9 ms:
 
         p          n = 1000     n = 2000     n = 5000
-        1/2000    4.4 / 2.7   15.3 / 11.0  76.3 / 60.4
-        1/110     4.2 / 2.8   15.6 / 12.4  78.4 / 70.7
-        1/64      4.1 / 2.9   15.0 / 12.7  76.4 / 73.3
-        1/32      4.7 / 3.4   14.8 / 14.4  74.2 / 82.2
-        1/16      4.4 / 3.9   14.7 / 16.7  72.5 / 99.5
-        1/8       5.0 / 4.0   14.6 / 17.9  73.5 / 105.0
+        1/2000    4.2 / 2.7   13.9 /  9.9  72.2 /  60.9
+        1/110     4.1 / 2.8   13.0 / 10.7  74.6 /  69.0
+        1/64      4.2 / 3.1   13.5 / 12.2  75.5 /  78.1
+        1/32      4.2 / 3.6   13.3 / 14.3  73.4 /  94.1
+        1/16      4.3 / 4.7   13.4 / 17.2  97.6 / 147.7
+        1/8       6.8 / 8.2   22.4 / 33.2  75.7 / 135.3
     """
     if n < 0:
         raise PreconditionError(f"n must be nonnegative, got {n}")
@@ -79,21 +85,31 @@ def gen_gnp(n: int, p, seed: int) -> Graph:
         return Graph.from_edges(n, [])
     _check_dense_size(n)
     if num == den:  # K_n: every pair is an edge, and nothing is drawn
-        return Graph._from_matrix(~np.eye(n, dtype=bool))
-    mat = np.zeros((n, n), dtype=bool)
+        return complement(Graph.from_edges(n, []))
+    rows = _zero_rows(n)
     # the draws run in lexicographic pair order: row u's pairs (u, v > u)
     # take the next n-1-u, from pair index u(n-1) - u(u-1)/2 on
     if p <= _PLACE_MAX:
-        rows = np.arange(n - 1)
-        starts = rows * (n - 1) - rows * (rows - 1) // 2
+        firsts = np.arange(n - 1)
+        starts = firsts * (n - 1) - firsts * (firsts - 1) // 2
         for k in _kept(seed, p, n * (n - 1) // 2):
             u = np.searchsorted(starts, k, side="right") - 1
             v = k - starts[u] + u + 1
-            mat[u, v] = mat[v, u] = True
+            _set_pairs(rows, np.concatenate((u, v)), np.concatenate((v, u)))
     else:
-        _bernoulli(seed, p, [mat[u, u + 1:] for u in range(n - 1)])
-        _mirror_upper(mat)
-    return Graph._from_matrix(mat)
+        threshold, band = _threshold(p), np.zeros((_BYTE_ROWS, n), dtype=bool)
+        for first, stop, raw in _row_blocks(seed, range(n - 1, 0, -1)):
+            a = 0  # row u's draws: raw[a:a + n-1-u]
+            for s in range(first, stop, _BYTE_ROWS):
+                span = band[:min(stop - s, _BYTE_ROWS)]
+                span[:] = False
+                for u in range(s, s + len(span)):
+                    np.less(raw[a:a + n - 1 - u], threshold, out=span[u - s, u + 1:])
+                    a += n - 1 - u
+                _pack_band(rows, s, span)
+            del raw  # before the next block's draws: one block is held at a time
+        _mirror(rows)
+    return Graph._from_packed(rows[:n])
 
 
 def gen_clique_plus_isolated(n: int, E: int) -> Graph:
@@ -249,7 +265,7 @@ def gen_glued(a: Graph, b: Graph, seed: int) -> Graph:
     h, N = a.n // 2, 2 * a.n
     _check_dense_size(N)
     mat = np.zeros((N, N), dtype=bool)
-    mat[:a.n, :a.n], mat[a.n:, a.n:] = a.matrix, b.matrix
+    mat[:a.n, :a.n], mat[a.n:, a.n:] = _rows(a, slice(None)), _rows(b, slice(None))
     # A's vertex 2i + s meets B's vertex 2j + t when s xor t is coin (i, j):
     # entry blocks[0, i, s, 1, j, t], mirrored at blocks[1, j, t, 0, i, s]
     coin = (uniform_u64(seed, h * h) & 1).astype(bool).reshape(h, h)

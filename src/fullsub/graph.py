@@ -1,26 +1,35 @@
 """Immutable simple graphs over vertices 0..n-1 with exact rational density.
 
 A Graph holds the form it was built from and builds the other on first
-use: Graph.adj, one Python int bitmask per vertex, or Graph.matrix, a
-read-only numpy bool matrix. Graphs built from edges or masks hold
-masks; a generated dense graph, an induced subgraph, a complement and a
-graph read from canonical text (_read_canonical) no smaller than its
-matrix hold the matrix, with degrees from its column sums
-(_column_counts); one read from sparser text holds masks. NumPy
+use: Graph.adj, one Python int bitmask per vertex, or Graph.packed, the
+dense adjacency at one bit per pair: n read-only numpy rows of
+8 ceil(n/64) bytes, bit v of row u (little-endian, as the masks'
+to_bytes) set for each edge uv, padding bits zero. Graphs built from
+edges or masks hold masks; a generated dense graph, an induced
+subgraph, a complement and a graph read from canonical text
+(_read_canonical) no smaller than its n x n matrix hold packed rows,
+with degrees their popcounts (_popcounts); one read from sparser text
+holds masks. Graph.matrix, the n x n bool view, is unpacked on first
+use for callers outside the package; nothing inside reads it. NumPy
 integer ids and masks are taken as Python ints (operator.index), so no
 shift wraps at 64 bits. Inside the package a vertex set is a sorted
-index array (_as_index). This module alone converts between the two forms and asks
-which one a graph holds: the others read adjacency rows (_rows), arcs
-(_arcs) and in-set degrees (_degrees_within) through it, from the matrix
-when it is there, else from the masks alone, whose nonzero 64-bit words
-_set_bits alone decodes. Before any n x n matrix or exact table is
-allocated, _check_memory refuses one larger than physical memory or the
-cgroup's memory limit. Masks are packed from a matrix _BYTE_ROWS rows
-at a time (_pack_rows), as its column sums are taken (_column_counts),
-so neither holds more than one block's temporaries beside it.
-Graphs are frozen after construction and every
-function in this package treats them as shared read-only values; all
-density and degree arithmetic is exact (integers and Fractions).
+index array (_as_index). This module alone converts between the forms
+and asks which one a graph holds: the others read unpacked rows (_rows),
+add one row to a count table (_add_row), and read one bit (_adjacent),
+arcs (_arcs), counts into a set (_counts) and in-set degrees
+(_degrees_within) through it, from the packed rows
+when they are there, else from the masks alone; _set_bits alone decodes
+the nonzero 64-bit words of either. Producers write packed rows a band
+of _BYTE_ROWS bool rows at a time (_pack_band) or a pair at a time
+(_set_pairs), and an upper triangle is mirrored 8 x 8 bits at a time
+(_mirror). Before any dense form or exact table is allocated,
+_check_memory refuses one larger than physical memory or the cgroup's
+memory limit; dense forms are refused at the n^2 bytes of the matrix
+(_check_dense_size). Masks are copied out of packed rows _BYTE_ROWS
+rows at a time (_masks), so no more than one block's bytes sit beside
+them. Graphs are frozen after construction and every function in this
+package treats them as shared read-only values; all density and degree
+arithmetic is exact (integers and Fractions).
 """
 
 from __future__ import annotations
@@ -90,26 +99,14 @@ def _check_memory(nbytes: int, what: str) -> None:
 
 
 def _check_dense_size(n: int) -> None:
-    """Refuse, before allocating it, an n x n bool matrix whose n^2
-    bytes exceed the memory _check_memory allows."""
+    """Refuse, before allocating them, the dense forms of an n-vertex
+    graph (Graph.packed, and the n x n bool Graph.matrix built from it)
+    when n^2 bytes, the matrix's, exceed the memory _check_memory allows."""
     _check_memory(n * n, f"a dense {n} x {n} matrix")
 
 
-_BYTE_ROWS = 128  # rows summed as bytes (at most 255: no byte overflows) or unpacked at once
+_BYTE_ROWS = 128  # rows unpacked, packed, banded or popcounted at once
 _WRITE_ROWS = 32  # rows written as one piece of edge-list text, bounding its temporaries
-
-
-def _column_counts(mat: np.ndarray, rows: np.ndarray | None = None) -> np.ndarray:
-    """Column sums of an n x n bool matrix with a zero diagonal over the
-    rows given as an index array (None: every row), so at most n - 1:
-    exact in uint16 while n < 2^16. Each block of _BYTE_ROWS rows is
-    summed as bytes while it is in cache, and added to the total."""
-    u8, n = mat.view(np.uint8), mat.shape[1]
-    total = np.zeros(n, dtype=np.uint16 if n < 1 << 16 else np.uint32)
-    for s in range(0, len(u8) if rows is None else len(rows), _BYTE_ROWS):
-        block = u8[s:s + _BYTE_ROWS] if rows is None else u8[rows[s:s + _BYTE_ROWS]]
-        total += block.sum(axis=0, dtype=np.uint8)
-    return total
 
 
 def to_mask(vertices: Iterable[int], n: int) -> int:
@@ -143,35 +140,84 @@ def _as_index(vertices, n: int) -> np.ndarray:
     return np.flatnonzero(inside)
 
 
+def _masks(packed: np.ndarray) -> list[int]:
+    """The bitmask of each row of a 2-D uint8 array of little-endian
+    bytes, copied out _BYTE_ROWS rows at a time."""
+    width = packed.shape[1]
+    if not width:
+        return [0] * len(packed)
+    masks: list[int] = []
+    for s in range(0, len(packed), _BYTE_ROWS):
+        buf = packed[s:s + _BYTE_ROWS].tobytes()
+        masks += [int.from_bytes(buf[i:i + width], "little") for i in range(0, len(buf), width)]
+    return masks
+
+
 def _pack_rows(rows: np.ndarray) -> list[int]:
     """The bitmask of each row of a 2-D bool array: bit j of mask i is
     rows[i, j]. Pass vec[None] to pack a single vector. Rows are packed
     _BYTE_ROWS at a time, so the packed bytes and their copy stay the
     size of a block, not of the whole array."""
-    width = (rows.shape[1] + 7) // 8
-    if not width:
-        return [0] * len(rows)
     masks: list[int] = []
     for s in range(0, len(rows), _BYTE_ROWS):
-        buf = np.packbits(rows[s:s + _BYTE_ROWS], axis=1, bitorder="little").tobytes()
-        masks += [int.from_bytes(buf[i:i + width], "little") for i in range(0, len(buf), width)]
+        masks += _masks(np.packbits(rows[s:s + _BYTE_ROWS], axis=1, bitorder="little"))
     return masks
 
 
-_TILE = 512  # a pair of 256 KB tiles fits in cache
 _TEXT_BLOCK = 1 << 16  # characters of edge-list text, or bytes of a file, handled at a time
 
 
-def _mirror_upper(mat: np.ndarray) -> None:
-    """Copy the strictly upper triangle of mat, whose lower triangle is
-    all False, into that lower triangle in place, one tile at a time:
-    the whole transpose reads with a stride of n bytes, missing cache at
-    every element once n is in the thousands."""
-    for i in range(0, len(mat), _TILE):
-        d = mat[i:i + _TILE, i:i + _TILE]
-        d |= d.T
-        for j in range(i + _TILE, len(mat), _TILE):
-            mat[j:j + _TILE, i:i + _TILE] = mat[i:i + _TILE, j:j + _TILE].T
+def _row_bytes(n: int) -> int:
+    """The bytes of one packed row on n vertices: whole 64-bit words."""
+    return -(-n // 64) * 8
+
+
+def _zero_rows(n: int) -> np.ndarray:
+    """Zeroed packed rows on n vertices, with up to 7 more past them, so
+    that _mirror sees whole groups of 8 rows; hand on the first n."""
+    return np.zeros((-(-n // 8) * 8, _row_bytes(n)), dtype=np.uint8)
+
+
+def _pack_band(rows: np.ndarray, s: int, band: np.ndarray) -> None:
+    """OR the bool rows band, bit v of band row i for vertex v, into the
+    packed rows s, s + 1, ... of rows."""
+    rows[s:s + len(band), :(band.shape[1] + 7) // 8] |= np.packbits(band, axis=1, bitorder="little")
+
+
+def _set_pairs(rows: np.ndarray, u: np.ndarray, v: np.ndarray) -> None:
+    """Set bit v[i] of packed row u[i] for each i, pair by pair, so that
+    pairs sharing a byte all land."""
+    np.bitwise_or.at(rows.reshape(-1), u * rows.shape[1] + (v >> 3),
+                     np.left_shift(1, (v & 7).astype(np.uint8)))
+
+
+# the 8 x 8 bit transpose of a 64-bit word, bit 8r + c to bit 8c + r, in
+# three masked shift-XOR stages (Warren, Hacker's Delight, section 7-3)
+_TRANSPOSE8 = ((7, 0x00AA00AA00AA00AA), (14, 0x0000CCCC0000CCCC), (28, 0x00000000F0F0F0F0))
+_STRIPE_WORDS = 1 << 13  # 8 x 8 bit blocks (64 KB) a stripe of _mirror transposes at most
+
+
+def _mirror(rows: np.ndarray) -> None:
+    """OR into packed rows whose set bits lie above the diagonal (bit v
+    of row u only for u < v) their transpose, so that they turn
+    symmetric; len(rows) is a multiple of 8 (_zero_rows). Column byte j
+    of row group i (rows 8i..8i+7) is an 8 x 8 bit block, read as one
+    little-endian word whose byte r is row 8i + r; transposed
+    (_TRANSPOSE8), it is column byte i of row group j. Column bytes go a
+    stripe at a time, groups i up to the stripe's last column byte: a
+    stripe gathers its own column bytes of those groups before it
+    writes, and writes only its own groups below its last column byte,
+    which no other stripe gathers, so every stripe reads original bits."""
+    groups = len(rows) // 8
+    blocks = rows.reshape(groups, 8, rows.shape[1])
+    width = max(1, _STRIPE_WORDS // max(groups, 1))
+    for c in range(0, groups, width):
+        e = min(c + width, groups)
+        x = np.ascontiguousarray(blocks[:e, :, c:e].transpose(0, 2, 1)).view("<u8")[..., 0]
+        for shift, mask in _TRANSPOSE8:
+            t = ((x >> shift) ^ x) & mask
+            x ^= t ^ (t << shift)
+        blocks[c:e, :, :e] |= x.view(np.uint8).reshape(e, e - c, 8).transpose(1, 2, 0)
 
 
 def _unpack_rows(masks: list[int], n: int) -> np.ndarray:
@@ -270,28 +316,54 @@ class Graph:
         return g
 
     @classmethod
-    def _from_matrix(cls, mat: np.ndarray) -> "Graph":
-        """Build from a symmetric bool matrix with a zero diagonal
-        (not checked). The matrix is taken over, not copied: it becomes
-        the graph's read-only Graph.matrix, and no mask is packed."""
-        degrees = tuple(_column_counts(mat).tolist())  # = row sums, by symmetry
-        mat.setflags(write=False)
-        g = cls(mat.shape[0], degrees, sum(degrees) // 2)
-        g.__dict__["matrix"] = mat
+    def _from_packed(cls, rows: np.ndarray) -> "Graph":
+        """Build from n packed rows (Graph.packed's layout), symmetric,
+        with a zero diagonal and zero padding (not checked). The rows are
+        taken over, not copied: they become the graph's read-only
+        Graph.packed, with degrees their popcounts, and no mask is packed."""
+        degrees = tuple(_popcounts(rows).tolist())
+        rows.setflags(write=False)
+        g = cls(len(rows), degrees, sum(degrees) // 2)
+        g.__dict__["packed"] = rows
         return g
+
+    @classmethod
+    def _from_matrix(cls, mat: np.ndarray) -> "Graph":
+        """Build from a symmetric bool matrix with a zero diagonal (not
+        checked), packed _BYTE_ROWS rows at a time (_from_packed); the
+        matrix is not kept."""
+        rows = np.zeros((len(mat), _row_bytes(len(mat))), dtype=np.uint8)
+        for s in range(0, len(mat), _BYTE_ROWS):
+            _pack_band(rows, s, mat[s:s + _BYTE_ROWS])
+        return cls._from_packed(rows)
 
     @cached_property
     def adj(self) -> tuple[int, ...]:
         """One neighbour bitmask per vertex (bit u of adj[v]: edge uv);
-        a graph built from a matrix packs them on first use and caches them."""
-        return tuple(_pack_rows(self.matrix))
+        a graph built from packed rows copies them out on first use and
+        caches them."""
+        return tuple(_masks(self.packed))
+
+    @cached_property
+    def packed(self) -> np.ndarray:
+        """The dense adjacency at one bit per pair: n rows of
+        8 ceil(n/64) bytes, bit v of row u (little-endian, as the masks'
+        to_bytes) set for each edge uv, padding bits zero. Read-only;
+        a graph built from masks packs them on first use and caches
+        the rows, after _check_dense_size."""
+        _check_dense_size(self.n)
+        width = _row_bytes(self.n)
+        rows = np.frombuffer(b"".join(m.to_bytes(width, "little") for m in self.adj),
+                             dtype=np.uint8)
+        return rows.reshape(self.n, width)
 
     @cached_property
     def matrix(self) -> np.ndarray:
-        """Dense n x n bool adjacency, built on first use and cached;
-        read-only, since the graph it mirrors is immutable."""
+        """Dense n x n bool adjacency, unpacked from the form the graph
+        holds on first use and cached; read-only, since the graph it
+        mirrors is immutable. Nothing in this package reads it."""
         _check_dense_size(self.n)
-        mat = _unpack_rows(self.adj, self.n)
+        mat = _rows(self, slice(None))
         mat.setflags(write=False)
         return mat
 
@@ -340,13 +412,37 @@ def density(g: Graph) -> Fraction:
     return Fraction(2 * g.edge_count, g.n * (g.n - 1))
 
 
+def _popcounts(rows: np.ndarray, at: np.ndarray | None = None,
+               words: np.ndarray | None = None) -> np.ndarray:
+    """The set bits of each packed row (each row of the index array at;
+    None: every row), after an AND with the row of 64-bit words given,
+    as int64: _BYTE_ROWS rows' popcounts at a time."""
+    rows = rows.view("<u8")
+    total = np.empty(len(rows) if at is None else len(at), dtype=np.int64)
+    for s in range(0, len(total), _BYTE_ROWS):
+        block = rows[s:s + _BYTE_ROWS] if at is None else rows[at[s:s + _BYTE_ROWS]]
+        if words is not None:
+            block = block & words
+        np.bitwise_count(block).sum(axis=1, dtype=np.int64, out=total[s:s + _BYTE_ROWS])
+    return total
+
+
+def _counts(g: Graph, members: np.ndarray, at: np.ndarray | None = None) -> np.ndarray:
+    """|N(v) & S| for each vertex v (each v of the index array at, if
+    given), S the index array members: popcounts of Graph.packed's rows
+    ANDed with S's words, as int64."""
+    inside = np.zeros(8 * _row_bytes(g.n), dtype=np.bool_)
+    inside[members] = True
+    return _popcounts(g.packed, at, np.packbits(inside, bitorder="little").view("<u8"))
+
+
 def _degrees_within(g: Graph, vertices) -> tuple[np.ndarray, np.ndarray]:
     """S as a sorted index array (_as_index) and d_S(v) for each member:
-    column sums over S's rows when Graph.matrix is there, else the mask
-    walk, on S's own mask if given one, never building the matrix."""
+    popcounts of S's rows (_counts) when Graph.packed is there, else the
+    mask walk, on S's own mask if given one, never packing the rows."""
     idx = _as_index(vertices, g.n)
-    if "matrix" in g.__dict__:
-        return idx, _column_counts(g.matrix, idx)[idx]
+    if "packed" in g.__dict__:
+        return idx, _counts(g, idx, idx)
     mask, adj = vertices, g.adj
     if not isinstance(mask, int):
         mask = _pack_rows(np.bincount(idx, minlength=g.n)[None] > 0)[0]
@@ -357,59 +453,101 @@ def induced_subgraph(g: Graph, vertices: Iterable[int]) -> tuple[Graph, tuple[in
     """Induced subgraph plus the relabelling map.
 
     Returns (h, labels) where labels[i] is the original id of vertex i
-    of h; labels are sorted ascending. h holds its matrix only.
+    of h; labels are sorted ascending. h holds packed rows alone, packed
+    from g's rows at the labels _BYTE_ROWS at a time.
     """
-    idx = _as_index(vertices, g.n)  # rows, then columns: np.ix_ is ~3x slower
-    sub = g.matrix[idx].view(np.uint8).take(idx, axis=1).view(np.bool_)
-    return Graph._from_matrix(sub), tuple(idx.tolist())
+    idx = _as_index(vertices, g.n)
+    rows = np.zeros((len(idx), _row_bytes(len(idx))), dtype=np.uint8)
+    for s in range(0, len(idx), _BYTE_ROWS):
+        _pack_band(rows, s, _rows(g, idx[s:s + _BYTE_ROWS]).take(idx, axis=1))
+    return Graph._from_packed(rows), tuple(idx.tolist())
 
 
 def complement(g: Graph) -> Graph:
-    """The complement, holding its matrix alone: the inverted Graph.matrix
-    with its diagonal cleared, refused as any dense matrix is."""
-    mat = np.logical_not(g.matrix)
-    np.fill_diagonal(mat, False)
-    return Graph._from_matrix(mat)
+    """The complement, holding packed rows alone: Graph.packed inverted,
+    the padding bits and the diagonal cleared, refused as any dense form is."""
+    n = g.n
+    out = np.invert(g.packed)
+    words = out.view("<u8")
+    if n % 64:  # the padding: the last word's bits from n % 64 on
+        words[:, -1] &= np.uint64((1 << n % 64) - 1)
+    v = np.arange(n)
+    words[v, v >> 6] ^= np.left_shift(np.uint64(1), (v & 63).astype(np.uint64))
+    return Graph._from_packed(out)
 
 
 def _rows(g: Graph, rows: slice | np.ndarray) -> np.ndarray:
-    """g.matrix[rows] (rows a slice or an index array), or else those masks alone, unpacked."""
-    if "matrix" in g.__dict__:
-        return g.matrix[rows]
+    """Those rows (a slice or an index array) as bool rows of n entries,
+    unpacked from Graph.packed, or else from the masks alone."""
+    if "packed" in g.__dict__:
+        return np.unpackbits(g.packed[rows], axis=1, count=g.n, bitorder="little").view(np.bool_)
     masks = g.adj[rows] if isinstance(rows, slice) else [g.adj[v] for v in rows.tolist()]
     return _unpack_rows(masks, g.n)
 
 
-def _set_bits(masks: list[int]) -> tuple[np.ndarray, np.ndarray]:
-    """(i, b) for each set bit b of each masks[i], in order, from their nonzero 64-bit words."""
+@functools.lru_cache(maxsize=64)
+def _bit_table(scale: int, dtype: np.dtype) -> np.ndarray:
+    """Each byte's 8 bits, low first, times scale, in dtype: a packed row
+    looked up in it comes out scaled and at the width of the array it is
+    added to, so adding it casts nothing."""
+    bits = np.unpackbits(np.arange(256, dtype=np.uint8)[:, None], axis=1, bitorder="little")
+    table = bits.astype(dtype) * dtype.type(scale)
+    table.setflags(write=False)
+    return table
+
+
+def _add_row(g: Graph, v: int, out: np.ndarray, scale: int) -> None:
+    """out += scale * row v of the adjacency, for out of n entries per
+    row (one row, or a stack of them, each moved alike), through
+    Graph.packed's bytes looked up in _bit_table."""
+    out += _bit_table(scale, out.dtype).take(g.packed[v], axis=0).ravel()[:g.n]
+
+
+def _adjacent(g: Graph, u: int, v: int) -> int:
+    """1 if uv is an edge, else 0: one bit of Graph.packed."""
+    return int(g.packed[u, v >> 3]) >> (v & 7) & 1
+
+
+def _set_bits(words: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(i, b) for each set bit b of each row i of a 2-D array of
+    little-endian 64-bit words, in order, from its nonzero words."""
+    at = np.flatnonzero(words)
+    bits = np.flatnonzero(np.unpackbits(words.reshape(-1)[at].view(np.uint8), bitorder="little"))
+    return np.divmod(64 * at[bits >> 6] + (bits & 63), 64 * words.shape[1])
+
+
+def _mask_words(masks: list[int]) -> np.ndarray:
+    """The masks as rows of little-endian 64-bit words, one more word
+    than the widest needs."""
     width = max(masks).bit_length() // 64 + 1
     words = np.frombuffer(b"".join(m.to_bytes(8 * width, "little") for m in masks), "<u8")
-    at = np.flatnonzero(words)
-    bits = np.flatnonzero(np.unpackbits(words[at].view(np.uint8), bitorder="little"))
-    return np.divmod(64 * at[bits >> 6] + (bits & 63), 64 * width)
+    return words.reshape(len(masks), width)
 
 
 def _arcs(g: Graph, s: int, stop: int) -> tuple[np.ndarray, np.ndarray]:
-    """(u - s, v) for each edge uv, s <= u < stop, in order, from the form g holds."""
-    if "matrix" in g.__dict__:
-        return np.divmod(np.flatnonzero(g.matrix[s:stop]), g.n)
-    return _set_bits(g.adj[s:stop])
+    """(u - s, v) for each edge uv, s <= u < stop, in order, from the
+    words of the form g holds (_set_bits)."""
+    if "packed" in g.__dict__:
+        return _set_bits(g.packed[s:stop].view("<u8"))
+    return _set_bits(_mask_words(g.adj[s:stop]))
 
 
 def _edge_text(g: Graph) -> Iterator[bytes]:
     """write_edge_list's text as ASCII pieces: the header, then one piece
     per block of rows with an edge, gathered from name slots "u " and
     "v\\n" NUL-padded to one more byte than n - 1 has digits. A block's
-    edges (u, v), u < v, come from Graph.matrix's upper triangle, or else
-    from the set bits of the masks shifted past the diagonal (_set_bits)."""
+    edges (u, v), u < v, come from the upper triangle of its rows unpacked
+    from Graph.packed (_rows), or else from the set bits of the masks shifted past the diagonal (_set_bits)."""
     yield b"%d %d\n" % (g.n, g.edge_count)
     names = np.arange(g.n).astype(f"S{len(str(g.n - 1))}")
     first, second = np.strings.add(names, b" "), np.strings.add(names, b"\n")
     for s in range(0, g.n, _WRITE_ROWS):  # u and v count from s
-        if "matrix" in g.__dict__:
-            u, v = np.divmod(np.flatnonzero(np.triu(g.matrix[s:s + _WRITE_ROWS, s:], 1)), g.n - s)
+        if "packed" in g.__dict__:
+            block = _rows(g, slice(s, s + _WRITE_ROWS))[:, s:]
+            u, v = np.divmod(np.flatnonzero(np.triu(block, 1)), g.n - s)
         else:
-            u, v = _set_bits([m >> k for k, m in enumerate(g.adj[s:s + _WRITE_ROWS], start=s + 1)])
+            u, v = _set_bits(_mask_words([m >> k for k, m in
+                                          enumerate(g.adj[s:s + _WRITE_ROWS], start=s + 1)]))
             v += u + 1
         if len(u):
             pairs = np.stack((first[s:].take(u), second[s:].take(v)), axis=1)
@@ -455,9 +593,13 @@ def _read_canonical(source: str | BinaryIO, block: int = _TEXT_BLOCK) -> Graph |
     before its last digit; a line's u and v words, paired as one 64-bit
     word, are decoded together (Langdale and Lemire, "Parsing Gigabytes
     of JSON per Second", 2019). A graph whose n x n matrix is no larger
-    than the text (the file's size) comes out holding Graph.matrix; a
-    sparser one holds masks alone, each line's pair placed as the line
-    parser places it, after the line parser's refusal of a huge n."""
+    than the text (the file's size) comes out holding Graph.packed: a
+    block's pairs go into the upper triangle in bands of rows, or out
+    of order pair by pair (_scatter_bands), and the rows are mirrored
+    once at the end (_mirror). A sparser graph holds
+    masks alone, each line's pair placed as the line parser places it,
+    after the line parser's refusal of a huge n. A duplicate line shows
+    as an edge count short of the header's."""
     if isinstance(source, str):  # non-ASCII characters become '?', which no check passes
         size, end = len(source), source.find("\n") + 1
         first = source[:end].encode("ascii", "replace")
@@ -475,7 +617,7 @@ def _read_canonical(source: str | BinaryIO, block: int = _TEXT_BLOCK) -> Graph |
         adj = [0] * n
     else:
         _check_dense_size(n)
-        mat = np.zeros((n, n), dtype=np.bool_)
+        rows, band = _zero_rows(n), np.zeros((_BYTE_ROWS, n), dtype=np.bool_)
     lines = 0
     for chunk in blocks:
         # four NULs of padding: the last one, scan[0], stands as the
@@ -513,17 +655,40 @@ def _read_canonical(source: str | BinaryIO, block: int = _TEXT_BLOCK) -> Graph |
                 adj[a] |= 1 << b
                 adj[b] |= 1 << a
         else:
-            mat.ravel()[u * n + v] = True
+            _scatter_bands(rows, band, u, v)
         lines += len(u)
     if lines != m:
         return None
-    if sparse:  # a duplicate adds no edge, so it shows in the count
+    if sparse:
         g = Graph._from_adj(n, adj)
-        return g if g.edge_count == m else None
-    if np.count_nonzero(mat) != m:  # a duplicate sets no new entry
-        return None
-    _mirror_upper(mat)
-    return Graph._from_matrix(mat)
+    else:
+        _mirror(rows)
+        g = Graph._from_packed(rows[:n])
+    return g if g.edge_count == m else None  # a duplicate adds no edge, so it shows in the count
+
+
+def _scatter_bands(rows: np.ndarray, band: np.ndarray, u: np.ndarray, v: np.ndarray) -> None:
+    """Set bit v[i] of packed row u[i] for each i. Pairs on at most
+    len(band) rows, in any order, or sorted by u, go through the bool
+    band: each run of pairs on len(band) rows from its first row on is
+    set there, packed into those rows (_pack_band) and cleared. Pairs
+    out of order on more rows are set one by one (_set_pairs). A row
+    may take pairs from two calls, as it may span two blocks of text;
+    the packed rows keep both."""
+    size, n = band.shape
+    lo, hi = int(u.min()), int(u.max())
+    if hi - lo >= size and (u[1:] < u[:-1]).any():
+        _set_pairs(rows, u, v)
+        return
+    flat, a = band.reshape(-1), 0
+    while a < len(u):
+        first = int(u[a]) if a else lo
+        b = len(u) if hi < first + size else int(np.searchsorted(u, first + size))
+        flat[(u[a:b] - first) * n + v[a:b]] = True
+        span = band[:min(hi + 1, first + size) - first]
+        _pack_band(rows, first, span)
+        span[:] = False
+        a = b
 
 
 def read_edge_list(text: str) -> Graph:

@@ -15,7 +15,7 @@ product with the adjacency rows of the newly infected vertices, or a
 scatter of each new infection's neighbours from an n x max-degree table
 of neighbour ids, its temporaries bounded by _SCATTER_BLOCK counters or
 table entries whatever the batch. Both read the graph in the form it
-holds, through graph.py (_rows, _arcs): a graph held as masks unpacks
+holds, through graph.py (_rows, _arcs): packed rows or masks unpack
 only the rows a product multiplies. The exact probability enumerates
 instead, on a bitset of all 2^n subsets (64 to a word, 2^n / 2 bytes):
 64-bit constants per need mark the relatively half-full sets, and an
@@ -111,7 +111,7 @@ def _percolate_rows(g: Graph, infected: np.ndarray) -> tuple[np.ndarray, np.ndar
     |cols| * n adjacency entries (_rows), each worth about 17 multiply-adds,
     so a batch of few rows multiplies on sparse graphs where scattering
     wins. float32 counts are exact: each is at most a degree, and a degree
-    of 2^24 or more would need 2^24 masks or matrix rows of 2^24 bits."""
+    of 2^24 or more would need 2^24 masks or packed rows of 2^24 bits."""
     final, rounds = np.empty_like(infected), np.zeros(len(infected), dtype=np.int64)
     degrees = np.asarray(g.degrees, dtype=np.float32)
     need, width = degrees // 2 + 1, int(degrees.max(initial=0))

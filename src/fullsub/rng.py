@@ -4,10 +4,11 @@ Every randomized routine takes an integer seed and derives independent
 substreams with split_seed, so results are reproducible across runs,
 platforms, and thread counts. Bulk sampling uses numpy's counter-based
 Philox generator, which produces identical streams regardless of how
-the draws are batched. _bernoulli (a block of whole rows at a time) and
-_kept (a block of _BLOCK draws, ending anywhere in a row) draw from one
-bit generator per seed and keep a draw below one _threshold, so each
-holds one block of draws, not 8 bytes per pair.
+the draws are batched. _row_blocks (a block of whole rows at a time,
+which _bernoulli thresholds) and _kept (a block of _BLOCK draws, ending
+anywhere in a row) draw from one bit generator per seed and keep a draw
+below one _threshold, so each holds one block of draws, not 8 bytes per
+pair.
 """
 
 from __future__ import annotations
@@ -55,27 +56,38 @@ def _threshold(p: Fraction) -> np.uint64:
     return np.uint64((p.numerator << 64) // p.denominator)
 
 
+def _row_blocks(seed: int, lengths) -> Iterator[tuple[int, int, np.ndarray]]:
+    """(i, j, raw) for consecutive blocks of whole rows i..j-1 of the
+    given lengths: raw holds their draws, in order, from the Philox
+    stream of seed, at most _BLOCK of them unless one row is longer,
+    from a single bit generator, so the bits are those of one
+    uniform_u64 call. A caller that deletes raw before asking for the
+    next block holds one block at a time."""
+    bitgen = _bit_generator(seed)
+    i = 0
+    while i < len(lengths):
+        j, size = i + 1, lengths[i]
+        while j < len(lengths) and size + lengths[j] <= _BLOCK:
+            size += lengths[j]
+            j += 1
+        yield i, j, bitgen.random_raw(size)
+        i = j
+
+
 def _bernoulli(seed: int, p: Fraction, rows: list[np.ndarray]) -> None:
     """Fill the 1-D bool arrays rows, in order, with independent bools,
     each True with probability p < 1: draw k of the Philox stream of
     seed, counted across the rows, is kept iff it falls below
-    _threshold(p). The draws come a block of whole rows at a time, at
-    most _BLOCK of them unless one row is longer, from a single bit
-    generator, so the bits are those of one uniform_u64 call; each row
-    is its slice of the block compared with the threshold in place."""
-    bitgen, threshold = _bit_generator(seed), _threshold(p)
-    i = 0
-    while i < len(rows):
-        j, size = i + 1, len(rows[i])
-        while j < len(rows) and size + len(rows[j]) <= _BLOCK:
-            size += len(rows[j])
-            j += 1
-        raw, a = bitgen.random_raw(size), 0
+    _threshold(p). The draws come a block of whole rows at a time
+    (_row_blocks); each row is its slice of the block compared with the
+    threshold in place."""
+    threshold = _threshold(p)
+    for i, j, raw in _row_blocks(seed, [len(row) for row in rows]):
+        a = 0
         for row in rows[i:j]:
             np.less(raw[a:a + len(row)], threshold, out=row)
             a += len(row)
         del raw  # before the next block's draws: one block is held at a time
-        i = j
 
 
 def _kept(seed: int, p: Fraction, count: int) -> Iterator[np.ndarray]:

@@ -546,11 +546,41 @@ def brute_is_full(g: Graph, p, xs, mode: str = "full") -> bool:
 
 
 def twins(g: Graph) -> tuple[Graph, Graph]:
-    """g rebuilt twice, from its masks and from a copy of its matrix, so
+    """g rebuilt twice, from its masks and from its matrix packed, so
     that each twin holds one form alone."""
     masks, mat = Graph._from_adj(g.n, list(g.adj)), Graph._from_matrix(np.array(g.matrix))
-    assert "matrix" not in masks.__dict__ and "adj" not in mat.__dict__
+    assert "packed" not in masks.__dict__ and "adj" not in mat.__dict__
     return masks, mat
+
+
+def reference_packed(mat: np.ndarray, rows: Optional[int] = None) -> np.ndarray:
+    """Packed rows of a 2-D bool array, bit by bit: row u of
+    8 ceil(n/64) bytes holds bit v of byte v // 8 for each True mat[u, v];
+    rows (default len(mat)) zero rows are appended up to that count."""
+    n = mat.shape[1]
+    width = -(-n // 64) * 8
+    out = np.zeros((len(mat) if rows is None else rows, width), dtype=np.uint8)
+    for u, v in zip(*np.nonzero(mat)):
+        out[u, v // 8] |= 1 << (v % 8)
+    return out
+
+
+def reference_unpacked(rows: np.ndarray, n: int) -> np.ndarray:
+    """The bool array of packed rows, one bit at a time, after checking
+    that each row has 8 ceil(n/64) bytes and that no padding bit is set."""
+    assert rows.dtype == np.uint8 and rows.shape[1:] == (-(-n // 64) * 8,)
+    bits = ((rows[:, :, None] >> np.arange(8, dtype=np.uint8)) & 1).astype(bool)
+    bits = bits.reshape(len(rows), 8 * rows.shape[1])
+    assert not bits[:, n:].any()
+    return bits[:, :n]
+
+
+def packed_twin(g: Graph) -> Graph:
+    """g rebuilt from reference-packed rows of its masks, holding them alone."""
+    mat = np.array([[(m >> v) & 1 for v in range(g.n)] for m in g.adj], dtype=bool)
+    twin = Graph._from_packed(reference_packed(mat.reshape(g.n, g.n)))
+    assert "adj" not in twin.__dict__ and "matrix" not in twin.__dict__
+    return twin
 
 
 def reference_masks(g: Graph) -> list[int]:

@@ -7,6 +7,7 @@ produced them.
 
 import hashlib
 import math
+import tracemalloc
 from fractions import Fraction
 from itertools import combinations
 from types import SimpleNamespace
@@ -45,7 +46,7 @@ from fullsub import (
     small_p_size_floor,
     two_thirds_size_floor,
 )
-from fullsub import finders
+from fullsub import finders, rng
 from fullsub.finders import _certified, _fullness_bar, _peel
 from fullsub.graph import _degrees_within, to_mask
 
@@ -652,7 +653,7 @@ def test_one_over_r_window_on_larger_random_graphs():
                          ids=["gnp300-third", "gnp300-half", "gnp1200-third", "gnp1200-half",
                               "adversary100"])
 def test_one_over_r_live_levels_match_the_induced_subgraph_reference(g):
-    """Each level runs on G's matrix within the set the last one kept; the
+    """Each level runs on G's rows within the set the last one kept; the
     reference builds that set's induced subgraph and splits it instead."""
     for r in (2, 3, 4, 5, 8, 32):
         for seed in (None, 0, 1, 2):
@@ -727,7 +728,7 @@ def test_two_thirds_on_random_graphs_certifies_and_meets_floor():
 
 @pytest.mark.parametrize("n", [300, 600, 1200, 2000])
 def test_two_thirds_matches_the_induced_subgraph_reference_on_gnp(n):
-    """The switch hands the kept set to the 1/r levels on G's matrix; the
+    """The switch hands the kept set to the 1/r levels on G's rows; the
     reference switches through the induced subgraph G[kept]."""
     for p in (Fraction(1, 4), Fraction(1, 3), HALF):
         for seed in (0, 1):
@@ -878,7 +879,7 @@ def test_small_p_window_stops_where_the_reference_predicates_do():
 @pytest.mark.parametrize("n,inv_p,seed", [(300, 100, 0), (1000, 110, 3), (2000, 2000, 0),
                                           (2000, 2000, 1)])
 def test_small_p_peel_matches_reference_on_gnp(n, inv_p, seed):
-    # on the mask-held and the matrix-held twin alike
+    # on the mask-held and the packed-row twin alike
     for g in support.twins(gen_gnp(n, Fraction(1, inv_p), seed)):
         assert _small_p_outcome(_small_p_peel, g) == \
             _small_p_outcome(support.reference_small_p_peel, g)
@@ -1029,7 +1030,7 @@ def test_g_heuristic_runs_a_finder_only_where_its_ceiling_reaches(monkeypatch):
     # greedy keeps more than floor(n/2) + 1 on both sides of G(n, 1/2),
     # far above full_two_thirds' ceiling ceil(n/16) + 1 there, so no
     # co-full finder but greedy runs, and greedy's co-full peel runs on
-    # G's own matrix: the complement is never built
+    # G's own rows: the complement is never built
     for n in (200, 1000):
         g = gen_gnp(n, HALF, 0)
         assert min(len(greedy_full(h).vertices) for h in (g, complement(g))) > n // 2 + 1
@@ -1252,7 +1253,7 @@ def test_finder_outputs_are_frozen(name):
 
 
 # ---------------------------------------------------------------------------
-# certification on matrix rows against the mask walk
+# certification on packed rows against the mask walk
 
 def random_subsets(n: int, count: int, seed: int):
     rng = np.random.default_rng(seed)
@@ -1265,7 +1266,7 @@ def random_subsets(n: int, count: int, seed: int):
                                       (600, Fraction(1), 4)])
 def test_matrix_certification_matches_the_mask_walk(n, p, seed):
     g = gen_gnp(n, p, seed)  # a column of K_n fills every byte block
-    assert "adj" not in g.__dict__  # the matrix alone
+    assert "adj" not in g.__dict__  # the packed rows alone
     masks = support.reference_masks(g)
     h = Graph._from_adj(n, masks)  # the masks alone
     later_violators = 0
@@ -1301,19 +1302,49 @@ def test_matrix_certification_matches_the_mask_walk(n, p, seed):
                 for vs in forms:
                     assert is_relatively_full(graph, q, vs) == (bad is None, bad)
     assert later_violators or p == 1  # the smallest violator is not always the first member
-    assert "matrix" not in h.__dict__ and "adj" not in g.__dict__
+    assert "packed" not in h.__dict__ and "adj" not in g.__dict__
 
 
 def test_certifying_a_mask_graph_builds_no_matrix():
     g = Graph._from_adj(300, list(gen_gnp(300, HALF, 1).adj))
     xs = range(0, 300, 3)
-    assert "matrix" not in g.__dict__
+    assert "packed" not in g.__dict__
     is_full(g, HALF, xs)
     is_full(g, HALF, xs, "cofull")
     is_relatively_full(g, HALF, xs)
     _certified(g, HALF, 1)
     one_over_r_full(g, 1)  # no level runs, so only the certificate reads degrees
-    assert "matrix" not in g.__dict__
+    assert "packed" not in g.__dict__
+
+
+def test_gnp_finders_and_certificates_allocate_no_n_by_n_array():
+    # G(2000, 1/2) and the dense sweep's finders with their certificates,
+    # under tracemalloc, which sees numpy's buffers: generation holds,
+    # beyond its packed rows and one block of draws (rng._BLOCK), a band
+    # of rows and less; the finders and the certificates hold less than
+    # n^2 / 4 bytes beside the graph. An n x n bool array (n^2 bytes)
+    # would break either bound
+    n = 2000
+    warm = gen_gnp(300, HALF, 1)  # numpy's first-use state
+    greedy_full(warm), full_two_thirds(warm), half_full(warm)
+    tracemalloc.start()
+    try:
+        g = gen_gnp(n, HALF, 0)
+        generated = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        greedy, two_thirds, half = greedy_full(g), full_two_thirds(g), half_full(g)
+        certified = (is_full(g, greedy.p_used, greedy.vertices)[0]
+                     and is_full(g, two_thirds.p_used, two_thirds.vertices)[0]
+                     and is_relatively_full(g, HALF, half.vertices)[0])
+        found = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert certified and g.__dict__.keys() & {"packed", "adj", "matrix"} == {"packed"}
+    rows = g.packed.nbytes
+    assert rows == n * 256 and base >= rows
+    assert generated < rows + 8 * rng._BLOCK + n * n // 4, generated
+    assert found - base < n * n // 4, (found, base)
 
 
 def test_certification_reads_any_array_as_a_set():

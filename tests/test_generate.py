@@ -94,15 +94,15 @@ def test_gnp_block_boundaries_match_reference(monkeypatch, n, p):
 
 @pytest.mark.parametrize("p", [Fraction(1, 63), _PLACE_MAX])
 def test_gnp_places_the_kept_draws_only_up_to_the_switch(monkeypatch, p):
-    # the row path alone thresholds rows and mirrors them; the placed
-    # path alone takes kept indices
+    # the row path alone thresholds blocks of rows and mirrors them; the
+    # placed path alone takes kept indices
     calls = []
-    for name in ("_bernoulli", "_kept", "_mirror_upper"):
+    for name in ("_row_blocks", "_kept", "_mirror"):
         real = gen_gnp.__globals__[name]
         monkeypatch.setitem(gen_gnp.__globals__, name,
                             lambda *a, name=name, real=real: calls.append(name) or real(*a))
     g = gen_gnp(40, p, 6)
-    assert calls == (["_kept"] if p <= _PLACE_MAX else ["_bernoulli", "_mirror_upper"])
+    assert calls == (["_kept"] if p <= _PLACE_MAX else ["_row_blocks", "_mirror"])
     assert np.array_equal(g.matrix, support.reference_gnp_adjacency(40, p, 6))
 
 
@@ -135,7 +135,7 @@ def test_gnp_matches_reference_around_one_block(n, p):
 def test_gnp_graph_keeps_its_generated_matrix_on_request(n, p):
     want = support.reference_gnp_adjacency(n, p, 4)
     for g in (gen_gnp(n, p, seed=4), generate(GenSpec("gnp", n, p=p, seed=4))[0]):
-        assert "matrix" in g.__dict__  # no later unpack from the masks
+        assert "packed" in g.__dict__  # no later unpack from the masks
         assert not g.matrix.flags.writeable
         assert np.array_equal(g.matrix, want)
         assert np.array_equal(g.matrix, graph_mod._unpack_rows(g.adj, n))
@@ -144,9 +144,9 @@ def test_gnp_graph_keeps_its_generated_matrix_on_request(n, p):
 @pytest.mark.parametrize("n", [2, 3, 9, 130])
 @pytest.mark.parametrize("p", [Fraction(1, 1000), Fraction(1, 3), Fraction(1)])
 def test_every_gnp_graph_that_may_have_edges_holds_its_matrix_alone(n, p):
-    # K_n too: a G(n, p) that allocates a matrix keeps it, and packs no masks
+    # K_n too: a G(n, p) that allocates packed rows keeps them, and packs no masks
     for g in (gen_gnp(n, p, seed=2), generate(GenSpec("gnp", n, p=p, seed=2))[0]):
-        assert "matrix" in g.__dict__ and "adj" not in g.__dict__
+        assert "packed" in g.__dict__ and "adj" not in g.__dict__
         assert g.degrees == tuple(support.reference_gnp_adjacency(n, p, 2).sum(axis=0))
 
 
@@ -156,14 +156,14 @@ def test_every_dense_family_holds_its_matrix_alone():
               gen_glued(gen_gnp(8, Fraction(1, 2), 1), gen_gnp(8, Fraction(1, 3), 2), 4),
               generate(GenSpec("multipartite-planted", 5, r=1))[0],
               generate(GenSpec("adversary", 3))[0]):
-        assert "matrix" in g.__dict__ and "adj" not in g.__dict__
+        assert "packed" in g.__dict__ and "adj" not in g.__dict__
         assert not g.matrix.flags.writeable
 
 
 @pytest.mark.parametrize("n,p", [(0, Fraction(1, 2)), (1, Fraction(1)), (9, 0)])
 def test_gnp_graphs_without_a_possible_edge_hold_empty_masks(n, p):
     g = gen_gnp(n, p, seed=2)
-    assert g.adj == (0,) * n and "matrix" not in g.__dict__
+    assert g.adj == (0,) * n and "packed" not in g.__dict__
 
 
 @pytest.mark.parametrize("n", [0, 1, 2, 9])
@@ -239,7 +239,7 @@ def test_clique_isolated_block_peak_is_a_few_times_its_bytes():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert g.edge_count == e and "matrix" not in g.__dict__
+    assert g.edge_count == e and "packed" not in g.__dict__
     assert peak <= 4 * m * m, (peak, m * m)
 
 
@@ -286,7 +286,7 @@ def test_clique_isolated_fills_lexicographically():
     cases += [(n, e) for n in (6, 100) for e in (0, 1, 12, 13, n * (n - 1) // 2)]
     for n, e in cases:
         g = gen_clique_plus_isolated(n, e)
-        assert "adj" in g.__dict__ and "matrix" not in g.__dict__
+        assert "adj" in g.__dict__ and "packed" not in g.__dict__
         m = clique_part_size(e)
         want = list(islice(combinations(range(m), 2), e))
         assert list(g.edges()) == want
@@ -528,7 +528,7 @@ def test_glued_is_deterministic_and_seed_sensitive():
 @pytest.mark.parametrize("n", [0, 2, 4, 6, 10, 30])
 @pytest.mark.parametrize("seed", [0, 1, 5, 12])
 def test_glued_picks_the_reference_matching_per_coin(n, seed):
-    # A holds its matrix, B its masks
+    # A holds its packed rows, B its masks
     a, b = gen_gnp(n, Fraction(1, 2), seed + 1), support.path(n)
     g, want = gen_glued(a, b, seed), support.reference_glued(a, b, seed)
     assert g == want and write_edge_list(g) == write_edge_list(want)

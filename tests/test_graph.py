@@ -30,7 +30,7 @@ from fullsub import (
     write_edge_list,
 )
 from fullsub import graph as graph_mod
-from fullsub.graph import _blocks, _column_counts, _mirror_upper, _pack_rows, _read_canonical
+from fullsub.graph import _blocks, _mirror, _pack_rows, _read_canonical
 
 K3_TEXT = "3 3\n0 1\n0 2\n1 2\n"
 
@@ -220,13 +220,13 @@ def test_vectorized_reader_matches_reference_parser_across_blocks(multi_block_li
     assert got == parse_outcome(support.reference_read_edge_list, text)
     assert isinstance(got[0], str) == (fault in REFUSED)
     if fault == "none":
-        assert "matrix" in read_edge_list(text).__dict__
+        assert "packed" in read_edge_list(text).__dict__
 
 
 def test_canonical_text_takes_the_vectorized_path():
     text = write_edge_list(gen_gnp(300, Fraction(1, 2), seed=0))
     g = read_edge_list(text)
-    assert "matrix" in g.__dict__  # built by the reader, not on first use
+    assert "packed" in g.__dict__  # built by the reader, not on first use
     assert write_edge_list(g) == text
 
 
@@ -244,7 +244,7 @@ def test_zero_padded_tokens_take_the_vectorized_path(width, block):
     text = "\n".join([f"{g.n} {g.edge_count}"] + lines) + "\n"
     want = support.reference_read_edge_list(text)
     for got in (_read_canonical(text, block), read_file(text, block), read_edge_list(text)):
-        assert got is not None and "matrix" in got.__dict__
+        assert got is not None and "packed" in got.__dict__
         assert (got.n, got.adj) == (want.n, want.adj) == (g.n, g.adj)
 
 
@@ -260,7 +260,7 @@ def test_a_line_may_pad_u_and_v_to_different_group_counts(block):
     text = "\n".join([f"{g.n} {g.edge_count}"] + lines) + "\n"
     want = support.reference_read_edge_list(text)
     for got in (_read_canonical(text, block), read_file(text, block)):
-        assert got is not None and "matrix" in got.__dict__
+        assert got is not None and "packed" in got.__dict__
         assert (got.n, got.adj) == (want.n, want.adj) == (g.n, g.adj)
 
 
@@ -271,8 +271,20 @@ def test_sparse_canonical_text_is_read_into_masks(block):
     assert 300 ** 2 > len(text)
     want = support.reference_read_edge_list(text)
     for got in (_read_canonical(text, block), read_file(text, block), read_edge_list(text)):
-        assert got is not None and "matrix" not in got.__dict__
+        assert got is not None and "packed" not in got.__dict__
         assert (got.n, got.adj) == (want.n, want.adj)
+
+
+@pytest.mark.parametrize("n", (3, 300))
+def test_canonical_reader_refuses_a_self_loop_in_either_form(n):
+    # n = 3 reads into packed rows, where a self-loop would also cost the
+    # edge count a bit; n = 300 into masks, whose degree sum would turn odd
+    text = f"{n} 2\n0 1\n2 2\n"
+    assert (n * n <= len(text)) == (n == 3)
+    assert _read_canonical(text) is None
+    got = parse_outcome(read_edge_list, text)
+    assert got == parse_outcome(support.reference_read_edge_list, text)
+    assert "self-loop at vertex 2" in got[0]
 
 
 def test_reader_refuses_tokens_past_18_digits():
@@ -295,7 +307,7 @@ def test_reader_matches_reference_on_an_unterminated_last_line(text):
 def test_reader_builds_no_matrix_larger_than_the_text():
     g = read_edge_list("1000000 0\n")
     assert g.n == 1000000 and g.edge_count == 0
-    assert "matrix" not in g.__dict__
+    assert "packed" not in g.__dict__
 
 
 def read_file(text: str, block: int):
@@ -316,7 +328,7 @@ def test_file_reader_matches_the_text_reader(case, block):
     assert (got is None) == (want is None)
     if got is not None:  # the matrix if it is no larger than the text, else masks alone
         for g in (got, want):
-            assert ("matrix" in g.__dict__) == (g.n ** 2 <= len(text)) != ("adj" in g.__dict__)
+            assert ("packed" in g.__dict__) == (g.n ** 2 <= len(text)) != ("adj" in g.__dict__)
         assert (got.n, got.adj) == (want.n, want.adj)
 
 
@@ -476,21 +488,53 @@ def test_induced_subgraph_matches_reference_on_dense_gnp():
         assert np.array_equal(h.matrix, want.matrix)
 
 
-@pytest.mark.parametrize("n", [0, 1, 2, 511, 512, 513, 1025, 1537])
+@pytest.mark.parametrize("n", [0, 1, 2, 7, 8, 9, 63, 64, 65, 127, 511, 512, 513, 1025, 1537])
 def test_symmetrize_matches_transpose_or(n):
-    # _mirror_upper symmetrizes what both its callers build: a strictly
-    # upper-triangular matrix, its lower triangle still all False
+    # _mirror symmetrizes what both its callers build: packed rows of a
+    # strictly upper-triangular matrix, in whole groups of 8 rows; n
+    # runs past a group, a word, and (at 1025 and 1537) a stripe
     mat = np.triu(np.random.default_rng(n).random((n, n)) < 0.5, 1)
-    want = mat | mat.T
-    _mirror_upper(mat)
-    assert np.array_equal(mat, want)
+    rows = support.reference_packed(mat, -(-n // 8) * 8)
+    _mirror(rows)
+    assert np.array_equal(support.reference_unpacked(rows, n), np.pad(mat | mat.T, ((0, -n % 8), (0, 0))))
+
+
+def test_band_scatter_matches_reference_with_a_short_band():
+    # sorted pairs over 40 rows, some empty, set through a band of 5 rows:
+    # runs start at the first row that has a pair, and row 7 takes pairs
+    # from two calls, as a row that spans two blocks of text does
+    mat = np.triu(np.random.default_rng(3).random((40, 40)) < 0.3, 1)
+    mat[10:17] = mat[30:] = False
+    u, v = np.nonzero(mat)
+    rows, band = graph_mod._zero_rows(40), np.zeros((5, 40), dtype=bool)
+    cut = np.searchsorted(u, 7) + 2
+    graph_mod._scatter_bands(rows, band, u[:cut], v[:cut])
+    graph_mod._scatter_bands(rows, band, u[cut:], v[cut:])
+    assert np.array_equal(rows, support.reference_packed(mat, len(rows)))
+    assert not band.any()
+
+
+@pytest.mark.parametrize("block", (16, 333, 4096))
+@pytest.mark.parametrize("order", ("written", "shuffled"))
+def test_dense_reader_matches_reference_across_small_blocks(block, order):
+    # rows span blocks of text; shuffled lines are set pair by pair
+    text = write_edge_list(gen_gnp(150, Fraction(1, 2), seed=6))
+    if order == "shuffled":
+        head, *lines = text.splitlines()
+        lines = [lines[i] for i in np.random.default_rng(block).permutation(len(lines))]
+        text = "\n".join([head] + lines) + "\n"
+    want = support.reference_read_edge_list(text)
+    for got in (_read_canonical(text, block), read_file(text, block)):
+        assert got is not None and got.__dict__.keys() & {"packed", "adj"} == {"packed"}
+        assert np.array_equal(support.reference_unpacked(got.packed, 150), want.matrix)
+        assert got.degrees == want.degrees and got.adj == want.adj
 
 
 def test_dense_canonical_text_matches_reference_parser():
     # n = 1300 spans three 512-wide tiles, the last one partial
     text = write_edge_list(gen_gnp(1300, Fraction(1, 2), seed=4))
     got, want = read_edge_list(text), support.reference_read_edge_list(text)
-    assert "matrix" in got.__dict__  # read by the vectorized path
+    assert "packed" in got.__dict__  # read by the vectorized path
     assert got.adj == want.adj
     assert np.array_equal(got.matrix, want.matrix)
 
@@ -569,7 +613,7 @@ def test_adjacency_mask_lists_are_guarded(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# a graph holds the form it was built from: masks or matrix
+# a graph holds the form it was built from: masks or packed rows
 
 def _dense_text() -> str:
     text = write_edge_list(gen_gnp(120, Fraction(1, 2), seed=8))
@@ -589,11 +633,13 @@ FAMILIES = {
     "read-canonical": lambda: read_edge_list(_dense_text()),
     "read-line-parser": lambda: read_edge_list(_dense_text().replace("\n", "\r\n")),
     "induced": lambda: induced_subgraph(gen_gnp(300, Fraction(1, 2), seed=9), range(0, 300, 2))[0],
+    "gnp-placed": lambda: gen_gnp(130, Fraction(1, 100), seed=2),
+    "complement": lambda: complement(gen_gnp(65, Fraction(1, 3), seed=4)),
 }
 
 
 def matrix_twin(g: Graph) -> Graph:
-    """g rebuilt from a copy of its matrix, so that it holds the matrix alone."""
+    """g rebuilt from a copy of its matrix, packed, so that it holds the packed rows alone."""
     return Graph._from_matrix(np.array(g.matrix))
 
 
@@ -645,9 +691,9 @@ def test_packing_holds_one_block_of_packed_bytes_at_a_time():
 def test_readers_and_subgraphs_hold_the_matrix_alone():
     for g in (read_edge_list(_dense_text()), gen_gnp(30, Fraction(1, 2), 1),
               induced_subgraph(support.petersen(), [0, 2, 4, 5])[0]):
-        assert "matrix" in g.__dict__ and "adj" not in g.__dict__
+        assert "packed" in g.__dict__ and "adj" not in g.__dict__
     g = read_edge_list(_dense_text().replace("\n", "\r\n"))
-    assert "adj" in g.__dict__ and "matrix" not in g.__dict__
+    assert "adj" in g.__dict__ and "packed" not in g.__dict__
 
 
 @given(graphs())
@@ -658,33 +704,53 @@ def test_matrix_twins_of_small_graphs(g):
     assert complement(twin) == complement(g)
 
 
-def test_column_counts_widen_past_uint16():
-    # a count of at most n - 1 fits uint16 while n < 2^16
-    for n, dtype in ((1, np.uint16), (2 ** 16 - 1, np.uint16), (2 ** 16, np.uint32)):
-        assert _column_counts(np.zeros((1, n), dtype=np.bool_)).dtype == dtype
-
-
-def test_complement_and_the_reader_peak_at_one_traced_matrix():
-    # each builds its n x n matrix with numpy, where tracemalloc sees it,
-    # and holds no second one beside it: not a copy to invert, nor a
-    # transposed copy to mirror
+def test_complement_and_the_reader_peak_at_packed_rows():
+    # each builds its n packed rows of W = 8 ceil(n/64) bytes with numpy,
+    # where tracemalloc sees them: the complement holds no copy to invert
+    # beside them, and the reader, beside them, its band of rows and its
+    # text block's temporaries (about 1.2 MB), less than half of an
+    # n x n bool matrix, so none is built to scatter into or mirror
     n = 2000
     g = gen_gnp(n, Fraction(1, 2), 0)
     text = write_edge_list(g)
+    size = n * g.packed.shape[1]
     with tempfile.TemporaryFile() as fh:
         fh.write(text.encode("ascii"))
         fh.seek(0)
-        for call, want in ((lambda: complement(g), None), (lambda: _read_canonical(text), g),
-                           (lambda: _read_canonical(fh), g)):
+        for call, want, top in ((lambda: complement(g), None, 1.5 * size),
+                                (lambda: _read_canonical(text), g, size + n * n // 2),
+                                (lambda: _read_canonical(fh), g, size + n * n // 2)):
             tracemalloc.start()
             try:
                 h = call()
                 peak = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
-            assert h.__dict__.keys() & {"matrix", "adj"} == {"matrix"}
+            assert h.__dict__.keys() & {"packed", "adj", "matrix"} == {"packed"}
             assert want is None or h == want
-            assert n * n <= peak < 2 * n * n
+            assert size <= peak < top, (peak, size)
+
+
+@pytest.mark.parametrize("make", FAMILIES.values(), ids=FAMILIES.keys())
+def test_packed_mask_and_matrix_twins_agree_bit_by_bit(make):
+    # the packed rows, read bit by bit with their padding clear, are the
+    # matrix and the masks, whichever form a graph was built from; so are
+    # its complement's and an induced subgraph's
+    g = make()
+    want = support.reference_unpacked(g.packed, g.n)
+    keep = [v for v in range(g.n) if v % 3 != 1]
+    ref = support.reference_induced_subgraph(g, keep)[0]
+    for h in (g, mask_twin(g), support.packed_twin(g), matrix_twin(g)):
+        assert np.array_equal(support.reference_unpacked(h.packed, g.n), want)
+        assert np.array_equal(h.matrix, want) and h.adj == g.adj and h.degrees == g.degrees
+        c = complement(h)
+        assert np.array_equal(support.reference_unpacked(c.packed, g.n),
+                              ~want & ~np.eye(g.n, dtype=bool))
+        assert c.adj == tuple(((1 << g.n) - 1) ^ m ^ (1 << v) for v, m in enumerate(g.adj))
+        sub, labels = induced_subgraph(h, keep)
+        assert labels == tuple(keep) and "adj" not in sub.__dict__
+        assert np.array_equal(support.reference_unpacked(sub.packed, len(keep)), ref.matrix)
+        assert sub.adj == ref.adj and sub.degrees == ref.degrees
 
 
 @pytest.mark.parametrize("make", FAMILIES.values(), ids=FAMILIES.keys())
@@ -694,16 +760,16 @@ def test_mask_and_matrix_twins_are_equal_and_hash_alike(make):
     assert masks == mat and mat == masks and mat == g and masks == g
     assert hash(masks) == hash(mat) == hash(g)
     assert len({g, masks, mat}) == 1
-    assert "matrix" not in masks.__dict__ and "adj" not in mat.__dict__  # comparing built neither
+    assert "packed" not in masks.__dict__ and "adj" not in mat.__dict__  # comparing built neither
     assert complement(masks) == complement(mat) == matrix_twin(complement(g))
 
 
 @pytest.mark.parametrize("make", FAMILIES.values(), ids=FAMILIES.keys())
 def test_complement_keeps_the_form_and_equals_the_mask_complement(make):
-    # whichever form g holds, its complement holds the matrix alone
+    # whichever form g holds, its complement holds packed rows alone
     g = make()
     h = complement(g)
-    assert h.__dict__.keys() & {"matrix", "adj"} == {"matrix"}
+    assert h.__dict__.keys() & {"packed", "adj"} == {"packed"}
     full = (1 << g.n) - 1
     want = tuple(full ^ m ^ (1 << v) for v, m in enumerate(g.adj))
     twin = complement(mask_twin(g))
@@ -741,7 +807,7 @@ def test_mask_graphs_past_one_unpacked_block_compare_and_write_every_row():
     assert g == Graph._from_adj(300, list(g.adj))
     for k in (g, h):
         assert write_edge_list(k) == support.reference_write_edge_list(k)
-        assert "matrix" not in k.__dict__
+        assert "packed" not in k.__dict__
 
 
 @pytest.mark.parametrize("n", [0, 1, 2, 200, 1001])
@@ -778,7 +844,8 @@ def test_a_higher_cgroup_limit_leaves_physical_memory(memory_max):
 
 def test_complement_refuses_masks_beyond_the_limit(memory_max):
     memory_max.write_text(f"{1 << 24}\n")
-    # the complement is always a dense matrix, even of a graph that holds masks
+    # the complement always holds packed rows, even of a graph that holds
+    # masks, refused at the n^2 bytes of its matrix as every dense form is
     g = complement(read_edge_list("4000 0\n"))  # 4000^2 = 16 MB of matrix
     assert g.edge_count == 4000 * 3999 // 2 and g.degrees == (3999,) * 4000
     with pytest.raises(PreconditionError, match="a dense 20000 x 20000 matrix needs "
@@ -811,17 +878,19 @@ def test_writing_a_mask_graph_unpacks_no_row(monkeypatch):
     monkeypatch.setattr(graph_mod, "_unpack_rows", lambda *a: calls.append(a) or real(*a))
     g = Graph.from_edges(30000, [(0, 1), (5, 29999)])
     assert write_edge_list(g) == "30000 2\n0 1\n5 29999\n" == support.reference_write_edge_list(g)
-    assert not calls and "matrix" not in g.__dict__
+    assert not calls and "packed" not in g.__dict__
 
 
 def test_only_graph_py_asks_which_form_a_graph_holds():
-    """graph.py alone converts between masks and the matrix: no other
-    module tests whether a graph holds its matrix or decodes a mask's
-    bytes; they read rows, arcs and in-set degrees through graph.py."""
+    """graph.py alone converts between masks and packed rows: no other
+    module tests which form a graph holds, reads its packed rows or
+    its bool matrix, or decodes a mask's bytes; they read rows, arcs,
+    bits and in-set degrees through graph.py."""
     modules = sorted(Path(graph_mod.__file__).parent.glob("*.py"))
     assert len(modules) > 1
     for path in modules:
         if path.name != "graph.py":
             source = path.read_text(encoding="utf-8")
-            assert not re.search(r"""["']matrix["']\s+(not\s+)?in\b""", source), path.name
-            assert "to_bytes" not in source, path.name
+            assert not re.search(r"""["'](matrix|packed)["']\s+(not\s+)?in\b""", source), path.name
+            assert not re.search(r"(?<!Graph)\.(matrix|packed)\b", source), path.name
+            assert "to_bytes" not in source and "unpackbits" not in source, path.name

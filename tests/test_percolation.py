@@ -84,7 +84,7 @@ def _closures(g, masks):
 def test_batched_closure_matches_reference_per_row(g, monkeypatch):
     """Rows of one batch finish after different numbers of rounds. Each
     update runs on both twins (the scatter's table is read from the masks
-    on one, from the matrix on the other): as shipped, forced one way,
+    on one, from the packed rows on the other): as shipped, forced one way,
     and scattered in blocks of one row and pieces of at most 3 entries."""
     masks = [support.reference_initial_mask(g.n, p, 3, t)
              for p in (Fraction(1, 4), Fraction(1, 2), Fraction(3, 4)) for t in range(12)]
@@ -122,7 +122,7 @@ def test_sparse_rounds_on_a_mask_graph_build_no_matrix():
         infected, rounds = support.sync_percolate(g, start)
         assert bootstrap_percolate(g, start) == percolation.PercolationState(
             frozenset(infected), rounds)
-    assert "matrix" not in g.__dict__
+    assert "packed" not in g.__dict__
 
 
 def test_a_mask_graph_percolates_under_a_limit_below_its_matrix(memory_max, monkeypatch):
@@ -142,7 +142,7 @@ def test_a_mask_graph_percolates_under_a_limit_below_its_matrix(memory_max, monk
             frozenset(infected), rounds)
         est, failure = percolation._monte_carlo(g, p, 12, 0)
         assert (est.successes, failure) == want
-    assert rounds > 1 and 0 < want[0] < 12 and "matrix" not in g.__dict__
+    assert rounds > 1 and 0 < want[0] < 12 and "packed" not in g.__dict__
 
 
 def test_scatter_holds_one_block_of_temporaries():

@@ -193,7 +193,7 @@ def test_sweep_finders_get_the_generated_matrix(monkeypatch):
     real = sweep_mod.greedy_full
 
     def recording(g):
-        primed.append("matrix" in g.__dict__)
+        primed.append("packed" in g.__dict__)
         return real(g)
 
     monkeypatch.setattr(sweep_mod, "greedy_full", recording)
@@ -203,23 +203,22 @@ def test_sweep_finders_get_the_generated_matrix(monkeypatch):
 
 
 def test_dense_sweep_group_packs_no_masks(monkeypatch):
-    modules = [importlib.import_module(f"fullsub.{name}")
-               for name in ("graph", "discrepancy", "percolation")]
+    graph_mod = importlib.import_module("fullsub.graph")
     packed = []
-    real = modules[0]._pack_rows
+    real = graph_mod._masks
 
     def counting(rows):
         packed.append(rows.shape)
         return real(rows)
 
-    for mod in modules:  # every module that binds the name
-        monkeypatch.setattr(mod, "_pack_rows", counting)
+    # every mask copied out of a numpy array, _pack_rows' too, goes through it
+    monkeypatch.setattr(graph_mod, "_masks", counting)
     rows = run_sweep(SweepConfig(n_grid=(1000,), p_grid=(Fraction(1, 2),), seeds=(0,),
                                  algorithms=("greedy", "two-thirds", "half-full")))
     assert [r.passed_verification for r in rows] == [True] * 3
     assert packed == []
-    gen_gnp(10, Fraction(1, 2), 0).adj  # the count sees masks packed from a G(n, p) matrix
-    assert packed == [(10, 10)]
+    gen_gnp(10, Fraction(1, 2), 0).adj  # the count sees masks copied out of G(n, p)'s rows
+    assert packed == [(10, 8)]
 
 
 @pytest.mark.parametrize("threads", [1, 2])
@@ -701,7 +700,7 @@ def test_cli_reads_a_sparse_canonical_file_without_the_line_parser(monkeypatch, 
                         lambda text: parsed.append(text) or read_edge_list(text))
     if variant == "none":
         got = cli_mod._read_graph(str(path))
-        assert parsed == [] and "matrix" not in got.__dict__
+        assert parsed == [] and "packed" not in got.__dict__
         assert (got.n, got.adj) == (g.n, g.adj)
         return
     with pytest.raises(EdgeListError) as e:
