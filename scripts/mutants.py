@@ -111,14 +111,12 @@ MUTANTS = (
            "held = blocked.reshape(-1, 2, 1 << v - 6)[:, 0]",
            ("tests/test_percolation.py::"
             "test_exact_infection_probability_matches_reference_dp[gnp7-half]",)),
-    Mutant("inverted bernoulli threshold", "fullsub/rng.py",
-           "np.less(raw[a:a + len(row)], threshold",
-           "np.greater_equal(raw[a:a + len(row)], threshold",
-           ("tests/test_generate.py::test_gnp_matches_reference_fill",
-            "tests/test_percolation.py::test_initial_sample_matches_reference")),
-    Mutant("bernoulli row reads the block from its start", "fullsub/rng.py",
-           "            a += len(row)\n", "",
-           ("tests/test_generate.py::test_bernoulli_rows_hold_the_bits_of_one_uniform_u64_call",)),
+    Mutant("inverted initial-set threshold", "fullsub/percolation.py",
+           "np.less(uniform_u64(", "np.greater_equal(uniform_u64(",
+           ("tests/test_percolation.py::test_initial_sample_matches_reference",)),
+    Mutant("initial set skips its stream's first draw", "fullsub/percolation.py",
+           "uniform_u64(split_seed(seed, t), n),", "uniform_u64(split_seed(seed, t), n + 1)[1:],",
+           ("tests/test_percolation.py::test_initial_sample_matches_reference",)),
     Mutant("kept draws lose their block offset", "fullsub/rng.py",
            "< threshold) + start", "< threshold)",
            ("tests/test_generate.py::test_gnp_block_boundaries_match_reference[p3-1001]",)),
@@ -138,16 +136,6 @@ MUTANTS = (
     Mutant("peel's keys handed on unzeroed off the survivors", "fullsub/finders.py",
            "np.where(keys < n, keys, 0)", "np.where(keys < n, keys, keys)",
            ("tests/test_finders.py::test_two_thirds_hands_its_peel_degrees_to_the_levels",)),
-    Mutant("co-full bar as a ceiling", "fullsub/finders.py",
-           "if dmin >= _fullness_bar(p, count):",
-           "if dmin >= (-_fullness_bar(-p, count) if cofull else _fullness_bar(p, count)):",
-           ("tests/test_finders.py::"
-            "test_cofull_greedy_matches_greedy_on_the_complement_on_gnp[30]",)),
-    Mutant("co-full tie goes to the last index", "fullsub/finders.py",
-           "victim = int(deg.argmin())",
-           "victim = n - 1 - int(deg[::-1].argmin()) if cofull else int(deg.argmin())",
-           ("tests/test_finders.py::"
-            "test_cofull_greedy_matches_greedy_on_the_complement_on_every_small_graph[4]",)),
     Mutant("pack drops the last partial block", "fullsub/graph.py",
            "for s in range(0, len(rows), _BYTE_ROWS):",
            "for s in range(0, len(rows) // _BYTE_ROWS * _BYTE_ROWS, _BYTE_ROWS):",
@@ -295,18 +283,22 @@ MUTANTS = (
            "-(-n // _two_thirds_r(n, q)) + 1", "-(-n // _two_thirds_r(n, q))",
            ("tests/test_finders.py::"
             "test_g_heuristic_runs_a_finder_only_where_its_ceiling_reaches",)),
-    Mutant("the heuristic, and so its lazy complement, skips a finder whose ceiling "
-           "ties the best size", "fullsub/finders.py",
+    Mutant("the heuristic skips a finder whose ceiling ties the best size",
+           "fullsub/finders.py",
            "if top >= max(", "if top > max(",
            ("tests/test_finders.py::"
             "test_g_heuristic_runs_a_finder_only_where_its_ceiling_reaches",
             "tests/test_finders.py::"
             "test_g_heuristic_matches_the_every_finder_reference_on_gnp[6]")),
-    Mutant("the heuristic builds the complement whether or not a finder needs it",
+    Mutant("the heuristic's co-full greedy runs on G, not its complement",
            "fullsub/finders.py",
-           '("cofull", 1 - p, None)', '("cofull", 1 - p, complement(g))',
+           "greedy_full(h).vertices) for side, h", "greedy_full(g).vertices) for side, h",
            ("tests/test_finders.py::"
-            "test_g_heuristic_runs_a_finder_only_where_its_ceiling_reaches",)),
+            "test_g_heuristic_matches_the_every_finder_reference_on_gnp[6]",)),
+    Mutant("the heuristic's co-full ceilings read G's density", "fullsub/finders.py",
+           "q = density(h)", "q = density(g)",
+           ("tests/test_finders.py::"
+            "test_g_heuristic_matches_the_every_finder_reference_on_gnp[4]",)),
     Mutant("the heuristic runs a finder that refuses the side's density", "fullsub/finders.py",
            "skip it\n                    continue", "skip it\n                    top = n",
            ("tests/test_finders.py::"
@@ -364,6 +356,9 @@ MUTANTS = (
     Mutant("climb's removed vertex keeps its remove key", "fullsub/discrepancy.py",
            "add[v], rem[v] = rem[v], _KEY_OFF", "add[v] = rem[v]",
            ("tests/test_discrepancy.py::test_local_search_matches_reference_on_gnp[20]",)),
+    Mutant("swap climb's tie across blocks goes to the later block", "fullsub/discrepancy.py",
+           "if gains[i, j] > gain:", "if gains[i, j] >= max(gain, 1):",
+           ("tests/test_discrepancy.py::test_swap_climb_matches_reference_past_the_first_block",)),
     Mutant("mask reader takes duplicates", "fullsub/graph.py",
            "return g if g.edge_count == m else None", "return g",
            ("tests/test_sweep_cli.py::"

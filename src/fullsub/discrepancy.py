@@ -31,9 +31,9 @@ from typing import Iterable, Iterator, Optional
 
 import numpy as np
 
-from .graph import (Graph, PreconditionError, VerificationError, _add_row, _check_memory,
-                    _counts, _degrees_within, _pack_rows, _rows, as_probability, from_mask,
-                    lex_less)
+from .graph import (_BYTE_ROWS, Graph, PreconditionError, VerificationError, _add_row,
+                    _check_memory, _counts, _degrees_within, _pack_rows, _rows, as_probability,
+                    from_mask, lex_less)
 from .rng import philox, split_seed
 
 EXACT_CAP_DEFAULT = 20
@@ -415,17 +415,23 @@ def _climb(g: Graph, num: int, den: int, orient: int, in_set: np.ndarray,
                 add[v], rem[v] = rem[v], _KEY_OFF
             score = scaled(e, size)
     while True:
-        od = orient * d
-        # swap gains over X x (V \ X), divided by den, as int32, the
-        # adjacent pairs' read off X's rows unpacked (_rows)
+        od = orient * d.astype(np.int32)
+        # swap gains over X x (V \ X), divided by den, as int32, scored
+        # _BYTE_ROWS rows of X at a time, the adjacent pairs' read off
+        # their rows unpacked (_rows); a later block's best replaces the
+        # kept one only when greater, so the first argmax is kept
         xs, ys = np.flatnonzero(in_set), np.flatnonzero(~in_set)
-        gains = od[ys].astype(np.int32) - od[xs, None].astype(np.int32)
-        np.subtract(gains, orient, out=gains, where=_rows(g, xs)[:, ys])
-        gain = int(gains.max(initial=0))
-        if gain <= 0:
+        od_y, gain, move = od[ys], 0, None
+        for s in range(0, xs.size if ys.size else 0, _BYTE_ROWS):
+            block = xs[s:s + _BYTE_ROWS]
+            gains = od_y - od[block, None]
+            np.subtract(gains, orient, out=gains, where=_rows(g, block)[:, ys])
+            i, j = divmod(int(gains.argmax()), ys.size)
+            if gains[i, j] > gain:
+                gain, move = gains[i, j], (block[i], ys[j])
+        if move is None:
             return score, _pack_rows(in_set[None])[0]
-        i, j = divmod(int(np.argmax(gains)), ys.size)
-        for v in (xs[i], ys[j]):
+        for v in move:
             step = -1 if in_set[v] else 1
             e += step * int(d[v])
             size += step

@@ -9,9 +9,7 @@ reference density. This module houses:
   - is_full / is_relatively_full: exact certification predicates,
   - oracle_largest_full: the exponential exact optimum (desk scale),
     a descending search kept on the graph per (p, mode),
-  - greedy_full: threshold peeling with a choice of tie-breaks; its
-    peel (_peel) also runs in a co-full mode on G's own rows, which
-    peels as greedy_full on the complement would (_cofull_greedy),
+  - greedy_full: threshold peeling (_peel) with a choice of tie-breaks,
   - qfull_partition: swap local search over (ceil(qn), rest)
     bipartitions whose local maxima force one of three witness shapes,
   - half_full / one_over_r_full: relatively full subgraphs near n/r,
@@ -22,8 +20,8 @@ reference density. This module houses:
   - small_p_full: the sparse-regime finder (p <= n^(-2/3)),
   - largest_full_or_cofull: best of both orientations, exactly by one
     joint search that walks both kept searches down in lockstep, or by
-    the polynomial finders whose size ceiling can still win, with the
-    complement built only for a co-full finder other than greedy.
+    the polynomial finders whose size ceiling can still win, run on G
+    and on its complement, built once.
 
 The bar p(m-1) has one integer form, _fullness_bar, and in-set degrees
 one count, graph._degrees_within. Vertex sets stay sorted index arrays
@@ -302,18 +300,13 @@ _SCAN_ROWS = 32  # rows a qfull scan for a non-adjacent swap unpacks at most at 
 
 
 def _peel(g: Graph, p: Fraction, tie_break: str = "min-index",
-          stop: Optional[Callable[[int, int], bool]] = None, mode: str = "full"
+          stop: Optional[Callable[[int, int], bool]] = None
           ) -> tuple[np.ndarray, tuple[int, ...], bool, np.ndarray]:
     """Delete minimum-degree vertices until the survivors are full at p,
     or until stop(count, dmin) holds before a deletion; returns the
     survivors as a sorted index array, the deleted vertices in order,
-    whether stop fired and the key table (d_kept at the survivors, -d_kept
-    in the co-full mode).
-    tie_break is as in greedy_full; n must be positive. mode="cofull"
-    peels G toward a co-full set on its own rows, as the full peel of
-    the complement at 1 - p would: its keys are -d, so the vertex deleted
-    has the most live neighbours (the smallest index among ties), until
-    each keeps at most floor(p(count-1)).
+    whether stop fired and the key table (d_kept at the survivors).
+    tie_break is as in greedy_full; n must be positive.
 
     The key table is dense int32; a deleted vertex's entry starts at
     _GONE = 2^30 and moves by at most n - 1 < 2^29, so it stays above every
@@ -321,11 +314,7 @@ def _peel(g: Graph, p: Fraction, tie_break: str = "min-index",
     smallest index among ties), and a deletion moves every key by its row,
     added from Graph.packed (graph._add_row)."""
     n = count = g.n
-    cofull = mode == "cofull"
     deg = np.array(g.degrees, dtype=np.int32)
-    if cofull:  # keys -d clear -floor(p(count-1)) = ceil(-p(count-1))
-        np.negative(deg, out=deg)
-        p = -p
     trace: list[int] = []
     last: Optional[int] = None
     stopped = False
@@ -343,7 +332,7 @@ def _peel(g: Graph, p: Fraction, tie_break: str = "min-index",
                 victim = anti
         count -= 1
         deg[victim] = _GONE
-        _add_row(g, victim, deg, 1 if cofull else -1)
+        _add_row(g, victim, deg, -1)
         trace.append(victim)
         last = victim
     return np.flatnonzero(deg < n), tuple(trace), stopped, deg
@@ -379,16 +368,6 @@ def greedy_full(g: Graph, p=None, tie_break: str = "min-index",
                 raise ValueError("alpha > 0 is impossible at p = 1")
             guarantee = Fraction(ceil_sqrt_frac(2 * alpha / (1 - p)))
     return _certified(g, p, kept, guarantee, trace)
-
-
-def _cofull_greedy(g: Graph) -> FullSubgraphResult:
-    """greedy_full(complement(g))'s witness and trace, from the co-full
-    peel on G's own rows, certified co-full in G at p = density(g)."""
-    p = density(g)
-    if g.n == 0:
-        return _certified(g, p, 0, None, (), "cofull")
-    kept, trace, _, _ = _peel(g, p, mode="cofull")
-    return _certified(g, p, kept, None, trace, "cofull")
 
 
 def qfull_partition(g: Graph, q, seed: Optional[int] = None) -> QFullOutcome:
@@ -748,19 +727,16 @@ def largest_full_or_cofull(g: Graph, method: str = "oracle",
     exact under the cap: one joint search walks the sizes down, tests
     full before co-full at each on the searches oracle_largest_full
     keeps on g, and stops at the first set; method="heuristic" takes the
-    best verified candidate from the polynomial finders on both sides:
-    greedy_full on G and, through the co-full peel on G's own rows
-    (_cofull_greedy), on its complement first, then on each side
-    full_two_thirds, small_p_full and half_full (kept when full), each
-    only where it takes the side's density (1 - p on the co-full side)
-    and its size ceiling reaches the largest candidate so far:
-    ceil(n/r) + 1 (_two_thirds_r; a run that never switches returns
-    greedy's witness), the window top (_small_p_top), floor(n/2) + 1.
-    Where a finder returns V(G) outright (n <= 2, p = 0), greedy_full
-    has kept V(G) on the full side already. The complement is built for
-    the first co-full finder that runs. A smaller set loses on size
-    whatever its side and members, so a skipped call cannot change the
-    answer."""
+    best verified candidate from the polynomial finders on both sides,
+    G and its complement, built once: greedy_full on both first, then on
+    each side full_two_thirds, small_p_full and half_full (kept when
+    full), each only where it takes the side's own density and its size
+    ceiling reaches the largest candidate so far: ceil(n/r) + 1
+    (_two_thirds_r; a run that never switches returns greedy's witness),
+    the window top (_small_p_top), floor(n/2) + 1. Where a finder
+    returns V(G) outright (n <= 2, p = 0), greedy_full has kept V(G) on
+    the full side already. A smaller set loses on size whatever its side
+    and members, so a skipped call cannot change the answer."""
     p = density(g)
     if method == "oracle":
         kept = [_kept_search(g, p, side, cap) for side in ("full", "cofull")]
@@ -768,8 +744,10 @@ def largest_full_or_cofull(g: Graph, method: str = "oracle",
                     for s in kept if _holds(g, s, m))
     elif method == "heuristic":
         n = g.n
-        cands = [("full", greedy_full(g).vertices), ("cofull", _cofull_greedy(g).vertices)]
-        for side, q, h in (("full", p, g), ("cofull", 1 - p, None)):
+        sides = (("full", g), ("cofull", complement(g)))
+        cands = [(side, greedy_full(h).vertices) for side, h in sides]
+        for side, h in sides:
+            q = density(h)
             for finder in (full_two_thirds, small_p_full, half_full):
                 try:  # finder's size ceiling, from its own formula
                     top = (-(-n // _two_thirds_r(n, q)) + 1 if finder is full_two_thirds
@@ -777,7 +755,6 @@ def largest_full_or_cofull(g: Graph, method: str = "oracle",
                 except PreconditionError:  # finder refuses q: skip it
                     continue
                 if top >= max(len(c[1]) for c in cands):
-                    h = complement(g) if h is None else h  # for the first co-full run
                     got = (half_full(h, seed=seed) if finder is half_full else finder(h)).vertices
                     if finder is not half_full or is_full(h, q, got)[0]:
                         cands.append((side, got))

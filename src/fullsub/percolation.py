@@ -34,7 +34,7 @@ import numpy as np
 from .finders import is_relatively_full
 from .graph import (_BYTE_ROWS, Graph, PreconditionError, _arcs, _as_index, _check_memory,
                     _pack_rows, _rows, as_probability)
-from .rng import _bernoulli, split_seed
+from .rng import _threshold, split_seed, uniform_u64
 
 THETA_CAP_DEFAULT = 20
 _CHUNK = 256  # rows percolated together, which bounds memory at any trial count
@@ -154,12 +154,13 @@ def surviving_half_full(g: Graph, initial) -> frozenset[int]:
 
 
 def _initial_rows(n: int, p: Fraction, seed: int, trials: range) -> np.ndarray:
-    """Row i is trial trials[i]'s p-random initial set: 64-bit threshold
-    draws under the per-trial split seed, one per vertex."""
+    """Row i is trial trials[i]'s p-random initial set: vertex v is in it
+    iff draw v of the Philox stream of the per-trial split seed falls
+    below _threshold(p)."""
     rows = np.full((len(trials), n), p == 1)
     if 0 < p < 1:
         for t, row in zip(trials, rows):
-            _bernoulli(split_seed(seed, t), p, [row])
+            np.less(uniform_u64(split_seed(seed, t), n), _threshold(p), out=row)
     return rows
 
 

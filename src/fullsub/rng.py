@@ -4,10 +4,10 @@ Every randomized routine takes an integer seed and derives independent
 substreams with split_seed, so results are reproducible across runs,
 platforms, and thread counts. Bulk sampling uses numpy's counter-based
 Philox generator, which produces identical streams regardless of how
-the draws are batched. _row_blocks (a block of whole rows at a time,
-which _bernoulli thresholds) and _kept (a block of _BLOCK draws, ending
-anywhere in a row) draw from one bit generator per seed and keep a draw
-below one _threshold, so each holds one block of draws, not 8 bytes per
+the draws are batched. A draw is kept when it falls below one
+_threshold. _row_blocks (a block of whole rows at a time) and _kept (a
+block of _BLOCK draws, ending anywhere in a row) draw from one bit
+generator per seed, so each holds one block of draws, not 8 bytes per
 pair.
 """
 
@@ -74,26 +74,10 @@ def _row_blocks(seed: int, lengths) -> Iterator[tuple[int, int, np.ndarray]]:
         i = j
 
 
-def _bernoulli(seed: int, p: Fraction, rows: list[np.ndarray]) -> None:
-    """Fill the 1-D bool arrays rows, in order, with independent bools,
-    each True with probability p < 1: draw k of the Philox stream of
-    seed, counted across the rows, is kept iff it falls below
-    _threshold(p). The draws come a block of whole rows at a time
-    (_row_blocks); each row is its slice of the block compared with the
-    threshold in place."""
-    threshold = _threshold(p)
-    for i, j, raw in _row_blocks(seed, [len(row) for row in rows]):
-        a = 0
-        for row in rows[i:j]:
-            np.less(raw[a:a + len(row)], threshold, out=row)
-            a += len(row)
-        del raw  # before the next block's draws: one block is held at a time
-
-
 def _kept(seed: int, p: Fraction, count: int) -> Iterator[np.ndarray]:
-    """The increasing indices k < count of the True entries _bernoulli
-    would write across rows of count bools in all, yielded a block of
-    _BLOCK draws at a time, each thresholded in one call."""
+    """The increasing indices k < count of the draws of the Philox stream
+    of seed that fall below _threshold(p), yielded a block of _BLOCK
+    draws at a time, each thresholded in one call."""
     bitgen, threshold = _bit_generator(seed), _threshold(p)
     for start in range(0, count, _BLOCK):
         yield np.flatnonzero(bitgen.random_raw(min(_BLOCK, count - start)) < threshold) + start

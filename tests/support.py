@@ -688,6 +688,13 @@ def reference_first_full_set(adj, cands: list, m: int, bar: int) -> Optional[int
         i += 1
 
 
+def reference_complement(g: Graph) -> Graph:
+    """G's complement built from masks, full ^ N(v) ^ {v} per vertex,
+    without graph.complement's inverted packed rows."""
+    full = (1 << g.n) - 1
+    return Graph.from_masks(g.n, [full ^ a ^ (1 << v) for v, a in enumerate(g.adj)])
+
+
 def reference_peel(g: Graph, p, tie_break: str = "min-index", stop=None):
     """(survivors' mask, deletion trace, whether stop fired) of the
     minimum-degree peel: the loop the finders ran before it became one

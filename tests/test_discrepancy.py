@@ -8,6 +8,7 @@ import hashlib
 import tracemalloc
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -382,6 +383,8 @@ def test_local_search_frozen_values():
     for g, k in ((support.empty(0), None), (K31, 0)):  # only the empty set to score
         got = discrepancy_local_search(g, HALF, "negative", k=k)
         assert (got.value, got.witness, got.k) == (0, frozenset(), k)
+    got = discrepancy_local_search(K31, HALF, "positive", k=4)  # V itself: no swap to score
+    assert (got.value, got.witness) == (0, frozenset(range(4)))
 
 
 def test_local_search_is_deterministic():
@@ -506,6 +509,48 @@ def test_local_search_k_keeps_the_size(g, p, seed, data):
     got = discrepancy_local_search(g, p, "positive", seed=seed, k=k)
     assert len(got.witness) == k
     assert got.value <= discrepancy_exact(g, p, "positive", k=k).value
+
+
+def test_swap_climb_matches_reference_past_the_first_block(monkeypatch):
+    """With |X| = 200 the swap gains are scored a block of _BYTE_ROWS =
+    128 rows of X at a time; the climbs take best moves whose out-vertex
+    lies past the first block, and a tie across blocks goes to the first."""
+    g = gen_gnp(300, HALF, 4)
+    ranks = []  # each removed vertex's rank in X before the move
+    real = discrepancy._add_row
+
+    def spy(h, v, keys, step):
+        if step < 0:
+            ranks.append(int(np.count_nonzero(in_set[:v])))
+        return real(h, v, keys, step)
+
+    monkeypatch.setattr(discrepancy, "_add_row", spy)
+    for orient in (1, -1):
+        in_set = np.zeros(g.n, dtype=bool)
+        in_set[np.random.default_rng(orient + 1).permutation(g.n)[:200]] = True
+        start = graph_mod._pack_rows(in_set[None])[0]
+        mask, score = support.reference_climb(g, 1, 2, orient, start, 200)
+        assert discrepancy._climb(g, 1, 2, orient, in_set, 200) == (score, mask)
+    assert max(ranks) >= graph_mod._BYTE_ROWS
+
+
+@pytest.mark.parametrize("make", [support.empty, support.clique], ids=["empty", "K"])
+def test_swap_climb_scores_one_block_of_rows_at_a_time(make):
+    """A swap scan holds one block's rows, unpacked and cut to V - X, and
+    their int32 gains, not the |X| x |V - X| table (7 MB at |X| = 1000,
+    the climb's peak before its blocks)."""
+    n = 2000
+    g = make(n)
+    g.packed  # built on first use, before the trace
+    in_set = np.zeros(n, dtype=bool)
+    in_set[::2] = True  # every swap gains 0 here: one scan, no move
+    tracemalloc.start()
+    try:
+        discrepancy._climb(g, 1, 2, 1, in_set, n // 2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 10 * graph_mod._BYTE_ROWS * n, peak
 
 
 # ---------------------------------------------------------------------------

@@ -48,7 +48,7 @@ from fullsub import (
 )
 from fullsub import finders, rng
 from fullsub.finders import _certified, _fullness_bar, _peel
-from fullsub.graph import _degrees_within, to_mask
+from fullsub.graph import _degrees_within, iter_bits, to_mask
 
 K31 = support.disjoint_union(support.clique(3), support.empty(1))
 HALF = Fraction(1, 2)
@@ -264,12 +264,11 @@ TIE_BREAKS = st.sampled_from(["min-index", "adversarial-antipodal"])
 
 def peel(g, *args, **kwargs):
     """_peel with its survivors' index array as a mask, the form
-    reference_peel returns, once its key table is checked: d_kept (-d_kept
-    in the co-full mode) at the survivors, as the mask walk counts it."""
+    reference_peel returns, once its key table is checked: d_kept at the
+    survivors, as the mask walk counts it."""
     kept, trace, stopped, keys = _peel(g, *args, **kwargs)
-    sign = -1 if kwargs.get("mode") == "cofull" else 1
     want = support.reference_degrees_within(support.reference_masks(g), kept.tolist())
-    assert (sign * keys[kept]).tolist() == list(want)
+    assert keys[kept].tolist() == list(want)
     return to_mask(kept.tolist(), g.n), trace, stopped
 
 
@@ -280,14 +279,21 @@ def test_peel_matches_reference(g, p, tie_break):
 
 @given(graphs(min_n=1), densities, TIE_BREAKS)
 def test_cofull_peel_is_the_full_peel_of_the_complement(g, p, tie_break):
-    assert peel(g, p, tie_break, mode="cofull") == \
-        support.reference_peel(complement(g), 1 - p, tie_break)
+    # the co-full peel runs on complement's inverted packed rows
+    assert peel(complement(g), 1 - p, tie_break) == \
+        support.reference_peel(support.reference_complement(g), 1 - p, tie_break)
 
 
 def _assert_cofull_greedy_is_greedy_on_the_complement(g):
-    got, want = finders._cofull_greedy(g), greedy_full(complement(g))
-    assert (got.vertices, got.trace) == (want.vertices, want.trace), g.adj
-    assert got.p_used == density(g)
+    """The heuristic g's co-full greedy, greedy_full on complement's
+    packed rows, against the reference peel of the complement built from
+    masks; its witness is co-full in G at G's density."""
+    h = support.reference_complement(g)
+    got = greedy_full(complement(g))
+    kept, trace, _ = support.reference_peel(h, density(h)) if g.n else (0, (), False)
+    assert (got.vertices, got.trace, got.p_used) == \
+        (frozenset(iter_bits(kept)), trace, density(h)), g.adj
+    assert is_full(g, density(g), got.vertices, "cofull") == (True, None)
 
 
 @pytest.mark.parametrize("n", range(6))
@@ -1026,48 +1032,46 @@ def _count_calls(monkeypatch, names):
 
 
 def test_g_heuristic_runs_a_finder_only_where_its_ceiling_reaches(monkeypatch):
+    # every call builds the complement once, for greedy and every
+    # co-full finder that runs
     counts = _count_calls(monkeypatch, ("half_full", "_one_over_r", "complement"))
     # greedy keeps more than floor(n/2) + 1 on both sides of G(n, 1/2),
     # far above full_two_thirds' ceiling ceil(n/16) + 1 there, so no
-    # co-full finder but greedy runs, and greedy's co-full peel runs on
-    # G's own rows: the complement is never built
+    # finder but greedy runs
     for n in (200, 1000):
         g = gen_gnp(n, HALF, 0)
         assert min(len(greedy_full(h).vertices) for h in (g, complement(g))) > n // 2 + 1
         largest_full_or_cofull(g, method="heuristic")
-    assert counts == {"half_full": 0, "_one_over_r": 0, "complement": 0}
+    assert counts == {"half_full": 0, "_one_over_r": 0, "complement": 2}
     # greedy keeps 5 on both sides of this G(8, 1/2), which half_full's
-    # ceiling 8 // 2 + 1 reaches, so half_full runs on both, and on the
-    # complement, built once
+    # ceiling 8 // 2 + 1 reaches, so half_full runs on both
     largest_full_or_cofull(gen_gnp(8, HALF, 1), method="heuristic")
-    assert counts == {"half_full": 2, "_one_over_r": 0, "complement": 1}
+    assert counts == {"half_full": 2, "_one_over_r": 0, "complement": 3}
     # on no G(n, p) searched (n = 9..40, p = k/20, 40 seeds) does an
     # in-range full_two_thirds ceiling reach greedy's size, so greedy is
     # cut to the ceiling 14 of both sides of this G(200, 1/2): then
     # full_two_thirds runs on both and switches to its 1/16 levels (and
-    # half_full, whose ceiling 101 reaches 14 too, runs on both), and
-    # both co-full finders run on the one complement built for them
+    # half_full, whose ceiling 101 reaches 14 too, runs on both)
     g = gen_gnp(200, HALF, 1)
     assert [-(-200 // finders._two_thirds_r(200, density(h))) + 1
             for h in (g, complement(g))] == [14, 14]
-    for greedy in ("greedy_full", "_cofull_greedy"):
-        monkeypatch.setattr(finders, greedy,
-                            lambda h: SimpleNamespace(vertices=frozenset(range(14))))
+    monkeypatch.setattr(finders, "greedy_full",
+                        lambda h: SimpleNamespace(vertices=frozenset(range(14))))
     largest_full_or_cofull(g, method="heuristic")
-    assert counts == {"half_full": 4, "_one_over_r": 2, "complement": 2}
+    assert counts == {"half_full": 4, "_one_over_r": 2, "complement": 4}
 
 
 def test_g_heuristic_runs_no_finder_where_greedy_keeps_every_vertex(monkeypatch):
     # K_n and the edgeless graph are full at their density, so greedy keeps
-    # V(G) on the full side, which no finder's set can beat: none runs, and
-    # no complement is built
+    # V(G) on the full side, which no finder's set can beat: none runs, on
+    # G or on the one complement each call builds for greedy
     names = ("full_two_thirds", "small_p_full", "half_full", "complement")
     counts = _count_calls(monkeypatch, names)
     for n in (3, 50, 300):
         for g in (support.clique(n), support.empty(n)):
             got = largest_full_or_cofull(g, method="heuristic")
             assert (got.value, got.side, got.witness) == (n, "full", frozenset(range(n)))
-    assert counts == dict.fromkeys(names, 0)
+    assert counts == {"full_two_thirds": 0, "small_p_full": 0, "half_full": 0, "complement": 6}
     # every graph on at most two vertices is full at its density 0 or 1,
     # which full_two_thirds' r refuses: it never runs there
     for n in range(3):

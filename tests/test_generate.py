@@ -106,21 +106,6 @@ def test_gnp_places_the_kept_draws_only_up_to_the_switch(monkeypatch, p):
     assert np.array_equal(g.matrix, support.reference_gnp_adjacency(40, p, 6))
 
 
-@pytest.mark.parametrize("block", [5, None])
-def test_bernoulli_rows_hold_the_bits_of_one_uniform_u64_call(monkeypatch, block):
-    # empty rows, single draws, rows of exactly one block and one past it,
-    # and short rows that share a block with long ones; every row starts
-    # all True, so a draw left unwritten shows
-    if block is not None:
-        monkeypatch.setattr(rng, "_BLOCK", block)
-    b, p = rng._BLOCK, Fraction(2, 7)
-    sizes = [0, 1, b, 0, b + 1, 1, 3, b - 2, 2, 0, b, 5, 1]
-    rows = [np.ones(size, dtype=bool) for size in sizes]
-    rng._bernoulli(11, p, rows)
-    threshold = np.uint64((p.numerator << 64) // p.denominator)
-    assert np.array_equal(np.concatenate(rows), rng.uniform_u64(11, sum(sizes)) < threshold)
-
-
 @pytest.mark.parametrize("n", [724, 725])
 @pytest.mark.parametrize("p", [Fraction(1, 2), Fraction(1, 3)])
 def test_gnp_matches_reference_around_one_block(n, p):
